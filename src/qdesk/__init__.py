@@ -59,6 +59,7 @@ from .measurement import (
     pointer_scheme,
     premeasure,
     sample_branch,
+    sample_labels,
 )
 from .suggestion import (
     ChshSearchResult,
@@ -66,7 +67,7 @@ from .suggestion import (
     DecisionScheme,
     Direction,
     NoSignalingAudit,
-    RoundRecord,
+    SessionRecords,
     TSIRELSON_BOUND,
     build_stage_unitaries,
     build_suggestion_unitary,
@@ -77,7 +78,7 @@ from .suggestion import (
     joint_distribution,
     no_signaling_audit,
     run_session,
-    run_signaling_round,
+    sample_rounds,
     session_records,
     staged_decision,
     tally_from_records,

@@ -35,7 +35,7 @@ from .config import (
 )
 from .errors import ConfigError, FormatError, InvariantError, SolverError
 from .reports import matrix_payload, render_payload, render_signal_csv, vector_payload
-from .rng import stream_seed
+from .rng import stream_seeds
 from .tensor import DensityMatrix, StateVector, layout_of
 
 
@@ -93,14 +93,12 @@ def cmd_measure(cfg: MeasureConfig) -> dict:
         ],
     }
     if cfg.rounds is not None:
-        counts = {label: 0 for label in _METER_LABELS}
-        for i in range(cfg.rounds):
-            branch, _ = measurement.sample_branch(measured, "meter", stream_seed(cfg.seed, i))
-            counts[branch.pointer_label] += 1
+        labels = measurement.sample_labels(measured, "meter", stream_seeds(cfg.seed, cfg.rounds))
+        counts = np.bincount(labels, minlength=len(_METER_LABELS)).tolist()
         payload["sampling"] = {
             "rounds": cfg.rounds,
             "seed": cfg.seed,
-            "counts": {k: v for k, v in counts.items() if v or k != "ready"},
+            "counts": {k: v for k, v in zip(_METER_LABELS, counts) if v or k != "ready"},
         }
     payload["tolerances"] = {
         "branch_prune": measurement.BRANCH_PRUNE_EPS,
@@ -113,7 +111,7 @@ def cmd_measure(cfg: MeasureConfig) -> dict:
 # signal
 
 
-def cmd_signal(cfg: SignalConfig) -> tuple[dict, list[suggestion.RoundRecord]]:
+def cmd_signal(cfg: SignalConfig) -> tuple[dict, suggestion.SessionRecords]:
     alice = suggestion.Direction(cfg.alice_angle)
     bob = suggestion.Direction(cfg.bob_angle)
     records = suggestion.session_records(cfg.rounds, alice, bob, cfg.seed)

@@ -18,7 +18,13 @@ import os
 from dataclasses import dataclass, replace
 
 from .ctc import CtcScenario, grandfather_scenario
-from .errors import ConfigError, FormatError
+from .errors import (
+    ConfigError,
+    DimensionMismatchError,
+    FormatError,
+    InvariantError,
+    LayoutError,
+)
 from .serialization import parse_unitary
 from .tensor import UnitaryOperator
 
@@ -34,6 +40,10 @@ def parse_flat_file(path: str) -> dict[str, tuple[str, int]]:
             lines = fh.readlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}", path=path) from exc
+    return _parse_lines(lines, path)
+
+
+def _parse_lines(lines: list[str], path: str) -> dict[str, tuple[str, int]]:
     entries: dict[str, tuple[str, int]] = {}
     for no, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -188,25 +198,14 @@ def load_scenario_file(path: str) -> CtcScenario:
     except OSError as exc:
         raise ConfigError(f"cannot read scenario file: {exc}", path=path) from exc
 
-    head_lines: list[str] = []
+    head = text.splitlines()
     unitary_text: str | None = None
-    for no, raw in enumerate(text.splitlines(), start=1):
+    for i, raw in enumerate(head):
         if raw.strip() == "unitary:":
-            unitary_text = "\n".join(text.splitlines()[no:])
+            head, unitary_text = head[:i], "\n".join(head[i + 1:])
             break
-        head_lines.append(raw)
 
-    entries: dict[str, tuple[str, int]] = {}
-    for no, raw in enumerate(head_lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"expected 'key = value', got {line!r}", path=path, line=no)
-        key, value = line.split("=", 1)
-        entries[key.strip()] = (value.split("#", 1)[0].strip(), no)
-
-    ent = _Entries(path, entries)
+    ent = _Entries(path, _parse_lines(head, path))
     variant = ent.get_str("variant")
     if variant is not None:
         ent.reject_unknown()
@@ -224,13 +223,13 @@ def load_scenario_file(path: str) -> CtcScenario:
         raise ConfigError("scenario needs 'variant = ...' or a 'unitary:' section", path=path)
     try:
         unitary: UnitaryOperator = parse_unitary(unitary_text)
-    except FormatError as exc:
+    except (FormatError, LayoutError, InvariantError) as exc:
         raise ConfigError(f"bad inline unitary: {exc}", path=path) from exc
     cr_ids = tuple(t.strip() for t in cr_raw.split(",") if t.strip())
     ctc_ids = tuple(t.strip() for t in ctc_raw.split(",") if t.strip())
     try:
         return CtcScenario(unitary.layout, cr_ids, ctc_ids, unitary)
-    except Exception as exc:
+    except (LayoutError, DimensionMismatchError) as exc:
         raise ConfigError(f"inconsistent scenario: {exc}", path=path) from exc
 
 
@@ -284,6 +283,9 @@ def load_config(path: str, kind: str) -> RunConfig:
                                   path=path)
             if resolution <= 0:
                 raise ConfigError("grid_resolution must be positive", path=path)
+            if round(2.0 * math.pi / resolution) < 4:
+                raise ConfigError(f"grid_resolution {resolution} leaves fewer than 4 grid angles",
+                                  path=path)
             cfg = ChshConfig(kind, None, resolution, fmt)
         else:
             if not all(have_angles):

@@ -21,7 +21,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import LayoutError, SchemeError, ProtocolError
-from .rng import SplitMix64, inverse_cdf_select
+from .rng import MASK64, born_select, first_uniforms
 from .tensor import (
     StateVector,
     SubsystemLayout,
@@ -110,22 +110,14 @@ def build_premeasurement_unitary(scheme: PointerScheme, layout: SubsystemLayout)
     return embed_operator(u, sub)
 
 
-def apparatus_ready_weight(s: StateVector, scheme: PointerScheme) -> float:
-    """Probability weight of the apparatus ready label in s."""
-    app = s.layout.subsystem_named(scheme.apparatus)
-    pos = s.layout.position(scheme.apparatus)
-    ready_idx = app.label_index(scheme.ready_label)
-    t = np.moveaxis(s.tensor(), pos, -1)
-    return float(np.sum(np.abs(t[..., ready_idx]) ** 2))
-
-
 def premeasure(s: StateVector, scheme: PointerScheme) -> StateVector:
     """Apply the pre-measurement unitary to s (spectators untouched).
 
     Requires the apparatus to be in its ready state; a re-used apparatus is a
     protocol error, not a silently wrong answer.
     """
-    ready_weight = apparatus_ready_weight(s, scheme)
+    ready_idx = s.layout.subsystem_named(scheme.apparatus).label_index(scheme.ready_label)
+    ready_weight = float(apparatus_weights(s, scheme.apparatus)[ready_idx])
     if abs(ready_weight - 1.0) > READY_WEIGHT_TOL:
         raise ProtocolError(
             f"apparatus {scheme.apparatus!r} not in ready state "
@@ -210,18 +202,27 @@ def _collapsed_state(s: StateVector, apparatus: str, branch: Branch) -> StateVec
     return StateVector(s.layout, t.reshape(-1))
 
 
+def sample_labels(s: StateVector, apparatus: str, seeds: np.ndarray) -> np.ndarray:
+    """Born-rule apparatus label index for each seed (uint64 array).
+
+    Selection is inverse-CDF over the apparatus-label weights in label index
+    order, driven by the first uniform draw of SplitMix64(seed); entry i
+    depends only on seeds[i].
+    """
+    return born_select(apparatus_weights(s, apparatus), first_uniforms(seeds))
+
+
 def sample_branch(s: StateVector, apparatus: str, rng_seed: int) -> tuple[Branch, StateVector]:
     """Pick one branch by the Born rule, deterministically from rng_seed.
 
-    Selection is inverse-CDF over the apparatus-label weights in label index
-    order, driven by the first uniform draw of SplitMix64(rng_seed). Returns
-    the branch and the collapsed full state (apparatus pinned to the pointer
-    label, remainder equal to the conditional state).
+    The label is ``sample_labels`` for the single seed, so with
+    ``rng_seed = stream_seed(seed, i)`` it is the label of round i of a
+    ``measure`` run sampled with ``seed``. Returns the branch and the collapsed full state (apparatus pinned to the
+    pointer label, remainder equal to the conditional state). Raises
+    ProtocolError if the picked label's weight is at most BRANCH_PRUNE_EPS.
     """
     flat, rest_layout = _apparatus_columns(s, apparatus)
-    weights = np.sum(np.abs(flat) ** 2, axis=0)
-    u = SplitMix64(rng_seed).random()
-    idx = inverse_cdf_select(weights, u)
+    idx = int(sample_labels(s, apparatus, np.array([rng_seed & MASK64], dtype=np.uint64))[0])
     label = s.layout.subsystem_named(apparatus).basis[idx].name
     branch = _branch_for_label(flat, rest_layout, label, idx)
     if branch is None:

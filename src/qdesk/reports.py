@@ -14,7 +14,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .serialization import format_float
-from .suggestion import RoundRecord
+from .suggestion import INFLUENCE_LABELS, SessionRecords
 
 CSV_HEADER = "round,theta_a,theta_b,alice_decision,bob_outcome,seed"
 
@@ -99,13 +99,13 @@ def _table_scalar_seq(seq: Sequence[Any]) -> str:
     ) + "]"
 
 
-def render_signal_csv(records: Sequence[RoundRecord]) -> str:
-    lines = [CSV_HEADER]
-    for i, r in enumerate(records):
-        lines.append(
-            f"{i},{format_float(r.alice_theta)},{format_float(r.bob_theta)},"
-            f"{r.alice_decision},{r.bob_outcome},{r.seed}"
-        )
+def render_signal_csv(records: SessionRecords) -> str:
+    thetas = f"{format_float(records.alice_theta)},{format_float(records.bob_theta)}"
+    rows = zip(records.decisions.tolist(), records.outcomes.tolist(), records.seeds.tolist())
+    lines = [CSV_HEADER] + [
+        f"{i},{thetas},{INFLUENCE_LABELS[d]},{INFLUENCE_LABELS[o]},{seed}"
+        for i, (d, o, seed) in enumerate(rows)
+    ]
     return "\n".join(lines) + "\n"
 
 

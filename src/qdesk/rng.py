@@ -129,16 +129,13 @@ def random_density(dim: int, rng: SplitMix64) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
-def inverse_cdf_select(weights: np.ndarray, u: float) -> int:
-    """Index selected by inverse CDF over `weights` (in index order).
+def born_select(weights: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Index selected by inverse CDF over `weights` (in index order), per uniform.
 
-    weights need not be exactly normalized; u is uniform in [0, 1). Cells of
-    zero weight are never selected; if rounding leaves u beyond the final
-    cumulative sum, the last cell of positive weight is chosen.
+    weights need not be exactly normalized; each uniform is in [0, 1). Cells
+    of zero weight are never selected; if rounding leaves a uniform beyond the
+    final cumulative sum, the last cell of positive weight is chosen.
     """
     cdf = np.cumsum(weights)
-    total = cdf[-1]
-    idx = int(np.searchsorted(cdf, u * total, side="right"))
-    if idx >= len(weights):
-        idx = int(np.max(np.nonzero(weights)))
-    return idx
+    idx = np.searchsorted(cdf, uniforms * cdf[-1], side="right")
+    return np.minimum(idx, np.max(np.nonzero(weights)))

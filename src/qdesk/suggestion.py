@@ -42,7 +42,7 @@ from .measurement import (
     build_premeasurement_unitary,
     pointer_scheme,
 )
-from .rng import SplitMix64, first_uniforms, inverse_cdf_select, stream_seed, stream_seeds
+from .rng import SplitMix64, born_select, first_uniforms, stream_seed, stream_seeds
 from .tensor import (
     StateVector,
     SubsystemLayout,
@@ -296,10 +296,6 @@ def _joint_weights(alice_dir: Direction, bob_dir: Direction,
     return t.sum(axis=(0, 1, 3))
 
 
-_DECISION_NAME = {1: "up", 2: "down"}
-_OUTCOME_NAME = {1: "up", 2: "down"}
-
-
 def joint_distribution(alice_dir: Direction, bob_dir: Direction,
                        pair_state: StateVector | None = None) -> dict[tuple[str, str], float]:
     """Exact joint probabilities {(alice_decision, bob_outcome): p}."""
@@ -308,67 +304,50 @@ def joint_distribution(alice_dir: Direction, bob_dir: Direction,
     if leak > 1e-10:
         raise InvariantError(f"undecided/ready weight {leak:.3e} survived the round")
     return {
-        (_DECISION_NAME[i], _OUTCOME_NAME[j]): float(w[i, j])
-        for i in (1, 2)
-        for j in (1, 2)
+        (INFLUENCE_LABELS[i], INFLUENCE_LABELS[j]): float(w[i + 1, j + 1])
+        for i in (0, 1)
+        for j in (0, 1)
     }
 
 
 @dataclass(frozen=True)
-class RoundRecord:
-    """One sampled signaling round, reproducible from its seed."""
+class SessionRecords:
+    """Sampled signaling rounds as columns; row i is one round.
+
+    decisions and outcomes index INFLUENCE_LABELS (0 = up, 1 = down) for
+    Alice's decision and Bob's pointer outcome; seeds holds each round's
+    uint64 seed, from which the round is reproducible.
+    """
 
     alice_theta: float
     bob_theta: float
-    alice_decision: str
-    bob_outcome: str
-    seed: int
+    decisions: np.ndarray
+    outcomes: np.ndarray
+    seeds: np.ndarray
 
 
-def _select_joint(w: np.ndarray, u: float) -> tuple[str, str]:
-    idx = inverse_cdf_select(w.reshape(-1), u)
-    i, j = divmod(idx, w.shape[1])
-    if i == 0 or j == 0:
-        raise InvariantError("sampled a zero-weight undecided/ready cell")
-    return _DECISION_NAME[i], _OUTCOME_NAME[j]
+def sample_rounds(alice_dir: Direction, bob_dir: Direction, seeds: np.ndarray) -> SessionRecords:
+    """One round per seed: joint inverse-CDF over the (agent, pointer) weights.
 
-
-def run_signaling_round(alice_dir: Direction, bob_dir: Direction, seed: int) -> RoundRecord:
-    """Sample one round: joint inverse-CDF over the (agent, pointer) weights.
-
-    The flattened weight vector is traversed in (agent index, pointer index)
-    row-major order, driven by the first uniform of SplitMix64(seed).
+    The flattened weight table is traversed in (agent index, pointer index)
+    row-major order, driven by the first uniform of SplitMix64(seed). The
+    evolved state is the same in every round, so its weights are computed
+    once; round i depends only on seeds[i], so a one-element uint64 array
+    replays a single round.
     """
     w = _joint_weights(alice_dir, bob_dir)
-    decision, outcome = _select_joint(w, SplitMix64(seed).random())
-    return RoundRecord(alice_dir.theta, bob_dir.theta, decision, outcome, seed)
+    agent, pointer = np.divmod(born_select(w.reshape(-1), first_uniforms(seeds)), w.shape[1])
+    if not (agent.all() and pointer.all()):
+        raise InvariantError("sampled a zero-weight undecided/ready cell")
+    return SessionRecords(alice_dir.theta, bob_dir.theta, agent - 1, pointer - 1, seeds)
 
 
 def session_records(n_rounds: int, alice_dir: Direction, bob_dir: Direction,
-                    master_seed: int) -> list[RoundRecord]:
-    """All rounds of a session; round i uses seed stream_seed(master_seed, i).
-
-    The evolved state is identical in every round, so its weights are
-    computed once; the per-round selection is bit-identical to calling
-    run_signaling_round with the derived seed.
-    """
+                    master_seed: int) -> SessionRecords:
+    """All rounds of a session; round i uses seed stream_seed(master_seed, i)."""
     if n_rounds < 1:
         raise ValueError(f"n_rounds must be >= 1, got {n_rounds}")
-    w = _joint_weights(alice_dir, bob_dir).reshape(-1)
-    cdf = np.cumsum(w)
-    seeds = stream_seeds(master_seed, n_rounds)
-    us = first_uniforms(seeds)
-    idx = np.searchsorted(cdf, us * cdf[-1], side="right")
-    last_nonzero = int(np.max(np.nonzero(w)))
-    idx = np.minimum(idx, last_nonzero)
-    records = []
-    for k in range(n_rounds):
-        i, j = divmod(int(idx[k]), 3)
-        if i == 0 or j == 0:
-            raise InvariantError("sampled a zero-weight undecided/ready cell")
-        records.append(RoundRecord(alice_dir.theta, bob_dir.theta,
-                                   _DECISION_NAME[i], _OUTCOME_NAME[j], int(seeds[k])))
-    return records
+    return sample_rounds(alice_dir, bob_dir, stream_seeds(master_seed, n_rounds))
 
 
 @dataclass(frozen=True)
@@ -389,12 +368,9 @@ class CorrelationTally:
         return (self.n_uu + self.n_dd - self.n_ud - self.n_du) / self.n_total
 
 
-def tally_from_records(records: Sequence[RoundRecord]) -> CorrelationTally:
-    counts = {("up", "up"): 0, ("up", "down"): 0, ("down", "up"): 0, ("down", "down"): 0}
-    for r in records:
-        counts[(r.alice_decision, r.bob_outcome)] += 1
-    return CorrelationTally(counts[("up", "up")], counts[("up", "down")],
-                            counts[("down", "up")], counts[("down", "down")])
+def tally_from_records(records: SessionRecords) -> CorrelationTally:
+    counts = np.bincount(2 * records.decisions + records.outcomes, minlength=4)
+    return CorrelationTally(*counts.tolist())
 
 
 def run_session(n_rounds: int, alice_dir: Direction, bob_dir: Direction,

@@ -179,6 +179,24 @@ def splitmix64_reference(seed: int, count: int) -> list[int]:
     return outputs
 
 
+def inverse_cdf_select(weights, u: float) -> int:
+    """Scalar inverse-CDF selection by an explicit running sum.
+
+    Picks the first index whose cumulative weight exceeds u * total; when
+    rounding leaves no such index, the last index of positive weight.
+    """
+    cumulative = []
+    total = 0.0
+    for w in weights:
+        total += float(w)
+        cumulative.append(total)
+    target = u * total
+    for k, c in enumerate(cumulative):
+        if c > target:
+            return k
+    return max(k for k, w in enumerate(weights) if w > 0)
+
+
 def kraus_dilation(kraus: list[np.ndarray]) -> np.ndarray:
     """Unitary on (env ox sys) acting as the channel for env input |0>.
 

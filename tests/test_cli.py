@@ -1,9 +1,11 @@
+import hashlib
 import json
 import math
 import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from qdesk import UnitaryOperator, layout_of, serialize_unitary
 from qdesk.cli import main
@@ -193,6 +195,28 @@ def test_config_error_exits_2(tmp_path):
     assert missing[0] == 2
 
 
+BAD_INLINE_UNITARIES = {
+    "duplicate_labels": "layout: loop=b0,b0\ndata:\n1,0 0,0\n0,0 1,0\n",
+    "not_unitary": "layout: loop=b0,b1\ndata:\n1,0 1,0\n0,0 1,0\n",
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INLINE_UNITARIES))
+def test_bad_inline_unitary_exits_2(tmp_path, case, capsys):
+    write(tmp_path, "bad.scenario",
+          "ctc_ids = loop\nunitary:\nqdesk-object: unitary\n" + BAD_INLINE_UNITARIES[case])
+    cfg = write(tmp_path, "c.cfg", "experiment = ctc-solve\nscenario_file = bad.scenario\n")
+    code, out = run_cli(["ctc-solve", "--config", cfg])
+    assert code == 2 and out == ""
+    assert "bad inline unitary" in capsys.readouterr().err
+
+
+def test_over_coarse_chsh_grid_exits_2(tmp_path):
+    cfg = write(tmp_path, "c.cfg", "experiment = chsh\ngrid_resolution = 3.0\n")
+    code, out = run_cli(["chsh", "--config", cfg])
+    assert code == 2 and out == ""
+
+
 def test_solver_error_exits_3_with_residual(tmp_path):
     gamma = 1e-6
     a0 = np.diag([1.0, math.sqrt(1.0 - gamma)]).astype(complex)
@@ -252,3 +276,34 @@ def test_seed_override_changes_sampling_but_stays_deterministic(tmp_path):
     override_b = run_cli(["signal", "--config", cfg, "--seed", "6"])[1]
     assert override_a == override_b
     assert override_a != base
+
+
+# Report digests recorded before the Born selector was vectorized: sampled
+# rounds must keep their exact bytes, including at seeds that need the
+# 64-bit wraparound (negative, and at or above 2**63).
+PINNED_BODIES = {
+    "signal_csv": "experiment = signal\nalice_angle = 0.3\nbob_angle = -1.1\n"
+                  "rounds = 64\nformat = csv\n",
+    "signal_json": "experiment = signal\nalice_angle = 2.5\nbob_angle = 0.7\n"
+                   "rounds = 500\nformat = json\n",
+    "measure_bell": "experiment = measure\nstate = bell\nrounds = 300\n",
+}
+PINNED_DIGESTS = [
+    ("signal_csv", -5, "d11f3efb7d7f04c8d260e2dc9492b666b596a5e23c5151c06d7dd8e1e1c4f4d2"),
+    ("signal_csv", 2**63, "bc899ae21612e87adb3ce4885743c05fd7482b53dee6707692cd14c086781bea"),
+    ("signal_csv", 2**64 - 1, "ae9edfc9848e0e84ac07841fe590f7aa47b0f1c0a6612b4bf2784a6576a45741"),
+    ("signal_json", -5, "86d4e40f434edc46ae177bc55f35cdfff849238a393a76fe52fd1a59f0009d3f"),
+    ("signal_json", 2**63, "019cca4889b988d68f6b4538e74dcf430b4d3316b11f3764bfc21a2e848c2cfc"),
+    ("signal_json", 2**64 - 1, "686823724fdb4e86759cd50012c6ae1148e269564dc9a3ae826a80545a6b651a"),
+    ("measure_bell", -5, "056edc71443dc125de2d2c2f53dec2ebdc53bcf45042962766a5d6d4ae8a6aaa"),
+    ("measure_bell", 2**63, "f454cf5e453518ec9e843cae1954e707ea187a81c68043ad84c9364554a6d949"),
+    ("measure_bell", 2**64 - 1, "24817cdc910c41a868072548b11d0d8510c365a88e0db7a0e11f00ef649d5f81"),
+]
+
+
+@pytest.mark.parametrize("case,seed,digest", PINNED_DIGESTS)
+def test_sampled_reports_match_pinned_digests(tmp_path, case, seed, digest):
+    cfg = write(tmp_path, "p.cfg", PINNED_BODIES[case] + f"seed = {seed}\n")
+    code, out = run_cli([case.split("_")[0], "--config", cfg])
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

@@ -152,6 +152,24 @@ def test_duplicate_keys_rejected(tmp_path):
         load_config(path, "measure")
 
 
+def test_scenario_file_duplicate_keys_rejected_with_line(tmp_path):
+    path = write(tmp_path, "v.scenario", "variant = qubit_flip\nvariant = cr_coupled\n")
+    with pytest.raises(ConfigError) as err:
+        load_scenario_file(path)
+    assert "duplicate key 'variant'" in str(err.value)
+    assert ":2:" in str(err.value)
+
+
+def test_chsh_grid_resolution_must_leave_four_angles(tmp_path):
+    # round(2*pi / 3.0) == 2 grid angles; round(2*pi / 1.5) == 4 is the coarsest grid
+    path = write(tmp_path, "c.cfg", "experiment = chsh\ngrid_resolution = 3.0\n")
+    with pytest.raises(ConfigError) as err:
+        load_config(path, "chsh")
+    assert path in str(err.value) and "fewer than 4 grid angles" in str(err.value)
+    ok = write(tmp_path, "c2.cfg", "experiment = chsh\ngrid_resolution = 1.5\n")
+    assert load_config(ok, "chsh").grid_resolution == 1.5
+
+
 def test_comments_and_blank_lines_ignored(tmp_path):
     path = write(tmp_path, "m.cfg",
                  "# a comment\n\nexperiment = measure\nstate = up  # trailing\n")

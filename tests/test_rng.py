@@ -1,17 +1,18 @@
 import numpy as np
+from hypothesis import given, strategies as st
 
 from qdesk.rng import (
     SplitMix64,
+    born_select,
     first_uniforms,
     haar_state,
     haar_unitary,
-    inverse_cdf_select,
     random_density,
     stream_seed,
     stream_seeds,
 )
 
-from oracles import splitmix64_reference
+from oracles import inverse_cdf_select, splitmix64_reference
 
 
 def test_matches_reference_transition_function():
@@ -75,10 +76,33 @@ def test_random_density_valid():
 def test_inverse_cdf_never_picks_zero_weight():
     weights = np.array([0.5, 0.0, 0.5])
     gen = SplitMix64(3)
-    picks = {inverse_cdf_select(weights, gen.random()) for _ in range(500)}
+    picks = set(born_select(weights, np.array([gen.random() for _ in range(500)])).tolist())
     assert picks == {0, 2}
 
 
 def test_inverse_cdf_boundary_clamp():
     weights = np.array([1.0, 0.0])
-    assert inverse_cdf_select(weights, 0.9999999999999999) == 0
+    assert born_select(weights, np.array([0.9999999999999999]))[0] == 0
+
+
+LAST_UNIFORM = 0.9999999999999999  # the largest double below 1
+
+
+@given(
+    weights=st.lists(st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e300)),
+                     min_size=1, max_size=12).filter(lambda w: any(x > 0 for x in w)),
+    uniforms=st.lists(st.floats(min_value=0.0, max_value=LAST_UNIFORM), max_size=8),
+)
+def test_born_select_matches_scalar_oracle(weights, uniforms):
+    us = np.array(uniforms + [0.0, LAST_UNIFORM])
+    got = born_select(np.array(weights), us).tolist()
+    assert got == [inverse_cdf_select(weights, u) for u in us.tolist()]
+
+
+def test_born_select_clamps_when_rounding_reaches_the_total():
+    # u * total rounds up to total for a subnormal total, so no cumulative
+    # weight exceeds the target and the last positive cell is chosen
+    weights = np.array([0.0, 5e-324, 0.0])
+    assert float(LAST_UNIFORM * 5e-324) == 5e-324
+    assert born_select(weights, np.array([LAST_UNIFORM]))[0] == 1
+    assert inverse_cdf_select(weights, LAST_UNIFORM) == 1

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from qdesk import (
     no_signaling_audit,
     reduced_state,
     run_session,
-    run_signaling_round,
+    sample_rounds,
     session_records,
     staged_decision,
     tally_from_records,
@@ -32,6 +33,7 @@ from qdesk.suggestion import (
     AGENT,
     AGENT_LABELS,
     DISTANT,
+    INFLUENCE_LABELS,
     PARTICLE,
     PREPARED,
     PREPARED_LABELS,
@@ -63,6 +65,17 @@ def undecided_input(lay, particle_amps):
 
 def expect_basis(lay, assignment):
     return lay.basis_index(assignment)
+
+
+def replay_round(alice_dir, bob_dir, seed):
+    return sample_rounds(alice_dir, bob_dir, np.array([seed], dtype=np.uint64))
+
+
+def round_row(records, i):
+    """Round i as (alice_theta, bob_theta, alice_decision, bob_outcome, seed)."""
+    return (records.alice_theta, records.bob_theta,
+            INFLUENCE_LABELS[records.decisions[i]], INFLUENCE_LABELS[records.outcomes[i]],
+            int(records.seeds[i]))
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +228,8 @@ def test_staged_decision_rejects_wrong_initial_registers():
 def test_aligned_round_never_agrees():
     zero = Direction(0.0)
     for seed in range(200):
-        rec = run_signaling_round(zero, zero, seed)
-        assert (rec.alice_decision, rec.bob_outcome) in {("up", "down"), ("down", "up")}
+        _, _, alice_decision, bob_outcome, _ = round_row(replay_round(zero, zero, seed), 0)
+        assert (alice_decision, bob_outcome) in {("up", "down"), ("down", "up")}
 
 
 def test_aligned_round_outcomes_are_balanced():
@@ -310,8 +323,9 @@ def test_session_records_match_individual_rounds():
     a, b = Direction(0.4), Direction(-1.1)
     master = 2024
     records = session_records(200, a, b, master)
-    for i, rec in enumerate(records):
-        solo = run_signaling_round(a, b, round_seed(master, i))
+    for i in range(200):
+        rec = round_row(records, i)
+        solo = round_row(replay_round(a, b, round_seed(master, i)), 0)
         assert rec == solo
 
 
@@ -330,7 +344,9 @@ def test_single_round_session():
 
 def test_tally_is_order_independent():
     records = session_records(500, Direction(1.0), Direction(0.2), 77)
-    assert tally_from_records(records) == tally_from_records(list(reversed(records)))
+    reversed_records = replace(records, decisions=records.decisions[::-1],
+                               outcomes=records.outcomes[::-1], seeds=records.seeds[::-1])
+    assert tally_from_records(records) == tally_from_records(reversed_records)
 
 
 def test_session_estimate_within_binomial_bounds():
