@@ -107,12 +107,6 @@ class _Entries:
                               path=self.path, line=no)
         return parsed
 
-    def get_seed(self, key: str, required: bool = False) -> int | None:
-        seed = self.get_int(key, required=required)
-        if seed is not None and not (-(2**63) <= seed < 2**64):
-            raise ConfigError(f"{key} must fit in 64 bits", path=self.path)
-        return seed
-
     def get_angle(self, key: str, required: bool = False) -> float | None:
         raw = self._raw(key)
         if raw is None:
@@ -258,17 +252,15 @@ def load_config(path: str, kind: str) -> RunConfig:
 
     if kind == "measure":
         state = ent.get_str("state", choices=MEASURE_PRESETS, required=True)
-        rounds = ent.get_int("rounds", minimum=1)
-        seed = ent.get_seed("seed")
+        rounds = ent.get_int("rounds")
+        seed = ent.get_int("seed")
         ent.reject_unknown()
-        if rounds is not None and seed is None:
-            raise ConfigError("sampling ('rounds') requires an explicit seed", path=path)
         cfg: RunConfig = MeasureConfig(kind, state, rounds, seed, fmt)
     elif kind == "signal":
         alice = ent.get_angle("alice_angle", required=True)
         bob = ent.get_angle("bob_angle", required=True)
-        rounds = ent.get_int("rounds", minimum=1, required=True)
-        seed = ent.get_seed("seed", required=True)
+        rounds = ent.get_int("rounds", required=True)
+        seed = ent.get_int("seed", required=True)
         ent.reject_unknown()
         cfg = SignalConfig(kind, alice, bob, rounds, seed, fmt)
     elif kind == "chsh":
@@ -303,12 +295,35 @@ def load_config(path: str, kind: str) -> RunConfig:
         name, scenario = _resolve_scenario(ent, path)
         mode = ent.get_str("mode", choices=("strict", "ray"), default="strict")
         samples = ent.get_int("samples", minimum=1, required=True)
-        seed = ent.get_seed("seed", required=True)
+        seed = ent.get_int("seed", required=True)
         ent.reject_unknown()
         cfg = CtcScanConfig(kind, name, scenario, mode, samples, seed, fmt)
+    return _validate(cfg, ent)
 
-    if cfg.format == "csv" and kind != "signal":
-        raise ConfigError("csv output is only defined for signaling sessions", path=path)
+
+def _validate(cfg: RunConfig, ent: _Entries | None = None) -> RunConfig:
+    """Checks shared by config files and flag overrides; returns cfg.
+
+    Given the file's entries, an error names the file and the key's line.
+    """
+    def fail(message: str, key: str):
+        if ent is None:
+            raise ConfigError(message)
+        raise ConfigError(message, path=ent.path, line=ent.entries[key][1])
+
+    seed = getattr(cfg, "seed", None)
+    if seed is not None and not (-(2**63) <= seed < 2**64):
+        fail("seed must fit in 64 bits", "seed")
+    rounds = getattr(cfg, "rounds", None)
+    if rounds is not None and rounds < 1:
+        fail(f"rounds must be >= 1, got {rounds}", "rounds")
+    if cfg.format == "csv" and cfg.kind != "signal":
+        fail("csv output is only defined for signaling sessions", "format")
+    if isinstance(cfg, MeasureConfig):
+        if rounds is not None and seed is None:
+            fail("sampling ('rounds') requires an explicit seed", "rounds")
+        if seed is not None and rounds is None:
+            fail("a seed without 'rounds' would sample nothing", "seed")
     return cfg
 
 
@@ -317,26 +332,17 @@ def apply_overrides(cfg: RunConfig, *, fmt: str | None = None, seed: int | None 
     """Apply command-line flag overrides; flags win over file values."""
     updates: dict = {}
     if fmt is not None:
-        if fmt == "csv" and cfg.kind != "signal":
-            raise ConfigError("csv output is only defined for signaling sessions")
         updates["format"] = fmt
     if seed is not None:
         if not hasattr(cfg, "seed"):
             raise ConfigError(f"--seed does not apply to {cfg.kind}")
-        if not (-(2**63) <= seed < 2**64):
-            raise ConfigError("--seed must fit in 64 bits")
         updates["seed"] = seed
     if rounds is not None:
         if not hasattr(cfg, "rounds"):
             raise ConfigError(f"--rounds does not apply to {cfg.kind}")
-        if rounds < 1:
-            raise ConfigError(f"--rounds must be >= 1, got {rounds}")
         updates["rounds"] = rounds
     if mode is not None:
         if not hasattr(cfg, "mode"):
             raise ConfigError(f"--mode does not apply to {cfg.kind}")
         updates["mode"] = mode
-    cfg = replace(cfg, **updates)
-    if isinstance(cfg, MeasureConfig) and cfg.rounds is not None and cfg.seed is None:
-        raise ConfigError("sampling ('rounds') requires an explicit seed")
-    return cfg
+    return _validate(replace(cfg, **updates))

@@ -30,6 +30,7 @@ from .tensor import (
     SubsystemLayout,
     UnitaryOperator,
     _partial_trace_array,
+    _permute_operator_axes,
     layout_of,
 )
 
@@ -275,14 +276,8 @@ def _compose_full(scenario: CtcScenario, rho_cr: DensityMatrix | None,
         block = np.kron(rho_cr.matrix, rho_ctc)
         current = cr_positions + ctc_positions
         current_dims = cr_dims + ctc_dims
-
-    t = block.reshape(tuple(current_dims) + tuple(current_dims))
-    k = len(current)
     # axis new_i must take the current axis holding layout position i
-    perm = [current.index(p) for p in range(n)]
-    t = t.transpose(tuple(perm) + tuple(p + k for p in perm))
-    d = lay.total_dimension
-    return np.ascontiguousarray(t).reshape(d, d)
+    return _permute_operator_axes(block, current_dims, [current.index(p) for p in range(n)])
 
 
 def induced_loop_map(scenario: CtcScenario, rho_cr_in: DensityMatrix | None):

@@ -27,7 +27,6 @@ from .tensor import (
     SubsystemLayout,
     UnitaryOperator,
     apply_unitary,
-    embed_operator,
 )
 
 BRANCH_PRUNE_EPS = 1e-12
@@ -89,7 +88,7 @@ def _validated_indices(scheme: PointerScheme, layout: SubsystemLayout):
 
 
 def build_premeasurement_unitary(scheme: PointerScheme, layout: SubsystemLayout) -> UnitaryOperator:
-    """Unitary over the (measured, apparatus) sub-layout of `layout`.
+    """Unitary over (measured, apparatus) of `layout`, in that order.
 
     Exact 0/1 permutation: block-diagonal over measured labels, each block a
     ready <-> outcome_k transposition of the apparatus.
@@ -102,12 +101,7 @@ def build_premeasurement_unitary(scheme: PointerScheme, layout: SubsystemLayout)
         perm[ready_idx], perm[outcome_idx[k]] = perm[outcome_idx[k]], perm[ready_idx]
         for a in range(da):
             mat[k * da + perm[a], k * da + a] = 1.0
-    canonical = SubsystemLayout((meas, app))
-    u = UnitaryOperator(canonical, mat)
-    sub = layout.sub_layout([scheme.measured, scheme.apparatus])
-    if sub.ids == canonical.ids:
-        return u
-    return embed_operator(u, sub)
+    return UnitaryOperator(SubsystemLayout((meas, app)), mat)
 
 
 def premeasure(s: StateVector, scheme: PointerScheme) -> StateVector:
@@ -123,8 +117,7 @@ def premeasure(s: StateVector, scheme: PointerScheme) -> StateVector:
             f"apparatus {scheme.apparatus!r} not in ready state "
             f"(ready weight {ready_weight:.6f})"
         )
-    u = build_premeasurement_unitary(scheme, s.layout)
-    return apply_unitary(embed_operator(u, s.layout), s)
+    return apply_unitary(build_premeasurement_unitary(scheme, s.layout), s)
 
 
 @dataclass(frozen=True)

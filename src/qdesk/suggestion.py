@@ -184,14 +184,11 @@ def _assemble(scheme: DecisionScheme, layout: SubsystemLayout,
     up = scheme.direction.up_state()
     down = scheme.direction.down_state()
     mat = np.kron(np.outer(up, up.conj()), p_up) + np.kron(np.outer(down, down.conj()), p_down)
-    canonical = SubsystemLayout((infl, agent, prep))
-    u = UnitaryOperator(canonical, mat)
-    sub = layout.sub_layout([scheme.influence, scheme.agent, scheme.prepared])
-    return u if sub.ids == canonical.ids else embed_operator(u, sub)
+    return UnitaryOperator(SubsystemLayout((infl, agent, prep)), mat)
 
 
 def build_suggestion_unitary(scheme: DecisionScheme, layout: SubsystemLayout) -> UnitaryOperator:
-    """One-step steering unitary over the (influence, agent, prepared) sub-layout.
+    """One-step steering unitary over (influence, agent, prepared), in that order.
 
     Maps |up'>|undecided>|psi0> -> |up'>|decides_up>|psi_up> and
     |down'>|undecided>|psi0> -> |down'>|decides_down>|psi_down>, completed per
@@ -227,8 +224,8 @@ def staged_decision(s: StateVector, scheme: DecisionScheme) -> tuple[StateVector
             f"and prepared in psi0 (weight {prep_w[0]:.6f})"
         )
     stage1, stage2 = build_stage_unitaries(scheme, s.layout)
-    intermediate = apply_unitary(embed_operator(stage1, s.layout), s)
-    final = apply_unitary(embed_operator(stage2, s.layout), intermediate)
+    intermediate = apply_unitary(stage1, s)
+    final = apply_unitary(stage2, intermediate)
     return intermediate, final
 
 
@@ -280,11 +277,8 @@ def signaling_state(alice_dir: Direction, bob_dir: Direction,
     rest[0] = 1.0  # undecided, psi0, ready
     s = StateVector(lay, np.kron(pair.amplitudes, rest))
 
-    scheme = DecisionScheme(PARTICLE, AGENT, PREPARED, alice_dir)
-    u_steer = embed_operator(build_suggestion_unitary(scheme, lay), lay)
-    u_meter = embed_operator(
-        rotated_premeasurement_unitary(bob_dir, _pointer_scheme_for_distant(), lay), lay
-    )
+    u_steer = build_suggestion_unitary(DecisionScheme(PARTICLE, AGENT, PREPARED, alice_dir), lay)
+    u_meter = rotated_premeasurement_unitary(bob_dir, _pointer_scheme_for_distant(), lay)
     return apply_unitary(u_meter, apply_unitary(u_steer, s))
 
 

@@ -8,6 +8,11 @@ stored row-major in layout order, leftmost subsystem most significant.
 Structural invariants are validated at construction with absolute tolerance
 ``ATOL`` (1e-10) unless an operation documents otherwise; state constructors
 normalize their input and record the factor they divided out.
+
+A unitary lives on the subsystems it acts on and is validated once, at that
+size: ``apply_unitary`` contracts only their axes, wherever they sit in the
+state's layout, and ``embed_operator`` builds a full-layout matrix by the
+same contraction.
 """
 
 from __future__ import annotations
@@ -264,13 +269,32 @@ def tensor_product(a: StateVector, b: StateVector) -> StateVector:
     return StateVector(combined, np.kron(a.amplitudes, b.amplitudes))
 
 
-def apply_unitary(u: UnitaryOperator, s: StateVector) -> StateVector:
-    """Evolve s by u; layouts must match exactly."""
-    if u.layout != s.layout:
+def _apply_local(u: UnitaryOperator, t: np.ndarray, layout: SubsystemLayout) -> np.ndarray:
+    """u applied to the leading axes of t, which follow `layout`; later axes ride along.
+
+    One einsum over integer labels contracts u's column axes with the axes of
+    its subsystems, which must be in `layout` with the same labels, and puts
+    u's row axes in their place.
+    """
+    try:
+        axes = [layout.subsystems.index(sub) for sub in u.layout.subsystems]
+    except ValueError:
         raise DimensionMismatchError(
-            f"unitary layout {u.layout.ids} does not match state layout {s.layout.ids}"
-        )
-    out = StateVector(s.layout, u.matrix @ s.amplitudes)
+            f"unitary layout {u.layout.ids} is not a sub-layout of {layout.ids}"
+        ) from None
+    n = t.ndim
+    rows = [n + j for j in range(len(axes))]
+    out = [rows[axes.index(i)] if i in axes else i for i in range(n)]
+    return np.einsum(u.matrix.reshape(u.layout.dims * 2), rows + axes, t, list(range(n)), out)
+
+
+def apply_unitary(u: UnitaryOperator, s: StateVector) -> StateVector:
+    """Evolve s by u, which acts on any of s's subsystems, in any order.
+
+    Only u's own axes are contracted; the other subsystems are untouched.
+    Each of u's subsystems must appear in s.layout with the same labels.
+    """
+    out = StateVector(s.layout, _apply_local(u, s.tensor(), s.layout))
     if abs(out.norm_factor - 1.0) > ATOL:
         raise InvariantError(f"unitary application changed the norm by {out.norm_factor - 1.0:.3e}")
     return out
@@ -303,27 +327,14 @@ def embed_operator(u: UnitaryOperator, target: SubsystemLayout) -> UnitaryOperat
     """Extend u by the identity onto `target`, permuting as needed.
 
     u's subsystems may sit anywhere in the target layout, in any order;
-    the result acts as u on them and as the identity on the rest.
+    the result acts as u on them and as the identity on the rest. It is u
+    applied to every column of the target's identity.
     """
-    positions = [target.position(sid) for sid in u.layout.ids]
-    order = sorted(range(len(positions)), key=lambda i: positions[i])
-    u_dims = u.layout.dims
-    u_mat = u.matrix
-    if order != list(range(len(order))):
-        u_mat = _permute_operator_axes(u_mat, u_dims, order)
-    sorted_ids = [u.layout.ids[i] for i in order]
-
-    acted = set(u.layout.ids)
-    rest_ids = [sid for sid in target.ids if sid not in acted]
-    rest_dim = 1
-    for sid in rest_ids:
-        rest_dim *= target.subsystem_named(sid).dimension
-
-    big = np.kron(u_mat, np.eye(rest_dim, dtype=np.complex128))
-    current_ids = sorted_ids + rest_ids
-    current_dims = [target.subsystem_named(sid).dimension for sid in current_ids]
-    perm = [current_ids.index(sid) for sid in target.ids]
-    return UnitaryOperator(target, _permute_operator_axes(big, current_dims, perm))
+    for sid in u.layout.ids:
+        target.position(sid)  # raises LayoutError on unknown ids
+    d = target.total_dimension
+    identity = np.eye(d, dtype=np.complex128).reshape(target.dims + (d,))
+    return UnitaryOperator(target, _apply_local(u, identity, target).reshape(d, d))
 
 
 def _partial_trace_array(mat: np.ndarray, dims: Sequence[int], keep_positions: Sequence[int]) -> np.ndarray:

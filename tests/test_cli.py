@@ -70,6 +70,16 @@ def test_measure_sampling_enabled_by_flags(tmp_path):
     assert code == 2
 
 
+def test_measure_seed_without_rounds_exits_2(tmp_path):
+    # a seed that samples nothing would be dropped from the report
+    seeded = write(tmp_path, "seeded.cfg", "experiment = measure\nstate = plus\nseed = 5\n")
+    code, out = run_cli(["measure", "--config", seeded])
+    assert code == 2 and out == ""
+    plain = write(tmp_path, "plain.cfg", "experiment = measure\nstate = plus\n")
+    code, out = run_cli(["measure", "--config", plain, "--seed", "5"])
+    assert code == 2 and out == ""
+
+
 def test_signal_csv_has_exact_columns(tmp_path):
     cfg = write(tmp_path, "s.cfg",
                 "experiment = signal\nalice_angle = 0.0\nbob_angle = 0.0\n"
@@ -305,5 +315,27 @@ PINNED_DIGESTS = [
 def test_sampled_reports_match_pinned_digests(tmp_path, case, seed, digest):
     cfg = write(tmp_path, "p.cfg", PINNED_BODIES[case] + f"seed = {seed}\n")
     code, out = run_cli([case.split("_")[0], "--config", cfg])
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# chsh reports recorded before the local-apply kernel replaced the embedded
+# 108x108 operators: exact correlators must keep their last bits.
+PINNED_CHSH = {
+    "optimal_angles": ("experiment = chsh\nangle_a1 = 0.0\nangle_a2 = 1.5707963267948966\n"
+                       "angle_b1 = -0.7853981633974483\nangle_b2 = 0.7853981633974483\n",
+                       "36b5029327be0e80748627edba2b9c6bd5787cfd5564c51d41096944e5f2d21e"),
+    "generic_angles": ("experiment = chsh\nangle_a1 = -2.9\nangle_a2 = 0.31\n"
+                       "angle_b1 = 1.7\nangle_b2 = -0.05\n",
+                       "af2162fcffd04d218eaca96a4aea378cd8cee7f8ad45af92e2287dfa7810bf28"),
+    "grid_pi_over_180": ("experiment = chsh\ngrid_resolution = 0.017453292519943295\n",
+                         "4a83365ecaec2c71e2cbbf39062dc874190b12ec68a273b159dfeca7a1c62865"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_CHSH))
+def test_chsh_reports_match_pinned_digests(tmp_path, case):
+    body, digest = PINNED_CHSH[case]
+    code, out = run_cli(["chsh", "--config", write(tmp_path, "c.cfg", body)])
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

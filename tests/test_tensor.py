@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qdesk import (
     DensityMatrix,
@@ -117,6 +118,38 @@ def test_apply_unitary_rejects_layout_mismatch():
     ready = meter().basis_state({"meter": "ready"})
     with pytest.raises(DimensionMismatchError):
         apply_unitary(u, ready)
+
+
+def labeled(index, dim):
+    return (f"s{index}", tuple(f"l{j}" for j in range(dim)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(dims=st.lists(st.integers(2, 3), min_size=2, max_size=4), data=st.data())
+def test_apply_unitary_on_scrambled_sub_layouts_matches_oracle(dims, data):
+    # an operator on any subset of the subsystems, declared in any order
+    n = len(dims)
+    positions = data.draw(st.permutations(range(n)))[:data.draw(st.integers(1, n))]
+    rng = SplitMix64(data.draw(st.integers(0, 2**64 - 1)))
+    lay = layout_of(*[labeled(i, d) for i, d in enumerate(dims)])
+    op_dims = [dims[p] for p in positions]
+    op = haar_unitary(int(np.prod(op_dims)), rng)
+    u = UnitaryOperator(layout_of(*[labeled(p, dims[p]) for p in positions]), op)
+    s = StateVector(lay, haar_state(lay.total_dimension, rng))
+    expected = embed_general(op, op_dims, dims, positions) @ s.amplitudes
+    assert np.abs(apply_unitary(u, s).amplitudes - expected).max() < 1e-12
+
+
+@pytest.mark.parametrize("op_layout", [
+    layout_of(("zz", ("0", "1"))),  # unknown id
+    layout_of(("b", ("0", "1"))),  # known id, other dimension
+    layout_of(("a", ("x", "y"))),  # known id, other labels
+], ids=["unknown_id", "other_dimension", "other_labels"])
+def test_apply_unitary_rejects_foreign_subsystems(op_layout):
+    lay = layout_of(("a", ("0", "1")), ("b", ("0", "1", "2")))
+    u = UnitaryOperator(op_layout, np.eye(op_layout.total_dimension))
+    with pytest.raises(DimensionMismatchError):
+        apply_unitary(u, lay.basis_state({"a": "0", "b": "0"}))
 
 
 def test_random_unitaries_preserve_norm_and_compose():
