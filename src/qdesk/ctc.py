@@ -11,6 +11,12 @@ notions of a consistent history are implemented side by side:
   matrix, rho = Tr_CR[ U (rho_in ox rho) U† ], solved by iteration or via
   the induced superoperator's eigenvalue-1 space.
 
+The loop channel is kept in two-sided operator-sum form,
+rho -> sum_k L_k rho R_k†, where R_k are the d_ctc x d_ctc blocks of U
+between CR basis states and L_k the same blocks with rho_in folded in. One
+application is a batched product at loop size, and the superoperator is
+sum_k conj(R_k) ox L_k; neither forms a full-layout density matrix.
+
 Solvers are pure and deterministic; Haar sampling for admissibility scans
 draws from explicitly derived per-sample seeds.
 """
@@ -20,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from statistics import median
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionMismatchError, LayoutError, SolverError
 from .rng import SplitMix64, haar_state, stream_seed
@@ -113,7 +118,13 @@ class ConsistencySubspace:
 
 
 def _unitary_eigensystem(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenphases in (-pi, pi] and orthonormal eigenvectors (Schur columns)."""
+    """Eigenphases in (-pi, pi] and orthonormal eigenvectors (Schur columns).
+
+    scipy is imported here, its only use, so commands that never decompose a
+    loop unitary do not pay for loading it.
+    """
+    import scipy.linalg
+
     t, z = scipy.linalg.schur(u, output="complex")
     phases = np.angle(np.diagonal(t))
     # np.angle yields exactly -pi for negative reals with signed-zero imag
@@ -258,51 +269,68 @@ def _resolve_cr_input(scenario: CtcScenario, rho_cr_in: DensityMatrix | None) ->
     return rho_cr_in
 
 
-def _compose_full(scenario: CtcScenario, rho_cr: DensityMatrix | None,
+def _cr_then_loop(scenario: CtcScenario) -> list[int]:
+    """Layout positions of the CR subsystems, then of the loop subsystems."""
+    lay = scenario.layout
+    return (sorted(lay.position(sid) for sid in scenario.cr_ids)
+            + sorted(lay.position(sid) for sid in scenario.ctc_ids))
+
+
+def _compose_full(scenario: CtcScenario, rho_cr: DensityMatrix,
                   rho_ctc: np.ndarray) -> np.ndarray:
     """rho_cr ox rho_ctc assembled in layout order (subsystems may interleave)."""
-    lay = scenario.layout
-    n = len(lay.ids)
-    cr_positions = sorted(lay.position(sid) for sid in scenario.cr_ids)
-    ctc_positions = sorted(lay.position(sid) for sid in scenario.ctc_ids)
-    cr_dims = [lay.dims[p] for p in cr_positions]
-    ctc_dims = [lay.dims[p] for p in ctc_positions]
-
-    if rho_cr is None:
-        block = rho_ctc
-        current = ctc_positions
-        current_dims = ctc_dims
-    else:
-        block = np.kron(rho_cr.matrix, rho_ctc)
-        current = cr_positions + ctc_positions
-        current_dims = cr_dims + ctc_dims
+    current = _cr_then_loop(scenario)
+    block = np.kron(rho_cr.matrix, rho_ctc)
     # axis new_i must take the current axis holding layout position i
-    return _permute_operator_axes(block, current_dims, [current.index(p) for p in range(n)])
+    return _permute_operator_axes(block, [scenario.layout.dims[p] for p in current],
+                                  [current.index(p) for p in range(len(current))])
+
+
+def _loop_operators(scenario: CtcScenario,
+                    rho_cr: DensityMatrix | None) -> tuple[np.ndarray, np.ndarray]:
+    """Operator pairs (L_k, R_k) with Tr_CR[ U (rho_cr ox rho) U† ] = sum_k L_k rho R_k†.
+
+    With U permuted into (CR, loop) order, T[a, b] = (<a| ox I) U (|b> ox I)
+    is a d_ctc x d_ctc block, and the channel is
+    sum_{a, b, b'} rho_cr[b, b'] T[a, b] rho T[a, b']†. Folding rho_cr into the
+    left factor gives L[a, b'] = sum_b rho_cr[b, b'] T[a, b] and
+    R[a, b'] = T[a, b']; columns b' where rho_cr vanishes drop out. Both are
+    returned as (k, d_ctc, d_ctc) stacks. No square root or eigendecomposition
+    of rho_cr is taken, so this is the same linear map for any accepted rho_cr.
+    """
+    u = scenario.loop_unitary.matrix
+    if rho_cr is None:
+        return u[np.newaxis], u[np.newaxis]
+    d_cr = rho_cr.matrix.shape[0]
+    d = u.shape[0] // d_cr
+    ordered = _permute_operator_axes(u, scenario.layout.dims, _cr_then_loop(scenario))
+    blocks = ordered.reshape(d_cr, d, d_cr, d).transpose(0, 2, 1, 3)  # blocks[a, b] = T[a, b]
+    kept = np.flatnonzero(np.any(rho_cr.matrix != 0, axis=0))
+    left = np.einsum("bc,abij->acij", rho_cr.matrix[:, kept], blocks)
+    right = blocks[:, kept]
+    return left.reshape(-1, d, d), right.reshape(-1, d, d)
 
 
 def induced_loop_map(scenario: CtcScenario, rho_cr_in: DensityMatrix | None):
-    """The channel rho -> Tr_CR[ U (rho_in ox rho) U† ] as an array function."""
-    rho_cr = _resolve_cr_input(scenario, rho_cr_in)
-    u = scenario.loop_unitary.matrix
-    dims = scenario.layout.dims
-    ctc_positions = sorted(scenario.layout.position(sid) for sid in scenario.ctc_ids)
+    """The channel rho -> Tr_CR[ U (rho_in ox rho) U† ] as an array function.
+
+    It is evaluated in operator-sum form, sum_k L_k rho R_k† (see
+    _loop_operators), by one batched product at loop size; neither the full
+    layout's density matrix nor a partial trace is formed.
+    """
+    left, right = _loop_operators(scenario, _resolve_cr_input(scenario, rho_cr_in))
+    right_dag = right.conj().transpose(0, 2, 1)
 
     def apply(rho_ctc: np.ndarray) -> np.ndarray:
-        full = _compose_full(scenario, rho_cr, rho_ctc)
-        evolved = u @ full @ u.conj().T
-        return _partial_trace_array(evolved, dims, ctc_positions)
+        return (left @ rho_ctc @ right_dag).sum(axis=0)
 
     return apply
 
 
-def _superoperator(apply_map, d: int) -> np.ndarray:
-    """Column-stacked matrix of a linear map on d x d operators."""
-    s = np.zeros((d * d, d * d), dtype=np.complex128)
-    for col in range(d * d):
-        basis = np.zeros((d, d), dtype=np.complex128)
-        basis[col % d, col // d] = 1.0  # column-stacking convention
-        s[:, col] = apply_map(basis).reshape(-1, order="F")
-    return s
+def _superoperator(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Column-stacked matrix of rho -> sum_k L_k rho R_k†, i.e. sum_k conj(R_k) ox L_k."""
+    d = left.shape[1]
+    return np.einsum("kpq,kij->piqj", right.conj(), left).reshape(d * d, d * d)
 
 
 def _ctc_dimension(scenario: CtcScenario) -> int:
@@ -366,14 +394,13 @@ def _iterate_fixed_point(apply_map, d: int):
     raise SolverError("fixed-point iteration did not converge", residual=residual)
 
 
-def _spectral_fixed_point(apply_map, d: int):
+def _spectral_fixed_point(apply_map, sup: np.ndarray, d: int):
     """Fixed operator from the superoperator's eigenvalue-1 eigenspace.
 
     The maximally mixed state is projected orthogonally onto the eigenspace
     (adjoint-closed for these maps), Hermitized, clipped, and renormalized;
     the residual is re-verified against the map itself.
     """
-    sup = _superoperator(apply_map, d)
     vals, vecs = np.linalg.eig(sup)
     sel = np.abs(vals - 1.0) <= 1e-9
     dim_fixed = int(np.count_nonzero(sel))
@@ -411,7 +438,8 @@ def deutsch_fixed_point(scenario: CtcScenario, rho_cr_in: DensityMatrix | None =
         rho, residual, iterations = _iterate_fixed_point(apply_map, d)
         dim_fixed = None
     else:
-        rho, residual, iterations, dim_fixed = _spectral_fixed_point(apply_map, d)
+        sup = _superoperator(*_loop_operators(scenario, rho_cr))
+        rho, residual, iterations, dim_fixed = _spectral_fixed_point(apply_map, sup, d)
     return DeutschSolution(
         DensityMatrix(scenario.ctc_layout(), rho), residual, iterations, method,
         dim_fixed, scenario, rho_cr,
@@ -426,13 +454,13 @@ def ctc_output_state(scenario: CtcScenario, rho_cr_in: DensityMatrix | None,
         raise ValueError("solution was produced for a different scenario")
     if (solution.rho_cr is None) != (rho_cr is None):
         raise ValueError("solution was produced for a different CR input")
-    if rho_cr is not None and float(np.abs(solution.rho_cr.matrix - rho_cr.matrix).max()) > 1e-12:
+    if rho_cr is None:
+        return DensityMatrix(scenario.cr_layout(), np.array([[1.0 + 0.0j]]))
+    if float(np.abs(solution.rho_cr.matrix - rho_cr.matrix).max()) > 1e-12:
         raise ValueError("solution was produced for a different CR input")
     full = _compose_full(scenario, rho_cr, solution.rho_ctc.matrix)
     u = scenario.loop_unitary.matrix
     evolved = u @ full @ u.conj().T
-    if not scenario.cr_ids:
-        return DensityMatrix(scenario.cr_layout(), np.array([[1.0 + 0.0j]]))
     cr_positions = sorted(scenario.layout.position(sid) for sid in scenario.cr_ids)
     reduced = _partial_trace_array(evolved, scenario.layout.dims, cr_positions)
     return DensityMatrix(scenario.cr_layout(), reduced)

@@ -121,6 +121,44 @@ def embed_general(op: np.ndarray, op_dims: list[int], dims: list[int],
     return out
 
 
+def induced_map_oracle(u: np.ndarray, dims: list[int], cr_positions: list[int],
+                       rho_cr: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Tr_CR[ u (rho_cr ox rho) u† ] with the factors placed by index walking.
+
+    cr_positions are the layout axes of the CR subsystems; rho_cr lives on
+    them and rho on the remaining axes, each in layout order. With no CR
+    subsystems rho_cr is the 1 x 1 matrix [[1]].
+    """
+    cr = sorted(cr_positions)
+    loop = [i for i in range(len(dims)) if i not in cr]
+    multis = [()]
+    for d in dims:
+        multis = [m + (k,) for m in multis for k in range(d)]
+
+    def sub_flat(multi, axes):
+        idx = 0
+        for i in axes:
+            idx = idx * dims[i] + multi[i]
+        return idx
+
+    full = np.zeros((len(multis), len(multis)), dtype=complex)
+    for r, row in enumerate(multis):
+        for c, col in enumerate(multis):
+            full[r, c] = (rho_cr[sub_flat(row, cr), sub_flat(col, cr)]
+                          * rho[sub_flat(row, loop), sub_flat(col, loop)])
+    return partial_trace_loops(u @ full @ u.conj().T, dims, loop)
+
+
+def columnwise_superoperator(apply, d: int) -> np.ndarray:
+    """Column-stacked matrix of a linear map on d x d operators, one basis matrix per column."""
+    s = np.zeros((d * d, d * d), dtype=np.complex128)
+    for col in range(d * d):
+        basis = np.zeros((d, d), dtype=np.complex128)
+        basis[col % d, col // d] = 1.0  # column-stacking convention
+        s[:, col] = apply(basis).reshape(-1, order="F")
+    return s
+
+
 def direction_up(theta: float) -> np.ndarray:
     return np.array([np.cos(theta / 2.0), np.sin(theta / 2.0)], dtype=complex)
 

@@ -288,6 +288,18 @@ def test_seed_override_changes_sampling_but_stays_deterministic(tmp_path):
     assert override_a != base
 
 
+def test_commands_without_schur_do_not_load_scipy(tmp_path):
+    cfg = write(tmp_path, "c.cfg", "experiment = chsh\nangle_a1 = 0.0\nangle_a2 = 1.5\n"
+                "angle_b1 = -0.7\nangle_b2 = 0.7\n")
+    probe = ("import sys\n"
+             "import qdesk.cli\n"
+             "assert 'scipy' not in sys.modules, 'import qdesk.cli loaded scipy'\n"
+             "assert qdesk.cli.main(['chsh', '--config', sys.argv[1]]) == 0\n"
+             "assert 'scipy' not in sys.modules, 'chsh loaded scipy'\n")
+    done = subprocess.run([sys.executable, "-c", probe, cfg], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
 # Report digests recorded before the Born selector was vectorized: sampled
 # rounds must keep their exact bytes, including at seeds that need the
 # 64-bit wraparound (negative, and at or above 2**63).
@@ -337,5 +349,69 @@ PINNED_CHSH = {
 def test_chsh_reports_match_pinned_digests(tmp_path, case):
     body, digest = PINNED_CHSH[case]
     code, out = run_cli(["chsh", "--config", write(tmp_path, "c.cfg", body)])
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# ctc-solve reports recorded before the loop channel moved to operator-sum
+# form: every canonical scenario, method, CR input and mode keeps its bytes.
+PINNED_CTC_SOLVE = [
+    ("qubit_flip", "iterate", "zero", "strict",
+     "42249367e1fb2f3287c4fba0dc8ba6a819cd4e2a25368348a20961bb57e9dd1b"),
+    ("qubit_flip", "iterate", "zero", "ray",
+     "68e3e89da16b89350fc8001f1f98a914d853a452327bae2b5bc17799a33b07e2"),
+    ("qubit_flip", "iterate", "one", "strict",
+     "42249367e1fb2f3287c4fba0dc8ba6a819cd4e2a25368348a20961bb57e9dd1b"),
+    ("qubit_flip", "iterate", "one", "ray",
+     "68e3e89da16b89350fc8001f1f98a914d853a452327bae2b5bc17799a33b07e2"),
+    ("qubit_flip", "iterate", "mixed", "strict",
+     "42249367e1fb2f3287c4fba0dc8ba6a819cd4e2a25368348a20961bb57e9dd1b"),
+    ("qubit_flip", "iterate", "mixed", "ray",
+     "68e3e89da16b89350fc8001f1f98a914d853a452327bae2b5bc17799a33b07e2"),
+    ("qubit_flip", "spectral", "zero", "strict",
+     "15e437eade409eb27fd8ce48854c59f056b624c743945394d7fd260367ec442d"),
+    ("qubit_flip", "spectral", "zero", "ray",
+     "707b46c42f325489592de9e2b43eefdedf6b9f8b12cbc4eef259df0b031fed74"),
+    ("qubit_flip", "spectral", "one", "strict",
+     "15e437eade409eb27fd8ce48854c59f056b624c743945394d7fd260367ec442d"),
+    ("qubit_flip", "spectral", "one", "ray",
+     "707b46c42f325489592de9e2b43eefdedf6b9f8b12cbc4eef259df0b031fed74"),
+    ("qubit_flip", "spectral", "mixed", "strict",
+     "15e437eade409eb27fd8ce48854c59f056b624c743945394d7fd260367ec442d"),
+    ("qubit_flip", "spectral", "mixed", "ray",
+     "707b46c42f325489592de9e2b43eefdedf6b9f8b12cbc4eef259df0b031fed74"),
+    ("cr_coupled", "iterate", "zero", "strict",
+     "f0c92e2ab09bcedae8e7d9a664b2c7db85d2dfed347e6b4fb5b58e68028b4415"),
+    ("cr_coupled", "iterate", "zero", "ray",
+     "dc260b41eaccce6015e8b4ced2c3db434d673a40471e8ae4c5a11305c296245d"),
+    ("cr_coupled", "iterate", "one", "strict",
+     "79dc0a50cb8d1cfaefd6bb517f420f9f69da590f954b6210bbe1f7336cc7a20d"),
+    ("cr_coupled", "iterate", "one", "ray",
+     "deddf7826707176c95b3501ff48aabc037c96ace96842d5a428e50710ac3c29b"),
+    ("cr_coupled", "iterate", "mixed", "strict",
+     "ff6271bbd576a973cddee27614200f32c86555eed72f70e47d9f05afcc4a4071"),
+    ("cr_coupled", "iterate", "mixed", "ray",
+     "a830cd79d2ffb7dba7995ea54a202e8ecb7e4b8fa5fafb11836d702b794ae664"),
+    ("cr_coupled", "spectral", "zero", "strict",
+     "969fc6887f9510ba144a5c918b9dcfae07f28bdfd3bdd80c29515ec8b167fec9"),
+    ("cr_coupled", "spectral", "zero", "ray",
+     "2ab721fcaaae77a2c3500cdb13bac60daa65ff8057f58391409d9710b936b44a"),
+    ("cr_coupled", "spectral", "one", "strict",
+     "a6ec4cd37fb8281c622997caf1c8ef7bde0abb6ce050519988a732e5bd2df831"),
+    ("cr_coupled", "spectral", "one", "ray",
+     "3bd8b3d3c635961a110f824f51d28d9b45960e21733cbdf0296c7c23aae9eaf7"),
+    ("cr_coupled", "spectral", "mixed", "strict",
+     "e2912b940b4331feb4ce62617298a8416ec67aeb5047f41a2157dd27b0d9fdc0"),
+    ("cr_coupled", "spectral", "mixed", "ray",
+     "3c661bf9afd927c673481aff5ffb5e4ffb3fe5c88d443e193e3e5b241f90c8c8"),
+]
+
+
+@pytest.mark.parametrize("scenario,method,cr_state,mode,digest", PINNED_CTC_SOLVE)
+def test_ctc_solve_reports_match_pinned_digests(tmp_path, scenario, method, cr_state, mode,
+                                                digest):
+    cfg = write(tmp_path, "c.cfg", f"experiment = ctc-solve\nscenario = {scenario}\n"
+                f"method = {method}\ncr_state = {cr_state}\nmode = {mode}\n")
+    code, out = run_cli(["ctc-solve", "--config", cfg])
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qdesk import (
     CtcScenario,
@@ -20,10 +21,16 @@ from qdesk import (
     linear_consistency_basis,
     trace_distance,
 )
-from qdesk.ctc import induced_loop_map
+from qdesk.ctc import _loop_operators, _superoperator, induced_loop_map
 from qdesk.rng import SplitMix64, haar_state, haar_unitary, random_density
 
-from oracles import apply_columnstacked, conjugation_superoperator, kraus_dilation
+from oracles import (
+    apply_columnstacked,
+    columnwise_superoperator,
+    conjugation_superoperator,
+    induced_map_oracle,
+    kraus_dilation,
+)
 
 SQ2 = np.sqrt(2.0)
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -232,6 +239,72 @@ def test_induced_map_is_trace_and_positivity_preserving():
         assert np.linalg.eigvalsh(image).min() >= -1e-9
 
 
+CR_INPUT_KINDS = ("pure", "basis", "maximally_mixed", "rank_deficient", "non_diagonal",
+                  "negative_eigenvalue")
+
+
+def cr_input_matrix(kind: str, d: int, rng: SplitMix64) -> np.ndarray:
+    """A CR density matrix of the named kind, as the DensityMatrix constructor accepts it."""
+    if kind == "pure":
+        v = haar_state(d, rng)
+        return np.outer(v, v.conj())
+    if kind == "basis":
+        m = np.zeros((d, d), dtype=complex)
+        m[d - 1, d - 1] = 1.0
+        return m
+    if kind == "maximally_mixed":
+        return np.eye(d, dtype=complex) / d
+    if kind == "non_diagonal":
+        return random_density(d, rng)
+    vecs = haar_unitary(d, rng)
+    if kind == "rank_deficient":
+        weights = np.array([rng.random() + 0.1 for _ in range(d - 1)] + [0.0])
+        weights /= weights.sum()
+    else:  # one eigenvalue just below zero, within the constructor's floor
+        weights = np.array([-1e-11] + [1.0 / (d - 1)] * (d - 1))
+        weights[1] += 1e-11
+    m = (vecs * weights) @ vecs.conj().T
+    return (m + m.conj().T) / 2.0
+
+
+def random_loop_case(dims, data):
+    """Scenario with CR and loop subsystems interleaved in any order (maybe no CR),
+    a CR input of any kind, and a random loop density matrix."""
+    n = len(dims)
+    order = data.draw(st.permutations(range(n)))
+    cr_positions = sorted(order[:data.draw(st.integers(0, n - 1))])
+    rng = SplitMix64(data.draw(st.integers(0, 2**64 - 1)))
+    lay = layout_of(*[(f"s{i}", tuple(f"l{j}" for j in range(d))) for i, d in enumerate(dims)])
+    cr_ids = tuple(f"s{p}" for p in cr_positions)
+    ctc_ids = tuple(sid for sid in lay.ids if sid not in cr_ids)
+    sc = CtcScenario(lay, cr_ids, ctc_ids,
+                     UnitaryOperator(lay, haar_unitary(lay.total_dimension, rng)))
+    rho_cr = None
+    if cr_ids:
+        kind = data.draw(st.sampled_from(CR_INPUT_KINDS))
+        rho_cr = cr_density(sc, cr_input_matrix(kind, sc.cr_layout().total_dimension, rng))
+    rho = random_density(sc.ctc_layout().total_dimension, rng)
+    return sc, cr_positions, rho_cr, rho
+
+
+@settings(max_examples=80, deadline=None)
+@given(dims=st.lists(st.integers(2, 3), min_size=2, max_size=4), data=st.data())
+def test_induced_loop_map_matches_oracle(dims, data):
+    sc, cr_positions, rho_cr, rho = random_loop_case(dims, data)
+    cr_matrix = np.ones((1, 1)) if rho_cr is None else rho_cr.matrix
+    expected = induced_map_oracle(sc.loop_unitary.matrix, dims, cr_positions, cr_matrix, rho)
+    assert np.abs(induced_loop_map(sc, rho_cr)(rho) - expected).max() < 1e-12
+
+
+@settings(max_examples=80, deadline=None)
+@given(dims=st.lists(st.integers(2, 3), min_size=2, max_size=4), data=st.data())
+def test_superoperator_matches_columnwise_construction(dims, data):
+    sc, _, rho_cr, _ = random_loop_case(dims, data)
+    d = sc.ctc_layout().total_dimension
+    expected = columnwise_superoperator(induced_loop_map(sc, rho_cr), d)
+    assert np.abs(_superoperator(*_loop_operators(sc, rho_cr)) - expected).max() < 1e-12
+
+
 def test_grandfather_fixed_point_is_maximally_mixed():
     sc = grandfather_scenario("qubit_flip")
     for method in ("iterate", "spectral"):
@@ -301,6 +374,22 @@ def test_fixed_points_exist_for_random_scenarios():
         assert sp.residual <= 1e-8
         if sp.fixed_space_dim == 1:
             assert trace_distance(it.rho_ctc.matrix, sp.rho_ctc.matrix) <= 1e-6
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 4 selection rule")
+def test_methods_agree_on_nonunique_fixed_point():
+    # a permutation loop whose superoperator has a 3-dimensional eigenvalue-1
+    # space: iterate lands on diag(1/4, 0, 1/2, 1/4), spectral on
+    # diag(1/3, 0, 1/3, 1/3), and at most one of them is Deutsch's choice
+    qubit = ("b0", "b1")
+    lay = layout_of(("m", qubit), ("l0", qubit), ("l1", qubit))
+    u = np.eye(8)[:, [7, 6, 2, 4, 1, 5, 3, 0]]
+    sc = CtcScenario(lay, ("m",), ("l0", "l1"), UnitaryOperator(lay, u))
+    rho_cr = cr_density(sc, np.diag([1.0, 0.0]))
+    it = deutsch_fixed_point(sc, rho_cr, "iterate")
+    sp = deutsch_fixed_point(sc, rho_cr, "spectral")
+    assert sp.fixed_space_dim == 3
+    assert trace_distance(it.rho_ctc.matrix, sp.rho_ctc.matrix) <= 1e-8
 
 
 def test_oscillating_channel_exercises_the_averaging_fallback():
