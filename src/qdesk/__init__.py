@@ -27,7 +27,6 @@ from .errors import (
 )
 from .tensor import (
     ATOL,
-    BasisLabel,
     DensityMatrix,
     StateVector,
     Subsystem,

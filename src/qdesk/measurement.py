@@ -216,7 +216,7 @@ def sample_branch(s: StateVector, apparatus: str, rng_seed: int) -> tuple[Branch
     """
     flat, rest_layout = _apparatus_columns(s, apparatus)
     idx = int(sample_labels(s, apparatus, np.array([rng_seed & MASK64], dtype=np.uint64))[0])
-    label = s.layout.subsystem_named(apparatus).basis[idx].name
+    label = s.layout.subsystem_named(apparatus).labels[idx]
     branch = _branch_for_label(flat, rest_layout, label, idx)
     if branch is None:
         raise ProtocolError(f"selected an apparatus label of negligible weight: {label!r}")

@@ -16,6 +16,8 @@ IEEE-754 doubles exactly and keeps output byte-stable across runs.
 
 from __future__ import annotations
 
+from itertools import repeat
+
 import numpy as np
 
 from .errors import FormatError
@@ -99,18 +101,32 @@ def _parse_header(text: str) -> tuple[str, SubsystemLayout, list[str], int]:
     return kind, layout, [ln for _, ln in body], body[0][0] if body else no2 + 1
 
 
+def _parse_rows(rows: list[list[str]], width: int, first_line: int) -> np.ndarray:
+    """Complex (len(rows), width) array from rows of 're,im' tokens, one per body line.
+
+    A whole row is split at its commas and converted by Python's float at
+    once; a row that fails is re-read token by token to name the bad token.
+    """
+    out = np.empty((len(rows), 2 * width), dtype=np.float64)
+    for r, tokens in enumerate(rows):
+        if len(tokens) != width:
+            raise FormatError(f"line {first_line + r}: expected {width} entries, got {len(tokens)}")
+        if set(map(str.count, tokens, repeat(","))) == {1}:
+            try:
+                out[r] = list(map(float, ",".join(tokens).split(",")))
+                continue
+            except ValueError:
+                pass
+        for tok in tokens:  # raises on the first bad token
+            _parse_complex(tok, first_line + r)
+    return out.view(np.complex128)
+
+
 def _parse_matrix(layout: SubsystemLayout, body: list[str], first_line: int) -> np.ndarray:
     d = layout.total_dimension
     if len(body) != d:
         raise FormatError(f"expected {d} matrix rows, got {len(body)}")
-    mat = np.zeros((d, d), dtype=np.complex128)
-    for r, row in enumerate(body):
-        tokens = row.split()
-        if len(tokens) != d:
-            raise FormatError(f"line {first_line + r}: expected {d} entries, got {len(tokens)}")
-        for c, tok in enumerate(tokens):
-            mat[r, c] = _parse_complex(tok, first_line + r)
-    return mat
+    return _parse_rows([row.split() for row in body], d, first_line)
 
 
 def parse_state(text: str) -> StateVector:
@@ -120,8 +136,7 @@ def parse_state(text: str) -> StateVector:
     d = layout.total_dimension
     if len(body) != d:
         raise FormatError(f"expected {d} amplitudes, got {len(body)}")
-    amps = np.array([_parse_complex(ln, first + i) for i, ln in enumerate(body)])
-    return StateVector(layout, amps)
+    return StateVector(layout, _parse_rows([[ln] for ln in body], 1, first))
 
 
 def parse_density(text: str) -> DensityMatrix:

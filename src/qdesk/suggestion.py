@@ -23,6 +23,12 @@ Conventions fixed here, once:
   (undecided, psi0) -> (decides_x, psi_x), with the joint index agent-major.
   The same rule (with the intermediate targets) fixes the two stage maps.
 
+Built once, at import: the signaling layout, the round input (Bell pair ox
+|undecided, psi0, ready>), the z-basis meter on (distant, pointer) and the
+four sector/stage permutations. Per direction pair a round builds and checks
+only what depends on the angles: the 18x18 steering unitary and the 6x6
+rotated meter.
+
 Everything is a pure function; sessions draw all randomness from explicitly
 derived per-round seeds, so any execution order gives identical tallies.
 """
@@ -37,7 +43,6 @@ import numpy as np
 
 from .errors import InvariantError, ProtocolError, SchemeError
 from .measurement import (
-    PointerScheme,
     apparatus_weights,
     build_premeasurement_unitary,
     pointer_scheme,
@@ -48,7 +53,6 @@ from .tensor import (
     SubsystemLayout,
     UnitaryOperator,
     apply_unitary,
-    embed_operator,
     layout_of,
 )
 
@@ -108,24 +112,19 @@ class DecisionScheme:
             raise SchemeError(f"influence/agent/prepared ids must be distinct, got {ids}")
 
 
-def decision_layout() -> SubsystemLayout:
-    """Minimal layout for a standalone steered decision."""
-    return layout_of(
-        (PARTICLE, INFLUENCE_LABELS),
-        (AGENT, AGENT_LABELS),
-        (PREPARED, PREPARED_LABELS),
-    )
+_SIGNALING_LAYOUT = layout_of(
+    (PARTICLE, INFLUENCE_LABELS),
+    (DISTANT, INFLUENCE_LABELS),
+    (AGENT, AGENT_LABELS),
+    (PREPARED, PREPARED_LABELS),
+    (POINTER, POINTER_LABELS),
+)
+_PAIR_LAYOUT = _SIGNALING_LAYOUT.sub_layout((PARTICLE, DISTANT))
 
 
 def signaling_layout() -> SubsystemLayout:
     """Full layout of one signaling round: pair + agent + prepared + pointer."""
-    return layout_of(
-        (PARTICLE, INFLUENCE_LABELS),
-        (DISTANT, INFLUENCE_LABELS),
-        (AGENT, AGENT_LABELS),
-        (PREPARED, PREPARED_LABELS),
-        (POINTER, POINTER_LABELS),
-    )
+    return _SIGNALING_LAYOUT
 
 
 def _lex_completion(fixed: dict[int, int], n: int) -> list[int]:
@@ -140,6 +139,7 @@ def _permutation_matrix(pi: Sequence[int]) -> np.ndarray:
     mat = np.zeros((n, n), dtype=np.complex128)
     for j, i in enumerate(pi):
         mat[i, j] = 1.0
+    mat.setflags(write=False)  # shared module constants
     return mat
 
 
@@ -151,16 +151,11 @@ _IDX_DOWN_PSI0 = 2 * len(PREPARED_LABELS) + 0
 _IDX_DOWN_PSIDOWN = 2 * len(PREPARED_LABELS) + 2
 
 
-def _sector_permutations() -> tuple[np.ndarray, np.ndarray]:
-    p_up = _permutation_matrix(_lex_completion({0: _IDX_UP_PSIUP}, 9))
-    p_down = _permutation_matrix(_lex_completion({0: _IDX_DOWN_PSIDOWN}, 9))
-    return p_up, p_down
-
-
-def _stage_permutations() -> tuple[np.ndarray, np.ndarray]:
-    q_up = _permutation_matrix(_lex_completion({0: _IDX_UP_PSI0}, 9))
-    q_down = _permutation_matrix(_lex_completion({0: _IDX_DOWN_PSI0}, 9))
-    return q_up, q_down
+# steering sectors (undecided, psi0) -> (decides_x, psi_x); stages stop at psi0
+_P_UP = _permutation_matrix(_lex_completion({_IDX_UNDECIDED_PSI0: _IDX_UP_PSIUP}, 9))
+_P_DOWN = _permutation_matrix(_lex_completion({_IDX_UNDECIDED_PSI0: _IDX_DOWN_PSIDOWN}, 9))
+_Q_UP = _permutation_matrix(_lex_completion({_IDX_UNDECIDED_PSI0: _IDX_UP_PSI0}, 9))
+_Q_DOWN = _permutation_matrix(_lex_completion({_IDX_UNDECIDED_PSI0: _IDX_DOWN_PSI0}, 9))
 
 
 def _validated_subsystems(scheme: DecisionScheme, layout: SubsystemLayout):
@@ -195,15 +190,13 @@ def build_suggestion_unitary(scheme: DecisionScheme, layout: SubsystemLayout) ->
     the module convention. Since only the primed projectors enter, the matrix
     is exactly 2*pi-periodic in theta.
     """
-    p_up, p_down = _sector_permutations()
-    return _assemble(scheme, layout, p_up, p_down)
+    return _assemble(scheme, layout, _P_UP, _P_DOWN)
 
 
 def build_stage_unitaries(scheme: DecisionScheme,
                           layout: SubsystemLayout) -> tuple[UnitaryOperator, UnitaryOperator]:
     """(decision stage, preparation stage); their product is the one-step map."""
-    q_up, q_down = _stage_permutations()
-    stage1 = _assemble(scheme, layout, q_up, q_down)
+    stage1 = _assemble(scheme, layout, _Q_UP, _Q_DOWN)
     onestep = build_suggestion_unitary(scheme, layout)
     stage2 = UnitaryOperator(stage1.layout, onestep.matrix @ stage1.matrix.conj().T)
     return stage1, stage2
@@ -229,37 +222,26 @@ def staged_decision(s: StateVector, scheme: DecisionScheme) -> tuple[StateVector
     return intermediate, final
 
 
-def rotated_premeasurement_unitary(direction: Direction, scheme: PointerScheme,
-                                   layout: SubsystemLayout) -> UnitaryOperator:
-    """Pre-measurement of a qubit along `direction`.
-
-    Conjugates the computational-basis pointer unitary by the direction's
-    rotation on the measured qubit, so |x'>|ready> -> |x'>|outcome_x>.
-    """
-    measured = layout.subsystem_named(scheme.measured)
-    if measured.dimension != 2:
-        raise SchemeError("rotated pre-measurement requires a two-level measured subsystem")
-    u_z = build_premeasurement_unitary(scheme, layout)
-    rot = UnitaryOperator(SubsystemLayout((measured,)), direction.rotation())
-    r_emb = embed_operator(rot, u_z.layout)
-    return UnitaryOperator(u_z.layout, r_emb.matrix @ u_z.matrix @ r_emb.matrix.conj().T)
-
-
 # ---------------------------------------------------------------------------
 # Signaling rounds
 
 
 def bell_pair_state() -> StateVector:
     """(|up down> + |down up>)/sqrt2 over (particle, distant)."""
-    lay = layout_of((PARTICLE, INFLUENCE_LABELS), (DISTANT, INFLUENCE_LABELS))
     amps = np.zeros(4, dtype=np.complex128)
     amps[1] = amps[2] = 1.0  # |up down>, |down up>
-    return StateVector(lay, amps)
+    return StateVector(_PAIR_LAYOUT, amps)
 
 
-def _pointer_scheme_for_distant() -> PointerScheme:
-    return pointer_scheme(DISTANT, POINTER, "ready",
-                          {"up": "observes_up", "down": "observes_down"})
+_REST = np.zeros(27, dtype=np.complex128)
+_REST[0] = 1.0  # undecided, psi0, ready
+_REST.setflags(write=False)
+_ROUND_INPUT = StateVector(_SIGNALING_LAYOUT, np.kron(bell_pair_state().amplitudes, _REST))
+# z-basis pointer measurement of the distant particle, over (distant, pointer)
+_METER_Z = build_premeasurement_unitary(
+    pointer_scheme(DISTANT, POINTER, "ready", {"up": "observes_up", "down": "observes_down"}),
+    _SIGNALING_LAYOUT,
+)
 
 
 def signaling_state(alice_dir: Direction, bob_dir: Direction,
@@ -267,18 +249,25 @@ def signaling_state(alice_dir: Direction, bob_dir: Direction,
     """Global state after steering Alice's side and pre-measuring Bob's.
 
     The whole round is one unitary evolution; nothing collapses here.
-    `pair_state` (over (particle, distant)) defaults to the Bell pair.
+    `pair_state` (over (particle, distant), each with labels up, down)
+    defaults to the Bell pair. Bob's meter is the z-basis meter conjugated
+    by his direction's rotation, so |x'>|ready> -> |x'>|observes_x>.
     """
-    lay = signaling_layout()
-    pair = bell_pair_state() if pair_state is None else pair_state
-    if pair.layout.ids != (PARTICLE, DISTANT):
-        raise SchemeError(f"pair state must live on {(PARTICLE, DISTANT)}, got {pair.layout.ids}")
-    rest = np.zeros(27, dtype=np.complex128)
-    rest[0] = 1.0  # undecided, psi0, ready
-    s = StateVector(lay, np.kron(pair.amplitudes, rest))
+    if pair_state is None:
+        s = _ROUND_INPUT
+    elif pair_state.layout != _PAIR_LAYOUT:
+        raise SchemeError(
+            f"pair state must live on {_PAIR_LAYOUT.ids} with labels {INFLUENCE_LABELS}, "
+            f"got {[(sub.name, sub.labels) for sub in pair_state.layout.subsystems]}"
+        )
+    else:
+        s = StateVector(_SIGNALING_LAYOUT, np.kron(pair_state.amplitudes, _REST))
 
-    u_steer = build_suggestion_unitary(DecisionScheme(PARTICLE, AGENT, PREPARED, alice_dir), lay)
-    u_meter = rotated_premeasurement_unitary(bob_dir, _pointer_scheme_for_distant(), lay)
+    u_steer = build_suggestion_unitary(
+        DecisionScheme(PARTICLE, AGENT, PREPARED, alice_dir), _SIGNALING_LAYOUT
+    )
+    r = np.kron(bob_dir.rotation(), np.eye(len(POINTER_LABELS)))
+    u_meter = UnitaryOperator(_METER_Z.layout, r @ _METER_Z.matrix @ r.conj().T)
     return apply_unitary(u_meter, apply_unitary(u_steer, s))
 
 

@@ -4,6 +4,8 @@ States, density matrices, and unitaries are immutable wrappers around numpy
 arrays, each tagged with the SubsystemLayout it lives on. The layout fixes
 the index arithmetic once and for all: amplitudes and matrix entries are
 stored row-major in layout order, leftmost subsystem most significant.
+A ``Subsystem`` is an id plus its basis labels as plain strings; a label's
+index is its position in that tuple.
 
 Structural invariants are validated at construction with absolute tolerance
 ``ATOL`` (1e-10) unless an operation documents otherwise; state constructors
@@ -37,55 +39,40 @@ def _check_name(kind: str, name: str) -> None:
 
 
 @dataclass(frozen=True)
-class BasisLabel:
-    """A named basis vector of one subsystem."""
-
-    name: str
-    index: int
-
-    def __post_init__(self):
-        _check_name("basis label", self.name)
-        if self.index < 0:
-            raise LayoutError(f"basis index must be nonnegative, got {self.index}")
-
-
-@dataclass(frozen=True)
 class Subsystem:
-    """One labeled tensor factor: an id plus an ordered basis."""
+    """One labeled tensor factor: an id plus its ordered basis label names."""
 
     name: str
-    basis: tuple[BasisLabel, ...]
+    labels: tuple[str, ...]
 
     def __post_init__(self):
+        for label in self.labels:
+            _check_name("basis label", label)
         _check_name("subsystem", self.name)
-        if len(self.basis) < 1:
+        if len(self.labels) < 1:
             raise LayoutError(f"subsystem {self.name!r} needs dimension >= 1")
-        names = [b.name for b in self.basis]
-        if len(set(names)) != len(names):
+        if len(set(self.labels)) != len(self.labels):
             raise LayoutError(f"subsystem {self.name!r} has duplicate basis labels")
-        for i, b in enumerate(self.basis):
-            if b.index != i:
-                raise LayoutError(
-                    f"subsystem {self.name!r}: label {b.name!r} has index {b.index}, expected {i}"
-                )
 
     @property
     def dimension(self) -> int:
-        return len(self.basis)
+        return len(self.labels)
 
     def label_index(self, label_name: str) -> int:
-        for b in self.basis:
-            if b.name == label_name:
-                return b.index
-        raise LayoutError(f"subsystem {self.name!r} has no basis label {label_name!r}")
+        try:
+            return self.labels.index(label_name)
+        except ValueError:
+            raise LayoutError(
+                f"subsystem {self.name!r} has no basis label {label_name!r}"
+            ) from None
 
     def label_names(self) -> tuple[str, ...]:
-        return tuple(b.name for b in self.basis)
+        return self.labels
 
 
 def subsystem(name: str, labels: Sequence[str]) -> Subsystem:
     """Build a Subsystem from an ordered list of label names."""
-    return Subsystem(name, tuple(BasisLabel(lbl, i) for i, lbl in enumerate(labels)))
+    return Subsystem(name, tuple(labels))
 
 
 @dataclass(frozen=True)

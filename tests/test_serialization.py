@@ -70,3 +70,16 @@ def test_parse_reports_bad_entries_with_line_numbers():
     with pytest.raises(FormatError) as err:
         parse_state(text)
     assert "line 5" in str(err.value)
+
+
+def test_parse_reports_a_bad_matrix_entry_with_its_line():
+    lay = _layout()
+    lines = serialize_unitary(UnitaryOperator(lay, haar_unitary(6, SplitMix64(4)))).splitlines()
+    for row in range(6):
+        bad = list(lines)
+        tokens = bad[3 + row].split()
+        tokens[row % 3] = "1.0,oops"
+        bad[3 + row] = " ".join(tokens)
+        with pytest.raises(FormatError) as err:
+            parse_unitary("\n".join(bad) + "\n")
+        assert str(err.value) == f"line {4 + row}: bad number in '1.0,oops'"

@@ -3,11 +3,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qdesk import (
     Direction,
     DecisionScheme,
     ProtocolError,
+    SchemeError,
     StateVector,
     apply_unitary,
     build_stage_unitaries,
@@ -248,6 +250,31 @@ def test_joint_distribution_matches_projector_oracle():
         expected = joint_probabilities(a, b)
         for key in expected:
             assert abs(got[key] - expected[key]) < 1e-10
+
+
+angles = st.floats(-4 * math.pi, 4 * math.pi, allow_nan=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=angles, b=angles, seed=st.integers(0, 2**64 - 1))
+def test_joint_distribution_of_a_random_pair_matches_projector_oracle(a, b, seed):
+    pair = haar_state(4, SplitMix64(seed))
+    lay = layout_of((PARTICLE, INFLUENCE_LABELS), (DISTANT, INFLUENCE_LABELS))
+    got = joint_distribution(Direction(a), Direction(b), StateVector(lay, pair))
+    expected = joint_probabilities(a, b, pair)
+    for key in expected:
+        assert abs(got[key] - expected[key]) < 1e-12
+
+
+@pytest.mark.parametrize("pair_layout", [
+    layout_of((PARTICLE, ("x", "y")), (DISTANT, ("p", "q"))),  # other labels
+    layout_of((PARTICLE, AGENT_LABELS), (DISTANT, INFLUENCE_LABELS)),  # qutrit particle
+    layout_of((DISTANT, INFLUENCE_LABELS), (PARTICLE, INFLUENCE_LABELS)),  # swapped
+])
+def test_pair_state_on_another_layout_is_rejected(pair_layout):
+    pair = StateVector(pair_layout, np.ones(pair_layout.total_dimension))
+    with pytest.raises(SchemeError):
+        joint_distribution(Direction(0.3), Direction(0.1), pair)
 
 
 def test_two_branches_with_the_forced_pairings():

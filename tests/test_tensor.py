@@ -57,6 +57,20 @@ def test_layout_rejects_duplicate_ids_and_labels():
         subsystem("a", ("x", "x"))
 
 
+def test_subsystem_rejects_bad_label_names_and_empty_bases():
+    with pytest.raises(LayoutError):
+        subsystem("a", ("x", "a b"))
+    with pytest.raises(LayoutError):
+        subsystem("a", ())
+
+
+def test_label_index_of_an_unknown_label_is_a_layout_error():
+    sub = subsystem("a", ("x", "y"))
+    assert sub.label_index("y") == 1
+    with pytest.raises(LayoutError):
+        sub.label_index("z")
+
+
 def test_sub_layout_preserves_layout_order():
     lay = layout_of(("a", ("x", "y")), ("b", ("p", "q")), ("c", ("u", "v")))
     assert lay.sub_layout(["c", "a"]).ids == ("a", "c")
