@@ -79,6 +79,7 @@ from .suggestion import (
     run_session,
     sample_rounds,
     session_records,
+    signaling_weights,
     staged_decision,
     tally_from_records,
 )

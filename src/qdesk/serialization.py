@@ -80,7 +80,7 @@ def serialize_unitary(u: UnitaryOperator) -> str:
     return _serialize("unitary", u.layout, rows)
 
 
-def _parse_header(text: str) -> tuple[str, SubsystemLayout, list[str], int]:
+def _parse_header(text: str) -> tuple[str, SubsystemLayout, list[str], list[int]]:
     lines = text.splitlines()
     stripped = [(i + 1, ln.strip()) for i, ln in enumerate(lines)]
     content = [(no, ln) for no, ln in stripped if ln and not ln.startswith("#")]
@@ -97,20 +97,20 @@ def _parse_header(text: str) -> tuple[str, SubsystemLayout, list[str], int]:
     layout = _parse_layout(l1.split(":", 1)[1])
     if l2 != "data:":
         raise FormatError(f"line {no2}: expected 'data:'")
-    body = [(no, ln) for no, ln in content[3:]]
-    return kind, layout, [ln for _, ln in body], body[0][0] if body else no2 + 1
+    body = content[3:]
+    return kind, layout, [ln for _, ln in body], [no for no, _ in body]
 
 
-def _parse_rows(rows: list[list[str]], width: int, first_line: int) -> np.ndarray:
-    """Complex (len(rows), width) array from rows of 're,im' tokens, one per body line.
+def _parse_rows(rows: list[list[str]], width: int, line_nos: list[int]) -> np.ndarray:
+    """Complex (len(rows), width) array from rows of 're,im' tokens; row r is on line_nos[r].
 
     A whole row is split at its commas and converted by Python's float at
     once; a row that fails is re-read token by token to name the bad token.
     """
     out = np.empty((len(rows), 2 * width), dtype=np.float64)
-    for r, tokens in enumerate(rows):
+    for r, (tokens, line_no) in enumerate(zip(rows, line_nos)):
         if len(tokens) != width:
-            raise FormatError(f"line {first_line + r}: expected {width} entries, got {len(tokens)}")
+            raise FormatError(f"line {line_no}: expected {width} entries, got {len(tokens)}")
         if set(map(str.count, tokens, repeat(","))) == {1}:
             try:
                 out[r] = list(map(float, ",".join(tokens).split(",")))
@@ -118,36 +118,36 @@ def _parse_rows(rows: list[list[str]], width: int, first_line: int) -> np.ndarra
             except ValueError:
                 pass
         for tok in tokens:  # raises on the first bad token
-            _parse_complex(tok, first_line + r)
+            _parse_complex(tok, line_no)
     return out.view(np.complex128)
 
 
-def _parse_matrix(layout: SubsystemLayout, body: list[str], first_line: int) -> np.ndarray:
+def _parse_matrix(layout: SubsystemLayout, body: list[str], line_nos: list[int]) -> np.ndarray:
     d = layout.total_dimension
     if len(body) != d:
         raise FormatError(f"expected {d} matrix rows, got {len(body)}")
-    return _parse_rows([row.split() for row in body], d, first_line)
+    return _parse_rows([row.split() for row in body], d, line_nos)
 
 
 def parse_state(text: str) -> StateVector:
-    kind, layout, body, first = _parse_header(text)
+    kind, layout, body, line_nos = _parse_header(text)
     if kind != "state":
         raise FormatError(f"expected a state, got {kind!r}")
     d = layout.total_dimension
     if len(body) != d:
         raise FormatError(f"expected {d} amplitudes, got {len(body)}")
-    return StateVector(layout, _parse_rows([[ln] for ln in body], 1, first))
+    return StateVector(layout, _parse_rows([[ln] for ln in body], 1, line_nos))
 
 
 def parse_density(text: str) -> DensityMatrix:
-    kind, layout, body, first = _parse_header(text)
+    kind, layout, body, line_nos = _parse_header(text)
     if kind != "density":
         raise FormatError(f"expected a density, got {kind!r}")
-    return DensityMatrix(layout, _parse_matrix(layout, body, first))
+    return DensityMatrix(layout, _parse_matrix(layout, body, line_nos))
 
 
 def parse_unitary(text: str) -> UnitaryOperator:
-    kind, layout, body, first = _parse_header(text)
+    kind, layout, body, line_nos = _parse_header(text)
     if kind != "unitary":
         raise FormatError(f"expected a unitary, got {kind!r}")
-    return UnitaryOperator(layout, _parse_matrix(layout, body, first))
+    return UnitaryOperator(layout, _parse_matrix(layout, body, line_nos))

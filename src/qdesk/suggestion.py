@@ -25,9 +25,15 @@ Conventions fixed here, once:
 
 Built once, at import: the signaling layout, the round input (Bell pair ox
 |undecided, psi0, ready>), the z-basis meter on (distant, pointer) and the
-four sector/stage permutations. Per direction pair a round builds and checks
-only what depends on the angles: the 18x18 steering unitary and the 6x6
-rotated meter.
+four sector/stage permutations. Many direction pairs at once go through the
+batched kernel ``signaling_weights``: per block of pairs it builds the 18x18
+steering and 6x6 rotated-meter stacks from cos/sin, checks each stack once
+and applies it with the batch axis first, bit-identical to the single round.
+The CHSH grid, supplied-grid tables and the no-signaling audit use it. The
+single round (``signaling_state``, ``correlator``, ``chsh_value``,
+``joint_distribution``, ``sample_rounds``) stays the validated reference,
+building and checking its two operators per pair; the grid search's
+sum-dependence probes and final re-evaluation run on it as a cross-check.
 
 Everything is a pure function; sessions draw all randomness from explicitly
 derived per-round seeds, so any execution order gives identical tallies.
@@ -53,6 +59,7 @@ from .tensor import (
     SubsystemLayout,
     UnitaryOperator,
     apply_unitary,
+    apply_unitary_stack,
     layout_of,
 )
 
@@ -120,6 +127,7 @@ _SIGNALING_LAYOUT = layout_of(
     (POINTER, POINTER_LABELS),
 )
 _PAIR_LAYOUT = _SIGNALING_LAYOUT.sub_layout((PARTICLE, DISTANT))
+_STEER_LAYOUT = _SIGNALING_LAYOUT.sub_layout((PARTICLE, AGENT, PREPARED))
 
 
 def signaling_layout() -> SubsystemLayout:
@@ -244,6 +252,17 @@ _METER_Z = build_premeasurement_unitary(
 )
 
 
+def _round_input(pair_state: StateVector | None) -> StateVector:
+    if pair_state is None:
+        return _ROUND_INPUT
+    if pair_state.layout != _PAIR_LAYOUT:
+        raise SchemeError(
+            f"pair state must live on {_PAIR_LAYOUT.ids} with labels {INFLUENCE_LABELS}, "
+            f"got {[(sub.name, sub.labels) for sub in pair_state.layout.subsystems]}"
+        )
+    return StateVector(_SIGNALING_LAYOUT, np.kron(pair_state.amplitudes, _REST))
+
+
 def signaling_state(alice_dir: Direction, bob_dir: Direction,
                     pair_state: StateVector | None = None) -> StateVector:
     """Global state after steering Alice's side and pre-measuring Bob's.
@@ -253,16 +272,7 @@ def signaling_state(alice_dir: Direction, bob_dir: Direction,
     defaults to the Bell pair. Bob's meter is the z-basis meter conjugated
     by his direction's rotation, so |x'>|ready> -> |x'>|observes_x>.
     """
-    if pair_state is None:
-        s = _ROUND_INPUT
-    elif pair_state.layout != _PAIR_LAYOUT:
-        raise SchemeError(
-            f"pair state must live on {_PAIR_LAYOUT.ids} with labels {INFLUENCE_LABELS}, "
-            f"got {[(sub.name, sub.labels) for sub in pair_state.layout.subsystems]}"
-        )
-    else:
-        s = StateVector(_SIGNALING_LAYOUT, np.kron(pair_state.amplitudes, _REST))
-
+    s = _round_input(pair_state)
     u_steer = build_suggestion_unitary(
         DecisionScheme(PARTICLE, AGENT, PREPARED, alice_dir), _SIGNALING_LAYOUT
     )
@@ -277,6 +287,44 @@ def _joint_weights(alice_dir: Direction, bob_dir: Direction,
     s = signaling_state(alice_dir, bob_dir, pair_state)
     t = np.abs(s.tensor()) ** 2  # axes: particle, distant, agent, prepared, pointer
     return t.sum(axis=(0, 1, 3))
+
+
+_BLOCK = 32  # pairs (or scan shifts) per block: a working set under 1 MB
+
+
+def signaling_weights(alice_thetas: Sequence[float], bob_thetas: Sequence[float],
+                      pair_state: StateVector | None = None) -> np.ndarray:
+    """(k, 3, 3) Born weights over (agent label, pointer label), one per angle pair.
+
+    Row i equals the single round's weights for Direction(alice_thetas[i])
+    and Direction(bob_thetas[i]) bit for bit: per block of _BLOCK pairs, the
+    steering and meter stacks come from the same cos/sin and np.kron
+    products, and apply_unitary_stack checks and applies each stack once.
+    """
+    a = [float(t) for t in alice_thetas]
+    b = [float(t) for t in bob_thetas]
+    if len(a) != len(b):
+        raise ValueError(f"need as many alice as bob angles, got {len(a)} and {len(b)}")
+    for t in a + b:
+        if not math.isfinite(t):
+            raise ValueError(f"direction angle must be finite, got {t}")
+    start = _round_input(pair_state).tensor()
+    out = np.empty((len(a), len(AGENT_LABELS), len(POINTER_LABELS)))
+    for i in range(0, len(a), _BLOCK):
+        ca, sa, cb, sb = (np.array([f(t / 2.0) for t in x[i:i + _BLOCK]])  # as in Direction
+                          for x in (a, b) for f in (math.cos, math.sin))
+        up = np.stack([ca, sa], axis=1).astype(np.complex128)
+        down = np.stack([-sa, ca], axis=1).astype(np.complex128)
+        # np.kron of (k, m, m) with (1, n, n) is the (k, mn, mn) stack of per-row products
+        steer = np.kron(up[:, :, None] * up.conj()[:, None, :], _P_UP[None])
+        steer += np.kron(down[:, :, None] * down.conj()[:, None, :], _P_DOWN[None])
+        r = np.kron(np.stack([np.stack([cb, -sb], 1), np.stack([sb, cb], 1)], 1), np.eye(3)[None])
+        meter = r @ _METER_Z.matrix @ r.conj().swapaxes(1, 2)
+        t = np.broadcast_to(start, (len(ca),) + start.shape)
+        t = apply_unitary_stack(_STEER_LAYOUT, steer, t, _SIGNALING_LAYOUT)
+        t = apply_unitary_stack(_METER_Z.layout, meter, t, _SIGNALING_LAYOUT)
+        out[i:i + _BLOCK] = (np.abs(t) ** 2).sum(axis=(1, 2, 4))
+    return out
 
 
 def joint_distribution(alice_dir: Direction, bob_dir: Direction,
@@ -398,9 +446,17 @@ class ChshSearchResult:
     resolution: float
 
 
-def _grid_correlators(n: int, step: float) -> np.ndarray:
-    zero = Direction(0.0)
-    return np.array([correlator(zero, Direction(k * step)) for k in range(n)])
+def _correlators(alice_thetas: Sequence[float], bob_thetas: Sequence[float]) -> np.ndarray:
+    """Exact E per angle pair from the batched weights, with correlator's checks."""
+    w = signaling_weights(alice_thetas, bob_thetas)
+    leak = float((w[:, 0, :].sum(axis=1) + w[:, :, 0].sum(axis=1)).max())
+    if leak > 1e-10:
+        raise InvariantError(f"undecided/ready weight {leak:.3e} survived the round")
+    e = (w[:, 1, 1] + w[:, 2, 2]) - (w[:, 1, 2] + w[:, 2, 1])
+    worst = float(np.abs(e).max())
+    if worst > 1.0 + 1e-12:
+        raise InvariantError(f"correlator {worst} out of range")
+    return e
 
 
 def chsh_grid_search(resolution: float) -> ChshSearchResult:
@@ -419,7 +475,7 @@ def chsh_grid_search(resolution: float) -> ChshSearchResult:
     if n < 4:
         raise ValueError(f"resolution {resolution} leaves fewer than 4 grid angles")
     step = 2.0 * math.pi / n
-    e = _grid_correlators(n, step)
+    e = _correlators([0.0] * n, [k * step for k in range(n)])
 
     # guard the sum-dependence the reduction relies on
     probe = SplitMix64(0xC0FFEE)
@@ -430,26 +486,29 @@ def chsh_grid_search(resolution: float) -> ChshSearchResult:
         if abs(direct - e[(i + j) % n]) > 1e-9:
             raise InvariantError("correlator is not a function of the angle sum")
 
-    best = (-1.0, 0, 0, 0)  # |S|, da, b1, b2
-    best_sign = 1.0
-    for da in range(n):
-        shifted = np.roll(e, -da)
-        v1 = e + shifted
-        v2 = e - shifted
-        hi = float(v1.max() + v2.max())
-        lo = float(v1.min() + v2.min())
-        if hi > best[0]:
-            best = (hi, da, int(v1.argmax()), int(v2.argmax()))
-            best_sign = 1.0
-        if -lo > best[0]:
-            best = (-lo, da, int(v1.argmin()), int(v2.argmin()))
-            best_sign = -1.0
-    _, da, i1, i2 = best
+    # windows[da][i] = e[(i + da) % n]; per shift da the best S with a1 = 0
+    # is hi = max(e + shifted) + max(e - shifted), or -lo from the minima.
+    # The first maximum of (hi_0, -lo_0, hi_1, ...) is the first-found best.
+    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate([e, e[:-1]]), n)
+    best, pick = -1.0, 0
+    for start in range(0, n, _BLOCK):
+        v = e + windows[start:start + _BLOCK]
+        hi, lo = v.max(axis=1), v.min(axis=1)
+        np.subtract(e, windows[start:start + _BLOCK], out=v)
+        hi += v.max(axis=1)
+        lo += v.min(axis=1)
+        vals = np.stack([hi, -lo], axis=1).ravel()
+        k = int(vals.argmax())
+        if vals[k] > best:
+            best, pick = float(vals[k]), 2 * start + k
+    da, low = divmod(pick, 2)
+    arg = np.argmin if low else np.argmax
+    i1, i2 = int(arg(e + windows[da])), int(arg(e - windows[da]))
     angles = (0.0, da * step, i1 * step, i2 * step)
     s = chsh_value(*(Direction(t) for t in angles))
-    if not math.isclose(abs(s), best[0], rel_tol=0, abs_tol=1e-9):
+    if not math.isclose(abs(s), best, rel_tol=0, abs_tol=1e-9):
         raise InvariantError("grid-search reduction disagrees with direct evaluation")
-    if best_sign * s < 0:
+    if (-s if low else s) < 0:
         raise InvariantError("grid-search sign bookkeeping failed")
     return ChshSearchResult(s, abs(s), angles, n, step)
 
@@ -464,31 +523,22 @@ def chsh_search(angles: Sequence[float]) -> ChshSearchResult:
     n = len(thetas)
     if n < 1:
         raise ValueError("angle grid must not be empty")
-    dirs = [Direction(t) for t in thetas]
-    table = np.array([[correlator(a, b) for b in dirs] for a in dirs])
+    table = _correlators(np.repeat(thetas, n), np.tile(thetas, n)).reshape(n, n)
 
-    best_abs = -1.0
-    best_idx = (0, 0, 0, 0)
-    best_s = 0.0
+    # per (a1, a2) the best S is hi or lo over (b1, b2); the first maximum of
+    # |S| over (i1, i2, hi before lo) wins, as in a strict > scan
+    best_abs, best_s, best = -1.0, 0.0, (0, 0)
     for i1 in range(n):
-        row1 = table[i1]
-        m1 = row1[None, :] + table  # (a2, b1)
-        m2 = row1[None, :] - table  # (a2, b2)
-        hi = m1.max(axis=1) + m2.max(axis=1)
-        lo = m1.min(axis=1) + m2.min(axis=1)
-        for i2 in range(n):
-            for s_val, pick in ((hi[i2], "hi"), (lo[i2], "lo")):
-                if abs(s_val) > best_abs:
-                    if pick == "hi":
-                        j1 = int(m1[i2].argmax())
-                        j2 = int(m2[i2].argmax())
-                    else:
-                        j1 = int(m1[i2].argmin())
-                        j2 = int(m2[i2].argmin())
-                    best_abs = abs(s_val)
-                    best_s = float(s_val)
-                    best_idx = (i1, i2, j1, j2)
-    i1, i2, j1, j2 = best_idx
+        m1 = table[i1] + table  # (a2, b1)
+        m2 = table[i1] - table  # (a2, b2)
+        vals = np.stack([m1.max(axis=1) + m2.max(axis=1),
+                         m1.min(axis=1) + m2.min(axis=1)], axis=1).ravel()
+        k = int(np.abs(vals).argmax())
+        if abs(vals[k]) > best_abs:
+            best_abs, best_s, best = abs(vals[k]), float(vals[k]), (i1, k)
+    i1, (i2, low) = best[0], divmod(best[1], 2)
+    arg = np.argmin if low else np.argmax
+    j1, j2 = int(arg(table[i1] + table[i2])), int(arg(table[i1] - table[i2]))
     picked = (thetas[i1], thetas[i2], thetas[j1], thetas[j2])
     s = chsh_value(*(Direction(t) for t in picked))
     if not math.isclose(s, best_s, rel_tol=0, abs_tol=1e-9):
@@ -517,15 +567,7 @@ def no_signaling_audit(alice_dirs: Sequence[Direction], bob_dir: Direction,
     thetas = [d.theta for d in alice_dirs]
     if len(set(thetas)) < 2:
         raise ValueError("need at least two distinct alice settings to audit")
-    marginals = []
-    for d in alice_dirs:
-        w = _joint_weights(d, bob_dir, pair_state)
-        bob = w.sum(axis=0)
-        marginals.append((float(bob[1]), float(bob[2])))
-    max_tv = 0.0
-    for i in range(len(marginals)):
-        for j in range(i + 1, len(marginals)):
-            tv = 0.5 * (abs(marginals[i][0] - marginals[j][0])
-                        + abs(marginals[i][1] - marginals[j][1]))
-            max_tv = max(max_tv, tv)
+    bob = signaling_weights(thetas, [bob_dir.theta] * len(thetas), pair_state).sum(axis=1)
+    marginals = [(float(p[1]), float(p[2])) for p in bob]
+    max_tv = float(0.5 * np.abs(bob[:, None, 1:] - bob[None, :, 1:]).sum(axis=2).max())
     return NoSignalingAudit(tuple(thetas), bob_dir.theta, tuple(marginals), max_tv)

@@ -8,13 +8,15 @@ A ``Subsystem`` is an id plus its basis labels as plain strings; a label's
 index is its position in that tuple.
 
 Structural invariants are validated at construction with absolute tolerance
-``ATOL`` (1e-10) unless an operation documents otherwise; state constructors
-normalize their input and record the factor they divided out.
+``ATOL`` (1e-10) unless an operation documents otherwise, and every entry
+must be finite; state constructors normalize their input and record the
+factor they divided out.
 
 A unitary lives on the subsystems it acts on and is validated once, at that
 size: ``apply_unitary`` contracts only their axes, wherever they sit in the
-state's layout, and ``embed_operator`` builds a full-layout matrix by the
-same contraction.
+state's layout, ``apply_unitary_stack`` does the same for a stack of
+unitaries and states with the batch axis first, and ``embed_operator``
+builds a full-layout matrix by the same contraction.
 """
 
 from __future__ import annotations
@@ -145,6 +147,8 @@ def layout_of(*specs: tuple[str, Sequence[str]]) -> SubsystemLayout:
 
 def _frozen_complex(data, shape) -> np.ndarray:
     arr = np.array(data, dtype=np.complex128).reshape(shape)
+    if not np.isfinite(arr).all():
+        raise InvariantError("entries must be finite (found NaN or inf)")
     arr.setflags(write=False)
     return arr
 
@@ -160,7 +164,7 @@ class StateVector:
     __slots__ = ("layout", "amplitudes", "norm_factor")
 
     def __init__(self, layout: SubsystemLayout, amplitudes):
-        arr = np.asarray(amplitudes, dtype=np.complex128).reshape(-1)
+        arr = _frozen_complex(amplitudes, (-1,))
         if arr.size != layout.total_dimension:
             raise DimensionMismatchError(
                 f"amplitude length {arr.size} != layout dimension {layout.total_dimension}"
@@ -169,7 +173,8 @@ class StateVector:
         if norm < 1e-12:
             raise InvariantError("cannot normalize a (near-)zero state vector")
         self.layout = layout
-        self.amplitudes = _frozen_complex(arr / norm, (arr.size,))
+        self.amplitudes = arr / norm
+        self.amplitudes.setflags(write=False)
         self.norm_factor = norm
 
     def tensor(self) -> np.ndarray:
@@ -193,6 +198,7 @@ class DensityMatrix:
         arr = np.asarray(matrix, dtype=np.complex128)
         if arr.shape != (d, d):
             raise DimensionMismatchError(f"matrix shape {arr.shape} != {(d, d)}")
+        arr = _frozen_complex(arr, (d, d))
         herm_dev = float(np.abs(arr - arr.conj().T).max())
         if herm_dev > ATOL:
             raise InvariantError(f"density matrix not Hermitian (deviation {herm_dev:.3e})")
@@ -203,7 +209,7 @@ class DensityMatrix:
         if min_eig < EIGENVALUE_FLOOR:
             raise InvariantError(f"density matrix has eigenvalue {min_eig:.3e} < {EIGENVALUE_FLOOR}")
         self.layout = layout
-        self.matrix = _frozen_complex(arr, (d, d))
+        self.matrix = arr
 
     @classmethod
     def maximally_mixed(cls, layout: SubsystemLayout) -> "DensityMatrix":
@@ -230,11 +236,9 @@ class UnitaryOperator:
         arr = np.asarray(matrix, dtype=np.complex128)
         if arr.shape != (d, d):
             raise DimensionMismatchError(f"matrix shape {arr.shape} != {(d, d)}")
-        dev = float(np.abs(arr.conj().T @ arr - np.eye(d)).max())
-        if dev > ATOL:
-            raise InvariantError(f"matrix is not unitary (U†U deviates by {dev:.3e})")
-        self.layout = layout
         self.matrix = _frozen_complex(arr, (d, d))
+        _check_unitary(self.matrix)
+        self.layout = layout
 
     def dagger(self) -> "UnitaryOperator":
         return UnitaryOperator(self.layout, self.matrix.conj().T)
@@ -256,23 +260,37 @@ def tensor_product(a: StateVector, b: StateVector) -> StateVector:
     return StateVector(combined, np.kron(a.amplitudes, b.amplitudes))
 
 
-def _apply_local(u: UnitaryOperator, t: np.ndarray, layout: SubsystemLayout) -> np.ndarray:
-    """u applied to the leading axes of t, which follow `layout`; later axes ride along.
+def _check_unitary(mats: np.ndarray) -> None:
+    """Raise unless the matrix, or each matrix of a (k, d, d) stack, is unitary to ATOL."""
+    gram = mats.conj().swapaxes(-1, -2) @ mats
+    gram -= np.eye(mats.shape[-1])
+    dev = float(np.abs(gram).max())
+    if not dev <= ATOL:  # a NaN deviation fails too
+        raise InvariantError(f"matrix is not unitary (U†U deviates by {dev:.3e})")
 
-    One einsum over integer labels contracts u's column axes with the axes of
-    its subsystems, which must be in `layout` with the same labels, and puts
-    u's row axes in their place.
+
+def _apply_local(u_layout: SubsystemLayout, mats: np.ndarray, t: np.ndarray,
+                 layout: SubsystemLayout) -> np.ndarray:
+    """A unitary on u_layout applied to the axes of t that follow `layout`.
+
+    A (d, d) matrix acts on t's leading axes, and later axes ride along. A
+    (k, d, d) stack acts row by row: t's first axis is the batch axis, and
+    mats[i] evolves t[i]. One einsum over integer labels contracts the
+    column axes with the axes of u_layout's subsystems, which must be in
+    `layout` with the same labels, and puts the row axes in their place.
     """
     try:
-        axes = [layout.subsystems.index(sub) for sub in u.layout.subsystems]
+        axes = [layout.subsystems.index(sub) for sub in u_layout.subsystems]
     except ValueError:
         raise DimensionMismatchError(
-            f"unitary layout {u.layout.ids} is not a sub-layout of {layout.ids}"
+            f"unitary layout {u_layout.ids} is not a sub-layout of {layout.ids}"
         ) from None
-    n = t.ndim
+    batch = mats.shape[:-2]
+    n = t.ndim - len(batch)
     rows = [n + j for j in range(len(axes))]
     out = [rows[axes.index(i)] if i in axes else i for i in range(n)]
-    return np.einsum(u.matrix.reshape(u.layout.dims * 2), rows + axes, t, list(range(n)), out)
+    u = mats.reshape(batch + u_layout.dims * 2)
+    return np.einsum(u, [..., *rows, *axes], t, [..., *range(n)], [..., *out])
 
 
 def apply_unitary(u: UnitaryOperator, s: StateVector) -> StateVector:
@@ -281,10 +299,27 @@ def apply_unitary(u: UnitaryOperator, s: StateVector) -> StateVector:
     Only u's own axes are contracted; the other subsystems are untouched.
     Each of u's subsystems must appear in s.layout with the same labels.
     """
-    out = StateVector(s.layout, _apply_local(u, s.tensor(), s.layout))
+    out = StateVector(s.layout, _apply_local(u.layout, u.matrix, s.tensor(), s.layout))
     if abs(out.norm_factor - 1.0) > ATOL:
         raise InvariantError(f"unitary application changed the norm by {out.norm_factor - 1.0:.3e}")
     return out
+
+
+def apply_unitary_stack(u_layout: SubsystemLayout, mats: np.ndarray, t: np.ndarray,
+                        layout: SubsystemLayout) -> np.ndarray:
+    """Batched apply_unitary: t[i], a state tensor on `layout`, evolved by mats[i].
+
+    The (k, d, d) stack on u_layout is checked once; each row is renormalized
+    and norm-checked as apply_unitary does, so row i matches it bit for bit.
+    """
+    _check_unitary(mats)
+    out = _apply_local(u_layout, mats, t, layout)
+    flat = out.reshape(len(out), -1)
+    norms = np.array([np.linalg.norm(row) for row in flat])  # all rows at once sum in another order
+    worst = norms[np.abs(norms - 1.0).argmax()] - 1.0
+    if abs(worst) > ATOL:
+        raise InvariantError(f"unitary application changed the norm by {worst:.3e}")
+    return (flat / norms[:, None]).reshape(out.shape)
 
 
 def to_density(s: StateVector) -> DensityMatrix:
@@ -321,7 +356,8 @@ def embed_operator(u: UnitaryOperator, target: SubsystemLayout) -> UnitaryOperat
         target.position(sid)  # raises LayoutError on unknown ids
     d = target.total_dimension
     identity = np.eye(d, dtype=np.complex128).reshape(target.dims + (d,))
-    return UnitaryOperator(target, _apply_local(u, identity, target).reshape(d, d))
+    columns = _apply_local(u.layout, u.matrix, identity, target)
+    return UnitaryOperator(target, columns.reshape(d, d))
 
 
 def _partial_trace_array(mat: np.ndarray, dims: Sequence[int], keep_positions: Sequence[int]) -> np.ndarray:

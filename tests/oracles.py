@@ -193,6 +193,50 @@ def correlator_oracle(theta_a: float, theta_b: float) -> float:
             - p[("up", "down")] - p[("down", "up")])
 
 
+def grid_scan_reference(e: np.ndarray) -> tuple[float, int, int, int, float]:
+    """Best |S| over a sum-dependent grid with a1 = 0, one shift at a time.
+
+    e[k] is the correlator at angle sum k*step. For each shift da, S is
+    maximized over b1, b2 by e + roll(e, -da) and e - roll(e, -da); the first
+    strict improvement wins, hi before -lo. Returns (|S|, da, i1, i2, sign).
+    """
+    best = (-1.0, 0, 0, 0)
+    best_sign = 1.0
+    for da in range(len(e)):
+        shifted = np.roll(e, -da)
+        v1 = e + shifted
+        v2 = e - shifted
+        hi = float(v1.max() + v2.max())
+        lo = float(v1.min() + v2.min())
+        if hi > best[0]:
+            best = (hi, da, int(v1.argmax()), int(v2.argmax()))
+            best_sign = 1.0
+        if -lo > best[0]:
+            best = (-lo, da, int(v1.argmin()), int(v2.argmin()))
+            best_sign = -1.0
+    return (*best, best_sign)
+
+
+def table_scan_reference(table: np.ndarray) -> tuple[float, tuple[int, int, int, int]]:
+    """Best S over a correlator table E[a, b], one (a1, a2) at a time.
+
+    The first strict improvement of |S| wins, hi before lo. Returns
+    (S, (i1, i2, j1, j2)) with S = E[i1,j1] + E[i1,j2] + E[i2,j1] - E[i2,j2].
+    """
+    n = len(table)
+    best_abs, best_s, best_idx = -1.0, 0.0, (0, 0, 0, 0)
+    for i1 in range(n):
+        for i2 in range(n):
+            m1 = table[i1] + table[i2]  # over b1
+            m2 = table[i1] - table[i2]  # over b2
+            for s_val, j1, j2 in ((m1.max() + m2.max(), m1.argmax(), m2.argmax()),
+                                  (m1.min() + m2.min(), m1.argmin(), m2.argmin())):
+                if abs(s_val) > best_abs:
+                    best_abs, best_s = abs(s_val), float(s_val)
+                    best_idx = (i1, i2, int(j1), int(j2))
+    return best_s, best_idx
+
+
 def conjugation_superoperator(u: np.ndarray) -> np.ndarray:
     """Column-stacked matrix of rho -> u rho u†."""
     return np.kron(u.conj(), u)

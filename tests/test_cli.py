@@ -208,6 +208,7 @@ def test_config_error_exits_2(tmp_path):
 BAD_INLINE_UNITARIES = {
     "duplicate_labels": "layout: loop=b0,b0\ndata:\n1,0 0,0\n0,0 1,0\n",
     "not_unitary": "layout: loop=b0,b1\ndata:\n1,0 1,0\n0,0 1,0\n",
+    "nan_entry": "layout: loop=b0,b1\ndata:\nnan,0 0,0\n0,0 1,0\n",
 }
 
 
@@ -219,6 +220,19 @@ def test_bad_inline_unitary_exits_2(tmp_path, case, capsys):
     code, out = run_cli(["ctc-solve", "--config", cfg])
     assert code == 2 and out == ""
     assert "bad inline unitary" in capsys.readouterr().err
+
+
+def test_non_finite_inline_unitary_exits_2_without_traceback(tmp_path):
+    write(tmp_path, "bad.scenario",
+          "cr_ids = cr\nctc_ids = loop\nunitary:\nqdesk-object: unitary\n"
+          "layout: cr=c0,c1; loop=b0,b1\ndata:\n"
+          "1,0 0,0 0,0 0,0\n0,0 1,0 0,nan 0,0\n0,0 0,0 1,0 0,0\n0,0 0,0 0,0 1,0\n")
+    cfg = write(tmp_path, "c.cfg", "experiment = ctc-scan\nscenario_file = bad.scenario\n"
+                "samples = 10\nseed = 1\n")
+    done = run_subprocess(["ctc-scan", "--config", cfg])
+    assert done.returncode == 2 and done.stdout == b""
+    assert b"Traceback" not in done.stderr
+    assert b"bad inline unitary: entries must be finite" in done.stderr
 
 
 def test_over_coarse_chsh_grid_exits_2(tmp_path):
@@ -342,6 +356,9 @@ PINNED_CHSH = {
                        "af2162fcffd04d218eaca96a4aea378cd8cee7f8ad45af92e2287dfa7810bf28"),
     "grid_pi_over_180": ("experiment = chsh\ngrid_resolution = 0.017453292519943295\n",
                          "4a83365ecaec2c71e2cbbf39062dc874190b12ec68a273b159dfeca7a1c62865"),
+    # the benchmark's size, recorded before the correlators were batched
+    "grid_pi_over_720": ("experiment = chsh\ngrid_resolution = 0.004363323129985824\n",
+                         "1702784467636803b4e6d98429ba32a1fc4d77763a4af452917913c1e2cd22bb"),
 }
 
 

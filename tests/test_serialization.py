@@ -3,6 +3,7 @@ import pytest
 
 from qdesk import (
     FormatError,
+    InvariantError,
     StateVector,
     layout_of,
     serialize_density,
@@ -70,6 +71,28 @@ def test_parse_reports_bad_entries_with_line_numbers():
     with pytest.raises(FormatError) as err:
         parse_state(text)
     assert "line 5" in str(err.value)
+
+
+def test_body_line_numbers_count_blank_and_comment_lines():
+    text = "qdesk-object: state\nlayout: spin=up,down\ndata:\n# note\n1,0\n\nbogus\n"
+    with pytest.raises(FormatError) as err:
+        parse_state(text)
+    assert str(err.value) == "line 7: expected 're,im', got 'bogus'"
+
+
+NON_FINITE_BODIES = {
+    parse_state: "qdesk-object: state\nlayout: spin=up,down\ndata:\n1,0\nnan,0\n",
+    parse_density: "qdesk-object: density\nlayout: spin=up,down\ndata:\n"
+                   "0.5,0 0,nan\n0,0 0.5,0\n",
+    parse_unitary: "qdesk-object: unitary\nlayout: spin=up,down\ndata:\n"
+                   "1,0 0,0\n0,0 inf,0\n",
+}
+
+
+@pytest.mark.parametrize("parse", NON_FINITE_BODIES, ids=lambda f: f.__name__)
+def test_non_finite_entries_are_rejected(parse):
+    with pytest.raises(InvariantError, match="must be finite"):
+        parse(NON_FINITE_BODIES[parse])
 
 
 def test_parse_reports_a_bad_matrix_entry_with_its_line():

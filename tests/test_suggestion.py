@@ -44,7 +44,17 @@ from qdesk.suggestion import (
     signaling_layout,
 )
 
-from oracles import correlator_oracle, direction_down, direction_up, joint_probabilities
+from qdesk import InvariantError, suggestion
+from qdesk.suggestion import _joint_weights, signaling_weights
+
+from oracles import (
+    correlator_oracle,
+    direction_down,
+    direction_up,
+    grid_scan_reference,
+    joint_probabilities,
+    table_scan_reference,
+)
 
 SQ2 = np.sqrt(2.0)
 
@@ -474,3 +484,90 @@ def test_bell_pair_state_is_the_balanced_updown_superposition():
     assert abs(s.amplitudes[1] - 1 / SQ2) < 1e-12
     assert abs(s.amplitudes[2] - 1 / SQ2) < 1e-12
     assert abs(s.amplitudes[0]) == 0.0 and abs(s.amplitudes[3]) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# batched kernel
+
+
+def _single_round_weights(alice, bob, pair=None):
+    return np.array([_joint_weights(Direction(a), Direction(b), pair)
+                     for a, b in zip(alice, bob)]).reshape(-1, 3, 3)
+
+
+def _same_bits(x, y):
+    return x.shape == y.shape and np.array_equal(x.view(np.uint64), y.view(np.uint64))
+
+
+EDGE_ANGLES = [0.0, -0.0, math.pi, -math.pi, 2 * math.pi, -2 * math.pi, 7.0, -7.0,
+               1e-300, -5e-324, 0.3, -2.9]
+
+
+@settings(max_examples=60, deadline=None)
+@given(pairs=st.lists(st.tuples(st.floats(-7.0, 7.0), st.floats(-7.0, 7.0)), max_size=70))
+def test_batched_weights_equal_the_single_round_bit_for_bit(pairs):
+    alice = [a for a, _ in pairs]
+    bob = [b for _, b in pairs]
+    assert _same_bits(signaling_weights(alice, bob), _single_round_weights(alice, bob))
+
+
+def test_batched_weights_equal_the_single_round_on_edge_angles():
+    alice = [a for a in EDGE_ANGLES for _ in EDGE_ANGLES]
+    bob = [b for _ in EDGE_ANGLES for b in EDGE_ANGLES]
+    assert _same_bits(signaling_weights(alice, bob), _single_round_weights(alice, bob))
+
+
+@pytest.mark.parametrize("k", [0, 1, suggestion._BLOCK - 1, suggestion._BLOCK,
+                               suggestion._BLOCK + 1, 4 * suggestion._BLOCK + 1])
+def test_batched_weights_at_block_boundaries(k):
+    rng = np.random.default_rng(k)
+    alice, bob = rng.uniform(-7, 7, k).tolist(), rng.uniform(-7, 7, k).tolist()
+    assert _same_bits(signaling_weights(alice, bob), _single_round_weights(alice, bob))
+
+
+def test_batched_weights_on_a_custom_pair_state():
+    pair = StateVector(layout_of((PARTICLE, INFLUENCE_LABELS), (DISTANT, INFLUENCE_LABELS)),
+                       haar_state(4, SplitMix64(41)))
+    rng = np.random.default_rng(41)
+    alice, bob = rng.uniform(-7, 7, 50).tolist(), rng.uniform(-7, 7, 50).tolist()
+    assert _same_bits(signaling_weights(alice, bob, pair),
+                      _single_round_weights(alice, bob, pair))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_batched_weights_reject_non_finite_angles(bad):
+    with pytest.raises(ValueError, match="direction angle must be finite"):
+        signaling_weights([0.1, bad], [0.2, 0.3])
+    with pytest.raises(ValueError, match="direction angle must be finite"):
+        signaling_weights([0.1], [bad])
+
+
+def test_batched_weights_check_the_steering_stack(monkeypatch):
+    broken = suggestion._P_UP.copy()
+    broken[:, 0] = 0.0  # no longer a permutation
+    monkeypatch.setattr(suggestion, "_P_UP", broken)
+    with pytest.raises(InvariantError, match="not unitary"):
+        signaling_weights([0.4], [1.0])
+
+
+@pytest.mark.parametrize("n", [4, 7, 16, 360, 1440])
+def test_blocked_grid_scan_equals_the_shift_loop(n):
+    step = 2.0 * math.pi / n
+    e = np.array([correlator(Direction(0.0), Direction(k * step)) for k in range(n)])
+    best, da, i1, i2, sign = grid_scan_reference(e)
+    res = chsh_grid_search(2.0 * math.pi / n)
+    assert res.grid_size == n and res.resolution == step
+    assert res.angles == (0.0, da * step, i1 * step, i2 * step)
+    assert abs(res.abs_value - best) < 1e-9 and sign * res.s_value > 0
+
+
+@pytest.mark.parametrize("angles", [
+    [k * math.pi / 4 for k in range(8)],  # a uniform grid: many ties
+    [0.4, -1.3, 2.2, 0.4, 3.0, -2.5, 1.1],
+])
+def test_supplied_grid_search_equals_the_table_loop(angles):
+    table = np.array([[correlator(Direction(a), Direction(b)) for b in angles] for a in angles])
+    best_s, (i1, i2, j1, j2) = table_scan_reference(table)
+    res = chsh_search(angles)
+    assert res.angles == (angles[i1], angles[i2], angles[j1], angles[j2])
+    assert abs(res.s_value - best_s) < 1e-9
