@@ -158,13 +158,9 @@ def cmd_chsh(cfg: ChshConfig) -> dict:
             "a1": cfg.angles[0], "a2": cfg.angles[1],
             "b1": cfg.angles[2], "b2": cfg.angles[3],
         }
-        payload["correlators"] = {
-            "E_a1_b1": suggestion.correlator(a1, b1),
-            "E_a1_b2": suggestion.correlator(a1, b2),
-            "E_a2_b1": suggestion.correlator(a2, b1),
-            "E_a2_b2": suggestion.correlator(a2, b2),
-        }
-        s = suggestion.chsh_value(a1, a2, b1, b2)
+        e, s = suggestion._chsh(a1, a2, b1, b2)
+        keys = ("E_a1_b1", "E_a1_b2", "E_a2_b1", "E_a2_b2")
+        payload["correlators"] = {k: float(v) for k, v in zip(keys, e)}
         payload["s_value"] = s
         payload["abs_s"] = abs(s)
     else:

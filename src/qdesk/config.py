@@ -25,7 +25,7 @@ from .errors import (
     InvariantError,
     LayoutError,
 )
-from .serialization import parse_unitary
+from .serialization import _content_lines, parse_unitary
 from .tensor import UnitaryOperator
 
 EXPERIMENT_KINDS = ("measure", "signal", "chsh", "ctc-solve", "ctc-scan")
@@ -40,15 +40,13 @@ def parse_flat_file(path: str) -> dict[str, tuple[str, int]]:
             lines = fh.readlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}", path=path) from exc
-    return _parse_lines(lines, path)
+    return _parse_lines(_content_lines(lines), path)
 
 
-def _parse_lines(lines: list[str], path: str) -> dict[str, tuple[str, int]]:
+def _parse_lines(content: list[tuple[int, str]], path: str) -> dict[str, tuple[str, int]]:
+    """Entries of numbered content lines; a value ends at its first '#'."""
     entries: dict[str, tuple[str, int]] = {}
-    for no, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for no, line in content:
         if "=" not in line:
             raise ConfigError(f"expected 'key = value', got {line!r}", path=path, line=no)
         key, value = line.split("=", 1)
@@ -192,11 +190,13 @@ def load_scenario_file(path: str) -> CtcScenario:
     except OSError as exc:
         raise ConfigError(f"cannot read scenario file: {exc}", path=path) from exc
 
-    head = text.splitlines()
+    lines = text.splitlines()
+    head = _content_lines(lines)
     unitary_text: str | None = None
-    for i, raw in enumerate(head):
-        if raw.strip() == "unitary:":
-            head, unitary_text = head[:i], "\n".join(head[i + 1:])
+    for i, (no, line) in enumerate(head):
+        if line == "unitary:":
+            # the lines up to the marker stay as blank lines, so the body keeps its line numbers
+            head, unitary_text = head[:i], "\n" * no + "\n".join(lines[no:])
             break
 
     ent = _Entries(path, _parse_lines(head, path))

@@ -80,10 +80,14 @@ def serialize_unitary(u: UnitaryOperator) -> str:
     return _serialize("unitary", u.layout, rows)
 
 
+def _content_lines(lines: list[str]) -> list[tuple[int, str]]:
+    """(line number, stripped line) of every line that is not blank or a # comment."""
+    numbered = ((no, ln.strip()) for no, ln in enumerate(lines, start=1))
+    return [(no, ln) for no, ln in numbered if ln and not ln.startswith("#")]
+
+
 def _parse_header(text: str) -> tuple[str, SubsystemLayout, list[str], list[int]]:
-    lines = text.splitlines()
-    stripped = [(i + 1, ln.strip()) for i, ln in enumerate(lines)]
-    content = [(no, ln) for no, ln in stripped if ln and not ln.startswith("#")]
+    content = _content_lines(text.splitlines())
     if len(content) < 3:
         raise FormatError("serialized object needs at least 3 lines (kind, layout, data)")
     (no0, l0), (no1, l1), (no2, l2) = content[0], content[1], content[2]

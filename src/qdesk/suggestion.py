@@ -25,15 +25,14 @@ Conventions fixed here, once:
 
 Built once, at import: the signaling layout, the round input (Bell pair ox
 |undecided, psi0, ready>), the z-basis meter on (distant, pointer) and the
-four sector/stage permutations. Many direction pairs at once go through the
-batched kernel ``signaling_weights``: per block of pairs it builds the 18x18
+four sector/stage permutations. Every round is evolved by one kernel,
+``signaling_weights``: per block of direction pairs it builds the 18x18
 steering and 6x6 rotated-meter stacks from cos/sin, checks each stack once
-and applies it with the batch axis first, bit-identical to the single round.
-The CHSH grid, supplied-grid tables and the no-signaling audit use it. The
-single round (``signaling_state``, ``correlator``, ``chsh_value``,
-``joint_distribution``, ``sample_rounds``) stays the validated reference,
-building and checking its two operators per pair; the grid search's
-sum-dependence probes and final re-evaluation run on it as a cross-check.
+and applies it with the batch axis first. A single pair is a one-row call:
+``correlator``, ``joint_distribution`` and ``sample_rounds`` read one row,
+``chsh_value`` four, and the CHSH grid, supplied-grid tables and the
+no-signaling audit many. The exact quantities share one undecided/ready leak
+check and one correlator range check, each made on the whole row stack.
 
 Everything is a pure function; sessions draw all randomness from explicitly
 derived per-round seeds, so any execution order gives identical tallies.
@@ -263,32 +262,6 @@ def _round_input(pair_state: StateVector | None) -> StateVector:
     return StateVector(_SIGNALING_LAYOUT, np.kron(pair_state.amplitudes, _REST))
 
 
-def signaling_state(alice_dir: Direction, bob_dir: Direction,
-                    pair_state: StateVector | None = None) -> StateVector:
-    """Global state after steering Alice's side and pre-measuring Bob's.
-
-    The whole round is one unitary evolution; nothing collapses here.
-    `pair_state` (over (particle, distant), each with labels up, down)
-    defaults to the Bell pair. Bob's meter is the z-basis meter conjugated
-    by his direction's rotation, so |x'>|ready> -> |x'>|observes_x>.
-    """
-    s = _round_input(pair_state)
-    u_steer = build_suggestion_unitary(
-        DecisionScheme(PARTICLE, AGENT, PREPARED, alice_dir), _SIGNALING_LAYOUT
-    )
-    r = np.kron(bob_dir.rotation(), np.eye(len(POINTER_LABELS)))
-    u_meter = UnitaryOperator(_METER_Z.layout, r @ _METER_Z.matrix @ r.conj().T)
-    return apply_unitary(u_meter, apply_unitary(u_steer, s))
-
-
-def _joint_weights(alice_dir: Direction, bob_dir: Direction,
-                   pair_state: StateVector | None = None) -> np.ndarray:
-    """3x3 Born weights over (agent label, pointer label), index order."""
-    s = signaling_state(alice_dir, bob_dir, pair_state)
-    t = np.abs(s.tensor()) ** 2  # axes: particle, distant, agent, prepared, pointer
-    return t.sum(axis=(0, 1, 3))
-
-
 _BLOCK = 32  # pairs (or scan shifts) per block: a working set under 1 MB
 
 
@@ -296,10 +269,15 @@ def signaling_weights(alice_thetas: Sequence[float], bob_thetas: Sequence[float]
                       pair_state: StateVector | None = None) -> np.ndarray:
     """(k, 3, 3) Born weights over (agent label, pointer label), one per angle pair.
 
-    Row i equals the single round's weights for Direction(alice_thetas[i])
-    and Direction(bob_thetas[i]) bit for bit: per block of _BLOCK pairs, the
-    steering and meter stacks come from the same cos/sin and np.kron
-    products, and apply_unitary_stack checks and applies each stack once.
+    Row i is the round in which Alice is steered along
+    Direction(alice_thetas[i]) and Bob's meter reads along
+    Direction(bob_thetas[i]); `pair_state` (over (particle, distant), each
+    with labels up, down) defaults to the Bell pair. The round is one unitary
+    evolution; nothing collapses here. Per block of _BLOCK pairs, the
+    steering and rotated-meter stacks come from the same cos/sin and np.kron
+    products as build_suggestion_unitary and r M_z r^dagger built pair by
+    pair, and apply_unitary_stack checks and applies each stack once, so a
+    row equals that pair's evolution through apply_unitary bit for bit.
     """
     a = [float(t) for t in alice_thetas]
     b = [float(t) for t in bob_thetas]
@@ -327,13 +305,20 @@ def signaling_weights(alice_thetas: Sequence[float], bob_thetas: Sequence[float]
     return out
 
 
+def _checked_weights(alice_thetas: Sequence[float], bob_thetas: Sequence[float],
+                     pair_state: StateVector | None = None) -> np.ndarray:
+    """signaling_weights, after checking that no undecided/ready weight survived."""
+    w = signaling_weights(alice_thetas, bob_thetas, pair_state)
+    leak = float((w[:, 0, :].sum(axis=1) + w[:, :, 0].sum(axis=1)).max())
+    if leak > 1e-10:
+        raise InvariantError(f"undecided/ready weight {leak:.3e} survived the round")
+    return w
+
+
 def joint_distribution(alice_dir: Direction, bob_dir: Direction,
                        pair_state: StateVector | None = None) -> dict[tuple[str, str], float]:
     """Exact joint probabilities {(alice_decision, bob_outcome): p}."""
-    w = _joint_weights(alice_dir, bob_dir, pair_state)
-    leak = float(w[0, :].sum() + w[:, 0].sum())
-    if leak > 1e-10:
-        raise InvariantError(f"undecided/ready weight {leak:.3e} survived the round")
+    w = _checked_weights([alice_dir.theta], [bob_dir.theta], pair_state)[0]
     return {
         (INFLUENCE_LABELS[i], INFLUENCE_LABELS[j]): float(w[i + 1, j + 1])
         for i in (0, 1)
@@ -366,7 +351,7 @@ def sample_rounds(alice_dir: Direction, bob_dir: Direction, seeds: np.ndarray) -
     once; round i depends only on seeds[i], so a one-element uint64 array
     replays a single round.
     """
-    w = _joint_weights(alice_dir, bob_dir)
+    w = signaling_weights([alice_dir.theta], [bob_dir.theta])[0]
     agent, pointer = np.divmod(born_select(w.reshape(-1), first_uniforms(seeds)), w.shape[1])
     if not (agent.all() and pointer.all()):
         raise InvariantError("sampled a zero-weight undecided/ready cell")
@@ -419,22 +404,34 @@ def round_seed(master_seed: int, index: int) -> int:
 # Correlators, CHSH, no-signaling
 
 
+def _correlators(alice_thetas: Sequence[float], bob_thetas: Sequence[float]) -> np.ndarray:
+    """Exact E(a, b) = p_same - p_diff per angle pair, from the checked weights."""
+    w = _checked_weights(alice_thetas, bob_thetas)
+    e = (w[:, 1, 1] + w[:, 2, 2]) - (w[:, 1, 2] + w[:, 2, 1])
+    worst = float(np.abs(e).max())
+    if worst > 1.0 + 1e-12:
+        raise InvariantError(f"correlator {worst} out of range")
+    return e
+
+
 def correlator(alice_dir: Direction, bob_dir: Direction) -> float:
     """Exact E(a, b) = p_same - p_diff from the round's branch weights."""
-    p = joint_distribution(alice_dir, bob_dir)
-    e = (p[("up", "up")] + p[("down", "down")]) - (p[("up", "down")] + p[("down", "up")])
-    if abs(e) > 1.0 + 1e-12:
-        raise InvariantError(f"correlator {e} out of range")
-    return e
+    return float(_correlators([alice_dir.theta], [bob_dir.theta])[0])
+
+
+def _chsh(a1: Direction, a2: Direction, b1: Direction, b2: Direction) -> tuple[np.ndarray, float]:
+    """Correlators of (a1,b1), (a1,b2), (a2,b1), (a2,b2) from one kernel call, and S."""
+    e = _correlators([a1.theta, a1.theta, a2.theta, a2.theta],
+                     [b1.theta, b2.theta, b1.theta, b2.theta])
+    s = float(e[0] + e[1] + e[2] - e[3])
+    if abs(s) > TSIRELSON_BOUND + 1e-9:
+        raise InvariantError(f"CHSH value {s} exceeds the quantum bound")
+    return e, s
 
 
 def chsh_value(a1: Direction, a2: Direction, b1: Direction, b2: Direction) -> float:
     """S = E(a1,b1) + E(a1,b2) + E(a2,b1) - E(a2,b2), from exact correlators."""
-    s = (correlator(a1, b1) + correlator(a1, b2)
-         + correlator(a2, b1) - correlator(a2, b2))
-    if abs(s) > TSIRELSON_BOUND + 1e-9:
-        raise InvariantError(f"CHSH value {s} exceeds the quantum bound")
-    return s
+    return _chsh(a1, a2, b1, b2)[1]
 
 
 @dataclass(frozen=True)
@@ -444,19 +441,6 @@ class ChshSearchResult:
     angles: tuple[float, float, float, float]  # a1, a2, b1, b2
     grid_size: int
     resolution: float
-
-
-def _correlators(alice_thetas: Sequence[float], bob_thetas: Sequence[float]) -> np.ndarray:
-    """Exact E per angle pair from the batched weights, with correlator's checks."""
-    w = signaling_weights(alice_thetas, bob_thetas)
-    leak = float((w[:, 0, :].sum(axis=1) + w[:, :, 0].sum(axis=1)).max())
-    if leak > 1e-10:
-        raise InvariantError(f"undecided/ready weight {leak:.3e} survived the round")
-    e = (w[:, 1, 1] + w[:, 2, 2]) - (w[:, 1, 2] + w[:, 2, 1])
-    worst = float(np.abs(e).max())
-    if worst > 1.0 + 1e-12:
-        raise InvariantError(f"correlator {worst} out of range")
-    return e
 
 
 def chsh_grid_search(resolution: float) -> ChshSearchResult:
@@ -479,12 +463,10 @@ def chsh_grid_search(resolution: float) -> ChshSearchResult:
 
     # guard the sum-dependence the reduction relies on
     probe = SplitMix64(0xC0FFEE)
-    for _ in range(4):
-        i = probe.next_u64() % n
-        j = probe.next_u64() % n
-        direct = correlator(Direction(i * step), Direction(j * step))
-        if abs(direct - e[(i + j) % n]) > 1e-9:
-            raise InvariantError("correlator is not a function of the angle sum")
+    ij = np.array([probe.next_u64() % n for _ in range(8)]).reshape(4, 2)
+    direct = _correlators(ij[:, 0] * step, ij[:, 1] * step)
+    if np.abs(direct - e[ij.sum(axis=1) % n]).max() > 1e-9:
+        raise InvariantError("correlator is not a function of the angle sum")
 
     # windows[da][i] = e[(i + da) % n]; per shift da the best S with a1 = 0
     # is hi = max(e + shifted) + max(e - shifted), or -lo from the minima.

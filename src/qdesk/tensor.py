@@ -172,6 +172,8 @@ class StateVector:
         norm = float(np.linalg.norm(arr))
         if norm < 1e-12:
             raise InvariantError("cannot normalize a (near-)zero state vector")
+        if norm == np.inf:
+            raise InvariantError("state vector norm overflows a double")
         self.layout = layout
         self.amplitudes = arr / norm
         self.amplitudes.setflags(write=False)

@@ -1,8 +1,10 @@
 """Independent brute-force oracles for the test suite.
 
-Nothing here imports the package under test: expected values come from
-explicit index loops and textbook-style projector arithmetic, so agreement
-with the production code is meaningful.
+Expected values come from explicit index loops and textbook-style projector
+arithmetic, so agreement with the production code is meaningful. The one
+exception is ``single_round_weights``: it pins the batched signaling kernel
+to the same round evolved one operator at a time, so it composes the
+package's single-operator API, imported inside the function.
 """
 
 from __future__ import annotations
@@ -191,6 +193,35 @@ def correlator_oracle(theta_a: float, theta_b: float) -> float:
     p = joint_probabilities(theta_a, theta_b)
     return (p[("up", "up")] + p[("down", "down")]
             - p[("up", "down")] - p[("down", "up")])
+
+
+def single_round_weights(theta_a: float, theta_b: float, pair=None) -> np.ndarray:
+    """3x3 Born weights over (agent, pointer) of one signaling round, pair by pair.
+
+    Builds and checks the 18x18 steering unitary and Bob's 6x6 meter (the
+    z-basis meter conjugated by his rotation) for this one pair, and applies
+    each with apply_unitary. `pair` is a StateVector over (particle,
+    distant) and defaults to the Bell pair.
+    """
+    from qdesk import (DecisionScheme, Direction, StateVector, UnitaryOperator, apply_unitary,
+                       build_premeasurement_unitary, build_suggestion_unitary, pointer_scheme)
+    from qdesk.suggestion import (AGENT, DISTANT, PARTICLE, POINTER, PREPARED,
+                                  bell_pair_state, signaling_layout)
+
+    lay = signaling_layout()
+    rest = np.zeros(27, dtype=np.complex128)
+    rest[0] = 1.0  # undecided, psi0, ready
+    pair = bell_pair_state() if pair is None else pair
+    s = StateVector(lay, np.kron(pair.amplitudes, rest))
+    steer = build_suggestion_unitary(
+        DecisionScheme(PARTICLE, AGENT, PREPARED, Direction(theta_a)), lay)
+    meter_z = build_premeasurement_unitary(
+        pointer_scheme(DISTANT, POINTER, "ready", {"up": "observes_up", "down": "observes_down"}),
+        lay)
+    r = np.kron(Direction(theta_b).rotation(), np.eye(3))
+    meter = UnitaryOperator(meter_z.layout, r @ meter_z.matrix @ r.conj().T)
+    t = np.abs(apply_unitary(meter, apply_unitary(steer, s)).tensor()) ** 2
+    return t.sum(axis=(0, 1, 3))  # axes: particle, distant, agent, prepared, pointer
 
 
 def grid_scan_reference(e: np.ndarray) -> tuple[float, int, int, int, float]:

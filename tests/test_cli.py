@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import subprocess
@@ -6,9 +8,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qdesk import UnitaryOperator, layout_of, serialize_unitary
 from qdesk.cli import main
+from qdesk.rng import SplitMix64, haar_unitary
 
 from oracles import kraus_dilation
 
@@ -21,9 +25,6 @@ def write(tmp_path, name, text):
 
 def run_cli(args):
     """Invoke the CLI in-process, capturing stdout."""
-    import contextlib
-    import io
-
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = main(args)
@@ -233,6 +234,39 @@ def test_non_finite_inline_unitary_exits_2_without_traceback(tmp_path):
     assert done.returncode == 2 and done.stdout == b""
     assert b"Traceback" not in done.stderr
     assert b"bad inline unitary: entries must be finite" in done.stderr
+
+
+def test_bad_inline_unitary_names_its_file_line(tmp_path, capsys):
+    write(tmp_path, "bad.scenario",
+          "cr_ids = cr\nctc_ids = loop\nunitary:\nqdesk-object: unitary\n"
+          "layout: cr=c0,c1; loop=b0,b1\ndata:\n"
+          "1,0 0,0 0,0 0,0\n0,0 1,0 0,0 0,0\nbogus 0,0 1,0 0,0\n0,0 0,0 0,0 1,0\n")
+    cfg = write(tmp_path, "c.cfg", "experiment = ctc-solve\nscenario_file = bad.scenario\n")
+    code, out = run_cli(["ctc-solve", "--config", cfg])
+    assert code == 2 and out == ""
+    assert "bad inline unitary: line 9: expected 're,im', got 'bogus'" in capsys.readouterr().err
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), row=st.integers(0, 3), col=st.integers(0, 3),
+       pad=st.lists(st.sampled_from(["", "  ", "# note"]), max_size=4))
+def test_corrupt_inline_unitary_token_names_its_file_line(tmp_path_factory, seed, row, col, pad):
+    u = UnitaryOperator(layout_of(("cr", ("c0", "c1")), ("loop", ("b0", "b1"))),
+                        haar_unitary(4, SplitMix64(seed)))
+    body = serialize_unitary(u).splitlines()
+    lines = ["cr_ids = cr", *pad, "ctc_ids = loop", "unitary:", *pad, *body]
+    bad = len(lines) - len(body) + 3 + row  # body rows follow kind, layout and data:
+    tokens = lines[bad].split()
+    tokens[col] = "1.0,oops"
+    lines[bad] = " ".join(tokens)
+    tmp = tmp_path_factory.mktemp("scenario")
+    write(tmp, "bad.scenario", "\n".join(lines) + "\n")
+    cfg = write(tmp, "c.cfg", "experiment = ctc-solve\nscenario_file = bad.scenario\n")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = run_cli(["ctc-solve", "--config", cfg])
+    assert code == 2 and out == ""
+    assert f"bad inline unitary: line {bad + 1}: bad number in '1.0,oops'" in err.getvalue()
 
 
 def test_over_coarse_chsh_grid_exits_2(tmp_path):

@@ -80,6 +80,12 @@ def test_body_line_numbers_count_blank_and_comment_lines():
     assert str(err.value) == "line 7: expected 're,im', got 'bogus'"
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_parsed_state_whose_norm_overflows_is_rejected():
+    with pytest.raises(InvariantError, match="norm overflows"):
+        parse_state("qdesk-object: state\nlayout: spin=up,down\ndata:\n1e200,0\n1e200,0\n")
+
+
 NON_FINITE_BODIES = {
     parse_state: "qdesk-object: state\nlayout: spin=up,down\ndata:\n1,0\nnan,0\n",
     parse_density: "qdesk-object: density\nlayout: spin=up,down\ndata:\n"

@@ -45,7 +45,7 @@ from qdesk.suggestion import (
 )
 
 from qdesk import InvariantError, suggestion
-from qdesk.suggestion import _joint_weights, signaling_weights
+from qdesk.suggestion import signaling_weights
 
 from oracles import (
     correlator_oracle,
@@ -53,6 +53,7 @@ from oracles import (
     direction_up,
     grid_scan_reference,
     joint_probabilities,
+    single_round_weights,
     table_scan_reference,
 )
 
@@ -491,16 +492,18 @@ def test_bell_pair_state_is_the_balanced_updown_superposition():
 
 
 def _single_round_weights(alice, bob, pair=None):
-    return np.array([_joint_weights(Direction(a), Direction(b), pair)
+    return np.array([single_round_weights(a, b, pair)
                      for a, b in zip(alice, bob)]).reshape(-1, 3, 3)
 
 
 def _same_bits(x, y):
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
     return x.shape == y.shape and np.array_equal(x.view(np.uint64), y.view(np.uint64))
 
 
 EDGE_ANGLES = [0.0, -0.0, math.pi, -math.pi, 2 * math.pi, -2 * math.pi, 7.0, -7.0,
                1e-300, -5e-324, 0.3, -2.9]
+finite = st.floats(allow_nan=False, allow_infinity=False)  # every angle a config accepts
 
 
 @settings(max_examples=60, deadline=None)
@@ -509,6 +512,33 @@ def test_batched_weights_equal_the_single_round_bit_for_bit(pairs):
     alice = [a for a, _ in pairs]
     bob = [b for _, b in pairs]
     assert _same_bits(signaling_weights(alice, bob), _single_round_weights(alice, bob))
+
+
+@settings(max_examples=60, deadline=None)
+@given(pairs=st.lists(st.tuples(finite | st.sampled_from(EDGE_ANGLES),
+                                finite | st.sampled_from(EDGE_ANGLES)), max_size=70))
+def test_batched_weights_equal_the_single_round_over_the_finite_range(pairs):
+    alice = [a for a, _ in pairs]
+    bob = [b for _, b in pairs]
+    assert _same_bits(signaling_weights(alice, bob), _single_round_weights(alice, bob))
+
+
+def _oracle_correlator(a, b):
+    w = single_round_weights(a, b)
+    return (float(w[1, 1]) + float(w[2, 2])) - (float(w[1, 2]) + float(w[2, 1]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(a1=finite, a2=finite, b1=st.sampled_from(EDGE_ANGLES) | finite, b2=finite)
+def test_single_pair_quantities_equal_the_single_round_bit_for_bit(a1, a2, b1, b2):
+    w = single_round_weights(a1, b1)
+    p = joint_distribution(Direction(a1), Direction(b1))
+    assert _same_bits([p[(x, y)] for x in INFLUENCE_LABELS for y in INFLUENCE_LABELS],
+                      [w[1, 1], w[1, 2], w[2, 1], w[2, 2]])
+    assert _same_bits(correlator(Direction(a1), Direction(b1)), _oracle_correlator(a1, b1))
+    s = (_oracle_correlator(a1, b1) + _oracle_correlator(a1, b2)
+         + _oracle_correlator(a2, b1) - _oracle_correlator(a2, b2))
+    assert _same_bits(chsh_value(*(Direction(t) for t in (a1, a2, b1, b2))), s)
 
 
 def test_batched_weights_equal_the_single_round_on_edge_angles():

@@ -361,6 +361,12 @@ def test_state_normalizes_and_records_factor():
         spin_state(0, 0)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_state_whose_norm_overflows_is_rejected():
+    with pytest.raises(InvariantError, match="norm overflows"):
+        StateVector(spin(), [1e200, 1e200])
+
+
 def test_density_constructor_rejects_bad_matrices():
     lay = spin()
     with pytest.raises(InvariantError):
