@@ -8,8 +8,9 @@ config values. Reports echo the seeds and tolerances actually used; the
 payload written to stdout (or --out) is byte-identical across repeated runs
 with identical inputs; wall-clock timing goes to stderr only.
 
-Exit codes: 0 success, 2 config error, 3 solver non-convergence (report
-still emitted, with the best residual), 4 internal invariant violation.
+Exit codes: 0 success, 2 config error or an --out path that cannot be
+written, 3 solver non-convergence (report still emitted, with the best
+residual), 4 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,14 +37,6 @@ from .errors import ConfigError, FormatError, InvariantError, SolverError
 from .reports import matrix_payload, render_payload, render_signal_csv, vector_payload
 from .rng import stream_seeds
 from .tensor import DensityMatrix, StateVector, layout_of
-
-
-@dataclass
-class RunReport:
-    config: RunConfig
-    payload: dict
-    text: str
-    duration_seconds: float
 
 
 # ---------------------------------------------------------------------------
@@ -182,17 +174,16 @@ def cmd_chsh(cfg: ChshConfig) -> dict:
 # ctc
 
 
-def _cr_input(cfg: CtcSolveConfig | CtcScanConfig) -> DensityMatrix | None:
+def _cr_input(cfg: CtcSolveConfig) -> DensityMatrix | None:
     scenario = cfg.scenario
     if not scenario.cr_ids:
         return None
     lay = scenario.cr_layout()
     d = lay.total_dimension
-    cr_state = getattr(cfg, "cr_state", "zero")
-    if cr_state == "mixed":
+    if cfg.cr_state == "mixed":
         return DensityMatrix.maximally_mixed(lay)
     mat = np.zeros((d, d), dtype=np.complex128)
-    idx = 0 if cr_state == "zero" else d - 1
+    idx = 0 if cfg.cr_state == "zero" else d - 1
     mat[idx, idx] = 1.0
     return DensityMatrix(lay, mat)
 
@@ -276,8 +267,8 @@ def _ctc_tolerances() -> dict:
 # driver
 
 
-def build_report(cfg: RunConfig) -> RunReport:
-    start = time.perf_counter()
+def build_report(cfg: RunConfig) -> str:
+    """Run one command and render its report text."""
     if isinstance(cfg, MeasureConfig):
         payload = cmd_measure(cfg)
         text = render_payload(payload, cfg.format)
@@ -295,15 +286,21 @@ def build_report(cfg: RunConfig) -> RunReport:
         text = render_payload(payload, cfg.format)
     else:  # pragma: no cover
         raise ConfigError(f"unhandled config type {type(cfg).__name__}")
-    return RunReport(cfg, payload, text, time.perf_counter() - start)
+    return text
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _emit(text: str, out_path: str | None) -> bool:
+    """Write the report; False, after a stderr line, when out_path cannot be written."""
     if out_path is None:
         sys.stdout.write(text)
-    else:
+        return True
+    try:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        print(f"output error: cannot write {out_path}: {exc.strerror or exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -333,23 +330,27 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
+    start = time.perf_counter()
     try:
-        report = build_report(cfg)
+        text = build_report(cfg)
     except SolverError as exc:
         error_payload = {
             "experiment": cfg.kind,
             "error": "solver did not converge",
             "residual": exc.residual,
         }
-        _emit(render_payload(error_payload, "json"), args.out)
+        if not _emit(render_payload(error_payload, "json"), args.out):
+            return 2
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
     except InvariantError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 4
 
-    _emit(report.text, args.out)
-    print(f"completed in {report.duration_seconds:.3f} s", file=sys.stderr)
+    duration = time.perf_counter() - start
+    if not _emit(text, args.out):
+        return 2
+    print(f"completed in {duration:.3f} s", file=sys.stderr)
     return 0
 
 

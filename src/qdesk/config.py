@@ -38,7 +38,7 @@ def parse_flat_file(path: str) -> dict[str, tuple[str, int]]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}", path=path) from exc
     return _parse_lines(_content_lines(lines), path)
 
@@ -187,7 +187,7 @@ def load_scenario_file(path: str) -> CtcScenario:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read scenario file: {exc}", path=path) from exc
 
     lines = text.splitlines()

@@ -15,7 +15,9 @@ The loop channel is kept in two-sided operator-sum form,
 rho -> sum_k L_k rho R_k†, where R_k are the d_ctc x d_ctc blocks of U
 between CR basis states and L_k the same blocks with rho_in folded in. One
 application is a batched product at loop size, and the superoperator is
-sum_k conj(R_k) ox L_k; neither forms a full-layout density matrix.
+sum_k conj(R_k) ox L_k. The CR state leaving the loop region is read off
+the same pairs, traced over the loop instead of over CR, so no full-layout
+density matrix or partial trace is formed anywhere here.
 
 Solvers are pure and deterministic; Haar sampling for admissibility scans
 draws from explicitly derived per-sample seeds.
@@ -34,7 +36,6 @@ from .tensor import (
     StateVector,
     SubsystemLayout,
     UnitaryOperator,
-    _partial_trace_array,
     _permute_operator_axes,
     layout_of,
 )
@@ -276,16 +277,6 @@ def _cr_then_loop(scenario: CtcScenario) -> list[int]:
             + sorted(lay.position(sid) for sid in scenario.ctc_ids))
 
 
-def _compose_full(scenario: CtcScenario, rho_cr: DensityMatrix,
-                  rho_ctc: np.ndarray) -> np.ndarray:
-    """rho_cr ox rho_ctc assembled in layout order (subsystems may interleave)."""
-    current = _cr_then_loop(scenario)
-    block = np.kron(rho_cr.matrix, rho_ctc)
-    # axis new_i must take the current axis holding layout position i
-    return _permute_operator_axes(block, [scenario.layout.dims[p] for p in current],
-                                  [current.index(p) for p in range(len(current))])
-
-
 def _loop_operators(scenario: CtcScenario,
                     rho_cr: DensityMatrix | None) -> tuple[np.ndarray, np.ndarray]:
     """Operator pairs (L_k, R_k) with Tr_CR[ U (rho_cr ox rho) U† ] = sum_k L_k rho R_k†.
@@ -448,7 +439,13 @@ def deutsch_fixed_point(scenario: CtcScenario, rho_cr_in: DensityMatrix | None =
 
 def ctc_output_state(scenario: CtcScenario, rho_cr_in: DensityMatrix | None,
                      solution: DeutschSolution) -> DensityMatrix:
-    """CR state leaving the loop region: Tr_CTC[ U (rho_in ox rho_ctc) U† ]."""
+    """CR state leaving the loop region: Tr_CTC[ U (rho_in ox rho_ctc) U† ].
+
+    It is read off the loop operators (see _loop_operators), whose stacks are
+    indexed by (a, b') with a the CR output state:
+    out[a, a'] = sum_{b'} tr(L[a, b'] rho_ctc R[a', b']†), one contraction at
+    loop size. With no CR subsystems the output is the 1 x 1 matrix [[1]].
+    """
     rho_cr = _resolve_cr_input(scenario, rho_cr_in)
     if not solution.scenario.same_as(scenario):
         raise ValueError("solution was produced for a different scenario")
@@ -458,11 +455,10 @@ def ctc_output_state(scenario: CtcScenario, rho_cr_in: DensityMatrix | None,
         return DensityMatrix(scenario.cr_layout(), np.array([[1.0 + 0.0j]]))
     if float(np.abs(solution.rho_cr.matrix - rho_cr.matrix).max()) > 1e-12:
         raise ValueError("solution was produced for a different CR input")
-    full = _compose_full(scenario, rho_cr, solution.rho_ctc.matrix)
-    u = scenario.loop_unitary.matrix
-    evolved = u @ full @ u.conj().T
-    cr_positions = sorted(scenario.layout.position(sid) for sid in scenario.cr_ids)
-    reduced = _partial_trace_array(evolved, scenario.layout.dims, cr_positions)
+    left, right = _loop_operators(scenario, rho_cr)
+    d_cr, d = rho_cr.matrix.shape[0], left.shape[1]
+    evolved = (left @ solution.rho_ctc.matrix).reshape(d_cr, -1, d * d)
+    reduced = np.einsum("acx,bcx->ab", evolved, right.reshape(d_cr, -1, d * d).conj())
     return DensityMatrix(scenario.cr_layout(), reduced)
 
 

@@ -124,13 +124,16 @@ def embed_general(op: np.ndarray, op_dims: list[int], dims: list[int],
 
 
 def induced_map_oracle(u: np.ndarray, dims: list[int], cr_positions: list[int],
-                       rho_cr: np.ndarray, rho: np.ndarray) -> np.ndarray:
+                       rho_cr: np.ndarray, rho: np.ndarray, keep: str = "loop") -> np.ndarray:
     """Tr_CR[ u (rho_cr ox rho) u† ] with the factors placed by index walking.
 
     cr_positions are the layout axes of the CR subsystems; rho_cr lives on
     them and rho on the remaining axes, each in layout order. With no CR
-    subsystems rho_cr is the 1 x 1 matrix [[1]].
+    subsystems rho_cr is the 1 x 1 matrix [[1]]. keep="cr" traces out the
+    loop instead, giving the CR output Tr_CTC[ u (rho_cr ox rho) u† ].
     """
+    if keep not in ("loop", "cr"):
+        raise ValueError(f"keep must be 'loop' or 'cr', got {keep!r}")
     cr = sorted(cr_positions)
     loop = [i for i in range(len(dims)) if i not in cr]
     multis = [()]
@@ -148,7 +151,7 @@ def induced_map_oracle(u: np.ndarray, dims: list[int], cr_positions: list[int],
         for c, col in enumerate(multis):
             full[r, c] = (rho_cr[sub_flat(row, cr), sub_flat(col, cr)]
                           * rho[sub_flat(row, loop), sub_flat(col, loop)])
-    return partial_trace_loops(u @ full @ u.conj().T, dims, loop)
+    return partial_trace_loops(u @ full @ u.conj().T, dims, loop if keep == "loop" else cr)
 
 
 def columnwise_superoperator(apply, d: int) -> np.ndarray:

@@ -206,6 +206,34 @@ def test_config_error_exits_2(tmp_path):
     assert missing[0] == 2
 
 
+def assert_exit_2_without_traceback(args):
+    proc = run_subprocess(args)
+    stderr = proc.stderr.decode("utf-8", "replace")
+    assert proc.returncode == 2, stderr
+    assert "Traceback" not in stderr
+    return stderr
+
+
+def test_non_utf8_config_exits_2(tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"experiment = chsh\ngrid_resolution = 0.1\n# \xff\n")
+    assert str(cfg) in assert_exit_2_without_traceback(["chsh", "--config", str(cfg)])
+
+
+def test_non_utf8_scenario_file_exits_2(tmp_path):
+    (tmp_path / "bad.scenario").write_bytes(b"variant = cr_coupled\n# \xff\n")
+    cfg = write(tmp_path, "c.cfg", "experiment = ctc-solve\nscenario_file = bad.scenario\n")
+    stderr = assert_exit_2_without_traceback(["ctc-solve", "--config", cfg])
+    assert "bad.scenario" in stderr
+
+
+def test_unwritable_out_path_exits_2(tmp_path):
+    cfg = write(tmp_path, "c.cfg", "experiment = ctc-solve\nscenario = cr_coupled\n")
+    out = str(tmp_path / "absent" / "x.json")
+    stderr = assert_exit_2_without_traceback(["ctc-solve", "--config", cfg, "--out", out])
+    assert "output error" in stderr and out in stderr
+
+
 BAD_INLINE_UNITARIES = {
     "duplicate_labels": "layout: loop=b0,b0\ndata:\n1,0 0,0\n0,0 1,0\n",
     "not_unitary": "layout: loop=b0,b1\ndata:\n1,0 1,0\n0,0 1,0\n",

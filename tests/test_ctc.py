@@ -21,7 +21,7 @@ from qdesk import (
     linear_consistency_basis,
     trace_distance,
 )
-from qdesk.ctc import _loop_operators, _superoperator, induced_loop_map
+from qdesk.ctc import DeutschSolution, _loop_operators, _superoperator, induced_loop_map
 from qdesk.rng import SplitMix64, haar_state, haar_unitary, random_density
 
 from oracles import (
@@ -481,6 +481,21 @@ def test_trivial_output_for_scenario_without_cr():
     out = ctc_output_state(sc, None, sol)
     assert out.matrix.shape == (1, 1)
     assert abs(out.matrix[0, 0] - 1.0) < 1e-12
+
+
+@settings(max_examples=80, deadline=None)
+@given(dims=st.lists(st.integers(2, 3), min_size=2, max_size=4), data=st.data())
+def test_output_state_matches_oracle(dims, data):
+    sc, cr_positions, rho_cr, rho = random_loop_case(dims, data)
+    # any loop density matrix, not only a fixed point, exercises the contraction
+    sol = DeutschSolution(DensityMatrix(sc.ctc_layout(), rho), 0.0, 0, "iterate", None, sc, rho_cr)
+    out = ctc_output_state(sc, rho_cr, sol).matrix
+    cr_matrix = np.ones((1, 1)) if rho_cr is None else rho_cr.matrix
+    expected = induced_map_oracle(sc.loop_unitary.matrix, dims, cr_positions, cr_matrix, rho,
+                                  keep="cr")
+    assert np.abs(out - expected).max() < 1e-12
+    assert abs(np.trace(out) - 1.0) < 1e-12
+    assert np.abs(out - out.conj().T).max() < 1e-12
 
 
 def test_trace_distance_basics():
