@@ -31,6 +31,8 @@ from .tensor import UnitaryOperator
 EXPERIMENT_KINDS = ("measure", "signal", "chsh", "ctc-solve", "ctc-scan")
 FORMATS = ("json", "csv", "table")
 MEASURE_PRESETS = ("up", "down", "plus", "bell")
+# Cap on rounds, samples and CHSH grid angles; larger is a config error, before any allocation.
+MAX_COUNT = 10**9
 
 
 def parse_flat_file(path: str) -> dict[str, tuple[str, int]]:
@@ -273,11 +275,6 @@ def load_config(path: str, kind: str) -> RunConfig:
             if any(have_angles):
                 raise ConfigError("give either four angles or grid_resolution, not both",
                                   path=path)
-            if resolution <= 0:
-                raise ConfigError("grid_resolution must be positive", path=path)
-            if round(2.0 * math.pi / resolution) < 4:
-                raise ConfigError(f"grid_resolution {resolution} leaves fewer than 4 grid angles",
-                                  path=path)
             cfg = ChshConfig(kind, None, resolution, fmt)
         else:
             if not all(have_angles):
@@ -314,15 +311,25 @@ def _validate(cfg: RunConfig, ent: _Entries | None = None) -> RunConfig:
     seed = getattr(cfg, "seed", None)
     if seed is not None and not (-(2**63) <= seed < 2**64):
         fail("seed must fit in 64 bits", "seed")
-    rounds = getattr(cfg, "rounds", None)
-    if rounds is not None and rounds < 1:
-        fail(f"rounds must be >= 1, got {rounds}", "rounds")
+    for key in ("rounds", "samples"):
+        count = getattr(cfg, key, None)
+        if count is not None and not 1 <= count <= MAX_COUNT:
+            fail(f"{key} must be in [1, {MAX_COUNT}], got {count}", key)
+    resolution = getattr(cfg, "grid_resolution", None)
+    if resolution is not None:
+        if resolution <= 0:
+            fail("grid_resolution must be positive", "grid_resolution")
+        grid = 2.0 * math.pi / resolution  # a float: inf for the smallest subnormals
+        if grid > MAX_COUNT:
+            fail(f"grid_resolution {resolution} asks for over {MAX_COUNT} angles", "grid_resolution")
+        if round(grid) < 4:
+            fail(f"grid_resolution {resolution} leaves fewer than 4 grid angles", "grid_resolution")
     if cfg.format == "csv" and cfg.kind != "signal":
         fail("csv output is only defined for signaling sessions", "format")
     if isinstance(cfg, MeasureConfig):
-        if rounds is not None and seed is None:
+        if cfg.rounds is not None and seed is None:
             fail("sampling ('rounds') requires an explicit seed", "rounds")
-        if seed is not None and rounds is None:
+        if seed is not None and cfg.rounds is None:
             fail("a seed without 'rounds' would sample nothing", "seed")
     return cfg
 

@@ -3,14 +3,17 @@
 The core generator is SplitMix64 (Steele, Lea & Flood, "Fast splittable
 pseudorandom number generators", OOPSLA 2014): the state advances by a fixed
 odd increment GAMMA and each output is a bijective finalizer (``mix64``) of
-the state. Two properties this module leans on:
+the state. Three properties this module leans on:
 
 * the k-th output of a generator seeded with s is ``mix64(s + (k+1)*GAMMA)``,
   so per-round sub-stream seeds can be derived in O(1) by index
   (``stream_seed``) and whole seed arrays can be produced vectorized
   (``stream_seeds``); any execution order gives identical draws;
 * every derived quantity (uniforms, normals, Haar samples) is a pure function
-  of the seed, so concurrent use is race-free by construction.
+  of the seed, so concurrent use is race-free by construction;
+* Box-Muller normals are computed per call as arrays, bit for bit equal to one
+  at a time: mixing, products and ``sqrt`` are exact or correctly rounded in
+  numpy, and log1p, sin and cos come from libm, as numpy's SIMD ones may differ.
 
 There is deliberately no module-level generator: all entropy enters through
 explicit seeds.
@@ -49,14 +52,19 @@ def stream_seed(master_seed: int, index: int) -> int:
 
 def stream_seeds(master_seed: int, n: int) -> np.ndarray:
     """Vectorized ``stream_seed(master_seed, i)`` for i = 0..n-1 (uint64)."""
-    idx = np.arange(1, n + 1, dtype=np.uint64)
-    return _mix64_array(np.uint64(master_seed & MASK64) + idx * np.uint64(GAMMA))
+    return _outputs(master_seed & MASK64, n)
 
 
 def first_uniforms(seeds: np.ndarray) -> np.ndarray:
     """First uniform draw in [0, 1) of a SplitMix64 started at each seed."""
     out = _mix64_array(seeds.astype(np.uint64) + np.uint64(GAMMA))
     return (out >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+def _outputs(state: int, n: int) -> np.ndarray:
+    """The next n raw outputs of a generator at `state` (uint64)."""
+    idx = np.arange(1, n + 1, dtype=np.uint64)
+    return _mix64_array(np.uint64(state) + idx * np.uint64(GAMMA))
 
 
 def _mix64_array(z: np.ndarray) -> np.ndarray:
@@ -84,19 +92,29 @@ class SplitMix64:
         return (self.next_u64() >> 11) * 2.0**-53
 
     def normal(self) -> float:
-        """Standard normal via Box-Muller; pairs are cached."""
-        if self._spare_normal is not None:
-            z = self._spare_normal
-            self._spare_normal = None
-            return z
-        u1 = self.random()
-        u2 = self.random()
-        r = math.sqrt(-2.0 * math.log1p(-u1))  # log1p avoids log(0)
-        self._spare_normal = r * math.sin(2.0 * math.pi * u2)
-        return r * math.cos(2.0 * math.pi * u2)
+        """One standard normal: the next draw of ``normals``."""
+        return float(self.normals(1)[0])
 
     def normals(self, n: int) -> np.ndarray:
-        return np.array([self.normal() for _ in range(n)], dtype=np.float64)
+        """n standard normals as one array computation, bit for bit drawn one at a time.
+
+        Uniforms u1, u2 give r cos(2 pi u2), r sin(2 pi u2) with r = sqrt(-2 log1p(-u1)).
+        A pending spare comes out first; an odd count keeps the last r sin as the spare.
+        """
+        if n < 0:
+            raise ValueError(f"normals count must be nonnegative, got {n}")
+        head = [self._spare_normal] if n and self._spare_normal is not None else []
+        if head:
+            self._spare_normal = None
+        m = (n - len(head) + 1) // 2 * 2
+        u = (_outputs(self._state, m) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        self._state = (self._state + m * GAMMA) & MASK64
+        r = np.sqrt(-2.0 * np.array(list(map(math.log1p, (-u[0::2]).tolist()))))
+        angle = (2.0 * math.pi * u[1::2]).tolist()
+        pairs = (r * np.array([list(map(math.cos, angle)), list(map(math.sin, angle))])).T.ravel()
+        if m > n - len(head):
+            self._spare_normal = float(pairs[-1])
+        return np.concatenate((head, pairs[:n - len(head)]))
 
     def complex_normals(self, n: int) -> np.ndarray:
         """n entries x + iy with x, y independent standard normals."""

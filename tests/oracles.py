@@ -9,6 +9,8 @@ package's single-operator API, imported inside the function.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -293,6 +295,30 @@ def splitmix64_reference(seed: int, count: int) -> list[int]:
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
         outputs.append((z ^ (z >> 31)) & mask)
     return outputs
+
+
+def scalar_normals(state: int, spare: float | None, n: int):
+    """n Box-Muller normals drawn one at a time: the definition ``SplitMix64.normals`` meets.
+
+    Starts from a generator at `state` with a pending `spare` (or None) and
+    returns (draws, state, spare) after the n draws. Each fresh pair takes two
+    uniforms u = (raw >> 11) * 2**-53 and yields r cos(2 pi u2), keeping
+    r sin(2 pi u2) as the spare, with r = sqrt(-2 log1p(-u1)) from libm.
+    """
+    draws = []
+    for _ in range(n):
+        if spare is not None:
+            draws.append(spare)
+            spare = None
+            continue
+        raw1, raw2 = splitmix64_reference(state, 2)
+        state = (state + 2 * 0x9E3779B97F4A7C15) & ((1 << 64) - 1)
+        u1 = (raw1 >> 11) * 2.0**-53
+        u2 = (raw2 >> 11) * 2.0**-53
+        r = math.sqrt(-2.0 * math.log1p(-u1))
+        spare = r * math.sin(2.0 * math.pi * u2)
+        draws.append(r * math.cos(2.0 * math.pi * u2))
+    return draws, state, spare
 
 
 def inverse_cdf_select(weights, u: float) -> int:

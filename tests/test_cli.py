@@ -303,6 +303,32 @@ def test_over_coarse_chsh_grid_exits_2(tmp_path):
     assert code == 2 and out == ""
 
 
+SIGNAL_HEAD = "experiment = signal\nalice_angle = 0.3\nbob_angle = 1.1\nseed = 1\n"
+
+
+# counts past config.MAX_COUNT; each would fail before allocating anything even
+# without the cap, so no run here comes near it
+@pytest.mark.parametrize("command,body,flags,line", [
+    ("signal", SIGNAL_HEAD + f"rounds = {10**20}\n", [], 5),
+    ("signal", SIGNAL_HEAD + "rounds = 10\n", ["--rounds", str(10**20)], None),
+    ("measure", f"experiment = measure\nstate = bell\nseed = 1\nrounds = {10**20}\n", [], 4),
+    ("ctc-scan", f"experiment = ctc-scan\nscenario = qubit_flip\nseed = 1\nsamples = {10**20}\n",
+     [], 4),
+    ("chsh", "experiment = chsh\ngrid_resolution = 1e-300\n", [], 2),
+    ("chsh", "experiment = chsh\ngrid_resolution = 5e-324\n", [], 2),
+], ids=["signal_rounds", "signal_rounds_flag", "measure_rounds", "scan_samples",
+        "chsh_grid_1e-300", "chsh_grid_subnormal"])
+def test_oversized_count_exits_2(tmp_path, command, body, flags, line):
+    cfg = write(tmp_path, "big.cfg", body)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = run_cli([command, "--config", cfg, *flags])
+    assert code == 2 and out == ""
+    assert err.getvalue().startswith("config error: ")
+    if line is not None:
+        assert f"{cfg}:{line}: " in err.getvalue()
+
+
 def test_solver_error_exits_3_with_residual(tmp_path):
     gamma = 1e-6
     a0 = np.diag([1.0, math.sqrt(1.0 - gamma)]).astype(complex)
@@ -492,5 +518,66 @@ def test_ctc_solve_reports_match_pinned_digests(tmp_path, scenario, method, cr_s
     cfg = write(tmp_path, "c.cfg", f"experiment = ctc-solve\nscenario = {scenario}\n"
                 f"method = {method}\ncr_state = {cr_state}\nmode = {mode}\n")
     code, out = run_cli(["ctc-solve", "--config", cfg])
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# ctc-scan reports recorded before the Box-Muller draws were computed per call
+# as arrays: every Haar sample, hence every residual statistic, keeps its bits.
+PINNED_CTC_SCAN = [
+    ("qubit_flip", "strict", 0,
+     "ab5ed4b0ac6ab6506fa29eba993dab6b5927b67a2e6bddcad149d9b789afe08c"),
+    ("qubit_flip", "strict", 2**63,
+     "073ec2a480c3319f7cf6e0a2004c498d6363966c500c616b90d9044af4cda3a4"),
+    ("qubit_flip", "strict", 2**64 - 1,
+     "202500ac3fe688618ec41da01bfbc04400393d07ee64aeeff5d01bfa34807e21"),
+    ("qubit_flip", "ray", 0,
+     "5dc62fa66f50e0143d0ce8ab874a237e1ec927b1ff34733c2372f73a863cb62b"),
+    ("qubit_flip", "ray", 2**63,
+     "32669dc10e8653120435b9ad8f8c37f89968d61aad04685bf1f83ac24602a25c"),
+    ("qubit_flip", "ray", 2**64 - 1,
+     "f6b1642b6be860452712d423759166f8ef2768efa988f59f1b505e41050f5b54"),
+    ("cr_coupled", "strict", 0,
+     "62dceb85c3440f16fd6b1957781dd99d624a2ab67757ebaada9f51433129e2f2"),
+    ("cr_coupled", "strict", 2**63,
+     "6edd54db0fbc0f1bc878ea6aeef81bd65bf5db9bdb7d8c4ef6f28f31013caa3f"),
+    ("cr_coupled", "strict", 2**64 - 1,
+     "e7b20926a8bd0b266c10071617d1369d5d4ebdaae55e25285ce4ae9a2e2d00d3"),
+    ("cr_coupled", "ray", 0,
+     "7513c07dffcaf1762bb9209efd16c697e029ff6831011876e235591accedb48b"),
+    ("cr_coupled", "ray", 2**63,
+     "72d088ec038da4c15dc101893d95fbd78377a6b7510a38609c3c3959591be96c"),
+    ("cr_coupled", "ray", 2**64 - 1,
+     "e59e1a629dcb2987593f2a095016ac068804678acba4dbb85c4b2419a9ed34e4"),
+]
+
+
+@pytest.mark.parametrize("scenario,mode,seed,digest", PINNED_CTC_SCAN)
+def test_ctc_scan_reports_match_pinned_digests(tmp_path, scenario, mode, seed, digest):
+    cfg = write(tmp_path, "c.cfg", f"experiment = ctc-scan\nscenario = {scenario}\n"
+                f"mode = {mode}\nsamples = 400\nseed = {seed}\n")
+    code, out = run_cli(["ctc-scan", "--config", cfg])
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# the benchmark's scan shape: three CR and three loop qubits (d = 64), ray mode
+PINNED_HAAR_SCAN = [
+    (0, "dbfd560235d303445a59dc7c8da0d732c4658a00c9fcdd1b19b1cb72627744cd"),
+    (2**63, "4720b4a4da293a17d749d4cc930238fca776d07b099c78d277cd698ce83480d8"),
+    (2**64 - 1, "1c56e48115c1e04437996810df1fbf83f67da893d60bbd86a836bc1cd44fbc00"),
+]
+
+
+@pytest.mark.parametrize("seed,digest", PINNED_HAAR_SCAN)
+def test_haar_scan_reports_match_pinned_digests(tmp_path, seed, digest):
+    ids = ["c0", "c1", "c2", "l0", "l1", "l2"]
+    u = UnitaryOperator(layout_of(*[(q, ("b0", "b1")) for q in ids]),
+                        haar_unitary(64, SplitMix64(7)))
+    write(tmp_path, "haar.scenario",
+          "cr_ids = c0,c1,c2\nctc_ids = l0,l1,l2\nunitary:\n" + serialize_unitary(u))
+    cfg = write(tmp_path, "c.cfg", "experiment = ctc-scan\nscenario_file = haar.scenario\n"
+                f"mode = ray\nsamples = 2000\nseed = {seed}\n")
+    code, out = run_cli(["ctc-scan", "--config", cfg])
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

@@ -3,6 +3,7 @@ import pytest
 
 from qdesk import ConfigError, UnitaryOperator, layout_of, serialize_unitary
 from qdesk.config import (
+    MAX_COUNT,
     ChshConfig,
     CtcScanConfig,
     CtcSolveConfig,
@@ -168,6 +169,28 @@ def test_chsh_grid_resolution_must_leave_four_angles(tmp_path):
     assert path in str(err.value) and "fewer than 4 grid angles" in str(err.value)
     ok = write(tmp_path, "c2.cfg", "experiment = chsh\ngrid_resolution = 1.5\n")
     assert load_config(ok, "chsh").grid_resolution == 1.5
+
+
+def test_counts_are_capped_at_max_count(tmp_path):
+    # loading allocates nothing, so the cap itself can be checked without a run
+    head = {"signal": "experiment = signal\nalice_angle = 0\nbob_angle = 0\nseed = 1\n",
+            "ctc-scan": "experiment = ctc-scan\nscenario = qubit_flip\nseed = 1\n"}
+    for kind, key in (("signal", "rounds"), ("ctc-scan", "samples")):
+        ok = write(tmp_path, "ok.cfg", head[kind] + f"{key} = {MAX_COUNT}\n")
+        assert getattr(load_config(ok, kind), key) == MAX_COUNT
+        big = write(tmp_path, "big.cfg", head[kind] + f"{key} = {MAX_COUNT + 1}\n")
+        line = head[kind].count("\n") + 1
+        with pytest.raises(ConfigError, match=f"big.cfg:{line}: {key} must be in"):
+            load_config(big, kind)
+    cfg = load_config(write(tmp_path, "s.cfg", head["signal"] + "rounds = 10\n"), "signal")
+    assert apply_overrides(cfg, rounds=MAX_COUNT).rounds == MAX_COUNT
+    with pytest.raises(ConfigError, match="rounds must be in"):
+        apply_overrides(cfg, rounds=MAX_COUNT + 1)
+    grid = "experiment = chsh\ngrid_resolution = {}\n"
+    fine = 2.0 * np.pi / (MAX_COUNT / 2)
+    assert load_config(write(tmp_path, "g.cfg", grid.format(fine)), "chsh").grid_resolution == fine
+    with pytest.raises(ConfigError, match=f"g.cfg:2: grid_resolution .* over {MAX_COUNT}"):
+        load_config(write(tmp_path, "g.cfg", grid.format(fine / 4)), "chsh")
 
 
 def test_comments_and_blank_lines_ignored(tmp_path):

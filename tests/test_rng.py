@@ -1,5 +1,6 @@
 import numpy as np
-from hypothesis import given, strategies as st
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from qdesk.rng import (
     SplitMix64,
@@ -12,7 +13,7 @@ from qdesk.rng import (
     stream_seeds,
 )
 
-from oracles import inverse_cdf_select, splitmix64_reference
+from oracles import inverse_cdf_select, scalar_normals, splitmix64_reference
 
 
 def test_matches_reference_transition_function():
@@ -51,6 +52,62 @@ def test_normals_deterministic_and_plausible():
     assert np.array_equal(a, b)
     assert abs(a.mean()) < 0.1
     assert abs(a.std() - 1.0) < 0.1
+
+
+def bits(values) -> list[int]:
+    """IEEE-754 bit patterns, so -0.0 and 0.0 (and every last ulp) differ."""
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+def assert_same_generator(gen: SplitMix64, state: int, spare: float | None) -> None:
+    assert gen._state == state
+    assert (gen._spare_normal is None) == (spare is None)
+    if spare is not None:
+        assert bits([gen._spare_normal]) == bits([spare])
+
+
+CALLS = st.one_of(st.just(("normal", 1)), st.tuples(st.just("normals"), st.integers(0, 70)),
+                  st.just(("random", 0)), st.just(("next_u64", 0)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), calls=st.lists(CALLS, max_size=12))
+def test_normals_match_scalar_oracle_bit_for_bit(seed, calls):
+    gen = SplitMix64(seed)
+    state, spare = seed, None
+    for name, n in calls:
+        if name in ("random", "next_u64"):
+            (raw,) = splitmix64_reference(state, 1)
+            state = (state + 0x9E3779B97F4A7C15) & ((1 << 64) - 1)
+            got = getattr(gen, name)()
+            assert got == (raw if name == "next_u64" else (raw >> 11) * 2.0**-53)
+            continue
+        want, state, spare = scalar_normals(state, spare, n)
+        got = [gen.normal()] if name == "normal" else gen.normals(n)
+        assert bits(got) == bits(want)
+        assert_same_generator(gen, state, spare)
+    assert_same_generator(gen, state, spare)
+
+
+def test_a_million_normals_match_scalar_oracle():
+    # 1,000 seeds x 1,000 draws; odd and even call sizes move the spare around
+    sizes = (1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 391)
+    assert sum(sizes) + 1 == 1000
+    drawn = 0
+    for seed in splitmix64_reference(2024, 1000):
+        gen = SplitMix64(seed)
+        got = [gen.normal()] + [x for n in sizes for x in gen.normals(n).tolist()]
+        want, state, spare = scalar_normals(seed, None, 1000)
+        assert bits(got) == bits(want)
+        assert_same_generator(gen, state, spare)
+        drawn += len(got)
+    assert drawn >= 10**6
+
+
+def test_negative_normals_count_is_an_error():
+    gen = SplitMix64(1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        gen.normals(-1)
 
 
 def test_haar_state_normalized():
