@@ -32,6 +32,7 @@ import numpy as np
 from .errors import DimensionMismatchError, LayoutError, SolverError
 from .rng import SplitMix64, haar_state, stream_seed
 from .tensor import (
+    ATOL,
     DensityMatrix,
     StateVector,
     SubsystemLayout,
@@ -122,7 +123,8 @@ def _unitary_eigensystem(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenphases in (-pi, pi] and orthonormal eigenvectors (Schur columns).
 
     scipy is imported here, its only use, so commands that never decompose a
-    loop unitary do not pay for loading it.
+    loop unitary (and strict solves certified empty by linear_consistency_basis)
+    do not pay for loading it.
     """
     import scipy.linalg
 
@@ -155,10 +157,21 @@ def linear_consistency_basis(scenario: CtcScenario, mode: str = "strict") -> Con
     strict: only the eigenvalue-1 eigenspace (|phase| <= PHASE_TOL);
     ray:    every eigenspace, with eigenphases within PHASE_TOL merged.
     An empty strict subspace is a legitimate result.
+
+    Strict mode first certifies emptiness with one SVD. A Schur diagonal entry t is
+    an eigenvalue of U + E, ||E|| ~ d eps, and _check_unitary gives ||U†U - I||_2 <=
+    d ATOL, so ||t| - 1| <= d ATOL + ||E||. A kept t (|arg t| <= PHASE_TOL) forces
+    sigma_min(U - I) <= PHASE_TOL + d ATOL + 2 ||E||; above 2 (PHASE_TOL + d ATOL),
+    a bound that also covers the SVD's rounding (eps << ATOL), none can be kept.
     """
     if mode not in ("strict", "ray"):
         raise ValueError(f"mode must be 'strict' or 'ray', got {mode!r}")
-    phases, vecs = _unitary_eigensystem(scenario.loop_unitary.matrix)
+    u = scenario.loop_unitary.matrix
+    if mode == "strict":
+        d = u.shape[0]
+        if np.linalg.svd(u - np.eye(d), compute_uv=False)[-1] > 2.0 * (PHASE_TOL + d * ATOL):
+            return ConsistencySubspace(mode, (), PHASE_TOL)
+    phases, vecs = _unitary_eigensystem(u)
     pairs: list[EigenSpace] = []
     if mode == "strict":
         sel = np.abs(phases) <= PHASE_TOL

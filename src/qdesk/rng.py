@@ -29,6 +29,9 @@ MASK64 = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
 _MULT1 = 0xBF58476D1CE4E5B9
 _MULT2 = 0x94D049BB133111EB
+# _mix64_array's operands as explicit np.uint64, built once (numpy 1.24 and NEP 50 alike)
+_SHIFT30, _SHIFT27, _SHIFT31 = np.uint64(30), np.uint64(27), np.uint64(31)
+_MULT1_U64, _MULT2_U64 = np.uint64(_MULT1), np.uint64(_MULT2)
 
 
 def mix64(z: int) -> int:
@@ -69,11 +72,11 @@ def _outputs(state: int, n: int) -> np.ndarray:
 
 def _mix64_array(z: np.ndarray) -> np.ndarray:
     # uint64 arithmetic wraps mod 2^64, matching the scalar implementation
-    z = z ^ (z >> np.uint64(30))
-    z = z * np.uint64(_MULT1)
-    z = z ^ (z >> np.uint64(27))
-    z = z * np.uint64(_MULT2)
-    return z ^ (z >> np.uint64(31))
+    z = z ^ (z >> _SHIFT30)
+    z = z * _MULT1_U64
+    z = z ^ (z >> _SHIFT27)
+    z = z * _MULT2_U64
+    return z ^ (z >> _SHIFT31)
 
 
 class SplitMix64:

@@ -402,6 +402,18 @@ def test_commands_without_schur_do_not_load_scipy(tmp_path):
     assert done.returncode == 0, done.stderr
 
 
+@pytest.mark.parametrize("method", ["iterate", "spectral"])
+def test_strict_solve_without_eigenvalue_one_does_not_load_scipy(tmp_path, method):
+    # a generic loop has no eigenvalue near 1: one SVD certifies that, with no Schur
+    cfg = generic_solve_config(tmp_path, "haar_2_2", method)
+    probe = ("import sys\n"
+             "import qdesk.cli\n"
+             "assert qdesk.cli.main(['ctc-solve', '--config', sys.argv[1]]) == 0\n"
+             "assert 'scipy' not in sys.modules, 'strict ctc-solve loaded scipy'\n")
+    done = subprocess.run([sys.executable, "-c", probe, cfg], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
 # Report digests recorded before the Born selector was vectorized: sampled
 # rounds must keep their exact bytes, including at seeds that need the
 # 64-bit wraparound (negative, and at or above 2**63).
@@ -580,4 +592,42 @@ def test_haar_scan_reports_match_pinned_digests(tmp_path, seed, digest):
                 f"mode = ray\nsamples = 2000\nseed = {seed}\n")
     code, out = run_cli(["ctc-scan", "--config", cfg])
     assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# Strict ctc-solve on generic loops, recorded before strict mode learned to
+# certify "no eigenvalue near 1" without a Schur decomposition: none of these
+# unitaries has an eigenvalue-1 space, so each report's linear block is empty.
+GENERIC_SCENARIOS = {"haar_1_2": (1, 2, 11), "haar_2_2": (2, 2, 12), "haar_2_1": (2, 1, 13)}
+PINNED_GENERIC_SOLVE = [
+    ("haar_1_2", "iterate", "a7000a30bab748aa5e43305e786b0933fcd2867452ba5a2563327faaf10d820e"),
+    ("haar_1_2", "spectral", "69574be14fad6a5d0d675657e67a926dfd97294a2ed670aef13180737a2c5fb9"),
+    ("haar_2_2", "iterate", "3429867ee625489751c533e90f62e3dadb1612b1f0f71862ef7126d6e57e1121"),
+    ("haar_2_2", "spectral", "1312800f420d11741806a72728761911555bcdca05a3cb808f210c6a4caa0d19"),
+    ("haar_2_1", "iterate", "5ecdf530e859a91dc32d6f2be31b2cf4f3545667980d002ca75be7c2513d38e0"),
+    ("haar_2_1", "spectral", "743a21b8f0842abfb5366a565143ec571a637fe6c059ec90cc52382af7058427"),
+]
+
+
+def generic_solve_config(tmp_path, name, method):
+    """A strict ctc-solve config on a Haar loop drawn from numpy's default_rng."""
+    n_cr, n_loop, seed = GENERIC_SCENARIOS[name]
+    ids = [f"c{i}" for i in range(n_cr)] + [f"l{i}" for i in range(n_loop)]
+    rng = np.random.default_rng(seed)
+    dim = 2 ** len(ids)
+    q, r = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    d = np.diagonal(r)
+    u = UnitaryOperator(layout_of(*[(q_id, ("b0", "b1")) for q_id in ids]),
+                        q * (d / np.abs(d))[np.newaxis, :])
+    write(tmp_path, "g.scenario", f"cr_ids = {','.join(ids[:n_cr])}\n"
+          f"ctc_ids = {','.join(ids[n_cr:])}\nunitary:\n" + serialize_unitary(u))
+    return write(tmp_path, "c.cfg", "experiment = ctc-solve\nscenario_file = g.scenario\n"
+                 f"method = {method}\nmode = strict\n")
+
+
+@pytest.mark.parametrize("name,method,digest", PINNED_GENERIC_SOLVE)
+def test_generic_ctc_solve_reports_match_pinned_digests(tmp_path, name, method, digest):
+    code, out = run_cli(["ctc-solve", "--config", generic_solve_config(tmp_path, name, method)])
+    assert code == 0
+    assert json.loads(out)["linear"] == {"mode": "strict", "dimension": 0, "eigenspaces": []}
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qdesk import (
     CtcScenario,
@@ -21,8 +21,16 @@ from qdesk import (
     linear_consistency_basis,
     trace_distance,
 )
-from qdesk.ctc import DeutschSolution, _loop_operators, _superoperator, induced_loop_map
+from qdesk.ctc import (
+    PHASE_TOL,
+    DeutschSolution,
+    _loop_operators,
+    _superoperator,
+    _unitary_eigensystem,
+    induced_loop_map,
+)
 from qdesk.rng import SplitMix64, haar_state, haar_unitary, random_density
+from qdesk.tensor import ATOL
 
 from oracles import (
     apply_columnstacked,
@@ -130,6 +138,61 @@ def test_generic_unitaries_have_empty_strict_subspace():
         if linear_consistency_basis(sc, "strict").dimension == 0:
             empty += 1
     assert empty >= 99
+
+
+def placed_phase(place: str, d: int, rng: np.random.Generator) -> float:
+    """An eigenphase at a named distance from 0; 'guard' is the strict certificate's bound.
+
+    Near the guard the phase is placed by chord: |e^{i phase} - 1| = guard (1 -+ 1e-3).
+    """
+    half_guard = PHASE_TOL + d * ATOL
+    return {"zero": 0.0, "half_tol": PHASE_TOL / 2, "tol": PHASE_TOL,
+            "inside_tol": PHASE_TOL * (1.0 - 1e-6),
+            "below_guard": 2.0 * math.asin(half_guard * (1.0 - 1e-3)),
+            "above_guard": 2.0 * math.asin(half_guard * (1.0 + 1e-3)),
+            "clear": rng.uniform(0.01, math.pi)}[place]
+
+
+@settings(max_examples=150, deadline=None)
+@given(qubits=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+       place=st.sampled_from(["zero", "half_tol", "tol", "inside_tol", "below_guard",
+                              "above_guard", "clear"]),
+       sign=st.sampled_from([1.0, -1.0]),
+       off_unit=st.sampled_from(["exact", "scaled", "perturbed"]), strength=st.floats(-1.0, 1.0))
+# kept by Schur with sigma_min(U - I) just above PHASE_TOL: a guard of PHASE_TOL alone fails
+@example(qubits=2, seed=0, place="inside_tol", sign=1.0, off_unit="scaled", strength=1.0)
+# sigma_min(U - I) is rounding-sized but not 0: a test of sigma_min > 0 fails
+@example(qubits=3, seed=1, place="zero", sign=1.0, off_unit="exact", strength=0.0)
+def test_strict_certificate_agrees_with_schur(qubits, seed, place, sign, off_unit, strength):
+    """Strict mode's SVD shortcut selects exactly what the Schur selection would.
+
+    U = V diag(e^{i phi}) V† with Haar V and one phase placed near 0. 'scaled'
+    stretches that eigenvalue's modulus, and 'perturbed' adds a random matrix,
+    each by as much as UnitaryOperator's ATOL check still accepts.
+    """
+    d = 2 ** qubits
+    rng = np.random.default_rng(seed)
+    v, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    v = v * (np.diagonal(r) / np.abs(np.diagonal(r)))
+    eig = np.exp(1j * rng.uniform(-math.pi, math.pi, d))
+    eig[0] = np.exp(1j * sign * placed_phase(place, d, rng))
+    if off_unit == "scaled":  # U†U - I = (|eig_0|^2 - 1) v0 v0†, kept inside ATOL
+        eig[0] *= math.sqrt(1.0 + 0.99 * strength * ATOL / float(np.max(np.abs(v[:, 0]) ** 2)))
+    u = (v * eig) @ v.conj().T
+    if off_unit == "perturbed":
+        e = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        e *= abs(strength) * ATOL / np.abs(e).max()
+        dev = np.abs((u + e).conj().T @ (u + e) - np.eye(d)).max()
+        u = u + (e if dev <= 0.99 * ATOL else e * (0.99 * ATOL / dev))
+    lay = layout_of(*[(f"q{i}", ("b0", "b1")) for i in range(qubits)])
+    sc = CtcScenario(lay, (), tuple(lay.ids), UnitaryOperator(lay, u))
+
+    phases, vecs = _unitary_eigensystem(u)
+    reference = vecs[:, np.abs(phases) <= PHASE_TOL]
+    sub = linear_consistency_basis(sc, "strict")
+    assert sub.dimension == reference.shape[1]
+    if reference.shape[1]:
+        assert np.array_equal(sub.eigenpairs[0].basis, reference)
 
 
 def test_consistency_residuals_for_the_flip():

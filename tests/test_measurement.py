@@ -16,7 +16,7 @@ from qdesk import (
     tensor_product,
     to_density,
 )
-from qdesk.measurement import apparatus_weights
+from qdesk.measurement import apparatus_weights, sample_labels
 from qdesk.rng import SplitMix64, haar_state
 
 SQ2 = np.sqrt(2.0)
@@ -228,12 +228,13 @@ def test_single_branch_sampled_with_any_seed():
 def test_sampling_frequency_matches_binomial_statistics():
     out = premeasure(ready_state(spin_meter(), [1, 1]), SCHEME)
     n = 100_000
-    hits = sum(
-        sample_branch(out, "meter", seed)[0].pointer_label == "saw_up"
-        for seed in range(n)
-    )
+    labels = sample_labels(out, "meter", np.arange(n, dtype=np.uint64))
+    hits = int(np.count_nonzero(labels == METER.index("saw_up")))
     sigma = np.sqrt(0.25 / n)
     assert abs(hits / n - 0.5) <= 3 * sigma
+    # the scalar path picks the same label, seed for seed
+    for seed in range(0, n, 40):
+        assert sample_branch(out, "meter", seed)[0].pointer_label == METER[labels[seed]]
 
 
 def test_collapse_is_idempotent():
