@@ -5,8 +5,8 @@ subsystems plus one unitary describing a single traversal. Two rival
 notions of a consistent history are implemented side by side:
 
 * the linear single-valuedness constraint on the global pure state: it
-  must return to itself after one traversal, either exactly (strict
-  mode, eigenphase 0) or up to a global phase (ray mode, any eigenray);
+  must return to itself after one traversal, exactly (strict mode) or up
+  to a global phase (ray mode), each eigenspace in a canonical basis;
 * the nonlinear fixed-point condition on the loop subsystem's density
   matrix, rho = Tr_CR[ U (rho_in ox rho) U† ], solved by iteration or via
   the induced superoperator's eigenvalue-1 space.
@@ -32,7 +32,6 @@ import numpy as np
 from .errors import DimensionMismatchError, LayoutError, SolverError
 from .rng import SplitMix64, haar_state, stream_seed
 from .tensor import (
-    ATOL,
     DensityMatrix,
     StateVector,
     SubsystemLayout,
@@ -41,7 +40,7 @@ from .tensor import (
     layout_of,
 )
 
-PHASE_TOL = 1e-8          # eigenphase merge width and strict-mode cutoff (rad)
+PHASE_TOL = 1e-8          # eigenphase merge width (rad) and strict-mode sigma cutoff
 CONSISTENCY_TOL = 1e-8    # residual below which a state counts as consistent
 FIXED_POINT_TOL = 1e-8    # solver contract on the fixed-point residual
 ITERATE_TOL = 1e-10       # successive-iterate trace distance target
@@ -119,20 +118,23 @@ class ConsistencySubspace:
         return tuple(e.phase for e in self.eigenpairs)
 
 
-def _unitary_eigensystem(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenphases in (-pi, pi] and orthonormal eigenvectors (Schur columns).
+def _canonical_basis(q: np.ndarray) -> np.ndarray:
+    """Basis of span(q), for orthonormal q, that depends on the projector P = q q† alone.
 
-    scipy is imported here, its only use, so commands that never decompose a
-    loop unitary (and strict solves certified empty by linear_consistency_basis)
-    do not pay for loading it.
+    Pivoted Cholesky of P: pivot on the largest remaining diagonal entry (the first
+    index wins a tie within a relative 1e-9), take res[:, p] / sqrt(res[p, p])
+    as the column. As P is a projector the columns are orthonormal and each pivot entry
+    is real and positive, so solvers that find one subspace give one basis, up to P's rounding.
     """
-    import scipy.linalg
-
-    t, z = scipy.linalg.schur(u, output="complex")
-    phases = np.angle(np.diagonal(t))
-    # np.angle yields exactly -pi for negative reals with signed-zero imag
-    phases = np.where(phases <= -np.pi, phases + 2.0 * np.pi, phases)
-    return phases, z
+    res = q @ q.conj().T
+    basis = np.empty(q.shape, dtype=np.complex128)
+    for j in range(q.shape[1]):
+        diag = res.diagonal().real
+        p = int(np.argmax(diag >= diag.max() * (1.0 - 1e-9)))
+        basis[:, j] = res[:, p] / np.sqrt(diag[p])
+        basis[p, j] = np.sqrt(diag[p])  # exactly real: res[p, p] has a rounding-level imag
+        res = res - np.outer(basis[:, j], basis[:, j].conj())
+    return basis
 
 
 def _circular_clusters(phases: np.ndarray, tol: float) -> list[list[int]]:
@@ -152,38 +154,36 @@ def _circular_clusters(phases: np.ndarray, tol: float) -> list[list[int]]:
 
 
 def linear_consistency_basis(scenario: CtcScenario, mode: str = "strict") -> ConsistencySubspace:
-    """Eigendecomposition of the loop unitary, filtered by mode.
+    """Eigenspaces of the loop unitary U, filtered by mode, each in its _canonical_basis.
 
-    strict: only the eigenvalue-1 eigenspace (|phase| <= PHASE_TOL);
-    ray:    every eigenspace, with eigenphases within PHASE_TOL merged.
-    An empty strict subspace is a legitimate result.
-
-    Strict mode first certifies emptiness with one SVD. A Schur diagonal entry t is
-    an eigenvalue of U + E, ||E|| ~ d eps, and _check_unitary gives ||U†U - I||_2 <=
-    d ATOL, so ||t| - 1| <= d ATOL + ||E||. A kept t (|arg t| <= PHASE_TOL) forces
-    sigma_min(U - I) <= PHASE_TOL + d ATOL + 2 ||E||; above 2 (PHASE_TOL + d ATOL),
-    a bound that also covers the SVD's rounding (eps << ATOL), none can be kept.
+    strict: right singular vectors of U - I with sigma <= PHASE_TOL (one SVD), so each
+            unit s in their span has ||U s - s|| <= PHASE_TOL, the residual that
+            is_consistent_initial_state measures. It may be empty.
+    ray:    every eigenspace from np.linalg.eig, eigenphases within PHASE_TOL merged,
+            each cluster's eigenvectors orthonormalized by QR first.
+    For an exact unitary sigma = |e^{i phi} - 1| = 2 |sin(phi / 2)| <= |phi|, so strict
+    keeps all that |phi| <= PHASE_TOL keeps. _check_unitary admits ||U†U - I||_2 <=
+    d ATOL, which moves sigma against |lambda - 1| by O(d ATOL): within that band of
+    PHASE_TOL, sigma and the eigenphase can fall on opposite sides of the cutoff.
     """
     if mode not in ("strict", "ray"):
         raise ValueError(f"mode must be 'strict' or 'ray', got {mode!r}")
     u = scenario.loop_unitary.matrix
     if mode == "strict":
-        d = u.shape[0]
-        if np.linalg.svd(u - np.eye(d), compute_uv=False)[-1] > 2.0 * (PHASE_TOL + d * ATOL):
-            return ConsistencySubspace(mode, (), PHASE_TOL)
-    phases, vecs = _unitary_eigensystem(u)
-    pairs: list[EigenSpace] = []
-    if mode == "strict":
-        sel = np.abs(phases) <= PHASE_TOL
-        if np.any(sel):
-            pairs.append(EigenSpace(0.0, np.ascontiguousarray(vecs[:, sel])))
+        _, sigma, vh = np.linalg.svd(u - np.eye(u.shape[0]))
+        null = vh[sigma <= PHASE_TOL].conj().T
+        pairs = [EigenSpace(0.0, _canonical_basis(null))] if null.shape[1] else []
     else:
+        pairs = []
+        vals, vecs = np.linalg.eig(u)
+        phases = np.angle(vals)
+        phases[phases <= -np.pi] = np.pi  # np.angle gives -pi for negative reals, -0 imag
         for cluster in _circular_clusters(phases, PHASE_TOL):
             lam = np.exp(1j * phases[cluster]).mean()
             phase = float(np.angle(lam))
             if phase <= -np.pi:
                 phase += 2.0 * np.pi
-            pairs.append(EigenSpace(phase, np.ascontiguousarray(vecs[:, cluster])))
+            pairs.append(EigenSpace(phase, _canonical_basis(np.linalg.qr(vecs[:, cluster])[0])))
         pairs.sort(key=lambda e: e.phase)
     return ConsistencySubspace(mode, tuple(pairs), PHASE_TOL)
 

@@ -339,6 +339,22 @@ def inverse_cdf_select(weights, u: float) -> int:
     return max(k for k, w in enumerate(weights) if w > 0)
 
 
+def unitary_eigensystem(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenphases in (-pi, pi] and orthonormal eigenvectors from a complex Schur form.
+
+    The Schur reference for the eigenspaces of a loop unitary: scipy's Schur
+    vectors are orthonormal by construction, and a (near-)normal matrix's
+    triangular factor is diagonal up to rounding.
+    """
+    import scipy.linalg
+
+    t, z = scipy.linalg.schur(u, output="complex")
+    phases = np.angle(np.diagonal(t))
+    # np.angle yields exactly -pi for negative reals with signed-zero imag
+    phases = np.where(phases <= -np.pi, phases + 2.0 * np.pi, phases)
+    return phases, z
+
+
 def kraus_dilation(kraus: list[np.ndarray]) -> np.ndarray:
     """Unitary on (env ox sys) acting as the channel for env input |0>.
 

@@ -404,13 +404,42 @@ def test_commands_without_schur_do_not_load_scipy(tmp_path):
 
 @pytest.mark.parametrize("method", ["iterate", "spectral"])
 def test_strict_solve_without_eigenvalue_one_does_not_load_scipy(tmp_path, method):
-    # a generic loop has no eigenvalue near 1: one SVD certifies that, with no Schur
+    # a generic loop has no eigenvalue near 1: the strict SVD finds none, with no Schur
     cfg = generic_solve_config(tmp_path, "haar_2_2", method)
     probe = ("import sys\n"
              "import qdesk.cli\n"
              "assert qdesk.cli.main(['ctc-solve', '--config', sys.argv[1]]) == 0\n"
              "assert 'scipy' not in sys.modules, 'strict ctc-solve loaded scipy'\n")
     done = subprocess.run([sys.executable, "-c", probe, cfg], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
+def test_every_subcommand_runs_without_scipy(tmp_path):
+    # scipy serves the test oracles only: with every import of it failing, each
+    # subcommand, both linear modes and both fixed-point methods still exit 0
+    runs = [("measure", write(tmp_path, "m.cfg", "experiment = measure\nstate = bell\n"
+                              "rounds = 50\nseed = 3\n")),
+            ("signal", write(tmp_path, "s.cfg", "experiment = signal\nalice_angle = 0.4\n"
+                             "bob_angle = -0.9\nrounds = 50\nseed = 3\n")),
+            ("chsh", write(tmp_path, "c.cfg", "experiment = chsh\nangle_a1 = 0.0\n"
+                           "angle_a2 = 1.5\nangle_b1 = -0.7\nangle_b2 = 0.7\n")),
+            ("ctc-scan", write(tmp_path, "scan.cfg", "experiment = ctc-scan\n"
+                               "scenario = cr_coupled\nmode = ray\nsamples = 50\nseed = 3\n"))]
+    for method in ("iterate", "spectral"):
+        for mode in ("strict", "ray"):
+            runs.append(("ctc-solve", write(tmp_path, f"{method}_{mode}.cfg",
+                                            "experiment = ctc-solve\nscenario = cr_coupled\n"
+                                            f"method = {method}\nmode = {mode}\n")))
+        (tmp_path / method).mkdir()
+        runs.append(("ctc-solve", generic_solve_config(tmp_path / method, "haar_2_2", method)))
+    probe = ("import sys\n"
+             "sys.modules['scipy'] = None\n"
+             "import qdesk.cli\n"
+             "args = sys.argv[1:]\n"
+             "codes = [qdesk.cli.main([k, '--config', c]) for k, c in zip(args[::2], args[1::2])]\n"
+             "assert codes == [0] * len(codes), codes\n")
+    done = subprocess.run([sys.executable, "-c", probe, *[a for run in runs for a in run]],
+                          capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
 
 
@@ -472,55 +501,57 @@ def test_chsh_reports_match_pinned_digests(tmp_path, case):
 
 # ctc-solve reports recorded before the loop channel moved to operator-sum
 # form: every canonical scenario, method, CR input and mode keeps its bytes.
+# The linear block was re-recorded once, when its bases became canonical (the
+# pivoted Cholesky of each eigenspace projector); no other block moved.
 PINNED_CTC_SOLVE = [
     ("qubit_flip", "iterate", "zero", "strict",
-     "42249367e1fb2f3287c4fba0dc8ba6a819cd4e2a25368348a20961bb57e9dd1b"),
+     "3f54cfb82c00cef24e39b3eff06c7290c923ed520157e2d8cf9cb0ae8d9bd864"),
     ("qubit_flip", "iterate", "zero", "ray",
-     "68e3e89da16b89350fc8001f1f98a914d853a452327bae2b5bc17799a33b07e2"),
+     "b02b689001a61d6156e2dab2e8293897db117d7059940ff31b632821ca65f134"),
     ("qubit_flip", "iterate", "one", "strict",
-     "42249367e1fb2f3287c4fba0dc8ba6a819cd4e2a25368348a20961bb57e9dd1b"),
+     "3f54cfb82c00cef24e39b3eff06c7290c923ed520157e2d8cf9cb0ae8d9bd864"),
     ("qubit_flip", "iterate", "one", "ray",
-     "68e3e89da16b89350fc8001f1f98a914d853a452327bae2b5bc17799a33b07e2"),
+     "b02b689001a61d6156e2dab2e8293897db117d7059940ff31b632821ca65f134"),
     ("qubit_flip", "iterate", "mixed", "strict",
-     "42249367e1fb2f3287c4fba0dc8ba6a819cd4e2a25368348a20961bb57e9dd1b"),
+     "3f54cfb82c00cef24e39b3eff06c7290c923ed520157e2d8cf9cb0ae8d9bd864"),
     ("qubit_flip", "iterate", "mixed", "ray",
-     "68e3e89da16b89350fc8001f1f98a914d853a452327bae2b5bc17799a33b07e2"),
+     "b02b689001a61d6156e2dab2e8293897db117d7059940ff31b632821ca65f134"),
     ("qubit_flip", "spectral", "zero", "strict",
-     "15e437eade409eb27fd8ce48854c59f056b624c743945394d7fd260367ec442d"),
+     "6d756bccec6a4e0153bfc769655b2413b461f2d3f794f0f20ffa1178b54783cd"),
     ("qubit_flip", "spectral", "zero", "ray",
-     "707b46c42f325489592de9e2b43eefdedf6b9f8b12cbc4eef259df0b031fed74"),
+     "9c8b0222c1be755991e5d1985c266808516389ba431723a0035ca24a60b56f59"),
     ("qubit_flip", "spectral", "one", "strict",
-     "15e437eade409eb27fd8ce48854c59f056b624c743945394d7fd260367ec442d"),
+     "6d756bccec6a4e0153bfc769655b2413b461f2d3f794f0f20ffa1178b54783cd"),
     ("qubit_flip", "spectral", "one", "ray",
-     "707b46c42f325489592de9e2b43eefdedf6b9f8b12cbc4eef259df0b031fed74"),
+     "9c8b0222c1be755991e5d1985c266808516389ba431723a0035ca24a60b56f59"),
     ("qubit_flip", "spectral", "mixed", "strict",
-     "15e437eade409eb27fd8ce48854c59f056b624c743945394d7fd260367ec442d"),
+     "6d756bccec6a4e0153bfc769655b2413b461f2d3f794f0f20ffa1178b54783cd"),
     ("qubit_flip", "spectral", "mixed", "ray",
-     "707b46c42f325489592de9e2b43eefdedf6b9f8b12cbc4eef259df0b031fed74"),
+     "9c8b0222c1be755991e5d1985c266808516389ba431723a0035ca24a60b56f59"),
     ("cr_coupled", "iterate", "zero", "strict",
-     "f0c92e2ab09bcedae8e7d9a664b2c7db85d2dfed347e6b4fb5b58e68028b4415"),
+     "c02df8e95030a9c6c1905b2454f75f062e860985841043b493138a2ef2297204"),
     ("cr_coupled", "iterate", "zero", "ray",
-     "dc260b41eaccce6015e8b4ced2c3db434d673a40471e8ae4c5a11305c296245d"),
+     "496ba2c52b38377814b956a22bdbc0294d757d5c01c887fe49502563dc935410"),
     ("cr_coupled", "iterate", "one", "strict",
-     "79dc0a50cb8d1cfaefd6bb517f420f9f69da590f954b6210bbe1f7336cc7a20d"),
+     "a6b891afd2f9787a679e6742d7c354aad29d1a70ceed9054b67b492b4958752b"),
     ("cr_coupled", "iterate", "one", "ray",
-     "deddf7826707176c95b3501ff48aabc037c96ace96842d5a428e50710ac3c29b"),
+     "2613c8b07ec02cb0d06725ea2963b84cc8ebe2092603465dc5a5660883a91854"),
     ("cr_coupled", "iterate", "mixed", "strict",
-     "ff6271bbd576a973cddee27614200f32c86555eed72f70e47d9f05afcc4a4071"),
+     "8d83cef4d546ae5b6f7f967d0fc267dc1530c7c3924b7456fa98cb471cffc5b1"),
     ("cr_coupled", "iterate", "mixed", "ray",
-     "a830cd79d2ffb7dba7995ea54a202e8ecb7e4b8fa5fafb11836d702b794ae664"),
+     "02b32dfbd78a2a52e60ed738af56d4a9767d9754b7e6403c068d070ea53ef4a6"),
     ("cr_coupled", "spectral", "zero", "strict",
-     "969fc6887f9510ba144a5c918b9dcfae07f28bdfd3bdd80c29515ec8b167fec9"),
+     "e8a96d49e77b14d6a582916c043547d683732c82e43b0b34ceda46d1e3d64ede"),
     ("cr_coupled", "spectral", "zero", "ray",
-     "2ab721fcaaae77a2c3500cdb13bac60daa65ff8057f58391409d9710b936b44a"),
+     "c5c2a9833f1b1e4a9b352972155e3c80411f0acc3aabe244440811e11ca2cf49"),
     ("cr_coupled", "spectral", "one", "strict",
-     "a6ec4cd37fb8281c622997caf1c8ef7bde0abb6ce050519988a732e5bd2df831"),
+     "f5eddf81a930d71a8a665a5e513b13a98e310f78c71e250ca87b1aa08260e1fc"),
     ("cr_coupled", "spectral", "one", "ray",
-     "3bd8b3d3c635961a110f824f51d28d9b45960e21733cbdf0296c7c23aae9eaf7"),
+     "9343de35916292f0ff22e3dab5f0e372df613718e1fe4464d68825ccdc2f9bd1"),
     ("cr_coupled", "spectral", "mixed", "strict",
-     "e2912b940b4331feb4ce62617298a8416ec67aeb5047f41a2157dd27b0d9fdc0"),
+     "a2323b3cc3bd3dd891b67b65d04458c6ff6746a0a2eb7cfd2c8e6c909955d3f5"),
     ("cr_coupled", "spectral", "mixed", "ray",
-     "3c661bf9afd927c673481aff5ffb5e4ffb3fe5c88d443e193e3e5b241f90c8c8"),
+     "313c6cc94014eedad5257c00040b2413531db96a149707d7d9095a35e84b53fc"),
 ]
 
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings, strategies as st
 
 from qdesk import (
@@ -24,9 +25,9 @@ from qdesk import (
 from qdesk.ctc import (
     PHASE_TOL,
     DeutschSolution,
+    _canonical_basis,
     _loop_operators,
     _superoperator,
-    _unitary_eigensystem,
     induced_loop_map,
 )
 from qdesk.rng import SplitMix64, haar_state, haar_unitary, random_density
@@ -38,6 +39,7 @@ from oracles import (
     conjugation_superoperator,
     induced_map_oracle,
     kraus_dilation,
+    unitary_eigensystem,
 )
 
 SQ2 = np.sqrt(2.0)
@@ -101,7 +103,7 @@ def test_flip_loop_admits_only_the_balanced_ray():
     assert strict.dimension == 1
     v = strict.eigenpairs[0].basis[:, 0]
     plus = np.array([1.0, 1.0]) / SQ2
-    assert abs(abs(np.vdot(v, plus)) - 1.0) < 1e-10
+    assert np.abs(v - plus).max() < 1e-12  # the canonical phase: pivot entry real, positive
 
     rays = linear_consistency_basis(sc, "ray")
     assert rays.dimension == 2
@@ -141,9 +143,11 @@ def test_generic_unitaries_have_empty_strict_subspace():
 
 
 def placed_phase(place: str, d: int, rng: np.random.Generator) -> float:
-    """An eigenphase at a named distance from 0; 'guard' is the strict certificate's bound.
+    """An eigenphase at a named distance from 0.
 
-    Near the guard the phase is placed by chord: |e^{i phase} - 1| = guard (1 -+ 1e-3).
+    'below_guard' and 'above_guard' sit by chord, |e^{i phase} - 1| = g (1 -+ 1e-3), around
+    g = PHASE_TOL + d ATOL, the edge of the O(d ATOL) band in which the singular value of
+    U - I and the eigenphase can fall on opposite sides of PHASE_TOL.
     """
     half_guard = PHASE_TOL + d * ATOL
     return {"zero": 0.0, "half_tol": PHASE_TOL / 2, "tol": PHASE_TOL,
@@ -153,46 +157,151 @@ def placed_phase(place: str, d: int, rng: np.random.Generator) -> float:
             "clear": rng.uniform(0.01, math.pi)}[place]
 
 
+def planted_unitary(d: int, rng: np.random.Generator, planted, off_unit: str,
+                    strength: float) -> tuple[np.ndarray, float]:
+    """U = V diag(e^{i phi}) V† with Haar V, the leading phases planted, the rest uniform.
+
+    'scaled' stretches the first eigenvalue's modulus, and 'perturbed' adds a random
+    matrix E, each by as much as UnitaryOperator's ATOL check still accepts. Returns U
+    and ||E||_2 (0 unless perturbed).
+    """
+    v, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    v = v * (np.diagonal(r) / np.abs(np.diagonal(r)))
+    eig = np.exp(1j * rng.uniform(-math.pi, math.pi, d))
+    eig[:len(planted)] = np.exp(1j * np.asarray(planted, dtype=float))
+    if off_unit == "scaled":  # U†U - I = (|eig_0|^2 - 1) v0 v0†, kept inside ATOL
+        eig[0] *= math.sqrt(1.0 + 0.99 * strength * ATOL / float(np.max(np.abs(v[:, 0]) ** 2)))
+    u = (v * eig) @ v.conj().T
+    if off_unit != "perturbed":
+        return u, 0.0
+    e = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    e *= abs(strength) * ATOL / np.abs(e).max()
+    dev = np.abs((u + e).conj().T @ (u + e) - np.eye(d)).max()
+    if dev > 0.99 * ATOL:
+        e *= 0.99 * ATOL / dev
+    return u + e, float(np.linalg.norm(e, 2))
+
+
+def loop_scenario(u: np.ndarray) -> CtcScenario:
+    lay = layout_of(("loop", tuple(f"b{i}" for i in range(u.shape[0]))))
+    return CtcScenario(lay, (), ("loop",), UnitaryOperator(lay, u))
+
+
+def projector(basis: np.ndarray) -> np.ndarray:
+    return basis @ basis.conj().T
+
+
+OFF_UNIT = st.sampled_from(["exact", "scaled", "perturbed"])
+
+
 @settings(max_examples=150, deadline=None)
 @given(qubits=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
        place=st.sampled_from(["zero", "half_tol", "tol", "inside_tol", "below_guard",
                               "above_guard", "clear"]),
-       sign=st.sampled_from([1.0, -1.0]),
-       off_unit=st.sampled_from(["exact", "scaled", "perturbed"]), strength=st.floats(-1.0, 1.0))
-# kept by Schur with sigma_min(U - I) just above PHASE_TOL: a guard of PHASE_TOL alone fails
+       sign=st.sampled_from([1.0, -1.0]), off_unit=OFF_UNIT, strength=st.floats(-1.0, 1.0))
+# Schur keeps the phase, but sigma is just above PHASE_TOL: the rules differ, and the
+# strict dimension is 0 where the Schur rule gave 1
 @example(qubits=2, seed=0, place="inside_tol", sign=1.0, off_unit="scaled", strength=1.0)
-# sigma_min(U - I) is rounding-sized but not 0: a test of sigma_min > 0 fails
+# sigma_min(U - I) is rounding-sized but not 0: a cutoff at sigma == 0 would drop it
 @example(qubits=3, seed=1, place="zero", sign=1.0, off_unit="exact", strength=0.0)
 def test_strict_certificate_agrees_with_schur(qubits, seed, place, sign, off_unit, strength):
-    """Strict mode's SVD shortcut selects exactly what the Schur selection would.
+    """Strict mode keeps sigma <= PHASE_TOL, checked against two oracles.
 
-    U = V diag(e^{i phi}) V† with Haar V and one phase placed near 0. 'scaled'
-    stretches that eigenvalue's modulus, and 'perturbed' adds a random matrix,
-    each by as much as UnitaryOperator's ATOL check still accepts.
+    The dimension is the count of an independent SVD (LAPACK gesvd; numpy calls gesdd).
+    Wherever the Schur selection |phase| <= PHASE_TOL keeps as many vectors, both span
+    one space: the projectors agree to 1e-12, widened by the Davis-Kahan factor
+    (4 ||E|| + 64 d eps) / gap for the perturbation E and the next singular value gap.
     """
     d = 2 ** qubits
     rng = np.random.default_rng(seed)
-    v, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
-    v = v * (np.diagonal(r) / np.abs(np.diagonal(r)))
-    eig = np.exp(1j * rng.uniform(-math.pi, math.pi, d))
-    eig[0] = np.exp(1j * sign * placed_phase(place, d, rng))
-    if off_unit == "scaled":  # U†U - I = (|eig_0|^2 - 1) v0 v0†, kept inside ATOL
-        eig[0] *= math.sqrt(1.0 + 0.99 * strength * ATOL / float(np.max(np.abs(v[:, 0]) ** 2)))
-    u = (v * eig) @ v.conj().T
-    if off_unit == "perturbed":
-        e = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        e *= abs(strength) * ATOL / np.abs(e).max()
-        dev = np.abs((u + e).conj().T @ (u + e) - np.eye(d)).max()
-        u = u + (e if dev <= 0.99 * ATOL else e * (0.99 * ATOL / dev))
-    lay = layout_of(*[(f"q{i}", ("b0", "b1")) for i in range(qubits)])
-    sc = CtcScenario(lay, (), tuple(lay.ids), UnitaryOperator(lay, u))
+    u, e_norm = planted_unitary(d, rng, [sign * placed_phase(place, d, rng)], off_unit, strength)
+    sub = linear_consistency_basis(loop_scenario(u), "strict")
 
-    phases, vecs = _unitary_eigensystem(u)
-    reference = vecs[:, np.abs(phases) <= PHASE_TOL]
+    sigma = scipy.linalg.svd(u - np.eye(d), compute_uv=False, lapack_driver="gesvd")
+    assert sub.dimension == np.count_nonzero(sigma <= PHASE_TOL)
+    phases, vecs = unitary_eigensystem(u)
+    schur = vecs[:, np.abs(phases) <= PHASE_TOL]
+    if sub.dimension and schur.shape[1] == sub.dimension:
+        gap = sigma[d - 1 - sub.dimension]
+        tol = max(1e-12, (4.0 * e_norm + 64.0 * d * np.finfo(float).eps) / gap)
+        assert np.abs(projector(sub.eigenpairs[0].basis) - projector(schur)).max() <= tol
+
+
+def test_strict_cutoff_departs_from_schur_in_the_off_unit_band():
+    """The pinned case where the rules differ: Schur keeps a phase just inside PHASE_TOL,
+    but the stretched modulus puts sigma just above it, so no unit state s has
+    ||U s - s|| <= PHASE_TOL, and the strict dimension is 0 where the Schur rule gave 1."""
+    rng = np.random.default_rng(0)
+    u, _ = planted_unitary(4, rng, [placed_phase("inside_tol", 4, rng)], "scaled", 1.0)
+    sc = loop_scenario(u)
+    phases, vecs = unitary_eigensystem(u)
+    assert np.count_nonzero(np.abs(phases) <= PHASE_TOL) == 1
+    assert linear_consistency_basis(sc, "strict").dimension == 0
+    kept = vecs[:, np.argmin(np.abs(phases))]
+    ok, res = is_consistent_initial_state(sc, StateVector(sc.layout, kept), "strict")
+    assert not ok and res > PHASE_TOL
+
+
+@settings(max_examples=100, deadline=None)
+@given(d=st.integers(2, 16), data=st.data(), off_unit=OFF_UNIT, strength=st.floats(-1.0, 1.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_strict_basis_spans_consistent_states(d, data, off_unit, strength, seed):
+    """Every unit combination of a planted eigenvalue-1 space's strict basis is consistent."""
+    k = data.draw(st.integers(0, d))
+    rng = np.random.default_rng(seed)
+    u, _ = planted_unitary(d, rng, np.zeros(k), off_unit, strength)
+    sc = loop_scenario(u)
     sub = linear_consistency_basis(sc, "strict")
-    assert sub.dimension == reference.shape[1]
-    if reference.shape[1]:
-        assert np.array_equal(sub.eigenpairs[0].basis, reference)
+    assert sub.dimension == k
+    if not k:
+        return
+    basis = sub.eigenpairs[0].basis
+    combos = np.hstack([np.eye(k), rng.standard_normal((k, 8)) + 1j * rng.standard_normal((k, 8))])
+    for c in combos.T:
+        ok, res = is_consistent_initial_state(sc, StateVector(sc.layout, basis @ c), "strict")
+        assert ok, res
+
+
+def random_isometry(rng: np.random.Generator, d: int, k: int) -> np.ndarray:
+    q, r = np.linalg.qr(rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k)))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=st.integers(2, 16), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_canonical_basis_depends_on_the_subspace_alone(d, data, seed):
+    k = data.draw(st.integers(0, d))
+    rng = np.random.default_rng(seed)
+    q = random_isometry(rng, d, k)
+    basis = _canonical_basis(q)
+    rotated = _canonical_basis(q @ random_isometry(rng, k, k))
+    assert basis.shape == (d, k)
+    assert np.abs(basis - rotated).max(initial=0.0) <= 1e-12
+    assert np.abs(basis.conj().T @ basis - np.eye(k)).max(initial=0.0) <= 1e-12
+    assert np.abs(projector(basis) - projector(q)).max() <= 1e-12
+    for j in range(k):  # the pivot is the column's largest entry; later columns vanish there
+        p = int(np.argmax(np.abs(basis[:, j])))
+        assert basis[p, j].imag == 0.0 and basis[p, j].real > 0.0
+        assert np.abs(basis[p, j + 1:]).max(initial=0.0) <= 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(d=st.integers(2, 16), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_ray_clusters_match_schur_eigenspaces(d, data, seed):
+    """U = V diag(phases with repeats) V†: each cluster is the Schur selection of its phase."""
+    m = data.draw(st.integers(1, d))
+    rng = np.random.default_rng(seed)
+    distinct = -math.pi + 2.0 * math.pi * (np.arange(m) + rng.uniform(0.1, 0.9, m)) / m
+    phases = np.concatenate([distinct, rng.choice(distinct, d - m)])
+    u, _ = planted_unitary(d, rng, phases, "exact", 0.0)
+    sub = linear_consistency_basis(loop_scenario(u), "ray")
+    assert sorted(e.dimension for e in sub.eigenpairs) == sorted(
+        np.count_nonzero(phases == p) for p in distinct)
+    ref_phases, ref_vecs = unitary_eigensystem(u)
+    for pair in sub.eigenpairs:
+        sel = np.abs(np.angle(np.exp(1j * (ref_phases - pair.phase)))) <= PHASE_TOL
+        assert np.count_nonzero(sel) == pair.dimension
+        assert np.abs(projector(pair.basis) - projector(ref_vecs[:, sel])).max() <= 1e-12
 
 
 def test_consistency_residuals_for_the_flip():
