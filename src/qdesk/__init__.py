@@ -35,12 +35,8 @@ from .tensor import (
     apply_unitary,
     embed_operator,
     layout_of,
-    overlap,
-    partial_trace,
     reduced_state,
     subsystem,
-    tensor_product,
-    to_density,
 )
 from .serialization import (
     parse_density,
@@ -68,10 +64,8 @@ from .suggestion import (
     NoSignalingAudit,
     SessionRecords,
     TSIRELSON_BOUND,
-    build_stage_unitaries,
     build_suggestion_unitary,
     chsh_grid_search,
-    chsh_search,
     chsh_value,
     correlator,
     joint_distribution,
@@ -80,7 +74,6 @@ from .suggestion import (
     sample_rounds,
     session_records,
     signaling_weights,
-    staged_decision,
     tally_from_records,
 )
 from .ctc import (

@@ -231,7 +231,7 @@ def cmd_ctc_solve(cfg: CtcSolveConfig) -> dict:
         fixed["fixed_space_dim"] = solution.fixed_space_dim
     payload["fixed_point"] = fixed
     if cfg.scenario.cr_ids:
-        out = ctc_mod.ctc_output_state(cfg.scenario, rho_cr, solution)
+        out = ctc_mod.ctc_output_state(solution)
         payload["cr_output"] = matrix_payload(out.matrix)
     payload["tolerances"] = _ctc_tolerances()
     return payload

@@ -26,7 +26,6 @@ draws from explicitly derived per-sample seeds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from statistics import median
 import numpy as np
 
 from .errors import DimensionMismatchError, LayoutError, SolverError
@@ -72,11 +71,6 @@ class CtcScenario:
 
     def ctc_layout(self) -> SubsystemLayout:
         return self.layout.sub_layout(self.ctc_ids)
-
-    def same_as(self, other: "CtcScenario") -> bool:
-        return (self.layout == other.layout
-                and set(self.cr_ids) == set(other.cr_ids)
-                and np.array_equal(self.loop_unitary.matrix, other.loop_unitary.matrix))
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -243,7 +237,7 @@ def admissible_fraction(scenario: CtcScenario, n_samples: int, mode: str,
         admissible += int(ok)
     return AdmissibilityScan(
         mode, n_samples, seed, admissible, admissible / n_samples,
-        float(residuals.min()), float(median(residuals)), float(residuals.max()),
+        float(residuals.min()), float(np.median(residuals)), float(residuals.max()),
         CONSISTENCY_TOL,
     )
 
@@ -450,24 +444,19 @@ def deutsch_fixed_point(scenario: CtcScenario, rho_cr_in: DensityMatrix | None =
     )
 
 
-def ctc_output_state(scenario: CtcScenario, rho_cr_in: DensityMatrix | None,
-                     solution: DeutschSolution) -> DensityMatrix:
+def ctc_output_state(solution: DeutschSolution) -> DensityMatrix:
     """CR state leaving the loop region: Tr_CTC[ U (rho_in ox rho_ctc) U† ].
 
-    It is read off the loop operators (see _loop_operators), whose stacks are
-    indexed by (a, b') with a the CR output state:
-    out[a, a'] = sum_{b'} tr(L[a, b'] rho_ctc R[a', b']†), one contraction at
-    loop size. With no CR subsystems the output is the 1 x 1 matrix [[1]].
+    The scenario and the CR input rho_in are the ones the solution was
+    solved for, which it carries. The output is read off the loop operators
+    (see _loop_operators), whose stacks are indexed by (a, b') with a the CR
+    output state: out[a, a'] = sum_{b'} tr(L[a, b'] rho_ctc R[a', b']†), one
+    contraction at loop size. With no CR subsystems the output is the 1 x 1
+    matrix [[1]].
     """
-    rho_cr = _resolve_cr_input(scenario, rho_cr_in)
-    if not solution.scenario.same_as(scenario):
-        raise ValueError("solution was produced for a different scenario")
-    if (solution.rho_cr is None) != (rho_cr is None):
-        raise ValueError("solution was produced for a different CR input")
+    scenario, rho_cr = solution.scenario, solution.rho_cr
     if rho_cr is None:
         return DensityMatrix(scenario.cr_layout(), np.array([[1.0 + 0.0j]]))
-    if float(np.abs(solution.rho_cr.matrix - rho_cr.matrix).max()) > 1e-12:
-        raise ValueError("solution was produced for a different CR input")
     left, right = _loop_operators(scenario, rho_cr)
     d_cr, d = rho_cr.matrix.shape[0], left.shape[1]
     evolved = (left @ solution.rho_ctc.matrix).reshape(d_cr, -1, d * d)

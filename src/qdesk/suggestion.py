@@ -21,18 +21,17 @@ Conventions fixed here, once:
   primed influence basis, each influence sector acts on (agent ox prepared)
   as the lexicographically smallest permutation extending
   (undecided, psi0) -> (decides_x, psi_x), with the joint index agent-major.
-  The same rule (with the intermediate targets) fixes the two stage maps.
 
 Built once, at import: the signaling layout, the round input (Bell pair ox
 |undecided, psi0, ready>), the z-basis meter on (distant, pointer) and the
-four sector/stage permutations. Every round is evolved by one kernel,
+two sector permutations. Every round is evolved by one kernel,
 ``signaling_weights``: per block of direction pairs it builds the 18x18
 steering and 6x6 rotated-meter stacks from cos/sin, checks each stack once
 and applies it with the batch axis first. A single pair is a one-row call:
 ``correlator``, ``joint_distribution`` and ``sample_rounds`` read one row,
-``chsh_value`` four, and the CHSH grid, supplied-grid tables and the
-no-signaling audit many. The exact quantities share one undecided/ready leak
-check and one correlator range check, each made on the whole row stack.
+``chsh_value`` four, and the CHSH grid and the no-signaling audit many.
+The exact quantities share one undecided/ready leak check and one
+correlator range check, each made on the whole row stack.
 
 Everything is a pure function; sessions draw all randomness from explicitly
 derived per-round seeds, so any execution order gives identical tallies.
@@ -46,18 +45,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvariantError, ProtocolError, SchemeError
-from .measurement import (
-    apparatus_weights,
-    build_premeasurement_unitary,
-    pointer_scheme,
-)
-from .rng import SplitMix64, born_select, first_uniforms, stream_seed, stream_seeds
+from .errors import InvariantError, SchemeError
+from .measurement import build_premeasurement_unitary, pointer_scheme
+from .rng import SplitMix64, born_select, first_uniforms, stream_seeds
 from .tensor import (
     StateVector,
     SubsystemLayout,
     UnitaryOperator,
-    apply_unitary,
     apply_unitary_stack,
     layout_of,
 )
@@ -152,20 +146,23 @@ def _permutation_matrix(pi: Sequence[int]) -> np.ndarray:
 
 # joint (agent, prepared) indices, agent-major
 _IDX_UNDECIDED_PSI0 = 0
-_IDX_UP_PSI0 = 1 * len(PREPARED_LABELS) + 0
 _IDX_UP_PSIUP = 1 * len(PREPARED_LABELS) + 1
-_IDX_DOWN_PSI0 = 2 * len(PREPARED_LABELS) + 0
 _IDX_DOWN_PSIDOWN = 2 * len(PREPARED_LABELS) + 2
 
 
-# steering sectors (undecided, psi0) -> (decides_x, psi_x); stages stop at psi0
+# steering sectors (undecided, psi0) -> (decides_x, psi_x)
 _P_UP = _permutation_matrix(_lex_completion({_IDX_UNDECIDED_PSI0: _IDX_UP_PSIUP}, 9))
 _P_DOWN = _permutation_matrix(_lex_completion({_IDX_UNDECIDED_PSI0: _IDX_DOWN_PSIDOWN}, 9))
-_Q_UP = _permutation_matrix(_lex_completion({_IDX_UNDECIDED_PSI0: _IDX_UP_PSI0}, 9))
-_Q_DOWN = _permutation_matrix(_lex_completion({_IDX_UNDECIDED_PSI0: _IDX_DOWN_PSI0}, 9))
 
 
-def _validated_subsystems(scheme: DecisionScheme, layout: SubsystemLayout):
+def build_suggestion_unitary(scheme: DecisionScheme, layout: SubsystemLayout) -> UnitaryOperator:
+    """One-step steering unitary over (influence, agent, prepared), in that order.
+
+    Maps |up'>|undecided>|psi0> -> |up'>|decides_up>|psi_up> and
+    |down'>|undecided>|psi0> -> |down'>|decides_down>|psi_down>, completed per
+    the module convention. Since only the primed projectors enter, the matrix
+    is exactly 2*pi-periodic in theta.
+    """
     infl = layout.subsystem_named(scheme.influence)
     agent = layout.subsystem_named(scheme.agent)
     prep = layout.subsystem_named(scheme.prepared)
@@ -177,56 +174,10 @@ def _validated_subsystems(scheme: DecisionScheme, layout: SubsystemLayout):
         raise SchemeError(
             f"prepared subsystem needs labels {PREPARED_LABELS}, got {prep.label_names()}"
         )
-    return infl, agent, prep
-
-
-def _assemble(scheme: DecisionScheme, layout: SubsystemLayout,
-              p_up: np.ndarray, p_down: np.ndarray) -> UnitaryOperator:
-    infl, agent, prep = _validated_subsystems(scheme, layout)
     up = scheme.direction.up_state()
     down = scheme.direction.down_state()
-    mat = np.kron(np.outer(up, up.conj()), p_up) + np.kron(np.outer(down, down.conj()), p_down)
+    mat = np.kron(np.outer(up, up.conj()), _P_UP) + np.kron(np.outer(down, down.conj()), _P_DOWN)
     return UnitaryOperator(SubsystemLayout((infl, agent, prep)), mat)
-
-
-def build_suggestion_unitary(scheme: DecisionScheme, layout: SubsystemLayout) -> UnitaryOperator:
-    """One-step steering unitary over (influence, agent, prepared), in that order.
-
-    Maps |up'>|undecided>|psi0> -> |up'>|decides_up>|psi_up> and
-    |down'>|undecided>|psi0> -> |down'>|decides_down>|psi_down>, completed per
-    the module convention. Since only the primed projectors enter, the matrix
-    is exactly 2*pi-periodic in theta.
-    """
-    return _assemble(scheme, layout, _P_UP, _P_DOWN)
-
-
-def build_stage_unitaries(scheme: DecisionScheme,
-                          layout: SubsystemLayout) -> tuple[UnitaryOperator, UnitaryOperator]:
-    """(decision stage, preparation stage); their product is the one-step map."""
-    stage1 = _assemble(scheme, layout, _Q_UP, _Q_DOWN)
-    onestep = build_suggestion_unitary(scheme, layout)
-    stage2 = UnitaryOperator(stage1.layout, onestep.matrix @ stage1.matrix.conj().T)
-    return stage1, stage2
-
-
-def staged_decision(s: StateVector, scheme: DecisionScheme) -> tuple[StateVector, StateVector]:
-    """Run the two-step process: (decision made, then preparation performed).
-
-    Requires the agent undecided and the prepared system in psi0. Returns the
-    intermediate and final states; the composition of the two stages equals
-    the one-step unitary by construction.
-    """
-    agent_w = apparatus_weights(s, scheme.agent)
-    prep_w = apparatus_weights(s, scheme.prepared)
-    if abs(agent_w[0] - 1.0) > 1e-10 or abs(prep_w[0] - 1.0) > 1e-10:
-        raise ProtocolError(
-            f"staged decision needs agent undecided (weight {agent_w[0]:.6f}) "
-            f"and prepared in psi0 (weight {prep_w[0]:.6f})"
-        )
-    stage1, stage2 = build_stage_unitaries(scheme, s.layout)
-    intermediate = apply_unitary(stage1, s)
-    final = apply_unitary(stage2, intermediate)
-    return intermediate, final
 
 
 # ---------------------------------------------------------------------------
@@ -395,11 +346,6 @@ def run_session(n_rounds: int, alice_dir: Direction, bob_dir: Direction,
     return tally_from_records(session_records(n_rounds, alice_dir, bob_dir, master_seed))
 
 
-def round_seed(master_seed: int, index: int) -> int:
-    """Seed used for round `index` of a session (exposed for replay)."""
-    return stream_seed(master_seed, index)
-
-
 # ---------------------------------------------------------------------------
 # Correlators, CHSH, no-signaling
 
@@ -493,39 +439,6 @@ def chsh_grid_search(resolution: float) -> ChshSearchResult:
     if (-s if low else s) < 0:
         raise InvariantError("grid-search sign bookkeeping failed")
     return ChshSearchResult(s, abs(s), angles, n, step)
-
-
-def chsh_search(angles: Sequence[float]) -> ChshSearchResult:
-    """Maximize |S| over a supplied (arbitrary, finite) angle grid.
-
-    Builds the full correlator table, so the cost is quadratic in the grid
-    size plus a vectorized cubic scan; intended for modest grids.
-    """
-    thetas = [float(t) for t in angles]
-    n = len(thetas)
-    if n < 1:
-        raise ValueError("angle grid must not be empty")
-    table = _correlators(np.repeat(thetas, n), np.tile(thetas, n)).reshape(n, n)
-
-    # per (a1, a2) the best S is hi or lo over (b1, b2); the first maximum of
-    # |S| over (i1, i2, hi before lo) wins, as in a strict > scan
-    best_abs, best_s, best = -1.0, 0.0, (0, 0)
-    for i1 in range(n):
-        m1 = table[i1] + table  # (a2, b1)
-        m2 = table[i1] - table  # (a2, b2)
-        vals = np.stack([m1.max(axis=1) + m2.max(axis=1),
-                         m1.min(axis=1) + m2.min(axis=1)], axis=1).ravel()
-        k = int(np.abs(vals).argmax())
-        if abs(vals[k]) > best_abs:
-            best_abs, best_s, best = abs(vals[k]), float(vals[k]), (i1, k)
-    i1, (i2, low) = best[0], divmod(best[1], 2)
-    arg = np.argmin if low else np.argmax
-    j1, j2 = int(arg(table[i1] + table[i2])), int(arg(table[i1] - table[i2]))
-    picked = (thetas[i1], thetas[i2], thetas[j1], thetas[j2])
-    s = chsh_value(*(Direction(t) for t in picked))
-    if not math.isclose(s, best_s, rel_tol=0, abs_tol=1e-9):
-        raise InvariantError("supplied-grid search disagrees with direct evaluation")
-    return ChshSearchResult(s, abs(s), picked, n, float("nan"))
 
 
 @dataclass(frozen=True)

@@ -221,9 +221,6 @@ class DensityMatrix:
     def trace(self) -> float:
         return float(np.trace(self.matrix).real)
 
-    def purity(self) -> float:
-        return float(np.trace(self.matrix @ self.matrix).real)
-
     def __repr__(self):
         return f"DensityMatrix(ids={self.layout.ids}, dim={self.layout.total_dimension})"
 
@@ -242,24 +239,12 @@ class UnitaryOperator:
         _check_unitary(self.matrix)
         self.layout = layout
 
-    def dagger(self) -> "UnitaryOperator":
-        return UnitaryOperator(self.layout, self.matrix.conj().T)
-
     def __repr__(self):
         return f"UnitaryOperator(ids={self.layout.ids}, dim={self.layout.total_dimension})"
 
 
 # ---------------------------------------------------------------------------
 # Operations
-
-
-def tensor_product(a: StateVector, b: StateVector) -> StateVector:
-    """Kronecker product of two states over the concatenated layout."""
-    shared = set(a.layout.ids) & set(b.layout.ids)
-    if shared:
-        raise LayoutError(f"cannot tensor states sharing subsystem ids {sorted(shared)}")
-    combined = SubsystemLayout(a.layout.subsystems + b.layout.subsystems)
-    return StateVector(combined, np.kron(a.amplitudes, b.amplitudes))
 
 
 def _check_unitary(mats: np.ndarray) -> None:
@@ -324,20 +309,6 @@ def apply_unitary_stack(u_layout: SubsystemLayout, mats: np.ndarray, t: np.ndarr
     return (flat / norms[:, None]).reshape(out.shape)
 
 
-def to_density(s: StateVector) -> DensityMatrix:
-    """Rank-one projector |s><s|."""
-    return DensityMatrix(s.layout, np.outer(s.amplitudes, s.amplitudes.conj()))
-
-
-def overlap(a: StateVector, b: StateVector) -> complex:
-    """Inner product <a|b> (conjugate-linear in a)."""
-    if a.layout != b.layout:
-        raise DimensionMismatchError(
-            f"overlap needs equal layouts, got {a.layout.ids} vs {b.layout.ids}"
-        )
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
-
-
 def _permute_operator_axes(mat: np.ndarray, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
     """Reorder an operator's subsystems: new axis i takes old axis perm[i]."""
     n = len(dims)
@@ -362,32 +333,20 @@ def embed_operator(u: UnitaryOperator, target: SubsystemLayout) -> UnitaryOperat
     return UnitaryOperator(target, columns.reshape(d, d))
 
 
-def _partial_trace_array(mat: np.ndarray, dims: Sequence[int], keep_positions: Sequence[int]) -> np.ndarray:
-    """Array kernel: trace out all axes not listed in keep_positions."""
-    n = len(dims)
-    keep = list(keep_positions)
-    t = mat.reshape(tuple(dims) + tuple(dims))
-    row_labels = list(range(n))
-    col_labels = [n + i if i in keep else i for i in range(n)]
-    out_labels = [i for i in keep] + [n + i for i in keep]
-    reduced = np.einsum(t, row_labels + col_labels, out_labels)
-    d_keep = int(np.prod([dims[i] for i in keep])) if keep else 1
-    return reduced.reshape(d_keep, d_keep)
+def _partial_trace_array(t: np.ndarray, keep_positions: Sequence[int]) -> np.ndarray:
+    """Array kernel: M M† for a pure state tensor t, with M its kept axes first, as rows."""
+    kept = np.moveaxis(t, keep_positions, range(len(keep_positions)))
+    m = kept.reshape(int(np.prod([t.shape[i] for i in keep_positions])), -1)
+    return m @ m.conj().T
 
 
-def partial_trace(rho: DensityMatrix, keep: Sequence[str]) -> DensityMatrix:
-    """Reduced density matrix over `keep` (order taken from the layout)."""
+def reduced_state(s: StateVector, keep: Sequence[str]) -> DensityMatrix:
+    """Reduced density matrix of s over `keep` (order taken from the layout)."""
     keep_list = list(keep)
     if not keep_list:
         raise ValueError("keep must name at least one subsystem")
     if len(set(keep_list)) != len(keep_list):
         raise ValueError(f"keep contains duplicates: {keep_list}")
-    keep_positions = sorted(rho.layout.position(sid) for sid in keep_list)
-    reduced = _partial_trace_array(rho.matrix, rho.layout.dims, keep_positions)
-    kept_ids = [rho.layout.subsystems[p].name for p in keep_positions]
-    return DensityMatrix(rho.layout.sub_layout(kept_ids), reduced)
-
-
-def reduced_state(s: StateVector, keep: Sequence[str]) -> DensityMatrix:
-    """Shorthand for partial_trace(to_density(s), keep)."""
-    return partial_trace(to_density(s), keep)
+    keep_positions = sorted(s.layout.position(sid) for sid in keep_list)
+    return DensityMatrix(s.layout.sub_layout(keep_list),
+                         _partial_trace_array(s.tensor(), keep_positions))

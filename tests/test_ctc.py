@@ -1,4 +1,5 @@
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -389,6 +390,15 @@ def test_scan_is_deterministic_under_seed():
     assert a == b
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(0.0, 2.0), min_size=1, max_size=2001))
+def test_scan_median_equals_statistics_median_bit_for_bit(residuals):
+    # admissible_fraction reports np.median of residuals in [0, 2]; the
+    # standard library's median is the reference it replaced
+    arr = np.array(residuals)
+    assert float(np.median(arr)).hex() == float(statistics.median(arr)).hex()
+
+
 # ---------------------------------------------------------------------------
 # induced loop channel
 
@@ -622,7 +632,7 @@ def test_identity_loop_passes_cr_through():
     sc = CtcScenario(lay, ("mem",), ("loop",), UnitaryOperator(lay, np.eye(4)))
     rho_cr = cr_density(sc, random_density(2, SplitMix64(81)))
     sol = deutsch_fixed_point(sc, rho_cr, "spectral")
-    out = ctc_output_state(sc, rho_cr, sol)
+    out = ctc_output_state(sol)
     assert np.abs(out.matrix - rho_cr.matrix).max() < 1e-10
 
 
@@ -630,27 +640,15 @@ def test_cr_coupled_output_is_maximally_mixed():
     sc = grandfather_scenario("cr_coupled")
     rho_cr = DensityMatrix(sc.cr_layout(), np.diag([1.0, 0.0]))
     sol = deutsch_fixed_point(sc, rho_cr, "iterate")
-    out = ctc_output_state(sc, rho_cr, sol)
+    out = ctc_output_state(sol)
     assert np.abs(out.matrix - np.eye(2) / 2).max() < 1e-10
     assert abs(out.trace() - 1.0) <= 1e-10
-
-
-def test_output_state_checks_provenance():
-    sc = grandfather_scenario("cr_coupled")
-    rho_a = DensityMatrix(sc.cr_layout(), np.diag([1.0, 0.0]))
-    rho_b = DensityMatrix(sc.cr_layout(), np.diag([0.0, 1.0]))
-    sol = deutsch_fixed_point(sc, rho_a, "iterate")
-    with pytest.raises(ValueError):
-        ctc_output_state(sc, rho_b, sol)
-    other = grandfather_scenario("qubit_flip")
-    with pytest.raises(ValueError):
-        ctc_output_state(other, None, sol)
 
 
 def test_trivial_output_for_scenario_without_cr():
     sc = grandfather_scenario("qubit_flip")
     sol = deutsch_fixed_point(sc, None, "iterate")
-    out = ctc_output_state(sc, None, sol)
+    out = ctc_output_state(sol)
     assert out.matrix.shape == (1, 1)
     assert abs(out.matrix[0, 0] - 1.0) < 1e-12
 
@@ -661,7 +659,7 @@ def test_output_state_matches_oracle(dims, data):
     sc, cr_positions, rho_cr, rho = random_loop_case(dims, data)
     # any loop density matrix, not only a fixed point, exercises the contraction
     sol = DeutschSolution(DensityMatrix(sc.ctc_layout(), rho), 0.0, 0, "iterate", None, sc, rho_cr)
-    out = ctc_output_state(sc, rho_cr, sol).matrix
+    out = ctc_output_state(sol).matrix
     cr_matrix = np.ones((1, 1)) if rho_cr is None else rho_cr.matrix
     expected = induced_map_oracle(sc.loop_unitary.matrix, dims, cr_positions, cr_matrix, rho,
                                   keep="cr")

@@ -8,13 +8,10 @@ from qdesk import (
     branch_decomposition,
     build_premeasurement_unitary,
     layout_of,
-    partial_trace,
     pointer_scheme,
     premeasure,
     reduced_state,
     sample_branch,
-    tensor_product,
-    to_density,
 )
 from qdesk.measurement import apparatus_weights, sample_labels
 from qdesk.rng import SplitMix64, haar_state
@@ -34,13 +31,11 @@ def pair_meter():
 
 
 def ready_state(layout, spin_amps, far_amps=None):
-    spin_lay = layout.sub_layout(["spin"])
-    s = StateVector(spin_lay, spin_amps)
+    amps = StateVector(layout.sub_layout(["spin"]), spin_amps).amplitudes
     if far_amps is not None:
-        far = StateVector(layout.sub_layout(["far"]), far_amps)
-        s = tensor_product(s, far)
+        amps = np.kron(amps, StateVector(layout.sub_layout(["far"]), far_amps).amplitudes)
     ready = layout.sub_layout(["meter"]).basis_state({"meter": "ready"})
-    return tensor_product(s, ready)
+    return StateVector(layout, np.kron(amps, ready.amplitudes))
 
 
 def bell_ready():
@@ -177,7 +172,7 @@ def test_branch_weights_equal_reduced_apparatus_diagonal():
         amps = np.zeros(lay.total_dimension, dtype=complex)
         amps.reshape(2, 2, 3)[:, :, 0] = haar_state(4, rng).reshape(2, 2)
         out = premeasure(StateVector(lay, amps), SCHEME)
-        diag = np.diagonal(partial_trace(to_density(out), ["meter"]).matrix).real
+        diag = np.diagonal(reduced_state(out, ["meter"]).matrix).real
         weights = apparatus_weights(out, "meter")
         assert np.abs(weights - diag).max() < 1e-10
 

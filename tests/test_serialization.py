@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qdesk import (
+    DensityMatrix,
     FormatError,
     InvariantError,
     StateVector,
@@ -12,7 +13,6 @@ from qdesk import (
     parse_density,
     parse_state,
     parse_unitary,
-    to_density,
 )
 from qdesk.rng import SplitMix64, haar_state, haar_unitary
 from qdesk.tensor import UnitaryOperator
@@ -32,7 +32,8 @@ def test_state_round_trip_is_exact():
 
 def test_density_round_trip_is_exact():
     lay = _layout()
-    rho = to_density(StateVector(lay, haar_state(6, SplitMix64(2))))
+    amps = StateVector(lay, haar_state(6, SplitMix64(2))).amplitudes
+    rho = DensityMatrix(lay, np.outer(amps, amps.conj()))
     back = parse_density(serialize_density(rho))
     assert np.array_equal(back.matrix, rho.matrix)
 

@@ -8,14 +8,11 @@ from hypothesis import given, settings, strategies as st
 from qdesk import (
     Direction,
     DecisionScheme,
-    ProtocolError,
     SchemeError,
     StateVector,
     apply_unitary,
-    build_stage_unitaries,
     build_suggestion_unitary,
     chsh_grid_search,
-    chsh_search,
     chsh_value,
     correlator,
     embed_operator,
@@ -26,11 +23,10 @@ from qdesk import (
     run_session,
     sample_rounds,
     session_records,
-    staged_decision,
     tally_from_records,
     TSIRELSON_BOUND,
 )
-from qdesk.rng import SplitMix64, haar_state
+from qdesk.rng import SplitMix64, haar_state, stream_seed
 from qdesk.suggestion import (
     AGENT,
     AGENT_LABELS,
@@ -40,7 +36,6 @@ from qdesk.suggestion import (
     PREPARED,
     PREPARED_LABELS,
     bell_pair_state,
-    round_seed,
     signaling_layout,
 )
 
@@ -54,7 +49,6 @@ from oracles import (
     grid_scan_reference,
     joint_probabilities,
     single_round_weights,
-    table_scan_reference,
 )
 
 SQ2 = np.sqrt(2.0)
@@ -191,50 +185,6 @@ def test_steering_is_local_distant_state_untouched():
 
 
 # ---------------------------------------------------------------------------
-# staged dynamics
-
-
-def test_two_step_process_passes_through_the_intermediate():
-    lay = decision_lay()
-    mid, fin = staged_decision(undecided_input(lay, [1, 0]), scheme(0.0))
-    assert abs(mid.amplitudes[expect_basis(
-        lay, {PARTICLE: "up", AGENT: "decides_up", PREPARED: "psi0"})] - 1.0) < 1e-12
-    assert abs(fin.amplitudes[expect_basis(
-        lay, {PARTICLE: "up", AGENT: "decides_up", PREPARED: "psi_up"})] - 1.0) < 1e-12
-    mid, fin = staged_decision(undecided_input(lay, [0, 1]), scheme(0.0))
-    assert abs(mid.amplitudes[expect_basis(
-        lay, {PARTICLE: "down", AGENT: "decides_down", PREPARED: "psi0"})] - 1.0) < 1e-12
-    assert abs(fin.amplitudes[expect_basis(
-        lay, {PARTICLE: "down", AGENT: "decides_down", PREPARED: "psi_down"})] - 1.0) < 1e-12
-
-
-def test_stage_composition_equals_single_step():
-    lay = decision_lay()
-    for theta in (0.0, 0.9, math.pi / 2, 4.4):
-        s1, s2 = build_stage_unitaries(scheme(theta), lay)
-        one = build_suggestion_unitary(scheme(theta), lay)
-        assert np.abs(s2.matrix @ s1.matrix - one.matrix).max() < 1e-10
-
-
-def test_stage_two_cycles_prepared_and_inverts_cleanly():
-    lay = decision_lay()
-    _, s2 = build_stage_unitaries(scheme(0.0), lay)
-    s2_full = embed_operator(s2, lay)
-    final = lay.basis_state({PARTICLE: "up", AGENT: "decides_up", PREPARED: "psi_up"})
-    cycled = apply_unitary(s2_full, final)
-    assert not np.allclose(cycled.amplitudes, final.amplitudes)
-    back = apply_unitary(s2_full.dagger(), cycled)
-    assert np.abs(back.amplitudes - final.amplitudes).max() < 1e-12
-
-
-def test_staged_decision_rejects_wrong_initial_registers():
-    lay = decision_lay()
-    bad = lay.basis_state({PARTICLE: "up", AGENT: "decides_up", PREPARED: "psi0"})
-    with pytest.raises(ProtocolError):
-        staged_decision(bad, scheme(0.0))
-
-
-# ---------------------------------------------------------------------------
 # signaling rounds and correlators
 
 
@@ -363,7 +313,7 @@ def test_session_records_match_individual_rounds():
     records = session_records(200, a, b, master)
     for i in range(200):
         rec = round_row(records, i)
-        solo = round_row(replay_round(a, b, round_seed(master, i)), 0)
+        solo = round_row(replay_round(a, b, stream_seed(master, i)), 0)
         assert rec == solo
 
 
@@ -422,17 +372,6 @@ def test_grid_search_equals_brute_force_enumeration():
     s4 = (table[:, None, :, None] + table[:, None, None, :]
           + table[None, :, :, None] - table[None, :, None, :])
     assert abs(res.abs_value - np.abs(s4).max()) < 1e-9
-
-
-def test_supplied_grid_search_equals_brute_force():
-    rng = SplitMix64(23)
-    angles = [(rng.random() - 0.5) * 2 * math.pi for _ in range(10)]
-    res = chsh_search(angles)
-    table = np.array([[correlator_oracle(a, b) for b in angles] for a in angles])
-    s4 = (table[:, None, :, None] + table[:, None, None, :]
-          + table[None, :, :, None] - table[None, :, None, :])
-    assert abs(res.abs_value - np.abs(s4).max()) < 1e-9
-    assert abs(res.s_value - chsh_value(*(Direction(t) for t in res.angles))) < 1e-12
 
 
 def test_quantum_bound_is_respected_everywhere():
@@ -589,15 +528,3 @@ def test_blocked_grid_scan_equals_the_shift_loop(n):
     assert res.grid_size == n and res.resolution == step
     assert res.angles == (0.0, da * step, i1 * step, i2 * step)
     assert abs(res.abs_value - best) < 1e-9 and sign * res.s_value > 0
-
-
-@pytest.mark.parametrize("angles", [
-    [k * math.pi / 4 for k in range(8)],  # a uniform grid: many ties
-    [0.4, -1.3, 2.2, 0.4, 3.0, -2.5, 1.1],
-])
-def test_supplied_grid_search_equals_the_table_loop(angles):
-    table = np.array([[correlator(Direction(a), Direction(b)) for b in angles] for a in angles])
-    best_s, (i1, i2, j1, j2) = table_scan_reference(table)
-    res = chsh_search(angles)
-    assert res.angles == (angles[i1], angles[i2], angles[j1], angles[j2])
-    assert abs(res.s_value - best_s) < 1e-9

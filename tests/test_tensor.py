@@ -8,16 +8,13 @@ from qdesk import (
     InvariantError,
     LayoutError,
     StateVector,
+    SubsystemLayout,
     UnitaryOperator,
     apply_unitary,
     embed_operator,
     layout_of,
-    overlap,
-    partial_trace,
     reduced_state,
     subsystem,
-    tensor_product,
-    to_density,
 )
 from qdesk.rng import SplitMix64, haar_state, haar_unitary
 
@@ -36,6 +33,10 @@ def meter():
 
 def spin_state(*amps):
     return StateVector(spin(), np.array(amps, dtype=complex))
+
+
+def projector(s):
+    return np.outer(s.amplitudes, s.amplitudes.conj())
 
 
 # ---------------------------------------------------------------------------
@@ -74,41 +75,6 @@ def test_label_index_of_an_unknown_label_is_a_layout_error():
 def test_sub_layout_preserves_layout_order():
     lay = layout_of(("a", ("x", "y")), ("b", ("p", "q")), ("c", ("u", "v")))
     assert lay.sub_layout(["c", "a"]).ids == ("a", "c")
-
-
-# ---------------------------------------------------------------------------
-# tensor_product
-
-
-def test_tensor_product_of_basis_states():
-    up = spin().basis_state({"spin": "up"})
-    ready = meter().basis_state({"meter": "ready"})
-    combined = tensor_product(up, ready)
-    assert combined.layout.ids == ("spin", "meter")
-    assert combined.amplitudes[0] == 1.0
-    assert np.abs(combined.amplitudes[1:]).max() == 0.0
-
-
-def test_tensor_product_superposition_layout_ordering():
-    plus = spin_state(1, 1)
-    ready = meter().basis_state({"meter": "ready"})
-    combined = tensor_product(plus, ready)
-    expected = np.zeros(6, dtype=complex)
-    expected[0] = expected[3] = 1 / SQ2  # (up, ready) and (down, ready)
-    assert np.abs(combined.amplitudes - expected).max() < 1e-12
-
-
-def test_tensor_product_unit_norm_for_random_factors():
-    rng = SplitMix64(1)
-    for _ in range(20):
-        a = StateVector(spin(), haar_state(2, rng))
-        b = StateVector(meter(), haar_state(3, rng))
-        assert abs(tensor_product(a, b).norm() - 1.0) < 1e-12
-
-
-def test_tensor_product_rejects_shared_ids():
-    with pytest.raises(LayoutError):
-        tensor_product(spin_state(1, 0), spin_state(0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -253,20 +219,7 @@ def test_embed_rejects_unknown_subsystem():
 
 
 # ---------------------------------------------------------------------------
-# to_density / partial_trace / overlap
-
-
-def test_to_density_basis_and_plus():
-    assert np.abs(to_density(spin_state(1, 0)).matrix - np.diag([1.0, 0.0])).max() < 1e-12
-    assert np.abs(to_density(spin_state(1, 1)).matrix - 0.5 * np.ones((2, 2))).max() < 1e-12
-
-
-def test_to_density_is_pure():
-    rng = SplitMix64(4)
-    for _ in range(10):
-        rho = to_density(StateVector(meter(), haar_state(3, rng)))
-        assert abs(rho.trace() - 1.0) < 1e-12
-        assert abs(rho.purity() - 1.0) < 1e-12
+# reduced_state and inner products
 
 
 def test_bell_pair_reduces_to_maximally_mixed():
@@ -274,9 +227,8 @@ def test_bell_pair_reduces_to_maximally_mixed():
     amps = np.zeros(4, dtype=complex)
     amps[1] = amps[2] = 1.0  # |u d> + |d u>
     bell = StateVector(lay, amps)
-    rho = to_density(bell)
-    reduced = partial_trace(rho, ["near"])
-    oracle = partial_trace_loops(rho.matrix, [2, 2], keep=[0])
+    reduced = reduced_state(bell, ["near"])
+    oracle = partial_trace_loops(projector(bell), [2, 2], keep=[0])
     assert np.abs(reduced.matrix - np.eye(2) / 2).max() < 1e-12
     assert np.abs(reduced.matrix - oracle).max() < 1e-12
 
@@ -285,9 +237,10 @@ def test_partial_trace_of_product_recovers_factor():
     rng = SplitMix64(13)
     a = StateVector(spin(), haar_state(2, rng))
     b = StateVector(meter(), haar_state(3, rng))
-    joint = to_density(tensor_product(a, b))
-    assert np.abs(partial_trace(joint, ["spin"]).matrix - to_density(a).matrix).max() < 1e-10
-    assert abs(partial_trace(joint, ["meter"]).trace() - 1.0) < 1e-10
+    joint = StateVector(SubsystemLayout(spin().subsystems + meter().subsystems),
+                        np.kron(a.amplitudes, b.amplitudes))
+    assert np.abs(reduced_state(joint, ["spin"]).matrix - projector(a)).max() < 1e-10
+    assert abs(reduced_state(joint, ["meter"]).trace() - 1.0) < 1e-10
 
 
 def test_partial_trace_agrees_with_loop_oracle_on_random_states():
@@ -298,34 +251,43 @@ def test_partial_trace_agrees_with_loop_oracle_on_random_states():
         dims = [2 + int(rng.next_u64() % 3) for _ in range(n_subs)]
         labels = [tuple(f"l{k}" for k in range(d)) for d in dims]
         lay = layout_of(*[(f"s{i}", labels[i]) for i in range(n_subs)])
-        rho = to_density(StateVector(lay, haar_state(lay.total_dimension, rng)))
+        s = StateVector(lay, haar_state(lay.total_dimension, rng))
         n_keep = 1 + int(rng.next_u64() % n_subs)
         keep_positions = sorted(int(x) for x in
                                 np.random.default_rng(cases).permutation(n_subs)[:n_keep])
         keep_ids = [lay.ids[p] for p in keep_positions]
-        got = partial_trace(rho, keep_ids)
-        expected = partial_trace_loops(rho.matrix, dims, keep_positions)
+        got = reduced_state(s, keep_ids)
+        expected = partial_trace_loops(projector(s), dims, keep_positions)
         assert np.abs(got.matrix - expected).max() < 1e-12
         assert abs(got.trace() - 1.0) < 1e-10
         assert np.linalg.eigvalsh(got.matrix).min() > -1e-9
         cases += 1
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 3), min_size=1, max_size=4), st.data())
+def test_reduced_state_matches_the_loop_oracle_for_any_keep_order(dims, data):
+    lay = layout_of(*[(f"s{i}", tuple(f"l{k}" for k in range(d))) for i, d in enumerate(dims)])
+    seed = data.draw(st.integers(0, 2**64 - 1))
+    s = StateVector(lay, haar_state(lay.total_dimension, SplitMix64(seed)))
+    keep_positions = sorted(data.draw(st.sets(st.sampled_from(range(len(dims))), min_size=1)))
+    in_order = [lay.ids[p] for p in keep_positions]
+    got = reduced_state(s, data.draw(st.permutations(in_order)))
+    assert got.layout.ids == tuple(in_order)
+    assert np.array_equal(got.matrix, reduced_state(s, in_order).matrix)
+    assert np.abs(got.matrix - partial_trace_loops(projector(s), dims, keep_positions)).max() < 1e-12
+    assert abs(got.trace() - 1.0) < 1e-12
+    assert np.linalg.eigvalsh(got.matrix).min() >= -1e-9
+
+
 def test_partial_trace_argument_errors():
-    rho = to_density(spin_state(1, 0))
+    s = spin_state(1, 0)
     with pytest.raises(ValueError):
-        partial_trace(rho, [])
+        reduced_state(s, [])
+    with pytest.raises(ValueError):
+        reduced_state(s, ["spin", "spin"])
     with pytest.raises(LayoutError):
-        partial_trace(rho, ["nope"])
-
-
-def test_overlap_values():
-    s = StateVector(meter(), haar_state(3, SplitMix64(2)))
-    assert abs(overlap(s, s) - 1.0) < 1e-12
-    up, down = spin_state(1, 0), spin_state(0, 1)
-    assert overlap(up, down) == 0.0
-    with pytest.raises(DimensionMismatchError):
-        overlap(up, s)
+        reduced_state(s, ["nope"])
 
 
 def test_overlap_of_premeasured_superposition_with_target_is_one():
@@ -340,7 +302,7 @@ def test_overlap_of_premeasured_superposition_with_target_is_one():
     target = np.zeros(6, dtype=complex)
     target[lay.basis_index({"spin": "up", "meter": "saw_up"})] = 1.0
     target[lay.basis_index({"spin": "down", "meter": "saw_down"})] = 1.0
-    assert abs(overlap(evolved, StateVector(lay, target)) - 1.0) < 1e-12
+    assert abs(np.vdot(evolved.amplitudes, StateVector(lay, target).amplitudes) - 1.0) < 1e-12
 
 
 def test_reduced_state_shorthand():
