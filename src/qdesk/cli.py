@@ -3,14 +3,16 @@
     qdesk <subcommand> --config <path> [--format json|csv|table] [--seed N]
           [--rounds N] [--mode strict|ray] [--out <path>]
 
-Subcommands: measure, signal, chsh, ctc-solve, ctc-scan. Flags override
-config values. Reports echo the seeds and tolerances actually used; the
+Subcommands: measure, signal, chsh, ctc-solve, ctc-scan. Each flag but
+--config and --out replaces the config entry of the same name and is checked
+as that entry. Reports echo the seeds and tolerances actually used; the
 payload written to stdout (or --out) is byte-identical across repeated runs
 with identical inputs; wall-clock timing goes to stderr only.
 
-Exit codes: 0 success, 2 config error or an --out path that cannot be
-written, 3 solver non-convergence (report still emitted, with the best
-residual), 4 internal invariant violation.
+Exit codes: 0 success, 2 config error (a bad flag value, or a flag the
+command does not read, included) or an --out path that cannot be written,
+3 solver non-convergence (report still emitted, with the best residual),
+4 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .config import (
     MeasureConfig,
     RunConfig,
     SignalConfig,
-    apply_overrides,
     load_config,
 )
 from .errors import ConfigError, FormatError, InvariantError, SolverError
@@ -303,6 +304,10 @@ def _emit(text: str, out_path: str | None) -> bool:
     return True
 
 
+# Flags that stand for config entries of the same name.
+_ENTRY_FLAGS = ("format", "seed", "rounds", "mode")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qdesk",
@@ -312,20 +317,17 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in ("measure", "signal", "chsh", "ctc-solve", "ctc-scan"):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to a key = value config file")
-        p.add_argument("--format", choices=("json", "csv", "table"), default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--rounds", type=int, default=None)
-        p.add_argument("--mode", choices=("strict", "ray"), default=None)
+        for key in _ENTRY_FLAGS:
+            p.add_argument(f"--{key}", help=f"replaces the config's {key!r} entry")
         p.add_argument("--out", default=None, help="write the report to a file instead of stdout")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    flags = {k: v for k, v in vars(args).items() if k in _ENTRY_FLAGS and v is not None}
     try:
-        cfg = load_config(args.config, args.command)
-        cfg = apply_overrides(cfg, fmt=args.format, seed=args.seed,
-                              rounds=args.rounds, mode=args.mode)
+        cfg = load_config(args.config, args.command, flags)
     except (ConfigError, FormatError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

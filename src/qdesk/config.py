@@ -6,6 +6,13 @@ can never pass silently. Angles are radians, given as plain decimal
 literals. Seeds have no defaults anywhere: Monte Carlo commands refuse to
 run without one.
 
+Command-line flags (``--format``, ``--seed``, ``--rounds``, ``--mode``) are
+entries too: ``load_config`` writes each over the file entry of the same key
+before anything is read, so a flag passes the same accessor and check as a
+file value, each applied once, where the value is read. An error names
+``path:line`` for a file entry and ``--key`` for a flag; a flag the
+experiment does not read is an error as well.
+
 Scenario files for the loop experiments either name a built-in variant or
 carry the partition lists plus an inline serialized unitary after a
 ``unitary:`` marker line.
@@ -15,7 +22,8 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NoReturn
 
 from .ctc import CtcScenario, grandfather_scenario
 from .errors import (
@@ -33,6 +41,8 @@ FORMATS = ("json", "csv", "table")
 MEASURE_PRESETS = ("up", "down", "plus", "bell")
 # Cap on rounds, samples and CHSH grid angles; larger is a config error, before any allocation.
 MAX_COUNT = 10**9
+# Seeds are taken modulo 2**64; outside this range a seed is a config error.
+_SEED_RANGE = (-(2**63), 2**64 - 1)
 
 
 def parse_flat_file(path: str) -> dict[str, tuple[str, int]]:
@@ -63,73 +73,73 @@ def _parse_lines(content: list[tuple[int, str]], path: str) -> dict[str, tuple[s
 
 
 class _Entries:
-    """Typed accessors over parsed entries, tracking consumed keys."""
+    """Typed accessors over parsed entries, tracking consumed keys.
 
-    def __init__(self, path: str, entries: dict[str, tuple[str, int]]):
+    An entry's line is None when a command-line flag supplied it.
+    """
+
+    def __init__(self, path: str, entries: dict[str, tuple[str, int | None]]):
         self.path = path
         self.entries = entries
         self.used: set[str] = set()
 
-    def _raw(self, key: str) -> tuple[str, int] | None:
+    def fail(self, message: str, key: str | None = None) -> NoReturn:
+        """Raise a ConfigError located at key's file line, or at its flag."""
+        if key not in self.entries:
+            raise ConfigError(message, path=self.path)
+        line = self.entries[key][1]
+        if line is None:
+            raise ConfigError(f"--{key}: {message}")
+        raise ConfigError(message, path=self.path, line=line)
+
+    def _raw(self, key: str, required: bool) -> str | None:
         if key in self.entries:
             self.used.add(key)
-            return self.entries[key]
+            return self.entries[key][0]
+        if required:
+            self.fail(f"missing required key {key!r}")
         return None
 
     def get_str(self, key: str, choices: tuple[str, ...] | None = None,
                 default: str | None = None, required: bool = False) -> str | None:
-        raw = self._raw(key)
-        if raw is None:
-            if required:
-                raise ConfigError(f"missing required key {key!r}", path=self.path)
+        value = self._raw(key, required)
+        if value is None:
             return default
-        value, no = raw
         if choices and value not in choices:
-            raise ConfigError(f"{key} must be one of {choices}, got {value!r}",
-                              path=self.path, line=no)
+            self.fail(f"{key} must be one of {choices}, got {value!r}", key)
         return value
 
-    def get_int(self, key: str, minimum: int | None = None,
-                required: bool = False) -> int | None:
-        raw = self._raw(key)
-        if raw is None:
-            if required:
-                raise ConfigError(f"missing required key {key!r}", path=self.path)
+    def get_int(self, key: str, lo: int, hi: int, required: bool = False) -> int | None:
+        value = self._raw(key, required)
+        if value is None:
             return None
-        value, no = raw
         try:
             parsed = int(value)
         except ValueError:
-            raise ConfigError(f"{key} must be an integer, got {value!r}",
-                              path=self.path, line=no) from None
-        if minimum is not None and parsed < minimum:
-            raise ConfigError(f"{key} must be >= {minimum}, got {parsed}",
-                              path=self.path, line=no)
+            self.fail(f"{key} must be an integer, got {value!r}", key)
+        if not lo <= parsed <= hi:
+            self.fail(f"{key} must be in [{lo}, {hi}], got {parsed}", key)
         return parsed
 
     def get_angle(self, key: str, required: bool = False) -> float | None:
-        raw = self._raw(key)
-        if raw is None:
-            if required:
-                raise ConfigError(f"missing required key {key!r} (radians)", path=self.path)
+        value = self._raw(key, required)
+        if value is None:
             return None
-        value, no = raw
         try:
             parsed = float(value)
         except ValueError:
-            raise ConfigError(f"{key} must be a decimal angle in radians, got {value!r}",
-                              path=self.path, line=no) from None
+            self.fail(f"{key} must be a decimal angle in radians, got {value!r}", key)
         if not math.isfinite(parsed):
-            raise ConfigError(f"{key} must be finite", path=self.path, line=no)
+            self.fail(f"{key} must be finite", key)
         return parsed
 
-    def reject_unknown(self) -> None:
+    def reject_unknown(self, kind: str) -> None:
         unknown = set(self.entries) - self.used
         if unknown:
-            key = sorted(unknown)[0]
-            _, no = self.entries[key]
-            raise ConfigError(f"unknown key {key!r} for this experiment",
-                              path=self.path, line=no)
+            key = min(unknown)
+            if self.entries[key][1] is None:
+                raise ConfigError(f"--{key} does not apply to {kind}")
+            self.fail(f"unknown key {key!r} for {kind}", key)
 
 
 @dataclass(frozen=True)
@@ -204,9 +214,9 @@ def load_scenario_file(path: str) -> CtcScenario:
     ent = _Entries(path, _parse_lines(head, path))
     variant = ent.get_str("variant")
     if variant is not None:
-        ent.reject_unknown()
+        ent.reject_unknown("a scenario file")
         if unitary_text is not None:
-            raise ConfigError("variant scenarios must not carry an inline unitary", path=path)
+            ent.fail("variant scenarios must not carry an inline unitary")
         try:
             return grandfather_scenario(variant)
         except ValueError as exc:
@@ -214,9 +224,9 @@ def load_scenario_file(path: str) -> CtcScenario:
 
     cr_raw = ent.get_str("cr_ids", default="")
     ctc_raw = ent.get_str("ctc_ids", required=True)
-    ent.reject_unknown()
+    ent.reject_unknown("a scenario file")
     if unitary_text is None:
-        raise ConfigError("scenario needs 'variant = ...' or a 'unitary:' section", path=path)
+        ent.fail("scenario needs 'variant = ...' or a 'unitary:' section")
     try:
         unitary: UnitaryOperator = parse_unitary(unitary_text)
     except (FormatError, LayoutError, InvariantError) as exc:
@@ -229,127 +239,81 @@ def load_scenario_file(path: str) -> CtcScenario:
         raise ConfigError(f"inconsistent scenario: {exc}", path=path) from exc
 
 
-def _resolve_scenario(ent: _Entries, config_path: str) -> tuple[str, CtcScenario]:
+def _resolve_scenario(ent: _Entries) -> tuple[str, CtcScenario]:
     name = ent.get_str("scenario", choices=("qubit_flip", "cr_coupled"))
     file_ref = ent.get_str("scenario_file")
     if (name is None) == (file_ref is None):
-        raise ConfigError("exactly one of 'scenario' or 'scenario_file' is required",
-                          path=config_path)
+        ent.fail("exactly one of 'scenario' or 'scenario_file' is required")
     if name is not None:
         return name, grandfather_scenario(name)
-    path = os.path.join(os.path.dirname(os.path.abspath(config_path)), file_ref)
+    path = os.path.join(os.path.dirname(os.path.abspath(ent.path)), file_ref)
     return file_ref, load_scenario_file(path)
 
 
-def load_config(path: str, kind: str) -> RunConfig:
-    """Load and validate a config file for the given experiment kind."""
+def load_config(path: str, kind: str, flags: dict[str, str] | None = None) -> RunConfig:
+    """Load and validate a config file for the given experiment kind.
+
+    Each flag ({key: text}) replaces the file entry of the same key before
+    anything is read, so flag and file values pass the same checks.
+    """
     if kind not in EXPERIMENT_KINDS:
         raise ConfigError(f"unknown experiment kind {kind!r}", path=path)
-    ent = _Entries(path, parse_flat_file(path))
+    flag_entries = {key: (text, None) for key, text in (flags or {}).items()}
+    ent = _Entries(path, {**parse_flat_file(path), **flag_entries})
     declared = ent.get_str("experiment", choices=EXPERIMENT_KINDS, required=True)
     if declared != kind:
-        raise ConfigError(f"config declares experiment {declared!r}, command expects {kind!r}",
-                          path=path)
+        ent.fail(f"config declares experiment {declared!r}, command expects {kind!r}")
     fmt = ent.get_str("format", choices=FORMATS, default="json")
+    if fmt == "csv" and kind != "signal":
+        ent.fail("csv output is only defined for signaling sessions", "format")
 
     if kind == "measure":
         state = ent.get_str("state", choices=MEASURE_PRESETS, required=True)
-        rounds = ent.get_int("rounds")
-        seed = ent.get_int("seed")
-        ent.reject_unknown()
-        cfg: RunConfig = MeasureConfig(kind, state, rounds, seed, fmt)
-    elif kind == "signal":
+        rounds = ent.get_int("rounds", 1, MAX_COUNT)
+        seed = ent.get_int("seed", *_SEED_RANGE)
+        ent.reject_unknown(kind)
+        if rounds is not None and seed is None:
+            ent.fail("sampling ('rounds') requires an explicit seed", "rounds")
+        if seed is not None and rounds is None:
+            ent.fail("a seed without 'rounds' would sample nothing", "seed")
+        return MeasureConfig(kind, state, rounds, seed, fmt)
+    if kind == "signal":
         alice = ent.get_angle("alice_angle", required=True)
         bob = ent.get_angle("bob_angle", required=True)
-        rounds = ent.get_int("rounds", required=True)
-        seed = ent.get_int("seed", required=True)
-        ent.reject_unknown()
-        cfg = SignalConfig(kind, alice, bob, rounds, seed, fmt)
-    elif kind == "chsh":
+        rounds = ent.get_int("rounds", 1, MAX_COUNT, required=True)
+        seed = ent.get_int("seed", *_SEED_RANGE, required=True)
+        ent.reject_unknown(kind)
+        return SignalConfig(kind, alice, bob, rounds, seed, fmt)
+    if kind == "chsh":
         keys = ("angle_a1", "angle_a2", "angle_b1", "angle_b2")
         angles = tuple(ent.get_angle(k) for k in keys)
         resolution = ent.get_angle("grid_resolution")
-        ent.reject_unknown()
+        ent.reject_unknown(kind)
         have_angles = [a is not None for a in angles]
         if resolution is not None:
             if any(have_angles):
-                raise ConfigError("give either four angles or grid_resolution, not both",
-                                  path=path)
-            cfg = ChshConfig(kind, None, resolution, fmt)
-        else:
-            if not all(have_angles):
-                raise ConfigError("chsh needs angle_a1..angle_b2 or grid_resolution",
-                                  path=path)
-            cfg = ChshConfig(kind, angles, None, fmt)  # type: ignore[arg-type]
-    elif kind == "ctc-solve":
-        name, scenario = _resolve_scenario(ent, path)
-        mode = ent.get_str("mode", choices=("strict", "ray"), default="strict")
+                ent.fail("give either four angles or grid_resolution, not both")
+            if resolution <= 0:
+                ent.fail("grid_resolution must be positive", "grid_resolution")
+            grid = 2.0 * math.pi / resolution  # a float: inf for the smallest subnormals
+            if grid > MAX_COUNT:
+                ent.fail(f"grid_resolution {resolution} asks for over {MAX_COUNT} angles",
+                         "grid_resolution")
+            if round(grid) < 4:
+                ent.fail(f"grid_resolution {resolution} leaves fewer than 4 grid angles",
+                         "grid_resolution")
+            return ChshConfig(kind, None, resolution, fmt)
+        if not all(have_angles):
+            ent.fail("chsh needs angle_a1..angle_b2 or grid_resolution")
+        return ChshConfig(kind, angles, None, fmt)  # type: ignore[arg-type]
+    name, scenario = _resolve_scenario(ent)
+    mode = ent.get_str("mode", choices=("strict", "ray"), default="strict")
+    if kind == "ctc-solve":
         method = ent.get_str("method", choices=("iterate", "spectral"), default="iterate")
         cr_state = ent.get_str("cr_state", choices=("zero", "one", "mixed"), default="zero")
-        ent.reject_unknown()
-        cfg = CtcSolveConfig(kind, name, scenario, mode, method, cr_state, fmt)
-    else:  # ctc-scan
-        name, scenario = _resolve_scenario(ent, path)
-        mode = ent.get_str("mode", choices=("strict", "ray"), default="strict")
-        samples = ent.get_int("samples", minimum=1, required=True)
-        seed = ent.get_int("seed", required=True)
-        ent.reject_unknown()
-        cfg = CtcScanConfig(kind, name, scenario, mode, samples, seed, fmt)
-    return _validate(cfg, ent)
-
-
-def _validate(cfg: RunConfig, ent: _Entries | None = None) -> RunConfig:
-    """Checks shared by config files and flag overrides; returns cfg.
-
-    Given the file's entries, an error names the file and the key's line.
-    """
-    def fail(message: str, key: str):
-        if ent is None:
-            raise ConfigError(message)
-        raise ConfigError(message, path=ent.path, line=ent.entries[key][1])
-
-    seed = getattr(cfg, "seed", None)
-    if seed is not None and not (-(2**63) <= seed < 2**64):
-        fail("seed must fit in 64 bits", "seed")
-    for key in ("rounds", "samples"):
-        count = getattr(cfg, key, None)
-        if count is not None and not 1 <= count <= MAX_COUNT:
-            fail(f"{key} must be in [1, {MAX_COUNT}], got {count}", key)
-    resolution = getattr(cfg, "grid_resolution", None)
-    if resolution is not None:
-        if resolution <= 0:
-            fail("grid_resolution must be positive", "grid_resolution")
-        grid = 2.0 * math.pi / resolution  # a float: inf for the smallest subnormals
-        if grid > MAX_COUNT:
-            fail(f"grid_resolution {resolution} asks for over {MAX_COUNT} angles", "grid_resolution")
-        if round(grid) < 4:
-            fail(f"grid_resolution {resolution} leaves fewer than 4 grid angles", "grid_resolution")
-    if cfg.format == "csv" and cfg.kind != "signal":
-        fail("csv output is only defined for signaling sessions", "format")
-    if isinstance(cfg, MeasureConfig):
-        if cfg.rounds is not None and seed is None:
-            fail("sampling ('rounds') requires an explicit seed", "rounds")
-        if seed is not None and cfg.rounds is None:
-            fail("a seed without 'rounds' would sample nothing", "seed")
-    return cfg
-
-
-def apply_overrides(cfg: RunConfig, *, fmt: str | None = None, seed: int | None = None,
-                    rounds: int | None = None, mode: str | None = None) -> RunConfig:
-    """Apply command-line flag overrides; flags win over file values."""
-    updates: dict = {}
-    if fmt is not None:
-        updates["format"] = fmt
-    if seed is not None:
-        if not hasattr(cfg, "seed"):
-            raise ConfigError(f"--seed does not apply to {cfg.kind}")
-        updates["seed"] = seed
-    if rounds is not None:
-        if not hasattr(cfg, "rounds"):
-            raise ConfigError(f"--rounds does not apply to {cfg.kind}")
-        updates["rounds"] = rounds
-    if mode is not None:
-        if not hasattr(cfg, "mode"):
-            raise ConfigError(f"--mode does not apply to {cfg.kind}")
-        updates["mode"] = mode
-    return _validate(replace(cfg, **updates))
+        ent.reject_unknown(kind)
+        return CtcSolveConfig(kind, name, scenario, mode, method, cr_state, fmt)
+    samples = ent.get_int("samples", 1, MAX_COUNT, required=True)
+    seed = ent.get_int("seed", *_SEED_RANGE, required=True)
+    ent.reject_unknown(kind)
+    return CtcScanConfig(kind, name, scenario, mode, samples, seed, fmt)

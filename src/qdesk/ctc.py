@@ -217,6 +217,13 @@ class AdmissibilityScan:
     tolerance: float
 
 
+def _median(values: np.ndarray) -> float:
+    """statistics.median's formula on a sorted copy; np.median would import numpy.ma."""
+    r = np.sort(values)
+    i = len(r) // 2
+    return float(r[i] if len(r) % 2 else (r[i - 1] + r[i]) / 2)
+
+
 def admissible_fraction(scenario: CtcScenario, n_samples: int, mode: str,
                         seed: int) -> AdmissibilityScan:
     """Sample Haar-random pure states and test each; deterministic under seed.
@@ -237,7 +244,7 @@ def admissible_fraction(scenario: CtcScenario, n_samples: int, mode: str,
         admissible += int(ok)
     return AdmissibilityScan(
         mode, n_samples, seed, admissible, admissible / n_samples,
-        float(residuals.min()), float(np.median(residuals)), float(residuals.max()),
+        float(residuals.min()), _median(residuals), float(residuals.max()),
         CONSISTENCY_TOL,
     )
 

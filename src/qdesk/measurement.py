@@ -72,10 +72,10 @@ def _validated_indices(scheme: PointerScheme, layout: SubsystemLayout):
     meas = layout.subsystem_named(scheme.measured)
     app = layout.subsystem_named(scheme.apparatus)
     covered = {src for src, _ in scheme.outcome_map}
-    missing = set(meas.label_names()) - covered
+    missing = set(meas.labels) - covered
     if missing:
         raise SchemeError(f"outcome map misses measured labels {sorted(missing)}")
-    extra = covered - set(meas.label_names())
+    extra = covered - set(meas.labels)
     if extra:
         raise SchemeError(f"outcome map references unknown measured labels {sorted(extra)}")
     if app.dimension < meas.dimension + 1:
@@ -83,7 +83,7 @@ def _validated_indices(scheme: PointerScheme, layout: SubsystemLayout):
             f"apparatus dimension {app.dimension} < outcomes+1 = {meas.dimension + 1}"
         )
     ready_idx = app.label_index(scheme.ready_label)
-    outcome_idx = [app.label_index(scheme.outcome_for(lbl)) for lbl in meas.label_names()]
+    outcome_idx = [app.label_index(scheme.outcome_for(lbl)) for lbl in meas.labels]
     return meas, app, ready_idx, outcome_idx
 
 
@@ -178,7 +178,7 @@ def branch_decomposition(s: StateVector, apparatus: str) -> list[Branch]:
     flat, rest_layout = _apparatus_columns(s, apparatus)
     app = s.layout.subsystem_named(apparatus)
     branches = []
-    for k, label in enumerate(app.label_names()):
+    for k, label in enumerate(app.labels):
         branch = _branch_for_label(flat, rest_layout, label, k)
         if branch is not None:
             branches.append(branch)

@@ -45,7 +45,7 @@ def _parse_complex(token: str, line_no: int) -> complex:
 
 
 def _layout_header(layout: SubsystemLayout) -> str:
-    parts = [f"{s.name}={','.join(s.label_names())}" for s in layout.subsystems]
+    parts = [f"{s.name}={','.join(s.labels)}" for s in layout.subsystems]
     return "; ".join(parts)
 
 

@@ -168,12 +168,10 @@ def build_suggestion_unitary(scheme: DecisionScheme, layout: SubsystemLayout) ->
     prep = layout.subsystem_named(scheme.prepared)
     if infl.dimension != 2:
         raise SchemeError(f"influence subsystem {infl.name!r} must have dimension 2")
-    if agent.label_names() != AGENT_LABELS:
-        raise SchemeError(f"agent subsystem needs labels {AGENT_LABELS}, got {agent.label_names()}")
-    if prep.label_names() != PREPARED_LABELS:
-        raise SchemeError(
-            f"prepared subsystem needs labels {PREPARED_LABELS}, got {prep.label_names()}"
-        )
+    if agent.labels != AGENT_LABELS:
+        raise SchemeError(f"agent subsystem needs labels {AGENT_LABELS}, got {agent.labels}")
+    if prep.labels != PREPARED_LABELS:
+        raise SchemeError(f"prepared subsystem needs labels {PREPARED_LABELS}, got {prep.labels}")
     up = scheme.direction.up_state()
     down = scheme.direction.down_state()
     mat = np.kron(np.outer(up, up.conj()), _P_UP) + np.kron(np.outer(down, down.conj()), _P_DOWN)

@@ -68,9 +68,6 @@ class Subsystem:
                 f"subsystem {self.name!r} has no basis label {label_name!r}"
             ) from None
 
-    def label_names(self) -> tuple[str, ...]:
-        return self.labels
-
 
 def subsystem(name: str, labels: Sequence[str]) -> Subsystem:
     """Build a Subsystem from an ordered list of label names."""

@@ -359,6 +359,26 @@ def test_unknown_flag_value_exits_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("command,flag,value", [
+    ("signal", "--seed", "abc"),
+    ("signal", "--format", "xml"),
+    ("signal", "--rounds", "1e3"),
+    ("signal", "--rounds", "0"),
+    ("signal", "--mode", "ray"),
+    ("chsh", "--seed", "1"),
+], ids=["seed_abc", "format_xml", "rounds_1e3", "rounds_0", "mode_on_signal", "seed_on_chsh"])
+def test_flag_error_exits_2_naming_the_flag(tmp_path, command, flag, value):
+    # flags are config entries: a bad one is a config error that main returns, not a SystemExit
+    body = {"signal": SIGNAL_HEAD + "rounds = 5\n",
+            "chsh": "experiment = chsh\ngrid_resolution = 0.1\n"}[command]
+    cfg = write(tmp_path, "c.cfg", body)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = run_cli([command, "--config", cfg, flag, value])
+    assert code == 2 and out == ""
+    assert err.getvalue().startswith(f"config error: {flag}")
+
+
 # ---------------------------------------------------------------------------
 # determinism
 
@@ -410,6 +430,19 @@ def test_strict_solve_without_eigenvalue_one_does_not_load_scipy(tmp_path, metho
              "import qdesk.cli\n"
              "assert qdesk.cli.main(['ctc-solve', '--config', sys.argv[1]]) == 0\n"
              "assert 'scipy' not in sys.modules, 'strict ctc-solve loaded scipy'\n")
+    done = subprocess.run([sys.executable, "-c", probe, cfg], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
+def test_ctc_scan_loads_neither_scipy_nor_numpy_ma(tmp_path):
+    # the scan takes its residual median from a sorted copy: np.median would import numpy.ma
+    cfg = write(tmp_path, "scan.cfg", "experiment = ctc-scan\nscenario = cr_coupled\n"
+                "mode = ray\nsamples = 50\nseed = 3\n")
+    probe = ("import sys\n"
+             "import qdesk.cli\n"
+             "assert qdesk.cli.main(['ctc-scan', '--config', sys.argv[1]]) == 0\n"
+             "assert 'scipy' not in sys.modules, 'ctc-scan loaded scipy'\n"
+             "assert 'numpy.ma' not in sys.modules, 'ctc-scan loaded numpy.ma'\n")
     done = subprocess.run([sys.executable, "-c", probe, cfg], capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
 

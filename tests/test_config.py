@@ -9,7 +9,6 @@ from qdesk.config import (
     CtcSolveConfig,
     MeasureConfig,
     SignalConfig,
-    apply_overrides,
     load_config,
     load_scenario_file,
 )
@@ -139,12 +138,13 @@ def test_config_referencing_scenario_file(tmp_path):
 def test_overrides_win_and_are_validated(tmp_path):
     path = write(tmp_path, "s.cfg",
                  "experiment = signal\nalice_angle = 0\nbob_angle = 0\nrounds = 10\nseed = 1\n")
-    cfg = load_config(path, "signal")
-    cfg = apply_overrides(cfg, seed=99, rounds=20, fmt="csv")
+    cfg = load_config(path, "signal", {"seed": "99", "rounds": "20", "format": "csv"})
     assert isinstance(cfg, SignalConfig)
     assert cfg.seed == 99 and cfg.rounds == 20 and cfg.format == "csv"
-    with pytest.raises(ConfigError):
-        apply_overrides(cfg, mode="ray")  # signal has no mode
+    with pytest.raises(ConfigError, match="^--mode does not apply to signal$"):
+        load_config(path, "signal", {"mode": "ray"})  # signal has no mode
+    with pytest.raises(ConfigError, match="^--rounds: rounds must be in"):
+        load_config(path, "signal", {"rounds": "0"})
 
 
 def test_duplicate_keys_rejected(tmp_path):
@@ -182,10 +182,10 @@ def test_counts_are_capped_at_max_count(tmp_path):
         line = head[kind].count("\n") + 1
         with pytest.raises(ConfigError, match=f"big.cfg:{line}: {key} must be in"):
             load_config(big, kind)
-    cfg = load_config(write(tmp_path, "s.cfg", head["signal"] + "rounds = 10\n"), "signal")
-    assert apply_overrides(cfg, rounds=MAX_COUNT).rounds == MAX_COUNT
-    with pytest.raises(ConfigError, match="rounds must be in"):
-        apply_overrides(cfg, rounds=MAX_COUNT + 1)
+    small = write(tmp_path, "s.cfg", head["signal"] + "rounds = 10\n")
+    assert load_config(small, "signal", {"rounds": str(MAX_COUNT)}).rounds == MAX_COUNT
+    with pytest.raises(ConfigError, match="^--rounds: rounds must be in"):
+        load_config(small, "signal", {"rounds": str(MAX_COUNT + 1)})
     grid = "experiment = chsh\ngrid_resolution = {}\n"
     fine = 2.0 * np.pi / (MAX_COUNT / 2)
     assert load_config(write(tmp_path, "g.cfg", grid.format(fine)), "chsh").grid_resolution == fine
