@@ -324,7 +324,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse's usage error (2) or --help (0)
+        return exc.code
     flags = {k: v for k, v in vars(args).items() if k in _ENTRY_FLAGS and v is not None}
     try:
         cfg = load_config(args.config, args.command, flags)

@@ -20,7 +20,7 @@ the same pairs, traced over the loop instead of over CR, so no full-layout
 density matrix or partial trace is formed anywhere here.
 
 Solvers are pure and deterministic; Haar sampling for admissibility scans
-draws from explicitly derived per-sample seeds.
+draws from explicitly derived per-sample seeds, a block of samples at a time.
 """
 
 from __future__ import annotations
@@ -29,13 +29,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, LayoutError, SolverError
-from .rng import SplitMix64, haar_state, stream_seed
+from .rng import haar_states, stream_seeds
 from .tensor import (
     DensityMatrix,
     StateVector,
     SubsystemLayout,
     UnitaryOperator,
     _permute_operator_axes,
+    _row_norms,
     layout_of,
 )
 
@@ -45,6 +46,7 @@ FIXED_POINT_TOL = 1e-8    # solver contract on the fixed-point residual
 ITERATE_TOL = 1e-10       # successive-iterate trace distance target
 MAX_ITERATIONS = 10_000
 CESARO_WINDOW = 100
+_SCAN_BLOCK = 1 << 14     # normals drawn per block of scan samples
 
 
 @dataclass(frozen=True)
@@ -182,6 +184,18 @@ def linear_consistency_basis(scenario: CtcScenario, mode: str = "strict") -> Con
     return ConsistencySubspace(mode, tuple(pairs), PHASE_TOL)
 
 
+def _residuals(u: np.ndarray, states: np.ndarray, mode: str) -> np.ndarray:
+    """is_consistent_initial_state's residual of each row of states, bit for bit: the stacked
+    products make the calls that U @ s, np.vdot and np.linalg.norm make on one row."""
+    if mode not in ("strict", "ray"):
+        raise ValueError(f"mode must be 'strict' or 'ray', got {mode!r}")
+    image = (u @ states[:, :, None])[:, :, 0]
+    if mode == "ray":
+        overlap = (states.conj()[:, None, :] @ image[:, :, None])[:, 0, 0]
+        states = np.exp(1j * np.angle(overlap))[:, None] * states
+    return _row_norms(image - states)
+
+
 def is_consistent_initial_state(scenario: CtcScenario, s: StateVector,
                                 mode: str = "strict") -> tuple[bool, float]:
     """Single-valuedness residual of s under one loop traversal.
@@ -189,16 +203,9 @@ def is_consistent_initial_state(scenario: CtcScenario, s: StateVector,
     strict: ||U s - s||; ray: ||U s - e^{i phi} s|| at phi = arg<s|U s>,
     which minimizes the residual over all global phases.
     """
-    if mode not in ("strict", "ray"):
-        raise ValueError(f"mode must be 'strict' or 'ray', got {mode!r}")
     if s.layout != scenario.layout:
         raise DimensionMismatchError("state layout differs from scenario layout")
-    image = scenario.loop_unitary.matrix @ s.amplitudes
-    if mode == "strict":
-        residual = float(np.linalg.norm(image - s.amplitudes))
-    else:
-        phi = np.angle(np.vdot(s.amplitudes, image))
-        residual = float(np.linalg.norm(image - np.exp(1j * phi) * s.amplitudes))
+    residual = float(_residuals(scenario.loop_unitary.matrix, s.amplitudes[np.newaxis], mode)[0])
     return residual <= CONSISTENCY_TOL, residual
 
 
@@ -224,24 +231,30 @@ def _median(values: np.ndarray) -> float:
     return float(r[i] if len(r) % 2 else (r[i - 1] + r[i]) / 2)
 
 
+def _scan_residuals(scenario: CtcScenario, n_samples: int, mode: str, seed: int) -> np.ndarray:
+    """Residual of each scan sample, computed a block of samples at a time."""
+    u, seeds = scenario.loop_unitary.matrix, stream_seeds(seed, n_samples)
+    rows = max(1, _SCAN_BLOCK // (2 * len(u)))
+    blocks = (haar_states(seeds[i:i + rows], len(u)) for i in range(0, n_samples, rows))
+    # dividing haar_state's output by its norm again is StateVector's normalization
+    return np.concatenate([_residuals(u, s / _row_norms(s)[:, None], mode) for s in blocks])
+
+
 def admissible_fraction(scenario: CtcScenario, n_samples: int, mode: str,
                         seed: int) -> AdmissibilityScan:
     """Sample Haar-random pure states and test each; deterministic under seed.
 
-    Sample i draws from SplitMix64(stream_seed(seed, i)), so the scan can be
-    partitioned across workers in any order without changing the result.
+    Sample i is StateVector(layout, haar_state(d, SplitMix64(stream_seed(seed, i)))),
+    so the scan can be partitioned across workers in any order without changing the
+    result. Samples are drawn and tested in blocks of about _SCAN_BLOCK normals (memory
+    O(block) besides the residuals), each residual bit for bit is_consistent_initial_state's.
+    That takes two renormalizations, as haar_state and then StateVector divide by the
+    norm: the second norm is 1 only to an ulp, and skipping it moves last bits.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    d = scenario.layout.total_dimension
-    residuals = np.empty(n_samples)
-    admissible = 0
-    for i in range(n_samples):
-        rng = SplitMix64(stream_seed(seed, i))
-        state = StateVector(scenario.layout, haar_state(d, rng))
-        ok, res = is_consistent_initial_state(scenario, state, mode)
-        residuals[i] = res
-        admissible += int(ok)
+    residuals = _scan_residuals(scenario, n_samples, mode, seed)
+    admissible = int(np.count_nonzero(residuals <= CONSISTENCY_TOL))
     return AdmissibilityScan(
         mode, n_samples, seed, admissible, admissible / n_samples,
         float(residuals.min()), _median(residuals), float(residuals.max()),
@@ -336,10 +349,6 @@ def _superoperator(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """Column-stacked matrix of rho -> sum_k L_k rho R_k†, i.e. sum_k conj(R_k) ox L_k."""
     d = left.shape[1]
     return np.einsum("kpq,kij->piqj", right.conj(), left).reshape(d * d, d * d)
-
-
-def _ctc_dimension(scenario: CtcScenario) -> int:
-    return scenario.ctc_layout().total_dimension
 
 
 def _clip_to_density(mat: np.ndarray) -> np.ndarray:
@@ -438,7 +447,7 @@ def deutsch_fixed_point(scenario: CtcScenario, rho_cr_in: DensityMatrix | None =
         raise ValueError(f"method must be 'iterate' or 'spectral', got {method!r}")
     rho_cr = _resolve_cr_input(scenario, rho_cr_in)
     apply_map = induced_loop_map(scenario, rho_cr)
-    d = _ctc_dimension(scenario)
+    d = scenario.ctc_layout().total_dimension
     if method == "iterate":
         rho, residual, iterations = _iterate_fixed_point(apply_map, d)
         dim_fixed = None

@@ -11,9 +11,10 @@ the state. Three properties this module leans on:
   (``stream_seeds``); any execution order gives identical draws;
 * every derived quantity (uniforms, normals, Haar samples) is a pure function
   of the seed, so concurrent use is race-free by construction;
-* Box-Muller normals are computed per call as arrays, bit for bit equal to one
-  at a time: mixing, products and ``sqrt`` are exact or correctly rounded in
-  numpy, and log1p, sin and cos come from libm, as numpy's SIMD ones may differ.
+* Box-Muller normals are computed as arrays, a call or a block of generators
+  at a time (``haar_states``), bit for bit equal to one at a time: mixing,
+  products and ``sqrt`` are exact or correctly rounded in numpy, and log1p,
+  sin and cos come from libm, as numpy's SIMD ones may differ.
 
 There is deliberately no module-level generator: all entropy enters through
 explicit seeds.
@@ -24,6 +25,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .tensor import _row_norms
 
 MASK64 = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
@@ -60,14 +63,18 @@ def stream_seeds(master_seed: int, n: int) -> np.ndarray:
 
 def first_uniforms(seeds: np.ndarray) -> np.ndarray:
     """First uniform draw in [0, 1) of a SplitMix64 started at each seed."""
-    out = _mix64_array(seeds.astype(np.uint64) + np.uint64(GAMMA))
-    return (out >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    return _unit(_mix64_array(seeds.astype(np.uint64) + np.uint64(GAMMA)))
 
 
-def _outputs(state: int, n: int) -> np.ndarray:
-    """The next n raw outputs of a generator at `state` (uint64)."""
+def _unit(raw: np.ndarray) -> np.ndarray:
+    """Uniforms in [0, 1) from raw outputs: their top 53 bits."""
+    return (raw >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+def _outputs(state, n: int) -> np.ndarray:
+    """The next n raw outputs of generators at `state` (int or uint64 array), on a new last axis."""
     idx = np.arange(1, n + 1, dtype=np.uint64)
-    return _mix64_array(np.uint64(state) + idx * np.uint64(GAMMA))
+    return _mix64_array(np.asarray(state, dtype=np.uint64)[..., None] + idx * np.uint64(GAMMA))
 
 
 def _mix64_array(z: np.ndarray) -> np.ndarray:
@@ -77,6 +84,18 @@ def _mix64_array(z: np.ndarray) -> np.ndarray:
     z = z ^ (z >> _SHIFT27)
     z = z * _MULT2_U64
     return z ^ (z >> _SHIFT31)
+
+
+def _libm(f, x: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(f, x.ravel().tolist()), np.float64, x.size).reshape(x.shape)
+
+
+def _box_muller(u: np.ndarray) -> np.ndarray:
+    """Normals from uniforms (..., 2m): each pair u1, u2 on the last axis gives r cos(2 pi u2),
+    r sin(2 pi u2) in its place, with r = sqrt(-2 log1p(-u1)); log1p, cos and sin from libm."""
+    r = np.sqrt(-2.0 * _libm(math.log1p, -u[..., 0::2]))[..., None]
+    angle = 2.0 * math.pi * u[..., 1::2]
+    return (r * np.stack([_libm(math.cos, angle), _libm(math.sin, angle)], -1)).reshape(u.shape)
 
 
 class SplitMix64:
@@ -101,8 +120,8 @@ class SplitMix64:
     def normals(self, n: int) -> np.ndarray:
         """n standard normals as one array computation, bit for bit drawn one at a time.
 
-        Uniforms u1, u2 give r cos(2 pi u2), r sin(2 pi u2) with r = sqrt(-2 log1p(-u1)).
-        A pending spare comes out first; an odd count keeps the last r sin as the spare.
+        Each pair of uniforms gives a _box_muller pair (r cos, r sin). A pending
+        spare comes out first; an odd count keeps the last r sin as the spare.
         """
         if n < 0:
             raise ValueError(f"normals count must be nonnegative, got {n}")
@@ -110,11 +129,8 @@ class SplitMix64:
         if head:
             self._spare_normal = None
         m = (n - len(head) + 1) // 2 * 2
-        u = (_outputs(self._state, m) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        pairs = _box_muller(_unit(_outputs(self._state, m)))
         self._state = (self._state + m * GAMMA) & MASK64
-        r = np.sqrt(-2.0 * np.array(list(map(math.log1p, (-u[0::2]).tolist()))))
-        angle = (2.0 * math.pi * u[1::2]).tolist()
-        pairs = (r * np.array([list(map(math.cos, angle)), list(map(math.sin, angle))])).T.ravel()
         if m > n - len(head):
             self._spare_normal = float(pairs[-1])
         return np.concatenate((head, pairs[:n - len(head)]))
@@ -129,6 +145,14 @@ def haar_state(dim: int, rng: SplitMix64) -> np.ndarray:
     """Haar-random unit vector: complex Gaussian entries, normalized."""
     v = rng.complex_normals(dim)
     return v / np.linalg.norm(v)
+
+
+def haar_states(seeds: np.ndarray, dim: int) -> np.ndarray:
+    """Row i is haar_state(dim, SplitMix64(seeds[i])) bit for bit, for uint64 seeds: all rows'
+    uniforms come from one (n, 2 dim) mixing, their normals from one _box_muller."""
+    xs = _box_muller(_unit(_outputs(seeds, 2 * dim)))
+    v = xs[:, 0::2] + 1j * xs[:, 1::2]
+    return v / _row_norms(v)[:, None]
 
 
 def haar_unitary(dim: int, rng: SplitMix64) -> np.ndarray:

@@ -150,6 +150,13 @@ def _frozen_complex(data, shape) -> np.ndarray:
     return arr
 
 
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(x[i]) for each row of a complex (n, d) x, bit for bit: it too takes
+    re.re + im.im by one dot product of each stride-2 view, as these stacked products do."""
+    re, im = x.real, x.imag
+    return np.sqrt((re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])[:, 0, 0])
+
+
 class StateVector:
     """Normalized pure state over a layout.
 

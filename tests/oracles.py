@@ -301,6 +301,19 @@ def scalar_normals(state: int, spare: float | None, n: int):
     return draws, state, spare
 
 
+def single_residual(u: np.ndarray, s: np.ndarray, mode: str) -> float:
+    """Single-valuedness residual of one unit vector s by per-call numpy functions.
+
+    strict: ||U s - s||; ray: ||U s - e^{i phi} s|| at phi = arg<s|U s>, with
+    one matvec, np.vdot and np.linalg.norm, the calls the stacked kernel must match.
+    """
+    image = u @ s
+    if mode == "strict":
+        return float(np.linalg.norm(image - s))
+    phi = np.angle(np.vdot(s, image))
+    return float(np.linalg.norm(image - np.exp(1j * phi) * s))
+
+
 def inverse_cdf_select(weights, u: float) -> int:
     """Scalar inverse-CDF selection by an explicit running sum.
 

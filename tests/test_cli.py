@@ -379,6 +379,23 @@ def test_flag_error_exits_2_naming_the_flag(tmp_path, command, flag, value):
     assert err.getvalue().startswith(f"config error: {flag}")
 
 
+@pytest.mark.parametrize("args,expected", [
+    (["signal", "--config", "c.cfg", "--rounds", "-1e3"], 2),
+    (["signal", "--config", "c.cfg", "--seed"], 2),
+    (["signal"], 2),
+    (["bogus", "--config", "c.cfg"], 2),
+    (["--help"], 0),
+    (["ctc-scan", "--help"], 0),
+], ids=["rounds_dash_1e3", "seed_without_value", "missing_config", "unknown_subcommand",
+        "help", "subcommand_help"])
+def test_argparse_status_is_returned_not_raised(args, expected):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = run_cli(args)
+    assert code == expected
+    assert (err.getvalue() != "") == (expected == 2) and (out != "") == (expected == 0)
+
+
 # ---------------------------------------------------------------------------
 # determinism
 

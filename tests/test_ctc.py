@@ -29,10 +29,12 @@ from qdesk.ctc import (
     _canonical_basis,
     _loop_operators,
     _median,
+    _SCAN_BLOCK,
+    _scan_residuals,
     _superoperator,
     induced_loop_map,
 )
-from qdesk.rng import SplitMix64, haar_state, haar_unitary, random_density
+from qdesk.rng import SplitMix64, haar_state, haar_unitary, random_density, stream_seed
 from qdesk.tensor import ATOL
 
 from oracles import (
@@ -41,6 +43,7 @@ from oracles import (
     conjugation_superoperator,
     induced_map_oracle,
     kraus_dilation,
+    single_residual,
     unitary_eigensystem,
 )
 
@@ -389,6 +392,34 @@ def test_scan_is_deterministic_under_seed():
     a = admissible_fraction(sc, 100, "ray", seed=9)
     b = admissible_fraction(sc, 100, "ray", seed=9)
     assert a == b
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.sampled_from([1, 2, 3, 6]), st.data())
+def test_scan_residuals_equal_single_sample_residuals_bit_for_bit(seed, qubits, data):
+    # the scan draws and tests a block of samples as arrays; each residual must be
+    # the single-sample computation's, bit for bit, across block boundaries too
+    d = 2 ** qubits
+    n_cr = data.draw(st.integers(0, qubits - 1), label="cr qubits")
+    n = data.draw(st.sampled_from([1, 2, 33, _SCAN_BLOCK // (2 * d) + 1]), label="samples")
+    mode = data.draw(st.sampled_from(["strict", "ray"]), label="mode")
+    kind = data.draw(st.sampled_from(["haar", "identity"]), label="unitary")
+    lay = layout_of(*[(f"q{i}", ("0", "1")) for i in range(qubits)])
+    u = haar_unitary(d, SplitMix64(seed ^ 0x5EED)) if kind == "haar" else np.eye(d)
+    sc = CtcScenario(lay, lay.ids[:n_cr], lay.ids[n_cr:], UnitaryOperator(lay, u))
+
+    states = [StateVector(lay, haar_state(d, SplitMix64(stream_seed(seed, i)))) for i in range(n)]
+    want = np.array([is_consistent_initial_state(sc, s, mode)[1] for s in states])
+    got = _scan_residuals(sc, n, mode, seed)
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    matrix = sc.loop_unitary.matrix
+    numpy_calls = np.array([single_residual(matrix, s.amplitudes, mode) for s in states])
+    assert want.view(np.uint64).tolist() == numpy_calls.view(np.uint64).tolist()
+
+    scan = admissible_fraction(sc, n, mode, seed)
+    assert scan.admissible_count == sum(is_consistent_initial_state(sc, s, mode)[0] for s in states)
+    assert (scan.residual_min, scan.residual_max) == (want.min(), want.max())
+    assert scan.residual_median == statistics.median(want.tolist())
 
 
 @settings(max_examples=300, deadline=None)

@@ -7,6 +7,7 @@ from qdesk.rng import (
     born_select,
     first_uniforms,
     haar_state,
+    haar_states,
     haar_unitary,
     random_density,
     stream_seed,
@@ -114,6 +115,16 @@ def test_haar_state_normalized():
     for seed in range(10):
         v = haar_state(7, SplitMix64(seed))
         assert abs(np.linalg.norm(v) - 1.0) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=12),
+       st.sampled_from([1, 2, 3, 8, 64]))
+def test_haar_states_rows_equal_haar_state_bit_for_bit(seeds, dim):
+    got = haar_states(np.array(seeds, dtype=np.uint64), dim)
+    want = np.array([haar_state(dim, SplitMix64(s)) for s in seeds])
+    assert got.shape == (len(seeds), dim)
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
 def test_haar_unitary_is_unitary_and_deterministic():

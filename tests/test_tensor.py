@@ -17,6 +17,7 @@ from qdesk import (
     subsystem,
 )
 from qdesk.rng import SplitMix64, haar_state, haar_unitary
+from qdesk.tensor import _row_norms
 
 from oracles import embed_general, embed_single_qubit_gate, partial_trace_loops
 
@@ -321,6 +322,14 @@ def test_state_normalizes_and_records_factor():
     assert abs(s.norm_factor - 5.0) < 1e-12
     with pytest.raises(InvariantError):
         spin_state(0, 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 130), st.integers(0, 2**32))
+def test_row_norms_equal_linalg_norm_bit_for_bit(rows, d, seed):
+    x = SplitMix64(seed).complex_normals(rows * d).reshape(rows, d) * 10.0 ** (seed % 7 - 3)
+    want = np.array([np.linalg.norm(row) for row in x])
+    assert _row_norms(x).view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
