@@ -18,6 +18,7 @@ command does not read, included) or an --out path that cannot be written,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import time
 
@@ -121,12 +122,7 @@ def cmd_signal(cfg: SignalConfig) -> tuple[dict, suggestion.SessionRecords]:
         "rounds": cfg.rounds,
         "seed": cfg.seed,
         "convention": "same = (decides_up, up) or (decides_down, down)",
-        "counts": {
-            "n_uu": tally.n_uu,
-            "n_ud": tally.n_ud,
-            "n_du": tally.n_du,
-            "n_dd": tally.n_dd,
-        },
+        "counts": dataclasses.asdict(tally),
         "correlator_sampled": tally.correlator,
         "correlator_exact": suggestion.correlator(alice, bob),
         "no_signaling": {
@@ -134,7 +130,8 @@ def cmd_signal(cfg: SignalConfig) -> tuple[dict, suggestion.SessionRecords]:
             "distant_marginals": [list(m) for m in audit.marginals],
             "max_tv_distance": audit.max_tv_distance,
         },
-        "tolerances": {"undecided_leak": 1e-10, "no_signaling": 1e-10},
+        "tolerances": {"undecided_leak": suggestion.UNDECIDED_LEAK_TOL,
+                       "no_signaling": suggestion.NO_SIGNALING_TOL},
     }
     return payload, records
 
@@ -143,14 +140,14 @@ def cmd_signal(cfg: SignalConfig) -> tuple[dict, suggestion.SessionRecords]:
 # chsh
 
 
+_ANGLE_KEYS = ("a1", "a2", "b1", "b2")
+
+
 def cmd_chsh(cfg: ChshConfig) -> dict:
     payload: dict = {"experiment": cfg.kind}
     if cfg.angles is not None:
         a1, a2, b1, b2 = (suggestion.Direction(t) for t in cfg.angles)
-        payload["angles"] = {
-            "a1": cfg.angles[0], "a2": cfg.angles[1],
-            "b1": cfg.angles[2], "b2": cfg.angles[3],
-        }
+        payload["angles"] = dict(zip(_ANGLE_KEYS, cfg.angles))
         e, s = suggestion._chsh(a1, a2, b1, b2)
         keys = ("E_a1_b1", "E_a1_b2", "E_a2_b1", "E_a2_b2")
         payload["correlators"] = {k: float(v) for k, v in zip(keys, e)}
@@ -162,12 +159,9 @@ def cmd_chsh(cfg: ChshConfig) -> dict:
         payload["grid_size"] = result.grid_size
         payload["s_value"] = result.s_value
         payload["abs_s"] = result.abs_value
-        payload["argmax_angles"] = {
-            "a1": result.angles[0], "a2": result.angles[1],
-            "b1": result.angles[2], "b2": result.angles[3],
-        }
+        payload["argmax_angles"] = dict(zip(_ANGLE_KEYS, result.angles))
     payload["tsirelson_bound"] = suggestion.TSIRELSON_BOUND
-    payload["tolerances"] = {"tsirelson_guard": 1e-9}
+    payload["tolerances"] = {"tsirelson_guard": suggestion.TSIRELSON_GUARD}
     return payload
 
 
@@ -270,24 +264,14 @@ def _ctc_tolerances() -> dict:
 
 def build_report(cfg: RunConfig) -> str:
     """Run one command and render its report text."""
-    if isinstance(cfg, MeasureConfig):
-        payload = cmd_measure(cfg)
-        text = render_payload(payload, cfg.format)
-    elif isinstance(cfg, SignalConfig):
+    if isinstance(cfg, SignalConfig):
         payload, records = cmd_signal(cfg)
-        text = render_signal_csv(records) if cfg.format == "csv" else render_payload(payload, cfg.format)
-    elif isinstance(cfg, ChshConfig):
-        payload = cmd_chsh(cfg)
-        text = render_payload(payload, cfg.format)
-    elif isinstance(cfg, CtcSolveConfig):
-        payload = cmd_ctc_solve(cfg)
-        text = render_payload(payload, cfg.format)
-    elif isinstance(cfg, CtcScanConfig):
-        payload = cmd_ctc_scan(cfg)
-        text = render_payload(payload, cfg.format)
-    else:  # pragma: no cover
-        raise ConfigError(f"unhandled config type {type(cfg).__name__}")
-    return text
+        if cfg.format == "csv":
+            return render_signal_csv(records)
+    else:
+        payload = {MeasureConfig: cmd_measure, ChshConfig: cmd_chsh,
+                   CtcSolveConfig: cmd_ctc_solve, CtcScanConfig: cmd_ctc_scan}[type(cfg)](cfg)
+    return render_payload(payload, cfg.format)
 
 
 def _emit(text: str, out_path: str | None) -> bool:

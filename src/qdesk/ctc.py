@@ -43,6 +43,7 @@ from .tensor import (
 PHASE_TOL = 1e-8          # eigenphase merge width (rad) and strict-mode sigma cutoff
 CONSISTENCY_TOL = 1e-8    # residual below which a state counts as consistent
 FIXED_POINT_TOL = 1e-8    # solver contract on the fixed-point residual
+FIXED_SPACE_TOL = 1e-9    # singular-value cutoff of the superoperator's fixed space
 ITERATE_TOL = 1e-10       # successive-iterate trace distance target
 MAX_ITERATIONS = 10_000
 CESARO_WINDOW = 100
@@ -133,6 +134,23 @@ def _canonical_basis(q: np.ndarray) -> np.ndarray:
     return basis
 
 
+def _fixed_space(m: np.ndarray, tol: float) -> np.ndarray:
+    """Orthonormal columns spanning ker(M - I): the right singular vectors of M - I with
+    sigma <= tol, from one SVD. Up to its backward error, every unit v in their span has
+    ||(M - I) v|| <= tol and every unit v orthogonal to it ||(M - I) v|| > tol.
+
+    Against the rule |lambda - 1| <= tol for a non-normal M: let K = ker(M - I), k = dim K,
+    eigenvalue 1 semisimple (a channel's is, being trace-norm contractive) and Q the spectral
+    projector onto M's other eigenvalues. A unit v orthogonal to K has ||Q v|| >= 1, so
+    sigma_{k+1} >= min |lambda - 1| / kappa with kappa the condition number of M's
+    eigenvectors in range Q; an eigenvector at angle theta to K gives sigma_{k+1} <=
+    |lambda - 1| / sin(theta). The rules keep different spaces only if some lambda != 1
+    has tol sin(theta) < |lambda - 1| <= kappa tol: for normal M, only rounding.
+    """
+    _, sigma, vh = np.linalg.svd(m - np.eye(len(m)))
+    return vh[sigma <= tol].conj().T
+
+
 def _circular_clusters(phases: np.ndarray, tol: float) -> list[list[int]]:
     """Group indices whose phases chain within tol on the circle."""
     order = np.argsort(phases)
@@ -152,9 +170,8 @@ def _circular_clusters(phases: np.ndarray, tol: float) -> list[list[int]]:
 def linear_consistency_basis(scenario: CtcScenario, mode: str = "strict") -> ConsistencySubspace:
     """Eigenspaces of the loop unitary U, filtered by mode, each in its _canonical_basis.
 
-    strict: right singular vectors of U - I with sigma <= PHASE_TOL (one SVD), so each
-            unit s in their span has ||U s - s|| <= PHASE_TOL, the residual that
-            is_consistent_initial_state measures. It may be empty.
+    strict: _fixed_space(U, PHASE_TOL), so each unit s in it has ||U s - s|| <= PHASE_TOL,
+            the residual that is_consistent_initial_state measures. It may be empty.
     ray:    every eigenspace from np.linalg.eig, eigenphases within PHASE_TOL merged,
             each cluster's eigenvectors orthonormalized by QR first.
     For an exact unitary sigma = |e^{i phi} - 1| = 2 |sin(phi / 2)| <= |phi|, so strict
@@ -166,8 +183,7 @@ def linear_consistency_basis(scenario: CtcScenario, mode: str = "strict") -> Con
         raise ValueError(f"mode must be 'strict' or 'ray', got {mode!r}")
     u = scenario.loop_unitary.matrix
     if mode == "strict":
-        _, sigma, vh = np.linalg.svd(u - np.eye(u.shape[0]))
-        null = vh[sigma <= PHASE_TOL].conj().T
+        null = _fixed_space(u, PHASE_TOL)
         pairs = [EigenSpace(0.0, _canonical_basis(null))] if null.shape[1] else []
     else:
         pairs = []
@@ -271,7 +287,8 @@ class DeutschSolution:
     """Fixed point of the induced loop channel, with convergence metadata.
 
     residual is the trace distance between rho_ctc and its image under the
-    map. fixed_space_dim reports the superoperator's eigenvalue-1 dimension
+    map. fixed_space_dim is dim ker(Phi - I) of the induced superoperator Phi,
+    the count of singular values of Phi - I at or below FIXED_SPACE_TOL
     (spectral method only); when it exceeds one, the returned operator is the
     canonical maximum-entropy representative.
     """
@@ -409,18 +426,13 @@ def _iterate_fixed_point(apply_map, d: int):
 
 
 def _spectral_fixed_point(apply_map, sup: np.ndarray, d: int):
-    """Fixed operator from the superoperator's eigenvalue-1 eigenspace.
+    """Fixed operator from the superoperator's fixed space, _fixed_space(sup, FIXED_SPACE_TOL).
 
-    The maximally mixed state is projected orthogonally onto the eigenspace
+    The maximally mixed state is projected orthogonally onto that space
     (adjoint-closed for these maps), Hermitized, clipped, and renormalized;
     the residual is re-verified against the map itself.
     """
-    vals, vecs = np.linalg.eig(sup)
-    sel = np.abs(vals - 1.0) <= 1e-9
-    dim_fixed = int(np.count_nonzero(sel))
-    if dim_fixed == 0:
-        raise SolverError("superoperator has no eigenvalue-1 eigenspace", residual=float("inf"))
-    basis, _ = np.linalg.qr(vecs[:, sel])
+    basis = _fixed_space(sup, FIXED_SPACE_TOL)  # if empty, _clip_to_density raises
     target = (np.eye(d, dtype=np.complex128) / d).reshape(-1, order="F")
     projected = basis @ (basis.conj().T @ target)
     candidate = _clip_to_density(projected.reshape(d, d, order="F"))
@@ -432,7 +444,7 @@ def _spectral_fixed_point(apply_map, sup: np.ndarray, d: int):
         residual = trace_distance(candidate, apply_map(candidate))
     if residual > FIXED_POINT_TOL:
         raise SolverError("spectral fixed point failed verification", residual=residual)
-    return candidate, residual, iterations, dim_fixed
+    return candidate, residual, iterations, basis.shape[1]
 
 
 def deutsch_fixed_point(scenario: CtcScenario, rho_cr_in: DensityMatrix | None = None,

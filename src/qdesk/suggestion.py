@@ -57,6 +57,9 @@ from .tensor import (
 )
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
+TSIRELSON_GUARD = 1e-9      # slack on |S| <= TSIRELSON_BOUND
+UNDECIDED_LEAK_TOL = 1e-10  # undecided/ready weight a round may leave
+NO_SIGNALING_TOL = 1e-10    # spread of Bob's marginals across Alice's settings
 
 INFLUENCE_LABELS = ("up", "down")
 AGENT_LABELS = ("undecided", "decides_up", "decides_down")
@@ -259,7 +262,7 @@ def _checked_weights(alice_thetas: Sequence[float], bob_thetas: Sequence[float],
     """signaling_weights, after checking that no undecided/ready weight survived."""
     w = signaling_weights(alice_thetas, bob_thetas, pair_state)
     leak = float((w[:, 0, :].sum(axis=1) + w[:, :, 0].sum(axis=1)).max())
-    if leak > 1e-10:
+    if leak > UNDECIDED_LEAK_TOL:
         raise InvariantError(f"undecided/ready weight {leak:.3e} survived the round")
     return w
 
@@ -368,7 +371,7 @@ def _chsh(a1: Direction, a2: Direction, b1: Direction, b2: Direction) -> tuple[n
     e = _correlators([a1.theta, a1.theta, a2.theta, a2.theta],
                      [b1.theta, b2.theta, b1.theta, b2.theta])
     s = float(e[0] + e[1] + e[2] - e[3])
-    if abs(s) > TSIRELSON_BOUND + 1e-9:
+    if abs(s) > TSIRELSON_BOUND + TSIRELSON_GUARD:
         raise InvariantError(f"CHSH value {s} exceeds the quantum bound")
     return e, s
 
@@ -454,13 +457,16 @@ def no_signaling_audit(alice_dirs: Sequence[Direction], bob_dir: Direction,
     """Check that Bob's marginal ignores Alice's steering direction.
 
     Computes the exact marginal distribution of the pointer outcome for each
-    Alice setting and reports the maximum pairwise total-variation distance;
-    for any pair state it is zero to rounding, because steering is local.
+    Alice setting, from the checked weights, and reports the maximum pairwise
+    total-variation distance; for any pair state it is zero to rounding,
+    because steering is local, and above NO_SIGNALING_TOL it raises.
     """
     thetas = [d.theta for d in alice_dirs]
     if len(set(thetas)) < 2:
         raise ValueError("need at least two distinct alice settings to audit")
-    bob = signaling_weights(thetas, [bob_dir.theta] * len(thetas), pair_state).sum(axis=1)
+    bob = _checked_weights(thetas, [bob_dir.theta] * len(thetas), pair_state).sum(axis=1)
     marginals = [(float(p[1]), float(p[2])) for p in bob]
     max_tv = float(0.5 * np.abs(bob[:, None, 1:] - bob[None, :, 1:]).sum(axis=2).max())
+    if max_tv > NO_SIGNALING_TOL:
+        raise InvariantError(f"distant marginals differ by {max_tv:.3e} across alice settings")
     return NoSignalingAudit(tuple(thetas), bob_dir.theta, tuple(marginals), max_tv)

@@ -21,6 +21,7 @@ builds a full-layout matrix by the same contraction.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -99,10 +100,7 @@ class SubsystemLayout:
 
     @property
     def total_dimension(self) -> int:
-        n = 1
-        for d in self.dims:
-            n *= d
-        return n
+        return math.prod(self.dims)
 
     def position(self, subsystem_id: str) -> int:
         for i, s in enumerate(self.subsystems):
@@ -306,7 +304,7 @@ def apply_unitary_stack(u_layout: SubsystemLayout, mats: np.ndarray, t: np.ndarr
     _check_unitary(mats)
     out = _apply_local(u_layout, mats, t, layout)
     flat = out.reshape(len(out), -1)
-    norms = np.array([np.linalg.norm(row) for row in flat])  # all rows at once sum in another order
+    norms = _row_norms(flat)
     worst = norms[np.abs(norms - 1.0).argmax()] - 1.0
     if abs(worst) > ATOL:
         raise InvariantError(f"unitary application changed the norm by {worst:.3e}")

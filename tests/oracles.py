@@ -348,6 +348,16 @@ def unitary_eigensystem(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return phases, z
 
 
+def eig_fixed_space(sup: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of a superoperator's eigenvalue-1 eigenspace from np.linalg.eig.
+
+    The eigendecomposition reference for ctc._fixed_space: the eigenvectors with
+    |lambda - 1| <= 1e-9, orthonormalized by QR.
+    """
+    vals, vecs = np.linalg.eig(sup)
+    return np.linalg.qr(vecs[:, np.abs(vals - 1.0) <= 1e-9])[0]
+
+
 def kraus_dilation(kraus: list[np.ndarray]) -> np.ndarray:
     """Unitary on (env ox sys) acting as the channel for env input |0>.
 

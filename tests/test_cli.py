@@ -125,6 +125,65 @@ def test_invariant_violation_exits_4(tmp_path, monkeypatch):
     assert code == 4
 
 
+def test_signaling_audit_above_tolerance_exits_4(tmp_path, monkeypatch):
+    from qdesk import suggestion
+
+    exact = suggestion.signaling_weights
+
+    def signaling(alice_thetas, bob_thetas, pair_state=None):
+        # every row after the first moves 1e-9 of Bob's weight from down to up
+        w = exact(alice_thetas, bob_thetas, pair_state)
+        w[1:, 1, 1] += 1e-9
+        w[1:, 1, 2] -= 1e-9
+        return w
+
+    monkeypatch.setattr(suggestion, "signaling_weights", signaling)
+    cfg = write(tmp_path, "s.cfg", "experiment = signal\nalice_angle = 0.3\nbob_angle = 1.2\n"
+                "rounds = 10\nseed = 1\n")
+    code, out = run_cli(["signal", "--config", cfg])
+    assert code == 4 and out == ""
+
+
+SMALL_CONFIGS = {
+    "measure": "experiment = measure\nstate = bell\n",
+    "signal": "experiment = signal\nalice_angle = 0.3\nbob_angle = 1.2\nrounds = 10\nseed = 1\n",
+    "chsh": "experiment = chsh\ngrid_resolution = 0.5\n",
+    "ctc-solve": "experiment = ctc-solve\nscenario = cr_coupled\nmethod = spectral\n",
+    "ctc-scan": "experiment = ctc-scan\nscenario = cr_coupled\nsamples = 10\nseed = 1\n",
+}
+
+
+@pytest.mark.parametrize("command", sorted(SMALL_CONFIGS))
+def test_reports_echo_the_module_tolerances(tmp_path, command):
+    from qdesk import ctc, measurement, suggestion
+
+    loop = {"phase": ctc.PHASE_TOL, "consistency": ctc.CONSISTENCY_TOL,
+            "fixed_point": ctc.FIXED_POINT_TOL, "iterate": ctc.ITERATE_TOL}
+    expected = {
+        "measure": {"branch_prune": measurement.BRANCH_PRUNE_EPS,
+                    "ready_weight": measurement.READY_WEIGHT_TOL},
+        "signal": {"undecided_leak": suggestion.UNDECIDED_LEAK_TOL,
+                   "no_signaling": suggestion.NO_SIGNALING_TOL},
+        "chsh": {"tsirelson_guard": suggestion.TSIRELSON_GUARD},
+        "ctc-solve": loop,
+        "ctc-scan": loop,
+    }[command]
+    code, out = run_cli([command, "--config", write(tmp_path, "c.cfg", SMALL_CONFIGS[command])])
+    assert code == 0
+    assert list(json.loads(out)["tolerances"].items()) == list(expected.items())
+
+
+@pytest.mark.parametrize("command,name", [("signal", "UNDECIDED_LEAK_TOL"),
+                                          ("signal", "NO_SIGNALING_TOL"),
+                                          ("chsh", "TSIRELSON_GUARD")])
+def test_echoed_signaling_tolerances_are_the_enforced_ones(tmp_path, monkeypatch, command, name):
+    from qdesk import suggestion
+
+    monkeypatch.setattr(suggestion, name, -10.0)  # a bound every checked quantity exceeds
+    code, _ = run_cli([command, "--config", write(tmp_path, "c.cfg", SMALL_CONFIGS[command])])
+    assert code == 4
+
+
 def test_chsh_with_explicit_angles(tmp_path):
     a2 = math.pi / 2
     b1 = -math.pi / 4
@@ -679,14 +738,17 @@ def test_haar_scan_reports_match_pinned_digests(tmp_path, seed, digest):
 # Strict ctc-solve on generic loops, recorded before strict mode learned to
 # certify "no eigenvalue near 1" without a Schur decomposition: none of these
 # unitaries has an eigenvalue-1 space, so each report's linear block is empty.
+# The spectral rows were re-recorded once, when the superoperator's fixed space
+# became an SVD null space instead of an eig selection: rho_ctc, residual and
+# cr_output moved by under 1e-15, and no other field moved.
 GENERIC_SCENARIOS = {"haar_1_2": (1, 2, 11), "haar_2_2": (2, 2, 12), "haar_2_1": (2, 1, 13)}
 PINNED_GENERIC_SOLVE = [
     ("haar_1_2", "iterate", "a7000a30bab748aa5e43305e786b0933fcd2867452ba5a2563327faaf10d820e"),
-    ("haar_1_2", "spectral", "69574be14fad6a5d0d675657e67a926dfd97294a2ed670aef13180737a2c5fb9"),
+    ("haar_1_2", "spectral", "de308063165e791735f220f48db1b7b490a4fb0ff9cf93a4f7224b716c4ccd08"),
     ("haar_2_2", "iterate", "3429867ee625489751c533e90f62e3dadb1612b1f0f71862ef7126d6e57e1121"),
-    ("haar_2_2", "spectral", "1312800f420d11741806a72728761911555bcdca05a3cb808f210c6a4caa0d19"),
+    ("haar_2_2", "spectral", "52985790af61fd429879cf7e1d0410488593de834486f4aaa8e8212b3ffedda8"),
     ("haar_2_1", "iterate", "5ecdf530e859a91dc32d6f2be31b2cf4f3545667980d002ca75be7c2513d38e0"),
-    ("haar_2_1", "spectral", "743a21b8f0842abfb5366a565143ec571a637fe6c059ec90cc52382af7058427"),
+    ("haar_2_1", "spectral", "38eeb7383ddf4b066aace61aa326b16cae91c7e18349848a98d189f63051690b"),
 ]
 
 

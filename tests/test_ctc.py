@@ -4,7 +4,7 @@ import statistics
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from qdesk import (
     CtcScenario,
@@ -24,9 +24,11 @@ from qdesk import (
     trace_distance,
 )
 from qdesk.ctc import (
+    FIXED_SPACE_TOL,
     PHASE_TOL,
     DeutschSolution,
     _canonical_basis,
+    _fixed_space,
     _loop_operators,
     _median,
     _SCAN_BLOCK,
@@ -41,6 +43,7 @@ from oracles import (
     apply_columnstacked,
     columnwise_superoperator,
     conjugation_superoperator,
+    eig_fixed_space,
     induced_map_oracle,
     kraus_dilation,
     single_residual,
@@ -541,13 +544,17 @@ def test_identity_loop_returns_canonical_maximally_mixed():
     assert deutsch_fixed_point(sc, None, "spectral").fixed_space_dim == 4
 
 
-def test_controlled_flip_with_cr_control_states():
-    # control = mem (CR), target = loop
+def memory_controlled_flip() -> np.ndarray:
+    """CNOT on (mem, loop) with control = mem (CR), target = loop."""
     cnot = np.zeros((4, 4), dtype=complex)
     for m in range(2):
         for l in range(2):
             cnot[(m << 1) | (l ^ m), (m << 1) | l] = 1.0
-    sc = two_qubit_scenario(cnot)
+    return cnot
+
+
+def test_controlled_flip_with_cr_control_states():
+    sc = two_qubit_scenario(memory_controlled_flip())
 
     off = cr_density(sc, np.diag([1.0, 0.0]))
     apply_off = induced_loop_map(sc, off)
@@ -604,6 +611,74 @@ def test_methods_agree_on_nonunique_fixed_point():
     sp = deutsch_fixed_point(sc, rho_cr, "spectral")
     assert sp.fixed_space_dim == 3
     assert trace_distance(it.rho_ctc.matrix, sp.rho_ctc.matrix) <= 1e-8
+
+
+def assert_fixed_space_matches_eig(sup: np.ndarray) -> int:
+    """_fixed_space(sup, FIXED_SPACE_TOL) and the eig selection: one dimension, one projector."""
+    basis, ref = _fixed_space(sup, FIXED_SPACE_TOL), eig_fixed_space(sup)
+    assert basis.shape == ref.shape
+    assert np.abs(basis @ basis.conj().T - ref @ ref.conj().T).max() <= 1e-12
+    return basis.shape[1]
+
+
+def weakly_coupled_unitary(d: int, theta: float, rng: SplitMix64) -> np.ndarray:
+    """exp(-i theta H) for a random Hermitian H of spectral norm 1."""
+    a = rng.complex_normals(d * d).reshape(d, d)
+    vals, vecs = np.linalg.eigh((a + a.conj().T) / 2.0)
+    return (vecs * np.exp(-1j * theta * vals / np.abs(vals).max())) @ vecs.conj().T
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_cr=st.integers(0, 2), n_loop=st.integers(1, 2), weak=st.booleans(),
+       theta=st.floats(0.25, 0.35), pure_cr=st.booleans(), seed=st.integers(0, 2**64 - 1))
+def test_fixed_space_equals_eig_selection(n_cr, n_loop, weak, theta, pure_cr, seed):
+    """The SVD fixed space of the superoperator is the eig selection's, on Haar loops and on
+    weakly coupled exp(-i theta H) loops with 0-2 CR qubits and a pure or mixed CR input.
+
+    Any two solvers' projectors agree to order 1e-16 / gap, with gap the distance from 1 to
+    the nearest other eigenvalue of the superoperator: about 1e-1 on Haar loops and 1e-2
+    on these weakly coupled ones. A rare weakly coupled draw has a gap near 1e-4, where the
+    two projectors differ by about 1.5e-12; draws with a gap below 1e-3 are rejected.
+    """
+    rng = SplitMix64(seed)
+    ids = [f"c{i}" for i in range(n_cr)] + [f"l{i}" for i in range(n_loop)]
+    lay = layout_of(*[(q, ("b0", "b1")) for q in ids])
+    d = lay.total_dimension
+    u = weakly_coupled_unitary(d, theta, rng) if weak else haar_unitary(d, rng)
+    sc = CtcScenario(lay, tuple(ids[:n_cr]), tuple(ids[n_cr:]), UnitaryOperator(lay, u))
+    rho_cr = None
+    if n_cr:
+        mixed = random_density(2 ** n_cr, rng)
+        rho_cr = cr_density(sc, np.diag(np.eye(2 ** n_cr)[0]) if pure_cr else mixed)
+    sup = _superoperator(*_loop_operators(sc, rho_cr))
+    distance = np.abs(np.linalg.eigvals(sup) - 1.0)
+    assume(distance[distance > 1e-9].min() >= 1e-3)
+    assert_fixed_space_matches_eig(sup)
+
+
+def pinned_permutation_loop(name: str):
+    """The permutation and conjugation loops whose fixed_space_dim the tests above pin."""
+    if name in ("qubit_flip", "cr_coupled"):
+        sc = grandfather_scenario(name)
+        return sc, None if name == "qubit_flip" else cr_density(sc, np.diag([1.0, 0.0]))
+    if name == "identity":
+        return qubit_scenario(np.eye(2)), None
+    if name in ("controlled_flip_off", "controlled_flip_on"):
+        sc = two_qubit_scenario(memory_controlled_flip())
+        return sc, cr_density(sc, np.diag([1.0, 0.0] if name.endswith("off") else [0.0, 1.0]))
+    qubit = ("b0", "b1")
+    lay = layout_of(("m", qubit), ("l0", qubit), ("l1", qubit))
+    sc = CtcScenario(lay, ("m",), ("l0", "l1"),
+                     UnitaryOperator(lay, np.eye(8)[:, [7, 6, 2, 4, 1, 5, 3, 0]]))
+    return sc, cr_density(sc, np.diag([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("name,dim", [("cr_coupled", 1), ("qubit_flip", 2),
+                                      ("controlled_flip_on", 2), ("nonunique_permutation", 3),
+                                      ("identity", 4), ("controlled_flip_off", 4)])
+def test_fixed_space_of_permutation_loops_equals_eig_selection(name, dim):
+    sc, rho_cr = pinned_permutation_loop(name)
+    assert assert_fixed_space_matches_eig(_superoperator(*_loop_operators(sc, rho_cr))) == dim
 
 
 def test_oscillating_channel_exercises_the_averaging_fallback():

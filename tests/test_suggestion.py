@@ -419,6 +419,15 @@ def test_audit_requires_two_distinct_settings():
         no_signaling_audit([Direction(0.0), Direction(0.0)], Direction(0.0))
 
 
+def test_audit_reads_the_leak_checked_weights(monkeypatch):
+    from qdesk import suggestion
+    from qdesk.errors import InvariantError
+
+    monkeypatch.setattr(suggestion, "UNDECIDED_LEAK_TOL", -1.0)  # every round now leaks
+    with pytest.raises(InvariantError, match="undecided/ready"):
+        no_signaling_audit([Direction(0.0), Direction(1.0)], Direction(0.3))
+
+
 def test_bell_pair_state_is_the_balanced_updown_superposition():
     s = bell_pair_state()
     assert abs(s.amplitudes[1] - 1 / SQ2) < 1e-12
