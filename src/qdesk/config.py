@@ -13,9 +13,11 @@ file value, each applied once, where the value is read. An error names
 ``path:line`` for a file entry and ``--key`` for a flag; a flag the
 experiment does not read is an error as well.
 
-Scenario files for the loop experiments either name a built-in variant or
-carry the partition lists plus an inline serialized unitary after a
-``unitary:`` marker line.
+A built-in loop is named by the config entry ``scenario``. A scenario file
+(``scenario_file``) carries the partition lists ``cr_ids`` and ``ctc_ids``,
+then an inline serialized unitary after a ``unitary:`` marker line. Config
+and scenario files share one reader: a line ends at LF, CR LF or CR, and at
+no other character.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .errors import (
     InvariantError,
     LayoutError,
 )
-from .serialization import _content_lines, parse_unitary
+from .serialization import _content_lines, _split_lines, parse_unitary
 from .tensor import UnitaryOperator
 
 EXPERIMENT_KINDS = ("measure", "signal", "chsh", "ctc-solve", "ctc-scan")
@@ -45,14 +47,19 @@ MAX_COUNT = 10**9
 _SEED_RANGE = (-(2**63), 2**64 - 1)
 
 
-def parse_flat_file(path: str) -> dict[str, tuple[str, int]]:
-    """Parse ``key = value`` lines; returns {key: (value, line_number)}."""
+def _read_lines(path: str, what: str) -> list[str]:
+    """The lines of a UTF-8 file; a file that cannot be read or decoded is a ConfigError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
+            text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config: {exc}", path=path) from exc
-    return _parse_lines(_content_lines(lines), path)
+        raise ConfigError(f"cannot read {what}: {exc}", path=path) from exc
+    return _split_lines(text)
+
+
+def parse_flat_file(path: str) -> dict[str, tuple[str, int]]:
+    """Parse ``key = value`` lines; returns {key: (value, line_number)}."""
+    return _parse_lines(_content_lines(_read_lines(path, "config")), path)
 
 
 def _parse_lines(content: list[tuple[int, str]], path: str) -> dict[str, tuple[str, int]]:
@@ -195,14 +202,8 @@ RunConfig = MeasureConfig | SignalConfig | ChshConfig | CtcSolveConfig | CtcScan
 
 
 def load_scenario_file(path: str) -> CtcScenario:
-    """Scenario file: a named variant, or partition lists + inline unitary."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read scenario file: {exc}", path=path) from exc
-
-    lines = text.splitlines()
+    """Scenario file: partition lists, then an inline unitary after a 'unitary:' line."""
+    lines = _read_lines(path, "scenario file")
     head = _content_lines(lines)
     unitary_text: str | None = None
     for i, (no, line) in enumerate(head):
@@ -212,21 +213,11 @@ def load_scenario_file(path: str) -> CtcScenario:
             break
 
     ent = _Entries(path, _parse_lines(head, path))
-    variant = ent.get_str("variant")
-    if variant is not None:
-        ent.reject_unknown("a scenario file")
-        if unitary_text is not None:
-            ent.fail("variant scenarios must not carry an inline unitary")
-        try:
-            return grandfather_scenario(variant)
-        except ValueError as exc:
-            raise ConfigError(str(exc), path=path) from exc
-
     cr_raw = ent.get_str("cr_ids", default="")
-    ctc_raw = ent.get_str("ctc_ids", required=True)
+    ctc_raw = ent.get_str("ctc_ids")
     ent.reject_unknown("a scenario file")
-    if unitary_text is None:
-        ent.fail("scenario needs 'variant = ...' or a 'unitary:' section")
+    if ctc_raw is None or unitary_text is None:
+        ent.fail("a scenario file needs 'ctc_ids = ...' and a 'unitary:' section")
     try:
         unitary: UnitaryOperator = parse_unitary(unitary_text)
     except (FormatError, LayoutError, InvariantError) as exc:

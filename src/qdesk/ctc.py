@@ -35,7 +35,6 @@ from .tensor import (
     StateVector,
     SubsystemLayout,
     UnitaryOperator,
-    _permute_operator_axes,
     _row_norms,
     layout_of,
 )
@@ -60,10 +59,8 @@ class CtcScenario:
     loop_unitary: UnitaryOperator
 
     def __post_init__(self):
-        if set(self.cr_ids) & set(self.ctc_ids):
-            raise LayoutError("cr and ctc id sets overlap")
-        if set(self.cr_ids) | set(self.ctc_ids) != set(self.layout.ids):
-            raise LayoutError("cr + ctc ids must cover the layout exactly")
+        if sorted([*self.cr_ids, *self.ctc_ids]) != sorted(self.layout.ids):
+            raise LayoutError("cr + ctc ids must name every layout subsystem exactly once")
         if not self.ctc_ids:
             raise LayoutError("scenario needs at least one loop subsystem")
         if self.loop_unitary.layout != self.layout:
@@ -314,13 +311,6 @@ def _resolve_cr_input(scenario: CtcScenario, rho_cr_in: DensityMatrix | None) ->
     return rho_cr_in
 
 
-def _cr_then_loop(scenario: CtcScenario) -> list[int]:
-    """Layout positions of the CR subsystems, then of the loop subsystems."""
-    lay = scenario.layout
-    return (sorted(lay.position(sid) for sid in scenario.cr_ids)
-            + sorted(lay.position(sid) for sid in scenario.ctc_ids))
-
-
 def _loop_operators(scenario: CtcScenario,
                     rho_cr: DensityMatrix | None) -> tuple[np.ndarray, np.ndarray]:
     """Operator pairs (L_k, R_k) with Tr_CR[ U (rho_cr ox rho) U† ] = sum_k L_k rho R_k†.
@@ -338,7 +328,9 @@ def _loop_operators(scenario: CtcScenario,
         return u[np.newaxis], u[np.newaxis]
     d_cr = rho_cr.matrix.shape[0]
     d = u.shape[0] // d_cr
-    ordered = _permute_operator_axes(u, scenario.layout.dims, _cr_then_loop(scenario))
+    lay = scenario.layout
+    perm = sorted(map(lay.position, scenario.cr_ids)) + sorted(map(lay.position, scenario.ctc_ids))
+    ordered = u.reshape(lay.dims * 2).transpose(perm + [p + len(perm) for p in perm])
     blocks = ordered.reshape(d_cr, d, d_cr, d).transpose(0, 2, 1, 3)  # blocks[a, b] = T[a, b]
     kept = np.flatnonzero(np.any(rho_cr.matrix != 0, axis=0))
     left = np.einsum("bc,abij->acij", rho_cr.matrix[:, kept], blocks)

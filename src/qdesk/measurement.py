@@ -138,10 +138,7 @@ class Branch:
 
 def apparatus_weights(s: StateVector, apparatus: str) -> np.ndarray:
     """Born weights of every apparatus label, in label index order (unpruned)."""
-    pos = s.layout.position(apparatus)
-    t = np.moveaxis(s.tensor(), pos, -1)
-    flat = t.reshape(-1, s.layout.dims[pos])
-    return np.sum(np.abs(flat) ** 2, axis=0)
+    return np.sum(np.abs(_apparatus_columns(s, apparatus)) ** 2, axis=0)
 
 
 def _branch_for_label(flat: np.ndarray, rest_layout: SubsystemLayout,
@@ -158,15 +155,17 @@ def _branch_for_label(flat: np.ndarray, rest_layout: SubsystemLayout,
     return Branch(label, weight, conditional, amplitude)
 
 
-def _apparatus_columns(s: StateVector, apparatus: str) -> tuple[np.ndarray, SubsystemLayout]:
+def _apparatus_columns(s: StateVector, apparatus: str) -> np.ndarray:
+    """s as a (rest, apparatus) matrix; its rows follow _rest_layout's order."""
     pos = s.layout.position(apparatus)
-    app = s.layout.subsystems[pos]
+    return np.moveaxis(s.tensor(), pos, -1).reshape(-1, s.layout.dims[pos])
+
+
+def _rest_layout(s: StateVector, apparatus: str) -> SubsystemLayout:
     rest_ids = [sid for sid in s.layout.ids if sid != apparatus]
     if not rest_ids:
         raise LayoutError("cannot decompose: layout has only the apparatus subsystem")
-    rest_layout = s.layout.sub_layout(rest_ids)
-    t = np.moveaxis(s.tensor(), pos, -1)
-    return t.reshape(-1, app.dimension), rest_layout  # rows follow rest_layout order
+    return s.layout.sub_layout(rest_ids)
 
 
 def branch_decomposition(s: StateVector, apparatus: str) -> list[Branch]:
@@ -175,7 +174,8 @@ def branch_decomposition(s: StateVector, apparatus: str) -> list[Branch]:
     One Branch per apparatus label of weight > BRANCH_PRUNE_EPS, in label
     index order; conditional states live on the remaining sub-layout.
     """
-    flat, rest_layout = _apparatus_columns(s, apparatus)
+    flat = _apparatus_columns(s, apparatus)
+    rest_layout = _rest_layout(s, apparatus)
     app = s.layout.subsystem_named(apparatus)
     branches = []
     for k, label in enumerate(app.labels):
@@ -214,7 +214,8 @@ def sample_branch(s: StateVector, apparatus: str, rng_seed: int) -> tuple[Branch
     pointer label, remainder equal to the conditional state). Raises
     ProtocolError if the picked label's weight is at most BRANCH_PRUNE_EPS.
     """
-    flat, rest_layout = _apparatus_columns(s, apparatus)
+    flat = _apparatus_columns(s, apparatus)
+    rest_layout = _rest_layout(s, apparatus)
     idx = int(sample_labels(s, apparatus, np.array([rng_seed & MASK64], dtype=np.uint64))[0])
     label = s.layout.subsystem_named(apparatus).labels[idx]
     branch = _branch_for_label(flat, rest_layout, label, idx)

@@ -1,6 +1,6 @@
 """Structured-text serialization of states, density matrices, and unitaries.
 
-Format (UTF-8, line-oriented):
+Format (UTF-8; a line ends at LF, CR LF or CR, and nowhere else):
 
     qdesk-object: state            # or: density | unitary
     layout: spin=up,down; meter=ready,saw_up,saw_down
@@ -80,6 +80,14 @@ def serialize_unitary(u: UnitaryOperator) -> str:
     return _serialize("unitary", u.layout, rows)
 
 
+def _split_lines(text: str) -> list[str]:
+    """Lines of text, broken at \\n, \\r\\n and \\r only; a final break opens no empty line."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    return lines[:-1] if text.endswith("\n") else lines
+
+
 def _content_lines(lines: list[str]) -> list[tuple[int, str]]:
     """(line number, stripped line) of every line that is not blank or a # comment."""
     numbered = ((no, ln.strip()) for no, ln in enumerate(lines, start=1))
@@ -87,7 +95,7 @@ def _content_lines(lines: list[str]) -> list[tuple[int, str]]:
 
 
 def _parse_header(text: str) -> tuple[str, SubsystemLayout, list[str], list[int]]:
-    content = _content_lines(text.splitlines())
+    content = _content_lines(_split_lines(text))
     if len(content) < 3:
         raise FormatError("serialized object needs at least 3 lines (kind, layout, data)")
     (no0, l0), (no1, l1), (no2, l2) = content[0], content[1], content[2]

@@ -30,8 +30,8 @@ steering and 6x6 rotated-meter stacks from cos/sin, checks each stack once
 and applies it with the batch axis first. A single pair is a one-row call:
 ``correlator``, ``joint_distribution`` and ``sample_rounds`` read one row,
 ``chsh_value`` four, and the CHSH grid and the no-signaling audit many.
-The exact quantities share one undecided/ready leak check and one
-correlator range check, each made on the whole row stack.
+All of them share one undecided/ready leak check, and the exact quantities
+one correlator range check, each made on the whole row stack.
 
 Everything is a pure function; sessions draw all randomness from explicitly
 derived per-round seeds, so any execution order gives identical tallies.
@@ -303,7 +303,7 @@ def sample_rounds(alice_dir: Direction, bob_dir: Direction, seeds: np.ndarray) -
     once; round i depends only on seeds[i], so a one-element uint64 array
     replays a single round.
     """
-    w = signaling_weights([alice_dir.theta], [bob_dir.theta])[0]
+    w = _checked_weights([alice_dir.theta], [bob_dir.theta])[0]
     agent, pointer = np.divmod(born_select(w.reshape(-1), first_uniforms(seeds)), w.shape[1])
     if not (agent.all() and pointer.all()):
         raise InvariantError("sampled a zero-weight undecided/ready cell")

@@ -311,15 +311,6 @@ def apply_unitary_stack(u_layout: SubsystemLayout, mats: np.ndarray, t: np.ndarr
     return (flat / norms[:, None]).reshape(out.shape)
 
 
-def _permute_operator_axes(mat: np.ndarray, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
-    """Reorder an operator's subsystems: new axis i takes old axis perm[i]."""
-    n = len(dims)
-    total = int(np.prod(dims))
-    t = mat.reshape(tuple(dims) + tuple(dims))
-    t = t.transpose(tuple(perm) + tuple(p + n for p in perm))
-    return np.ascontiguousarray(t).reshape(total, total)
-
-
 def embed_operator(u: UnitaryOperator, target: SubsystemLayout) -> UnitaryOperator:
     """Extend u by the identity onto `target`, permuting as needed.
 

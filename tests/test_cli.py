@@ -280,10 +280,33 @@ def test_non_utf8_config_exits_2(tmp_path):
 
 
 def test_non_utf8_scenario_file_exits_2(tmp_path):
-    (tmp_path / "bad.scenario").write_bytes(b"variant = cr_coupled\n# \xff\n")
+    (tmp_path / "bad.scenario").write_bytes(b"ctc_ids = loop\n# \xff\n")
     cfg = write(tmp_path, "c.cfg", "experiment = ctc-solve\nscenario_file = bad.scenario\n")
     stderr = assert_exit_2_without_traceback(["ctc-solve", "--config", cfg])
     assert "bad.scenario" in stderr
+
+
+def test_scenario_file_variant_line_exits_2_naming_it(tmp_path):
+    # a built-in loop is named by the config entry 'scenario', never inside a scenario file
+    scenario = write(tmp_path, "v.scenario", "# the flip loop\nvariant = qubit_flip\n")
+    cfg = write(tmp_path, "c.cfg", "experiment = ctc-solve\nscenario_file = v.scenario\n")
+    stderr = assert_exit_2_without_traceback(["ctc-solve", "--config", cfg])
+    assert f"{scenario}:2: unknown key 'variant' for a scenario file" in stderr
+
+
+@pytest.mark.parametrize("ids", ["cr_ids = memory,memory\nctc_ids = loop",
+                                 "cr_ids = memory\nctc_ids = loop,memory",
+                                 "ctc_ids = loop,loop,memory"],
+                         ids=["cr_twice", "in_both", "ctc_twice"])
+@pytest.mark.parametrize("kind", ["ctc-solve", "ctc-scan"])
+def test_scenario_file_repeating_an_id_exits_2(tmp_path, ids, kind):
+    write(tmp_path, "dup.scenario", f"{ids}\nunitary:\nqdesk-object: unitary\n"
+          "layout: memory=b0,b1; loop=b0,b1\ndata:\n"
+          "0,0 0,0 0,0 1,0\n1,0 0,0 0,0 0,0\n0,0 1,0 0,0 0,0\n0,0 0,0 1,0 0,0\n")
+    cfg = write(tmp_path, "c.cfg", f"experiment = {kind}\nscenario_file = dup.scenario\n"
+                + ("samples = 5\nseed = 1\n" if kind == "ctc-scan" else ""))
+    stderr = assert_exit_2_without_traceback([kind, "--config", cfg])
+    assert "inconsistent scenario: cr + ctc ids must name every layout subsystem" in stderr
 
 
 def test_unwritable_out_path_exits_2(tmp_path):

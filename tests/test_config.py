@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qdesk import ConfigError, UnitaryOperator, layout_of, serialize_unitary
+from qdesk import ConfigError, UnitaryOperator, grandfather_scenario, layout_of, serialize_unitary
 from qdesk.config import (
     MAX_COUNT,
     ChshConfig,
@@ -112,12 +112,6 @@ def test_scenario_file_with_inline_unitary(tmp_path):
     assert np.array_equal(sc.loop_unitary.matrix, np.eye(4))
 
 
-def test_scenario_file_variant(tmp_path):
-    path = write(tmp_path, "v.scenario", "variant = qubit_flip\n")
-    sc = load_scenario_file(path)
-    assert sc.ctc_ids == ("loop",)
-
-
 def test_scenario_file_partition_must_match_unitary(tmp_path):
     lay = layout_of(("mem", ("b0", "b1")), ("loop", ("b0", "b1")))
     u = UnitaryOperator(lay, np.eye(4))
@@ -126,13 +120,44 @@ def test_scenario_file_partition_must_match_unitary(tmp_path):
         load_scenario_file(write(tmp_path, "bad.scenario", text))
 
 
+def _cr_coupled_file_text(sep: str = "\n") -> str:
+    """cr_coupled's loop as a scenario file; sep ends its first line."""
+    u = grandfather_scenario("cr_coupled").loop_unitary
+    return f"cr_ids = memory{sep}ctc_ids = loop\nunitary:\n" + serialize_unitary(u)
+
+
+def _is_cr_coupled(sc) -> bool:
+    ref = grandfather_scenario("cr_coupled")
+    return ((sc.layout, sc.cr_ids, sc.ctc_ids) == (ref.layout, ref.cr_ids, ref.ctc_ids)
+            and np.array_equal(sc.loop_unitary.matrix, ref.loop_unitary.matrix))
+
+
 def test_config_referencing_scenario_file(tmp_path):
-    write(tmp_path, "v.scenario", "variant = cr_coupled\n")
+    write(tmp_path, "cr.scenario", _cr_coupled_file_text())
     path = write(tmp_path, "c.cfg",
-                 "experiment = ctc-solve\nscenario_file = v.scenario\nmethod = spectral\n")
+                 "experiment = ctc-solve\nscenario_file = cr.scenario\nmethod = spectral\n")
     cfg = load_config(path, "ctc-solve")
-    assert cfg.scenario.cr_ids == ("memory",)
+    assert cfg.scenario_name == "cr.scenario"
+    assert _is_cr_coupled(cfg.scenario)
     assert cfg.method == "spectral"
+
+
+@pytest.mark.parametrize("sep", ["\n", "\r\n", "\r", "\u2028", "\u2029", "\x85", "\v", "\f",
+                                 "\x1c", "\x1d", "\x1e"])
+def test_config_and_scenario_files_end_lines_alike(tmp_path, sep):
+    # only LF, CR LF and CR end a line; any other separator joins two entries into one value
+    cfg = tmp_path / "c.cfg"
+    cfg.write_bytes(f"experiment = chsh{sep}grid_resolution = 0.5\n".encode("utf-8"))
+    scenario = tmp_path / "s.scenario"
+    scenario.write_bytes(_cr_coupled_file_text(sep).encode("utf-8"))
+    if sep in ("\n", "\r\n", "\r"):
+        assert load_config(str(cfg), "chsh").grid_resolution == 0.5
+        assert _is_cr_coupled(load_scenario_file(str(scenario)))
+        return
+    with pytest.raises(ConfigError, match=":1: experiment must be one of"):
+        load_config(str(cfg), "chsh")
+    with pytest.raises(ConfigError, match="needs 'ctc_ids = ...' and a 'unitary:' section"):
+        load_scenario_file(str(scenario))
 
 
 def test_overrides_win_and_are_validated(tmp_path):
@@ -154,10 +179,10 @@ def test_duplicate_keys_rejected(tmp_path):
 
 
 def test_scenario_file_duplicate_keys_rejected_with_line(tmp_path):
-    path = write(tmp_path, "v.scenario", "variant = qubit_flip\nvariant = cr_coupled\n")
+    path = write(tmp_path, "d.scenario", "cr_ids = memory\ncr_ids = loop\n")
     with pytest.raises(ConfigError) as err:
         load_scenario_file(path)
-    assert "duplicate key 'variant'" in str(err.value)
+    assert "duplicate key 'cr_ids'" in str(err.value)
     assert ":2:" in str(err.value)
 
 

@@ -113,3 +113,15 @@ def test_parse_reports_a_bad_matrix_entry_with_its_line():
         with pytest.raises(FormatError) as err:
             parse_unitary("\n".join(bad) + "\n")
         assert str(err.value) == f"line {4 + row}: bad number in '1.0,oops'"
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize("sep", ["", "\u2028", "\u2029", "\x85", "\v", "\f", "\x1c", "\x1d", "\x1e"])
+def test_body_error_counts_lines_at_newlines_only(newline, sep):
+    # sep trails the kind line: it is stripped there, and no line number moves past it
+    lines = serialize_unitary(UnitaryOperator(_layout(), np.eye(6))).splitlines()
+    lines[0] += sep
+    lines[5] = "bogus" + lines[5][lines[5].index(" "):]
+    with pytest.raises(FormatError) as err:
+        parse_unitary(newline.join(lines) + newline)
+    assert str(err.value) == "line 6: expected 're,im', got 'bogus'"

@@ -419,6 +419,19 @@ def test_audit_requires_two_distinct_settings():
         no_signaling_audit([Direction(0.0), Direction(0.0)], Direction(0.0))
 
 
+def test_sampled_rounds_read_the_leak_checked_weights(monkeypatch):
+    exact = suggestion.signaling_weights
+
+    def leaky(*args, **kwargs):
+        w = exact(*args, **kwargs).copy()
+        w[:, 0, 0] = 1e-6  # (undecided, ready) survives the round
+        return w
+
+    monkeypatch.setattr(suggestion, "signaling_weights", leaky)
+    with pytest.raises(InvariantError, match="undecided/ready weight 2.000e-06 survived"):
+        suggestion.session_records(1000, Direction(0.3), Direction(1.2), 7)
+
+
 def test_audit_reads_the_leak_checked_weights(monkeypatch):
     from qdesk import suggestion
     from qdesk.errors import InvariantError
