@@ -12,83 +12,49 @@ Three toolboxes over one labeled tensor-product core:
 
 All randomness enters through explicit seeds (SplitMix64); every operation
 is a pure function of its inputs.
+
+The public names below and the submodules holding them are resolved on first
+use (PEP 562), so ``import qdesk`` loads no submodule and a command loads only
+the modules it reads.
 """
 
-from .errors import (
-    ConfigError,
-    DimensionMismatchError,
-    FormatError,
-    InvariantError,
-    LayoutError,
-    ProtocolError,
-    QdeskError,
-    SchemeError,
-    SolverError,
-)
-from .tensor import (
-    ATOL,
-    DensityMatrix,
-    StateVector,
-    Subsystem,
-    SubsystemLayout,
-    UnitaryOperator,
-    apply_unitary,
-    embed_operator,
-    layout_of,
-    reduced_state,
-    subsystem,
-)
-from .serialization import (
-    parse_density,
-    parse_state,
-    parse_unitary,
-    serialize_density,
-    serialize_state,
-    serialize_unitary,
-)
-from .measurement import (
-    Branch,
-    PointerScheme,
-    branch_decomposition,
-    build_premeasurement_unitary,
-    pointer_scheme,
-    premeasure,
-    sample_branch,
-    sample_labels,
-)
-from .suggestion import (
-    ChshSearchResult,
-    CorrelationTally,
-    DecisionScheme,
-    Direction,
-    NoSignalingAudit,
-    SessionRecords,
-    TSIRELSON_BOUND,
-    build_suggestion_unitary,
-    chsh_grid_search,
-    chsh_value,
-    correlator,
-    joint_distribution,
-    no_signaling_audit,
-    run_session,
-    sample_rounds,
-    session_records,
-    signaling_weights,
-    tally_from_records,
-)
-from .ctc import (
-    AdmissibilityScan,
-    ConsistencySubspace,
-    CtcScenario,
-    DeutschSolution,
-    admissible_fraction,
-    ctc_output_state,
-    deutsch_fixed_point,
-    grandfather_scenario,
-    is_consistent_initial_state,
-    linear_consistency_basis,
-    trace_distance,
-)
-from .rng import SplitMix64, haar_state, haar_unitary, mix64, stream_seed
+import importlib
 
+_EXPORTS = {
+    "errors": ("ConfigError", "DimensionMismatchError", "FormatError", "InvariantError",
+               "LayoutError", "ProtocolError", "QdeskError", "SchemeError", "SolverError"),
+    "tensor": ("ATOL", "DensityMatrix", "StateVector", "Subsystem", "SubsystemLayout",
+               "UnitaryOperator", "apply_unitary", "embed_operator", "layout_of",
+               "reduced_state", "subsystem"),
+    "serialization": ("parse_density", "parse_state", "parse_unitary", "serialize_density",
+                      "serialize_state", "serialize_unitary"),
+    "measurement": ("Branch", "PointerScheme", "branch_decomposition",
+                    "build_premeasurement_unitary", "pointer_scheme", "premeasure",
+                    "sample_branch", "sample_labels"),
+    "suggestion": ("ChshSearchResult", "CorrelationTally", "DecisionScheme", "Direction",
+                   "NoSignalingAudit", "SessionRecords", "TSIRELSON_BOUND",
+                   "build_suggestion_unitary", "chsh_grid_search", "chsh_value", "correlator",
+                   "joint_distribution", "no_signaling_audit", "run_session", "sample_rounds",
+                   "session_records", "signaling_weights", "tally_from_records"),
+    "ctc": ("AdmissibilityScan", "ConsistencySubspace", "CtcScenario", "DeutschSolution",
+            "admissible_fraction", "ctc_output_state", "deutsch_fixed_point",
+            "grandfather_scenario", "is_consistent_initial_state", "linear_consistency_basis",
+            "trace_distance"),
+    "rng": ("SplitMix64", "haar_state", "haar_unitary", "mix64", "stream_seed"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_EXPORTS, *_HOME]
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _HOME:
+        return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

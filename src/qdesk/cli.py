@@ -9,6 +9,9 @@ as that entry. Reports echo the seeds and tolerances actually used; the
 payload written to stdout (or --out) is byte-identical across repeated runs
 with identical inputs; wall-clock timing goes to stderr only.
 
+A command imports its own modules when it runs, so a process loads only what
+its command uses. A signal CSV is written block by block, after sampling.
+
 Exit codes: 0 success, 2 config error (a bad flag value, or a flag the
 command does not read, included) or an --out path that cannot be written,
 3 solver non-convergence (report still emitted, with the best residual),
@@ -21,11 +24,10 @@ import argparse
 import dataclasses
 import sys
 import time
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from . import ctc as ctc_mod
-from . import measurement, suggestion
 from .config import (
     CtcScanConfig,
     CtcSolveConfig,
@@ -36,18 +38,20 @@ from .config import (
     load_config,
 )
 from .errors import ConfigError, FormatError, InvariantError, SolverError
-from .reports import matrix_payload, render_payload, render_signal_csv, vector_payload
+from .reports import (CSV_BLOCK_ROWS, matrix_payload, render_payload, render_signal_csv,
+                      vector_payload)
 from .rng import stream_seeds
 from .tensor import DensityMatrix, StateVector, layout_of
+
+if TYPE_CHECKING:
+    from .ctc import CtcScenario
+    from .suggestion import SessionRecords
 
 
 # ---------------------------------------------------------------------------
 # measure
 
 
-_MEASURE_SCHEME = measurement.pointer_scheme(
-    "particle", "meter", "ready", {"up": "saw_up", "down": "saw_down"}
-)
 _METER_LABELS = ("ready", "saw_up", "saw_down")
 
 
@@ -69,8 +73,13 @@ def _measure_initial_state(preset: str) -> StateVector:
 
 
 def cmd_measure(cfg: MeasureConfig) -> dict:
+    from . import measurement
+
+    scheme = measurement.pointer_scheme(
+        "particle", "meter", "ready", {"up": "saw_up", "down": "saw_down"}
+    )
     state = _measure_initial_state(cfg.state)
-    measured = measurement.premeasure(state, _MEASURE_SCHEME)
+    measured = measurement.premeasure(state, scheme)
     branches = measurement.branch_decomposition(measured, "meter")
     payload: dict = {
         "experiment": cfg.kind,
@@ -105,7 +114,9 @@ def cmd_measure(cfg: MeasureConfig) -> dict:
 # signal
 
 
-def cmd_signal(cfg: SignalConfig) -> tuple[dict, suggestion.SessionRecords]:
+def cmd_signal(cfg: SignalConfig) -> tuple[dict, SessionRecords]:
+    from . import suggestion
+
     alice = suggestion.Direction(cfg.alice_angle)
     bob = suggestion.Direction(cfg.bob_angle)
     records = suggestion.session_records(cfg.rounds, alice, bob, cfg.seed)
@@ -144,6 +155,8 @@ _ANGLE_KEYS = ("a1", "a2", "b1", "b2")
 
 
 def cmd_chsh(cfg: ChshConfig) -> dict:
+    from . import suggestion
+
     payload: dict = {"experiment": cfg.kind}
     if cfg.angles is not None:
         a1, a2, b1, b2 = (suggestion.Direction(t) for t in cfg.angles)
@@ -183,8 +196,10 @@ def _cr_input(cfg: CtcSolveConfig) -> DensityMatrix | None:
     return DensityMatrix(lay, mat)
 
 
-def _linear_payload(scenario: ctc_mod.CtcScenario, mode: str) -> dict:
-    subspace = ctc_mod.linear_consistency_basis(scenario, mode)
+def _linear_payload(scenario: CtcScenario, mode: str) -> dict:
+    from . import ctc
+
+    subspace = ctc.linear_consistency_basis(scenario, mode)
     return {
         "mode": subspace.mode,
         "dimension": subspace.dimension,
@@ -200,6 +215,8 @@ def _linear_payload(scenario: ctc_mod.CtcScenario, mode: str) -> dict:
 
 
 def cmd_ctc_solve(cfg: CtcSolveConfig) -> dict:
+    from . import ctc
+
     rho_cr = _cr_input(cfg)
     payload: dict = {
         "experiment": cfg.kind,
@@ -212,7 +229,7 @@ def cmd_ctc_solve(cfg: CtcSolveConfig) -> dict:
         "linear": _linear_payload(cfg.scenario, cfg.mode),
     }
     try:
-        solution = ctc_mod.deutsch_fixed_point(cfg.scenario, rho_cr, cfg.method)
+        solution = ctc.deutsch_fixed_point(cfg.scenario, rho_cr, cfg.method)
     except SolverError as exc:
         raise SolverError("ctc-solve did not converge", residual=exc.residual) from exc
     fixed: dict = {
@@ -226,14 +243,16 @@ def cmd_ctc_solve(cfg: CtcSolveConfig) -> dict:
         fixed["fixed_space_dim"] = solution.fixed_space_dim
     payload["fixed_point"] = fixed
     if cfg.scenario.cr_ids:
-        out = ctc_mod.ctc_output_state(solution)
+        out = ctc.ctc_output_state(solution)
         payload["cr_output"] = matrix_payload(out.matrix)
     payload["tolerances"] = _ctc_tolerances()
     return payload
 
 
 def cmd_ctc_scan(cfg: CtcScanConfig) -> dict:
-    scan = ctc_mod.admissible_fraction(cfg.scenario, cfg.samples, cfg.mode, cfg.seed)
+    from . import ctc
+
+    scan = ctc.admissible_fraction(cfg.scenario, cfg.samples, cfg.mode, cfg.seed)
     return {
         "experiment": cfg.kind,
         "scenario": cfg.scenario_name,
@@ -250,11 +269,13 @@ def cmd_ctc_scan(cfg: CtcScanConfig) -> dict:
 
 
 def _ctc_tolerances() -> dict:
+    from . import ctc
+
     return {
-        "phase": ctc_mod.PHASE_TOL,
-        "consistency": ctc_mod.CONSISTENCY_TOL,
-        "fixed_point": ctc_mod.FIXED_POINT_TOL,
-        "iterate": ctc_mod.ITERATE_TOL,
+        "phase": ctc.PHASE_TOL,
+        "consistency": ctc.CONSISTENCY_TOL,
+        "fixed_point": ctc.FIXED_POINT_TOL,
+        "iterate": ctc.ITERATE_TOL,
     }
 
 
@@ -262,26 +283,31 @@ def _ctc_tolerances() -> dict:
 # driver
 
 
-def build_report(cfg: RunConfig) -> str:
-    """Run one command and render its report text."""
+def build_report(cfg: RunConfig) -> Iterable[str]:
+    """Run one command; its report text, in the pieces that are written one by one.
+
+    The command runs to the end here; a signal CSV's row blocks are rendered
+    only as they are written.
+    """
     if isinstance(cfg, SignalConfig):
         payload, records = cmd_signal(cfg)
         if cfg.format == "csv":
-            return render_signal_csv(records)
+            return (render_signal_csv(records, start)
+                    for start in range(0, cfg.rounds, CSV_BLOCK_ROWS))
     else:
         payload = {MeasureConfig: cmd_measure, ChshConfig: cmd_chsh,
                    CtcSolveConfig: cmd_ctc_solve, CtcScanConfig: cmd_ctc_scan}[type(cfg)](cfg)
-    return render_payload(payload, cfg.format)
+    return [render_payload(payload, cfg.format)]
 
 
-def _emit(text: str, out_path: str | None) -> bool:
+def _emit(pieces: Iterable[str], out_path: str | None) -> bool:
     """Write the report; False, after a stderr line, when out_path cannot be written."""
     if out_path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
         return True
     try:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     except OSError as exc:
         print(f"output error: cannot write {out_path}: {exc.strerror or exc}", file=sys.stderr)
         return False
@@ -321,14 +347,14 @@ def main(argv: list[str] | None = None) -> int:
 
     start = time.perf_counter()
     try:
-        text = build_report(cfg)
+        pieces = build_report(cfg)
     except SolverError as exc:
         error_payload = {
             "experiment": cfg.kind,
             "error": "solver did not converge",
             "residual": exc.residual,
         }
-        if not _emit(render_payload(error_payload, "json"), args.out):
+        if not _emit([render_payload(error_payload, "json")], args.out):
             return 2
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
@@ -336,10 +362,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 4
 
-    duration = time.perf_counter() - start
-    if not _emit(text, args.out):
+    if not _emit(pieces, args.out):
         return 2
-    print(f"completed in {duration:.3f} s", file=sys.stderr)
+    # rendering a signal CSV happens as it is written, so the time covers both
+    print(f"completed in {time.perf_counter() - start:.3f} s", file=sys.stderr)
     return 0
 
 

@@ -1,8 +1,9 @@
 """Run configuration: flat ``key = value`` files with a strict schema.
 
 A config names its experiment kind and supplies that kind's keys; unknown
-keys are rejected with file/line context so a typo in a physics parameter
-can never pass silently. Angles are radians, given as plain decimal
+keys are rejected with file/line context, before any key is read, so a typo
+in a physics parameter can never pass silently, nor be reported as the
+missing key it was meant to be. Angles are radians, given as plain decimal
 literals. Seeds have no defaults anywhere: Monte Carlo commands refuse to
 run without one.
 
@@ -25,9 +26,8 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import NoReturn
+from typing import TYPE_CHECKING, NoReturn
 
-from .ctc import CtcScenario, grandfather_scenario
 from .errors import (
     ConfigError,
     DimensionMismatchError,
@@ -36,9 +36,19 @@ from .errors import (
     LayoutError,
 )
 from .serialization import _content_lines, _split_lines, parse_unitary
-from .tensor import UnitaryOperator
 
-EXPERIMENT_KINDS = ("measure", "signal", "chsh", "ctc-solve", "ctc-scan")
+if TYPE_CHECKING:
+    from .ctc import CtcScenario
+
+# The keys each experiment reads besides 'experiment' and 'format'.
+_KIND_KEYS = {
+    "measure": ("state", "rounds", "seed"),
+    "signal": ("alice_angle", "bob_angle", "rounds", "seed"),
+    "chsh": ("angle_a1", "angle_a2", "angle_b1", "angle_b2", "grid_resolution"),
+    "ctc-solve": ("scenario", "scenario_file", "mode", "method", "cr_state"),
+    "ctc-scan": ("scenario", "scenario_file", "mode", "samples", "seed"),
+}
+EXPERIMENT_KINDS = tuple(_KIND_KEYS)
 FORMATS = ("json", "csv", "table")
 MEASURE_PRESETS = ("up", "down", "plus", "bell")
 # Cap on rounds, samples and CHSH grid angles; larger is a config error, before any allocation.
@@ -80,7 +90,7 @@ def _parse_lines(content: list[tuple[int, str]], path: str) -> dict[str, tuple[s
 
 
 class _Entries:
-    """Typed accessors over parsed entries, tracking consumed keys.
+    """Typed accessors over parsed entries.
 
     An entry's line is None when a command-line flag supplied it.
     """
@@ -88,7 +98,6 @@ class _Entries:
     def __init__(self, path: str, entries: dict[str, tuple[str, int | None]]):
         self.path = path
         self.entries = entries
-        self.used: set[str] = set()
 
     def fail(self, message: str, key: str | None = None) -> NoReturn:
         """Raise a ConfigError located at key's file line, or at its flag."""
@@ -101,7 +110,6 @@ class _Entries:
 
     def _raw(self, key: str, required: bool) -> str | None:
         if key in self.entries:
-            self.used.add(key)
             return self.entries[key][0]
         if required:
             self.fail(f"missing required key {key!r}")
@@ -140,8 +148,8 @@ class _Entries:
             self.fail(f"{key} must be finite", key)
         return parsed
 
-    def reject_unknown(self, kind: str) -> None:
-        unknown = set(self.entries) - self.used
+    def reject_unknown(self, kind: str, known: tuple[str, ...]) -> None:
+        unknown = set(self.entries).difference(known)
         if unknown:
             key = min(unknown)
             if self.entries[key][1] is None:
@@ -203,6 +211,8 @@ RunConfig = MeasureConfig | SignalConfig | ChshConfig | CtcSolveConfig | CtcScan
 
 def load_scenario_file(path: str) -> CtcScenario:
     """Scenario file: partition lists, then an inline unitary after a 'unitary:' line."""
+    from .ctc import CtcScenario
+
     lines = _read_lines(path, "scenario file")
     head = _content_lines(lines)
     unitary_text: str | None = None
@@ -213,13 +223,13 @@ def load_scenario_file(path: str) -> CtcScenario:
             break
 
     ent = _Entries(path, _parse_lines(head, path))
+    ent.reject_unknown("a scenario file", ("cr_ids", "ctc_ids"))
     cr_raw = ent.get_str("cr_ids", default="")
     ctc_raw = ent.get_str("ctc_ids")
-    ent.reject_unknown("a scenario file")
     if ctc_raw is None or unitary_text is None:
         ent.fail("a scenario file needs 'ctc_ids = ...' and a 'unitary:' section")
     try:
-        unitary: UnitaryOperator = parse_unitary(unitary_text)
+        unitary = parse_unitary(unitary_text)
     except (FormatError, LayoutError, InvariantError) as exc:
         raise ConfigError(f"bad inline unitary: {exc}", path=path) from exc
     cr_ids = tuple(t.strip() for t in cr_raw.split(",") if t.strip())
@@ -236,6 +246,8 @@ def _resolve_scenario(ent: _Entries) -> tuple[str, CtcScenario]:
     if (name is None) == (file_ref is None):
         ent.fail("exactly one of 'scenario' or 'scenario_file' is required")
     if name is not None:
+        from .ctc import grandfather_scenario
+
         return name, grandfather_scenario(name)
     path = os.path.join(os.path.dirname(os.path.abspath(ent.path)), file_ref)
     return file_ref, load_scenario_file(path)
@@ -254,6 +266,7 @@ def load_config(path: str, kind: str, flags: dict[str, str] | None = None) -> Ru
     declared = ent.get_str("experiment", choices=EXPERIMENT_KINDS, required=True)
     if declared != kind:
         ent.fail(f"config declares experiment {declared!r}, command expects {kind!r}")
+    ent.reject_unknown(kind, ("experiment", "format", *_KIND_KEYS[kind]))
     fmt = ent.get_str("format", choices=FORMATS, default="json")
     if fmt == "csv" and kind != "signal":
         ent.fail("csv output is only defined for signaling sessions", "format")
@@ -262,7 +275,6 @@ def load_config(path: str, kind: str, flags: dict[str, str] | None = None) -> Ru
         state = ent.get_str("state", choices=MEASURE_PRESETS, required=True)
         rounds = ent.get_int("rounds", 1, MAX_COUNT)
         seed = ent.get_int("seed", *_SEED_RANGE)
-        ent.reject_unknown(kind)
         if rounds is not None and seed is None:
             ent.fail("sampling ('rounds') requires an explicit seed", "rounds")
         if seed is not None and rounds is None:
@@ -273,13 +285,11 @@ def load_config(path: str, kind: str, flags: dict[str, str] | None = None) -> Ru
         bob = ent.get_angle("bob_angle", required=True)
         rounds = ent.get_int("rounds", 1, MAX_COUNT, required=True)
         seed = ent.get_int("seed", *_SEED_RANGE, required=True)
-        ent.reject_unknown(kind)
         return SignalConfig(kind, alice, bob, rounds, seed, fmt)
     if kind == "chsh":
         keys = ("angle_a1", "angle_a2", "angle_b1", "angle_b2")
         angles = tuple(ent.get_angle(k) for k in keys)
         resolution = ent.get_angle("grid_resolution")
-        ent.reject_unknown(kind)
         have_angles = [a is not None for a in angles]
         if resolution is not None:
             if any(have_angles):
@@ -302,9 +312,7 @@ def load_config(path: str, kind: str, flags: dict[str, str] | None = None) -> Ru
     if kind == "ctc-solve":
         method = ent.get_str("method", choices=("iterate", "spectral"), default="iterate")
         cr_state = ent.get_str("cr_state", choices=("zero", "one", "mixed"), default="zero")
-        ent.reject_unknown(kind)
         return CtcSolveConfig(kind, name, scenario, mode, method, cr_state, fmt)
     samples = ent.get_int("samples", 1, MAX_COUNT, required=True)
     seed = ent.get_int("seed", *_SEED_RANGE, required=True)
-    ent.reject_unknown(kind)
     return CtcScanConfig(kind, name, scenario, mode, samples, seed, fmt)

@@ -4,19 +4,24 @@ Identical payloads must serialize to identical bytes, so this module owns
 its own JSON emitter: dict keys are written in insertion order and every
 float uses the fixed ``.16e`` format (17 significant digits, exact IEEE-754
 round-trip). The table renderer is for humans but equally deterministic.
+The signal CSV is rendered one block of rows at a time, so the CLI writes a
+session without ever holding its whole report text.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
 from .serialization import format_float
-from .suggestion import INFLUENCE_LABELS, SessionRecords
+
+if TYPE_CHECKING:
+    from .suggestion import SessionRecords
 
 CSV_HEADER = "round,theta_a,theta_b,alice_decision,bob_outcome,seed"
+CSV_BLOCK_ROWS = 2**14  # rows per render_signal_csv call
 
 
 def complex_pair(z: complex) -> list[float]:
@@ -99,14 +104,18 @@ def _table_scalar_seq(seq: Sequence[Any]) -> str:
     ) + "]"
 
 
-def render_signal_csv(records: SessionRecords) -> str:
+def render_signal_csv(records: SessionRecords, start: int) -> str:
+    """CSV lines of rounds start .. start + CSV_BLOCK_ROWS - 1, the header before round 0."""
+    from .suggestion import INFLUENCE_LABELS
+
+    stop = start + CSV_BLOCK_ROWS
     thetas = f"{format_float(records.alice_theta)},{format_float(records.bob_theta)}"
-    rows = zip(records.decisions.tolist(), records.outcomes.tolist(), records.seeds.tolist())
-    lines = [CSV_HEADER] + [
-        f"{i},{thetas},{INFLUENCE_LABELS[d]},{INFLUENCE_LABELS[o]},{seed}"
-        for i, (d, o, seed) in enumerate(rows)
-    ]
-    return "\n".join(lines) + "\n"
+    # one middle part per (decision, outcome) pair, indexed decision-major
+    middles = [f",{thetas},{d},{o}," for d in INFLUENCE_LABELS for o in INFLUENCE_LABELS]
+    pairs = records.decisions[start:stop] * len(INFLUENCE_LABELS) + records.outcomes[start:stop]
+    rows = zip(range(start, stop), pairs.tolist(), records.seeds[start:stop].tolist())
+    text = "".join([f"{i}{middles[p]}{seed}\n" for i, p, seed in rows])
+    return f"{CSV_HEADER}\n{text}" if start == 0 else text
 
 
 def render_payload(payload: dict, fmt: str) -> str:

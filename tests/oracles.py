@@ -376,3 +376,19 @@ def kraus_dilation(kraus: list[np.ndarray]) -> np.ndarray:
     # reorder columns so column (e*d + j) is the image of |e>|j>: env 0 first
     assert u.shape == (n_k * d, n_k * d)
     return u
+
+
+def render_signal_csv(records) -> str:
+    """A signal session's whole CSV report as one string: the byte reference for the
+    CLI, which renders and writes it in row blocks.
+
+    Columns round,theta_a,theta_b,alice_decision,bob_outcome,seed; angles in
+    ``.16e``, decisions and outcomes as the labels up/down (index 0/1).
+    """
+    labels = ("up", "down")
+    thetas = f"{records.alice_theta:.16e},{records.bob_theta:.16e}"
+    rows = zip(records.decisions.tolist(), records.outcomes.tolist(), records.seeds.tolist())
+    lines = ["round,theta_a,theta_b,alice_decision,bob_outcome,seed"] + [
+        f"{i},{thetas},{labels[d]},{labels[o]},{seed}" for i, (d, o, seed) in enumerate(rows)
+    ]
+    return "\n".join(lines) + "\n"

@@ -3,8 +3,11 @@ import hashlib
 import io
 import json
 import math
+import os
+import re
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -12,9 +15,10 @@ from hypothesis import given, settings, strategies as st
 
 from qdesk import UnitaryOperator, layout_of, serialize_unitary
 from qdesk.cli import main
+from qdesk.reports import CSV_BLOCK_ROWS as BLOCK
 from qdesk.rng import SplitMix64, haar_unitary
 
-from oracles import kraus_dilation
+from oracles import kraus_dilation, render_signal_csv
 
 
 def write(tmp_path, name, text):
@@ -96,6 +100,55 @@ def test_signal_csv_has_exact_columns(tmp_path):
         assert (fields[3], fields[4]) in (("up", "down"), ("down", "up"))
 
 
+@pytest.mark.parametrize("rounds", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+def test_signal_csv_blocks_join_to_the_one_piece_report(tmp_path, rounds):
+    from qdesk.suggestion import Direction, session_records
+
+    cfg = write(tmp_path, "s.cfg", "experiment = signal\nalice_angle = 0.3\nbob_angle = -1.1\n"
+                f"rounds = {rounds}\nseed = 2\nformat = csv\n")
+    code, out = run_cli(["signal", "--config", cfg])
+    assert code == 0
+    assert out == render_signal_csv(session_records(rounds, Direction(0.3), Direction(-1.1), 2))
+    target = tmp_path / "s.csv"
+    assert run_cli(["signal", "--config", cfg, "--out", str(target)]) == (0, "")
+    assert target.read_bytes() == out.encode("utf-8")
+
+
+def test_completed_time_covers_csv_rendering(tmp_path, monkeypatch, capsys):
+    from qdesk import cli as cli_mod
+
+    render = cli_mod.render_signal_csv
+
+    def slow_render(records, start):
+        time.sleep(0.05)
+        return render(records, start)
+
+    monkeypatch.setattr(cli_mod, "render_signal_csv", slow_render)
+    cfg = write(tmp_path, "s.cfg", "experiment = signal\nalice_angle = 0.3\nbob_angle = 1.2\n"
+                f"rounds = {2 * BLOCK + 1}\nseed = 1\nformat = csv\n")
+    assert main(["signal", "--config", cfg]) == 0
+    out, err = capsys.readouterr()
+    assert "completed" not in out
+    timing = re.fullmatch(r"completed in (\d+\.\d{3}) s\n", err)
+    assert timing is not None and float(timing.group(1)) >= 0.15  # three blocks
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_signal_csv_peaks_near_the_json_report(tmp_path):
+    # a CSV session is held as its sampled columns, not as its 32 MB of report text
+    peaks = {}
+    for fmt in ("csv", "json"):
+        cfg = write(tmp_path, f"{fmt}.cfg", "experiment = signal\nalice_angle = 0.3\n"
+                    f"bob_angle = -1.1\nrounds = 400000\nseed = 7\nformat = {fmt}\n")
+        proc = subprocess.Popen([sys.executable, "-m", "qdesk", "signal", "--config", cfg],
+                                stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        assert proc.returncode == 0
+        peaks[fmt] = usage.ru_maxrss / 1024.0
+    assert peaks["csv"] <= peaks["json"] + 16.0, peaks
+
+
 def test_signal_summary_matches_exact_correlator(tmp_path):
     cfg = write(tmp_path, "s.cfg",
                 "experiment = signal\nalice_angle = 0.0\nbob_angle = 0.0\n"
@@ -142,6 +195,23 @@ def test_signaling_audit_above_tolerance_exits_4(tmp_path, monkeypatch):
                 "rounds = 10\nseed = 1\n")
     code, out = run_cli(["signal", "--config", cfg])
     assert code == 4 and out == ""
+
+
+def test_csv_session_failing_its_audit_writes_nothing(tmp_path, monkeypatch):
+    # sampling and the audit finish before the first block is written
+    from qdesk import suggestion
+    from qdesk.errors import InvariantError
+
+    def leaky(*args, **kwargs):
+        raise InvariantError("synthetic leak")
+
+    monkeypatch.setattr(suggestion, "no_signaling_audit", leaky)
+    cfg = write(tmp_path, "s.cfg", "experiment = signal\nalice_angle = 0.3\nbob_angle = 1.2\n"
+                f"rounds = {BLOCK + 1}\nseed = 1\nformat = csv\n")
+    target = tmp_path / "s.csv"
+    assert run_cli(["signal", "--config", cfg]) == (4, "")
+    assert run_cli(["signal", "--config", cfg, "--out", str(target)]) == (4, "")
+    assert not target.exists()
 
 
 SMALL_CONFIGS = {
@@ -519,6 +589,58 @@ def test_commands_without_schur_do_not_load_scipy(tmp_path):
              "assert 'scipy' not in sys.modules, 'chsh loaded scipy'\n")
     done = subprocess.run([sys.executable, "-c", probe, cfg], capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("command,unused", [
+    ("chsh", ["qdesk.ctc"]),
+    ("signal", ["qdesk.ctc"]),
+    ("measure", ["qdesk.ctc", "qdesk.suggestion"]),
+    ("ctc-solve", ["qdesk.suggestion", "qdesk.measurement"]),
+    ("ctc-scan", ["qdesk.suggestion", "qdesk.measurement"]),
+])
+def test_commands_load_only_their_own_modules(tmp_path, command, unused):
+    cfg = write(tmp_path, "c.cfg", SMALL_CONFIGS[command])
+    probe = ("import sys\n"
+             "import qdesk.cli\n"
+             "assert qdesk.cli.main([sys.argv[1], '--config', sys.argv[2]]) == 0\n"
+             "loaded = sorted(set(sys.argv[3:]) & set(sys.modules))\n"
+             "assert not loaded, f'{sys.argv[1]} loaded {loaded}'\n")
+    done = subprocess.run([sys.executable, "-c", probe, command, cfg, *unused],
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
+# What `from qdesk import *` gives: 68 public names and the 7 submodules that hold them.
+STAR_NAMES = (
+    "ATOL AdmissibilityScan Branch ChshSearchResult ConfigError ConsistencySubspace "
+    "CorrelationTally CtcScenario DecisionScheme DensityMatrix DeutschSolution "
+    "DimensionMismatchError Direction FormatError InvariantError LayoutError NoSignalingAudit "
+    "PointerScheme ProtocolError QdeskError SchemeError SessionRecords SolverError SplitMix64 "
+    "StateVector Subsystem SubsystemLayout TSIRELSON_BOUND UnitaryOperator admissible_fraction "
+    "apply_unitary branch_decomposition build_premeasurement_unitary build_suggestion_unitary "
+    "chsh_grid_search chsh_value correlator ctc ctc_output_state deutsch_fixed_point "
+    "embed_operator errors grandfather_scenario haar_state haar_unitary "
+    "is_consistent_initial_state joint_distribution layout_of linear_consistency_basis "
+    "measurement mix64 no_signaling_audit parse_density parse_state parse_unitary "
+    "pointer_scheme premeasure reduced_state rng run_session sample_branch sample_labels "
+    "sample_rounds serialization serialize_density serialize_state serialize_unitary "
+    "session_records signaling_weights stream_seed subsystem suggestion tally_from_records "
+    "tensor trace_distance"
+).split()
+
+
+def test_package_resolves_names_on_first_use():
+    probe = ("import sys\n"
+             "import qdesk\n"
+             "loaded = sorted(m for m in sys.modules if m.startswith('qdesk.'))\n"
+             "assert not loaded, f'import qdesk loaded {loaded}'\n"
+             "assert qdesk.tensor.layout_of.__module__ == 'qdesk.tensor'\n"
+             "namespace = {}\n"
+             "exec('from qdesk import *', namespace)\n"
+             "print(' '.join(sorted(set(namespace) - {'__builtins__'})))\n")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == sorted(STAR_NAMES) and len(STAR_NAMES) == 75
 
 
 @pytest.mark.parametrize("method", ["iterate", "spectral"])

@@ -35,6 +35,28 @@ def test_unknown_key_is_rejected_with_line(tmp_path):
     assert ":3:" in str(err.value)
 
 
+@pytest.mark.parametrize("kind,body,flags,message", [
+    ("measure", "experiment = measure\nstat = up\n", None,
+     "c.cfg:2: unknown key 'stat' for measure"),
+    ("signal", "experiment = signal\nalice_angel = 0.3\nbob_angle = 0\nrounds = 5\nseed = 1\n",
+     None, "c.cfg:2: unknown key 'alice_angel' for signal"),
+    ("ctc-scan", "experiment = ctc-scan\nscenario = cr_coupled\nsample = 10\nseed = 1\n", None,
+     "c.cfg:3: unknown key 'sample' for ctc-scan"),
+    ("ctc-solve", "experiment = ctc-solve\nscenario_fil = loop.scenario\n", None,
+     "c.cfg:2: unknown key 'scenario_fil' for ctc-solve"),
+    # the scenario file does not exist: it is never opened
+    ("ctc-solve", "experiment = ctc-solve\nscenario_file = absent.scenario\ncr_stat = one\n",
+     None, "c.cfg:3: unknown key 'cr_stat' for ctc-solve"),
+    ("measure", "experiment = measure\n", {"mode": "ray"}, "--mode does not apply to measure"),
+], ids=["measure_stat", "signal_alice_angel", "ctc_scan_sample", "ctc_solve_scenario_fil",
+        "ctc_solve_before_scenario_file", "measure_mode_flag"])
+def test_unknown_key_is_reported_before_a_missing_one(tmp_path, kind, body, flags, message):
+    path = write(tmp_path, "c.cfg", body)
+    with pytest.raises(ConfigError) as err:
+        load_config(path, kind, flags)
+    assert str(err.value).endswith(message)
+
+
 def test_kind_mismatch_is_rejected(tmp_path):
     path = write(tmp_path, "m.cfg", "experiment = measure\nstate = up\n")
     with pytest.raises(ConfigError):
