@@ -13,15 +13,16 @@ A command imports its own modules when it runs, so a process loads only what
 its command uses. A signal CSV is written block by block, after sampling.
 
 Exit codes: 0 success, 2 config error (a bad flag value, or a flag the
-command does not read, included) or an --out path that cannot be written,
-3 solver non-convergence (report still emitted, with the best residual),
-4 internal invariant violation.
+command does not read, included) or an --out path or stdout that cannot be
+written (a reader that closed the pipe early, say), 3 solver non-convergence
+(report still emitted, with the best residual), 4 internal invariant violation.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 import time
 from typing import TYPE_CHECKING, Iterable
@@ -301,15 +302,21 @@ def build_report(cfg: RunConfig) -> Iterable[str]:
 
 
 def _emit(pieces: Iterable[str], out_path: str | None) -> bool:
-    """Write the report; False, after a stderr line, when out_path cannot be written."""
-    if out_path is None:
-        sys.stdout.writelines(pieces)
-        return True
+    """Write the report; False, after a stderr line, when stdout or out_path cannot be written."""
     try:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(pieces)
+        if out_path is None:
+            sys.stdout.writelines(pieces)
+            sys.stdout.flush()
+        else:
+            with open(out_path, "w", encoding="utf-8", newline="") as fh:
+                fh.writelines(pieces)
     except OSError as exc:
-        print(f"output error: cannot write {out_path}: {exc.strerror or exc}", file=sys.stderr)
+        if out_path is None:  # point stdout at devnull, so the flush at exit cannot fail again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        print(f"output error: cannot write {out_path or 'stdout'}: {exc.strerror or exc}",
+              file=sys.stderr)
         return False
     return True
 

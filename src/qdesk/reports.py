@@ -5,11 +5,14 @@ its own JSON emitter: dict keys are written in insertion order and every
 float uses the fixed ``.16e`` format (17 significant digits, exact IEEE-754
 round-trip). The table renderer is for humans but equally deterministic.
 The signal CSV is rendered one block of rows at a time, so the CLI writes a
-session without ever holding its whole report text.
+session without ever holding its whole report text. A block is one byte
+matrix, a row per round: decimal digits come four at a time from a table of
+uint32 words, padding is NUL and is deleted once, as the block turns into text.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from typing import TYPE_CHECKING, Any, Sequence
 
@@ -104,17 +107,62 @@ def _table_scalar_seq(seq: Sequence[Any]) -> str:
     ) + "]"
 
 
+_CHUNK = 10**4  # four decimal digits per uint32 word
+
+
+@functools.cache
+def _digit_table() -> np.ndarray:
+    """uint32 words of four ASCII digits, built on a CSV's first block.
+
+    Entry c (c < 10^4) spells c with its leading zeros; entry 10^4 + c spells c
+    with those zeros as NUL (10^4 + 0 keeps the final "0"); entry 2·10^4 is all NUL.
+    """
+    c = np.arange(_CHUNK)[:, None]
+    digits = (c // np.array([1000, 100, 10, 1]) % 10 + ord("0")).astype(np.uint8)
+    leading = np.where(c < np.array([1000, 100, 10, 0]), 0, digits).astype(np.uint8)
+    table = np.concatenate([digits, leading, np.zeros((1, 4), np.uint8)]).view(np.uint32).ravel()
+    table.flags.writeable = False
+    return table
+
+
+def _write_decimal(values: np.ndarray, out: np.ndarray) -> None:
+    """Write each uint64 value's decimal digits, NUL-padded on the left, into its row of out.
+
+    out is an (n, words) uint32 view whose bytes take the digits, four per
+    word, most significant word first; values must be below 10^(4·words).
+    """
+    table = _digit_table()
+    step = np.uint64(_CHUNK)
+    q, blank = values, 0  # blank: the value has no digit in this word or above it
+    for col in reversed(range(out.shape[1])):
+        q, c = np.divmod(q, step)
+        top = (q == 0).astype(np.uint64)  # no digit above this word
+        out[:, col] = table[c + step * (top + blank)]
+        blank = top
+
+
 def render_signal_csv(records: SessionRecords, start: int) -> str:
     """CSV lines of rounds start .. start + CSV_BLOCK_ROWS - 1, the header before round 0."""
     from .suggestion import INFLUENCE_LABELS
 
-    stop = start + CSV_BLOCK_ROWS
-    thetas = f"{format_float(records.alice_theta)},{format_float(records.bob_theta)}"
-    # one middle part per (decision, outcome) pair, indexed decision-major
-    middles = [f",{thetas},{d},{o}," for d in INFLUENCE_LABELS for o in INFLUENCE_LABELS]
-    pairs = records.decisions[start:stop] * len(INFLUENCE_LABELS) + records.outcomes[start:stop]
-    rows = zip(range(start, stop), pairs.tolist(), records.seeds[start:stop].tolist())
-    text = "".join([f"{i}{middles[p]}{seed}\n" for i, p, seed in rows])
+    stop = min(start + CSV_BLOCK_ROWS, len(records.seeds))
+    thetas = f",{format_float(records.alice_theta)},{format_float(records.bob_theta)},"
+    # one NUL-padded "decision,outcome," row per pair, indexed decision-major
+    middles = np.array([f"{d},{o},".encode() for d in INFLUENCE_LABELS for o in INFLUENCE_LABELS])
+    middles = middles.view(np.uint8).reshape(len(middles), -1)
+    # a row: round index (words enough for the block's last), thetas, decision
+    # and outcome, 20-digit seed, newline
+    index_end = 4 * -(-len(str(stop - 1)) // 4)
+    thetas_end = index_end + len(thetas)
+    seed_start = thetas_end + middles.shape[1]
+    rows = np.empty((stop - start, seed_start + 21), np.uint8)
+    _write_decimal(np.arange(start, stop, dtype=np.uint64), rows[:, :index_end].view(np.uint32))
+    rows[:, index_end:thetas_end] = np.frombuffer(thetas.encode(), np.uint8)
+    pair = records.decisions[start:stop] * len(INFLUENCE_LABELS) + records.outcomes[start:stop]
+    rows[:, thetas_end:seed_start] = middles[pair]
+    _write_decimal(records.seeds[start:stop], rows[:, seed_start:-1].view(np.uint32))
+    rows[:, -1] = ord("\n")
+    text = rows.tobytes().translate(None, b"\0").decode("ascii")
     return f"{CSV_HEADER}\n{text}" if start == 0 else text
 
 

@@ -579,6 +579,40 @@ def test_seed_override_changes_sampling_but_stays_deterministic(tmp_path):
     assert override_a != base
 
 
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_is_an_output_error(tmp_path, unbuffered):
+    # a reader that takes one line and closes the pipe, as `| head -1` does
+    cfg = write(tmp_path, "s.cfg", "experiment = signal\nalice_angle = 0.3\nbob_angle = 1.2\n"
+                "rounds = 100000\nseed = 1\nformat = csv\n")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen([sys.executable, "-m", "qdesk", "signal", "--config", cfg],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"round,theta_a,theta_b,alice_decision,bob_outcome,seed\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 2, err
+    assert err == "output error: cannot write stdout: Broken pipe\n"
+
+
+def test_only_a_csv_run_builds_the_digit_table(tmp_path):
+    json_cfg = write(tmp_path, "j.cfg", SMALL_CONFIGS["signal"])
+    csv_cfg = write(tmp_path, "c.cfg", SMALL_CONFIGS["signal"] + "format = csv\n")
+    probe = ("import sys\n"
+             "import qdesk.cli\n"
+             "built = qdesk.reports._digit_table.cache_info().currsize\n"
+             "assert built == 0, 'import qdesk.cli built the digit table'\n"
+             "assert qdesk.cli.main(['signal', '--config', sys.argv[1]]) == 0\n"
+             "built = qdesk.reports._digit_table.cache_info().currsize\n"
+             "assert built == 0, 'a JSON signal run built the digit table'\n"
+             "assert qdesk.cli.main(['signal', '--config', sys.argv[2]]) == 0\n"
+             "assert qdesk.reports._digit_table.cache_info().currsize == 1\n")
+    done = subprocess.run([sys.executable, "-c", probe, json_cfg, csv_cfg],
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
 def test_commands_without_schur_do_not_load_scipy(tmp_path):
     cfg = write(tmp_path, "c.cfg", "experiment = chsh\nangle_a1 = 0.0\nangle_a2 = 1.5\n"
                 "angle_b1 = -0.7\nangle_b2 = 0.7\n")

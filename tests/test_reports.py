@@ -1,0 +1,69 @@
+"""The signal CSV's byte kernel against Python's own integer and CSV formatting."""
+
+import numpy as np
+from hypothesis import example, given, settings, strategies as st
+
+from qdesk.reports import CSV_BLOCK_ROWS as BLOCK, CSV_HEADER, _write_decimal, render_signal_csv
+from qdesk.suggestion import Direction, SessionRecords, session_records
+
+from oracles import render_signal_csv as oracle_csv
+
+UINT64_EDGES = sorted({0, 1, 9, 10, 9999, 10**4, 2**63, 2**64 - 1}
+                      | {10**k + d for k in range(1, 20) for d in (-1, 0, 1)})
+
+
+def decimal_rows(values, words):
+    out = np.empty((len(values), words), np.uint32)
+    _write_decimal(np.asarray(values, dtype=np.uint64), out)
+    return [row.tobytes().translate(None, b"\0").decode("ascii") for row in out]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
+@example(UINT64_EDGES)
+def test_digit_kernel_spells_every_uint64(values):
+    assert decimal_rows(values, 5) == [str(v) for v in values]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 10**9), min_size=1, max_size=40), st.integers(3, 5))
+@example([0, 1, 9999, 10**4, 10**8 - 1, 10**8, 10**9 - 1, 10**9], 3)
+def test_digit_kernel_spells_round_indices_in_any_wider_row(values, words):
+    assert decimal_rows(values, words) == [str(v) for v in values]
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    master_seed=st.one_of(st.sampled_from([-2**63, -1, 0, 2**63, 2**64 - 1]),
+                          st.integers(-2**63, 2**64 - 1)),
+    alice=st.one_of(st.sampled_from([0.0, -0.0, -7.5, 1e300, -1e-300]),
+                    st.floats(-1e6, 1e6, allow_nan=False)),
+    bob=st.one_of(st.sampled_from([-1.1, 123456.789, -2.5e250]),
+                  st.floats(-1e6, 1e6, allow_nan=False)),
+    rounds=st.builds(lambda k, d: max(1, k * BLOCK + d),
+                     st.integers(0, 2), st.sampled_from([-1, 0, 1])),
+)
+def test_blocks_join_to_the_oracle_csv(master_seed, alice, bob, rounds):
+    records = session_records(rounds, Direction(alice), Direction(bob), master_seed)
+    text = "".join(render_signal_csv(records, start) for start in range(0, rounds, BLOCK))
+    assert text == oracle_csv(records)
+
+
+def test_small_seeds_and_every_label_pair_match_the_oracle():
+    # sampled seeds are almost never short, so short ones are written in by hand
+    n = len(UINT64_EDGES)
+    records = SessionRecords(-0.5, 3.0, np.arange(n) // 2 % 2, np.arange(n) % 2,
+                             np.array(UINT64_EDGES, dtype=np.uint64))
+    assert render_signal_csv(records, 0) == oracle_csv(records)
+
+
+def test_round_indices_up_to_the_count_cap():
+    # a zero-stride session of 10^9 rounds: the last block's indices have nine digits
+    n = 10**9
+    records = SessionRecords(0.25, -1.0, np.broadcast_to(np.int64(1), (n,)),
+                             np.broadcast_to(np.int64(0), (n,)),
+                             np.broadcast_to(np.uint64(2**64 - 1), (n,)))
+    thetas = "2.5000000000000000e-01,-1.0000000000000000e+00"
+    assert render_signal_csv(records, n - 3) == "".join(
+        f"{i},{thetas},down,up,{2**64 - 1}\n" for i in range(n - 3, n))
+    assert render_signal_csv(records, 0).startswith(f"{CSV_HEADER}\n0,{thetas},down,up,")
