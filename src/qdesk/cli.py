@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import os
 import sys
 import time
@@ -305,13 +306,16 @@ def _emit(pieces: Iterable[str], out_path: str | None) -> bool:
     """Write the report; False, after a stderr line, when stdout or out_path cannot be written."""
     try:
         if out_path is None:
+            if sys.stdout is None:  # descriptor 1 was closed when the interpreter started
+                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
             sys.stdout.writelines(pieces)
             sys.stdout.flush()
         else:
             with open(out_path, "w", encoding="utf-8", newline="") as fh:
                 fh.writelines(pieces)
     except OSError as exc:
-        if out_path is None:  # point stdout at devnull, so the flush at exit cannot fail again
+        if out_path is None and sys.stdout is not None:
+            # point stdout at devnull, so the flush at exit cannot fail again
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)

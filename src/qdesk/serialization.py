@@ -12,10 +12,15 @@ Vectors carry one complex entry per line; matrices carry one row per line
 with entries separated by single spaces. Every complex number is written as
 ``re,im`` with 17 significant digits (format ``.16e``), which round-trips
 IEEE-754 doubles exactly and keeps output byte-stable across runs.
+
+A body in exactly that spelling is read by one vectorized kernel, bit-identical
+to Python's ``float``; any other body, in any spelling ``float`` accepts, is
+read row by row, which also names the line of a bad entry.
 """
 
 from __future__ import annotations
 
+import functools
 from itertools import repeat
 
 import numpy as np
@@ -116,8 +121,10 @@ def _parse_header(text: str) -> tuple[str, SubsystemLayout, list[str], list[int]
 def _parse_rows(rows: list[list[str]], width: int, line_nos: list[int]) -> np.ndarray:
     """Complex (len(rows), width) array from rows of 're,im' tokens; row r is on line_nos[r].
 
-    A whole row is split at its commas and converted by Python's float at
-    once; a row that fails is re-read token by token to name the bad token.
+    The reader of every body that _parse_canonical does not take: any token
+    spelling Python's float accepts. A whole row is split at its commas and
+    converted by float at once; a row that fails is re-read token by token
+    to name the bad token.
     """
     out = np.empty((len(rows), 2 * width), dtype=np.float64)
     for r, (tokens, line_no) in enumerate(zip(rows, line_nos)):
@@ -134,32 +141,118 @@ def _parse_rows(rows: list[list[str]], width: int, line_nos: list[int]) -> np.nd
     return out.view(np.complex128)
 
 
-def _parse_matrix(layout: SubsystemLayout, body: list[str], line_nos: list[int]) -> np.ndarray:
+@functools.cache
+def _pow10() -> np.ndarray:
+    """Rows (hi, lo, hi's Dekker halves) of 10^(E-16) for E = -99 .. 99.
+
+    hi and lo, the power and hi's remainder, are correctly rounded quotients
+    of Python ints, so hi + lo is within about 2^-106 of the power.
+    """
+    rows = []
+    for k in range(-115, 84):
+        num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+        hi = num / den
+        a, b = hi.as_integer_ratio()
+        upper = hi * 134217729.0 - (hi * 134217729.0 - hi)
+        rows.append((hi, (num * b - a * den) / (den * b), upper, hi - upper))
+    table = np.array(rows)
+    table.flags.writeable = False
+    return table
+
+
+def _digits8(words: np.ndarray) -> np.ndarray | None:
+    """Values of little-endian uint64 words of eight ASCII digits; None if a byte is no digit."""
+    high = np.uint64(0xF0F0F0F0F0F0F0F0)
+    if not ((words & high | (words + np.uint64(0x0606060606060606) & high) >> np.uint64(4))
+            == np.uint64(0x3333333333333333)).all():
+        return None
+    v = words - np.uint64(0x3030303030303030)
+    for mul, shift, mask in ((10, 8, 0x00FF00FF00FF00FF), (100, 16, 0x0000FFFF0000FFFF),
+                             (10000, 32, 0xFFFFFFFF)):
+        v = (v * np.uint64(mul) + (v >> np.uint64(shift))) & np.uint64(mask)
+    return v.astype(np.float64)
+
+
+def _parse_canonical(rows: list[str], width: int) -> np.ndarray | None:
+    """Complex (len(rows), width) array of a body spelled as format_complex writes it, else None.
+
+    Each number must be -?D.DDDDDDDDDDDDDDDDe[+-]DD, with ',' inside an entry,
+    ' ' between entries and width entries a row. Its value m·10^k (m < 10^17)
+    is one double-double product (Dekker, without FMA), rounded once; a token
+    whose rounding error lies within 2^-40 of half an ulp, or that rounds to
+    a power of two, is re-read by float (Clinger 1990). The bits are float's.
+    Rows go in blocks of about 2^14 numbers, so temporaries stay small.
+    """
+    per_row = 2 * width
+    step = max(1, 2**14 // per_row)
+    seps = np.frombuffer(((b", " * width)[:-1] + b"\n") * step, np.uint8)
+    out = np.empty((len(rows), per_row))
+    for r0 in range(0, len(rows), step):
+        data = ("\n".join(rows[r0:r0 + step]) + "\n").encode("ascii", "replace")
+        b = np.frombuffer(data, np.uint8)
+        e = np.flatnonzero(b == ord("e"))  # one per number
+        n = min(step, len(rows) - r0) * per_row
+        if len(e) != n or e[-1] + 5 != len(b):
+            return None
+        start = np.concatenate(([0], e[:-1] + 5))
+        neg = e - 18 - start == 1  # the number has a sign byte
+        if not (neg | (e - 18 == start)).all():
+            return None
+        minus = b[e + 1] == ord("-")  # negative exponent
+        lead, ex1, ex2 = b[e - 18] - 48, b[e + 2] - 48, b[e + 3] - 48
+        if not ((b[e + 4] == seps[:n]).all() and (b[e - 17] == ord(".")).all()
+                and (minus | (b[e + 1] == ord("+"))).all() and (b[start[neg]] == ord("-")).all()
+                and (np.maximum(np.maximum(lead, ex1), ex2) < 10).all()):
+            return None
+        words = np.ndarray((len(b) - 7,), "<u8", data, 0, (1,))  # a word at every byte offset
+        w1, w = _digits8(words[e - 16]), _digits8(words[e - 8])
+        if w1 is None or w is None:
+            return None
+        expo = (ex1 * 10 + ex2).astype(np.intp)
+        hi, lo, hi_u, hi_l = _pow10()[np.where(minus, 99 - expo, 99 + expo)].T
+        a = (lead * 1e8 + w1) * 1e8  # the first nine digits, times 10^8: exact
+        m = a + w  # m + m_lo is the 17-digit integer, exactly
+        m_lo = (a - (m - (m - a))) + (w - (m - a))
+        m_u = m * 134217729.0 - (m * 134217729.0 - m)
+        m_l = m - m_u
+        p = m * hi
+        low = (((m_u * hi_u - p) + m_u * hi_l + m_l * hi_u) + m_l * hi_l) + (m * lo + m_lo * hi)
+        r = p + low
+        t = (p - (r - (r - p))) + (low - (r - p))  # r + t = p + low, exactly
+        bits = r.view(np.uint64)
+        half = ((bits & np.uint64(0x7FF << 52)) - np.uint64(53 << 52)).view(np.float64)
+        unsure = (half - np.abs(t) <= half * 2.0**-40) | ((bits & np.uint64(2**52 - 1)) == 0)
+        np.negative(r, out=r, where=neg)
+        for i in np.flatnonzero(unsure & (m != 0)):
+            r[i] = float(data[start[i]:e[i] + 4])
+        out[r0:r0 + n // per_row] = r.reshape(-1, per_row)
+    return out.view(np.complex128)
+
+
+def _parse_body(text: str, kind: str) -> tuple[SubsystemLayout, np.ndarray]:
+    """Layout and complex (d, width) entries of a serialized kind; width is 1 for a state."""
+    got, layout, body, line_nos = _parse_header(text)
+    if got != kind:
+        raise FormatError(f"expected a {kind}, got {got!r}")
     d = layout.total_dimension
     if len(body) != d:
-        raise FormatError(f"expected {d} matrix rows, got {len(body)}")
-    return _parse_rows([row.split() for row in body], d, line_nos)
+        raise FormatError(f"expected {d} {'amplitudes' if kind == 'state' else 'matrix rows'}, "
+                          f"got {len(body)}")
+    width = 1 if kind == "state" else d
+    parsed = _parse_canonical(body, width)
+    if parsed is None:
+        rows = [[ln] for ln in body] if kind == "state" else [ln.split() for ln in body]
+        parsed = _parse_rows(rows, width, line_nos)
+    return layout, parsed
 
 
 def parse_state(text: str) -> StateVector:
-    kind, layout, body, line_nos = _parse_header(text)
-    if kind != "state":
-        raise FormatError(f"expected a state, got {kind!r}")
-    d = layout.total_dimension
-    if len(body) != d:
-        raise FormatError(f"expected {d} amplitudes, got {len(body)}")
-    return StateVector(layout, _parse_rows([[ln] for ln in body], 1, line_nos))
+    return StateVector(*_parse_body(text, "state"))
 
 
 def parse_density(text: str) -> DensityMatrix:
-    kind, layout, body, line_nos = _parse_header(text)
-    if kind != "density":
-        raise FormatError(f"expected a density, got {kind!r}")
-    return DensityMatrix(layout, _parse_matrix(layout, body, line_nos))
+    return DensityMatrix(*_parse_body(text, "density"))
 
 
 def parse_unitary(text: str) -> UnitaryOperator:
-    kind, layout, body, line_nos = _parse_header(text)
-    if kind != "unitary":
-        raise FormatError(f"expected a unitary, got {kind!r}")
-    return UnitaryOperator(layout, _parse_matrix(layout, body, line_nos))
+    return UnitaryOperator(*_parse_body(text, "unitary"))

@@ -392,3 +392,38 @@ def render_signal_csv(records) -> str:
         f"{i},{thetas},{labels[d]},{labels[o]},{seed}" for i, (d, o, seed) in enumerate(rows)
     ]
     return "\n".join(lines) + "\n"
+
+
+def read_serialized_body(text: str, kind: str):
+    """(layout, complex (d, width) entries) of a serialized kind, every token read by float.
+
+    The row-by-row reading of a body that predates the vectorized canonical
+    reader: the reference for its value bits and for the FormatError (message
+    and line) of a bad body. Header parsing is the package's own, imported
+    inside the function.
+    """
+    from qdesk.errors import FormatError
+    from qdesk.serialization import _parse_header
+
+    got, layout, body, line_nos = _parse_header(text)
+    if got != kind:
+        raise FormatError(f"expected a {kind}, got {got!r}")
+    d = layout.total_dimension
+    if len(body) != d:
+        raise FormatError(f"expected {d} {'amplitudes' if kind == 'state' else 'matrix rows'}, "
+                          f"got {len(body)}")
+    width = 1 if kind == "state" else d
+    out = np.empty((d, width), dtype=complex)
+    for r, (line, no) in enumerate(zip(body, line_nos)):
+        tokens = [line] if kind == "state" else line.split()
+        if len(tokens) != width:
+            raise FormatError(f"line {no}: expected {width} entries, got {len(tokens)}")
+        for c, tok in enumerate(tokens):
+            parts = tok.split(",")
+            if len(parts) != 2:
+                raise FormatError(f"line {no}: expected 're,im', got {tok!r}")
+            try:
+                out[r, c] = complex(float(parts[0]), float(parts[1]))
+            except ValueError:
+                raise FormatError(f"line {no}: bad number in {tok!r}") from None
+    return layout, out

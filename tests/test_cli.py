@@ -596,6 +596,33 @@ def test_closed_stdout_is_an_output_error(tmp_path, unbuffered):
     assert err == "output error: cannot write stdout: Broken pipe\n"
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_stdout_closed_at_start_is_an_output_error(tmp_path, fmt):
+    # `qdesk ... >&-`: Python starts with descriptor 1 closed and sys.stdout None
+    cfg = write(tmp_path, "s.cfg", SMALL_CONFIGS["signal"] + f"format = {fmt}\n")
+    done = subprocess.run([sys.executable, "-m", "qdesk", "signal", "--config", cfg],
+                          preexec_fn=lambda: os.close(1), stderr=subprocess.PIPE, text=True)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr == "output error: cannot write stdout: Bad file descriptor\n"
+
+
+def test_stdout_closed_at_start_fails_the_solver_error_payload(tmp_path):
+    gamma = 1e-6
+    a0 = np.diag([1.0, math.sqrt(1.0 - gamma)]).astype(complex)
+    a1 = np.zeros((2, 2), dtype=complex)
+    a1[0, 1] = math.sqrt(gamma)
+    lay = layout_of(("env", ("e0", "e1")), ("loop", ("b0", "b1")))
+    scen = ("cr_ids = env\nctc_ids = loop\nunitary:\n"
+            + serialize_unitary(UnitaryOperator(lay, kraus_dilation([a0, a1]))))
+    write(tmp_path, "slow.scenario", scen)
+    cfg = write(tmp_path, "c.cfg",
+                "experiment = ctc-solve\nscenario_file = slow.scenario\nmethod = iterate\n")
+    done = subprocess.run([sys.executable, "-m", "qdesk", "ctc-solve", "--config", cfg],
+                          preexec_fn=lambda: os.close(1), stderr=subprocess.PIPE, text=True)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr == "output error: cannot write stdout: Bad file descriptor\n"
+
+
 def test_only_a_csv_run_builds_the_digit_table(tmp_path):
     json_cfg = write(tmp_path, "j.cfg", SMALL_CONFIGS["signal"])
     csv_cfg = write(tmp_path, "c.cfg", SMALL_CONFIGS["signal"] + "format = csv\n")
