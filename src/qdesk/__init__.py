@@ -24,23 +24,20 @@ _EXPORTS = {
     "errors": ("ConfigError", "DimensionMismatchError", "FormatError", "InvariantError",
                "LayoutError", "ProtocolError", "QdeskError", "SchemeError", "SolverError"),
     "tensor": ("ATOL", "DensityMatrix", "StateVector", "Subsystem", "SubsystemLayout",
-               "UnitaryOperator", "apply_unitary", "embed_operator", "layout_of",
-               "reduced_state", "subsystem"),
+               "UnitaryOperator", "apply_unitary", "layout_of", "reduced_state", "subsystem"),
     "serialization": ("parse_density", "parse_state", "parse_unitary", "serialize_density",
                       "serialize_state", "serialize_unitary"),
     "measurement": ("Branch", "PointerScheme", "branch_decomposition",
                     "build_premeasurement_unitary", "pointer_scheme", "premeasure",
-                    "sample_branch", "sample_labels"),
+                    "sample_labels"),
     "suggestion": ("ChshSearchResult", "CorrelationTally", "DecisionScheme", "Direction",
-                   "NoSignalingAudit", "SessionRecords", "TSIRELSON_BOUND",
-                   "build_suggestion_unitary", "chsh_grid_search", "chsh_value", "correlator",
-                   "joint_distribution", "no_signaling_audit", "run_session", "sample_rounds",
+                   "NoSignalingAudit", "SessionRecords", "TSIRELSON_BOUND", "chsh_grid_search",
+                   "chsh_value", "correlator", "no_signaling_audit", "sample_rounds",
                    "session_records", "signaling_weights", "tally_from_records"),
     "ctc": ("AdmissibilityScan", "ConsistencySubspace", "CtcScenario", "DeutschSolution",
             "admissible_fraction", "ctc_output_state", "deutsch_fixed_point",
-            "grandfather_scenario", "is_consistent_initial_state", "linear_consistency_basis",
-            "trace_distance"),
-    "rng": ("SplitMix64", "haar_state", "haar_unitary", "mix64", "stream_seed"),
+            "grandfather_scenario", "linear_consistency_basis", "trace_distance"),
+    "rng": ("SplitMix64", "mix64"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -32,7 +32,6 @@ from .errors import DimensionMismatchError, LayoutError, SolverError
 from .rng import haar_states, stream_seeds
 from .tensor import (
     DensityMatrix,
-    StateVector,
     SubsystemLayout,
     UnitaryOperator,
     _row_norms,
@@ -107,10 +106,6 @@ class ConsistencySubspace:
     def dimension(self) -> int:
         return sum(e.dimension for e in self.eigenpairs)
 
-    @property
-    def phases(self) -> tuple[float, ...]:
-        return tuple(e.phase for e in self.eigenpairs)
-
 
 def _canonical_basis(q: np.ndarray) -> np.ndarray:
     """Basis of span(q), for orthonormal q, that depends on the projector P = q q† alone.
@@ -168,7 +163,7 @@ def linear_consistency_basis(scenario: CtcScenario, mode: str = "strict") -> Con
     """Eigenspaces of the loop unitary U, filtered by mode, each in its _canonical_basis.
 
     strict: _fixed_space(U, PHASE_TOL), so each unit s in it has ||U s - s|| <= PHASE_TOL,
-            the residual that is_consistent_initial_state measures. It may be empty.
+            the strict residual that _residuals measures. It may be empty.
     ray:    every eigenspace from np.linalg.eig, eigenphases within PHASE_TOL merged,
             each cluster's eigenvectors orthonormalized by QR first.
     For an exact unitary sigma = |e^{i phi} - 1| = 2 |sin(phi / 2)| <= |phi|, so strict
@@ -198,8 +193,12 @@ def linear_consistency_basis(scenario: CtcScenario, mode: str = "strict") -> Con
 
 
 def _residuals(u: np.ndarray, states: np.ndarray, mode: str) -> np.ndarray:
-    """is_consistent_initial_state's residual of each row of states, bit for bit: the stacked
-    products make the calls that U @ s, np.vdot and np.linalg.norm make on one row."""
+    """Single-valuedness residual of each unit row s of states under one traversal U.
+
+    strict: ||U s - s||; ray: ||U s - e^{i phi} s|| at phi = arg<s|U s>, which minimizes the
+    residual over all global phases. Row by row, the stacked products give the bits of a
+    one-state computation with numpy's per-call functions: U @ s, np.vdot, np.linalg.norm.
+    """
     if mode not in ("strict", "ray"):
         raise ValueError(f"mode must be 'strict' or 'ray', got {mode!r}")
     image = (u @ states[:, :, None])[:, :, 0]
@@ -207,19 +206,6 @@ def _residuals(u: np.ndarray, states: np.ndarray, mode: str) -> np.ndarray:
         overlap = (states.conj()[:, None, :] @ image[:, :, None])[:, 0, 0]
         states = np.exp(1j * np.angle(overlap))[:, None] * states
     return _row_norms(image - states)
-
-
-def is_consistent_initial_state(scenario: CtcScenario, s: StateVector,
-                                mode: str = "strict") -> tuple[bool, float]:
-    """Single-valuedness residual of s under one loop traversal.
-
-    strict: ||U s - s||; ray: ||U s - e^{i phi} s|| at phi = arg<s|U s>,
-    which minimizes the residual over all global phases.
-    """
-    if s.layout != scenario.layout:
-        raise DimensionMismatchError("state layout differs from scenario layout")
-    residual = float(_residuals(scenario.loop_unitary.matrix, s.amplitudes[np.newaxis], mode)[0])
-    return residual <= CONSISTENCY_TOL, residual
 
 
 @dataclass(frozen=True)
@@ -249,7 +235,7 @@ def _scan_residuals(scenario: CtcScenario, n_samples: int, mode: str, seed: int)
     u, seeds = scenario.loop_unitary.matrix, stream_seeds(seed, n_samples)
     rows = max(1, _SCAN_BLOCK // (2 * len(u)))
     blocks = (haar_states(seeds[i:i + rows], len(u)) for i in range(0, n_samples, rows))
-    # dividing haar_state's output by its norm again is StateVector's normalization
+    # dividing a Haar sample by its norm again is StateVector's normalization
     return np.concatenate([_residuals(u, s / _row_norms(s)[:, None], mode) for s in blocks])
 
 
@@ -257,12 +243,12 @@ def admissible_fraction(scenario: CtcScenario, n_samples: int, mode: str,
                         seed: int) -> AdmissibilityScan:
     """Sample Haar-random pure states and test each; deterministic under seed.
 
-    Sample i is StateVector(layout, haar_state(d, SplitMix64(stream_seed(seed, i)))),
-    so the scan can be partitioned across workers in any order without changing the
-    result. Samples are drawn and tested in blocks of about _SCAN_BLOCK normals (memory
-    O(block) besides the residuals), each residual bit for bit is_consistent_initial_state's.
-    That takes two renormalizations, as haar_state and then StateVector divide by the
-    norm: the second norm is 1 only to an ulp, and skipping it moves last bits.
+    Sample i is row i of haar_states(stream_seeds(seed, n_samples), d), normalized once
+    more as a StateVector would be, so the scan can be partitioned across workers in any
+    order without changing the result. Samples are drawn and tested in blocks of about
+    _SCAN_BLOCK normals (memory O(block) besides the residuals), each residual bit for bit
+    the one-state computation of _residuals. The second normalization matters: that norm
+    is 1 only to an ulp, and skipping it moves last bits.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")

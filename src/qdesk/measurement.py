@@ -4,8 +4,8 @@ A pre-measurement unitary copies the measured subsystem's basis into a
 "pointer" register without collapsing anything: |k>|ready> -> |k>|saw_k>.
 Applied to superposed or entangled inputs it produces macroscopically
 distinguishable branches; this module builds those unitaries, decomposes the
-result into branches, and samples one branch by the Born rule with an
-explicit seed.
+result into branches, and samples the apparatus label by the Born rule, one
+label per explicit seed.
 
 Completion rule: the defining map only fixes what happens to the ready
 state. On each control sector k the apparatus action is completed as the
@@ -21,7 +21,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import LayoutError, SchemeError, ProtocolError
-from .rng import MASK64, born_select, first_uniforms
+from .rng import born_select, first_uniforms
 from .tensor import (
     StateVector,
     SubsystemLayout,
@@ -185,16 +185,6 @@ def branch_decomposition(s: StateVector, apparatus: str) -> list[Branch]:
     return branches
 
 
-def _collapsed_state(s: StateVector, apparatus: str, branch: Branch) -> StateVector:
-    pos = s.layout.position(apparatus)
-    app = s.layout.subsystems[pos]
-    k = app.label_index(branch.pointer_label)
-    t = np.zeros(s.layout.dims, dtype=np.complex128)
-    view = np.moveaxis(t, pos, -1)
-    view[..., k] = branch.conditional_state.tensor()
-    return StateVector(s.layout, t.reshape(-1))
-
-
 def sample_labels(s: StateVector, apparatus: str, seeds: np.ndarray) -> np.ndarray:
     """Born-rule apparatus label index for each seed (uint64 array).
 
@@ -203,22 +193,3 @@ def sample_labels(s: StateVector, apparatus: str, seeds: np.ndarray) -> np.ndarr
     depends only on seeds[i].
     """
     return born_select(apparatus_weights(s, apparatus), first_uniforms(seeds))
-
-
-def sample_branch(s: StateVector, apparatus: str, rng_seed: int) -> tuple[Branch, StateVector]:
-    """Pick one branch by the Born rule, deterministically from rng_seed.
-
-    The label is ``sample_labels`` for the single seed, so with
-    ``rng_seed = stream_seed(seed, i)`` it is the label of round i of a
-    ``measure`` run sampled with ``seed``. Returns the branch and the collapsed full state (apparatus pinned to the
-    pointer label, remainder equal to the conditional state). Raises
-    ProtocolError if the picked label's weight is at most BRANCH_PRUNE_EPS.
-    """
-    flat = _apparatus_columns(s, apparatus)
-    rest_layout = _rest_layout(s, apparatus)
-    idx = int(sample_labels(s, apparatus, np.array([rng_seed & MASK64], dtype=np.uint64))[0])
-    label = s.layout.subsystem_named(apparatus).labels[idx]
-    branch = _branch_for_label(flat, rest_layout, label, idx)
-    if branch is None:
-        raise ProtocolError(f"selected an apparatus label of negligible weight: {label!r}")
-    return branch, _collapsed_state(s, apparatus, branch)

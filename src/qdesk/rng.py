@@ -6,9 +6,9 @@ odd increment GAMMA and each output is a bijective finalizer (``mix64``) of
 the state. Three properties this module leans on:
 
 * the k-th output of a generator seeded with s is ``mix64(s + (k+1)*GAMMA)``,
-  so per-round sub-stream seeds can be derived in O(1) by index
-  (``stream_seed``) and whole seed arrays can be produced vectorized
-  (``stream_seeds``); any execution order gives identical draws;
+  so the per-round and per-sample seeds, the first n outputs of a master
+  seed, are one vectorized mixing (``stream_seeds``); any execution order
+  gives identical draws;
 * every derived quantity (uniforms, normals, Haar samples) is a pure function
   of the seed, so concurrent use is race-free by construction;
 * Box-Muller normals are computed as arrays, a call or a block of generators
@@ -45,19 +45,9 @@ def mix64(z: int) -> int:
     return (z ^ (z >> 31)) & MASK64
 
 
-def stream_seed(master_seed: int, index: int) -> int:
-    """Seed of sub-stream `index`: the (index+1)-th raw output of the master.
-
-    Equals ``SplitMix64(master_seed).next_u64()`` iterated index+1 times,
-    without the iteration.
-    """
-    if index < 0:
-        raise ValueError(f"stream index must be nonnegative, got {index}")
-    return mix64((master_seed + (index + 1) * GAMMA) & MASK64)
-
-
 def stream_seeds(master_seed: int, n: int) -> np.ndarray:
-    """Vectorized ``stream_seed(master_seed, i)`` for i = 0..n-1 (uint64)."""
+    """The first n outputs of SplitMix64(master_seed) as uint64: entry i, the seed of round or
+    sample i, is its (i+1)-th ``next_u64``."""
     return _outputs(master_seed & MASK64, n)
 
 
@@ -113,10 +103,6 @@ class SplitMix64:
         """Uniform float in [0, 1) with 53 bits of precision."""
         return (self.next_u64() >> 11) * 2.0**-53
 
-    def normal(self) -> float:
-        """One standard normal: the next draw of ``normals``."""
-        return float(self.normals(1)[0])
-
     def normals(self, n: int) -> np.ndarray:
         """n standard normals as one array computation, bit for bit drawn one at a time.
 
@@ -141,37 +127,13 @@ class SplitMix64:
         return xs[0::2] + 1j * xs[1::2]
 
 
-def haar_state(dim: int, rng: SplitMix64) -> np.ndarray:
-    """Haar-random unit vector: complex Gaussian entries, normalized."""
-    v = rng.complex_normals(dim)
-    return v / np.linalg.norm(v)
-
-
 def haar_states(seeds: np.ndarray, dim: int) -> np.ndarray:
-    """Row i is haar_state(dim, SplitMix64(seeds[i])) bit for bit, for uint64 seeds: all rows'
-    uniforms come from one (n, 2 dim) mixing, their normals from one _box_muller."""
+    """Haar-random unit vectors, a row per uint64 seed: row i is
+    SplitMix64(seeds[i]).complex_normals(dim) divided by its np.linalg.norm, bit for bit. All
+    rows' uniforms come from one (n, 2 dim) mixing, their normals from one _box_muller."""
     xs = _box_muller(_unit(_outputs(seeds, 2 * dim)))
     v = xs[:, 0::2] + 1j * xs[:, 1::2]
     return v / _row_norms(v)[:, None]
-
-
-def haar_unitary(dim: int, rng: SplitMix64) -> np.ndarray:
-    """Haar-random unitary: QR of a complex Gaussian matrix.
-
-    The Q factor is rephased column-wise so the R diagonal is real positive,
-    which makes the distribution exactly Haar and the output deterministic.
-    """
-    g = rng.complex_normals(dim * dim).reshape(dim, dim)
-    q, r = np.linalg.qr(g)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))[np.newaxis, :]
-
-
-def random_density(dim: int, rng: SplitMix64) -> np.ndarray:
-    """Random full-rank density matrix G G† / tr(G G†)."""
-    g = rng.complex_normals(dim * dim).reshape(dim, dim)
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
 
 
 def born_select(weights: np.ndarray, uniforms: np.ndarray) -> np.ndarray:

@@ -28,8 +28,9 @@ two sector permutations. Every round is evolved by one kernel,
 ``signaling_weights``: per block of direction pairs it builds the 18x18
 steering and 6x6 rotated-meter stacks from cos/sin, checks each stack once
 and applies it with the batch axis first. A single pair is a one-row call:
-``correlator``, ``joint_distribution`` and ``sample_rounds`` read one row,
-``chsh_value`` four, and the CHSH grid and the no-signaling audit many.
+``correlator`` and ``sample_rounds`` read one row, ``chsh_value`` four, and
+the CHSH grid and the no-signaling audit many; the joint probabilities of a
+pair are the four decided cells of its row.
 All of them share one undecided/ready leak check, and the exact quantities
 one correlator range check, each made on the whole row stack.
 
@@ -48,13 +49,7 @@ import numpy as np
 from .errors import InvariantError, SchemeError
 from .measurement import build_premeasurement_unitary, pointer_scheme
 from .rng import SplitMix64, born_select, first_uniforms, stream_seeds
-from .tensor import (
-    StateVector,
-    SubsystemLayout,
-    UnitaryOperator,
-    apply_unitary_stack,
-    layout_of,
-)
+from .tensor import StateVector, apply_unitary_stack, layout_of
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 TSIRELSON_GUARD = 1e-9      # slack on |S| <= TSIRELSON_BOUND
@@ -84,14 +79,6 @@ class Direction:
         dev = float(np.abs(r.T @ r - np.eye(2)).max())
         if dev > 1e-12:
             raise InvariantError(f"direction basis not orthonormal (deviation {dev:.3e})")
-
-    def up_state(self) -> np.ndarray:
-        h = self.theta / 2.0
-        return np.array([math.cos(h), math.sin(h)], dtype=np.complex128)
-
-    def down_state(self) -> np.ndarray:
-        h = self.theta / 2.0
-        return np.array([-math.sin(h), math.cos(h)], dtype=np.complex128)
 
     def rotation(self) -> np.ndarray:
         """2x2 rotation whose columns are (up', down')."""
@@ -126,11 +113,6 @@ _PAIR_LAYOUT = _SIGNALING_LAYOUT.sub_layout((PARTICLE, DISTANT))
 _STEER_LAYOUT = _SIGNALING_LAYOUT.sub_layout((PARTICLE, AGENT, PREPARED))
 
 
-def signaling_layout() -> SubsystemLayout:
-    """Full layout of one signaling round: pair + agent + prepared + pointer."""
-    return _SIGNALING_LAYOUT
-
-
 def _lex_completion(fixed: dict[int, int], n: int) -> list[int]:
     """Smallest permutation (as the sequence pi(0..n-1)) extending `fixed`."""
     used = set(fixed.values())
@@ -158,44 +140,16 @@ _P_UP = _permutation_matrix(_lex_completion({_IDX_UNDECIDED_PSI0: _IDX_UP_PSIUP}
 _P_DOWN = _permutation_matrix(_lex_completion({_IDX_UNDECIDED_PSI0: _IDX_DOWN_PSIDOWN}, 9))
 
 
-def build_suggestion_unitary(scheme: DecisionScheme, layout: SubsystemLayout) -> UnitaryOperator:
-    """One-step steering unitary over (influence, agent, prepared), in that order.
-
-    Maps |up'>|undecided>|psi0> -> |up'>|decides_up>|psi_up> and
-    |down'>|undecided>|psi0> -> |down'>|decides_down>|psi_down>, completed per
-    the module convention. Since only the primed projectors enter, the matrix
-    is exactly 2*pi-periodic in theta.
-    """
-    infl = layout.subsystem_named(scheme.influence)
-    agent = layout.subsystem_named(scheme.agent)
-    prep = layout.subsystem_named(scheme.prepared)
-    if infl.dimension != 2:
-        raise SchemeError(f"influence subsystem {infl.name!r} must have dimension 2")
-    if agent.labels != AGENT_LABELS:
-        raise SchemeError(f"agent subsystem needs labels {AGENT_LABELS}, got {agent.labels}")
-    if prep.labels != PREPARED_LABELS:
-        raise SchemeError(f"prepared subsystem needs labels {PREPARED_LABELS}, got {prep.labels}")
-    up = scheme.direction.up_state()
-    down = scheme.direction.down_state()
-    mat = np.kron(np.outer(up, up.conj()), _P_UP) + np.kron(np.outer(down, down.conj()), _P_DOWN)
-    return UnitaryOperator(SubsystemLayout((infl, agent, prep)), mat)
-
-
 # ---------------------------------------------------------------------------
 # Signaling rounds
-
-
-def bell_pair_state() -> StateVector:
-    """(|up down> + |down up>)/sqrt2 over (particle, distant)."""
-    amps = np.zeros(4, dtype=np.complex128)
-    amps[1] = amps[2] = 1.0  # |up down>, |down up>
-    return StateVector(_PAIR_LAYOUT, amps)
 
 
 _REST = np.zeros(27, dtype=np.complex128)
 _REST[0] = 1.0  # undecided, psi0, ready
 _REST.setflags(write=False)
-_ROUND_INPUT = StateVector(_SIGNALING_LAYOUT, np.kron(bell_pair_state().amplitudes, _REST))
+# the Bell pair (|up down> + |down up>)/sqrt2 over (particle, distant), then the rest
+_ROUND_INPUT = StateVector(_SIGNALING_LAYOUT,
+                           np.kron(StateVector(_PAIR_LAYOUT, [0, 1, 1, 0]).amplitudes, _REST))
 # z-basis pointer measurement of the distant particle, over (distant, pointer)
 _METER_Z = build_premeasurement_unitary(
     pointer_scheme(DISTANT, POINTER, "ready", {"up": "observes_up", "down": "observes_down"}),
@@ -226,10 +180,10 @@ def signaling_weights(alice_thetas: Sequence[float], bob_thetas: Sequence[float]
     Direction(bob_thetas[i]); `pair_state` (over (particle, distant), each
     with labels up, down) defaults to the Bell pair. The round is one unitary
     evolution; nothing collapses here. Per block of _BLOCK pairs, the
-    steering and rotated-meter stacks come from the same cos/sin and np.kron
-    products as build_suggestion_unitary and r M_z r^dagger built pair by
-    pair, and apply_unitary_stack checks and applies each stack once, so a
-    row equals that pair's evolution through apply_unitary bit for bit.
+    steering and rotated-meter stacks come from the cos/sin of the half
+    angles, as in Direction, and the np.kron products of one pair's
+    matrices, and apply_unitary_stack checks and applies each stack once, so
+    a row equals that pair's evolution through apply_unitary bit for bit.
     """
     a = [float(t) for t in alice_thetas]
     b = [float(t) for t in bob_thetas]
@@ -267,17 +221,6 @@ def _checked_weights(alice_thetas: Sequence[float], bob_thetas: Sequence[float],
     return w
 
 
-def joint_distribution(alice_dir: Direction, bob_dir: Direction,
-                       pair_state: StateVector | None = None) -> dict[tuple[str, str], float]:
-    """Exact joint probabilities {(alice_decision, bob_outcome): p}."""
-    w = _checked_weights([alice_dir.theta], [bob_dir.theta], pair_state)[0]
-    return {
-        (INFLUENCE_LABELS[i], INFLUENCE_LABELS[j]): float(w[i + 1, j + 1])
-        for i in (0, 1)
-        for j in (0, 1)
-    }
-
-
 @dataclass(frozen=True)
 class SessionRecords:
     """Sampled signaling rounds as columns; row i is one round.
@@ -312,7 +255,7 @@ def sample_rounds(alice_dir: Direction, bob_dir: Direction, seeds: np.ndarray) -
 
 def session_records(n_rounds: int, alice_dir: Direction, bob_dir: Direction,
                     master_seed: int) -> SessionRecords:
-    """All rounds of a session; round i uses seed stream_seed(master_seed, i)."""
+    """All rounds of a session; round i uses seed stream_seeds(master_seed, n_rounds)[i]."""
     if n_rounds < 1:
         raise ValueError(f"n_rounds must be >= 1, got {n_rounds}")
     return sample_rounds(alice_dir, bob_dir, stream_seeds(master_seed, n_rounds))
@@ -339,12 +282,6 @@ class CorrelationTally:
 def tally_from_records(records: SessionRecords) -> CorrelationTally:
     counts = np.bincount(2 * records.decisions + records.outcomes, minlength=4)
     return CorrelationTally(*counts.tolist())
-
-
-def run_session(n_rounds: int, alice_dir: Direction, bob_dir: Direction,
-                master_seed: int) -> CorrelationTally:
-    """Seeded session; order-independent by construction of the round seeds."""
-    return tally_from_records(session_records(n_rounds, alice_dir, bob_dir, master_seed))
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,9 @@ factor they divided out.
 
 A unitary lives on the subsystems it acts on and is validated once, at that
 size: ``apply_unitary`` contracts only their axes, wherever they sit in the
-state's layout, ``apply_unitary_stack`` does the same for a stack of
-unitaries and states with the batch axis first, and ``embed_operator``
-builds a full-layout matrix by the same contraction.
+state's layout, and ``apply_unitary_stack`` does the same for a stack of
+unitaries and states with the batch axis first. No full-layout matrix of a
+local unitary is built.
 """
 
 from __future__ import annotations
@@ -309,21 +309,6 @@ def apply_unitary_stack(u_layout: SubsystemLayout, mats: np.ndarray, t: np.ndarr
     if abs(worst) > ATOL:
         raise InvariantError(f"unitary application changed the norm by {worst:.3e}")
     return (flat / norms[:, None]).reshape(out.shape)
-
-
-def embed_operator(u: UnitaryOperator, target: SubsystemLayout) -> UnitaryOperator:
-    """Extend u by the identity onto `target`, permuting as needed.
-
-    u's subsystems may sit anywhere in the target layout, in any order;
-    the result acts as u on them and as the identity on the rest. It is u
-    applied to every column of the target's identity.
-    """
-    for sid in u.layout.ids:
-        target.position(sid)  # raises LayoutError on unknown ids
-    d = target.total_dimension
-    identity = np.eye(d, dtype=np.complex128).reshape(target.dims + (d,))
-    columns = _apply_local(u.layout, u.matrix, identity, target)
-    return UnitaryOperator(target, columns.reshape(d, d))
 
 
 def _partial_trace_array(t: np.ndarray, keep_positions: Sequence[int]) -> np.ndarray:

@@ -1,17 +1,28 @@
 """Independent brute-force oracles for the test suite.
 
 Expected values come from explicit index loops and textbook-style projector
-arithmetic, so agreement with the production code is meaningful. The one
-exception is ``single_round_weights``: it pins the batched signaling kernel
-to the same round evolved one operator at a time, so it composes the
-package's single-operator API, imported inside the function.
+arithmetic, so agreement with the production code is meaningful. Two kinds
+of exception compose package code, imported inside the function or passed in:
+
+* ``single_round_weights`` pins the batched signaling kernel to the same
+  round evolved one operator at a time: ``steering_unitary`` builds and
+  checks the 18x18 steering unitary of one angle, and the package's
+  single-operator API applies it;
+* the fixture builders ``haar_state``, ``haar_unitary`` and
+  ``random_density`` draw from the package's sequential ``SplitMix64``, so
+  every fixture keeps its bits; ``haar_state`` is also the one-sample
+  reference that each row of ``rng.haar_states`` must equal bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from qdesk.rng import SplitMix64
 
 
 def partial_trace_loops(mat: np.ndarray, dims: list[int], keep: list[int]) -> np.ndarray:
@@ -200,6 +211,24 @@ def correlator_oracle(theta_a: float, theta_b: float) -> float:
             - p[("up", "down")] - p[("down", "up")])
 
 
+def steering_unitary(theta: float):
+    """The steering UnitaryOperator over (particle, agent, prepared) for Alice's angle theta.
+
+    Maps |up'>|undecided>|psi0> -> |up'>|decides_up>|psi_up> and
+    |down'>|undecided>|psi0> -> |down'>|decides_down>|psi_down>, each sector
+    completed by the package's permutation of (agent, prepared), so it is
+    exactly 2*pi-periodic in theta. Its constructor checks unitarity.
+    """
+    from qdesk import UnitaryOperator
+    from qdesk.suggestion import _P_DOWN, _P_UP, _STEER_LAYOUT
+
+    h = theta / 2.0
+    up = np.array([math.cos(h), math.sin(h)], dtype=np.complex128)
+    down = np.array([-math.sin(h), math.cos(h)], dtype=np.complex128)
+    mat = np.kron(np.outer(up, up.conj()), _P_UP) + np.kron(np.outer(down, down.conj()), _P_DOWN)
+    return UnitaryOperator(_STEER_LAYOUT, mat)
+
+
 def single_round_weights(theta_a: float, theta_b: float, pair=None) -> np.ndarray:
     """3x3 Born weights over (agent, pointer) of one signaling round, pair by pair.
 
@@ -208,24 +237,21 @@ def single_round_weights(theta_a: float, theta_b: float, pair=None) -> np.ndarra
     each with apply_unitary. `pair` is a StateVector over (particle,
     distant) and defaults to the Bell pair.
     """
-    from qdesk import (DecisionScheme, Direction, StateVector, UnitaryOperator, apply_unitary,
-                       build_premeasurement_unitary, build_suggestion_unitary, pointer_scheme)
-    from qdesk.suggestion import (AGENT, DISTANT, PARTICLE, POINTER, PREPARED,
-                                  bell_pair_state, signaling_layout)
+    from qdesk import (Direction, StateVector, UnitaryOperator, apply_unitary,
+                       build_premeasurement_unitary, pointer_scheme)
+    from qdesk.suggestion import DISTANT, POINTER, _PAIR_LAYOUT, _SIGNALING_LAYOUT
 
-    lay = signaling_layout()
+    lay = _SIGNALING_LAYOUT
     rest = np.zeros(27, dtype=np.complex128)
     rest[0] = 1.0  # undecided, psi0, ready
-    pair = bell_pair_state() if pair is None else pair
+    pair = StateVector(_PAIR_LAYOUT, [0, 1, 1, 0]) if pair is None else pair
     s = StateVector(lay, np.kron(pair.amplitudes, rest))
-    steer = build_suggestion_unitary(
-        DecisionScheme(PARTICLE, AGENT, PREPARED, Direction(theta_a)), lay)
     meter_z = build_premeasurement_unitary(
         pointer_scheme(DISTANT, POINTER, "ready", {"up": "observes_up", "down": "observes_down"}),
         lay)
     r = np.kron(Direction(theta_b).rotation(), np.eye(3))
     meter = UnitaryOperator(meter_z.layout, r @ meter_z.matrix @ r.conj().T)
-    t = np.abs(apply_unitary(meter, apply_unitary(steer, s)).tensor()) ** 2
+    t = np.abs(apply_unitary(meter, apply_unitary(steering_unitary(theta_a), s)).tensor()) ** 2
     return t.sum(axis=(0, 1, 3))  # axes: particle, distant, agent, prepared, pointer
 
 
@@ -299,6 +325,31 @@ def scalar_normals(state: int, spare: float | None, n: int):
         spare = r * math.sin(2.0 * math.pi * u2)
         draws.append(r * math.cos(2.0 * math.pi * u2))
     return draws, state, spare
+
+
+def haar_state(dim: int, rng: SplitMix64) -> np.ndarray:
+    """Haar-random unit vector: complex Gaussian entries, normalized."""
+    v = rng.complex_normals(dim)
+    return v / np.linalg.norm(v)
+
+
+def haar_unitary(dim: int, rng: SplitMix64) -> np.ndarray:
+    """Haar-random unitary: QR of a complex Gaussian matrix.
+
+    The Q factor is rephased column-wise so the R diagonal is real positive,
+    which makes the distribution exactly Haar and the output deterministic.
+    """
+    g = rng.complex_normals(dim * dim).reshape(dim, dim)
+    q, r = np.linalg.qr(g)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))[np.newaxis, :]
+
+
+def random_density(dim: int, rng: SplitMix64) -> np.ndarray:
+    """Random full-rank density matrix G G† / tr(G G†)."""
+    g = rng.complex_normals(dim * dim).reshape(dim, dim)
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
 
 
 def single_residual(u: np.ndarray, s: np.ndarray, mode: str) -> float:

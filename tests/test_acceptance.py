@@ -20,28 +20,26 @@ from qdesk import (
     UnitaryOperator,
     apply_unitary,
     branch_decomposition,
-    build_suggestion_unitary,
     chsh_grid_search,
     correlator,
     deutsch_fixed_point,
-    embed_operator,
     grandfather_scenario,
     admissible_fraction,
-    is_consistent_initial_state,
     layout_of,
     linear_consistency_basis,
     no_signaling_audit,
     pointer_scheme,
     premeasure,
     reduced_state,
-    run_session,
+    session_records,
+    tally_from_records,
     trace_distance,
 )
-from qdesk.rng import SplitMix64, haar_state, haar_unitary, random_density
+from qdesk.ctc import CONSISTENCY_TOL, _residuals
+from qdesk.rng import SplitMix64
 from qdesk.suggestion import AGENT, AGENT_LABELS, DISTANT, PARTICLE, PREPARED, PREPARED_LABELS
-from qdesk.suggestion import DecisionScheme
 
-from oracles import correlator_oracle
+from oracles import correlator_oracle, haar_state, haar_unitary, random_density, steering_unitary
 
 SQ2 = math.sqrt(2.0)
 TSIRELSON = 2.0 * SQ2
@@ -134,10 +132,8 @@ def test_criterion_02_spectator_invariance():
         amps = np.zeros(sugg_lay.total_dimension, dtype=complex)
         amps.reshape(2, 2, 3, 3)[:, :, 0, 0] = haar_state(4, rng).reshape(2, 2)
         s = StateVector(sugg_lay, amps)
-        u = embed_operator(build_suggestion_unitary(
-            DecisionScheme(PARTICLE, AGENT, PREPARED, Direction(theta)), sugg_lay), sugg_lay)
         before = reduced_state(s, [DISTANT]).matrix
-        after = reduced_state(apply_unitary(u, s), [DISTANT]).matrix
+        after = reduced_state(apply_unitary(steering_unitary(theta), s), [DISTANT]).matrix
         worst = max(worst, float(np.abs(before - after).max()))
 
     ok &= worst <= 1e-10
@@ -151,7 +147,8 @@ def test_criterion_03_aligned_sessions_anticorrelate_exactly():
     t0 = time.perf_counter()
     ok = True
     for theta, seed in ((0.0, 31), (math.pi, 32)):
-        tally = run_session(10_000, Direction(theta), Direction(theta), master_seed=seed)
+        tally = tally_from_records(
+            session_records(10_000, Direction(theta), Direction(theta), seed))
         ok &= tally.n_uu == 0 and tally.n_dd == 0
         ok &= tally.n_total == 10_000
         ok &= tally.correlator == -1.0
@@ -219,9 +216,9 @@ def test_criterion_07_linearity_of_the_constraint():
     rng = SplitMix64(2024_07)
     worst = 0.0
     for _ in range(100):
-        combo = basis @ rng.complex_normals(basis.shape[1])
-        passed, res = is_consistent_initial_state(sc, StateVector(lay, combo), "strict")
-        ok &= passed
+        combo = StateVector(lay, basis @ rng.complex_normals(basis.shape[1])).amplitudes
+        res = float(_residuals(sc.loop_unitary.matrix, combo[np.newaxis], "strict")[0])
+        ok &= res <= CONSISTENCY_TOL
         worst = max(worst, res)
     ok &= worst <= 1e-8
     elapsed = time.perf_counter() - t0
@@ -306,7 +303,7 @@ def test_criterion_10_determinism_and_monte_carlo_consistency(tmp_path):
         a = (rng.random() - 0.5) * 4 * math.pi
         b = (rng.random() - 0.5) * 4 * math.pi
         exact = correlator(Direction(a), Direction(b))
-        tally = run_session(n, Direction(a), Direction(b), master_seed=rng.next_u64())
+        tally = tally_from_records(session_records(n, Direction(a), Direction(b), rng.next_u64()))
         sigma = math.sqrt(max((1.0 - exact**2) / n, 1e-18))
         gap = abs(tally.correlator - exact) / sigma if sigma > 0 else 0.0
         worst_sigmas = max(worst_sigmas, gap)

@@ -11,14 +11,14 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qdesk import UnitaryOperator, layout_of, serialize_unitary
 from qdesk.cli import main
 from qdesk.reports import CSV_BLOCK_ROWS as BLOCK
-from qdesk.rng import SplitMix64, haar_unitary
+from qdesk.rng import SplitMix64
 
-from oracles import kraus_dilation, render_signal_csv
+from oracles import haar_unitary, kraus_dilation, render_signal_csv
 
 
 def write(tmp_path, name, text):
@@ -481,6 +481,76 @@ def test_oversized_count_exits_2(tmp_path, command, body, flags, line):
         assert f"{cfg}:{line}: " in err.getvalue()
 
 
+SIGNAL_CSV_HEADER = "round,theta_a,theta_b,alice_decision,bob_outcome,seed"
+
+
+def signal_config(alice, bob, fmt, rounds=3):
+    return (f"experiment = signal\nalice_angle = {alice!r}\nbob_angle = {bob!r}\n"
+            f"rounds = {rounds}\nseed = 1\nformat = {fmt}\n")
+
+
+# at 2^54 and beyond one ulp exceeds pi, so alice + pi/4 and alice + pi/2, the audit's other
+# two settings, round back to alice; below -2^54 the same holds
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("alice", [2.0**54, -1e20])
+def test_signal_angle_the_audit_cannot_offset_exits_2(tmp_path, fmt, alice):
+    cfg = write(tmp_path, "s.cfg", signal_config(alice, 0.3, fmt))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = run_cli(["signal", "--config", cfg])
+    assert code == 2 and out == ""
+    assert err.getvalue().startswith(f"config error: {cfg}:2: alice_angle {alice!r} ")
+    assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_signal_at_2_to_the_53_still_audits(tmp_path, fmt):
+    # one ulp is 2 here: alice + pi/4 rounds to alice, alice + pi/2 to alice + 2
+    cfg = write(tmp_path, "s.cfg", signal_config(2.0**53, 0.3, fmt))
+    code, out = run_cli(["signal", "--config", cfg])
+    assert code == 0
+    if fmt == "json":
+        audited = json.loads(out)["no_signaling"]["alice_settings"]
+        assert audited == [2.0**53, 2.0**53, 2.0**53 + 2]
+    else:
+        assert out.startswith(SIGNAL_CSV_HEADER + "\n")
+
+
+EXTREME_ANGLES = [2.0**53, -(2.0**53), 2.0**54, -(2.0**54), 1.7976931348623157e308,
+                  -1.7976931348623157e308, 5e-324, -5e-324, -0.0]
+any_angle = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EXTREME_ANGLES)
+
+
+@settings(max_examples=100, deadline=None)
+@given(command=st.sampled_from(["signal json", "signal csv", "chsh json"]),
+       angles=st.lists(any_angle, min_size=4, max_size=4))
+@example(command="signal json", angles=[2.0**54, 0.0, 0.0, 0.0])
+@example(command="signal csv", angles=[-1.7976931348623157e308, 5e-324, 0.0, 0.0])
+def test_every_finite_angle_gives_a_report_or_a_located_config_error(tmp_path_factory, command,
+                                                                     angles):
+    kind, fmt = command.split()
+    if kind == "signal":
+        text = signal_config(angles[0], angles[1], fmt)
+    else:
+        text = "experiment = chsh\n" + "".join(
+            f"angle_{key} = {a!r}\n" for key, a in zip(("a1", "a2", "b1", "b2"), angles))
+    tmp = tmp_path_factory.mktemp("angles")
+    cfg = write(tmp, "a.cfg", text)
+    report = tmp / "report.out"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([kind, "--config", cfg, "--out", str(report)])
+    assert code in (0, 2), err.getvalue()
+    if code == 2:
+        assert re.match(rf"config error: {re.escape(cfg)}:\d+: ", err.getvalue())
+    elif fmt == "csv":
+        lines = report.read_text(encoding="utf-8").splitlines()
+        assert lines[0] == SIGNAL_CSV_HEADER and len(lines) == 4
+        assert all(len(line.split(",")) == 6 for line in lines[1:])
+    else:
+        assert json.loads(report.read_text(encoding="utf-8"))["experiment"] == kind
+
+
 def test_solver_error_exits_3_with_residual(tmp_path):
     gamma = 1e-6
     a0 = np.diag([1.0, math.sqrt(1.0 - gamma)]).astype(complex)
@@ -671,21 +741,20 @@ def test_commands_load_only_their_own_modules(tmp_path, command, unused):
     assert done.returncode == 0, done.stderr
 
 
-# What `from qdesk import *` gives: 68 public names and the 7 submodules that hold them.
+# What `from qdesk import *` gives: 59 public names and the 7 submodules that hold them.
 STAR_NAMES = (
     "ATOL AdmissibilityScan Branch ChshSearchResult ConfigError ConsistencySubspace "
     "CorrelationTally CtcScenario DecisionScheme DensityMatrix DeutschSolution "
     "DimensionMismatchError Direction FormatError InvariantError LayoutError NoSignalingAudit "
     "PointerScheme ProtocolError QdeskError SchemeError SessionRecords SolverError SplitMix64 "
     "StateVector Subsystem SubsystemLayout TSIRELSON_BOUND UnitaryOperator admissible_fraction "
-    "apply_unitary branch_decomposition build_premeasurement_unitary build_suggestion_unitary "
+    "apply_unitary branch_decomposition build_premeasurement_unitary "
     "chsh_grid_search chsh_value correlator ctc ctc_output_state deutsch_fixed_point "
-    "embed_operator errors grandfather_scenario haar_state haar_unitary "
-    "is_consistent_initial_state joint_distribution layout_of linear_consistency_basis "
+    "errors grandfather_scenario layout_of linear_consistency_basis "
     "measurement mix64 no_signaling_audit parse_density parse_state parse_unitary "
-    "pointer_scheme premeasure reduced_state rng run_session sample_branch sample_labels "
+    "pointer_scheme premeasure reduced_state rng sample_labels "
     "sample_rounds serialization serialize_density serialize_state serialize_unitary "
-    "session_records signaling_weights stream_seed subsystem suggestion tally_from_records "
+    "session_records signaling_weights subsystem suggestion tally_from_records "
     "tensor trace_distance"
 ).split()
 
@@ -701,7 +770,7 @@ def test_package_resolves_names_on_first_use():
              "print(' '.join(sorted(set(namespace) - {'__builtins__'})))\n")
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == sorted(STAR_NAMES) and len(STAR_NAMES) == 75
+    assert done.stdout.split() == sorted(STAR_NAMES) and len(STAR_NAMES) == 66
 
 
 @pytest.mark.parametrize("method", ["iterate", "spectral"])

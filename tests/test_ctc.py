@@ -9,7 +9,6 @@ from hypothesis import assume, example, given, settings, strategies as st
 from qdesk import (
     CtcScenario,
     DensityMatrix,
-    DimensionMismatchError,
     LayoutError,
     SolverError,
     StateVector,
@@ -18,12 +17,12 @@ from qdesk import (
     ctc_output_state,
     deutsch_fixed_point,
     grandfather_scenario,
-    is_consistent_initial_state,
     layout_of,
     linear_consistency_basis,
     trace_distance,
 )
 from qdesk.ctc import (
+    CONSISTENCY_TOL,
     FIXED_SPACE_TOL,
     PHASE_TOL,
     DeutschSolution,
@@ -31,12 +30,13 @@ from qdesk.ctc import (
     _fixed_space,
     _loop_operators,
     _median,
+    _residuals,
     _SCAN_BLOCK,
     _scan_residuals,
     _superoperator,
     induced_loop_map,
 )
-from qdesk.rng import SplitMix64, haar_state, haar_unitary, random_density, stream_seed
+from qdesk.rng import SplitMix64
 from qdesk.tensor import ATOL
 
 from oracles import (
@@ -44,9 +44,13 @@ from oracles import (
     columnwise_superoperator,
     conjugation_superoperator,
     eig_fixed_space,
+    haar_state,
+    haar_unitary,
     induced_map_oracle,
     kraus_dilation,
+    random_density,
     single_residual,
+    splitmix64_reference,
     unitary_eigensystem,
 )
 
@@ -66,6 +70,11 @@ def two_qubit_scenario(u: np.ndarray) -> CtcScenario:
 
 def cr_density(scenario: CtcScenario, mat) -> DensityMatrix:
     return DensityMatrix(scenario.cr_layout(), mat)
+
+
+def residual(scenario: CtcScenario, s: StateVector, mode: str) -> float:
+    """Single-valuedness residual of one state: a one-row call of the scan's kernel."""
+    return float(_residuals(scenario.loop_unitary.matrix, s.amplitudes[np.newaxis], mode)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -101,8 +110,7 @@ def test_identity_loop_accepts_everything():
     sub = linear_consistency_basis(sc, "strict")
     assert sub.dimension == 2
     s = StateVector(sc.layout, haar_state(2, SplitMix64(1)))
-    ok, res = is_consistent_initial_state(sc, s, "strict")
-    assert ok and res < 1e-12
+    assert residual(sc, s, "strict") < 1e-12
 
 
 def test_flip_loop_admits_only_the_balanced_ray():
@@ -116,7 +124,7 @@ def test_flip_loop_admits_only_the_balanced_ray():
     rays = linear_consistency_basis(sc, "ray")
     assert rays.dimension == 2
     assert [e.dimension for e in rays.eigenpairs] == [1, 1]
-    phases = sorted(abs(p) for p in rays.phases)
+    phases = sorted(abs(e.phase) for e in rays.eigenpairs)
     assert phases[0] < 1e-10
     assert abs(phases[1] - math.pi) < 1e-10
 
@@ -246,8 +254,7 @@ def test_strict_cutoff_departs_from_schur_in_the_off_unit_band():
     assert np.count_nonzero(np.abs(phases) <= PHASE_TOL) == 1
     assert linear_consistency_basis(sc, "strict").dimension == 0
     kept = vecs[:, np.argmin(np.abs(phases))]
-    ok, res = is_consistent_initial_state(sc, StateVector(sc.layout, kept), "strict")
-    assert not ok and res > PHASE_TOL
+    assert residual(sc, StateVector(sc.layout, kept), "strict") > PHASE_TOL
 
 
 @settings(max_examples=100, deadline=None)
@@ -266,8 +273,8 @@ def test_strict_basis_spans_consistent_states(d, data, off_unit, strength, seed)
     basis = sub.eigenpairs[0].basis
     combos = np.hstack([np.eye(k), rng.standard_normal((k, 8)) + 1j * rng.standard_normal((k, 8))])
     for c in combos.T:
-        ok, res = is_consistent_initial_state(sc, StateVector(sc.layout, basis @ c), "strict")
-        assert ok, res
+        res = residual(sc, StateVector(sc.layout, basis @ c), "strict")
+        assert res <= CONSISTENCY_TOL, res
 
 
 def random_isometry(rng: np.random.Generator, d: int, k: int) -> np.ndarray:
@@ -315,20 +322,10 @@ def test_ray_clusters_match_schur_eigenspaces(d, data, seed):
 def test_consistency_residuals_for_the_flip():
     sc = grandfather_scenario("qubit_flip")
     plus = StateVector(sc.layout, [1.0, 1.0])
-    ok, res = is_consistent_initial_state(sc, plus, "strict")
-    assert ok and res < 1e-12
+    assert residual(sc, plus, "strict") < 1e-12
     zero = StateVector(sc.layout, [1.0, 0.0])
     for mode in ("strict", "ray"):
-        ok, res = is_consistent_initial_state(sc, zero, mode)
-        assert not ok
-        assert abs(res - SQ2) < 1e-12
-
-
-def test_consistency_rejects_foreign_layout():
-    sc = grandfather_scenario("qubit_flip")
-    other = layout_of(("x", ("0", "1", "2")))
-    with pytest.raises(DimensionMismatchError):
-        is_consistent_initial_state(sc, StateVector(other, [1, 0, 0]), "strict")
+        assert abs(residual(sc, zero, mode) - SQ2) < 1e-12
 
 
 def test_strict_states_survive_many_traversals():
@@ -352,9 +349,7 @@ def test_strict_subspace_is_linear():
     for _ in range(100):
         c = rng.complex_normals(2)
         combo = basis @ c
-        s = StateVector(lay, combo)
-        ok, res = is_consistent_initial_state(sc, s, "strict")
-        assert ok and res <= 1e-8
+        assert residual(sc, StateVector(lay, combo), "strict") <= 1e-8
     # strict states are literally periodic: k traversals drift at most k*1e-9
     u = sc.loop_unitary.matrix
     start = StateVector(lay, basis @ rng.complex_normals(2)).amplitudes
@@ -411,16 +406,13 @@ def test_scan_residuals_equal_single_sample_residuals_bit_for_bit(seed, qubits, 
     u = haar_unitary(d, SplitMix64(seed ^ 0x5EED)) if kind == "haar" else np.eye(d)
     sc = CtcScenario(lay, lay.ids[:n_cr], lay.ids[n_cr:], UnitaryOperator(lay, u))
 
-    states = [StateVector(lay, haar_state(d, SplitMix64(stream_seed(seed, i)))) for i in range(n)]
-    want = np.array([is_consistent_initial_state(sc, s, mode)[1] for s in states])
+    states = [StateVector(lay, haar_state(d, SplitMix64(s))) for s in splitmix64_reference(seed, n)]
+    want = np.array([single_residual(sc.loop_unitary.matrix, s.amplitudes, mode) for s in states])
     got = _scan_residuals(sc, n, mode, seed)
     assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
-    matrix = sc.loop_unitary.matrix
-    numpy_calls = np.array([single_residual(matrix, s.amplitudes, mode) for s in states])
-    assert want.view(np.uint64).tolist() == numpy_calls.view(np.uint64).tolist()
 
     scan = admissible_fraction(sc, n, mode, seed)
-    assert scan.admissible_count == sum(is_consistent_initial_state(sc, s, mode)[0] for s in states)
+    assert scan.admissible_count == np.count_nonzero(want <= CONSISTENCY_TOL)
     assert (scan.residual_min, scan.residual_max) == (want.min(), want.max())
     assert scan.residual_median == statistics.median(want.tolist())
 

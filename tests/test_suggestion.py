@@ -7,26 +7,21 @@ from hypothesis import given, settings, strategies as st
 
 from qdesk import (
     Direction,
-    DecisionScheme,
     SchemeError,
     StateVector,
     apply_unitary,
-    build_suggestion_unitary,
     chsh_grid_search,
     chsh_value,
     correlator,
-    embed_operator,
-    joint_distribution,
     layout_of,
     no_signaling_audit,
     reduced_state,
-    run_session,
     sample_rounds,
     session_records,
     tally_from_records,
     TSIRELSON_BOUND,
 )
-from qdesk.rng import SplitMix64, haar_state, stream_seed
+from qdesk.rng import SplitMix64
 from qdesk.suggestion import (
     AGENT,
     AGENT_LABELS,
@@ -35,8 +30,6 @@ from qdesk.suggestion import (
     PARTICLE,
     PREPARED,
     PREPARED_LABELS,
-    bell_pair_state,
-    signaling_layout,
 )
 
 from qdesk import InvariantError, suggestion
@@ -47,8 +40,12 @@ from oracles import (
     direction_down,
     direction_up,
     grid_scan_reference,
+    haar_state,
     joint_probabilities,
+    pair_state_updown,
     single_round_weights,
+    splitmix64_reference,
+    steering_unitary,
 )
 
 SQ2 = np.sqrt(2.0)
@@ -58,10 +55,6 @@ def decision_lay():
     return layout_of(
         (PARTICLE, ("up", "down")), (AGENT, AGENT_LABELS), (PREPARED, PREPARED_LABELS)
     )
-
-
-def scheme(theta):
-    return DecisionScheme(PARTICLE, AGENT, PREPARED, Direction(theta))
 
 
 def undecided_input(lay, particle_amps):
@@ -78,6 +71,13 @@ def replay_round(alice_dir, bob_dir, seed):
     return sample_rounds(alice_dir, bob_dir, np.array([seed], dtype=np.uint64))
 
 
+def joint_distribution(alice_theta, bob_theta, pair=None):
+    """{(alice_decision, bob_outcome): p}: the decided cells of one _checked_weights row."""
+    w = suggestion._checked_weights([alice_theta], [bob_theta], pair)[0]
+    return {(x, y): float(w[i + 1, j + 1])
+            for i, x in enumerate(INFLUENCE_LABELS) for j, y in enumerate(INFLUENCE_LABELS)}
+
+
 def round_row(records, i):
     """Round i as (alice_theta, bob_theta, alice_decision, bob_outcome, seed)."""
     return (records.alice_theta, records.bob_theta,
@@ -91,11 +91,12 @@ def round_row(records, i):
 
 def test_direction_pair_is_orthonormal():
     for theta in (0.0, 0.1, math.pi / 3, math.pi, 5.0, -2.7):
-        d = Direction(theta)
-        up, down = d.up_state(), d.down_state()
+        up, down = Direction(theta).rotation().T  # its columns are (up', down')
         assert abs(np.vdot(up, up) - 1) < 1e-12
         assert abs(np.vdot(down, down) - 1) < 1e-12
         assert abs(np.vdot(up, down)) < 1e-12
+        assert np.abs(up - direction_up(theta)).max() < 1e-15
+        assert np.abs(down - direction_down(theta)).max() < 1e-15
 
 
 def test_direction_rejects_non_finite():
@@ -109,7 +110,8 @@ def test_direction_rejects_non_finite():
 
 def test_aligned_influence_steers_the_decision():
     lay = decision_lay()
-    u = embed_operator(build_suggestion_unitary(scheme(0.0), lay), lay)
+    u = steering_unitary(0.0)
+    assert u.layout == lay
     out = apply_unitary(u, undecided_input(lay, [1, 0]))
     dst = expect_basis(lay, {PARTICLE: "up", AGENT: "decides_up", PREPARED: "psi_up"})
     assert abs(out.amplitudes[dst] - 1.0) < 1e-12
@@ -123,7 +125,7 @@ def test_rotated_influence_matches_explicit_matrix_application():
     lay = decision_lay()
     dim = lay.total_dimension
     theta = math.pi / 2
-    u = embed_operator(build_suggestion_unitary(scheme(theta), lay), lay).matrix
+    u = steering_unitary(theta).matrix
 
     src = np.zeros(dim, dtype=complex)
     src.reshape(2, 3, 3)[:, 0, 0] = 1 / SQ2
@@ -142,7 +144,6 @@ def test_rotated_influence_matches_explicit_matrix_application():
 def test_unitary_matches_sector_oracle_for_random_angles():
     # independent scalar construction: project onto each primed sector and
     # permute (agent, prepared) per the documented completion
-    lay = decision_lay()
     perm_up = [4, 0, 1, 2, 3, 5, 6, 7, 8]
     perm_down = [8, 0, 1, 2, 3, 4, 5, 6, 7]
     rng = SplitMix64(4)
@@ -155,32 +156,28 @@ def test_unitary_matches_sector_oracle_for_random_angles():
                 for src9 in range(9):
                     oracle[i * 9 + perm_up[src9], j * 9 + src9] += up[i] * np.conj(up[j])
                     oracle[i * 9 + perm_down[src9], j * 9 + src9] += down[i] * np.conj(down[j])
-        built = embed_operator(build_suggestion_unitary(scheme(theta), lay), lay).matrix
+        built = steering_unitary(theta).matrix
         assert np.abs(built - oracle).max() < 1e-12
 
 
 def test_full_turn_leaves_decision_probabilities_unchanged():
     for theta in (0.0, 0.7, 2.0):
-        p0 = joint_distribution(Direction(theta), Direction(0.3))
-        p1 = joint_distribution(Direction(theta + 2 * math.pi), Direction(0.3))
+        p0 = joint_distribution(theta, 0.3)
+        p1 = joint_distribution(theta + 2 * math.pi, 0.3)
         for key in p0:
             assert abs(p0[key] - p1[key]) < 1e-12
 
 
 def test_steering_is_local_distant_state_untouched():
-    lay = signaling_layout()
+    lay = suggestion._SIGNALING_LAYOUT
     rng = SplitMix64(6)
     for _ in range(10):
         theta = (rng.random() - 0.5) * 4 * math.pi
         amps = np.zeros(lay.total_dimension, dtype=complex)
         amps.reshape(2, 2, 3, 3, 3)[:, :, 0, 0, 0] = haar_state(4, rng).reshape(2, 2)
         s = StateVector(lay, amps)
-        u = embed_operator(
-            build_suggestion_unitary(DecisionScheme(PARTICLE, AGENT, PREPARED, Direction(theta)), lay),
-            lay,
-        )
         before = reduced_state(s, [DISTANT]).matrix
-        after = reduced_state(apply_unitary(u, s), [DISTANT]).matrix
+        after = reduced_state(apply_unitary(steering_unitary(theta), s), [DISTANT]).matrix
         assert np.abs(before - after).max() < 1e-10
 
 
@@ -196,7 +193,7 @@ def test_aligned_round_never_agrees():
 
 
 def test_aligned_round_outcomes_are_balanced():
-    p = joint_distribution(Direction(0.0), Direction(0.0))
+    p = joint_distribution(0.0, 0.0)
     assert abs(p[("up", "down")] - 0.5) < 1e-12
     assert abs(p[("down", "up")] - 0.5) < 1e-12
     assert p[("up", "up")] < 1e-12 and p[("down", "down")] < 1e-12
@@ -207,7 +204,7 @@ def test_joint_distribution_matches_projector_oracle():
     for _ in range(50):
         a = (rng.random() - 0.5) * 4 * math.pi
         b = (rng.random() - 0.5) * 4 * math.pi
-        got = joint_distribution(Direction(a), Direction(b))
+        got = joint_distribution(a, b)
         expected = joint_probabilities(a, b)
         for key in expected:
             assert abs(got[key] - expected[key]) < 1e-10
@@ -221,7 +218,7 @@ angles = st.floats(-4 * math.pi, 4 * math.pi, allow_nan=False)
 def test_joint_distribution_of_a_random_pair_matches_projector_oracle(a, b, seed):
     pair = haar_state(4, SplitMix64(seed))
     lay = layout_of((PARTICLE, INFLUENCE_LABELS), (DISTANT, INFLUENCE_LABELS))
-    got = joint_distribution(Direction(a), Direction(b), StateVector(lay, pair))
+    got = joint_distribution(a, b, StateVector(lay, pair))
     expected = joint_probabilities(a, b, pair)
     for key in expected:
         assert abs(got[key] - expected[key]) < 1e-12
@@ -235,7 +232,7 @@ def test_joint_distribution_of_a_random_pair_matches_projector_oracle(a, b, seed
 def test_pair_state_on_another_layout_is_rejected(pair_layout):
     pair = StateVector(pair_layout, np.ones(pair_layout.total_dimension))
     with pytest.raises(SchemeError):
-        joint_distribution(Direction(0.3), Direction(0.1), pair)
+        joint_distribution(0.3, 0.1, pair)
 
 
 def test_two_branches_with_the_forced_pairings():
@@ -248,10 +245,7 @@ def test_two_branches_with_the_forced_pairings():
         amps = np.zeros(lay.total_dimension, dtype=complex)
         amps.reshape(2, 2, 3, 3)[0, 1, 0, 0] = 1.0
         amps.reshape(2, 2, 3, 3)[1, 0, 0, 0] = 1.0
-        s = StateVector(lay, amps)
-        u = embed_operator(build_suggestion_unitary(
-            DecisionScheme(PARTICLE, AGENT, PREPARED, Direction(theta)), lay), lay)
-        return apply_unitary(u, s)
+        return apply_unitary(steering_unitary(theta), StateVector(lay, amps))
 
     # aligned steering: decisions pair with the opposite distant spin
     branches = {b.pointer_label: b for b in branch_decomposition(evolved(0.0), AGENT)}
@@ -311,21 +305,22 @@ def test_session_records_match_individual_rounds():
     a, b = Direction(0.4), Direction(-1.1)
     master = 2024
     records = session_records(200, a, b, master)
+    seeds = splitmix64_reference(master, 200)
     for i in range(200):
         rec = round_row(records, i)
-        solo = round_row(replay_round(a, b, stream_seed(master, i)), 0)
+        solo = round_row(replay_round(a, b, seeds[i]), 0)
         assert rec == solo
 
 
 def test_aligned_session_has_no_agreeing_counts():
-    tally = run_session(1000, Direction(0.0), Direction(0.0), master_seed=5)
+    tally = tally_from_records(session_records(1000, Direction(0.0), Direction(0.0), 5))
     assert tally.n_uu == 0 and tally.n_dd == 0
     assert tally.n_total == 1000
     assert tally.correlator == -1.0
 
 
 def test_single_round_session():
-    tally = run_session(1, Direction(0.2), Direction(0.9), master_seed=8)
+    tally = tally_from_records(session_records(1, Direction(0.2), Direction(0.9), 8))
     assert tally.n_total == 1
     assert sorted([tally.n_uu, tally.n_ud, tally.n_du, tally.n_dd]) == [0, 0, 0, 1]
 
@@ -344,7 +339,8 @@ def test_session_estimate_within_binomial_bounds():
         a = (rng.random() - 0.5) * 2 * math.pi
         b = (rng.random() - 0.5) * 2 * math.pi
         exact = correlator(Direction(a), Direction(b))
-        tally = run_session(n, Direction(a), Direction(b), master_seed=rng.next_u64())
+        tally = tally_from_records(
+            session_records(n, Direction(a), Direction(b), rng.next_u64()))
         sigma = math.sqrt(max(1e-12, (1.0 - exact**2)) / n)
         assert abs(tally.correlator - exact) <= 4 * sigma + 1e-9
 
@@ -442,10 +438,12 @@ def test_audit_reads_the_leak_checked_weights(monkeypatch):
 
 
 def test_bell_pair_state_is_the_balanced_updown_superposition():
-    s = bell_pair_state()
-    assert abs(s.amplitudes[1] - 1 / SQ2) < 1e-12
-    assert abs(s.amplitudes[2] - 1 / SQ2) < 1e-12
-    assert abs(s.amplitudes[0]) == 0.0 and abs(s.amplitudes[3]) == 0.0
+    # the default round input: the Bell pair, undecided, psi0, ready
+    t = suggestion._ROUND_INPUT.tensor()
+    pair = t[:, :, 0, 0, 0].reshape(4)
+    assert np.abs(pair - pair_state_updown()).max() < 1e-12
+    assert abs(pair[0]) == 0.0 and abs(pair[3]) == 0.0
+    assert np.count_nonzero(t) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +491,7 @@ def _oracle_correlator(a, b):
 @given(a1=finite, a2=finite, b1=st.sampled_from(EDGE_ANGLES) | finite, b2=finite)
 def test_single_pair_quantities_equal_the_single_round_bit_for_bit(a1, a2, b1, b2):
     w = single_round_weights(a1, b1)
-    p = joint_distribution(Direction(a1), Direction(b1))
+    p = joint_distribution(a1, b1)
     assert _same_bits([p[(x, y)] for x in INFLUENCE_LABELS for y in INFLUENCE_LABELS],
                       [w[1, 1], w[1, 2], w[2, 1], w[2, 2]])
     assert _same_bits(correlator(Direction(a1), Direction(b1)), _oracle_correlator(a1, b1))

@@ -11,15 +11,15 @@ from qdesk import (
     SubsystemLayout,
     UnitaryOperator,
     apply_unitary,
-    embed_operator,
     layout_of,
     reduced_state,
     subsystem,
 )
-from qdesk.rng import SplitMix64, haar_state, haar_unitary
-from qdesk.tensor import _row_norms
+from qdesk.rng import SplitMix64
+from qdesk.tensor import _row_norms, apply_unitary_stack
 
-from oracles import embed_general, embed_single_qubit_gate, partial_trace_loops
+from oracles import (embed_general, embed_single_qubit_gate, haar_state, haar_unitary,
+                     partial_trace_loops)
 
 SQ2 = np.sqrt(2.0)
 
@@ -147,49 +147,55 @@ def test_random_unitaries_preserve_norm_and_compose():
 
 
 # ---------------------------------------------------------------------------
-# embed_operator
+# local unitaries against full-layout matrices
 
 
 def test_embed_identity_gives_full_identity():
+    # the identity on a, applied to each basis state of (a, b), gives the full identity
     lay = layout_of(("a", ("x", "y")), ("b", ("p", "q", "r")))
     u = UnitaryOperator(layout_of(("a", ("x", "y"))), np.eye(2))
-    assert np.abs(embed_operator(u, lay).matrix - np.eye(6)).max() == 0.0
+    columns = [apply_unitary(u, StateVector(lay, e)).amplitudes for e in np.eye(6)]
+    assert np.abs(np.array(columns) - np.eye(6)).max() == 0.0
 
 
 def test_embed_flip_on_second_subsystem_matches_index_oracle():
+    # column by column, the flip on b applied to each basis state is the oracle's matrix
     lay = layout_of(("a", ("0", "1")), ("b", ("0", "1")))
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     u = UnitaryOperator(layout_of(("b", ("0", "1"))), x)
-    embedded = embed_operator(u, lay)
     oracle = embed_single_qubit_gate(x, 2, [2, 2], target=1)
-    assert np.abs(embedded.matrix - oracle).max() == 0.0
-    s00 = lay.basis_state({"a": "0", "b": "0"})
-    out = apply_unitary(embedded, s00)
+    columns = [apply_unitary(u, StateVector(lay, e)).amplitudes for e in np.eye(4)]
+    assert np.abs(np.array(columns).T - oracle).max() == 0.0
+    out = apply_unitary(u, lay.basis_state({"a": "0", "b": "0"}))
     assert out.amplitudes[lay.basis_index({"a": "0", "b": "1"})] == 1.0
 
 
 def test_embed_permutes_out_of_order_operands():
-    # operator declared on (b, a) but embedded into (a, m, b)
+    # operator declared on (b, a), applied within (a, m, b)
     lay = layout_of(("a", ("0", "1")), ("m", ("r", "s", "t")), ("b", ("0", "1")))
     swap_ba = layout_of(("b", ("0", "1")), ("a", ("0", "1")))
     cnot = np.zeros((4, 4), dtype=complex)  # control = b, target = a
     for b in range(2):
         for a in range(2):
             cnot[((b << 1) | (a ^ b)), ((b << 1) | a)] = 1.0
-    embedded = embed_operator(UnitaryOperator(swap_ba, cnot), lay)
     src = lay.basis_state({"a": "0", "m": "s", "b": "1"})
-    out = apply_unitary(embedded, src)
+    out = apply_unitary(UnitaryOperator(swap_ba, cnot), src)
     dst = lay.basis_index({"a": "1", "m": "s", "b": "1"})
     assert abs(out.amplitudes[dst] - 1.0) < 1e-12
+    expected = embed_general(cnot, [2, 2], [2, 3, 2], [2, 0]) @ src.amplitudes
+    assert np.abs(out.amplitudes - expected).max() == 0.0
 
 
 def test_embedded_disjoint_operators_commute():
     rng = SplitMix64(21)
     lay = layout_of(("a", ("0", "1")), ("b", ("0", "1", "2")), ("c", ("0", "1")))
     for _ in range(10):
-        u = embed_operator(UnitaryOperator(lay.sub_layout(["a"]), haar_unitary(2, rng)), lay)
-        v = embed_operator(UnitaryOperator(lay.sub_layout(["c"]), haar_unitary(2, rng)), lay)
-        assert np.abs(u.matrix @ v.matrix - v.matrix @ u.matrix).max() < 1e-10
+        u = UnitaryOperator(lay.sub_layout(["a"]), haar_unitary(2, rng))
+        v = UnitaryOperator(lay.sub_layout(["c"]), haar_unitary(2, rng))
+        s = StateVector(lay, haar_state(12, rng))
+        uv = apply_unitary(u, apply_unitary(v, s)).amplitudes
+        vu = apply_unitary(v, apply_unitary(u, s)).amplitudes
+        assert np.abs(uv - vu).max() < 1e-10
 
 
 def test_embed_matches_index_walking_oracle_on_random_subsets():
@@ -207,16 +213,18 @@ def test_embed_matches_index_walking_oracle_on_random_subsets():
         op = haar_unitary(int(np.prod(op_dims)), rng)
         op_layout = layout_of(*[(f"s{p}", tuple(f"l{j}" for j in range(dims[p])))
                                 for p in positions])
-        embedded = embed_operator(UnitaryOperator(op_layout, op), lay)
-        oracle = embed_general(op, op_dims, dims, positions)
-        assert np.abs(embedded.matrix - oracle).max() < 1e-12
+        s = StateVector(lay, haar_state(lay.total_dimension, rng))
+        oracle = embed_general(op, op_dims, dims, positions) @ s.amplitudes
+        got = apply_unitary(UnitaryOperator(op_layout, op), s).amplitudes
+        assert np.abs(got - oracle).max() < 1e-12
 
 
 def test_embed_rejects_unknown_subsystem():
+    # the batched kernel, like apply_unitary, refuses a unitary on a subsystem the state lacks
     lay = layout_of(("a", ("0", "1")))
-    u = UnitaryOperator(layout_of(("zz", ("0", "1"))), np.eye(2))
-    with pytest.raises(LayoutError):
-        embed_operator(u, lay)
+    stack = np.eye(2, dtype=complex)[None]
+    with pytest.raises(DimensionMismatchError):
+        apply_unitary_stack(layout_of(("zz", ("0", "1"))), stack, np.ones((1, 2)), lay)
 
 
 # ---------------------------------------------------------------------------
