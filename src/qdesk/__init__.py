@@ -30,14 +30,14 @@ _EXPORTS = {
     "measurement": ("Branch", "PointerScheme", "branch_decomposition",
                     "build_premeasurement_unitary", "pointer_scheme", "premeasure",
                     "sample_labels"),
-    "suggestion": ("ChshSearchResult", "CorrelationTally", "DecisionScheme", "Direction",
+    "suggestion": ("ChshSearchResult", "CorrelationTally", "Direction",
                    "NoSignalingAudit", "SessionRecords", "TSIRELSON_BOUND", "chsh_grid_search",
                    "chsh_value", "correlator", "no_signaling_audit", "sample_rounds",
                    "session_records", "signaling_weights", "tally_from_records"),
     "ctc": ("AdmissibilityScan", "ConsistencySubspace", "CtcScenario", "DeutschSolution",
             "admissible_fraction", "ctc_output_state", "deutsch_fixed_point",
             "grandfather_scenario", "linear_consistency_basis", "trace_distance"),
-    "rng": ("SplitMix64", "mix64"),
+    "rng": (),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

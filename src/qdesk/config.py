@@ -282,9 +282,11 @@ def load_config(path: str, kind: str, flags: dict[str, str] | None = None) -> Ru
         return MeasureConfig(kind, state, rounds, seed, fmt)
     if kind == "signal":
         alice = ent.get_angle("alice_angle", required=True)
-        if alice + math.pi / 2 == alice:  # the audit settings alice + pi/4, + pi/2 round to it
-            ent.fail(f"alice_angle {alice!r} is too far from 0: adding pi/2 rounds back to it, "
-                     "so the no-signaling audit would have one setting", "alice_angle")
+        # the audit's settings; as doubles they are distinct iff -2^53 <= alice < 2^53 - 1
+        if len({alice, alice + math.pi / 4, alice + math.pi / 2}) < 3:
+            ent.fail(f"alice_angle {alice!r} is too far from 0: adding pi/4 or pi/2 rounds to a "
+                     "repeated setting, so the no-signaling audit would not have three distinct "
+                     "settings", "alice_angle")
         bob = ent.get_angle("bob_angle", required=True)
         rounds = ent.get_int("rounds", 1, MAX_COUNT, required=True)
         seed = ent.get_int("seed", *_SEED_RANGE, required=True)

@@ -1,20 +1,22 @@
 """Seeded, portable randomness for reproducible experiments.
 
-The core generator is SplitMix64 (Steele, Lea & Flood, "Fast splittable
+The generator is SplitMix64 (Steele, Lea & Flood, "Fast splittable
 pseudorandom number generators", OOPSLA 2014): the state advances by a fixed
-odd increment GAMMA and each output is a bijective finalizer (``mix64``) of
-the state. Three properties this module leans on:
+odd increment GAMMA and each output is a bijective finalizer (``_mix64_array``)
+of the state. It is used here in counter-based form only; there is no
+sequential generator object. Three properties this module leans on:
 
-* the k-th output of a generator seeded with s is ``mix64(s + (k+1)*GAMMA)``,
-  so the per-round and per-sample seeds, the first n outputs of a master
-  seed, are one vectorized mixing (``stream_seeds``); any execution order
-  gives identical draws;
+* the k-th output (from k = 0) of a generator seeded with s is
+  ``mix64(s + (k+1)*GAMMA)``, so any block of outputs, of one seed or of an
+  array of seeds, is one vectorized mixing (``_outputs``): the per-round and
+  per-sample seeds are the first n outputs of a master seed
+  (``stream_seeds``), and any execution order gives identical draws;
 * every derived quantity (uniforms, normals, Haar samples) is a pure function
   of the seed, so concurrent use is race-free by construction;
-* Box-Muller normals are computed as arrays, a call or a block of generators
-  at a time (``haar_states``), bit for bit equal to one at a time: mixing,
-  products and ``sqrt`` are exact or correctly rounded in numpy, and log1p,
-  sin and cos come from libm, as numpy's SIMD ones may differ.
+* Box-Muller normals are computed as arrays, a block of generators at a time
+  (``haar_states``), bit for bit equal to one at a time: mixing, products and
+  ``sqrt`` are exact or correctly rounded in numpy, and log1p, sin and cos
+  come from libm, as numpy's SIMD ones may differ.
 
 There is deliberately no module-level generator: all entropy enters through
 explicit seeds.
@@ -30,30 +32,20 @@ from .tensor import _row_norms
 
 MASK64 = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
-_MULT1 = 0xBF58476D1CE4E5B9
-_MULT2 = 0x94D049BB133111EB
 # _mix64_array's operands as explicit np.uint64, built once (numpy 1.24 and NEP 50 alike)
 _SHIFT30, _SHIFT27, _SHIFT31 = np.uint64(30), np.uint64(27), np.uint64(31)
-_MULT1_U64, _MULT2_U64 = np.uint64(_MULT1), np.uint64(_MULT2)
-
-
-def mix64(z: int) -> int:
-    """SplitMix64 output finalizer (a bijection on 64-bit integers)."""
-    z &= MASK64
-    z = ((z ^ (z >> 30)) * _MULT1) & MASK64
-    z = ((z ^ (z >> 27)) * _MULT2) & MASK64
-    return (z ^ (z >> 31)) & MASK64
+_MULT1_U64, _MULT2_U64 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
 
 
 def stream_seeds(master_seed: int, n: int) -> np.ndarray:
     """The first n outputs of SplitMix64(master_seed) as uint64: entry i, the seed of round or
-    sample i, is its (i+1)-th ``next_u64``."""
+    sample i, is its (i+1)-th output."""
     return _outputs(master_seed & MASK64, n)
 
 
 def first_uniforms(seeds: np.ndarray) -> np.ndarray:
     """First uniform draw in [0, 1) of a SplitMix64 started at each seed."""
-    return _unit(_mix64_array(seeds.astype(np.uint64) + np.uint64(GAMMA)))
+    return _unit(_outputs(seeds, 1)[..., 0])
 
 
 def _unit(raw: np.ndarray) -> np.ndarray:
@@ -68,7 +60,7 @@ def _outputs(state, n: int) -> np.ndarray:
 
 
 def _mix64_array(z: np.ndarray) -> np.ndarray:
-    # uint64 arithmetic wraps mod 2^64, matching the scalar implementation
+    """SplitMix64 output finalizer, elementwise; uint64 arithmetic wraps mod 2^64."""
     z = z ^ (z >> _SHIFT30)
     z = z * _MULT1_U64
     z = z ^ (z >> _SHIFT27)
@@ -88,49 +80,11 @@ def _box_muller(u: np.ndarray) -> np.ndarray:
     return (r * np.stack([_libm(math.cos, angle), _libm(math.sin, angle)], -1)).reshape(u.shape)
 
 
-class SplitMix64:
-    """Sequential SplitMix64 generator with uniform and Gaussian draws."""
-
-    def __init__(self, seed: int):
-        self._state = seed & MASK64
-        self._spare_normal: float | None = None
-
-    def next_u64(self) -> int:
-        self._state = (self._state + GAMMA) & MASK64
-        return mix64(self._state)
-
-    def random(self) -> float:
-        """Uniform float in [0, 1) with 53 bits of precision."""
-        return (self.next_u64() >> 11) * 2.0**-53
-
-    def normals(self, n: int) -> np.ndarray:
-        """n standard normals as one array computation, bit for bit drawn one at a time.
-
-        Each pair of uniforms gives a _box_muller pair (r cos, r sin). A pending
-        spare comes out first; an odd count keeps the last r sin as the spare.
-        """
-        if n < 0:
-            raise ValueError(f"normals count must be nonnegative, got {n}")
-        head = [self._spare_normal] if n and self._spare_normal is not None else []
-        if head:
-            self._spare_normal = None
-        m = (n - len(head) + 1) // 2 * 2
-        pairs = _box_muller(_unit(_outputs(self._state, m)))
-        self._state = (self._state + m * GAMMA) & MASK64
-        if m > n - len(head):
-            self._spare_normal = float(pairs[-1])
-        return np.concatenate((head, pairs[:n - len(head)]))
-
-    def complex_normals(self, n: int) -> np.ndarray:
-        """n entries x + iy with x, y independent standard normals."""
-        xs = self.normals(2 * n)
-        return xs[0::2] + 1j * xs[1::2]
-
-
 def haar_states(seeds: np.ndarray, dim: int) -> np.ndarray:
-    """Haar-random unit vectors, a row per uint64 seed: row i is
-    SplitMix64(seeds[i]).complex_normals(dim) divided by its np.linalg.norm, bit for bit. All
-    rows' uniforms come from one (n, 2 dim) mixing, their normals from one _box_muller."""
+    """Haar-random unit vectors, a row per uint64 seed: row i holds x + iy from consecutive
+    pairs of the first 2 dim Box-Muller normals of seeds[i]'s stream, divided by their
+    np.linalg.norm, bit for bit. All rows' uniforms come from one (n, 2 dim) mixing, their
+    normals from one _box_muller."""
     xs = _box_muller(_unit(_outputs(seeds, 2 * dim)))
     v = xs[:, 0::2] + 1j * xs[:, 1::2]
     return v / _row_norms(v)[:, None]

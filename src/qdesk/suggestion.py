@@ -48,7 +48,7 @@ import numpy as np
 
 from .errors import InvariantError, SchemeError
 from .measurement import build_premeasurement_unitary, pointer_scheme
-from .rng import SplitMix64, born_select, first_uniforms, stream_seeds
+from .rng import born_select, first_uniforms, stream_seeds
 from .tensor import StateVector, apply_unitary_stack, layout_of
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
@@ -85,21 +85,6 @@ class Direction:
         h = self.theta / 2.0
         c, s = math.cos(h), math.sin(h)
         return np.array([[c, -s], [s, c]], dtype=np.float64)
-
-
-@dataclass(frozen=True)
-class DecisionScheme:
-    """Wiring of one steered decision: influence, agent, prepared system."""
-
-    influence: str
-    agent: str
-    prepared: str
-    direction: Direction
-
-    def __post_init__(self):
-        ids = (self.influence, self.agent, self.prepared)
-        if len(set(ids)) != 3:
-            raise SchemeError(f"influence/agent/prepared ids must be distinct, got {ids}")
 
 
 _SIGNALING_LAYOUT = layout_of(
@@ -346,8 +331,7 @@ def chsh_grid_search(resolution: float) -> ChshSearchResult:
     e = _correlators([0.0] * n, [k * step for k in range(n)])
 
     # guard the sum-dependence the reduction relies on
-    probe = SplitMix64(0xC0FFEE)
-    ij = np.array([probe.next_u64() % n for _ in range(8)]).reshape(4, 2)
+    ij = (stream_seeds(0xC0FFEE, 8) % np.uint64(n)).reshape(4, 2)
     direct = _correlators(ij[:, 0] * step, ij[:, 1] * step)
     if np.abs(direct - e[ij.sum(axis=1) % n]).max() > 1e-9:
         raise InvariantError("correlator is not a function of the angle sum")

@@ -1,28 +1,25 @@
 """Independent brute-force oracles for the test suite.
 
 Expected values come from explicit index loops and textbook-style projector
-arithmetic, so agreement with the production code is meaningful. Two kinds
-of exception compose package code, imported inside the function or passed in:
+arithmetic, so agreement with the production code is meaningful. The few
+oracles that compose package code import it inside the function:
+``single_round_weights`` pins the batched signaling kernel to the same round
+evolved one operator at a time (``steering_unitary`` builds and checks the
+18x18 steering unitary of one angle, and the package's single-operator API
+applies it), and ``read_serialized_body`` reuses the package's header parser.
 
-* ``single_round_weights`` pins the batched signaling kernel to the same
-  round evolved one operator at a time: ``steering_unitary`` builds and
-  checks the 18x18 steering unitary of one angle, and the package's
-  single-operator API applies it;
-* the fixture builders ``haar_state``, ``haar_unitary`` and
-  ``random_density`` draw from the package's sequential ``SplitMix64``, so
-  every fixture keeps its bits; ``haar_state`` is also the one-sample
-  reference that each row of ``rng.haar_states`` must equal bit for bit.
+Test fixtures draw from ``SplitMix64`` below, a sequential generator built on
+``splitmix64_reference`` and ``scalar_normals``, so no fixture depends on
+package code. The fixture builders ``haar_state``, ``haar_unitary`` and
+``random_density`` take one; ``haar_state`` is also the one-sample reference
+that each row of ``rng.haar_states`` must equal bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from qdesk.rng import SplitMix64
 
 
 def partial_trace_loops(mat: np.ndarray, dims: list[int], keep: list[int]) -> np.ndarray:
@@ -304,7 +301,7 @@ def splitmix64_reference(seed: int, count: int) -> list[int]:
 
 
 def scalar_normals(state: int, spare: float | None, n: int):
-    """n Box-Muller normals drawn one at a time: the definition ``SplitMix64.normals`` meets.
+    """n Box-Muller normals drawn one at a time: the definition ``rng._box_muller``'s pairs meet.
 
     Starts from a generator at `state` with a pending `spare` (or None) and
     returns (draws, state, spare) after the n draws. Each fresh pair takes two
@@ -325,6 +322,35 @@ def scalar_normals(state: int, spare: float | None, n: int):
         spare = r * math.sin(2.0 * math.pi * u2)
         draws.append(r * math.cos(2.0 * math.pi * u2))
     return draws, state, spare
+
+
+class SplitMix64:
+    """Sequential SplitMix64 for test fixtures: raw outputs, uniforms and normals of one stream.
+
+    Normals come from scalar_normals, a pending spare first; raw and uniform
+    draws advance the state and leave the spare pending.
+    """
+
+    def __init__(self, seed: int):
+        self.state, self.spare = seed & ((1 << 64) - 1), None
+
+    def next_u64(self) -> int:
+        (raw,) = splitmix64_reference(self.state, 1)
+        self.state = (self.state + 0x9E3779B97F4A7C15) & ((1 << 64) - 1)
+        return raw
+
+    def random(self) -> float:
+        """Uniform float in [0, 1) from the top 53 bits of the next output."""
+        return (self.next_u64() >> 11) * 2.0**-53
+
+    def normals(self, n: int) -> np.ndarray:
+        draws, self.state, self.spare = scalar_normals(self.state, self.spare, n)
+        return np.array(draws, dtype=np.float64)
+
+    def complex_normals(self, n: int) -> np.ndarray:
+        """n entries x + iy with x, y consecutive standard normals."""
+        xs = self.normals(2 * n)
+        return xs[0::2] + 1j * xs[1::2]
 
 
 def haar_state(dim: int, rng: SplitMix64) -> np.ndarray:

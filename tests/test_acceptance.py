@@ -36,10 +36,10 @@ from qdesk import (
     trace_distance,
 )
 from qdesk.ctc import CONSISTENCY_TOL, _residuals
-from qdesk.rng import SplitMix64
 from qdesk.suggestion import AGENT, AGENT_LABELS, DISTANT, PARTICLE, PREPARED, PREPARED_LABELS
 
-from oracles import correlator_oracle, haar_state, haar_unitary, random_density, steering_unitary
+from oracles import (SplitMix64, correlator_oracle, haar_state, haar_unitary, random_density,
+                     steering_unitary)
 
 SQ2 = math.sqrt(2.0)
 TSIRELSON = 2.0 * SQ2

@@ -16,9 +16,8 @@ from hypothesis import example, given, settings, strategies as st
 from qdesk import UnitaryOperator, layout_of, serialize_unitary
 from qdesk.cli import main
 from qdesk.reports import CSV_BLOCK_ROWS as BLOCK
-from qdesk.rng import SplitMix64
 
-from oracles import haar_unitary, kraus_dilation, render_signal_csv
+from oracles import SplitMix64, haar_unitary, kraus_dilation, render_signal_csv
 
 
 def write(tmp_path, name, text):
@@ -489,10 +488,11 @@ def signal_config(alice, bob, fmt, rounds=3):
             f"rounds = {rounds}\nseed = 1\nformat = {fmt}\n")
 
 
-# at 2^54 and beyond one ulp exceeds pi, so alice + pi/4 and alice + pi/2, the audit's other
-# two settings, round back to alice; below -2^54 the same holds
+# the audit's settings alice, alice + pi/4 and alice + pi/2 must be three distinct doubles: from
+# 2^53 up one ulp is 2 or more, so alice + pi/4 rounds back to alice; at 2^53 - 1 both offsets
+# round to 2^53; below -2^53 alice + pi/4 rounds back to alice
 @pytest.mark.parametrize("fmt", ["json", "csv"])
-@pytest.mark.parametrize("alice", [2.0**54, -1e20])
+@pytest.mark.parametrize("alice", [2.0**54, -1e20, 2.0**53, 2.0**53 - 1, -(2.0**53) - 2])
 def test_signal_angle_the_audit_cannot_offset_exits_2(tmp_path, fmt, alice):
     cfg = write(tmp_path, "s.cfg", signal_config(alice, 0.3, fmt))
     err = io.StringIO()
@@ -504,14 +504,15 @@ def test_signal_angle_the_audit_cannot_offset_exits_2(tmp_path, fmt, alice):
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_signal_at_2_to_the_53_still_audits(tmp_path, fmt):
-    # one ulp is 2 here: alice + pi/4 rounds to alice, alice + pi/2 to alice + 2
-    cfg = write(tmp_path, "s.cfg", signal_config(2.0**53, 0.3, fmt))
+@pytest.mark.parametrize("alice", [2.0**53 - 2, -(2.0**53)])
+def test_signal_angle_at_the_edge_of_the_range_audits_three_settings(tmp_path, fmt, alice):
+    # one ulp is 1 on the side towards 0, so the offsets round to alice + 1 and alice + 2
+    cfg = write(tmp_path, "s.cfg", signal_config(alice, 0.3, fmt))
     code, out = run_cli(["signal", "--config", cfg])
     assert code == 0
     if fmt == "json":
         audited = json.loads(out)["no_signaling"]["alice_settings"]
-        assert audited == [2.0**53, 2.0**53, 2.0**53 + 2]
+        assert audited == [alice, alice + 1, alice + 2]
     else:
         assert out.startswith(SIGNAL_CSV_HEADER + "\n")
 
@@ -741,17 +742,17 @@ def test_commands_load_only_their_own_modules(tmp_path, command, unused):
     assert done.returncode == 0, done.stderr
 
 
-# What `from qdesk import *` gives: 59 public names and the 7 submodules that hold them.
+# What `from qdesk import *` gives: 56 public names, the 6 submodules that hold them, and rng.
 STAR_NAMES = (
     "ATOL AdmissibilityScan Branch ChshSearchResult ConfigError ConsistencySubspace "
-    "CorrelationTally CtcScenario DecisionScheme DensityMatrix DeutschSolution "
+    "CorrelationTally CtcScenario DensityMatrix DeutschSolution "
     "DimensionMismatchError Direction FormatError InvariantError LayoutError NoSignalingAudit "
-    "PointerScheme ProtocolError QdeskError SchemeError SessionRecords SolverError SplitMix64 "
+    "PointerScheme ProtocolError QdeskError SchemeError SessionRecords SolverError "
     "StateVector Subsystem SubsystemLayout TSIRELSON_BOUND UnitaryOperator admissible_fraction "
     "apply_unitary branch_decomposition build_premeasurement_unitary "
     "chsh_grid_search chsh_value correlator ctc ctc_output_state deutsch_fixed_point "
     "errors grandfather_scenario layout_of linear_consistency_basis "
-    "measurement mix64 no_signaling_audit parse_density parse_state parse_unitary "
+    "measurement no_signaling_audit parse_density parse_state parse_unitary "
     "pointer_scheme premeasure reduced_state rng sample_labels "
     "sample_rounds serialization serialize_density serialize_state serialize_unitary "
     "session_records signaling_weights subsystem suggestion tally_from_records "
@@ -770,7 +771,7 @@ def test_package_resolves_names_on_first_use():
              "print(' '.join(sorted(set(namespace) - {'__builtins__'})))\n")
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == sorted(STAR_NAMES) and len(STAR_NAMES) == 66
+    assert done.stdout.split() == sorted(STAR_NAMES) and len(STAR_NAMES) == 63
 
 
 @pytest.mark.parametrize("method", ["iterate", "spectral"])

@@ -36,10 +36,10 @@ from qdesk.ctc import (
     _superoperator,
     induced_loop_map,
 )
-from qdesk.rng import SplitMix64
 from qdesk.tensor import ATOL
 
 from oracles import (
+    SplitMix64,
     apply_columnstacked,
     columnwise_superoperator,
     conjugation_superoperator,

@@ -13,9 +13,8 @@ from qdesk import (
     reduced_state,
 )
 from qdesk.measurement import apparatus_weights, sample_labels
-from qdesk.rng import SplitMix64
 
-from oracles import haar_state, inverse_cdf_select
+from oracles import SplitMix64, haar_state, inverse_cdf_select
 
 SQ2 = np.sqrt(2.0)
 

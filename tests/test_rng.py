@@ -1,18 +1,17 @@
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from qdesk.rng import SplitMix64, born_select, first_uniforms, haar_states, stream_seeds
+from qdesk.rng import (_box_muller, _outputs, _unit, born_select, first_uniforms, haar_states,
+                       stream_seeds)
 
-from oracles import (haar_state, haar_unitary, inverse_cdf_select, random_density,
+from oracles import (SplitMix64, haar_state, haar_unitary, inverse_cdf_select, random_density,
                      scalar_normals, splitmix64_reference)
 
 
 def test_matches_reference_transition_function():
-    for seed in (0, 1, 42, 0xDEADBEEF, (1 << 64) - 1):
-        gen = SplitMix64(seed)
-        got = [gen.next_u64() for _ in range(8)]
-        assert got == splitmix64_reference(seed, 8)
+    seeds = (0, 1, 42, 0xDEADBEEF, (1 << 64) - 1)
+    got = _outputs(np.array(seeds, dtype=np.uint64), 8)
+    assert got.tolist() == [splitmix64_reference(seed, 8) for seed in seeds]
 
 
 def test_stream_seed_equals_sequential_outputs():
@@ -33,15 +32,19 @@ def test_vectorized_streams_match_scalar():
 
 
 def test_uniforms_in_unit_interval():
-    gen = SplitMix64(5)
-    draws = [gen.random() for _ in range(2000)]
-    assert all(0.0 <= u < 1.0 for u in draws)
+    draws = _unit(_outputs(5, 2000))
+    assert ((0.0 <= draws) & (draws < 1.0)).all()
     assert 0.4 < float(np.mean(draws)) < 0.6
 
 
+def normals(seeds, n: int) -> np.ndarray:
+    """The first n (even) normals of each seed's stream, a row per seed: haar_states' draw."""
+    return _box_muller(_unit(_outputs(np.asarray(seeds, dtype=np.uint64), n)))
+
+
 def test_normals_deterministic_and_plausible():
-    a = SplitMix64(9).normals(4000)
-    b = SplitMix64(9).normals(4000)
+    a = normals([9], 4000)[0]
+    b = normals([9], 4000)[0]
     assert np.array_equal(a, b)
     assert abs(a.mean()) < 0.1
     assert abs(a.std() - 1.0) < 0.1
@@ -52,55 +55,22 @@ def bits(values) -> list[int]:
     return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
 
 
-def assert_same_generator(gen: SplitMix64, state: int, spare: float | None) -> None:
-    assert gen._state == state
-    assert (gen._spare_normal is None) == (spare is None)
-    if spare is not None:
-        assert bits([gen._spare_normal]) == bits([spare])
-
-
-CALLS = st.one_of(st.tuples(st.just("normals"), st.integers(0, 70)),
-                  st.just(("random", 0)), st.just(("next_u64", 0)))
-
-
 @settings(max_examples=300, deadline=None)
-@given(seed=st.integers(0, 2**64 - 1), calls=st.lists(CALLS, max_size=12))
-def test_normals_match_scalar_oracle_bit_for_bit(seed, calls):
-    gen = SplitMix64(seed)
-    state, spare = seed, None
-    for name, n in calls:
-        if name in ("random", "next_u64"):
-            (raw,) = splitmix64_reference(state, 1)
-            state = (state + 0x9E3779B97F4A7C15) & ((1 << 64) - 1)
-            got = getattr(gen, name)()
-            assert got == (raw if name == "next_u64" else (raw >> 11) * 2.0**-53)
-            continue
-        want, state, spare = scalar_normals(state, spare, n)
-        got = gen.normals(n)
-        assert bits(got) == bits(want)
-        assert_same_generator(gen, state, spare)
-    assert_same_generator(gen, state, spare)
+@given(seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=8), pairs=st.integers(0, 70))
+def test_normals_match_scalar_oracle_bit_for_bit(seeds, pairs):
+    got = normals(seeds, 2 * pairs)
+    assert got.shape == (len(seeds), 2 * pairs)
+    for seed, row in zip(seeds, got):
+        assert bits(row) == bits(scalar_normals(seed, None, 2 * pairs)[0])
 
 
 def test_a_million_normals_match_scalar_oracle():
-    # 1,000 seeds x 1,000 draws; odd and even call sizes move the spare around
-    sizes = (1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 391)
-    assert sum(sizes) + 1 == 1000
-    drawn = 0
-    for seed in splitmix64_reference(2024, 1000):
-        gen = SplitMix64(seed)
-        got = [x for n in (1,) + sizes for x in gen.normals(n).tolist()]
-        want, state, spare = scalar_normals(seed, None, 1000)
-        assert bits(got) == bits(want)
-        assert_same_generator(gen, state, spare)
-        drawn += len(got)
-    assert drawn >= 10**6
-
-
-def test_negative_normals_count_is_an_error():
-    gen = SplitMix64(1)
-    with pytest.raises(ValueError, match="nonnegative"):
-        gen.normals(-1)
+    # 1,000 seeds x 1,000 draws, in one array call
+    seeds = splitmix64_reference(2024, 1000)
+    got = normals(seeds, 1000)
+    for seed, row in zip(seeds, got):
+        assert bits(row) == bits(scalar_normals(seed, None, 1000)[0])
+    assert got.size >= 10**6
 
 
 def test_haar_state_normalized():

@@ -23,11 +23,10 @@ from qdesk import (
     parse_unitary,
 )
 from qdesk.config import load_scenario_file
-from qdesk.rng import SplitMix64
 from qdesk.serialization import _parse_body, _parse_canonical, _parse_header, format_float
 from qdesk.tensor import UnitaryOperator
 
-from oracles import haar_state, haar_unitary, read_serialized_body
+from oracles import SplitMix64, haar_state, haar_unitary, read_serialized_body
 
 
 def _layout():

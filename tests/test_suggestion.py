@@ -21,7 +21,6 @@ from qdesk import (
     tally_from_records,
     TSIRELSON_BOUND,
 )
-from qdesk.rng import SplitMix64
 from qdesk.suggestion import (
     AGENT,
     AGENT_LABELS,
@@ -36,6 +35,7 @@ from qdesk import InvariantError, suggestion
 from qdesk.suggestion import signaling_weights
 
 from oracles import (
+    SplitMix64,
     correlator_oracle,
     direction_down,
     direction_up,

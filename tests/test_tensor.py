@@ -15,10 +15,9 @@ from qdesk import (
     reduced_state,
     subsystem,
 )
-from qdesk.rng import SplitMix64
 from qdesk.tensor import _row_norms, apply_unitary_stack
 
-from oracles import (embed_general, embed_single_qubit_gate, haar_state, haar_unitary,
+from oracles import (SplitMix64, embed_general, embed_single_qubit_gate, haar_state, haar_unitary,
                      partial_trace_loops)
 
 SQ2 = np.sqrt(2.0)
