@@ -30,10 +30,10 @@ _EXPORTS = {
     "measurement": ("Branch", "PointerScheme", "branch_decomposition",
                     "build_premeasurement_unitary", "pointer_scheme", "premeasure",
                     "sample_labels"),
-    "suggestion": ("ChshSearchResult", "CorrelationTally", "Direction",
-                   "NoSignalingAudit", "SessionRecords", "TSIRELSON_BOUND", "chsh_grid_search",
-                   "chsh_value", "correlator", "no_signaling_audit", "sample_rounds",
-                   "session_records", "signaling_weights", "tally_from_records"),
+    "suggestion": ("ChshSearchResult", "CorrelationTally", "NoSignalingAudit", "SessionRecords",
+                   "TSIRELSON_BOUND", "chsh_grid_search", "chsh_value", "correlator",
+                   "no_signaling_audit", "sample_rounds", "session_records", "signaling_weights",
+                   "tally_from_records"),
     "ctc": ("AdmissibilityScan", "ConsistencySubspace", "CtcScenario", "DeutschSolution",
             "admissible_fraction", "ctc_output_state", "deutsch_fixed_point",
             "grandfather_scenario", "linear_consistency_basis", "trace_distance"),

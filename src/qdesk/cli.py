@@ -15,7 +15,8 @@ its command uses. A signal CSV is written block by block, after sampling.
 Exit codes: 0 success, 2 config error (a bad flag value, or a flag the
 command does not read, included) or an --out path or stdout that cannot be
 written (a reader that closed the pipe early, say), 3 solver non-convergence
-(report still emitted, with the best residual), 4 internal invariant violation.
+(a report in the run's format still carries the best residual), 4 internal
+invariant violation.
 """
 
 from __future__ import annotations
@@ -119,15 +120,11 @@ def cmd_measure(cfg: MeasureConfig) -> dict:
 def cmd_signal(cfg: SignalConfig) -> tuple[dict, SessionRecords]:
     from . import suggestion
 
-    alice = suggestion.Direction(cfg.alice_angle)
-    bob = suggestion.Direction(cfg.bob_angle)
-    records = suggestion.session_records(cfg.rounds, alice, bob, cfg.seed)
+    records = suggestion.session_records(cfg.rounds, cfg.alice_angle, cfg.bob_angle, cfg.seed)
     tally = suggestion.tally_from_records(records)
     # audit the distant marginal over the session angle and two offsets
     audit_thetas = [cfg.alice_angle, cfg.alice_angle + np.pi / 4, cfg.alice_angle + np.pi / 2]
-    audit = suggestion.no_signaling_audit(
-        [suggestion.Direction(t) for t in audit_thetas], bob
-    )
+    audit = suggestion.no_signaling_audit(audit_thetas, cfg.bob_angle)
     payload = {
         "experiment": cfg.kind,
         "alice_angle": cfg.alice_angle,
@@ -137,7 +134,7 @@ def cmd_signal(cfg: SignalConfig) -> tuple[dict, SessionRecords]:
         "convention": "same = (decides_up, up) or (decides_down, down)",
         "counts": dataclasses.asdict(tally),
         "correlator_sampled": tally.correlator,
-        "correlator_exact": suggestion.correlator(alice, bob),
+        "correlator_exact": suggestion.correlator(cfg.alice_angle, cfg.bob_angle),
         "no_signaling": {
             "alice_settings": list(audit.alice_thetas),
             "distant_marginals": [list(m) for m in audit.marginals],
@@ -161,9 +158,8 @@ def cmd_chsh(cfg: ChshConfig) -> dict:
 
     payload: dict = {"experiment": cfg.kind}
     if cfg.angles is not None:
-        a1, a2, b1, b2 = (suggestion.Direction(t) for t in cfg.angles)
         payload["angles"] = dict(zip(_ANGLE_KEYS, cfg.angles))
-        e, s = suggestion._chsh(a1, a2, b1, b2)
+        e, s = suggestion.chsh_value(*cfg.angles)
         keys = ("E_a1_b1", "E_a1_b2", "E_a2_b1", "E_a2_b2")
         payload["correlators"] = {k: float(v) for k, v in zip(keys, e)}
         payload["s_value"] = s
@@ -365,7 +361,7 @@ def main(argv: list[str] | None = None) -> int:
             "error": "solver did not converge",
             "residual": exc.residual,
         }
-        if not _emit([render_payload(error_payload, "json")], args.out):
+        if not _emit([render_payload(error_payload, cfg.format)], args.out):
             return 2
         print(f"solver error: {exc}", file=sys.stderr)
         return 3

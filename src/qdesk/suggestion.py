@@ -13,8 +13,9 @@ none).
 
 Conventions fixed here, once:
 
-* Decision directions are real-plane rotations. ``Direction(theta)`` defines
+* A direction is one angle t (a float, in radians) in the real plane:
   up' = cos(t/2)|up> + sin(t/2)|down>, down' = -sin(t/2)|up> + cos(t/2)|down>.
+  ``signaling_weights`` alone checks that t is finite and builds its rotation.
 * Correlator sign: (decides_up, up) and (decides_down, down) count as "same",
   E = p_same - p_diff.
 * Completion of the steering unitary outside its defining input: in the
@@ -64,27 +65,6 @@ POINTER_LABELS = ("ready", "observes_up", "observes_down")
 PARTICLE, DISTANT, AGENT, PREPARED, POINTER = (
     "particle", "distant", "agent", "prepared", "pointer",
 )
-
-
-@dataclass(frozen=True)
-class Direction:
-    """A real-plane measurement/steering direction, parametrized by theta."""
-
-    theta: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.theta):
-            raise ValueError(f"direction angle must be finite, got {self.theta}")
-        r = self.rotation()
-        dev = float(np.abs(r.T @ r - np.eye(2)).max())
-        if dev > 1e-12:
-            raise InvariantError(f"direction basis not orthonormal (deviation {dev:.3e})")
-
-    def rotation(self) -> np.ndarray:
-        """2x2 rotation whose columns are (up', down')."""
-        h = self.theta / 2.0
-        c, s = math.cos(h), math.sin(h)
-        return np.array([[c, -s], [s, c]], dtype=np.float64)
 
 
 _SIGNALING_LAYOUT = layout_of(
@@ -160,15 +140,15 @@ def signaling_weights(alice_thetas: Sequence[float], bob_thetas: Sequence[float]
                       pair_state: StateVector | None = None) -> np.ndarray:
     """(k, 3, 3) Born weights over (agent label, pointer label), one per angle pair.
 
-    Row i is the round in which Alice is steered along
-    Direction(alice_thetas[i]) and Bob's meter reads along
-    Direction(bob_thetas[i]); `pair_state` (over (particle, distant), each
-    with labels up, down) defaults to the Bell pair. The round is one unitary
-    evolution; nothing collapses here. Per block of _BLOCK pairs, the
-    steering and rotated-meter stacks come from the cos/sin of the half
-    angles, as in Direction, and the np.kron products of one pair's
-    matrices, and apply_unitary_stack checks and applies each stack once, so
-    a row equals that pair's evolution through apply_unitary bit for bit.
+    Row i is the round in which Alice is steered along alice_thetas[i] and
+    Bob's meter reads along bob_thetas[i]; `pair_state` (over (particle,
+    distant), each with labels up, down) defaults to the Bell pair. The round
+    is one unitary evolution; nothing collapses here. Each angle is checked
+    here, and only here: a non-finite one is a ValueError. Per block of
+    _BLOCK pairs, the steering and rotated-meter stacks come from the cos/sin
+    of the half angles and the np.kron products of one pair's matrices, and
+    apply_unitary_stack checks (for unitarity) and applies each stack once,
+    so a row equals that pair's evolution through apply_unitary bit for bit.
     """
     a = [float(t) for t in alice_thetas]
     b = [float(t) for t in bob_thetas]
@@ -180,7 +160,7 @@ def signaling_weights(alice_thetas: Sequence[float], bob_thetas: Sequence[float]
     start = _round_input(pair_state).tensor()
     out = np.empty((len(a), len(AGENT_LABELS), len(POINTER_LABELS)))
     for i in range(0, len(a), _BLOCK):
-        ca, sa, cb, sb = (np.array([f(t / 2.0) for t in x[i:i + _BLOCK]])  # as in Direction
+        ca, sa, cb, sb = (np.array([f(t / 2.0) for t in x[i:i + _BLOCK]])
                           for x in (a, b) for f in (math.cos, math.sin))
         up = np.stack([ca, sa], axis=1).astype(np.complex128)
         down = np.stack([-sa, ca], axis=1).astype(np.complex128)
@@ -222,7 +202,7 @@ class SessionRecords:
     seeds: np.ndarray
 
 
-def sample_rounds(alice_dir: Direction, bob_dir: Direction, seeds: np.ndarray) -> SessionRecords:
+def sample_rounds(alice_theta: float, bob_theta: float, seeds: np.ndarray) -> SessionRecords:
     """One round per seed: joint inverse-CDF over the (agent, pointer) weights.
 
     The flattened weight table is traversed in (agent index, pointer index)
@@ -231,19 +211,19 @@ def sample_rounds(alice_dir: Direction, bob_dir: Direction, seeds: np.ndarray) -
     once; round i depends only on seeds[i], so a one-element uint64 array
     replays a single round.
     """
-    w = _checked_weights([alice_dir.theta], [bob_dir.theta])[0]
+    w = _checked_weights([alice_theta], [bob_theta])[0]
     agent, pointer = np.divmod(born_select(w.reshape(-1), first_uniforms(seeds)), w.shape[1])
     if not (agent.all() and pointer.all()):
         raise InvariantError("sampled a zero-weight undecided/ready cell")
-    return SessionRecords(alice_dir.theta, bob_dir.theta, agent - 1, pointer - 1, seeds)
+    return SessionRecords(alice_theta, bob_theta, agent - 1, pointer - 1, seeds)
 
 
-def session_records(n_rounds: int, alice_dir: Direction, bob_dir: Direction,
+def session_records(n_rounds: int, alice_theta: float, bob_theta: float,
                     master_seed: int) -> SessionRecords:
     """All rounds of a session; round i uses seed stream_seeds(master_seed, n_rounds)[i]."""
     if n_rounds < 1:
         raise ValueError(f"n_rounds must be >= 1, got {n_rounds}")
-    return sample_rounds(alice_dir, bob_dir, stream_seeds(master_seed, n_rounds))
+    return sample_rounds(alice_theta, bob_theta, stream_seeds(master_seed, n_rounds))
 
 
 @dataclass(frozen=True)
@@ -283,24 +263,21 @@ def _correlators(alice_thetas: Sequence[float], bob_thetas: Sequence[float]) -> 
     return e
 
 
-def correlator(alice_dir: Direction, bob_dir: Direction) -> float:
+def correlator(alice_theta: float, bob_theta: float) -> float:
     """Exact E(a, b) = p_same - p_diff from the round's branch weights."""
-    return float(_correlators([alice_dir.theta], [bob_dir.theta])[0])
+    return float(_correlators([alice_theta], [bob_theta])[0])
 
 
-def _chsh(a1: Direction, a2: Direction, b1: Direction, b2: Direction) -> tuple[np.ndarray, float]:
-    """Correlators of (a1,b1), (a1,b2), (a2,b1), (a2,b2) from one kernel call, and S."""
-    e = _correlators([a1.theta, a1.theta, a2.theta, a2.theta],
-                     [b1.theta, b2.theta, b1.theta, b2.theta])
+def chsh_value(a1: float, a2: float, b1: float, b2: float) -> tuple[np.ndarray, float]:
+    """Exact correlators of (a1,b1), (a1,b2), (a2,b1), (a2,b2) from one kernel call, and S.
+
+    S = E(a1,b1) + E(a1,b2) + E(a2,b1) - E(a2,b2).
+    """
+    e = _correlators([a1, a1, a2, a2], [b1, b2, b1, b2])
     s = float(e[0] + e[1] + e[2] - e[3])
     if abs(s) > TSIRELSON_BOUND + TSIRELSON_GUARD:
         raise InvariantError(f"CHSH value {s} exceeds the quantum bound")
     return e, s
-
-
-def chsh_value(a1: Direction, a2: Direction, b1: Direction, b2: Direction) -> float:
-    """S = E(a1,b1) + E(a1,b2) + E(a2,b1) - E(a2,b2), from exact correlators."""
-    return _chsh(a1, a2, b1, b2)[1]
 
 
 @dataclass(frozen=True)
@@ -322,7 +299,7 @@ def chsh_grid_search(resolution: float) -> ChshSearchResult:
     equals a reduced maximum over (a2, b1, b2) with a1 = 0, which is what is
     enumerated. Every reported value is re-evaluated through chsh_value.
     """
-    if resolution <= 0:
+    if not resolution > 0:
         raise ValueError(f"resolution must be positive, got {resolution}")
     n = int(round(2.0 * math.pi / resolution))
     if n < 4:
@@ -355,7 +332,7 @@ def chsh_grid_search(resolution: float) -> ChshSearchResult:
     arg = np.argmin if low else np.argmax
     i1, i2 = int(arg(e + windows[da])), int(arg(e - windows[da]))
     angles = (0.0, da * step, i1 * step, i2 * step)
-    s = chsh_value(*(Direction(t) for t in angles))
+    s = chsh_value(*angles)[1]
     if not math.isclose(abs(s), best, rel_tol=0, abs_tol=1e-9):
         raise InvariantError("grid-search reduction disagrees with direct evaluation")
     if (-s if low else s) < 0:
@@ -373,7 +350,7 @@ class NoSignalingAudit:
     max_tv_distance: float
 
 
-def no_signaling_audit(alice_dirs: Sequence[Direction], bob_dir: Direction,
+def no_signaling_audit(alice_thetas: Sequence[float], bob_theta: float,
                        pair_state: StateVector | None = None) -> NoSignalingAudit:
     """Check that Bob's marginal ignores Alice's steering direction.
 
@@ -382,12 +359,12 @@ def no_signaling_audit(alice_dirs: Sequence[Direction], bob_dir: Direction,
     total-variation distance; for any pair state it is zero to rounding,
     because steering is local, and above NO_SIGNALING_TOL it raises.
     """
-    thetas = [d.theta for d in alice_dirs]
+    thetas = tuple(alice_thetas)
     if len(set(thetas)) < 2:
         raise ValueError("need at least two distinct alice settings to audit")
-    bob = _checked_weights(thetas, [bob_dir.theta] * len(thetas), pair_state).sum(axis=1)
+    bob = _checked_weights(thetas, [bob_theta] * len(thetas), pair_state).sum(axis=1)
     marginals = [(float(p[1]), float(p[2])) for p in bob]
     max_tv = float(0.5 * np.abs(bob[:, None, 1:] - bob[None, :, 1:]).sum(axis=2).max())
     if max_tv > NO_SIGNALING_TOL:
         raise InvariantError(f"distant marginals differ by {max_tv:.3e} across alice settings")
-    return NoSignalingAudit(tuple(thetas), bob_dir.theta, tuple(marginals), max_tv)
+    return NoSignalingAudit(thetas, bob_theta, tuple(marginals), max_tv)

@@ -5,8 +5,10 @@ arithmetic, so agreement with the production code is meaningful. The few
 oracles that compose package code import it inside the function:
 ``single_round_weights`` pins the batched signaling kernel to the same round
 evolved one operator at a time (``steering_unitary`` builds and checks the
-18x18 steering unitary of one angle, and the package's single-operator API
-applies it), and ``read_serialized_body`` reuses the package's header parser.
+18x18 steering unitary of one angle, Bob's rotation is built from
+``math.cos``/``math.sin`` of his half angle, as there, and the package's
+single-operator API applies both), and ``read_serialized_body`` reuses the
+package's header parser.
 
 Test fixtures draw from ``SplitMix64`` below, a sequential generator built on
 ``splitmix64_reference`` and ``scalar_normals``, so no fixture depends on
@@ -234,8 +236,8 @@ def single_round_weights(theta_a: float, theta_b: float, pair=None) -> np.ndarra
     each with apply_unitary. `pair` is a StateVector over (particle,
     distant) and defaults to the Bell pair.
     """
-    from qdesk import (Direction, StateVector, UnitaryOperator, apply_unitary,
-                       build_premeasurement_unitary, pointer_scheme)
+    from qdesk import (StateVector, UnitaryOperator, apply_unitary, build_premeasurement_unitary,
+                       pointer_scheme)
     from qdesk.suggestion import DISTANT, POINTER, _PAIR_LAYOUT, _SIGNALING_LAYOUT
 
     lay = _SIGNALING_LAYOUT
@@ -246,7 +248,8 @@ def single_round_weights(theta_a: float, theta_b: float, pair=None) -> np.ndarra
     meter_z = build_premeasurement_unitary(
         pointer_scheme(DISTANT, POINTER, "ready", {"up": "observes_up", "down": "observes_down"}),
         lay)
-    r = np.kron(Direction(theta_b).rotation(), np.eye(3))
+    c, sn = math.cos(theta_b / 2.0), math.sin(theta_b / 2.0)
+    r = np.kron(np.array([[c, -sn], [sn, c]]), np.eye(3))  # its columns: Bob's (up', down')
     meter = UnitaryOperator(meter_z.layout, r @ meter_z.matrix @ r.conj().T)
     t = np.abs(apply_unitary(meter, apply_unitary(steering_unitary(theta_a), s)).tensor()) ** 2
     return t.sum(axis=(0, 1, 3))  # axes: particle, distant, agent, prepared, pointer

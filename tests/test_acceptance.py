@@ -15,7 +15,6 @@ import numpy as np
 from qdesk import (
     CtcScenario,
     DensityMatrix,
-    Direction,
     StateVector,
     UnitaryOperator,
     apply_unitary,
@@ -148,7 +147,7 @@ def test_criterion_03_aligned_sessions_anticorrelate_exactly():
     ok = True
     for theta, seed in ((0.0, 31), (math.pi, 32)):
         tally = tally_from_records(
-            session_records(10_000, Direction(theta), Direction(theta), seed))
+            session_records(10_000, theta, theta, seed))
         ok &= tally.n_uu == 0 and tally.n_dd == 0
         ok &= tally.n_total == 10_000
         ok &= tally.correlator == -1.0
@@ -167,7 +166,7 @@ def test_criterion_04_bell_violation_and_oracle_agreement():
     for _ in range(50):
         a = (rng.random() - 0.5) * 4 * math.pi
         b = (rng.random() - 0.5) * 4 * math.pi
-        worst = max(worst, abs(correlator(Direction(a), Direction(b)) - correlator_oracle(a, b)))
+        worst = max(worst, abs(correlator(a, b) - correlator_oracle(a, b)))
     ok &= worst <= 1e-10
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 60.0
@@ -178,8 +177,8 @@ def test_criterion_04_bell_violation_and_oracle_agreement():
 def test_criterion_05_no_signaling_audit():
     t0 = time.perf_counter()
     audit = no_signaling_audit(
-        [Direction(0.0), Direction(math.pi / 4), Direction(math.pi / 2), Direction(1.9)],
-        Direction(0.7),
+        [0.0, math.pi / 4, math.pi / 2, 1.9],
+        0.7,
     )
     ok = audit.max_tv_distance <= 1e-10
     elapsed = time.perf_counter() - t0
@@ -302,8 +301,8 @@ def test_criterion_10_determinism_and_monte_carlo_consistency(tmp_path):
     for k in range(20):
         a = (rng.random() - 0.5) * 4 * math.pi
         b = (rng.random() - 0.5) * 4 * math.pi
-        exact = correlator(Direction(a), Direction(b))
-        tally = tally_from_records(session_records(n, Direction(a), Direction(b), rng.next_u64()))
+        exact = correlator(a, b)
+        tally = tally_from_records(session_records(n, a, b, rng.next_u64()))
         sigma = math.sqrt(max((1.0 - exact**2) / n, 1e-18))
         gap = abs(tally.correlator - exact) / sigma if sigma > 0 else 0.0
         worst_sigmas = max(worst_sigmas, gap)

@@ -101,13 +101,13 @@ def test_signal_csv_has_exact_columns(tmp_path):
 
 @pytest.mark.parametrize("rounds", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
 def test_signal_csv_blocks_join_to_the_one_piece_report(tmp_path, rounds):
-    from qdesk.suggestion import Direction, session_records
+    from qdesk.suggestion import session_records
 
     cfg = write(tmp_path, "s.cfg", "experiment = signal\nalice_angle = 0.3\nbob_angle = -1.1\n"
                 f"rounds = {rounds}\nseed = 2\nformat = csv\n")
     code, out = run_cli(["signal", "--config", cfg])
     assert code == 0
-    assert out == render_signal_csv(session_records(rounds, Direction(0.3), Direction(-1.1), 2))
+    assert out == render_signal_csv(session_records(rounds, 0.3, -1.1, 2))
     target = tmp_path / "s.csv"
     assert run_cli(["signal", "--config", cfg, "--out", str(target)]) == (0, "")
     assert target.read_bytes() == out.encode("utf-8")
@@ -552,18 +552,22 @@ def test_every_finite_angle_gives_a_report_or_a_located_config_error(tmp_path_fa
         assert json.loads(report.read_text(encoding="utf-8"))["experiment"] == kind
 
 
-def test_solver_error_exits_3_with_residual(tmp_path):
+def slow_iterate_config(tmp_path, extra=""):
+    """A ctc-solve config whose iterate method cannot converge: weak amplitude damping."""
     gamma = 1e-6
     a0 = np.diag([1.0, math.sqrt(1.0 - gamma)]).astype(complex)
     a1 = np.zeros((2, 2), dtype=complex)
     a1[0, 1] = math.sqrt(gamma)
     lay = layout_of(("env", ("e0", "e1")), ("loop", ("b0", "b1")))
     u = UnitaryOperator(lay, kraus_dilation([a0, a1]))
-    scen = "cr_ids = env\nctc_ids = loop\nunitary:\n" + serialize_unitary(u)
-    write(tmp_path, "slow.scenario", scen)
-    cfg = write(tmp_path, "c.cfg",
-                "experiment = ctc-solve\nscenario_file = slow.scenario\nmethod = iterate\n")
-    code, out = run_cli(["ctc-solve", "--config", cfg])
+    write(tmp_path, "slow.scenario",
+          "cr_ids = env\nctc_ids = loop\nunitary:\n" + serialize_unitary(u))
+    return write(tmp_path, "c.cfg", "experiment = ctc-solve\nscenario_file = slow.scenario\n"
+                 "method = iterate\n" + extra)
+
+
+def test_solver_error_exits_3_with_residual(tmp_path):
+    code, out = run_cli(["ctc-solve", "--config", slow_iterate_config(tmp_path)])
     assert code == 3
     payload = json.loads(out)
     assert payload["error"] == "solver did not converge"
@@ -573,6 +577,19 @@ def test_solver_error_exits_3_with_residual(tmp_path):
         tmp_path, "c2.cfg",
         "experiment = ctc-solve\nscenario_file = slow.scenario\nmethod = spectral\n")])
     assert code == 0
+
+
+@pytest.mark.parametrize("where", ["config", "flag"])
+def test_solver_error_payload_follows_the_format(tmp_path, where):
+    if where == "config":
+        args = ["--config", slow_iterate_config(tmp_path, "format = table\n")]
+    else:
+        args = ["--config", slow_iterate_config(tmp_path), "--format", "table"]
+    code, out = run_cli(["ctc-solve", *args])
+    assert code == 3
+    head, residual = out.rsplit("residual: ", 1)
+    assert head == "experiment: ctc-solve\nerror: solver did not converge\n"
+    assert residual.endswith("\n") and float(residual) > 1e-8
 
 
 def test_unknown_flag_value_exits_2(tmp_path):
@@ -678,16 +695,7 @@ def test_stdout_closed_at_start_is_an_output_error(tmp_path, fmt):
 
 
 def test_stdout_closed_at_start_fails_the_solver_error_payload(tmp_path):
-    gamma = 1e-6
-    a0 = np.diag([1.0, math.sqrt(1.0 - gamma)]).astype(complex)
-    a1 = np.zeros((2, 2), dtype=complex)
-    a1[0, 1] = math.sqrt(gamma)
-    lay = layout_of(("env", ("e0", "e1")), ("loop", ("b0", "b1")))
-    scen = ("cr_ids = env\nctc_ids = loop\nunitary:\n"
-            + serialize_unitary(UnitaryOperator(lay, kraus_dilation([a0, a1]))))
-    write(tmp_path, "slow.scenario", scen)
-    cfg = write(tmp_path, "c.cfg",
-                "experiment = ctc-solve\nscenario_file = slow.scenario\nmethod = iterate\n")
+    cfg = slow_iterate_config(tmp_path)
     done = subprocess.run([sys.executable, "-m", "qdesk", "ctc-solve", "--config", cfg],
                           preexec_fn=lambda: os.close(1), stderr=subprocess.PIPE, text=True)
     assert done.returncode == 2, done.stderr
@@ -742,11 +750,11 @@ def test_commands_load_only_their_own_modules(tmp_path, command, unused):
     assert done.returncode == 0, done.stderr
 
 
-# What `from qdesk import *` gives: 56 public names, the 6 submodules that hold them, and rng.
+# What `from qdesk import *` gives: 55 public names, the 6 submodules that hold them, and rng.
 STAR_NAMES = (
     "ATOL AdmissibilityScan Branch ChshSearchResult ConfigError ConsistencySubspace "
     "CorrelationTally CtcScenario DensityMatrix DeutschSolution "
-    "DimensionMismatchError Direction FormatError InvariantError LayoutError NoSignalingAudit "
+    "DimensionMismatchError FormatError InvariantError LayoutError NoSignalingAudit "
     "PointerScheme ProtocolError QdeskError SchemeError SessionRecords SolverError "
     "StateVector Subsystem SubsystemLayout TSIRELSON_BOUND UnitaryOperator admissible_fraction "
     "apply_unitary branch_decomposition build_premeasurement_unitary "
@@ -771,7 +779,7 @@ def test_package_resolves_names_on_first_use():
              "print(' '.join(sorted(set(namespace) - {'__builtins__'})))\n")
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == sorted(STAR_NAMES) and len(STAR_NAMES) == 63
+    assert done.stdout.split() == sorted(STAR_NAMES) and len(STAR_NAMES) == 62
 
 
 @pytest.mark.parametrize("method", ["iterate", "spectral"])

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from qdesk.reports import CSV_BLOCK_ROWS as BLOCK, CSV_HEADER, _write_decimal, render_signal_csv
-from qdesk.suggestion import Direction, SessionRecords, session_records
+from qdesk.suggestion import SessionRecords, session_records
 
 from oracles import render_signal_csv as oracle_csv
 
@@ -44,7 +44,7 @@ def test_digit_kernel_spells_round_indices_in_any_wider_row(values, words):
                      st.integers(0, 2), st.sampled_from([-1, 0, 1])),
 )
 def test_blocks_join_to_the_oracle_csv(master_seed, alice, bob, rounds):
-    records = session_records(rounds, Direction(alice), Direction(bob), master_seed)
+    records = session_records(rounds, alice, bob, master_seed)
     text = "".join(render_signal_csv(records, start) for start in range(0, rounds, BLOCK))
     assert text == oracle_csv(records)
 

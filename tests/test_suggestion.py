@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qdesk import (
-    Direction,
     SchemeError,
     StateVector,
     apply_unitary,
@@ -67,8 +66,8 @@ def expect_basis(lay, assignment):
     return lay.basis_index(assignment)
 
 
-def replay_round(alice_dir, bob_dir, seed):
-    return sample_rounds(alice_dir, bob_dir, np.array([seed], dtype=np.uint64))
+def replay_round(alice_theta, bob_theta, seed):
+    return sample_rounds(alice_theta, bob_theta, np.array([seed], dtype=np.uint64))
 
 
 def joint_distribution(alice_theta, bob_theta, pair=None):
@@ -86,22 +85,26 @@ def round_row(records, i):
 
 
 # ---------------------------------------------------------------------------
-# directions
+# angles
 
 
-def test_direction_pair_is_orthonormal():
-    for theta in (0.0, 0.1, math.pi / 3, math.pi, 5.0, -2.7):
-        up, down = Direction(theta).rotation().T  # its columns are (up', down')
-        assert abs(np.vdot(up, up) - 1) < 1e-12
-        assert abs(np.vdot(down, down) - 1) < 1e-12
-        assert abs(np.vdot(up, down)) < 1e-12
-        assert np.abs(up - direction_up(theta)).max() < 1e-15
-        assert np.abs(down - direction_down(theta)).max() < 1e-15
-
-
-def test_direction_rejects_non_finite():
-    with pytest.raises(ValueError):
-        Direction(float("nan"))
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_every_public_function_rejects_a_non_finite_angle(bad):
+    calls = [
+        lambda: correlator(bad, 0.3),
+        lambda: correlator(0.3, bad),
+        lambda: chsh_value(0.0, bad, 0.1, 0.2),
+        lambda: chsh_value(0.0, 0.1, 0.2, bad),
+        lambda: sample_rounds(bad, 0.3, np.array([5], dtype=np.uint64)),
+        lambda: sample_rounds(0.3, bad, np.array([5], dtype=np.uint64)),
+        lambda: session_records(10, bad, 0.3, 7),
+        lambda: session_records(10, 0.3, bad, 7),
+        lambda: no_signaling_audit([0.0, bad], 0.3),
+        lambda: no_signaling_audit([0.0, 1.0], bad),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="direction angle must be finite"):
+            call()
 
 
 # ---------------------------------------------------------------------------
@@ -186,9 +189,8 @@ def test_steering_is_local_distant_state_untouched():
 
 
 def test_aligned_round_never_agrees():
-    zero = Direction(0.0)
     for seed in range(200):
-        _, _, alice_decision, bob_outcome, _ = round_row(replay_round(zero, zero, seed), 0)
+        _, _, alice_decision, bob_outcome, _ = round_row(replay_round(0.0, 0.0, seed), 0)
         assert (alice_decision, bob_outcome) in {("up", "down"), ("down", "up")}
 
 
@@ -279,22 +281,22 @@ def test_two_branches_with_the_forced_pairings():
 
 
 def test_correlator_values_confirmed_by_oracle():
-    assert abs(correlator(Direction(0.0), Direction(0.0)) + 1.0) < 1e-12
+    assert abs(correlator(0.0, 0.0) + 1.0) < 1e-12
     for a in (0.0, math.pi / 6, math.pi / 3):
-        got = correlator(Direction(a), Direction(a))
+        got = correlator(a, a)
         assert abs(got - correlator_oracle(a, a)) < 1e-10
     rng = SplitMix64(3)
     for _ in range(50):
         a = (rng.random() - 0.5) * 4 * math.pi
         b = (rng.random() - 0.5) * 4 * math.pi
-        assert abs(correlator(Direction(a), Direction(b)) - correlator_oracle(a, b)) < 1e-10
+        assert abs(correlator(a, b) - correlator_oracle(a, b)) < 1e-10
 
 
 def test_equal_angle_anticorrelation_holds_only_at_zero():
     # the pair state is not rotation invariant: perfect anticorrelation at
     # equal settings is special to angle zero (mod 2*pi)
-    assert abs(correlator(Direction(0.0), Direction(0.0)) + 1.0) < 1e-12
-    assert abs(correlator(Direction(math.pi / 3), Direction(math.pi / 3)) - 0.5) < 1e-10
+    assert abs(correlator(0.0, 0.0) + 1.0) < 1e-12
+    assert abs(correlator(math.pi / 3, math.pi / 3) - 0.5) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +304,7 @@ def test_equal_angle_anticorrelation_holds_only_at_zero():
 
 
 def test_session_records_match_individual_rounds():
-    a, b = Direction(0.4), Direction(-1.1)
+    a, b = 0.4, -1.1
     master = 2024
     records = session_records(200, a, b, master)
     seeds = splitmix64_reference(master, 200)
@@ -313,20 +315,20 @@ def test_session_records_match_individual_rounds():
 
 
 def test_aligned_session_has_no_agreeing_counts():
-    tally = tally_from_records(session_records(1000, Direction(0.0), Direction(0.0), 5))
+    tally = tally_from_records(session_records(1000, 0.0, 0.0, 5))
     assert tally.n_uu == 0 and tally.n_dd == 0
     assert tally.n_total == 1000
     assert tally.correlator == -1.0
 
 
 def test_single_round_session():
-    tally = tally_from_records(session_records(1, Direction(0.2), Direction(0.9), 8))
+    tally = tally_from_records(session_records(1, 0.2, 0.9, 8))
     assert tally.n_total == 1
     assert sorted([tally.n_uu, tally.n_ud, tally.n_du, tally.n_dd]) == [0, 0, 0, 1]
 
 
 def test_tally_is_order_independent():
-    records = session_records(500, Direction(1.0), Direction(0.2), 77)
+    records = session_records(500, 1.0, 0.2, 77)
     reversed_records = replace(records, decisions=records.decisions[::-1],
                                outcomes=records.outcomes[::-1], seeds=records.seeds[::-1])
     assert tally_from_records(records) == tally_from_records(reversed_records)
@@ -338,9 +340,8 @@ def test_session_estimate_within_binomial_bounds():
     for _ in range(5):
         a = (rng.random() - 0.5) * 2 * math.pi
         b = (rng.random() - 0.5) * 2 * math.pi
-        exact = correlator(Direction(a), Direction(b))
-        tally = tally_from_records(
-            session_records(n, Direction(a), Direction(b), rng.next_u64()))
+        exact = correlator(a, b)
+        tally = tally_from_records(session_records(n, a, b, rng.next_u64()))
         sigma = math.sqrt(max(1e-12, (1.0 - exact**2)) / n)
         assert abs(tally.correlator - exact) <= 4 * sigma + 1e-9
 
@@ -350,14 +351,13 @@ def test_session_estimate_within_binomial_bounds():
 
 
 def test_degenerate_chsh_reduces_to_twice_the_correlator():
-    zero = Direction(0.0)
-    s = chsh_value(zero, zero, zero, zero)
+    _, s = chsh_value(0.0, 0.0, 0.0, 0.0)
     assert abs(s + 2.0) < 1e-10  # 2 * E(0,0)
     rng = SplitMix64(18)
     for _ in range(5):
-        d = Direction((rng.random() - 0.5) * 4 * math.pi)
-        s = chsh_value(d, d, d, d)
-        assert abs(s - 2.0 * correlator_oracle(d.theta, d.theta)) < 1e-10
+        t = (rng.random() - 0.5) * 4 * math.pi
+        _, s = chsh_value(t, t, t, t)
+        assert abs(s - 2.0 * correlator_oracle(t, t)) < 1e-10
 
 
 def test_grid_search_equals_brute_force_enumeration():
@@ -375,13 +375,19 @@ def test_quantum_bound_is_respected_everywhere():
     assert res.abs_value <= TSIRELSON_BOUND + 1e-9
     rng = SplitMix64(29)
     for _ in range(20):
-        dirs = [Direction((rng.random() - 0.5) * 4 * math.pi) for _ in range(4)]
-        assert abs(chsh_value(*dirs)) <= TSIRELSON_BOUND + 1e-9
+        thetas = [(rng.random() - 0.5) * 4 * math.pi for _ in range(4)]
+        assert abs(chsh_value(*thetas)[1]) <= TSIRELSON_BOUND + 1e-9
 
 
 def test_some_grid_angles_violate_the_classical_bound():
     res = chsh_grid_search(math.pi / 24)
     assert res.abs_value > 2.0
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.0, -0.1, -math.inf, math.nan])
+def test_grid_search_rejects_a_resolution_that_is_not_positive(bad):
+    with pytest.raises(ValueError, match="resolution must be positive"):
+        chsh_grid_search(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +396,7 @@ def test_some_grid_angles_violate_the_classical_bound():
 
 def test_bob_marginals_ignore_alice_setting():
     audit = no_signaling_audit(
-        [Direction(0.0), Direction(math.pi / 4), Direction(math.pi / 2)], Direction(0.0)
+        [0.0, math.pi / 4, math.pi / 2], 0.0
     )
     for p_up, p_down in audit.marginals:
         assert abs(p_up - 0.5) < 1e-10
@@ -402,7 +408,7 @@ def test_audit_on_product_pair_is_degenerate_but_setting_independent():
     lay = layout_of((PARTICLE, ("up", "down")), (DISTANT, ("up", "down")))
     product = lay.basis_state({PARTICLE: "up", DISTANT: "down"})
     audit = no_signaling_audit(
-        [Direction(0.0), Direction(1.0)], Direction(0.0), pair_state=product
+        [0.0, 1.0], 0.0, pair_state=product
     )
     for p_up, p_down in audit.marginals:
         assert abs(p_up) < 1e-12
@@ -412,7 +418,7 @@ def test_audit_on_product_pair_is_degenerate_but_setting_independent():
 
 def test_audit_requires_two_distinct_settings():
     with pytest.raises(ValueError):
-        no_signaling_audit([Direction(0.0), Direction(0.0)], Direction(0.0))
+        no_signaling_audit([0.0, 0.0], 0.0)
 
 
 def test_sampled_rounds_read_the_leak_checked_weights(monkeypatch):
@@ -425,7 +431,7 @@ def test_sampled_rounds_read_the_leak_checked_weights(monkeypatch):
 
     monkeypatch.setattr(suggestion, "signaling_weights", leaky)
     with pytest.raises(InvariantError, match="undecided/ready weight 2.000e-06 survived"):
-        suggestion.session_records(1000, Direction(0.3), Direction(1.2), 7)
+        suggestion.session_records(1000, 0.3, 1.2, 7)
 
 
 def test_audit_reads_the_leak_checked_weights(monkeypatch):
@@ -434,7 +440,7 @@ def test_audit_reads_the_leak_checked_weights(monkeypatch):
 
     monkeypatch.setattr(suggestion, "UNDECIDED_LEAK_TOL", -1.0)  # every round now leaks
     with pytest.raises(InvariantError, match="undecided/ready"):
-        no_signaling_audit([Direction(0.0), Direction(1.0)], Direction(0.3))
+        no_signaling_audit([0.0, 1.0], 0.3)
 
 
 def test_bell_pair_state_is_the_balanced_updown_superposition():
@@ -494,10 +500,18 @@ def test_single_pair_quantities_equal_the_single_round_bit_for_bit(a1, a2, b1, b
     p = joint_distribution(a1, b1)
     assert _same_bits([p[(x, y)] for x in INFLUENCE_LABELS for y in INFLUENCE_LABELS],
                       [w[1, 1], w[1, 2], w[2, 1], w[2, 2]])
-    assert _same_bits(correlator(Direction(a1), Direction(b1)), _oracle_correlator(a1, b1))
+    assert _same_bits(correlator(a1, b1), _oracle_correlator(a1, b1))
     s = (_oracle_correlator(a1, b1) + _oracle_correlator(a1, b2)
          + _oracle_correlator(a2, b1) - _oracle_correlator(a2, b2))
-    assert _same_bits(chsh_value(*(Direction(t) for t in (a1, a2, b1, b2))), s)
+    assert _same_bits(chsh_value(a1, a2, b1, b2)[1], s)
+
+
+@settings(max_examples=60, deadline=None)
+@given(a1=finite, a2=finite, b1=finite, b2=st.sampled_from(EDGE_ANGLES) | finite)
+def test_chsh_correlators_equal_four_correlator_calls_bit_for_bit(a1, a2, b1, b2):
+    e, s = chsh_value(a1, a2, b1, b2)
+    assert _same_bits(e, [correlator(a, b) for a, b in ((a1, b1), (a1, b2), (a2, b1), (a2, b2))])
+    assert _same_bits(s, e[0] + e[1] + e[2] - e[3])
 
 
 def test_batched_weights_equal_the_single_round_on_edge_angles():
@@ -542,7 +556,7 @@ def test_batched_weights_check_the_steering_stack(monkeypatch):
 @pytest.mark.parametrize("n", [4, 7, 16, 360, 1440])
 def test_blocked_grid_scan_equals_the_shift_loop(n):
     step = 2.0 * math.pi / n
-    e = np.array([correlator(Direction(0.0), Direction(k * step)) for k in range(n)])
+    e = np.array([correlator(0.0, k * step) for k in range(n)])
     best, da, i1, i2, sign = grid_scan_reference(e)
     res = chsh_grid_search(2.0 * math.pi / n)
     assert res.grid_size == n and res.resolution == step
