@@ -31,15 +31,7 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from .config import (
-    CtcScanConfig,
-    CtcSolveConfig,
-    ChshConfig,
-    MeasureConfig,
-    RunConfig,
-    SignalConfig,
-    load_config,
-)
+from .config import EXPERIMENT_KINDS, load_config
 from .errors import ConfigError, FormatError, InvariantError, SolverError
 from .reports import (CSV_BLOCK_ROWS, matrix_payload, render_payload, render_signal_csv,
                       vector_payload)
@@ -75,18 +67,17 @@ def _measure_initial_state(preset: str) -> StateVector:
     return StateVector(lay, amps)
 
 
-def cmd_measure(cfg: MeasureConfig) -> dict:
+def cmd_measure(state: str, rounds: int | None, seed: int | None) -> dict:
     from . import measurement
 
     scheme = measurement.pointer_scheme(
         "particle", "meter", "ready", {"up": "saw_up", "down": "saw_down"}
     )
-    state = _measure_initial_state(cfg.state)
-    measured = measurement.premeasure(state, scheme)
+    measured = measurement.premeasure(_measure_initial_state(state), scheme)
     branches = measurement.branch_decomposition(measured, "meter")
     payload: dict = {
-        "experiment": cfg.kind,
-        "state": cfg.state,
+        "experiment": "measure",
+        "state": state,
         "branches": [
             {
                 "pointer": b.pointer_label,
@@ -98,12 +89,12 @@ def cmd_measure(cfg: MeasureConfig) -> dict:
             for b in branches
         ],
     }
-    if cfg.rounds is not None:
-        labels = measurement.sample_labels(measured, "meter", stream_seeds(cfg.seed, cfg.rounds))
+    if rounds is not None:
+        labels = measurement.sample_labels(measured, "meter", stream_seeds(seed, rounds))
         counts = np.bincount(labels, minlength=len(_METER_LABELS)).tolist()
         payload["sampling"] = {
-            "rounds": cfg.rounds,
-            "seed": cfg.seed,
+            "rounds": rounds,
+            "seed": seed,
             "counts": {k: v for k, v in zip(_METER_LABELS, counts) if v or k != "ready"},
         }
     payload["tolerances"] = {
@@ -117,24 +108,25 @@ def cmd_measure(cfg: MeasureConfig) -> dict:
 # signal
 
 
-def cmd_signal(cfg: SignalConfig) -> tuple[dict, SessionRecords]:
+def cmd_signal(alice_angle: float, bob_angle: float, rounds: int,
+               seed: int) -> tuple[dict, SessionRecords]:
     from . import suggestion
 
-    records = suggestion.session_records(cfg.rounds, cfg.alice_angle, cfg.bob_angle, cfg.seed)
+    records = suggestion.session_records(rounds, alice_angle, bob_angle, seed)
     tally = suggestion.tally_from_records(records)
     # audit the distant marginal over the session angle and two offsets
-    audit_thetas = [cfg.alice_angle, cfg.alice_angle + np.pi / 4, cfg.alice_angle + np.pi / 2]
-    audit = suggestion.no_signaling_audit(audit_thetas, cfg.bob_angle)
+    audit_thetas = [alice_angle, alice_angle + np.pi / 4, alice_angle + np.pi / 2]
+    audit = suggestion.no_signaling_audit(audit_thetas, bob_angle)
     payload = {
-        "experiment": cfg.kind,
-        "alice_angle": cfg.alice_angle,
-        "bob_angle": cfg.bob_angle,
-        "rounds": cfg.rounds,
-        "seed": cfg.seed,
+        "experiment": "signal",
+        "alice_angle": alice_angle,
+        "bob_angle": bob_angle,
+        "rounds": rounds,
+        "seed": seed,
         "convention": "same = (decides_up, up) or (decides_down, down)",
         "counts": dataclasses.asdict(tally),
         "correlator_sampled": tally.correlator,
-        "correlator_exact": suggestion.correlator(cfg.alice_angle, cfg.bob_angle),
+        "correlator_exact": suggestion.correlator(alice_angle, bob_angle),
         "no_signaling": {
             "alice_settings": list(audit.alice_thetas),
             "distant_marginals": [list(m) for m in audit.marginals],
@@ -153,19 +145,20 @@ def cmd_signal(cfg: SignalConfig) -> tuple[dict, SessionRecords]:
 _ANGLE_KEYS = ("a1", "a2", "b1", "b2")
 
 
-def cmd_chsh(cfg: ChshConfig) -> dict:
+def cmd_chsh(angles: tuple[float, float, float, float] | None,
+             grid_resolution: float | None) -> dict:
     from . import suggestion
 
-    payload: dict = {"experiment": cfg.kind}
-    if cfg.angles is not None:
-        payload["angles"] = dict(zip(_ANGLE_KEYS, cfg.angles))
-        e, s = suggestion.chsh_value(*cfg.angles)
+    payload: dict = {"experiment": "chsh"}
+    if angles is not None:
+        payload["angles"] = dict(zip(_ANGLE_KEYS, angles))
+        e, s = suggestion.chsh_value(*angles)
         keys = ("E_a1_b1", "E_a1_b2", "E_a2_b1", "E_a2_b2")
         payload["correlators"] = {k: float(v) for k, v in zip(keys, e)}
         payload["s_value"] = s
         payload["abs_s"] = abs(s)
     else:
-        result = suggestion.chsh_grid_search(cfg.grid_resolution)
+        result = suggestion.chsh_grid_search(grid_resolution)
         payload["grid_resolution"] = result.resolution
         payload["grid_size"] = result.grid_size
         payload["s_value"] = result.s_value
@@ -180,16 +173,15 @@ def cmd_chsh(cfg: ChshConfig) -> dict:
 # ctc
 
 
-def _cr_input(cfg: CtcSolveConfig) -> DensityMatrix | None:
-    scenario = cfg.scenario
+def _cr_input(scenario: CtcScenario, cr_state: str) -> DensityMatrix | None:
     if not scenario.cr_ids:
         return None
     lay = scenario.cr_layout()
     d = lay.total_dimension
-    if cfg.cr_state == "mixed":
+    if cr_state == "mixed":
         return DensityMatrix.maximally_mixed(lay)
     mat = np.zeros((d, d), dtype=np.complex128)
-    idx = 0 if cfg.cr_state == "zero" else d - 1
+    idx = 0 if cr_state == "zero" else d - 1
     mat[idx, idx] = 1.0
     return DensityMatrix(lay, mat)
 
@@ -212,22 +204,23 @@ def _linear_payload(scenario: CtcScenario, mode: str) -> dict:
     }
 
 
-def cmd_ctc_solve(cfg: CtcSolveConfig) -> dict:
+def cmd_ctc_solve(scenario_name: str, scenario: CtcScenario, mode: str, method: str,
+                  cr_state: str) -> dict:
     from . import ctc
 
-    rho_cr = _cr_input(cfg)
+    rho_cr = _cr_input(scenario, cr_state)
     payload: dict = {
-        "experiment": cfg.kind,
-        "scenario": cfg.scenario_name,
-        "cr_ids": list(cfg.scenario.cr_ids),
-        "ctc_ids": list(cfg.scenario.ctc_ids),
-        "mode": cfg.mode,
-        "method": cfg.method,
-        "cr_state": cfg.cr_state if cfg.scenario.cr_ids else None,
-        "linear": _linear_payload(cfg.scenario, cfg.mode),
+        "experiment": "ctc-solve",
+        "scenario": scenario_name,
+        "cr_ids": list(scenario.cr_ids),
+        "ctc_ids": list(scenario.ctc_ids),
+        "mode": mode,
+        "method": method,
+        "cr_state": cr_state if scenario.cr_ids else None,
+        "linear": _linear_payload(scenario, mode),
     }
     try:
-        solution = ctc.deutsch_fixed_point(cfg.scenario, rho_cr, cfg.method)
+        solution = ctc.deutsch_fixed_point(scenario, rho_cr, method)
     except SolverError as exc:
         raise SolverError("ctc-solve did not converge", residual=exc.residual) from exc
     fixed: dict = {
@@ -240,20 +233,21 @@ def cmd_ctc_solve(cfg: CtcSolveConfig) -> dict:
     if solution.fixed_space_dim is not None:
         fixed["fixed_space_dim"] = solution.fixed_space_dim
     payload["fixed_point"] = fixed
-    if cfg.scenario.cr_ids:
+    if scenario.cr_ids:
         out = ctc.ctc_output_state(solution)
         payload["cr_output"] = matrix_payload(out.matrix)
     payload["tolerances"] = _ctc_tolerances()
     return payload
 
 
-def cmd_ctc_scan(cfg: CtcScanConfig) -> dict:
+def cmd_ctc_scan(scenario_name: str, scenario: CtcScenario, mode: str, samples: int,
+                 seed: int) -> dict:
     from . import ctc
 
-    scan = ctc.admissible_fraction(cfg.scenario, cfg.samples, cfg.mode, cfg.seed)
+    scan = ctc.admissible_fraction(scenario, samples, mode, seed)
     return {
-        "experiment": cfg.kind,
-        "scenario": cfg.scenario_name,
+        "experiment": "ctc-scan",
+        "scenario": scenario_name,
         "mode": scan.mode,
         "samples": scan.n_samples,
         "seed": scan.seed,
@@ -281,21 +275,21 @@ def _ctc_tolerances() -> dict:
 # driver
 
 
-def build_report(cfg: RunConfig) -> Iterable[str]:
-    """Run one command; its report text, in the pieces that are written one by one.
+def build_report(kind: str, fmt: str, args: dict) -> Iterable[str]:
+    """Run one command on load_config's arguments; its report, in pieces written one by one.
 
     The command runs to the end here; a signal CSV's row blocks are rendered
     only as they are written.
     """
-    if isinstance(cfg, SignalConfig):
-        payload, records = cmd_signal(cfg)
-        if cfg.format == "csv":
+    if kind == "signal":
+        payload, records = cmd_signal(**args)
+        if fmt == "csv":
             return (render_signal_csv(records, start)
-                    for start in range(0, cfg.rounds, CSV_BLOCK_ROWS))
+                    for start in range(0, args["rounds"], CSV_BLOCK_ROWS))
     else:
-        payload = {MeasureConfig: cmd_measure, ChshConfig: cmd_chsh,
-                   CtcSolveConfig: cmd_ctc_solve, CtcScanConfig: cmd_ctc_scan}[type(cfg)](cfg)
-    return [render_payload(payload, cfg.format)]
+        payload = {"measure": cmd_measure, "chsh": cmd_chsh,
+                   "ctc-solve": cmd_ctc_solve, "ctc-scan": cmd_ctc_scan}[kind](**args)
+    return [render_payload(payload, fmt)]
 
 
 def _emit(pieces: Iterable[str], out_path: str | None) -> bool:
@@ -331,7 +325,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact desk-scale quantum experiments with reproducible seeds.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("measure", "signal", "chsh", "ctc-solve", "ctc-scan"):
+    for name in EXPERIMENT_KINDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to a key = value config file")
         for key in _ENTRY_FLAGS:
@@ -347,21 +341,21 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code
     flags = {k: v for k, v in vars(args).items() if k in _ENTRY_FLAGS and v is not None}
     try:
-        cfg = load_config(args.config, args.command, flags)
+        fmt, cmd_args = load_config(args.config, args.command, flags)
     except (ConfigError, FormatError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
     start = time.perf_counter()
     try:
-        pieces = build_report(cfg)
+        pieces = build_report(args.command, fmt, cmd_args)
     except SolverError as exc:
         error_payload = {
-            "experiment": cfg.kind,
+            "experiment": args.command,
             "error": "solver did not converge",
             "residual": exc.residual,
         }
-        if not _emit([render_payload(error_payload, cfg.format)], args.out):
+        if not _emit([render_payload(error_payload, fmt)], args.out):
             return 2
         print(f"solver error: {exc}", file=sys.stderr)
         return 3

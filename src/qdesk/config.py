@@ -14,6 +14,11 @@ file value, each applied once, where the value is read. An error names
 ``path:line`` for a file entry and ``--key`` for a flag; a flag the
 experiment does not read is an error as well.
 
+``load_config`` returns the report format and a dict of keyword arguments
+for the experiment's command (``cli.cmd_signal(**args)``, say). A loop
+command gets the parsed scenario as ``scenario`` and the name it was given
+by, built-in or file, as ``scenario_name``.
+
 A built-in loop is named by the config entry ``scenario``. A scenario file
 (``scenario_file``) carries the partition lists ``cr_ids`` and ``ctc_ids``,
 then an inline serialized unitary after a ``unitary:`` marker line. Config
@@ -25,7 +30,6 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, NoReturn
 
 from .errors import (
@@ -157,58 +161,6 @@ class _Entries:
             self.fail(f"unknown key {key!r} for {kind}", key)
 
 
-@dataclass(frozen=True)
-class MeasureConfig:
-    kind: str
-    state: str
-    rounds: int | None
-    seed: int | None
-    format: str
-
-
-@dataclass(frozen=True)
-class SignalConfig:
-    kind: str
-    alice_angle: float
-    bob_angle: float
-    rounds: int
-    seed: int
-    format: str
-
-
-@dataclass(frozen=True)
-class ChshConfig:
-    kind: str
-    angles: tuple[float, float, float, float] | None
-    grid_resolution: float | None
-    format: str
-
-
-@dataclass(frozen=True)
-class CtcSolveConfig:
-    kind: str
-    scenario_name: str
-    scenario: CtcScenario
-    mode: str
-    method: str
-    cr_state: str
-    format: str
-
-
-@dataclass(frozen=True)
-class CtcScanConfig:
-    kind: str
-    scenario_name: str
-    scenario: CtcScenario
-    mode: str
-    samples: int
-    seed: int
-    format: str
-
-
-RunConfig = MeasureConfig | SignalConfig | ChshConfig | CtcSolveConfig | CtcScanConfig
-
-
 def load_scenario_file(path: str) -> CtcScenario:
     """Scenario file: partition lists, then an inline unitary after a 'unitary:' line."""
     from .ctc import CtcScenario
@@ -253,8 +205,8 @@ def _resolve_scenario(ent: _Entries) -> tuple[str, CtcScenario]:
     return file_ref, load_scenario_file(path)
 
 
-def load_config(path: str, kind: str, flags: dict[str, str] | None = None) -> RunConfig:
-    """Load and validate a config file for the given experiment kind.
+def load_config(path: str, kind: str, flags: dict[str, str] | None = None) -> tuple[str, dict]:
+    """Load and validate a config file; the report format and the command's keyword arguments.
 
     Each flag ({key: text}) replaces the file entry of the same key before
     anything is read, so flag and file values pass the same checks.
@@ -279,7 +231,7 @@ def load_config(path: str, kind: str, flags: dict[str, str] | None = None) -> Ru
             ent.fail("sampling ('rounds') requires an explicit seed", "rounds")
         if seed is not None and rounds is None:
             ent.fail("a seed without 'rounds' would sample nothing", "seed")
-        return MeasureConfig(kind, state, rounds, seed, fmt)
+        return fmt, {"state": state, "rounds": rounds, "seed": seed}
     if kind == "signal":
         alice = ent.get_angle("alice_angle", required=True)
         # the audit's settings; as doubles they are distinct iff -2^53 <= alice < 2^53 - 1
@@ -290,7 +242,7 @@ def load_config(path: str, kind: str, flags: dict[str, str] | None = None) -> Ru
         bob = ent.get_angle("bob_angle", required=True)
         rounds = ent.get_int("rounds", 1, MAX_COUNT, required=True)
         seed = ent.get_int("seed", *_SEED_RANGE, required=True)
-        return SignalConfig(kind, alice, bob, rounds, seed, fmt)
+        return fmt, {"alice_angle": alice, "bob_angle": bob, "rounds": rounds, "seed": seed}
     if kind == "chsh":
         keys = ("angle_a1", "angle_a2", "angle_b1", "angle_b2")
         angles = tuple(ent.get_angle(k) for k in keys)
@@ -308,16 +260,18 @@ def load_config(path: str, kind: str, flags: dict[str, str] | None = None) -> Ru
             if round(grid) < 4:
                 ent.fail(f"grid_resolution {resolution} leaves fewer than 4 grid angles",
                          "grid_resolution")
-            return ChshConfig(kind, None, resolution, fmt)
+            return fmt, {"angles": None, "grid_resolution": resolution}
         if not all(have_angles):
             ent.fail("chsh needs angle_a1..angle_b2 or grid_resolution")
-        return ChshConfig(kind, angles, None, fmt)  # type: ignore[arg-type]
+        return fmt, {"angles": angles, "grid_resolution": None}
     name, scenario = _resolve_scenario(ent)
     mode = ent.get_str("mode", choices=("strict", "ray"), default="strict")
     if kind == "ctc-solve":
         method = ent.get_str("method", choices=("iterate", "spectral"), default="iterate")
         cr_state = ent.get_str("cr_state", choices=("zero", "one", "mixed"), default="zero")
-        return CtcSolveConfig(kind, name, scenario, mode, method, cr_state, fmt)
+        return fmt, {"scenario_name": name, "scenario": scenario, "mode": mode,
+                     "method": method, "cr_state": cr_state}
     samples = ent.get_int("samples", 1, MAX_COUNT, required=True)
     seed = ent.get_int("seed", *_SEED_RANGE, required=True)
-    return CtcScanConfig(kind, name, scenario, mode, samples, seed, fmt)
+    return fmt, {"scenario_name": name, "scenario": scenario, "mode": mode,
+                 "samples": samples, "seed": seed}

@@ -21,7 +21,6 @@ read row by row, which also names the line of a bad entry.
 from __future__ import annotations
 
 import functools
-from itertools import repeat
 
 import numpy as np
 
@@ -122,23 +121,15 @@ def _parse_rows(rows: list[list[str]], width: int, line_nos: list[int]) -> np.nd
     """Complex (len(rows), width) array from rows of 're,im' tokens; row r is on line_nos[r].
 
     The reader of every body that _parse_canonical does not take: any token
-    spelling Python's float accepts. A whole row is split at its commas and
-    converted by float at once; a row that fails is re-read token by token
-    to name the bad token.
+    spelling Python's float accepts, each read by _parse_complex, so an error
+    names the first bad token and its line.
     """
-    out = np.empty((len(rows), 2 * width), dtype=np.float64)
+    out = np.empty((len(rows), width), dtype=np.complex128)
     for r, (tokens, line_no) in enumerate(zip(rows, line_nos)):
         if len(tokens) != width:
             raise FormatError(f"line {line_no}: expected {width} entries, got {len(tokens)}")
-        if set(map(str.count, tokens, repeat(","))) == {1}:
-            try:
-                out[r] = list(map(float, ",".join(tokens).split(",")))
-                continue
-            except ValueError:
-                pass
-        for tok in tokens:  # raises on the first bad token
-            _parse_complex(tok, line_no)
-    return out.view(np.complex128)
+        out[r] = [_parse_complex(tok, line_no) for tok in tokens]
+    return out
 
 
 @functools.cache

@@ -180,7 +180,7 @@ def _checked_weights(alice_thetas: Sequence[float], bob_thetas: Sequence[float],
                      pair_state: StateVector | None = None) -> np.ndarray:
     """signaling_weights, after checking that no undecided/ready weight survived."""
     w = signaling_weights(alice_thetas, bob_thetas, pair_state)
-    leak = float((w[:, 0, :].sum(axis=1) + w[:, :, 0].sum(axis=1)).max())
+    leak = float((w[:, 0, :].sum(axis=1) + w[:, :, 0].sum(axis=1)).max(initial=0.0))
     if leak > UNDECIDED_LEAK_TOL:
         raise InvariantError(f"undecided/ready weight {leak:.3e} survived the round")
     return w
@@ -360,9 +360,10 @@ def no_signaling_audit(alice_thetas: Sequence[float], bob_theta: float,
     because steering is local, and above NO_SIGNALING_TOL it raises.
     """
     thetas = tuple(alice_thetas)
+    bob = _checked_weights(thetas, [bob_theta] * len(thetas), pair_state).sum(axis=1)
+    # after the angle checks: a set holds one NaN object once
     if len(set(thetas)) < 2:
         raise ValueError("need at least two distinct alice settings to audit")
-    bob = _checked_weights(thetas, [bob_theta] * len(thetas), pair_state).sum(axis=1)
     marginals = [(float(p[1]), float(p[2])) for p in bob]
     max_tv = float(0.5 * np.abs(bob[:, None, 1:] - bob[None, :, 1:]).sum(axis=2).max())
     if max_tv > NO_SIGNALING_TOL:

@@ -168,7 +168,7 @@ def test_invariant_violation_exits_4(tmp_path, monkeypatch):
     from qdesk import cli as cli_mod
     from qdesk.errors import InvariantError
 
-    def boom(cfg):
+    def boom(**args):
         raise InvariantError("synthetic failure")
 
     monkeypatch.setattr(cli_mod, "cmd_measure", boom)
@@ -311,6 +311,14 @@ def test_table_format_renders(tmp_path):
     assert code == 0
     assert "experiment: measure" in out
     assert "saw_up" in out
+
+
+@pytest.mark.parametrize("command", ["signal", "chsh", "ctc-solve", "ctc-scan"])
+def test_every_json_command_renders_a_table(tmp_path, command):
+    cfg = write(tmp_path, "c.cfg", SMALL_CONFIGS[command])
+    code, out = run_cli([command, "--config", cfg, "--format", "table"])
+    assert code == 0
+    assert out.startswith(f"experiment: {command}\n") and "\ntolerances:\n" in out
 
 
 def test_out_flag_writes_file(tmp_path):

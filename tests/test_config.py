@@ -2,16 +2,7 @@ import numpy as np
 import pytest
 
 from qdesk import ConfigError, UnitaryOperator, grandfather_scenario, layout_of, serialize_unitary
-from qdesk.config import (
-    MAX_COUNT,
-    ChshConfig,
-    CtcScanConfig,
-    CtcSolveConfig,
-    MeasureConfig,
-    SignalConfig,
-    load_config,
-    load_scenario_file,
-)
+from qdesk.config import MAX_COUNT, load_config, load_scenario_file
 
 
 def write(tmp_path, name, text):
@@ -22,9 +13,7 @@ def write(tmp_path, name, text):
 
 def test_measure_config_roundtrip(tmp_path):
     path = write(tmp_path, "m.cfg", "experiment = measure\nstate = plus\n")
-    cfg = load_config(path, "measure")
-    assert isinstance(cfg, MeasureConfig)
-    assert cfg.state == "plus" and cfg.rounds is None and cfg.format == "json"
+    assert load_config(path, "measure") == ("json", {"state": "plus", "rounds": None, "seed": None})
 
 
 def test_unknown_key_is_rejected_with_line(tmp_path):
@@ -96,8 +85,8 @@ def test_chsh_angles_xor_resolution(tmp_path):
     angles = write(tmp_path, "c3.cfg",
                    "experiment = chsh\nangle_a1 = 0\nangle_a2 = 1.5\n"
                    "angle_b1 = 0.7\nangle_b2 = -0.7\n")
-    cfg = load_config(angles, "chsh")
-    assert isinstance(cfg, ChshConfig) and cfg.grid_resolution is None
+    assert load_config(angles, "chsh") == (
+        "json", {"angles": (0.0, 1.5, 0.7, -0.7), "grid_resolution": None})
 
 
 def test_csv_only_for_signal(tmp_path):
@@ -108,10 +97,11 @@ def test_csv_only_for_signal(tmp_path):
 
 def test_ctc_solve_with_named_scenario(tmp_path):
     path = write(tmp_path, "c.cfg", "experiment = ctc-solve\nscenario = qubit_flip\n")
-    cfg = load_config(path, "ctc-solve")
-    assert isinstance(cfg, CtcSolveConfig)
-    assert cfg.mode == "strict" and cfg.method == "iterate"
-    assert cfg.scenario.ctc_ids == ("loop",)
+    fmt, args = load_config(path, "ctc-solve")
+    scenario = args.pop("scenario")
+    assert (fmt, args) == ("json", {"scenario_name": "qubit_flip", "mode": "strict",
+                                    "method": "iterate", "cr_state": "zero"})
+    assert scenario.ctc_ids == ("loop",)
 
 
 def test_ctc_scan_requires_samples_and_seed(tmp_path):
@@ -120,8 +110,11 @@ def test_ctc_scan_requires_samples_and_seed(tmp_path):
         load_config(path, "ctc-scan")
     ok = write(tmp_path, "c2.cfg",
                "experiment = ctc-scan\nscenario = qubit_flip\nsamples = 10\nseed = 3\n")
-    cfg = load_config(ok, "ctc-scan")
-    assert isinstance(cfg, CtcScanConfig) and cfg.samples == 10
+    fmt, args = load_config(ok, "ctc-scan")
+    scenario = args.pop("scenario")
+    assert (fmt, args) == ("json", {"scenario_name": "qubit_flip", "mode": "strict",
+                                    "samples": 10, "seed": 3})
+    assert scenario.ctc_ids == ("loop",)
 
 
 def test_scenario_file_with_inline_unitary(tmp_path):
@@ -158,10 +151,10 @@ def test_config_referencing_scenario_file(tmp_path):
     write(tmp_path, "cr.scenario", _cr_coupled_file_text())
     path = write(tmp_path, "c.cfg",
                  "experiment = ctc-solve\nscenario_file = cr.scenario\nmethod = spectral\n")
-    cfg = load_config(path, "ctc-solve")
-    assert cfg.scenario_name == "cr.scenario"
-    assert _is_cr_coupled(cfg.scenario)
-    assert cfg.method == "spectral"
+    fmt, args = load_config(path, "ctc-solve")
+    assert _is_cr_coupled(args.pop("scenario"))
+    assert (fmt, args) == ("json", {"scenario_name": "cr.scenario", "mode": "strict",
+                                    "method": "spectral", "cr_state": "zero"})
 
 
 @pytest.mark.parametrize("sep", ["\n", "\r\n", "\r", "\u2028", "\u2029", "\x85", "\v", "\f",
@@ -173,7 +166,7 @@ def test_config_and_scenario_files_end_lines_alike(tmp_path, sep):
     scenario = tmp_path / "s.scenario"
     scenario.write_bytes(_cr_coupled_file_text(sep).encode("utf-8"))
     if sep in ("\n", "\r\n", "\r"):
-        assert load_config(str(cfg), "chsh").grid_resolution == 0.5
+        assert load_config(str(cfg), "chsh") == ("json", {"angles": None, "grid_resolution": 0.5})
         assert _is_cr_coupled(load_scenario_file(str(scenario)))
         return
     with pytest.raises(ConfigError, match=":1: experiment must be one of"):
@@ -185,9 +178,8 @@ def test_config_and_scenario_files_end_lines_alike(tmp_path, sep):
 def test_overrides_win_and_are_validated(tmp_path):
     path = write(tmp_path, "s.cfg",
                  "experiment = signal\nalice_angle = 0\nbob_angle = 0\nrounds = 10\nseed = 1\n")
-    cfg = load_config(path, "signal", {"seed": "99", "rounds": "20", "format": "csv"})
-    assert isinstance(cfg, SignalConfig)
-    assert cfg.seed == 99 and cfg.rounds == 20 and cfg.format == "csv"
+    assert load_config(path, "signal", {"seed": "99", "rounds": "20", "format": "csv"}) == (
+        "csv", {"alice_angle": 0.0, "bob_angle": 0.0, "rounds": 20, "seed": 99})
     with pytest.raises(ConfigError, match="^--mode does not apply to signal$"):
         load_config(path, "signal", {"mode": "ray"})  # signal has no mode
     with pytest.raises(ConfigError, match="^--rounds: rounds must be in"):
@@ -215,7 +207,7 @@ def test_chsh_grid_resolution_must_leave_four_angles(tmp_path):
         load_config(path, "chsh")
     assert path in str(err.value) and "fewer than 4 grid angles" in str(err.value)
     ok = write(tmp_path, "c2.cfg", "experiment = chsh\ngrid_resolution = 1.5\n")
-    assert load_config(ok, "chsh").grid_resolution == 1.5
+    assert load_config(ok, "chsh") == ("json", {"angles": None, "grid_resolution": 1.5})
 
 
 def test_counts_are_capped_at_max_count(tmp_path):
@@ -224,18 +216,19 @@ def test_counts_are_capped_at_max_count(tmp_path):
             "ctc-scan": "experiment = ctc-scan\nscenario = qubit_flip\nseed = 1\n"}
     for kind, key in (("signal", "rounds"), ("ctc-scan", "samples")):
         ok = write(tmp_path, "ok.cfg", head[kind] + f"{key} = {MAX_COUNT}\n")
-        assert getattr(load_config(ok, kind), key) == MAX_COUNT
+        assert load_config(ok, kind)[1][key] == MAX_COUNT
         big = write(tmp_path, "big.cfg", head[kind] + f"{key} = {MAX_COUNT + 1}\n")
         line = head[kind].count("\n") + 1
         with pytest.raises(ConfigError, match=f"big.cfg:{line}: {key} must be in"):
             load_config(big, kind)
     small = write(tmp_path, "s.cfg", head["signal"] + "rounds = 10\n")
-    assert load_config(small, "signal", {"rounds": str(MAX_COUNT)}).rounds == MAX_COUNT
+    assert load_config(small, "signal", {"rounds": str(MAX_COUNT)})[1]["rounds"] == MAX_COUNT
     with pytest.raises(ConfigError, match="^--rounds: rounds must be in"):
         load_config(small, "signal", {"rounds": str(MAX_COUNT + 1)})
     grid = "experiment = chsh\ngrid_resolution = {}\n"
     fine = 2.0 * np.pi / (MAX_COUNT / 2)
-    assert load_config(write(tmp_path, "g.cfg", grid.format(fine)), "chsh").grid_resolution == fine
+    assert load_config(write(tmp_path, "g.cfg", grid.format(fine)), "chsh") == (
+        "json", {"angles": None, "grid_resolution": fine})
     with pytest.raises(ConfigError, match=f"g.cfg:2: grid_resolution .* over {MAX_COUNT}"):
         load_config(write(tmp_path, "g.cfg", grid.format(fine / 4)), "chsh")
 
@@ -243,5 +236,4 @@ def test_counts_are_capped_at_max_count(tmp_path):
 def test_comments_and_blank_lines_ignored(tmp_path):
     path = write(tmp_path, "m.cfg",
                  "# a comment\n\nexperiment = measure\nstate = up  # trailing\n")
-    cfg = load_config(path, "measure")
-    assert cfg.state == "up"
+    assert load_config(path, "measure") == ("json", {"state": "up", "rounds": None, "seed": None})

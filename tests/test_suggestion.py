@@ -100,6 +100,7 @@ def test_every_public_function_rejects_a_non_finite_angle(bad):
         lambda: session_records(10, bad, 0.3, 7),
         lambda: session_records(10, 0.3, bad, 7),
         lambda: no_signaling_audit([0.0, bad], 0.3),
+        lambda: no_signaling_audit([bad, bad], 0.3),  # one object: a set of one
         lambda: no_signaling_audit([0.0, 1.0], bad),
     ]
     for call in calls:
@@ -417,8 +418,9 @@ def test_audit_on_product_pair_is_degenerate_but_setting_independent():
 
 
 def test_audit_requires_two_distinct_settings():
-    with pytest.raises(ValueError):
-        no_signaling_audit([0.0, 0.0], 0.0)
+    for thetas in ([0.0, 0.0], [0.3], []):
+        with pytest.raises(ValueError, match="need at least two distinct alice settings"):
+            no_signaling_audit(thetas, 0.0)
 
 
 def test_sampled_rounds_read_the_leak_checked_weights(monkeypatch):
