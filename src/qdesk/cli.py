@@ -10,7 +10,10 @@ payload written to stdout (or --out) is byte-identical across repeated runs
 with identical inputs; wall-clock timing goes to stderr only.
 
 A command imports its own modules when it runs, so a process loads only what
-its command uses. A signal CSV is written block by block, after sampling.
+its command uses. Sampled rounds (signal, measure --rounds) are drawn one
+block of CSV_BLOCK_ROWS at a time, so memory does not grow with the round
+count; a signal CSV block is sampled, rendered and written before the next,
+once every check of the session has passed.
 
 Exit codes: 0 success, 2 config error (a bad flag value, or a flag the
 command does not read, included) or an --out path or stdout that cannot be
@@ -24,10 +27,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import errno
+import itertools
 import os
 import sys
 import time
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 
@@ -35,12 +39,26 @@ from .config import EXPERIMENT_KINDS, load_config
 from .errors import ConfigError, FormatError, InvariantError, SolverError
 from .reports import (CSV_BLOCK_ROWS, matrix_payload, render_payload, render_signal_csv,
                       vector_payload)
-from .rng import stream_seeds
+from .rng import GAMMA, stream_seeds
 from .tensor import DensityMatrix, StateVector, layout_of
 
 if TYPE_CHECKING:
     from .ctc import CtcScenario
-    from .suggestion import SessionRecords
+    from .suggestion import NoSignalingAudit
+
+
+# ---------------------------------------------------------------------------
+# sampled rounds
+
+
+def _blocks(rounds: int, seed: int) -> Iterator[tuple[int, int, int]]:
+    """(first round s, round count m, master seed) of each CSV_BLOCK_ROWS block of a session.
+
+    Round i's seed is the (i+1)-th SplitMix64 output of seed, so the block's
+    m seeds are stream_seeds(seed + s*GAMMA, m) (see rng.stream_seeds).
+    """
+    for start in range(0, rounds, CSV_BLOCK_ROWS):
+        yield start, min(CSV_BLOCK_ROWS, rounds - start), seed + start * GAMMA
 
 
 # ---------------------------------------------------------------------------
@@ -90,12 +108,14 @@ def cmd_measure(state: str, rounds: int | None, seed: int | None) -> dict:
         ],
     }
     if rounds is not None:
-        labels = measurement.sample_labels(measured, "meter", stream_seeds(seed, rounds))
-        counts = np.bincount(labels, minlength=len(_METER_LABELS)).tolist()
+        counts = np.zeros(len(_METER_LABELS), np.int64)
+        for _, m, block_seed in _blocks(rounds, seed):
+            labels = measurement.sample_labels(measured, "meter", stream_seeds(block_seed, m))
+            counts += np.bincount(labels, minlength=len(_METER_LABELS))
         payload["sampling"] = {
             "rounds": rounds,
             "seed": seed,
-            "counts": {k: v for k, v in zip(_METER_LABELS, counts) if v or k != "ready"},
+            "counts": {k: v for k, v in zip(_METER_LABELS, counts.tolist()) if v or k != "ready"},
         }
     payload["tolerances"] = {
         "branch_prune": measurement.BRANCH_PRUNE_EPS,
@@ -108,16 +128,24 @@ def cmd_measure(state: str, rounds: int | None, seed: int | None) -> dict:
 # signal
 
 
-def cmd_signal(alice_angle: float, bob_angle: float, rounds: int,
-               seed: int) -> tuple[dict, SessionRecords]:
+def _signal_exact(alice_angle: float, bob_angle: float) -> tuple[float, NoSignalingAudit]:
+    """The exact correlator and the no-signaling audit, each checked as it is computed."""
     from . import suggestion
 
-    records = suggestion.session_records(rounds, alice_angle, bob_angle, seed)
-    tally = suggestion.tally_from_records(records)
     # audit the distant marginal over the session angle and two offsets
     audit_thetas = [alice_angle, alice_angle + np.pi / 4, alice_angle + np.pi / 2]
     audit = suggestion.no_signaling_audit(audit_thetas, bob_angle)
-    payload = {
+    return suggestion.correlator(alice_angle, bob_angle), audit
+
+
+def cmd_signal(alice_angle: float, bob_angle: float, rounds: int, seed: int) -> dict:
+    from . import suggestion
+
+    tally = suggestion.tally_from_records(
+        suggestion.session_records(m, alice_angle, bob_angle, block_seed)
+        for _, m, block_seed in _blocks(rounds, seed))
+    exact, audit = _signal_exact(alice_angle, bob_angle)
+    return {
         "experiment": "signal",
         "alice_angle": alice_angle,
         "bob_angle": bob_angle,
@@ -126,7 +154,7 @@ def cmd_signal(alice_angle: float, bob_angle: float, rounds: int,
         "convention": "same = (decides_up, up) or (decides_down, down)",
         "counts": dataclasses.asdict(tally),
         "correlator_sampled": tally.correlator,
-        "correlator_exact": suggestion.correlator(alice_angle, bob_angle),
+        "correlator_exact": exact,
         "no_signaling": {
             "alice_settings": list(audit.alice_thetas),
             "distant_marginals": [list(m) for m in audit.marginals],
@@ -135,7 +163,25 @@ def cmd_signal(alice_angle: float, bob_angle: float, rounds: int,
         "tolerances": {"undecided_leak": suggestion.UNDECIDED_LEAK_TOL,
                        "no_signaling": suggestion.NO_SIGNALING_TOL},
     }
-    return payload, records
+
+
+def _signal_csv(alice_angle: float, bob_angle: float, rounds: int, seed: int) -> Iterator[str]:
+    """A signal session's CSV report, one block of rounds per piece, rendered as it is written.
+
+    Every check the session makes runs here, before the first piece:
+    sampling's, on the first block (every later block evolves the same round
+    to the same weights), the audit's and the exact correlator's. Every
+    block is rendered in one buffer.
+    """
+    from . import suggestion
+
+    blocks = ((start, suggestion.session_records(m, alice_angle, bob_angle, block_seed))
+              for start, m, block_seed in _blocks(rounds, seed))
+    first = next(blocks)
+    _signal_exact(alice_angle, bob_angle)
+    buffer = bytearray()
+    return (render_signal_csv(records, start, buffer)
+            for start, records in itertools.chain([first], blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -278,18 +324,29 @@ def _ctc_tolerances() -> dict:
 def build_report(kind: str, fmt: str, args: dict) -> Iterable[str]:
     """Run one command on load_config's arguments; its report, in pieces written one by one.
 
-    The command runs to the end here; a signal CSV's row blocks are rendered
-    only as they are written.
+    A signal CSV's checks run here; its blocks are sampled and rendered only
+    as they are written.
     """
-    if kind == "signal":
-        payload, records = cmd_signal(**args)
-        if fmt == "csv":
-            return (render_signal_csv(records, start)
-                    for start in range(0, args["rounds"], CSV_BLOCK_ROWS))
-    else:
-        payload = {"measure": cmd_measure, "chsh": cmd_chsh,
-                   "ctc-solve": cmd_ctc_solve, "ctc-scan": cmd_ctc_scan}[kind](**args)
+    if kind == "signal" and fmt == "csv":
+        return _signal_csv(**args)
+    payload = {"measure": cmd_measure, "signal": cmd_signal, "chsh": cmd_chsh,
+               "ctc-solve": cmd_ctc_solve, "ctc-scan": cmd_ctc_scan}[kind](**args)
     return [render_payload(payload, fmt)]
+
+
+_WRITE_CHARS = 1 << 16
+
+
+def _slices(pieces: Iterable[str]) -> Iterator[str]:
+    """The pieces, cut into slices of at most _WRITE_CHARS characters.
+
+    A text stream copies each write into a new bytes object: for a whole CSV
+    block, 1.3 MB more at the block's peak, where a slice's copy stays small.
+    """
+    for piece in pieces:
+        for i in range(0, len(piece), _WRITE_CHARS):
+            yield piece[i:i + _WRITE_CHARS]
+        del piece  # not alive while the next piece is rendered
 
 
 def _emit(pieces: Iterable[str], out_path: str | None) -> bool:
@@ -298,11 +355,11 @@ def _emit(pieces: Iterable[str], out_path: str | None) -> bool:
         if out_path is None:
             if sys.stdout is None:  # descriptor 1 was closed when the interpreter started
                 raise OSError(errno.EBADF, os.strerror(errno.EBADF))
-            sys.stdout.writelines(pieces)
+            sys.stdout.writelines(_slices(pieces))
             sys.stdout.flush()
         else:
             with open(out_path, "w", encoding="utf-8", newline="") as fh:
-                fh.writelines(pieces)
+                fh.writelines(_slices(pieces))
     except OSError as exc:
         if out_path is None and sys.stdout is not None:
             # point stdout at devnull, so the flush at exit cannot fail again

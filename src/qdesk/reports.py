@@ -7,7 +7,8 @@ round-trip). The table renderer is for humans but equally deterministic.
 The signal CSV is rendered one block of rows at a time, so the CLI writes a
 session without ever holding its whole report text. A block is one byte
 matrix, a row per round: decimal digits come four at a time from a table of
-uint32 words, padding is NUL and is deleted once, as the block turns into text.
+uint32 words, and padding is NUL, deleted a slice at a time as the block's
+lines are copied out behind the matrix, in a buffer that a session reuses.
 """
 
 from __future__ import annotations
@@ -108,6 +109,7 @@ def _table_scalar_seq(seq: Sequence[Any]) -> str:
 
 
 _CHUNK = 10**4  # four decimal digits per uint32 word
+_DELETE_BYTES = 2**16  # matrix bytes whose NUL padding is deleted at a time
 
 
 @functools.cache
@@ -126,44 +128,63 @@ def _digit_table() -> np.ndarray:
 
 
 def _write_decimal(values: np.ndarray, out: np.ndarray) -> None:
-    """Write each uint64 value's decimal digits, NUL-padded on the left, into its row of out.
+    """Write each value's decimal digits (uint32 or uint64), NUL-padded on the left, into its
+    row of out.
 
     out is an (n, words) uint32 view whose bytes take the digits, four per
     word, most significant word first; values must be below 10^(4·words).
     """
     table = _digit_table()
-    step = np.uint64(_CHUNK)
+    step = values.dtype.type(_CHUNK)
     q, blank = values, 0  # blank: the value has no digit in this word or above it
     for col in reversed(range(out.shape[1])):
         q, c = np.divmod(q, step)
-        top = (q == 0).astype(np.uint64)  # no digit above this word
+        top = (q == 0).astype(values.dtype)  # no digit above this word
         out[:, col] = table[c + step * (top + blank)]
         blank = top
 
 
-def render_signal_csv(records: SessionRecords, start: int) -> str:
-    """CSV lines of rounds start .. start + CSV_BLOCK_ROWS - 1, the header before round 0."""
+def render_signal_csv(records: SessionRecords, start: int, buffer: bytearray) -> str:
+    """CSV lines of one block of a session, records holding rounds start, start + 1, ...;
+    the header comes before round 0.
+
+    The block's byte matrix and its lines are built in `buffer`, grown to fit
+    and left as it is for the next block: a session that passes one bytearray
+    for every block allocates that storage once.
+    """
     from .suggestion import INFLUENCE_LABELS
 
-    stop = min(start + CSV_BLOCK_ROWS, len(records.seeds))
+    n = len(records.seeds)
     thetas = f",{format_float(records.alice_theta)},{format_float(records.bob_theta)},"
-    # one NUL-padded "decision,outcome," row per pair, indexed decision-major
+    # one NUL-padded "decision,outcome," per pair, indexed decision-major
     middles = np.array([f"{d},{o},".encode() for d in INFLUENCE_LABELS for o in INFLUENCE_LABELS])
-    middles = middles.view(np.uint8).reshape(len(middles), -1)
+    middles = middles.view(f"V{middles.itemsize}")
     # a row: round index (words enough for the block's last), thetas, decision
     # and outcome, 20-digit seed, newline
-    index_end = 4 * -(-len(str(stop - 1)) // 4)
+    index_end = 4 * -(-len(str(start + n - 1)) // 4)
     thetas_end = index_end + len(thetas)
-    seed_start = thetas_end + middles.shape[1]
-    rows = np.empty((stop - start, seed_start + 21), np.uint8)
-    _write_decimal(np.arange(start, stop, dtype=np.uint64), rows[:, :index_end].view(np.uint32))
+    seed_start = thetas_end + middles.itemsize
+    width = seed_start + 21
+    head = f"{CSV_HEADER}\n".encode() if start == 0 else b""
+    size = n * width  # the matrix; the lines follow it
+    buffer.extend(bytes(max(0, 2 * size + len(head) - len(buffer))))
+    rows = np.frombuffer(buffer, np.uint8, size).reshape(n, width)
+    # uint32 arithmetic is the faster, and holds every index up to config.MAX_COUNT
+    indices = np.arange(start, start + n, dtype=np.uint32 if start + n <= 2**32 else np.uint64)
+    _write_decimal(indices, rows[:, :index_end].view(np.uint32))
     rows[:, index_end:thetas_end] = np.frombuffer(thetas.encode(), np.uint8)
-    pair = records.decisions[start:stop] * len(INFLUENCE_LABELS) + records.outcomes[start:stop]
-    rows[:, thetas_end:seed_start] = middles[pair]
-    _write_decimal(records.seeds[start:stop], rows[:, seed_start:-1].view(np.uint32))
+    pairs = records.decisions * len(INFLUENCE_LABELS) + records.outcomes
+    rows[:, thetas_end:seed_start].view(middles.dtype)[:, 0] = middles[pairs]
+    _write_decimal(records.seeds, rows[:, seed_start:-1].view(np.uint32))
     rows[:, -1] = ord("\n")
-    text = rows.tobytes().translate(None, b"\0").decode("ascii")
-    return f"{CSV_HEADER}\n{text}" if start == 0 else text
+    with memoryview(buffer) as view:
+        end = size + len(head)
+        view[size:end] = head
+        for a in range(0, size, _DELETE_BYTES):
+            lines = view[a:min(a + _DELETE_BYTES, size)].tobytes().translate(None, b"\0")
+            view[end:end + len(lines)] = lines
+            end += len(lines)
+        return str(view[size:end], "ascii")
 
 
 def render_payload(payload: dict, fmt: str) -> str:

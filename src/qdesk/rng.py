@@ -39,7 +39,12 @@ _MULT1_U64, _MULT2_U64 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB1331
 
 def stream_seeds(master_seed: int, n: int) -> np.ndarray:
     """The first n outputs of SplitMix64(master_seed) as uint64: entry i, the seed of round or
-    sample i, is its (i+1)-th output."""
+    sample i, is its (i+1)-th output.
+
+    The generator's state after k outputs is master_seed + k*GAMMA (mod 2^64), so
+    stream_seeds(master_seed + k*GAMMA, n) is outputs k+1 .. k+n of master_seed: a
+    session's rounds k .. k+n-1 take their seeds from it, one block at a time.
+    """
     return _outputs(master_seed & MASK64, n)
 
 

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -188,7 +188,7 @@ def _checked_weights(alice_thetas: Sequence[float], bob_thetas: Sequence[float],
 
 @dataclass(frozen=True)
 class SessionRecords:
-    """Sampled signaling rounds as columns; row i is one round.
+    """Sampled signaling rounds as columns, of a whole session or of one block of it.
 
     decisions and outcomes index INFLUENCE_LABELS (0 = up, 1 = down) for
     Alice's decision and Bob's pointer outcome; seeds holds each round's
@@ -208,19 +208,25 @@ def sample_rounds(alice_theta: float, bob_theta: float, seeds: np.ndarray) -> Se
     The flattened weight table is traversed in (agent index, pointer index)
     row-major order, driven by the first uniform of SplitMix64(seed). The
     evolved state is the same in every round, so its weights are computed
-    once; round i depends only on seeds[i], so a one-element uint64 array
-    replays a single round.
+    and checked once: besides the leak check, its undecided and ready cells
+    must weigh exactly 0, so that born_select, which never picks a zero cell,
+    decides every round. Round i depends only on seeds[i], so a one-element
+    uint64 array replays a single round.
     """
     w = _checked_weights([alice_theta], [bob_theta])[0]
+    if w[0].any() or w[:, 0].any():
+        raise InvariantError("an undecided/ready cell has nonzero weight and could be sampled")
     agent, pointer = np.divmod(born_select(w.reshape(-1), first_uniforms(seeds)), w.shape[1])
-    if not (agent.all() and pointer.all()):
-        raise InvariantError("sampled a zero-weight undecided/ready cell")
     return SessionRecords(alice_theta, bob_theta, agent - 1, pointer - 1, seeds)
 
 
 def session_records(n_rounds: int, alice_theta: float, bob_theta: float,
                     master_seed: int) -> SessionRecords:
-    """All rounds of a session; round i uses seed stream_seeds(master_seed, n_rounds)[i]."""
+    """All rounds of a session; round i uses seed stream_seeds(master_seed, n_rounds)[i].
+
+    Rounds s .. s + m - 1 of a session are session_records(m, alice_theta,
+    bob_theta, master_seed + s*GAMMA), bit for bit (see rng.stream_seeds).
+    """
     if n_rounds < 1:
         raise ValueError(f"n_rounds must be >= 1, got {n_rounds}")
     return sample_rounds(alice_theta, bob_theta, stream_seeds(master_seed, n_rounds))
@@ -244,8 +250,11 @@ class CorrelationTally:
         return (self.n_uu + self.n_dd - self.n_ud - self.n_du) / self.n_total
 
 
-def tally_from_records(records: SessionRecords) -> CorrelationTally:
-    counts = np.bincount(2 * records.decisions + records.outcomes, minlength=4)
+def tally_from_records(records: SessionRecords | Iterable[SessionRecords]) -> CorrelationTally:
+    """The counts of a session's records, whole or as an iterable of its blocks."""
+    counts = np.zeros(4, np.int64)
+    for block in [records] if isinstance(records, SessionRecords) else records:
+        counts += np.bincount(2 * block.decisions + block.outcomes, minlength=4)
     return CorrelationTally(*counts.tolist())
 
 

@@ -118,9 +118,9 @@ def test_completed_time_covers_csv_rendering(tmp_path, monkeypatch, capsys):
 
     render = cli_mod.render_signal_csv
 
-    def slow_render(records, start):
+    def slow_render(*args):
         time.sleep(0.05)
-        return render(records, start)
+        return render(*args)
 
     monkeypatch.setattr(cli_mod, "render_signal_csv", slow_render)
     cfg = write(tmp_path, "s.cfg", "experiment = signal\nalice_angle = 0.3\nbob_angle = 1.2\n"
@@ -132,20 +132,51 @@ def test_completed_time_covers_csv_rendering(tmp_path, monkeypatch, capsys):
     assert timing is not None and float(timing.group(1)) >= 0.15  # three blocks
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+# Runs one command to /dev/null, then reports the process's own peak RSS. ru_maxrss
+# from wait4 would not do: subprocess starts a child with vfork, so the child's
+# ru_maxrss counts the peak of the image it replaced, the pytest process's own.
+PEAK_PROBE = """
+import sys
+from qdesk.cli import main
+code = main(sys.argv[1:])
+with open("/proc/self/status") as fh:
+    sys.stderr.write(next(line for line in fh if line.startswith("VmHWM:")))
+sys.exit(code)
+"""
+
+
+def own_peak_mb(tmp_path, kind, body):
+    """VmHWM in MB of a child that runs `qdesk kind` on a config of body."""
+    cfg = write(tmp_path, f"{kind}.cfg", f"experiment = {kind}\n{body}")
+    done = subprocess.run([sys.executable, "-c", PEAK_PROBE, kind, "--config", cfg],
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    assert done.returncode == 0, done.stderr
+    return int(re.search(r"^VmHWM:\s+(\d+) kB$", done.stderr, re.M).group(1)) / 1024.0
+
+
+SESSION_BODIES = {
+    "signal-csv": ("signal", "alice_angle = 0.3\nbob_angle = -1.1\nseed = 7\nformat = csv\n"),
+    "signal-json": ("signal", "alice_angle = 0.3\nbob_angle = -1.1\nseed = 7\nformat = json\n"),
+    "measure": ("measure", "state = bell\nseed = 7\n"),
+}
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
 def test_signal_csv_peaks_near_the_json_report(tmp_path):
-    # a CSV session is held as its sampled columns, not as its 32 MB of report text
-    peaks = {}
-    for fmt in ("csv", "json"):
-        cfg = write(tmp_path, f"{fmt}.cfg", "experiment = signal\nalice_angle = 0.3\n"
-                    f"bob_angle = -1.1\nrounds = 400000\nseed = 7\nformat = {fmt}\n")
-        proc = subprocess.Popen([sys.executable, "-m", "qdesk", "signal", "--config", cfg],
-                                stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-        _, status, usage = os.wait4(proc.pid, 0)
-        proc.returncode = os.waitstatus_to_exitcode(status)
-        assert proc.returncode == 0
-        peaks[fmt] = usage.ru_maxrss / 1024.0
+    # a CSV session holds one block of rounds at a time, not its 32 MB of report text
+    peaks = {fmt: own_peak_mb(tmp_path, "signal", SESSION_BODIES[f"signal-{fmt}"][1]
+                              + "rounds = 400000\n")
+             for fmt in ("csv", "json")}
     assert peaks["csv"] <= peaks["json"] + 16.0, peaks
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
+@pytest.mark.parametrize("session", sorted(SESSION_BODIES))
+def test_session_peak_does_not_grow_with_its_rounds(tmp_path, session):
+    kind, body = SESSION_BODIES[session]
+    small, large = (own_peak_mb(tmp_path, kind, body + f"rounds = {n}\n")
+                    for n in (40_000, 2_000_000))
+    assert large <= small + 3.0, (small, large)
 
 
 def test_signal_summary_matches_exact_correlator(tmp_path):
@@ -207,6 +238,26 @@ def test_csv_session_failing_its_audit_writes_nothing(tmp_path, monkeypatch):
     monkeypatch.setattr(suggestion, "no_signaling_audit", leaky)
     cfg = write(tmp_path, "s.cfg", "experiment = signal\nalice_angle = 0.3\nbob_angle = 1.2\n"
                 f"rounds = {BLOCK + 1}\nseed = 1\nformat = csv\n")
+    target = tmp_path / "s.csv"
+    assert run_cli(["signal", "--config", cfg]) == (4, "")
+    assert run_cli(["signal", "--config", cfg, "--out", str(target)]) == (4, "")
+    assert not target.exists()
+
+
+def test_csv_session_failing_its_sampling_check_writes_nothing(tmp_path, monkeypatch):
+    # sampling's check runs on the first of the three blocks, before any is written
+    from qdesk import suggestion
+
+    exact = suggestion.signaling_weights
+
+    def weighted(*args, **kwargs):
+        w = exact(*args, **kwargs)
+        w[:, 0, 1] = 1e-300  # an undecided cell born_select could pick; far below the leak check
+        return w
+
+    monkeypatch.setattr(suggestion, "signaling_weights", weighted)
+    cfg = write(tmp_path, "s.cfg", "experiment = signal\nalice_angle = 0.3\nbob_angle = 1.2\n"
+                f"rounds = {2 * BLOCK + 1}\nseed = 1\nformat = csv\n")
     target = tmp_path / "s.csv"
     assert run_cli(["signal", "--config", cfg]) == (4, "")
     assert run_cli(["signal", "--config", cfg, "--out", str(target)]) == (4, "")

@@ -4,6 +4,7 @@ import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from qdesk.reports import CSV_BLOCK_ROWS as BLOCK, CSV_HEADER, _write_decimal, render_signal_csv
+from qdesk.rng import GAMMA
 from qdesk.suggestion import SessionRecords, session_records
 
 from oracles import render_signal_csv as oracle_csv
@@ -12,9 +13,9 @@ UINT64_EDGES = sorted({0, 1, 9, 10, 9999, 10**4, 2**63, 2**64 - 1}
                       | {10**k + d for k in range(1, 20) for d in (-1, 0, 1)})
 
 
-def decimal_rows(values, words):
+def decimal_rows(values, words, dtype=np.uint64):
     out = np.empty((len(values), words), np.uint32)
-    _write_decimal(np.asarray(values, dtype=np.uint64), out)
+    _write_decimal(np.asarray(values, dtype=dtype), out)
     return [row.tobytes().translate(None, b"\0").decode("ascii") for row in out]
 
 
@@ -29,7 +30,9 @@ def test_digit_kernel_spells_every_uint64(values):
 @given(st.lists(st.integers(0, 10**9), min_size=1, max_size=40), st.integers(3, 5))
 @example([0, 1, 9999, 10**4, 10**8 - 1, 10**8, 10**9 - 1, 10**9], 3)
 def test_digit_kernel_spells_round_indices_in_any_wider_row(values, words):
-    assert decimal_rows(values, words) == [str(v) for v in values]
+    # the CSV writes round indices as uint32
+    for dtype in (np.uint64, np.uint32):
+        assert decimal_rows(values, words, dtype) == [str(v) for v in values]
 
 
 @settings(max_examples=12, deadline=None)
@@ -44,9 +47,12 @@ def test_digit_kernel_spells_round_indices_in_any_wider_row(values, words):
                      st.integers(0, 2), st.sampled_from([-1, 0, 1])),
 )
 def test_blocks_join_to_the_oracle_csv(master_seed, alice, bob, rounds):
-    records = session_records(rounds, alice, bob, master_seed)
-    text = "".join(render_signal_csv(records, start) for start in range(0, rounds, BLOCK))
-    assert text == oracle_csv(records)
+    # block s .. s + m - 1 is sampled on its own, from the master seed jumped s outputs on
+    text, buffer = [], bytearray()
+    for start in range(0, rounds, BLOCK):
+        block = session_records(min(BLOCK, rounds - start), alice, bob, master_seed + start * GAMMA)
+        text.append(render_signal_csv(block, start, buffer))
+    assert "".join(text) == oracle_csv(session_records(rounds, alice, bob, master_seed))
 
 
 def test_small_seeds_and_every_label_pair_match_the_oracle():
@@ -54,16 +60,17 @@ def test_small_seeds_and_every_label_pair_match_the_oracle():
     n = len(UINT64_EDGES)
     records = SessionRecords(-0.5, 3.0, np.arange(n) // 2 % 2, np.arange(n) % 2,
                              np.array(UINT64_EDGES, dtype=np.uint64))
-    assert render_signal_csv(records, 0) == oracle_csv(records)
+    assert render_signal_csv(records, 0, bytearray()) == oracle_csv(records)
 
 
 def test_round_indices_up_to_the_count_cap():
-    # a zero-stride session of 10^9 rounds: the last block's indices have nine digits
-    n = 10**9
-    records = SessionRecords(0.25, -1.0, np.broadcast_to(np.int64(1), (n,)),
-                             np.broadcast_to(np.int64(0), (n,)),
-                             np.broadcast_to(np.uint64(2**64 - 1), (n,)))
+    # the last three rounds of a session of 10^9: their indices have nine digits; a
+    # library caller may go on past 2^32, where the indices no longer fit uint32
+    records = SessionRecords(0.25, -1.0, np.ones(3, np.int64), np.zeros(3, np.int64),
+                             np.full(3, 2**64 - 1, np.uint64))
     thetas = "2.5000000000000000e-01,-1.0000000000000000e+00"
-    assert render_signal_csv(records, n - 3) == "".join(
-        f"{i},{thetas},down,up,{2**64 - 1}\n" for i in range(n - 3, n))
-    assert render_signal_csv(records, 0).startswith(f"{CSV_HEADER}\n0,{thetas},down,up,")
+    for n in (10**9, 2**32 + 1):
+        assert render_signal_csv(records, n - 3, bytearray()) == "".join(
+            f"{i},{thetas},down,up,{2**64 - 1}\n" for i in range(n - 3, n))
+    first = render_signal_csv(records, 0, bytearray())
+    assert first.startswith(f"{CSV_HEADER}\n0,{thetas},down,up,")

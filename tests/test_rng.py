@@ -1,8 +1,9 @@
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from qdesk.rng import (_box_muller, _outputs, _unit, born_select, first_uniforms, haar_states,
-                       stream_seeds)
+from qdesk.reports import CSV_BLOCK_ROWS as BLOCK
+from qdesk.rng import (GAMMA, _box_muller, _outputs, _unit, born_select, first_uniforms,
+                       haar_states, stream_seeds)
 
 from oracles import (SplitMix64, haar_state, haar_unitary, inverse_cdf_select, random_density,
                      scalar_normals, splitmix64_reference)
@@ -19,6 +20,33 @@ def test_stream_seed_equals_sequential_outputs():
     gen = SplitMix64(master)
     seq = [gen.next_u64() for _ in range(20)]
     assert stream_seeds(master, 20).tolist() == seq
+
+
+EDGE_SEEDS = (-2**63, -1, 0, 2**63, 2**64 - 1)
+BLOCK_EDGES = (BLOCK - 1, BLOCK, BLOCK + 1)
+
+
+def _with_edge_examples(test):
+    """The test, with every (edge seed, block edge) pair as an explicit example."""
+    for master in EDGE_SEEDS:
+        for k in BLOCK_EDGES:
+            test = example(master=master, k=k, n=3)(test)
+    return test
+
+
+@settings(max_examples=40, deadline=None)
+@given(master=st.sampled_from(EDGE_SEEDS) | st.integers(-2**63, 2**64 - 1),
+       k=st.sampled_from((0, 1) + BLOCK_EDGES) | st.integers(0, 2 * BLOCK + 1),
+       n=st.integers(1, 40))
+@_with_edge_examples
+def test_jumped_stream_seeds_continue_the_master_stream(master, k, n):
+    # a session's block of rounds k .. k + n - 1 draws its seeds this way
+    gen = SplitMix64(master)
+    for _ in range(k):
+        gen.next_u64()
+    expected = [gen.next_u64() for _ in range(n)]
+    assert stream_seeds((master + k * GAMMA) % 2**64, n).tolist() == expected
+    assert stream_seeds(master + k * GAMMA, n).tolist() == expected
 
 
 def test_vectorized_streams_match_scalar():

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qdesk import (
     SchemeError,
@@ -31,6 +31,8 @@ from qdesk.suggestion import (
 )
 
 from qdesk import InvariantError, suggestion
+from qdesk.reports import CSV_BLOCK_ROWS as BLOCK
+from qdesk.rng import GAMMA
 from qdesk.suggestion import signaling_weights
 
 from oracles import (
@@ -328,6 +330,15 @@ def test_single_round_session():
     assert sorted([tally.n_uu, tally.n_ud, tally.n_du, tally.n_dd]) == [0, 0, 0, 1]
 
 
+@pytest.mark.parametrize("n, block", [(1, 1), (500, 7), (2 * BLOCK + 3, BLOCK)])
+def test_tally_of_jumped_blocks_is_the_session_tally(n, block):
+    # block s .. s + m - 1 of a session is the session of m rounds from master + s*GAMMA
+    a, b, master = 1.0, 0.2, -77
+    blocks = (session_records(min(block, n - s), a, b, master + s * GAMMA)
+              for s in range(0, n, block))
+    assert tally_from_records(blocks) == tally_from_records(session_records(n, a, b, master))
+
+
 def test_tally_is_order_independent():
     records = session_records(500, 1.0, 0.2, 77)
     reversed_records = replace(records, decisions=records.decisions[::-1],
@@ -488,6 +499,17 @@ def test_batched_weights_equal_the_single_round_over_the_finite_range(pairs):
     alice = [a for a, _ in pairs]
     bob = [b for _, b in pairs]
     assert _same_bits(signaling_weights(alice, bob), _single_round_weights(alice, bob))
+
+
+@settings(max_examples=100, deadline=None)
+@given(pairs=st.lists(st.tuples(finite | st.sampled_from(EDGE_ANGLES) | st.floats(-1e6, 1e6),
+                                finite | st.sampled_from(EDGE_ANGLES) | st.floats(-1e6, 1e6)),
+                      min_size=1, max_size=70))
+@example(pairs=[(a, b) for a in EDGE_ANGLES for b in EDGE_ANGLES])
+def test_undecided_and_ready_cells_weigh_exactly_zero(pairs):
+    # sample_rounds checks this once per session, so born_select never picks those cells
+    w = signaling_weights([a for a, _ in pairs], [b for _, b in pairs])
+    assert not w[:, 0, :].any() and not w[:, :, 0].any()
 
 
 def _oracle_correlator(a, b):
