@@ -27,7 +27,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import errno
-import itertools
 import os
 import sys
 import time
@@ -160,28 +159,24 @@ def cmd_signal(alice_angle: float, bob_angle: float, rounds: int, seed: int) -> 
             "distant_marginals": [list(m) for m in audit.marginals],
             "max_tv_distance": audit.max_tv_distance,
         },
-        "tolerances": {"undecided_leak": suggestion.UNDECIDED_LEAK_TOL,
-                       "no_signaling": suggestion.NO_SIGNALING_TOL},
+        "tolerances": {"no_signaling": suggestion.NO_SIGNALING_TOL},
     }
 
 
 def _signal_csv(alice_angle: float, bob_angle: float, rounds: int, seed: int) -> Iterator[str]:
     """A signal session's CSV report, one block of rounds per piece, rendered as it is written.
 
-    Every check the session makes runs here, before the first piece:
-    sampling's, on the first block (every later block evolves the same round
-    to the same weights), the audit's and the exact correlator's. Every
-    block is rendered in one buffer.
+    Every check the session makes runs here, before the first piece: the
+    audit's and the exact correlator's. Every block is rendered in one
+    buffer.
     """
     from . import suggestion
 
-    blocks = ((start, suggestion.session_records(m, alice_angle, bob_angle, block_seed))
-              for start, m, block_seed in _blocks(rounds, seed))
-    first = next(blocks)
     _signal_exact(alice_angle, bob_angle)
     buffer = bytearray()
-    return (render_signal_csv(records, start, buffer)
-            for start, records in itertools.chain([first], blocks))
+    return (render_signal_csv(suggestion.session_records(m, alice_angle, bob_angle, block_seed),
+                              start, buffer)
+            for start, m, block_seed in _blocks(rounds, seed))
 
 
 # ---------------------------------------------------------------------------

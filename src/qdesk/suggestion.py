@@ -18,22 +18,33 @@ Conventions fixed here, once:
   ``signaling_weights`` alone checks that t is finite and builds its rotation.
 * Correlator sign: (decides_up, up) and (decides_down, down) count as "same",
   E = p_same - p_diff.
-* Completion of the steering unitary outside its defining input: in the
-  primed influence basis, each influence sector acts on (agent ox prepared)
-  as the lexicographically smallest permutation extending
-  (undecided, psi0) -> (decides_x, psi_x), with the joint index agent-major.
 
-Built once, at import: the signaling layout, the round input (Bell pair ox
-|undecided, psi0, ready>), the z-basis meter on (distant, pointer) and the
-two sector permutations. Every round is evolved by one kernel,
-``signaling_weights``: per block of direction pairs it builds the 18x18
-steering and 6x6 rotated-meter stacks from cos/sin, checks each stack once
-and applies it with the batch axis first. A single pair is a one-row call:
-``correlator`` and ``sample_rounds`` read one row, ``chsh_value`` four, and
-the CHSH grid and the no-signaling audit many; the joint probabilities of a
-pair are the four decided cells of its row.
-All of them share one undecided/ready leak check, and the exact quantities
-one correlator range check, each made on the whole row stack.
+The round in closed form. A round starts in |Psi> (x) |undecided, psi0,
+ready>, with Psi[p, q] the pair's amplitudes over (particle, distant). The
+steering acts in Alice's primed basis, |x'>|undecided, psi0> ->
+|x'>|decides_x, psi_x> for x = up, down; how the steering unitary is
+completed outside that input never matters here. Bob's meter is the z-basis
+pointer measurement turned into his primed basis, |y'>|ready> ->
+|y'>|observes_y>. So the evolved round is
+
+  sum_xy A[x, y] |x'>|y'>|decides_x, psi_x, observes_y>,
+  A[x, y] = <x' (x) y'|Psi> = sum_pq x'[p] Psi[p, q] y'[q]
+
+(x' and y' are real), a sum of orthonormal terms. The cell (decides_x,
+observes_y) weighs |A[x, y]|^2, and every undecided or ready cell weighs
+exactly 0. ``signaling_weights`` evaluates this from ``math.cos`` and
+``math.sin`` of the half angles, with elementwise products summed in one
+fixed order and no BLAS call, so its bits depend on neither the BLAS kernel
+nor its thread count. The Bell pair is Psi = [[0, 1], [1, 0]] with the
+factor 1/2 taken out, so aligned angles weigh exactly 0.5 and 0. The
+operator-by-operator round (the 18x18 steering and 6x6 meter unitaries) is
+``tests/oracles.py``'s reference for this kernel.
+
+A single pair is a one-row call of the kernel: ``correlator`` and
+``sample_rounds`` read one row, ``chsh_value`` four, and the CHSH grid and
+the no-signaling audit many; the joint probabilities of a pair are the four
+decided cells of its row. The exact correlators share one range check, made
+on the whole row stack.
 
 Everything is a pure function; sessions draw all randomness from explicitly
 derived per-round seeds, so any execution order gives identical tallies.
@@ -48,13 +59,11 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InvariantError, SchemeError
-from .measurement import build_premeasurement_unitary, pointer_scheme
 from .rng import born_select, first_uniforms, stream_seeds
-from .tensor import StateVector, apply_unitary_stack, layout_of
+from .tensor import StateVector, layout_of
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 TSIRELSON_GUARD = 1e-9      # slack on |S| <= TSIRELSON_BOUND
-UNDECIDED_LEAK_TOL = 1e-10  # undecided/ready weight a round may leave
 NO_SIGNALING_TOL = 1e-10    # spread of Bob's marginals across Alice's settings
 
 INFLUENCE_LABELS = ("up", "down")
@@ -75,65 +84,11 @@ _SIGNALING_LAYOUT = layout_of(
     (POINTER, POINTER_LABELS),
 )
 _PAIR_LAYOUT = _SIGNALING_LAYOUT.sub_layout((PARTICLE, DISTANT))
-_STEER_LAYOUT = _SIGNALING_LAYOUT.sub_layout((PARTICLE, AGENT, PREPARED))
-
-
-def _lex_completion(fixed: dict[int, int], n: int) -> list[int]:
-    """Smallest permutation (as the sequence pi(0..n-1)) extending `fixed`."""
-    used = set(fixed.values())
-    free = iter(v for v in range(n) if v not in used)
-    return [fixed[j] if j in fixed else next(free) for j in range(n)]
-
-
-def _permutation_matrix(pi: Sequence[int]) -> np.ndarray:
-    n = len(pi)
-    mat = np.zeros((n, n), dtype=np.complex128)
-    for j, i in enumerate(pi):
-        mat[i, j] = 1.0
-    mat.setflags(write=False)  # shared module constants
-    return mat
-
-
-# joint (agent, prepared) indices, agent-major
-_IDX_UNDECIDED_PSI0 = 0
-_IDX_UP_PSIUP = 1 * len(PREPARED_LABELS) + 1
-_IDX_DOWN_PSIDOWN = 2 * len(PREPARED_LABELS) + 2
-
-
-# steering sectors (undecided, psi0) -> (decides_x, psi_x)
-_P_UP = _permutation_matrix(_lex_completion({_IDX_UNDECIDED_PSI0: _IDX_UP_PSIUP}, 9))
-_P_DOWN = _permutation_matrix(_lex_completion({_IDX_UNDECIDED_PSI0: _IDX_DOWN_PSIDOWN}, 9))
+_BELL_PAIR = np.array([[0, 1], [1, 0]], dtype=np.complex128)  # sqrt2 times the Bell pair
 
 
 # ---------------------------------------------------------------------------
 # Signaling rounds
-
-
-_REST = np.zeros(27, dtype=np.complex128)
-_REST[0] = 1.0  # undecided, psi0, ready
-_REST.setflags(write=False)
-# the Bell pair (|up down> + |down up>)/sqrt2 over (particle, distant), then the rest
-_ROUND_INPUT = StateVector(_SIGNALING_LAYOUT,
-                           np.kron(StateVector(_PAIR_LAYOUT, [0, 1, 1, 0]).amplitudes, _REST))
-# z-basis pointer measurement of the distant particle, over (distant, pointer)
-_METER_Z = build_premeasurement_unitary(
-    pointer_scheme(DISTANT, POINTER, "ready", {"up": "observes_up", "down": "observes_down"}),
-    _SIGNALING_LAYOUT,
-)
-
-
-def _round_input(pair_state: StateVector | None) -> StateVector:
-    if pair_state is None:
-        return _ROUND_INPUT
-    if pair_state.layout != _PAIR_LAYOUT:
-        raise SchemeError(
-            f"pair state must live on {_PAIR_LAYOUT.ids} with labels {INFLUENCE_LABELS}, "
-            f"got {[(sub.name, sub.labels) for sub in pair_state.layout.subsystems]}"
-        )
-    return StateVector(_SIGNALING_LAYOUT, np.kron(pair_state.amplitudes, _REST))
-
-
-_BLOCK = 32  # pairs (or scan shifts) per block: a working set under 1 MB
 
 
 def signaling_weights(alice_thetas: Sequence[float], bob_thetas: Sequence[float],
@@ -144,11 +99,10 @@ def signaling_weights(alice_thetas: Sequence[float], bob_thetas: Sequence[float]
     Bob's meter reads along bob_thetas[i]; `pair_state` (over (particle,
     distant), each with labels up, down) defaults to the Bell pair. The round
     is one unitary evolution; nothing collapses here. Each angle is checked
-    here, and only here: a non-finite one is a ValueError. Per block of
-    _BLOCK pairs, the steering and rotated-meter stacks come from the cos/sin
-    of the half angles and the np.kron products of one pair's matrices, and
-    apply_unitary_stack checks (for unitarity) and applies each stack once,
-    so a row equals that pair's evolution through apply_unitary bit for bit.
+    here, and only here: a non-finite one is a ValueError. Cell (x, y) of
+    the decided block is |A[x, y]|^2, A[x, y] = sum_pq x'[p] Psi[p, q] y'[q]
+    with its four terms summed in (p, q) row-major order (see the module
+    docstring); the undecided and ready cells are 0 and never written.
     """
     a = [float(t) for t in alice_thetas]
     b = [float(t) for t in bob_thetas]
@@ -157,33 +111,23 @@ def signaling_weights(alice_thetas: Sequence[float], bob_thetas: Sequence[float]
     for t in a + b:
         if not math.isfinite(t):
             raise ValueError(f"direction angle must be finite, got {t}")
-    start = _round_input(pair_state).tensor()
-    out = np.empty((len(a), len(AGENT_LABELS), len(POINTER_LABELS)))
-    for i in range(0, len(a), _BLOCK):
-        ca, sa, cb, sb = (np.array([f(t / 2.0) for t in x[i:i + _BLOCK]])
-                          for x in (a, b) for f in (math.cos, math.sin))
-        up = np.stack([ca, sa], axis=1).astype(np.complex128)
-        down = np.stack([-sa, ca], axis=1).astype(np.complex128)
-        # np.kron of (k, m, m) with (1, n, n) is the (k, mn, mn) stack of per-row products
-        steer = np.kron(up[:, :, None] * up.conj()[:, None, :], _P_UP[None])
-        steer += np.kron(down[:, :, None] * down.conj()[:, None, :], _P_DOWN[None])
-        r = np.kron(np.stack([np.stack([cb, -sb], 1), np.stack([sb, cb], 1)], 1), np.eye(3)[None])
-        meter = r @ _METER_Z.matrix @ r.conj().swapaxes(1, 2)
-        t = np.broadcast_to(start, (len(ca),) + start.shape)
-        t = apply_unitary_stack(_STEER_LAYOUT, steer, t, _SIGNALING_LAYOUT)
-        t = apply_unitary_stack(_METER_Z.layout, meter, t, _SIGNALING_LAYOUT)
-        out[i:i + _BLOCK] = (np.abs(t) ** 2).sum(axis=(1, 2, 4))
+    if pair_state is None:
+        psi, factor = _BELL_PAIR, 0.5
+    elif pair_state.layout != _PAIR_LAYOUT:
+        raise SchemeError(
+            f"pair state must live on {_PAIR_LAYOUT.ids} with labels {INFLUENCE_LABELS}, "
+            f"got {[(sub.name, sub.labels) for sub in pair_state.layout.subsystems]}"
+        )
+    else:
+        psi, factor = pair_state.amplitudes.reshape(2, 2), 1.0
+    ca, sa, cb, sb = (np.array([f(t / 2.0) for t in x]) for x in (a, b)
+                      for f in (math.cos, math.sin))
+    xa = np.array([[ca, sa], [-sa, ca]])  # xa[x, p, i]: entry p of Alice's up', down' in pair i
+    yb = np.array([[cb, sb], [-sb, cb]])  # yb[y, q, i]: the same for Bob
+    amp = sum(xa[:, None, p] * yb[None, :, q] * psi[p, q] for p in (0, 1) for q in (0, 1))
+    out = np.zeros((len(a), len(AGENT_LABELS), len(POINTER_LABELS)))
+    out[:, 1:, 1:] = np.moveaxis(factor * (amp.real * amp.real + amp.imag * amp.imag), -1, 0)
     return out
-
-
-def _checked_weights(alice_thetas: Sequence[float], bob_thetas: Sequence[float],
-                     pair_state: StateVector | None = None) -> np.ndarray:
-    """signaling_weights, after checking that no undecided/ready weight survived."""
-    w = signaling_weights(alice_thetas, bob_thetas, pair_state)
-    leak = float((w[:, 0, :].sum(axis=1) + w[:, :, 0].sum(axis=1)).max(initial=0.0))
-    if leak > UNDECIDED_LEAK_TOL:
-        raise InvariantError(f"undecided/ready weight {leak:.3e} survived the round")
-    return w
 
 
 @dataclass(frozen=True)
@@ -208,14 +152,11 @@ def sample_rounds(alice_theta: float, bob_theta: float, seeds: np.ndarray) -> Se
     The flattened weight table is traversed in (agent index, pointer index)
     row-major order, driven by the first uniform of SplitMix64(seed). The
     evolved state is the same in every round, so its weights are computed
-    and checked once: besides the leak check, its undecided and ready cells
-    must weigh exactly 0, so that born_select, which never picks a zero cell,
-    decides every round. Round i depends only on seeds[i], so a one-element
-    uint64 array replays a single round.
+    once; its undecided and ready cells weigh exactly 0, so born_select,
+    which never picks a zero cell, decides every round. Round i depends only
+    on seeds[i], so a one-element uint64 array replays a single round.
     """
-    w = _checked_weights([alice_theta], [bob_theta])[0]
-    if w[0].any() or w[:, 0].any():
-        raise InvariantError("an undecided/ready cell has nonzero weight and could be sampled")
+    w = signaling_weights([alice_theta], [bob_theta])[0]
     agent, pointer = np.divmod(born_select(w.reshape(-1), first_uniforms(seeds)), w.shape[1])
     return SessionRecords(alice_theta, bob_theta, agent - 1, pointer - 1, seeds)
 
@@ -263,8 +204,8 @@ def tally_from_records(records: SessionRecords | Iterable[SessionRecords]) -> Co
 
 
 def _correlators(alice_thetas: Sequence[float], bob_thetas: Sequence[float]) -> np.ndarray:
-    """Exact E(a, b) = p_same - p_diff per angle pair, from the checked weights."""
-    w = _checked_weights(alice_thetas, bob_thetas)
+    """Exact E(a, b) = p_same - p_diff per angle pair."""
+    w = signaling_weights(alice_thetas, bob_thetas)
     e = (w[:, 1, 1] + w[:, 2, 2]) - (w[:, 1, 2] + w[:, 2, 1])
     worst = float(np.abs(e).max())
     if worst > 1.0 + 1e-12:
@@ -296,6 +237,9 @@ class ChshSearchResult:
     angles: tuple[float, float, float, float]  # a1, a2, b1, b2
     grid_size: int
     resolution: float
+
+
+_BLOCK = 32  # scan shifts per block
 
 
 def chsh_grid_search(resolution: float) -> ChshSearchResult:
@@ -364,12 +308,12 @@ def no_signaling_audit(alice_thetas: Sequence[float], bob_theta: float,
     """Check that Bob's marginal ignores Alice's steering direction.
 
     Computes the exact marginal distribution of the pointer outcome for each
-    Alice setting, from the checked weights, and reports the maximum pairwise
-    total-variation distance; for any pair state it is zero to rounding,
-    because steering is local, and above NO_SIGNALING_TOL it raises.
+    Alice setting and reports the maximum pairwise total-variation distance;
+    for any pair state it is zero to rounding, because steering is local,
+    and above NO_SIGNALING_TOL it raises.
     """
     thetas = tuple(alice_thetas)
-    bob = _checked_weights(thetas, [bob_theta] * len(thetas), pair_state).sum(axis=1)
+    bob = signaling_weights(thetas, [bob_theta] * len(thetas), pair_state).sum(axis=1)
     # after the angle checks: a set holds one NaN object once
     if len(set(thetas)) < 2:
         raise ValueError("need at least two distinct alice settings to audit")

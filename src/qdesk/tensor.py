@@ -14,9 +14,7 @@ factor they divided out.
 
 A unitary lives on the subsystems it acts on and is validated once, at that
 size: ``apply_unitary`` contracts only their axes, wherever they sit in the
-state's layout, and ``apply_unitary_stack`` does the same for a stack of
-unitaries and states with the batch axis first. No full-layout matrix of a
-local unitary is built.
+state's layout. No full-layout matrix of a local unitary is built.
 """
 
 from __future__ import annotations
@@ -249,24 +247,22 @@ class UnitaryOperator:
 # Operations
 
 
-def _check_unitary(mats: np.ndarray) -> None:
-    """Raise unless the matrix, or each matrix of a (k, d, d) stack, is unitary to ATOL."""
-    gram = mats.conj().swapaxes(-1, -2) @ mats
-    gram -= np.eye(mats.shape[-1])
+def _check_unitary(mat: np.ndarray) -> None:
+    """Raise unless the matrix is unitary to ATOL."""
+    gram = mat.conj().T @ mat
+    gram -= np.eye(len(mat))
     dev = float(np.abs(gram).max())
     if not dev <= ATOL:  # a NaN deviation fails too
         raise InvariantError(f"matrix is not unitary (U†U deviates by {dev:.3e})")
 
 
-def _apply_local(u_layout: SubsystemLayout, mats: np.ndarray, t: np.ndarray,
+def _apply_local(u_layout: SubsystemLayout, mat: np.ndarray, t: np.ndarray,
                  layout: SubsystemLayout) -> np.ndarray:
-    """A unitary on u_layout applied to the axes of t that follow `layout`.
+    """A (d, d) unitary on u_layout applied to the axes of t that follow `layout`.
 
-    A (d, d) matrix acts on t's leading axes, and later axes ride along. A
-    (k, d, d) stack acts row by row: t's first axis is the batch axis, and
-    mats[i] evolves t[i]. One einsum over integer labels contracts the
-    column axes with the axes of u_layout's subsystems, which must be in
-    `layout` with the same labels, and puts the row axes in their place.
+    One einsum over integer labels contracts the column axes with the axes
+    of u_layout's subsystems, which must be in `layout` with the same
+    labels, and puts the row axes in their place.
     """
     try:
         axes = [layout.subsystems.index(sub) for sub in u_layout.subsystems]
@@ -274,12 +270,10 @@ def _apply_local(u_layout: SubsystemLayout, mats: np.ndarray, t: np.ndarray,
         raise DimensionMismatchError(
             f"unitary layout {u_layout.ids} is not a sub-layout of {layout.ids}"
         ) from None
-    batch = mats.shape[:-2]
-    n = t.ndim - len(batch)
+    n = t.ndim
     rows = [n + j for j in range(len(axes))]
     out = [rows[axes.index(i)] if i in axes else i for i in range(n)]
-    u = mats.reshape(batch + u_layout.dims * 2)
-    return np.einsum(u, [..., *rows, *axes], t, [..., *range(n)], [..., *out])
+    return np.einsum(mat.reshape(u_layout.dims * 2), [*rows, *axes], t, range(n), out)
 
 
 def apply_unitary(u: UnitaryOperator, s: StateVector) -> StateVector:
@@ -292,23 +286,6 @@ def apply_unitary(u: UnitaryOperator, s: StateVector) -> StateVector:
     if abs(out.norm_factor - 1.0) > ATOL:
         raise InvariantError(f"unitary application changed the norm by {out.norm_factor - 1.0:.3e}")
     return out
-
-
-def apply_unitary_stack(u_layout: SubsystemLayout, mats: np.ndarray, t: np.ndarray,
-                        layout: SubsystemLayout) -> np.ndarray:
-    """Batched apply_unitary: t[i], a state tensor on `layout`, evolved by mats[i].
-
-    The (k, d, d) stack on u_layout is checked once; each row is renormalized
-    and norm-checked as apply_unitary does, so row i matches it bit for bit.
-    """
-    _check_unitary(mats)
-    out = _apply_local(u_layout, mats, t, layout)
-    flat = out.reshape(len(out), -1)
-    norms = _row_norms(flat)
-    worst = norms[np.abs(norms - 1.0).argmax()] - 1.0
-    if abs(worst) > ATOL:
-        raise InvariantError(f"unitary application changed the norm by {worst:.3e}")
-    return (flat / norms[:, None]).reshape(out.shape)
 
 
 def _partial_trace_array(t: np.ndarray, keep_positions: Sequence[int]) -> np.ndarray:

@@ -3,10 +3,11 @@
 Expected values come from explicit index loops and textbook-style projector
 arithmetic, so agreement with the production code is meaningful. The few
 oracles that compose package code import it inside the function:
-``single_round_weights`` pins the batched signaling kernel to the same round
-evolved one operator at a time (``steering_unitary`` builds and checks the
-18x18 steering unitary of one angle, Bob's rotation is built from
-``math.cos``/``math.sin`` of his half angle, as there, and the package's
+``single_round_weights`` is the reference for the closed-form signaling
+kernel: it evolves the round one operator at a time (``steering_unitary``
+builds and checks the 18x18 steering unitary of one angle from the sector
+permutations of ``_sector_permutation``, Bob's rotation is built from
+``math.cos``/``math.sin`` of his half angle, and the package's
 single-operator API applies both), and ``read_serialized_body`` reuses the
 package's header parser.
 
@@ -210,22 +211,36 @@ def correlator_oracle(theta_a: float, theta_b: float) -> float:
             - p[("up", "down")] - p[("down", "up")])
 
 
+def _sector_permutation(target: int) -> np.ndarray:
+    """9x9 permutation of the joint (agent, prepared) index, agent-major.
+
+    The lexicographically smallest permutation (as the sequence pi(0..8))
+    with pi(0) = target, so (undecided, psi0) goes to `target` and every
+    other index to the free values in increasing order.
+    """
+    pi = [target] + [v for v in range(9) if v != target]
+    mat = np.zeros((9, 9), dtype=np.complex128)
+    mat[pi, range(9)] = 1.0
+    return mat
+
+
 def steering_unitary(theta: float):
     """The steering UnitaryOperator over (particle, agent, prepared) for Alice's angle theta.
 
     Maps |up'>|undecided>|psi0> -> |up'>|decides_up>|psi_up> and
     |down'>|undecided>|psi0> -> |down'>|decides_down>|psi_down>, each sector
-    completed by the package's permutation of (agent, prepared), so it is
-    exactly 2*pi-periodic in theta. Its constructor checks unitarity.
+    completed by _sector_permutation, so it is exactly 2*pi-periodic in
+    theta. Its constructor checks unitarity.
     """
     from qdesk import UnitaryOperator
-    from qdesk.suggestion import _P_DOWN, _P_UP, _STEER_LAYOUT
+    from qdesk.suggestion import AGENT, PARTICLE, PREPARED, _SIGNALING_LAYOUT
 
     h = theta / 2.0
     up = np.array([math.cos(h), math.sin(h)], dtype=np.complex128)
     down = np.array([-math.sin(h), math.cos(h)], dtype=np.complex128)
-    mat = np.kron(np.outer(up, up.conj()), _P_UP) + np.kron(np.outer(down, down.conj()), _P_DOWN)
-    return UnitaryOperator(_STEER_LAYOUT, mat)
+    mat = (np.kron(np.outer(up, up.conj()), _sector_permutation(1 * 3 + 1))  # decides_up, psi_up
+           + np.kron(np.outer(down, down.conj()), _sector_permutation(2 * 3 + 2)))  # down, psi_down
+    return UnitaryOperator(_SIGNALING_LAYOUT.sub_layout((PARTICLE, AGENT, PREPARED)), mat)
 
 
 def single_round_weights(theta_a: float, theta_b: float, pair=None) -> np.ndarray:

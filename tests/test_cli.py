@@ -244,24 +244,32 @@ def test_csv_session_failing_its_audit_writes_nothing(tmp_path, monkeypatch):
     assert not target.exists()
 
 
-def test_csv_session_failing_its_sampling_check_writes_nothing(tmp_path, monkeypatch):
-    # sampling's check runs on the first of the three blocks, before any is written
+def test_csv_session_failing_its_correlator_check_writes_nothing(tmp_path, monkeypatch):
+    # the exact correlator's range check runs before the first of the three blocks is written
     from qdesk import suggestion
 
     exact = suggestion.signaling_weights
 
-    def weighted(*args, **kwargs):
-        w = exact(*args, **kwargs)
-        w[:, 0, 1] = 1e-300  # an undecided cell born_select could pick; far below the leak check
-        return w
+    def doubled(*args, **kwargs):
+        return 2.0 * exact(*args, **kwargs)  # E(0, 0) = -2; the audit's marginals stay equal
 
-    monkeypatch.setattr(suggestion, "signaling_weights", weighted)
-    cfg = write(tmp_path, "s.cfg", "experiment = signal\nalice_angle = 0.3\nbob_angle = 1.2\n"
+    monkeypatch.setattr(suggestion, "signaling_weights", doubled)
+    cfg = write(tmp_path, "s.cfg", "experiment = signal\nalice_angle = 0.0\nbob_angle = 0.0\n"
                 f"rounds = {2 * BLOCK + 1}\nseed = 1\nformat = csv\n")
     target = tmp_path / "s.csv"
     assert run_cli(["signal", "--config", cfg]) == (4, "")
     assert run_cli(["signal", "--config", cfg, "--out", str(target)]) == (4, "")
     assert not target.exists()
+
+
+def test_signal_report_at_aligned_zero_angles_prints_an_exact_correlator(tmp_path):
+    from qdesk.reports import render_json
+
+    cfg = write(tmp_path, "s.cfg", "experiment = signal\nalice_angle = 0.0\nbob_angle = 0.0\n"
+                "rounds = 100\nseed = 3\nformat = json\n")
+    code, out = run_cli(["signal", "--config", cfg])
+    assert code == 0
+    assert f'"correlator_exact": {render_json(-1.0)},' in out
 
 
 SMALL_CONFIGS = {
@@ -282,8 +290,7 @@ def test_reports_echo_the_module_tolerances(tmp_path, command):
     expected = {
         "measure": {"branch_prune": measurement.BRANCH_PRUNE_EPS,
                     "ready_weight": measurement.READY_WEIGHT_TOL},
-        "signal": {"undecided_leak": suggestion.UNDECIDED_LEAK_TOL,
-                   "no_signaling": suggestion.NO_SIGNALING_TOL},
+        "signal": {"no_signaling": suggestion.NO_SIGNALING_TOL},
         "chsh": {"tsirelson_guard": suggestion.TSIRELSON_GUARD},
         "ctc-solve": loop,
         "ctc-scan": loop,
@@ -293,8 +300,7 @@ def test_reports_echo_the_module_tolerances(tmp_path, command):
     assert list(json.loads(out)["tolerances"].items()) == list(expected.items())
 
 
-@pytest.mark.parametrize("command,name", [("signal", "UNDECIDED_LEAK_TOL"),
-                                          ("signal", "NO_SIGNALING_TOL"),
+@pytest.mark.parametrize("command,name", [("signal", "NO_SIGNALING_TOL"),
                                           ("chsh", "TSIRELSON_GUARD")])
 def test_echoed_signaling_tolerances_are_the_enforced_ones(tmp_path, monkeypatch, command, name):
     from qdesk import suggestion
@@ -897,7 +903,10 @@ def test_every_subcommand_runs_without_scipy(tmp_path):
 
 # Report digests recorded before the Born selector was vectorized: sampled
 # rounds must keep their exact bytes, including at seeds that need the
-# 64-bit wraparound (negative, and at or above 2**63).
+# 64-bit wraparound (negative, and at or above 2**63). The signal JSON
+# digests were re-recorded once, when the signaling round became a closed
+# form: its exact fields moved in the last bits (by at most 1e-15) and the
+# undecided_leak tolerance left the report; no count moved.
 PINNED_BODIES = {
     "signal_csv": "experiment = signal\nalice_angle = 0.3\nbob_angle = -1.1\n"
                   "rounds = 64\nformat = csv\n",
@@ -909,9 +918,9 @@ PINNED_DIGESTS = [
     ("signal_csv", -5, "d11f3efb7d7f04c8d260e2dc9492b666b596a5e23c5151c06d7dd8e1e1c4f4d2"),
     ("signal_csv", 2**63, "bc899ae21612e87adb3ce4885743c05fd7482b53dee6707692cd14c086781bea"),
     ("signal_csv", 2**64 - 1, "ae9edfc9848e0e84ac07841fe590f7aa47b0f1c0a6612b4bf2784a6576a45741"),
-    ("signal_json", -5, "86d4e40f434edc46ae177bc55f35cdfff849238a393a76fe52fd1a59f0009d3f"),
-    ("signal_json", 2**63, "019cca4889b988d68f6b4538e74dcf430b4d3316b11f3764bfc21a2e848c2cfc"),
-    ("signal_json", 2**64 - 1, "686823724fdb4e86759cd50012c6ae1148e269564dc9a3ae826a80545a6b651a"),
+    ("signal_json", -5, "5246fb722be8a4210d3adce75ac7edad93ca3f59309ced7638e86873a7a0eb18"),
+    ("signal_json", 2**63, "5c7d11e04ef3eeea18d1346630f27209d7d36d675f645bce6bbd4fa6084e85c4"),
+    ("signal_json", 2**64 - 1, "b07783f8ec86fcd1f80855a3fab0255791c084cc8d0bdee8a235037112fd6a89"),
     ("measure_bell", -5, "056edc71443dc125de2d2c2f53dec2ebdc53bcf45042962766a5d6d4ae8a6aaa"),
     ("measure_bell", 2**63, "f454cf5e453518ec9e843cae1954e707ea187a81c68043ad84c9364554a6d949"),
     ("measure_bell", 2**64 - 1, "24817cdc910c41a868072548b11d0d8510c365a88e0db7a0e11f00ef649d5f81"),
@@ -926,20 +935,22 @@ def test_sampled_reports_match_pinned_digests(tmp_path, case, seed, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
-# chsh reports recorded before the local-apply kernel replaced the embedded
-# 108x108 operators: exact correlators must keep their last bits.
+# chsh reports recorded when the signaling round became a closed form (every
+# correlator within 1e-15 of the operator-by-operator kernel's, and the grid's
+# argmax angles unchanged): exact correlators must keep their last bits,
+# under any BLAS kernel or thread count, since no BLAS call makes them.
 PINNED_CHSH = {
     "optimal_angles": ("experiment = chsh\nangle_a1 = 0.0\nangle_a2 = 1.5707963267948966\n"
                        "angle_b1 = -0.7853981633974483\nangle_b2 = 0.7853981633974483\n",
-                       "36b5029327be0e80748627edba2b9c6bd5787cfd5564c51d41096944e5f2d21e"),
+                       "e323a618abc073ae692ed88c57f700454fd09eb076406127357d73358bd2f24a"),
     "generic_angles": ("experiment = chsh\nangle_a1 = -2.9\nangle_a2 = 0.31\n"
                        "angle_b1 = 1.7\nangle_b2 = -0.05\n",
-                       "af2162fcffd04d218eaca96a4aea378cd8cee7f8ad45af92e2287dfa7810bf28"),
+                       "3ecf5cdb564d4e452f1942e8b1d59b6cd1c855d2aabe2bcdb4cff69c49908eb8"),
     "grid_pi_over_180": ("experiment = chsh\ngrid_resolution = 0.017453292519943295\n",
-                         "4a83365ecaec2c71e2cbbf39062dc874190b12ec68a273b159dfeca7a1c62865"),
-    # the benchmark's size, recorded before the correlators were batched
+                         "73cc054cd330159de816e3601014002c19d3401c6ff4dadc1f8a600e07685c0b"),
+    # the benchmark's size
     "grid_pi_over_720": ("experiment = chsh\ngrid_resolution = 0.004363323129985824\n",
-                         "1702784467636803b4e6d98429ba32a1fc4d77763a4af452917913c1e2cd22bb"),
+                         "2d5d3e602a9d2678827ee933b4f03be2f0be9c933090cbf1f63d689fcf7bbc24"),
 }
 
 

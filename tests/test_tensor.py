@@ -15,7 +15,7 @@ from qdesk import (
     reduced_state,
     subsystem,
 )
-from qdesk.tensor import _row_norms, apply_unitary_stack
+from qdesk.tensor import _row_norms
 
 from oracles import (SplitMix64, embed_general, embed_single_qubit_gate, haar_state, haar_unitary,
                      partial_trace_loops)
@@ -216,14 +216,6 @@ def test_embed_matches_index_walking_oracle_on_random_subsets():
         oracle = embed_general(op, op_dims, dims, positions) @ s.amplitudes
         got = apply_unitary(UnitaryOperator(op_layout, op), s).amplitudes
         assert np.abs(got - oracle).max() < 1e-12
-
-
-def test_embed_rejects_unknown_subsystem():
-    # the batched kernel, like apply_unitary, refuses a unitary on a subsystem the state lacks
-    lay = layout_of(("a", ("0", "1")))
-    stack = np.eye(2, dtype=complex)[None]
-    with pytest.raises(DimensionMismatchError):
-        apply_unitary_stack(layout_of(("zz", ("0", "1"))), stack, np.ones((1, 2)), lay)
 
 
 # ---------------------------------------------------------------------------
