@@ -10,10 +10,11 @@ payload written to stdout (or --out) is byte-identical across repeated runs
 with identical inputs; wall-clock timing goes to stderr only.
 
 A command imports its own modules when it runs, so a process loads only what
-its command uses. Sampled rounds (signal, measure --rounds) are drawn one
-block of CSV_BLOCK_ROWS at a time, so memory does not grow with the round
-count; a signal CSV block is sampled, rendered and written before the next,
-once every check of the session has passed.
+its command uses: an explicit-angle chsh, four correlators of Python
+products, loads no numpy. Sampled rounds (signal, measure --rounds) are
+drawn one block of CSV_BLOCK_ROWS at a time, so memory does not grow with
+the round count; a signal CSV block is sampled, rendered and written before
+the next, once every check of the session has passed.
 
 Exit codes: 0 success, 2 config error (a bad flag value, or a flag the
 command does not read, included) or an --out path or stdout that cannot be
@@ -27,23 +28,21 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import errno
+import math
 import os
 import sys
 import time
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-import numpy as np
-
 from .config import EXPERIMENT_KINDS, load_config
 from .errors import ConfigError, FormatError, InvariantError, SolverError
 from .reports import (CSV_BLOCK_ROWS, matrix_payload, render_payload, render_signal_csv,
                       vector_payload)
-from .rng import GAMMA, stream_seeds
-from .tensor import DensityMatrix, StateVector, layout_of
 
 if TYPE_CHECKING:
     from .ctc import CtcScenario
     from .suggestion import NoSignalingAudit
+    from .tensor import DensityMatrix, StateVector
 
 
 # ---------------------------------------------------------------------------
@@ -56,6 +55,8 @@ def _blocks(rounds: int, seed: int) -> Iterator[tuple[int, int, int]]:
     Round i's seed is the (i+1)-th SplitMix64 output of seed, so the block's
     m seeds are stream_seeds(seed + s*GAMMA, m) (see rng.stream_seeds).
     """
+    from .rng import GAMMA
+
     for start in range(0, rounds, CSV_BLOCK_ROWS):
         yield start, min(CSV_BLOCK_ROWS, rounds - start), seed + start * GAMMA
 
@@ -68,15 +69,17 @@ _METER_LABELS = ("ready", "saw_up", "saw_down")
 
 
 def _measure_initial_state(preset: str) -> StateVector:
+    from .tensor import StateVector, layout_of
+
     if preset == "bell":
         lay = layout_of(("particle", ("up", "down")), ("distant", ("up", "down")),
                         ("meter", _METER_LABELS))
-        amps = np.zeros(lay.total_dimension, dtype=np.complex128)
+        amps = [0.0] * lay.total_dimension
         amps[lay.basis_index({"particle": "up", "distant": "down", "meter": "ready"})] = 1.0
         amps[lay.basis_index({"particle": "down", "distant": "up", "meter": "ready"})] = 1.0
         return StateVector(lay, amps)
     lay = layout_of(("particle", ("up", "down")), ("meter", _METER_LABELS))
-    amps = np.zeros(lay.total_dimension, dtype=np.complex128)
+    amps = [0.0] * lay.total_dimension
     if preset in ("up", "plus"):
         amps[lay.basis_index({"particle": "up", "meter": "ready"})] = 1.0
     if preset in ("down", "plus"):
@@ -85,7 +88,10 @@ def _measure_initial_state(preset: str) -> StateVector:
 
 
 def cmd_measure(state: str, rounds: int | None, seed: int | None) -> dict:
+    import numpy as np
+
     from . import measurement
+    from .rng import stream_seeds
 
     scheme = measurement.pointer_scheme(
         "particle", "meter", "ready", {"up": "saw_up", "down": "saw_down"}
@@ -132,7 +138,7 @@ def _signal_exact(alice_angle: float, bob_angle: float) -> tuple[float, NoSignal
     from . import suggestion
 
     # audit the distant marginal over the session angle and two offsets
-    audit_thetas = [alice_angle, alice_angle + np.pi / 4, alice_angle + np.pi / 2]
+    audit_thetas = [alice_angle, alice_angle + math.pi / 4, alice_angle + math.pi / 2]
     audit = suggestion.no_signaling_audit(audit_thetas, bob_angle)
     return suggestion.correlator(alice_angle, bob_angle), audit
 
@@ -195,7 +201,7 @@ def cmd_chsh(angles: tuple[float, float, float, float] | None,
         payload["angles"] = dict(zip(_ANGLE_KEYS, angles))
         e, s = suggestion.chsh_value(*angles)
         keys = ("E_a1_b1", "E_a1_b2", "E_a2_b1", "E_a2_b2")
-        payload["correlators"] = {k: float(v) for k, v in zip(keys, e)}
+        payload["correlators"] = dict(zip(keys, e))
         payload["s_value"] = s
         payload["abs_s"] = abs(s)
     else:
@@ -215,16 +221,16 @@ def cmd_chsh(angles: tuple[float, float, float, float] | None,
 
 
 def _cr_input(scenario: CtcScenario, cr_state: str) -> DensityMatrix | None:
+    from .tensor import DensityMatrix
+
     if not scenario.cr_ids:
         return None
     lay = scenario.cr_layout()
     d = lay.total_dimension
     if cr_state == "mixed":
         return DensityMatrix.maximally_mixed(lay)
-    mat = np.zeros((d, d), dtype=np.complex128)
     idx = 0 if cr_state == "zero" else d - 1
-    mat[idx, idx] = 1.0
-    return DensityMatrix(lay, mat)
+    return DensityMatrix(lay, [[float(i == j == idx) for j in range(d)] for i in range(d)])
 
 
 def _linear_payload(scenario: CtcScenario, mode: str) -> dict:

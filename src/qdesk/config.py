@@ -39,7 +39,6 @@ from .errors import (
     InvariantError,
     LayoutError,
 )
-from .serialization import _content_lines, _split_lines, parse_unitary
 
 if TYPE_CHECKING:
     from .ctc import CtcScenario
@@ -59,6 +58,20 @@ MEASURE_PRESETS = ("up", "down", "plus", "bell")
 MAX_COUNT = 10**9
 # Seeds are taken modulo 2**64; outside this range a seed is a config error.
 _SEED_RANGE = (-(2**63), 2**64 - 1)
+
+
+def _split_lines(text: str) -> list[str]:
+    """Lines of text, broken at \\n, \\r\\n and \\r only; a final break opens no empty line."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    return lines[:-1] if text.endswith("\n") else lines
+
+
+def _content_lines(lines: list[str]) -> list[tuple[int, str]]:
+    """(line number, stripped line) of every line that is not blank or a # comment."""
+    numbered = ((no, ln.strip()) for no, ln in enumerate(lines, start=1))
+    return [(no, ln) for no, ln in numbered if ln and not ln.startswith("#")]
 
 
 def _read_lines(path: str, what: str) -> list[str]:
@@ -164,6 +177,7 @@ class _Entries:
 def load_scenario_file(path: str) -> CtcScenario:
     """Scenario file: partition lists, then an inline unitary after a 'unitary:' line."""
     from .ctc import CtcScenario
+    from .serialization import parse_unitary
 
     lines = _read_lines(path, "scenario file")
     head = _content_lines(lines)

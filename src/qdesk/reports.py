@@ -9,6 +9,7 @@ session without ever holding its whole report text. A block is one byte
 matrix, a row per round: decimal digits come four at a time from a table of
 uint32 words, and padding is NUL, deleted a slice at a time as the block's
 lines are copied out behind the matrix, in a buffer that a session reuses.
+Only the CSV renderer loads numpy.
 """
 
 from __future__ import annotations
@@ -17,15 +18,17 @@ import functools
 import json
 from typing import TYPE_CHECKING, Any, Sequence
 
-import numpy as np
-
-from .serialization import format_float
-
 if TYPE_CHECKING:
+    import numpy as np
+
     from .suggestion import SessionRecords
 
 CSV_HEADER = "round,theta_a,theta_b,alice_decision,bob_outcome,seed"
 CSV_BLOCK_ROWS = 2**14  # rows per render_signal_csv call
+
+
+def format_float(x: float) -> str:
+    return f"{x:.16e}"
 
 
 def complex_pair(z: complex) -> list[float]:
@@ -119,6 +122,8 @@ def _digit_table() -> np.ndarray:
     Entry c (c < 10^4) spells c with its leading zeros; entry 10^4 + c spells c
     with those zeros as NUL (10^4 + 0 keeps the final "0"); entry 2·10^4 is all NUL.
     """
+    import numpy as np
+
     c = np.arange(_CHUNK)[:, None]
     digits = (c // np.array([1000, 100, 10, 1]) % 10 + ord("0")).astype(np.uint8)
     leading = np.where(c < np.array([1000, 100, 10, 0]), 0, digits).astype(np.uint8)
@@ -138,7 +143,7 @@ def _write_decimal(values: np.ndarray, out: np.ndarray) -> None:
     step = values.dtype.type(_CHUNK)
     q, blank = values, 0  # blank: the value has no digit in this word or above it
     for col in reversed(range(out.shape[1])):
-        q, c = np.divmod(q, step)
+        q, c = divmod(q, step)
         top = (q == 0).astype(values.dtype)  # no digit above this word
         out[:, col] = table[c + step * (top + blank)]
         blank = top
@@ -152,6 +157,8 @@ def render_signal_csv(records: SessionRecords, start: int, buffer: bytearray) ->
     and left as it is for the next block: a session that passes one bytearray
     for every block allocates that storage once.
     """
+    import numpy as np
+
     from .suggestion import INFLUENCE_LABELS
 
     n = len(records.seeds)

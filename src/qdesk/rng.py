@@ -28,8 +28,6 @@ import math
 
 import numpy as np
 
-from .tensor import _row_norms
-
 MASK64 = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
 # _mix64_array's operands as explicit np.uint64, built once (numpy 1.24 and NEP 50 alike)
@@ -90,6 +88,8 @@ def haar_states(seeds: np.ndarray, dim: int) -> np.ndarray:
     pairs of the first 2 dim Box-Muller normals of seeds[i]'s stream, divided by their
     np.linalg.norm, bit for bit. All rows' uniforms come from one (n, 2 dim) mixing, their
     normals from one _box_muller."""
+    from .tensor import _row_norms
+
     xs = _box_muller(_unit(_outputs(seeds, 2 * dim)))
     v = xs[:, 0::2] + 1j * xs[:, 1::2]
     return v / _row_norms(v)[:, None]

@@ -24,14 +24,12 @@ import functools
 
 import numpy as np
 
+from .config import _content_lines, _split_lines
 from .errors import FormatError
+from .reports import format_float
 from .tensor import DensityMatrix, StateVector, SubsystemLayout, UnitaryOperator, layout_of
 
 _KINDS = ("state", "density", "unitary")
-
-
-def format_float(x: float) -> str:
-    return f"{x:.16e}"
 
 
 def format_complex(z: complex) -> str:
@@ -82,20 +80,6 @@ def serialize_density(rho: DensityMatrix) -> str:
 def serialize_unitary(u: UnitaryOperator) -> str:
     rows = [" ".join(format_complex(z) for z in row) for row in u.matrix]
     return _serialize("unitary", u.layout, rows)
-
-
-def _split_lines(text: str) -> list[str]:
-    """Lines of text, broken at \\n, \\r\\n and \\r only; a final break opens no empty line."""
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    lines = text.split("\n")
-    return lines[:-1] if text.endswith("\n") else lines
-
-
-def _content_lines(lines: list[str]) -> list[tuple[int, str]]:
-    """(line number, stripped line) of every line that is not blank or a # comment."""
-    numbered = ((no, ln.strip()) for no, ln in enumerate(lines, start=1))
-    return [(no, ln) for no, ln in numbered if ln and not ln.startswith("#")]
 
 
 def _parse_header(text: str) -> tuple[str, SubsystemLayout, list[str], list[int]]:

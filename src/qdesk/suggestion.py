@@ -32,19 +32,20 @@ pointer measurement turned into his primed basis, |y'>|ready> ->
 
 (x' and y' are real), a sum of orthonormal terms. The cell (decides_x,
 observes_y) weighs |A[x, y]|^2, and every undecided or ready cell weighs
-exactly 0. ``signaling_weights`` evaluates this from ``math.cos`` and
-``math.sin`` of the half angles, with elementwise products summed in one
-fixed order and no BLAS call, so its bits depend on neither the BLAS kernel
-nor its thread count. The Bell pair is Psi = [[0, 1], [1, 0]] with the
-factor 1/2 taken out, so aligned angles weigh exactly 0.5 and 0. The
-operator-by-operator round (the 18x18 steering and 6x6 meter unitaries) is
-``tests/oracles.py``'s reference for this kernel.
+exactly 0. One kernel, ``_decided_weights``, evaluates this from
+``math.cos`` and ``math.sin`` of the half angles, as Python float products
+summed in one fixed order, so its bits depend on no BLAS kernel, thread
+count or SIMD path. The Bell pair is Psi = [[0, 1], [1, 0]]
+with the factor 1/2 taken out, so aligned angles weigh exactly 0.5 and 0.
+The operator-by-operator round (the 18x18 steering and 6x6 meter unitaries)
+is ``tests/oracles.py``'s reference for this kernel.
 
 A single pair is a one-row call of the kernel: ``correlator`` and
 ``sample_rounds`` read one row, ``chsh_value`` four, and the CHSH grid and
 the no-signaling audit many; the joint probabilities of a pair are the four
-decided cells of its row. The exact correlators share one range check, made
-on the whole row stack.
+decided cells of its row, and ``signaling_weights`` the rows as a (k, 3, 3)
+array. The exact correlators share one range check, made on the whole row
+stack; only the sessions, the grid search and ``signaling_weights`` load numpy.
 
 Everything is a pure function; sessions draw all randomness from explicitly
 derived per-round seeds, so any execution order gives identical tallies.
@@ -54,13 +55,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import InvariantError, SchemeError
-from .rng import born_select, first_uniforms, stream_seeds
-from .tensor import StateVector, layout_of
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .tensor import StateVector
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 TSIRELSON_GUARD = 1e-9      # slack on |S| <= TSIRELSON_BOUND
@@ -76,33 +78,24 @@ PARTICLE, DISTANT, AGENT, PREPARED, POINTER = (
 )
 
 
-_SIGNALING_LAYOUT = layout_of(
-    (PARTICLE, INFLUENCE_LABELS),
-    (DISTANT, INFLUENCE_LABELS),
-    (AGENT, AGENT_LABELS),
-    (PREPARED, PREPARED_LABELS),
-    (POINTER, POINTER_LABELS),
-)
-_PAIR_LAYOUT = _SIGNALING_LAYOUT.sub_layout((PARTICLE, DISTANT))
-_BELL_PAIR = np.array([[0, 1], [1, 0]], dtype=np.complex128)  # sqrt2 times the Bell pair
+_PAIR_SUBSYSTEMS = [(PARTICLE, INFLUENCE_LABELS), (DISTANT, INFLUENCE_LABELS)]
+_BELL_PAIR = (0j, 1 + 0j, 1 + 0j, 0j)  # sqrt2 times the Bell pair, Psi[p][q] at 2*p + q
 
 
 # ---------------------------------------------------------------------------
 # Signaling rounds
 
 
-def signaling_weights(alice_thetas: Sequence[float], bob_thetas: Sequence[float],
-                      pair_state: StateVector | None = None) -> np.ndarray:
-    """(k, 3, 3) Born weights over (agent label, pointer label), one per angle pair.
+def _decided_weights(alice_thetas: Sequence[float], bob_thetas: Sequence[float],
+                     pair_state: StateVector | None = None) -> list[tuple[float, ...]]:
+    """Row i of signaling_weights' decided block: the weights of (decides_x, observes_y) for
+    x, y = (up, up), (up, down), (down, up), (down, down). Each angle is checked here, and
+    only here: a non-finite one is a ValueError.
 
-    Row i is the round in which Alice is steered along alice_thetas[i] and
-    Bob's meter reads along bob_thetas[i]; `pair_state` (over (particle,
-    distant), each with labels up, down) defaults to the Bell pair. The round
-    is one unitary evolution; nothing collapses here. Each angle is checked
-    here, and only here: a non-finite one is a ValueError. Cell (x, y) of
-    the decided block is |A[x, y]|^2, A[x, y] = sum_pq x'[p] Psi[p, q] y'[q]
-    with its four terms summed in (p, q) row-major order (see the module
-    docstring); the undecided and ready cells are 0 and never written.
+    A cell is factor*(re*re + im*im), each part of A summed left to right
+    from f_pq = x'[p]*y'[q] times that part of Psi[p][q]. These are the bits
+    of the complex sum 0 + t00 + t01 + t10 + t11, t_pq = f_pq * Psi[p][q]:
+    its terms differ only in the sign of a zero, which the squares drop.
     """
     a = [float(t) for t in alice_thetas]
     b = [float(t) for t in bob_thetas]
@@ -113,20 +106,44 @@ def signaling_weights(alice_thetas: Sequence[float], bob_thetas: Sequence[float]
             raise ValueError(f"direction angle must be finite, got {t}")
     if pair_state is None:
         psi, factor = _BELL_PAIR, 0.5
-    elif pair_state.layout != _PAIR_LAYOUT:
-        raise SchemeError(
-            f"pair state must live on {_PAIR_LAYOUT.ids} with labels {INFLUENCE_LABELS}, "
-            f"got {[(sub.name, sub.labels) for sub in pair_state.layout.subsystems]}"
-        )
     else:
-        psi, factor = pair_state.amplitudes.reshape(2, 2), 1.0
-    ca, sa, cb, sb = (np.array([f(t / 2.0) for t in x]) for x in (a, b)
-                      for f in (math.cos, math.sin))
-    xa = np.array([[ca, sa], [-sa, ca]])  # xa[x, p, i]: entry p of Alice's up', down' in pair i
-    yb = np.array([[cb, sb], [-sb, cb]])  # yb[y, q, i]: the same for Bob
-    amp = sum(xa[:, None, p] * yb[None, :, q] * psi[p, q] for p in (0, 1) for q in (0, 1))
-    out = np.zeros((len(a), len(AGENT_LABELS), len(POINTER_LABELS)))
-    out[:, 1:, 1:] = np.moveaxis(factor * (amp.real * amp.real + amp.imag * amp.imag), -1, 0)
+        got = [(sub.name, sub.labels) for sub in pair_state.layout.subsystems]
+        if got != _PAIR_SUBSYSTEMS:
+            raise SchemeError(f"pair state must live on {(PARTICLE, DISTANT)} with labels "
+                              f"{INFLUENCE_LABELS}, got {got}")
+        psi, factor = pair_state.amplitudes.tolist(), 1.0
+    (r00, i00), (r01, i01), (r10, i10), (r11, i11) = ((z.real, z.imag) for z in psi)
+
+    def cell(x0: float, x1: float, y0: float, y1: float) -> float:  # x' = (x0, x1), y' = (y0, y1)
+        f00, f01, f10, f11 = x0 * y0, x0 * y1, x1 * y0, x1 * y1
+        re = f00 * r00 + f01 * r01 + f10 * r10 + f11 * r11
+        im = f00 * i00 + f01 * i01 + f10 * i10 + f11 * i11
+        return factor * (re * re + im * im)
+
+    rows = []
+    for ta, tb in zip(a, b):
+        ca, sa = math.cos(ta / 2.0), math.sin(ta / 2.0)  # up' = (ca, sa), down' = (-sa, ca)
+        cb, sb = math.cos(tb / 2.0), math.sin(tb / 2.0)
+        rows.append((cell(ca, sa, cb, sb), cell(ca, sa, -sb, cb),
+                     cell(-sa, ca, cb, sb), cell(-sa, ca, -sb, cb)))
+    return rows
+
+
+def signaling_weights(alice_thetas: Sequence[float], bob_thetas: Sequence[float],
+                      pair_state: StateVector | None = None) -> np.ndarray:
+    """(k, 3, 3) Born weights over (agent label, pointer label), one per angle pair.
+
+    Row i is the round in which Alice is steered along alice_thetas[i] and
+    Bob's meter reads along bob_thetas[i]; `pair_state` (over (particle,
+    distant), each with labels up, down) defaults to the Bell pair. The round
+    is one unitary evolution; nothing collapses here. A non-finite angle is a
+    ValueError. The undecided and ready cells are exactly 0.
+    """
+    import numpy as np
+
+    rows = _decided_weights(alice_thetas, bob_thetas, pair_state)
+    out = np.zeros((len(rows), len(AGENT_LABELS), len(POINTER_LABELS)))
+    out[:, 1:, 1:] = np.array(rows).reshape(-1, 2, 2)
     return out
 
 
@@ -156,8 +173,10 @@ def sample_rounds(alice_theta: float, bob_theta: float, seeds: np.ndarray) -> Se
     which never picks a zero cell, decides every round. Round i depends only
     on seeds[i], so a one-element uint64 array replays a single round.
     """
+    from .rng import born_select, first_uniforms
+
     w = signaling_weights([alice_theta], [bob_theta])[0]
-    agent, pointer = np.divmod(born_select(w.reshape(-1), first_uniforms(seeds)), w.shape[1])
+    agent, pointer = divmod(born_select(w.reshape(-1), first_uniforms(seeds)), w.shape[1])
     return SessionRecords(alice_theta, bob_theta, agent - 1, pointer - 1, seeds)
 
 
@@ -168,6 +187,8 @@ def session_records(n_rounds: int, alice_theta: float, bob_theta: float,
     Rounds s .. s + m - 1 of a session are session_records(m, alice_theta,
     bob_theta, master_seed + s*GAMMA), bit for bit (see rng.stream_seeds).
     """
+    from .rng import stream_seeds
+
     if n_rounds < 1:
         raise ValueError(f"n_rounds must be >= 1, got {n_rounds}")
     return sample_rounds(alice_theta, bob_theta, stream_seeds(master_seed, n_rounds))
@@ -193,6 +214,8 @@ class CorrelationTally:
 
 def tally_from_records(records: SessionRecords | Iterable[SessionRecords]) -> CorrelationTally:
     """The counts of a session's records, whole or as an iterable of its blocks."""
+    import numpy as np
+
     counts = np.zeros(4, np.int64)
     for block in [records] if isinstance(records, SessionRecords) else records:
         counts += np.bincount(2 * block.decisions + block.outcomes, minlength=4)
@@ -203,11 +226,10 @@ def tally_from_records(records: SessionRecords | Iterable[SessionRecords]) -> Co
 # Correlators, CHSH, no-signaling
 
 
-def _correlators(alice_thetas: Sequence[float], bob_thetas: Sequence[float]) -> np.ndarray:
+def _correlators(alice_thetas: Sequence[float], bob_thetas: Sequence[float]) -> list[float]:
     """Exact E(a, b) = p_same - p_diff per angle pair."""
-    w = signaling_weights(alice_thetas, bob_thetas)
-    e = (w[:, 1, 1] + w[:, 2, 2]) - (w[:, 1, 2] + w[:, 2, 1])
-    worst = float(np.abs(e).max())
+    e = [(uu + dd) - (ud + du) for uu, ud, du, dd in _decided_weights(alice_thetas, bob_thetas)]
+    worst = max(map(abs, e))
     if worst > 1.0 + 1e-12:
         raise InvariantError(f"correlator {worst} out of range")
     return e
@@ -215,16 +237,17 @@ def _correlators(alice_thetas: Sequence[float], bob_thetas: Sequence[float]) -> 
 
 def correlator(alice_theta: float, bob_theta: float) -> float:
     """Exact E(a, b) = p_same - p_diff from the round's branch weights."""
-    return float(_correlators([alice_theta], [bob_theta])[0])
+    return _correlators([alice_theta], [bob_theta])[0]
 
 
-def chsh_value(a1: float, a2: float, b1: float, b2: float) -> tuple[np.ndarray, float]:
+def chsh_value(a1: float, a2: float, b1: float,
+               b2: float) -> tuple[tuple[float, float, float, float], float]:
     """Exact correlators of (a1,b1), (a1,b2), (a2,b1), (a2,b2) from one kernel call, and S.
 
     S = E(a1,b1) + E(a1,b2) + E(a2,b1) - E(a2,b2).
     """
-    e = _correlators([a1, a1, a2, a2], [b1, b2, b1, b2])
-    s = float(e[0] + e[1] + e[2] - e[3])
+    e = tuple(_correlators([a1, a1, a2, a2], [b1, b2, b1, b2]))
+    s = e[0] + e[1] + e[2] - e[3]
     if abs(s) > TSIRELSON_BOUND + TSIRELSON_GUARD:
         raise InvariantError(f"CHSH value {s} exceeds the quantum bound")
     return e, s
@@ -252,18 +275,22 @@ def chsh_grid_search(resolution: float) -> ChshSearchResult:
     equals a reduced maximum over (a2, b1, b2) with a1 = 0, which is what is
     enumerated. Every reported value is re-evaluated through chsh_value.
     """
+    import numpy as np
+
+    from .rng import stream_seeds
+
     if not resolution > 0:
         raise ValueError(f"resolution must be positive, got {resolution}")
     n = int(round(2.0 * math.pi / resolution))
     if n < 4:
         raise ValueError(f"resolution {resolution} leaves fewer than 4 grid angles")
     step = 2.0 * math.pi / n
-    e = _correlators([0.0] * n, [k * step for k in range(n)])
+    e = np.array(_correlators([0.0] * n, [k * step for k in range(n)]))
 
     # guard the sum-dependence the reduction relies on
     ij = (stream_seeds(0xC0FFEE, 8) % np.uint64(n)).reshape(4, 2)
     direct = _correlators(ij[:, 0] * step, ij[:, 1] * step)
-    if np.abs(direct - e[ij.sum(axis=1) % n]).max() > 1e-9:
+    if np.abs(np.subtract(direct, e[ij.sum(axis=1) % n])).max() > 1e-9:
         raise InvariantError("correlator is not a function of the angle sum")
 
     # windows[da][i] = e[(i + da) % n]; per shift da the best S with a1 = 0
@@ -313,12 +340,12 @@ def no_signaling_audit(alice_thetas: Sequence[float], bob_theta: float,
     and above NO_SIGNALING_TOL it raises.
     """
     thetas = tuple(alice_thetas)
-    bob = signaling_weights(thetas, [bob_theta] * len(thetas), pair_state).sum(axis=1)
+    rows = _decided_weights(thetas, [bob_theta] * len(thetas), pair_state)
     # after the angle checks: a set holds one NaN object once
     if len(set(thetas)) < 2:
         raise ValueError("need at least two distinct alice settings to audit")
-    marginals = [(float(p[1]), float(p[2])) for p in bob]
-    max_tv = float(0.5 * np.abs(bob[:, None, 1:] - bob[None, :, 1:]).sum(axis=2).max())
+    marginals = [(uu + du, ud + dd) for uu, ud, du, dd in rows]
+    max_tv = 0.5 * max(abs(p[0] - q[0]) + abs(p[1] - q[1]) for p in marginals for q in marginals)
     if max_tv > NO_SIGNALING_TOL:
         raise InvariantError(f"distant marginals differ by {max_tv:.3e} across alice settings")
     return NoSignalingAudit(thetas, bob_theta, tuple(marginals), max_tv)

@@ -8,8 +8,10 @@ kernel: it evolves the round one operator at a time (``steering_unitary``
 builds and checks the 18x18 steering unitary of one angle from the sector
 permutations of ``_sector_permutation``, Bob's rotation is built from
 ``math.cos``/``math.sin`` of his half angle, and the package's
-single-operator API applies both), and ``read_serialized_body`` reuses the
-package's header parser.
+single-operator API applies both), ``numpy_signaling_weights`` is the numpy
+evaluation of the closed form that the plain-Python kernel must equal bit
+for bit, and ``read_serialized_body`` reuses the package's header parser.
+The five-subsystem round lives on ``signaling_layout()``.
 
 Test fixtures draw from ``SplitMix64`` below, a sequential generator built on
 ``splitmix64_reference`` and ``scalar_normals``, so no fixture depends on
@@ -211,6 +213,49 @@ def correlator_oracle(theta_a: float, theta_b: float) -> float:
             - p[("up", "down")] - p[("down", "up")])
 
 
+def signaling_layout():
+    """The round's layout: (particle, distant, agent, prepared, pointer)."""
+    from qdesk import layout_of
+    from qdesk.suggestion import (AGENT, AGENT_LABELS, DISTANT, INFLUENCE_LABELS, PARTICLE,
+                                  POINTER, POINTER_LABELS, PREPARED, PREPARED_LABELS)
+
+    return layout_of((PARTICLE, INFLUENCE_LABELS), (DISTANT, INFLUENCE_LABELS),
+                     (AGENT, AGENT_LABELS), (PREPARED, PREPARED_LABELS),
+                     (POINTER, POINTER_LABELS))
+
+
+def pair_layout():
+    """The pair's layout: (particle, distant), each with labels up, down."""
+    from qdesk.suggestion import DISTANT, PARTICLE
+
+    return signaling_layout().sub_layout((PARTICLE, DISTANT))
+
+
+def numpy_signaling_weights(alice_thetas, bob_thetas, pair=None) -> np.ndarray:
+    """(k, 3, 3) weights of the closed-form round, evaluated with numpy arrays.
+
+    The four products x'[p]*y'[q]*Psi[p, q] are elementwise arrays summed in
+    (p, q) row-major order, starting from 0; `pair` is a StateVector over
+    (particle, distant), the Bell pair [[0, 1], [1, 0]] with factor 1/2 by
+    default. The plain-Python kernel keeps this order, so it must equal this
+    bit for bit.
+    """
+    a = [float(t) for t in alice_thetas]
+    b = [float(t) for t in bob_thetas]
+    if pair is None:
+        psi, factor = np.array([[0, 1], [1, 0]], dtype=np.complex128), 0.5
+    else:
+        psi, factor = pair.amplitudes.reshape(2, 2), 1.0
+    ca, sa, cb, sb = (np.array([f(t / 2.0) for t in x]) for x in (a, b)
+                      for f in (math.cos, math.sin))
+    xa = np.array([[ca, sa], [-sa, ca]])  # xa[x, p, i]: entry p of Alice's up', down' in pair i
+    yb = np.array([[cb, sb], [-sb, cb]])  # yb[y, q, i]: the same for Bob
+    amp = sum(xa[:, None, p] * yb[None, :, q] * psi[p, q] for p in (0, 1) for q in (0, 1))
+    out = np.zeros((len(a), 3, 3))
+    out[:, 1:, 1:] = np.moveaxis(factor * (amp.real * amp.real + amp.imag * amp.imag), -1, 0)
+    return out
+
+
 def _sector_permutation(target: int) -> np.ndarray:
     """9x9 permutation of the joint (agent, prepared) index, agent-major.
 
@@ -233,14 +278,14 @@ def steering_unitary(theta: float):
     theta. Its constructor checks unitarity.
     """
     from qdesk import UnitaryOperator
-    from qdesk.suggestion import AGENT, PARTICLE, PREPARED, _SIGNALING_LAYOUT
+    from qdesk.suggestion import AGENT, PARTICLE, PREPARED
 
     h = theta / 2.0
     up = np.array([math.cos(h), math.sin(h)], dtype=np.complex128)
     down = np.array([-math.sin(h), math.cos(h)], dtype=np.complex128)
     mat = (np.kron(np.outer(up, up.conj()), _sector_permutation(1 * 3 + 1))  # decides_up, psi_up
            + np.kron(np.outer(down, down.conj()), _sector_permutation(2 * 3 + 2)))  # down, psi_down
-    return UnitaryOperator(_SIGNALING_LAYOUT.sub_layout((PARTICLE, AGENT, PREPARED)), mat)
+    return UnitaryOperator(signaling_layout().sub_layout((PARTICLE, AGENT, PREPARED)), mat)
 
 
 def single_round_weights(theta_a: float, theta_b: float, pair=None) -> np.ndarray:
@@ -253,12 +298,12 @@ def single_round_weights(theta_a: float, theta_b: float, pair=None) -> np.ndarra
     """
     from qdesk import (StateVector, UnitaryOperator, apply_unitary, build_premeasurement_unitary,
                        pointer_scheme)
-    from qdesk.suggestion import DISTANT, POINTER, _PAIR_LAYOUT, _SIGNALING_LAYOUT
+    from qdesk.suggestion import DISTANT, POINTER
 
-    lay = _SIGNALING_LAYOUT
+    lay = signaling_layout()
     rest = np.zeros(27, dtype=np.complex128)
     rest[0] = 1.0  # undecided, psi0, ready
-    pair = StateVector(_PAIR_LAYOUT, [0, 1, 1, 0]) if pair is None else pair
+    pair = StateVector(pair_layout(), [0, 1, 1, 0]) if pair is None else pair
     s = StateVector(lay, np.kron(pair.amplitudes, rest))
     meter_z = build_premeasurement_unitary(
         pointer_scheme(DISTANT, POINTER, "ready", {"up": "observes_up", "down": "observes_down"}),

@@ -211,16 +211,14 @@ def test_invariant_violation_exits_4(tmp_path, monkeypatch):
 def test_signaling_audit_above_tolerance_exits_4(tmp_path, monkeypatch):
     from qdesk import suggestion
 
-    exact = suggestion.signaling_weights
+    exact = suggestion._decided_weights  # the kernel every checked quantity reads
 
     def signaling(alice_thetas, bob_thetas, pair_state=None):
         # every row after the first moves 1e-9 of Bob's weight from down to up
-        w = exact(alice_thetas, bob_thetas, pair_state)
-        w[1:, 1, 1] += 1e-9
-        w[1:, 1, 2] -= 1e-9
-        return w
+        rows = exact(alice_thetas, bob_thetas, pair_state)
+        return rows[:1] + [(uu + 1e-9, ud - 1e-9, du, dd) for uu, ud, du, dd in rows[1:]]
 
-    monkeypatch.setattr(suggestion, "signaling_weights", signaling)
+    monkeypatch.setattr(suggestion, "_decided_weights", signaling)
     cfg = write(tmp_path, "s.cfg", "experiment = signal\nalice_angle = 0.3\nbob_angle = 1.2\n"
                 "rounds = 10\nseed = 1\n")
     code, out = run_cli(["signal", "--config", cfg])
@@ -248,12 +246,13 @@ def test_csv_session_failing_its_correlator_check_writes_nothing(tmp_path, monke
     # the exact correlator's range check runs before the first of the three blocks is written
     from qdesk import suggestion
 
-    exact = suggestion.signaling_weights
+    exact = suggestion._decided_weights  # the kernel every checked quantity reads
 
     def doubled(*args, **kwargs):
-        return 2.0 * exact(*args, **kwargs)  # E(0, 0) = -2; the audit's marginals stay equal
+        # E(0, 0) = -2; the audit's marginals stay equal
+        return [tuple(2.0 * w for w in row) for row in exact(*args, **kwargs)]
 
-    monkeypatch.setattr(suggestion, "signaling_weights", doubled)
+    monkeypatch.setattr(suggestion, "_decided_weights", doubled)
     cfg = write(tmp_path, "s.cfg", "experiment = signal\nalice_angle = 0.0\nbob_angle = 0.0\n"
                 f"rounds = {2 * BLOCK + 1}\nseed = 1\nformat = csv\n")
     target = tmp_path / "s.csv"
@@ -279,6 +278,8 @@ SMALL_CONFIGS = {
     "ctc-solve": "experiment = ctc-solve\nscenario = cr_coupled\nmethod = spectral\n",
     "ctc-scan": "experiment = ctc-scan\nscenario = cr_coupled\nsamples = 10\nseed = 1\n",
 }
+EXPLICIT_CHSH = ("experiment = chsh\nangle_a1 = 0.0\nangle_a2 = 1.5\nangle_b1 = -0.7\n"
+                 "angle_b2 = 0.7\n")
 
 
 @pytest.mark.parametrize("command", sorted(SMALL_CONFIGS))
@@ -784,9 +785,21 @@ def test_only_a_csv_run_builds_the_digit_table(tmp_path):
     assert done.returncode == 0, done.stderr
 
 
+def test_explicit_chsh_runs_with_numpy_blocked(tmp_path):
+    # sys.modules['numpy'] = None makes any import of numpy raise ImportError
+    cfg = write(tmp_path, "c.cfg", EXPLICIT_CHSH)
+    probe = ("import sys\n"
+             "sys.modules['numpy'] = None\n"
+             "from qdesk.cli import main\n"
+             "sys.exit(main(['chsh', '--config', sys.argv[1]]))\n")
+    blocked = subprocess.run([sys.executable, "-c", probe, cfg], capture_output=True)
+    free = run_subprocess(["chsh", "--config", cfg])
+    assert blocked.returncode == 0, blocked.stderr
+    assert free.returncode == 0 and blocked.stdout == free.stdout
+
+
 def test_commands_without_schur_do_not_load_scipy(tmp_path):
-    cfg = write(tmp_path, "c.cfg", "experiment = chsh\nangle_a1 = 0.0\nangle_a2 = 1.5\n"
-                "angle_b1 = -0.7\nangle_b2 = 0.7\n")
+    cfg = write(tmp_path, "c.cfg", EXPLICIT_CHSH)
     probe = ("import sys\n"
              "import qdesk.cli\n"
              "assert 'scipy' not in sys.modules, 'import qdesk.cli loaded scipy'\n"
@@ -797,14 +810,18 @@ def test_commands_without_schur_do_not_load_scipy(tmp_path):
 
 
 @pytest.mark.parametrize("command,unused", [
-    ("chsh", ["qdesk.ctc"]),
-    ("signal", ["qdesk.ctc"]),
+    ("chsh", ["qdesk.ctc", "qdesk.tensor", "qdesk.serialization"]),
+    ("signal", ["qdesk.ctc", "qdesk.tensor", "qdesk.serialization"]),
     ("measure", ["qdesk.ctc", "qdesk.suggestion"]),
     ("ctc-solve", ["qdesk.suggestion", "qdesk.measurement"]),
     ("ctc-scan", ["qdesk.suggestion", "qdesk.measurement"]),
+    # four correlators of Python products: an explicit-angle chsh never loads numpy
+    ("chsh-angles", ["numpy", "qdesk.tensor", "qdesk.serialization", "qdesk.rng",
+                     "qdesk.ctc", "qdesk.measurement"]),
 ])
 def test_commands_load_only_their_own_modules(tmp_path, command, unused):
-    cfg = write(tmp_path, "c.cfg", SMALL_CONFIGS[command])
+    cfg = write(tmp_path, "c.cfg", {**SMALL_CONFIGS, "chsh-angles": EXPLICIT_CHSH}[command])
+    command = command.removesuffix("-angles")
     probe = ("import sys\n"
              "import qdesk.cli\n"
              "assert qdesk.cli.main([sys.argv[1], '--config', sys.argv[2]]) == 0\n"

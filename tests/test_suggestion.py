@@ -43,7 +43,10 @@ from oracles import (
     grid_scan_reference,
     haar_state,
     joint_probabilities,
+    numpy_signaling_weights,
+    pair_layout,
     pair_state_updown,
+    signaling_layout,
     single_round_weights,
     splitmix64_reference,
     steering_unitary,
@@ -175,7 +178,7 @@ def test_full_turn_leaves_decision_probabilities_unchanged():
 
 
 def test_steering_is_local_distant_state_untouched():
-    lay = suggestion._SIGNALING_LAYOUT
+    lay = signaling_layout()
     rng = SplitMix64(6)
     for _ in range(10):
         theta = (rng.random() - 0.5) * 4 * math.pi
@@ -444,7 +447,7 @@ def test_audit_requires_two_distinct_settings():
 
 def test_bell_pair_state_is_the_balanced_updown_superposition():
     # the default pair is the Bell pair (|up down> + |down up>)/sqrt2, passed explicitly here
-    bell = StateVector(suggestion._PAIR_LAYOUT, [0, 1, 1, 0])
+    bell = StateVector(pair_layout(), [0, 1, 1, 0])
     assert np.abs(bell.amplitudes - pair_state_updown()).max() < 1e-12
     alice = [a for a in EDGE_ANGLES for _ in EDGE_ANGLES]
     bob = [b for _ in EDGE_ANGLES for b in EDGE_ANGLES]
@@ -555,6 +558,41 @@ def test_batched_weights_on_a_custom_pair_state():
     rng = np.random.default_rng(41)
     alice, bob = rng.uniform(-7, 7, 50).tolist(), rng.uniform(-7, 7, 50).tolist()
     assert _agree(signaling_weights(alice, bob, pair), _single_round_weights(alice, bob, pair))
+
+
+# signaling_weights reads the plain-Python kernel; numpy_signaling_weights evaluates the same
+# closed form with numpy arrays, summing in the same order, so the two agree bit for bit.
+@settings(max_examples=100, deadline=None)
+@given(pairs=st.lists(st.tuples(finite | st.sampled_from(EDGE_ANGLES) | st.floats(-7.0, 7.0),
+                                finite | st.sampled_from(EDGE_ANGLES) | st.floats(-7.0, 7.0)),
+                      max_size=70))
+def test_python_kernel_equals_the_numpy_evaluation_bit_for_bit(pairs):
+    alice, bob = [a for a, _ in pairs], [b for _, b in pairs]
+    assert _same_bits(signaling_weights(alice, bob), numpy_signaling_weights(alice, bob))
+
+
+def test_python_kernel_equals_the_numpy_evaluation_on_the_edge_and_search_grids():
+    n = 1440  # chsh_grid_search(pi/720) evaluates exactly these pairs
+    grid = [k * (2.0 * math.pi / n) for k in range(n)]
+    edge_alice = [a for a in EDGE_ANGLES for _ in EDGE_ANGLES]
+    edge_bob = [b for _ in EDGE_ANGLES for b in EDGE_ANGLES]
+    for alice, bob in ((edge_alice, edge_bob), ([0.0] * n, grid)):
+        w = numpy_signaling_weights(alice, bob)
+        assert _same_bits(signaling_weights(alice, bob), w)
+        e = (w[:, 1, 1] + w[:, 2, 2]) - (w[:, 1, 2] + w[:, 2, 1])
+        assert _same_bits(suggestion._correlators(alice, bob), e)
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1),
+       pairs=st.lists(st.tuples(finite | st.sampled_from(EDGE_ANGLES) | st.floats(-7.0, 7.0),
+                                finite | st.sampled_from(EDGE_ANGLES) | st.floats(-7.0, 7.0)),
+                      max_size=50))
+def test_python_kernel_equals_the_numpy_evaluation_on_random_pair_states(seed, pairs):
+    pair = StateVector(pair_layout(), haar_state(4, SplitMix64(seed)))
+    alice, bob = [a for a, _ in pairs], [b for _, b in pairs]
+    w = numpy_signaling_weights(alice, bob, pair)
+    assert _same_bits(signaling_weights(alice, bob, pair), w)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
