@@ -10,8 +10,8 @@ payload written to stdout (or --out) is byte-identical across repeated runs
 with identical inputs; wall-clock timing goes to stderr only.
 
 A command imports its own modules when it runs, so a process loads only what
-its command uses: an explicit-angle chsh, four correlators of Python
-products, loads no numpy. Sampled rounds (signal, measure --rounds) are
+its command uses: chsh, explicit angles or a grid, computes with Python
+floats and loads no numpy. Sampled rounds (signal, measure --rounds) are
 drawn one block of CSV_BLOCK_ROWS at a time, so memory does not grow with
 the round count; a signal CSV block is sampled, rendered and written before
 the next, once every check of the session has passed.

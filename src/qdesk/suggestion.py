@@ -45,7 +45,7 @@ A single pair is a one-row call of the kernel: ``correlator`` and
 the no-signaling audit many; the joint probabilities of a pair are the four
 decided cells of its row, and ``signaling_weights`` the rows as a (k, 3, 3)
 array. The exact correlators share one range check, made on the whole row
-stack; only the sessions, the grid search and ``signaling_weights`` load numpy.
+stack; only the sessions and ``signaling_weights`` load numpy.
 
 Everything is a pure function; sessions draw all randomness from explicitly
 derived per-round seeds, so any execution order gives identical tallies.
@@ -262,7 +262,42 @@ class ChshSearchResult:
     resolution: float
 
 
-_BLOCK = 32  # scan shifts per block
+def _shift_scores(e: list[float], da: int) -> tuple[float, float, list[float], list[float]]:
+    """(hi, -lo, e + shifted, e - shifted) of shift da, shifted[i] = e[(i + da) % n]."""
+    shifted = e[da:] + e[:da]
+    v1, v2 = [x + y for x, y in zip(e, shifted)], [x - y for x, y in zip(e, shifted)]
+    return max(v1) + max(v2), -(min(v1) + min(v2)), v1, v2
+
+
+def _best_shift(e: list[float]) -> tuple[float, int, int, int, bool]:
+    """The first-found best |S| over the shifts of e = E(0, k*step): (|S|, da, i1, i2, low).
+
+    The first maximum of (hi_0, -lo_0, hi_1, -lo_1, ...) wins. As e[k] is -cos(k*step)
+    to within eps, measured here, hi and -lo are at most 2(|cos(pi*da/n)| + |sin(pi*da/n)|)
+    + 4*eps (+ 1e-12 for rounding). A shift bounded below a score already found cannot
+    hold that maximum, so only the shifts that reach the better of round(n/4) and
+    round(3n/4) are scored, in ascending order with the full scan's strict updates.
+    """
+    n = len(e)
+    step = 2.0 * math.pi / n
+    eps = max(abs(x + math.cos(k * step)) for k, x in enumerate(e))
+    scored = {da: _shift_scores(e, da) for da in (round(n / 4), round(3 * n / 4))}
+    floor = max(max(s[:2]) for s in scored.values())
+    best, da, low = -1.0, 0, False
+    for shift in range(n):
+        x = math.pi * shift / n
+        if 2.0 * (abs(math.cos(x)) + abs(math.sin(x))) + 4.0 * eps + 1e-12 < floor:
+            continue
+        if shift not in scored:
+            scored[shift] = _shift_scores(e, shift)
+        hi, neg_lo, _, _ = scored[shift]
+        if hi > best:
+            best, da, low = hi, shift, False
+        if neg_lo > best:
+            best, da, low = neg_lo, shift, True
+    _, _, v1, v2 = scored[da]
+    arg = min if low else max
+    return best, da, v1.index(arg(v1)), v2.index(arg(v2)), low
 
 
 def chsh_grid_search(resolution: float) -> ChshSearchResult:
@@ -272,45 +307,24 @@ def chsh_grid_search(resolution: float) -> ChshSearchResult:
     closed under angle sums. Because the exact correlator of this protocol
     depends only on the angle sum (a consequence of the real-plane direction
     convention, spot-checked at runtime below), the four-angle grid maximum
-    equals a reduced maximum over (a2, b1, b2) with a1 = 0, which is what is
-    enumerated. Every reported value is re-evaluated through chsh_value.
+    equals a reduced maximum over (a2, b1, b2) with a1 = 0, which is what
+    ``_best_shift`` searches. Every reported value is re-evaluated through chsh_value.
     """
-    import numpy as np
-
-    from .rng import stream_seeds
-
     if not resolution > 0:
         raise ValueError(f"resolution must be positive, got {resolution}")
     n = int(round(2.0 * math.pi / resolution))
     if n < 4:
         raise ValueError(f"resolution {resolution} leaves fewer than 4 grid angles")
     step = 2.0 * math.pi / n
-    e = np.array(_correlators([0.0] * n, [k * step for k in range(n)]))
+    e = _correlators([0.0] * n, [k * step for k in range(n)])
 
-    # guard the sum-dependence the reduction relies on
-    ij = (stream_seeds(0xC0FFEE, 8) % np.uint64(n)).reshape(4, 2)
-    direct = _correlators(ij[:, 0] * step, ij[:, 1] * step)
-    if np.abs(np.subtract(direct, e[ij.sum(axis=1) % n])).max() > 1e-9:
+    # guard the sum-dependence the reduction relies on, at four fixed-stride pairs
+    ij = [(7919 * k % n, 104729 * k % n) for k in range(1, 5)]
+    direct = _correlators([i * step for i, _ in ij], [j * step for _, j in ij])
+    if max(abs(d - e[(i + j) % n]) for d, (i, j) in zip(direct, ij)) > 1e-9:
         raise InvariantError("correlator is not a function of the angle sum")
 
-    # windows[da][i] = e[(i + da) % n]; per shift da the best S with a1 = 0
-    # is hi = max(e + shifted) + max(e - shifted), or -lo from the minima.
-    # The first maximum of (hi_0, -lo_0, hi_1, ...) is the first-found best.
-    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate([e, e[:-1]]), n)
-    best, pick = -1.0, 0
-    for start in range(0, n, _BLOCK):
-        v = e + windows[start:start + _BLOCK]
-        hi, lo = v.max(axis=1), v.min(axis=1)
-        np.subtract(e, windows[start:start + _BLOCK], out=v)
-        hi += v.max(axis=1)
-        lo += v.min(axis=1)
-        vals = np.stack([hi, -lo], axis=1).ravel()
-        k = int(vals.argmax())
-        if vals[k] > best:
-            best, pick = float(vals[k]), 2 * start + k
-    da, low = divmod(pick, 2)
-    arg = np.argmin if low else np.argmax
-    i1, i2 = int(arg(e + windows[da])), int(arg(e - windows[da]))
+    best, da, i1, i2, low = _best_shift(e)
     angles = (0.0, da * step, i1 * step, i2 * step)
     s = chsh_value(*angles)[1]
     if not math.isclose(abs(s), best, rel_tol=0, abs_tol=1e-9):

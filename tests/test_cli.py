@@ -785,9 +785,8 @@ def test_only_a_csv_run_builds_the_digit_table(tmp_path):
     assert done.returncode == 0, done.stderr
 
 
-def test_explicit_chsh_runs_with_numpy_blocked(tmp_path):
+def _assert_chsh_runs_with_numpy_blocked(cfg):
     # sys.modules['numpy'] = None makes any import of numpy raise ImportError
-    cfg = write(tmp_path, "c.cfg", EXPLICIT_CHSH)
     probe = ("import sys\n"
              "sys.modules['numpy'] = None\n"
              "from qdesk.cli import main\n"
@@ -796,6 +795,14 @@ def test_explicit_chsh_runs_with_numpy_blocked(tmp_path):
     free = run_subprocess(["chsh", "--config", cfg])
     assert blocked.returncode == 0, blocked.stderr
     assert free.returncode == 0 and blocked.stdout == free.stdout
+
+
+def test_explicit_chsh_runs_with_numpy_blocked(tmp_path):
+    _assert_chsh_runs_with_numpy_blocked(write(tmp_path, "c.cfg", EXPLICIT_CHSH))
+
+
+def test_grid_chsh_runs_with_numpy_blocked(tmp_path):
+    _assert_chsh_runs_with_numpy_blocked(write(tmp_path, "c.cfg", SMALL_CONFIGS["chsh"]))
 
 
 def test_commands_without_schur_do_not_load_scipy(tmp_path):
@@ -810,7 +817,8 @@ def test_commands_without_schur_do_not_load_scipy(tmp_path):
 
 
 @pytest.mark.parametrize("command,unused", [
-    ("chsh", ["qdesk.ctc", "qdesk.tensor", "qdesk.serialization"]),
+    # the grid search is a plain-Python scan of Python floats: no numpy either
+    ("chsh", ["numpy", "qdesk.rng", "qdesk.ctc", "qdesk.tensor", "qdesk.serialization"]),
     ("signal", ["qdesk.ctc", "qdesk.tensor", "qdesk.serialization"]),
     ("measure", ["qdesk.ctc", "qdesk.suggestion"]),
     ("ctc-solve", ["qdesk.suggestion", "qdesk.measurement"]),

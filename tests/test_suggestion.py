@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qdesk import (
+    InvariantError,
     SchemeError,
     StateVector,
     apply_unitary,
@@ -544,8 +545,7 @@ def test_batched_weights_equal_the_single_round_on_edge_angles():
     assert _agree(signaling_weights(alice, bob), _single_round_weights(alice, bob))
 
 
-@pytest.mark.parametrize("k", [0, 1, suggestion._BLOCK - 1, suggestion._BLOCK,
-                               suggestion._BLOCK + 1, 4 * suggestion._BLOCK + 1])
+@pytest.mark.parametrize("k", [0, 1, 31, 32, 33, 129])
 def test_batched_weights_at_block_boundaries(k):
     rng = np.random.default_rng(k)
     alice, bob = rng.uniform(-7, 7, k).tolist(), rng.uniform(-7, 7, k).tolist()
@@ -603,8 +603,7 @@ def test_batched_weights_reject_non_finite_angles(bad):
         signaling_weights([0.1], [bad])
 
 
-@pytest.mark.parametrize("n", [4, 7, 16, 360, 1440])
-def test_blocked_grid_scan_equals_the_shift_loop(n):
+def _assert_search_equals_the_shift_loop(n):
     step = 2.0 * math.pi / n
     e = np.array([correlator(0.0, k * step) for k in range(n)])
     best, da, i1, i2, sign = grid_scan_reference(e)
@@ -612,3 +611,45 @@ def test_blocked_grid_scan_equals_the_shift_loop(n):
     assert res.grid_size == n and res.resolution == step
     assert res.angles == (0.0, da * step, i1 * step, i2 * step)
     assert abs(res.abs_value - best) < 1e-9 and sign * res.s_value > 0
+
+
+@pytest.mark.parametrize("n", [*range(4, 257), 360, 720, 1440, 2880])
+def test_blocked_grid_scan_equals_the_shift_loop(n):
+    _assert_search_equals_the_shift_loop(n)
+
+
+@settings(max_examples=15, deadline=None)
+@given(n=st.integers(4, 3000))
+def test_grid_scan_equals_the_shift_loop_at_a_drawn_size(n):
+    _assert_search_equals_the_shift_loop(n)
+
+
+# Any table e, not only the kernel's: the pruning bound holds for the eps it measures, so a
+# table far from -cos (eps up to 0.5) or full of ties still gives the full scan's first pick.
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(4, 90), wobble=st.sampled_from([0.0, 1e-3, 0.05, 0.5]),
+       levels=st.sampled_from([0, 4, 64]), seed=st.integers(0, 2**32 - 1))
+def test_pruned_scan_equals_the_shift_loop_on_any_table(n, wobble, levels, seed):
+    rng = np.random.default_rng(seed)
+    e = -np.cos(2.0 * np.pi * np.arange(n) / n) + rng.uniform(-wobble, wobble, n)
+    if levels:  # quantize, so that scores tie across shifts and between hi and -lo
+        e = np.round(e * levels) / levels
+    best, da, i1, i2, sign = grid_scan_reference(e)
+    assert suggestion._best_shift(e.tolist()) == (best, da, i1, i2, sign < 0)
+
+
+@pytest.mark.parametrize("n,scored", [(1440, 2), (14400, 2)])
+def test_grid_search_scores_only_the_shifts_that_can_win(monkeypatch, n, scored):
+    calls = []
+    score = suggestion._shift_scores
+    monkeypatch.setattr(suggestion, "_shift_scores", lambda e, da: calls.append(da) or score(e, da))
+    chsh_grid_search(2.0 * math.pi / n)
+    assert len(calls) == scored <= 8
+
+
+def test_grid_search_rejects_a_correlator_that_is_not_a_function_of_the_angle_sum(monkeypatch):
+    exact = suggestion._correlators
+    # E(a, -b): the same table at a = 0, since cos is even, but a function of a - b
+    monkeypatch.setattr(suggestion, "_correlators", lambda a, b: exact(a, [-t for t in b]))
+    with pytest.raises(InvariantError, match="correlator is not a function of the angle sum"):
+        chsh_grid_search(math.pi / 12)
