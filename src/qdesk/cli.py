@@ -11,10 +11,11 @@ with identical inputs; wall-clock timing goes to stderr only.
 
 A command imports its own modules when it runs, so a process loads only what
 its command uses: chsh, explicit angles or a grid, computes with Python
-floats and loads no numpy. Sampled rounds (signal, measure --rounds) are
-drawn one block of CSV_BLOCK_ROWS at a time, so memory does not grow with
-the round count; a signal CSV block is sampled, rendered and written before
-the next, once every check of the session has passed.
+floats and loads neither numpy nor dataclasses (its records are NamedTuples,
+so neither inspect, ast, dis nor tokenize). Sampled rounds (signal, measure
+--rounds) are drawn one block of CSV_BLOCK_ROWS at a time, so memory does
+not grow with the round count; a signal CSV block is sampled, rendered and
+written before the next, once every check of the session has passed.
 
 Exit codes: 0 success, 2 config error (a bad flag value, or a flag the
 command does not read, included) or an --out path or stdout that cannot be
@@ -26,7 +27,6 @@ invariant violation.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import errno
 import math
 import os
@@ -157,7 +157,7 @@ def cmd_signal(alice_angle: float, bob_angle: float, rounds: int, seed: int) -> 
         "rounds": rounds,
         "seed": seed,
         "convention": "same = (decides_up, up) or (decides_down, down)",
-        "counts": dataclasses.asdict(tally),
+        "counts": tally._asdict(),
         "correlator_sampled": tally.correlator,
         "correlator_exact": exact,
         "no_signaling": {

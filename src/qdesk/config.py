@@ -3,9 +3,10 @@
 A config names its experiment kind and supplies that kind's keys; unknown
 keys are rejected with file/line context, before any key is read, so a typo
 in a physics parameter can never pass silently, nor be reported as the
-missing key it was meant to be. Angles are radians, given as plain decimal
-literals. Seeds have no defaults anywhere: Monte Carlo commands refuse to
-run without one.
+missing key it was meant to be. Numbers are plain ASCII literals: an
+integer in decimal digits, an angle in radians as a decimal float (an
+exponent allowed); other Unicode digits and '_' separators are errors. Seeds
+have no defaults anywhere: Monte Carlo commands refuse to run without one.
 
 Command-line flags (``--format``, ``--seed``, ``--rounds``, ``--mode``) are
 entries too: ``load_config`` writes each over the file entry of the same key
@@ -106,6 +107,13 @@ def _parse_lines(content: list[tuple[int, str]], path: str) -> dict[str, tuple[s
     return entries
 
 
+def _plain(value: str) -> str:
+    """value, if it is spelled in ASCII without '_' (int and float also take any Unicode digit)."""
+    if not value.isascii() or "_" in value:
+        raise ValueError(value)
+    return value
+
+
 class _Entries:
     """Typed accessors over parsed entries.
 
@@ -146,7 +154,7 @@ class _Entries:
         if value is None:
             return None
         try:
-            parsed = int(value)
+            parsed = int(_plain(value))
         except ValueError:
             self.fail(f"{key} must be an integer, got {value!r}", key)
         if not lo <= parsed <= hi:
@@ -158,7 +166,7 @@ class _Entries:
         if value is None:
             return None
         try:
-            parsed = float(value)
+            parsed = float(_plain(value))
         except ValueError:
             self.fail(f"{key} must be a decimal angle in radians, got {value!r}", key)
         if not math.isfinite(parsed):

@@ -48,14 +48,16 @@ array. The exact correlators share one range check, made on the whole row
 stack; only the sessions and ``signaling_weights`` load numpy.
 
 Everything is a pure function; sessions draw all randomness from explicitly
-derived per-round seeds, so any execution order gives identical tallies.
+derived per-round seeds, so any execution order gives identical tallies. The
+records are typing.NamedTuples, so a chsh process imports no dataclasses (nor
+inspect, ast, dis, tokenize): each is also a tuple, equal to a plain tuple of
+its fields and rendered as a list, so a report takes its ``_asdict()``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import InvariantError, SchemeError
 
@@ -147,8 +149,7 @@ def signaling_weights(alice_thetas: Sequence[float], bob_thetas: Sequence[float]
     return out
 
 
-@dataclass(frozen=True)
-class SessionRecords:
+class SessionRecords(NamedTuple):
     """Sampled signaling rounds as columns, of a whole session or of one block of it.
 
     decisions and outcomes index INFLUENCE_LABELS (0 = up, 1 = down) for
@@ -194,8 +195,7 @@ def session_records(n_rounds: int, alice_theta: float, bob_theta: float,
     return sample_rounds(alice_theta, bob_theta, stream_seeds(master_seed, n_rounds))
 
 
-@dataclass(frozen=True)
-class CorrelationTally:
+class CorrelationTally(NamedTuple):
     """Outcome counts of a session and the correlator they define."""
 
     n_uu: int
@@ -213,12 +213,14 @@ class CorrelationTally:
 
 
 def tally_from_records(records: SessionRecords | Iterable[SessionRecords]) -> CorrelationTally:
-    """The counts of a session's records, whole or as an iterable of its blocks."""
+    """The counts of a session's records, whole or as blocks; a ValueError for 0 rounds."""
     import numpy as np
 
     counts = np.zeros(4, np.int64)
     for block in [records] if isinstance(records, SessionRecords) else records:
         counts += np.bincount(2 * block.decisions + block.outcomes, minlength=4)
+    if not counts.any():
+        raise ValueError("a tally needs at least one round, got 0")
     return CorrelationTally(*counts.tolist())
 
 
@@ -253,8 +255,7 @@ def chsh_value(a1: float, a2: float, b1: float,
     return e, s
 
 
-@dataclass(frozen=True)
-class ChshSearchResult:
+class ChshSearchResult(NamedTuple):
     s_value: float
     abs_value: float
     angles: tuple[float, float, float, float]  # a1, a2, b1, b2
@@ -334,8 +335,7 @@ def chsh_grid_search(resolution: float) -> ChshSearchResult:
     return ChshSearchResult(s, abs(s), angles, n, step)
 
 
-@dataclass(frozen=True)
-class NoSignalingAudit:
+class NoSignalingAudit(NamedTuple):
     """Bob's exact marginals across Alice's settings, and their spread."""
 
     alice_thetas: tuple[float, ...]

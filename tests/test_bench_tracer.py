@@ -22,6 +22,11 @@ DEAD_COUNTERS = {"tensor.embed_calls", "tensor.embed_inflation", "tensor.partial
                  "suggestion.round_evolutions", "measurement.sample_calls", "rng.normals_drawn"}
 # Metrics that bench/run.py computes outside the tracer.
 NOT_TRACED = {"cli.import_s", "trace.overhead_ratio"}
+# bench/selftest.py's tiny sizes; importing it would import run.py, which sets BLAS variables
+TINY_SIZES = dict(chsh_resolution=2 * math.pi / 24, signal_csv_rounds=500,
+                  signal_json_rounds=200, measure_rounds=200, spectral_qubits=(1, 2),
+                  iterate_qubits=(1, 2), scan_qubits=(1, 1), scan_samples=20,
+                  companion_rounds=100, companion_scan_samples=10)
 
 
 def _load_bench(name: str):
@@ -62,11 +67,7 @@ def test_tracer_hooks_resolve_and_uninstall_restores_them():
 
 def test_every_traced_counter_is_live_on_the_benchmark_commands(tmp_path):
     tracer_module, inputs = _load_bench("tracer"), _load_bench("inputs")
-    # bench/selftest.py's tiny sizes; importing it would import run.py, which sets BLAS variables
-    tiny = dict(inputs.FULL_SIZES, chsh_resolution=2 * math.pi / 24, signal_csv_rounds=500,
-                signal_json_rounds=200, measure_rounds=200, spectral_qubits=(1, 2),
-                iterate_qubits=(1, 2), scan_qubits=(1, 1), scan_samples=20,
-                companion_rounds=100, companion_scan_samples=10)
+    tiny = dict(inputs.FULL_SIZES, **TINY_SIZES)
     names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]]
     tracer = tracer_module.Tracer()
     tracer.install()

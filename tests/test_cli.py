@@ -672,7 +672,13 @@ def test_unknown_flag_value_exits_2(tmp_path):
     ("signal", "--rounds", "0"),
     ("signal", "--mode", "ray"),
     ("chsh", "--seed", "1"),
-], ids=["seed_abc", "format_xml", "rounds_1e3", "rounds_0", "mode_on_signal", "seed_on_chsh"])
+    # int() also reads any Unicode decimal digit and '_' separators: 3, 10, -1 and 5
+    ("signal", "--seed", "\u0663"),
+    ("signal", "--rounds", "1_0"),
+    ("signal", "--seed", "-\u0967"),
+    ("signal", "--rounds", "\uff15"),
+], ids=["seed_abc", "format_xml", "rounds_1e3", "rounds_0", "mode_on_signal", "seed_on_chsh",
+        "seed_arabic_indic", "rounds_underscore", "seed_devanagari", "rounds_fullwidth"])
 def test_flag_error_exits_2_naming_the_flag(tmp_path, command, flag, value):
     # flags are config entries: a bad one is a config error that main returns, not a SystemExit
     body = {"signal": SIGNAL_HEAD + "rounds = 5\n",
@@ -683,6 +689,36 @@ def test_flag_error_exits_2_naming_the_flag(tmp_path, command, flag, value):
         code, out = run_cli([command, "--config", cfg, flag, value])
     assert code == 2 and out == ""
     assert err.getvalue().startswith(f"config error: {flag}")
+
+
+# int() and float() also read any Unicode decimal digit and '_' separators: each value below
+# would load (as 1.5, 0.3, 10, 3, 3, 0.01); a config number is a plain ASCII literal instead
+NOT_PLAIN_ENTRIES = [
+    ("signal", "alice_angle", "\u0661.\u0665"),  # Arabic-Indic 1.5
+    ("signal", "bob_angle", "\uff10.\uff13"),  # fullwidth 0.3
+    ("signal", "rounds", "1_0"),
+    ("measure", "seed", "\u0663"),  # Arabic-Indic 3
+    ("measure", "rounds", "\U0001d7d1"),  # mathematical bold 3
+    ("chsh", "grid_resolution", "0.0_1"),
+]
+
+
+@pytest.mark.parametrize("command,key,value", NOT_PLAIN_ENTRIES,
+                         ids=[f"{c}_{k}" for c, k, _ in NOT_PLAIN_ENTRIES])
+def test_number_entry_that_is_not_plain_ascii_exits_2(tmp_path, command, key, value):
+    entries = {"signal": {"alice_angle": "0.3", "bob_angle": "1.1", "rounds": "5", "seed": "1"},
+               "measure": {"state": "bell", "rounds": "10", "seed": "1"},
+               "chsh": {"grid_resolution": "0.5"}}[command]
+    entries[key] = value
+    body = f"experiment = {command}\n" + "".join(f"{k} = {v}\n" for k, v in entries.items())
+    cfg = write(tmp_path, "c.cfg", body)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = run_cli([command, "--config", cfg])
+    assert code == 2 and out == ""
+    line = 2 + list(entries).index(key)
+    assert err.getvalue().startswith(f"config error: {cfg}:{line}: {key} must be")
+    assert err.getvalue().endswith(f"got {value!r}\n")
 
 
 @pytest.mark.parametrize("args,expected", [
@@ -786,9 +822,10 @@ def test_only_a_csv_run_builds_the_digit_table(tmp_path):
 
 
 def _assert_chsh_runs_with_numpy_blocked(cfg):
-    # sys.modules['numpy'] = None makes any import of numpy raise ImportError
+    # sys.modules[name] = None makes any import of name raise ImportError; the records are
+    # NamedTuples, so neither dataclasses nor the inspect it imports is needed either
     probe = ("import sys\n"
-             "sys.modules['numpy'] = None\n"
+             "sys.modules.update(dict.fromkeys(['numpy', 'dataclasses', 'inspect']))\n"
              "from qdesk.cli import main\n"
              "sys.exit(main(['chsh', '--config', sys.argv[1]]))\n")
     blocked = subprocess.run([sys.executable, "-c", probe, cfg], capture_output=True)
@@ -817,15 +854,17 @@ def test_commands_without_schur_do_not_load_scipy(tmp_path):
 
 
 @pytest.mark.parametrize("command,unused", [
-    # the grid search is a plain-Python scan of Python floats: no numpy either
-    ("chsh", ["numpy", "qdesk.rng", "qdesk.ctc", "qdesk.tensor", "qdesk.serialization"]),
+    # the grid search is a plain-Python scan of Python floats: no numpy either, and its
+    # NamedTuple records need no dataclasses (nor the inspect that dataclasses imports)
+    ("chsh", ["numpy", "dataclasses", "inspect", "qdesk.rng", "qdesk.ctc", "qdesk.tensor",
+              "qdesk.serialization"]),
     ("signal", ["qdesk.ctc", "qdesk.tensor", "qdesk.serialization"]),
     ("measure", ["qdesk.ctc", "qdesk.suggestion"]),
     ("ctc-solve", ["qdesk.suggestion", "qdesk.measurement"]),
     ("ctc-scan", ["qdesk.suggestion", "qdesk.measurement"]),
     # four correlators of Python products: an explicit-angle chsh never loads numpy
-    ("chsh-angles", ["numpy", "qdesk.tensor", "qdesk.serialization", "qdesk.rng",
-                     "qdesk.ctc", "qdesk.measurement"]),
+    ("chsh-angles", ["numpy", "dataclasses", "inspect", "qdesk.tensor", "qdesk.serialization",
+                     "qdesk.rng", "qdesk.ctc", "qdesk.measurement"]),
 ])
 def test_commands_load_only_their_own_modules(tmp_path, command, unused):
     cfg = write(tmp_path, "c.cfg", {**SMALL_CONFIGS, "chsh-angles": EXPLICIT_CHSH}[command])

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,6 +28,7 @@ from qdesk.suggestion import (
     PARTICLE,
     PREPARED,
     PREPARED_LABELS,
+    SessionRecords,
 )
 
 from qdesk import suggestion
@@ -353,9 +353,18 @@ def test_tally_of_jumped_blocks_is_the_session_tally(n, block):
 
 def test_tally_is_order_independent():
     records = session_records(500, 1.0, 0.2, 77)
-    reversed_records = replace(records, decisions=records.decisions[::-1],
-                               outcomes=records.outcomes[::-1], seeds=records.seeds[::-1])
+    reversed_records = records._replace(decisions=records.decisions[::-1],
+                                        outcomes=records.outcomes[::-1],
+                                        seeds=records.seeds[::-1])
     assert tally_from_records(records) == tally_from_records(reversed_records)
+
+
+@pytest.mark.parametrize("blocks", [[], [SessionRecords(0.0, 0.0, *[np.zeros(0, np.int64)] * 3)]],
+                         ids=["no-block", "empty-block"])
+def test_tally_of_no_round_is_an_error(blocks):
+    # a tally of 0 rounds has no correlator (0/0); refuse it, as session_records refuses n < 1
+    with pytest.raises(ValueError, match="at least one round"):
+        tally_from_records(blocks)
 
 
 def test_session_estimate_within_binomial_bounds():
