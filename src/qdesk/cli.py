@@ -1,13 +1,14 @@
 """Command-line front end.
 
-    qdesk <subcommand> --config <path> [--format json|csv|table] [--seed N]
+    qdesk <command> --config <path> [--format json|csv|table] [--seed N]
           [--rounds N] [--mode strict|ray] [--out <path>]
 
-Subcommands: measure, signal, chsh, ctc-solve, ctc-scan. Each flag but
---config and --out replaces the config entry of the same name and is checked
-as that entry. Reports echo the seeds and tolerances actually used; the
-payload written to stdout (or --out) is byte-identical across repeated runs
-with identical inputs; wall-clock timing goes to stderr only.
+Commands: measure, signal, chsh, ctc-solve, ctc-scan, the positional argument
+of the one parser. Each flag but --config and --out replaces the config entry
+of the same name and is checked as that entry. Reports echo the seeds and
+tolerances actually used; the payload written to stdout (or --out) is
+byte-identical across repeated runs with identical inputs; wall-clock timing
+goes to stderr only.
 
 A command imports its own modules when it runs, so a process loads only what
 its command uses: chsh, explicit angles or a grid, computes with Python
@@ -17,11 +18,12 @@ so neither inspect, ast, dis nor tokenize). Sampled rounds (signal, measure
 not grow with the round count; a signal CSV block is sampled, rendered and
 written before the next, once every check of the session has passed.
 
-Exit codes: 0 success, 2 config error (a bad flag value, or a flag the
-command does not read, included) or an --out path or stdout that cannot be
-written (a reader that closed the pipe early, say), 3 solver non-convergence
-(a report in the run's format still carries the best residual), 4 internal
-invariant violation.
+Exit codes: 0 success, 2 config error (a bad flag value, a flag the command
+does not read, or a file that cannot be opened, included), an --out path or
+stdout that cannot be written (a closed pipe, or an encoding that cannot
+spell the report) or a command that cannot get its memory, 3 solver
+non-convergence (a report in the run's format still carries the best
+residual; stderr names the failed step), 4 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import time
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .config import EXPERIMENT_KINDS, load_config
-from .errors import ConfigError, FormatError, InvariantError, SolverError
+from .errors import ConfigError, InvariantError, SolverError
 from .reports import (CSV_BLOCK_ROWS, matrix_payload, render_payload, render_signal_csv,
                       vector_payload)
 
@@ -266,10 +268,7 @@ def cmd_ctc_solve(scenario_name: str, scenario: CtcScenario, mode: str, method: 
         "cr_state": cr_state if scenario.cr_ids else None,
         "linear": _linear_payload(scenario, mode),
     }
-    try:
-        solution = ctc.deutsch_fixed_point(scenario, rho_cr, method)
-    except SolverError as exc:
-        raise SolverError("ctc-solve did not converge", residual=exc.residual) from exc
+    solution = ctc.deutsch_fixed_point(scenario, rho_cr, method)
     fixed: dict = {
         "converged": True,
         "method": solution.method,
@@ -359,16 +358,18 @@ def _emit(pieces: Iterable[str], out_path: str | None) -> bool:
             sys.stdout.writelines(_slices(pieces))
             sys.stdout.flush()
         else:
+            if "\0" in out_path:  # open would raise ValueError
+                raise OSError(errno.EINVAL, "embedded null byte")
             with open(out_path, "w", encoding="utf-8", newline="") as fh:
                 fh.writelines(_slices(pieces))
-    except OSError as exc:
+    except (OSError, UnicodeEncodeError) as exc:  # Unicode: stdout's encoding lacks a character
         if out_path is None and sys.stdout is not None:
             # point stdout at devnull, so the flush at exit cannot fail again
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
-        print(f"output error: cannot write {out_path or 'stdout'}: {exc.strerror or exc}",
-              file=sys.stderr)
+        reason = getattr(exc, "strerror", None) or exc
+        print(f"output error: cannot write {out_path or 'stdout'}: {reason}", file=sys.stderr)
         return False
     return True
 
@@ -382,13 +383,11 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="qdesk",
         description="Exact desk-scale quantum experiments with reproducible seeds.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in EXPERIMENT_KINDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="path to a key = value config file")
-        for key in _ENTRY_FLAGS:
-            p.add_argument(f"--{key}", help=f"replaces the config's {key!r} entry")
-        p.add_argument("--out", default=None, help="write the report to a file instead of stdout")
+    parser.add_argument("command", choices=EXPERIMENT_KINDS)
+    parser.add_argument("--config", required=True, help="path to a key = value config file")
+    for key in _ENTRY_FLAGS:
+        parser.add_argument(f"--{key}", help=f"replaces the config's {key!r} entry")
+    parser.add_argument("--out", default=None, help="write the report to a file instead of stdout")
     return parser
 
 
@@ -400,7 +399,7 @@ def main(argv: list[str] | None = None) -> int:
     flags = {k: v for k, v in vars(args).items() if k in _ENTRY_FLAGS and v is not None}
     try:
         fmt, cmd_args = load_config(args.config, args.command, flags)
-    except (ConfigError, FormatError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
@@ -420,6 +419,10 @@ def main(argv: list[str] | None = None) -> int:
     except InvariantError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 4
+    except MemoryError as exc:  # a count within MAX_COUNT that needs more than it can get
+        detail = f": {exc}" if str(exc) else ""
+        print(f"memory error: {args.command} cannot get its memory{detail}", file=sys.stderr)
+        return 2
 
     if not _emit(pieces, args.out):
         return 2

@@ -33,13 +33,7 @@ import math
 import os
 from typing import TYPE_CHECKING, NoReturn
 
-from .errors import (
-    ConfigError,
-    DimensionMismatchError,
-    FormatError,
-    InvariantError,
-    LayoutError,
-)
+from .errors import ConfigError, FormatError, InvariantError, LayoutError
 
 if TYPE_CHECKING:
     from .ctc import CtcScenario
@@ -76,11 +70,11 @@ def _content_lines(lines: list[str]) -> list[tuple[int, str]]:
 
 
 def _read_lines(path: str, what: str) -> list[str]:
-    """The lines of a UTF-8 file; a file that cannot be read or decoded is a ConfigError."""
+    """The lines of a UTF-8 file; a file that cannot be opened, read or decoded is a ConfigError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in path, or not UTF-8
         raise ConfigError(f"cannot read {what}: {exc}", path=path) from exc
     return _split_lines(text)
 
@@ -209,8 +203,8 @@ def load_scenario_file(path: str) -> CtcScenario:
     cr_ids = tuple(t.strip() for t in cr_raw.split(",") if t.strip())
     ctc_ids = tuple(t.strip() for t in ctc_raw.split(",") if t.strip())
     try:
-        return CtcScenario(unitary.layout, cr_ids, ctc_ids, unitary)
-    except (LayoutError, DimensionMismatchError) as exc:
+        return CtcScenario(cr_ids, ctc_ids, unitary)
+    except LayoutError as exc:
         raise ConfigError(f"inconsistent scenario: {exc}", path=path) from exc
 
 

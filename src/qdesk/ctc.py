@@ -1,7 +1,7 @@
 """Consistency conditions for quantum evolution around a closed loop.
 
-A scenario is a layout split into chronology-respecting (CR) and loop (CTC)
-subsystems plus one unitary describing a single traversal. Two rival
+A scenario is one unitary describing a single traversal, the subsystems of
+its layout split into chronology-respecting (CR) and loop (CTC) ones. Two rival
 notions of a consistent history are implemented side by side:
 
 * the linear single-valuedness constraint on the global pure state: it
@@ -50,9 +50,8 @@ _SCAN_BLOCK = 1 << 14     # normals drawn per block of scan samples
 
 @dataclass(frozen=True)
 class CtcScenario:
-    """Layout partitioned into CR and loop subsystems, plus the loop unitary."""
+    """A loop unitary, the subsystems of its layout (the scenario's) split into CR and loop."""
 
-    layout: SubsystemLayout
     cr_ids: tuple[str, ...]
     ctc_ids: tuple[str, ...]
     loop_unitary: UnitaryOperator
@@ -62,8 +61,10 @@ class CtcScenario:
             raise LayoutError("cr + ctc ids must name every layout subsystem exactly once")
         if not self.ctc_ids:
             raise LayoutError("scenario needs at least one loop subsystem")
-        if self.loop_unitary.layout != self.layout:
-            raise DimensionMismatchError("loop unitary layout differs from scenario layout")
+
+    @property
+    def layout(self) -> SubsystemLayout:
+        return self.loop_unitary.layout
 
     def cr_layout(self) -> SubsystemLayout:
         return self.layout.sub_layout(self.cr_ids)
@@ -199,8 +200,6 @@ def _residuals(u: np.ndarray, states: np.ndarray, mode: str) -> np.ndarray:
     residual over all global phases. Row by row, the stacked products give the bits of a
     one-state computation with numpy's per-call functions: U @ s, np.vdot, np.linalg.norm.
     """
-    if mode not in ("strict", "ray"):
-        raise ValueError(f"mode must be 'strict' or 'ray', got {mode!r}")
     image = (u @ states[:, :, None])[:, :, 0]
     if mode == "ray":
         overlap = (states.conj()[:, None, :] @ image[:, :, None])[:, 0, 0]
@@ -252,6 +251,8 @@ def admissible_fraction(scenario: CtcScenario, n_samples: int, mode: str,
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    if mode not in ("strict", "ray"):
+        raise ValueError(f"mode must be 'strict' or 'ray', got {mode!r}")
     residuals = _scan_residuals(scenario, n_samples, mode, seed)
     admissible = int(np.count_nonzero(residuals <= CONSISTENCY_TOL))
     return AdmissibilityScan(
@@ -435,18 +436,17 @@ def deutsch_fixed_point(scenario: CtcScenario, rho_cr_in: DensityMatrix | None =
     """
     if method not in ("iterate", "spectral"):
         raise ValueError(f"method must be 'iterate' or 'spectral', got {method!r}")
-    rho_cr = _resolve_cr_input(scenario, rho_cr_in)
-    apply_map = induced_loop_map(scenario, rho_cr)
+    apply_map = induced_loop_map(scenario, rho_cr_in)  # checks rho_cr_in, once
     d = scenario.ctc_layout().total_dimension
     if method == "iterate":
         rho, residual, iterations = _iterate_fixed_point(apply_map, d)
         dim_fixed = None
     else:
-        sup = _superoperator(*_loop_operators(scenario, rho_cr))
+        sup = _superoperator(*_loop_operators(scenario, rho_cr_in))
         rho, residual, iterations, dim_fixed = _spectral_fixed_point(apply_map, sup, d)
     return DeutschSolution(
         DensityMatrix(scenario.ctc_layout(), rho), residual, iterations, method,
-        dim_fixed, scenario, rho_cr,
+        dim_fixed, scenario, rho_cr_in,
     )
 
 
@@ -485,7 +485,7 @@ def grandfather_scenario(variant: str = "qubit_flip") -> CtcScenario:
     x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
     if variant == "qubit_flip":
         lay = layout_of(("loop", ("b0", "b1")))
-        return CtcScenario(lay, (), ("loop",), UnitaryOperator(lay, x))
+        return CtcScenario((), ("loop",), UnitaryOperator(lay, x))
     if variant == "cr_coupled":
         lay = layout_of(("memory", ("b0", "b1")), ("loop", ("b0", "b1")))
         cnot = np.zeros((4, 4), dtype=np.complex128)  # control = loop, target = memory
@@ -493,5 +493,5 @@ def grandfather_scenario(variant: str = "qubit_flip") -> CtcScenario:
             for loop in range(2):
                 cnot[((mem ^ loop) << 1) | loop, (mem << 1) | loop] = 1.0
         x_on_loop = np.kron(np.eye(2, dtype=np.complex128), x)
-        return CtcScenario(lay, ("memory",), ("loop",), UnitaryOperator(lay, x_on_loop @ cnot))
+        return CtcScenario(("memory",), ("loop",), UnitaryOperator(lay, x_on_loop @ cnot))
     raise ValueError(f"unknown grandfather variant {variant!r}")

@@ -209,7 +209,7 @@ def test_criterion_07_linearity_of_the_constraint():
     t0 = time.perf_counter()
     x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     lay = layout_of(("p", ("b0", "b1")), ("q", ("b0", "b1")))
-    sc = CtcScenario(lay, (), ("p", "q"), UnitaryOperator(lay, np.kron(x, x)))
+    sc = CtcScenario((), ("p", "q"), UnitaryOperator(lay, np.kron(x, x)))
     basis = linear_consistency_basis(sc, "strict").eigenpairs[0].basis
     ok = basis.shape[1] == 2
     rng = SplitMix64(2024_07)
@@ -231,7 +231,7 @@ def test_criterion_08_scarcity_of_admissible_initial_conditions():
     lay = layout_of(("loop", ("b0", "b1", "b2", "b3")))
     empty = 0
     for _ in range(100):
-        sc = CtcScenario(lay, (), ("loop",), UnitaryOperator(lay, haar_unitary(4, rng)))
+        sc = CtcScenario((), ("loop",), UnitaryOperator(lay, haar_unitary(4, rng)))
         if linear_consistency_basis(sc, "strict").dimension == 0:
             empty += 1
     ok = empty >= 99
@@ -258,8 +258,8 @@ def test_criterion_09_fixed_point_comparison():
     lay = layout_of(("mem", ("b0", "b1")), ("loop", ("b0", "b1")))
     unique_checked = 0
     for _ in range(100):
-        scenario = CtcScenario(lay, ("mem",), ("loop",),
-                               UnitaryOperator(lay, haar_unitary(4, rng)))
+        scenario = CtcScenario(("mem",), ("loop",),
+                          UnitaryOperator(lay, haar_unitary(4, rng)))
         rho_cr = DensityMatrix(scenario.cr_layout(), random_density(2, rng))
         it = deutsch_fixed_point(scenario, rho_cr, "iterate")
         sp = deutsch_fixed_point(scenario, rho_cr, "spectral")

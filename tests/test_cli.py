@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -13,8 +14,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qdesk import UnitaryOperator, layout_of, serialize_unitary
-from qdesk.cli import main
+from qdesk import UnitaryOperator, grandfather_scenario, layout_of, serialize_unitary
+from qdesk.cli import _build_parser, main
 from qdesk.reports import CSV_BLOCK_ROWS as BLOCK
 
 from oracles import SplitMix64, haar_unitary, kraus_dilation, render_signal_csv
@@ -658,6 +659,16 @@ def test_solver_error_payload_follows_the_format(tmp_path, where):
     assert residual.endswith("\n") and float(residual) > 1e-8
 
 
+def test_solver_error_names_the_step_that_failed(tmp_path):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = run_cli(["ctc-solve", "--config", slow_iterate_config(tmp_path)])
+    assert code == 3
+    residual = json.loads(out)["residual"]
+    assert err.getvalue() == ("solver error: fixed-point iteration did not converge "
+                              f"(best residual {residual:.3e})\n")
+
+
 def test_unknown_flag_value_exits_2(tmp_path):
     cfg = write(tmp_path, "s.cfg",
                 "experiment = signal\nalice_angle = 0\nbob_angle = 0\nrounds = 5\nseed = 1\n")
@@ -738,6 +749,22 @@ def test_argparse_status_is_returned_not_raised(args, expected):
     assert (err.getvalue() != "") == (expected == 2) and (out != "") == (expected == 0)
 
 
+def test_one_parser_reads_the_command_and_every_flag(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    args = _build_parser().parse_args(["ctc-scan", "--config", "c.cfg", "--mode", "ray",
+                                       "--out", "r.json"])
+    assert len(built) == 1
+    assert (args.command, args.config, args.mode, args.out) == ("ctc-scan", "c.cfg", "ray",
+                                                                "r.json")
+
+
 # ---------------------------------------------------------------------------
 # determinism
 
@@ -802,6 +829,71 @@ def test_stdout_closed_at_start_fails_the_solver_error_payload(tmp_path):
                           preexec_fn=lambda: os.close(1), stderr=subprocess.PIPE, text=True)
     assert done.returncode == 2, done.stderr
     assert done.stderr == "output error: cannot write stdout: Bad file descriptor\n"
+
+
+@pytest.mark.parametrize("where", ["scenario_file", "config", "out"])
+def test_nul_in_a_path_exits_2_with_one_line(tmp_path, where):
+    # open() raises ValueError, not OSError, for a path with an embedded NUL
+    cfg = write(tmp_path, "c.cfg", SMALL_CONFIGS["chsh"])
+    nul_path = str(tmp_path / "a\0b")
+    argv = {"scenario_file": ["ctc-solve", "--config", write(
+                tmp_path, "s.cfg", "experiment = ctc-solve\nscenario_file = a\0b\n")],
+            "config": ["chsh", "--config", nul_path],
+            "out": ["chsh", "--config", cfg, "--out", nul_path]}[where]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = run_cli(argv)
+    assert code == 2 and out == ""
+    assert err.getvalue() == {
+        "scenario_file": f"config error: {nul_path}: cannot read scenario file: ",
+        "config": f"config error: {nul_path}: cannot read config: ",
+        "out": f"output error: cannot write {nul_path}: "}[where] + "embedded null byte\n"
+
+
+def test_report_that_stdout_cannot_encode_is_an_output_error(tmp_path):
+    u = grandfather_scenario("cr_coupled").loop_unitary
+    write(tmp_path, "\u00e9.scenario",
+          "cr_ids = memory\nctc_ids = loop\nunitary:\n" + serialize_unitary(u))
+    cfg = write(tmp_path, "c.cfg", "experiment = ctc-solve\nscenario_file = \u00e9.scenario\n"
+                "format = table\n")
+    done = subprocess.run([sys.executable, "-m", "qdesk", "ctc-solve", "--config", cfg],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONIOENCODING="ascii"))
+    assert done.returncode == 2, done.stderr
+    assert done.stdout == ""
+    assert re.fullmatch(r"output error: cannot write stdout: 'ascii' codec can't encode "
+                        r"character '\\xe9' in position \d+: ordinal not in range\(128\)\n",
+                        done.stderr), done.stderr
+
+
+# The child limits its own address space to what it holds after import plus MEMORY_MARGIN,
+# so a count within MAX_COUNT asks for more than it can get: 8 GB of chsh grid angles, or
+# 7.45 GiB of scan seeds. chsh imports no numpy, so its child stays small.
+MEMORY_MARGIN = 512 << 20
+MEMORY_PROBE = ("import resource, sys\n"
+                "import qdesk.cli\n"
+                "if sys.argv[1] == 'ctc-scan':\n"
+                "    import qdesk.ctc\n"
+                "with open('/proc/self/status') as fh:\n"
+                "    vm = next(int(ln.split()[1]) for ln in fh if ln.startswith('VmSize:'))\n"
+                "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+                f"resource.setrlimit(resource.RLIMIT_AS, (vm * 1024 + {MEMORY_MARGIN}, hard))\n"
+                "sys.exit(qdesk.cli.main(sys.argv[1:]))\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmSize from /proc")
+@pytest.mark.parametrize("command,body", [
+    ("chsh", "experiment = chsh\ngrid_resolution = 6.3e-9\n"),
+    ("ctc-scan", f"experiment = ctc-scan\nscenario = qubit_flip\nseed = 1\nsamples = {10**9}\n"),
+], ids=["chsh_grid", "scan_samples"])
+def test_count_whose_memory_cannot_be_had_exits_2(tmp_path, command, body):
+    cfg = write(tmp_path, "big.cfg", body)
+    done = subprocess.run([sys.executable, "-c", MEMORY_PROBE, command, "--config", cfg],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2, done.stderr
+    assert done.stdout == ""
+    assert done.stderr.startswith(f"memory error: {command} cannot get its memory")
+    assert done.stderr.count("\n") == 1, done.stderr
 
 
 def test_only_a_csv_run_builds_the_digit_table(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import statistics
 
@@ -6,6 +7,7 @@ import pytest
 import scipy.linalg
 from hypothesis import assume, example, given, settings, strategies as st
 
+import qdesk.ctc
 from qdesk import (
     CtcScenario,
     DensityMatrix,
@@ -60,12 +62,12 @@ X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 def qubit_scenario(u: np.ndarray) -> CtcScenario:
     lay = layout_of(("loop", ("b0", "b1")))
-    return CtcScenario(lay, (), ("loop",), UnitaryOperator(lay, u))
+    return CtcScenario((), ("loop",), UnitaryOperator(lay, u))
 
 
 def two_qubit_scenario(u: np.ndarray) -> CtcScenario:
     lay = layout_of(("mem", ("b0", "b1")), ("loop", ("b0", "b1")))
-    return CtcScenario(lay, ("mem",), ("loop",), UnitaryOperator(lay, u))
+    return CtcScenario(("mem",), ("loop",), UnitaryOperator(lay, u))
 
 
 def cr_density(scenario: CtcScenario, mat) -> DensityMatrix:
@@ -85,11 +87,17 @@ def test_scenario_partition_must_cover_layout():
     lay = layout_of(("a", ("0", "1")), ("b", ("0", "1")))
     u = UnitaryOperator(lay, np.eye(4))
     with pytest.raises(LayoutError):
-        CtcScenario(lay, ("a",), ("a", "b"), u)
+        CtcScenario(("a",), ("a", "b"), u)
     with pytest.raises(LayoutError):
-        CtcScenario(lay, ("a",), (), u)
+        CtcScenario(("a",), (), u)
     with pytest.raises(LayoutError):
-        CtcScenario(lay, (), ("a",), u)
+        CtcScenario((), ("a",), u)
+
+
+def test_scenario_layout_is_its_unitarys():
+    sc = grandfather_scenario("cr_coupled")
+    assert [f.name for f in dataclasses.fields(sc)] == ["cr_ids", "ctc_ids", "loop_unitary"]
+    assert sc.layout is sc.loop_unitary.layout
 
 
 def test_grandfather_variants_are_valid():
@@ -134,7 +142,7 @@ def test_ray_mode_covers_the_space_with_true_eigenvectors():
     for dim in (2, 4, 6):
         lay = layout_of(("loop", tuple(f"b{i}" for i in range(dim))))
         u = haar_unitary(dim, rng)
-        sc = CtcScenario(lay, (), ("loop",), UnitaryOperator(lay, u))
+        sc = CtcScenario((), ("loop",), UnitaryOperator(lay, u))
         sub = linear_consistency_basis(sc, "ray")
         assert sub.dimension == dim
         for pair in sub.eigenpairs:
@@ -152,7 +160,7 @@ def test_generic_unitaries_have_empty_strict_subspace():
     lay = layout_of(("loop", ("b0", "b1", "b2", "b3")))
     empty = 0
     for _ in range(100):
-        sc = CtcScenario(lay, (), ("loop",), UnitaryOperator(lay, haar_unitary(4, rng)))
+        sc = CtcScenario((), ("loop",), UnitaryOperator(lay, haar_unitary(4, rng)))
         if linear_consistency_basis(sc, "strict").dimension == 0:
             empty += 1
     assert empty >= 99
@@ -200,7 +208,7 @@ def planted_unitary(d: int, rng: np.random.Generator, planted, off_unit: str,
 
 def loop_scenario(u: np.ndarray) -> CtcScenario:
     lay = layout_of(("loop", tuple(f"b{i}" for i in range(u.shape[0]))))
-    return CtcScenario(lay, (), ("loop",), UnitaryOperator(lay, u))
+    return CtcScenario((), ("loop",), UnitaryOperator(lay, u))
 
 
 def projector(basis: np.ndarray) -> np.ndarray:
@@ -341,7 +349,7 @@ def test_strict_states_survive_many_traversals():
 def test_strict_subspace_is_linear():
     # two orthogonal strict rays: the flip on each of two loop qubits
     lay = layout_of(("p", ("b0", "b1")), ("q", ("b0", "b1")))
-    sc = CtcScenario(lay, (), ("p", "q"), UnitaryOperator(lay, np.kron(X, X)))
+    sc = CtcScenario((), ("p", "q"), UnitaryOperator(lay, np.kron(X, X)))
     strict = linear_consistency_basis(sc, "strict")
     assert strict.dimension == 2
     basis = strict.eigenpairs[0].basis
@@ -392,6 +400,14 @@ def test_scan_is_deterministic_under_seed():
     assert a == b
 
 
+def test_scan_rejects_a_bad_mode_before_drawing_a_sample(monkeypatch):
+    drawn = []
+    monkeypatch.setattr(qdesk.ctc, "stream_seeds", lambda *args: drawn.append(args))
+    with pytest.raises(ValueError, match="mode must be 'strict' or 'ray'"):
+        admissible_fraction(grandfather_scenario("qubit_flip"), 10, "bogus", seed=1)
+    assert drawn == []
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**64 - 1), st.sampled_from([1, 2, 3, 6]), st.data())
 def test_scan_residuals_equal_single_sample_residuals_bit_for_bit(seed, qubits, data):
@@ -404,7 +420,7 @@ def test_scan_residuals_equal_single_sample_residuals_bit_for_bit(seed, qubits, 
     kind = data.draw(st.sampled_from(["haar", "identity"]), label="unitary")
     lay = layout_of(*[(f"q{i}", ("0", "1")) for i in range(qubits)])
     u = haar_unitary(d, SplitMix64(seed ^ 0x5EED)) if kind == "haar" else np.eye(d)
-    sc = CtcScenario(lay, lay.ids[:n_cr], lay.ids[n_cr:], UnitaryOperator(lay, u))
+    sc = CtcScenario(lay.ids[:n_cr], lay.ids[n_cr:], UnitaryOperator(lay, u))
 
     states = [StateVector(lay, haar_state(d, SplitMix64(s))) for s in splitmix64_reference(seed, n)]
     want = np.array([single_residual(sc.loop_unitary.matrix, s.amplitudes, mode) for s in states])
@@ -437,8 +453,8 @@ def test_induced_map_is_trace_and_positivity_preserving():
         loop_labels = tuple(f"b{i}" for i in range(d_ctc))
         lay = layout_of(("mem", ("b0", "b1")), ("loop", loop_labels))
         d = lay.total_dimension
-        sc = CtcScenario(lay, ("mem",), ("loop",),
-                         UnitaryOperator(lay, haar_unitary(d, rng)))
+        sc = CtcScenario(("mem",), ("loop",),
+                    UnitaryOperator(lay, haar_unitary(d, rng)))
         rho_cr = cr_density(sc, random_density(2, rng))
         apply_map = induced_loop_map(sc, rho_cr)
         rho = random_density(d_ctc, rng)
@@ -486,8 +502,8 @@ def random_loop_case(dims, data):
     lay = layout_of(*[(f"s{i}", tuple(f"l{j}" for j in range(d))) for i, d in enumerate(dims)])
     cr_ids = tuple(f"s{p}" for p in cr_positions)
     ctc_ids = tuple(sid for sid in lay.ids if sid not in cr_ids)
-    sc = CtcScenario(lay, cr_ids, ctc_ids,
-                     UnitaryOperator(lay, haar_unitary(lay.total_dimension, rng)))
+    sc = CtcScenario(cr_ids, ctc_ids,
+                UnitaryOperator(lay, haar_unitary(lay.total_dimension, rng)))
     rho_cr = None
     if cr_ids:
         kind = data.draw(st.sampled_from(CR_INPUT_KINDS))
@@ -578,8 +594,8 @@ def test_fixed_points_exist_for_random_scenarios():
     rng = SplitMix64(70)
     for trial in range(30):
         lay = layout_of(("mem", ("b0", "b1")), ("loop", ("b0", "b1")))
-        sc = CtcScenario(lay, ("mem",), ("loop",),
-                         UnitaryOperator(lay, haar_unitary(4, rng)))
+        sc = CtcScenario(("mem",), ("loop",),
+                    UnitaryOperator(lay, haar_unitary(4, rng)))
         rho_cr = cr_density(sc, random_density(2, rng))
         it = deutsch_fixed_point(sc, rho_cr, "iterate")
         sp = deutsch_fixed_point(sc, rho_cr, "spectral")
@@ -597,7 +613,7 @@ def test_methods_agree_on_nonunique_fixed_point():
     qubit = ("b0", "b1")
     lay = layout_of(("m", qubit), ("l0", qubit), ("l1", qubit))
     u = np.eye(8)[:, [7, 6, 2, 4, 1, 5, 3, 0]]
-    sc = CtcScenario(lay, ("m",), ("l0", "l1"), UnitaryOperator(lay, u))
+    sc = CtcScenario(("m",), ("l0", "l1"), UnitaryOperator(lay, u))
     rho_cr = cr_density(sc, np.diag([1.0, 0.0]))
     it = deutsch_fixed_point(sc, rho_cr, "iterate")
     sp = deutsch_fixed_point(sc, rho_cr, "spectral")
@@ -637,7 +653,7 @@ def test_fixed_space_equals_eig_selection(n_cr, n_loop, weak, theta, pure_cr, se
     lay = layout_of(*[(q, ("b0", "b1")) for q in ids])
     d = lay.total_dimension
     u = weakly_coupled_unitary(d, theta, rng) if weak else haar_unitary(d, rng)
-    sc = CtcScenario(lay, tuple(ids[:n_cr]), tuple(ids[n_cr:]), UnitaryOperator(lay, u))
+    sc = CtcScenario(tuple(ids[:n_cr]), tuple(ids[n_cr:]), UnitaryOperator(lay, u))
     rho_cr = None
     if n_cr:
         mixed = random_density(2 ** n_cr, rng)
@@ -660,8 +676,8 @@ def pinned_permutation_loop(name: str):
         return sc, cr_density(sc, np.diag([1.0, 0.0] if name.endswith("off") else [0.0, 1.0]))
     qubit = ("b0", "b1")
     lay = layout_of(("m", qubit), ("l0", qubit), ("l1", qubit))
-    sc = CtcScenario(lay, ("m",), ("l0", "l1"),
-                     UnitaryOperator(lay, np.eye(8)[:, [7, 6, 2, 4, 1, 5, 3, 0]]))
+    sc = CtcScenario(("m",), ("l0", "l1"),
+                UnitaryOperator(lay, np.eye(8)[:, [7, 6, 2, 4, 1, 5, 3, 0]]))
     return sc, cr_density(sc, np.diag([1.0, 0.0]))
 
 
@@ -682,7 +698,7 @@ def test_oscillating_channel_exercises_the_averaging_fallback():
     b2[0, 1] = b2[1, 0] = 1.0
     u = kraus_dilation([b1, b2])
     lay = layout_of(("env", ("e0", "e1")), ("loop", ("b0", "b1", "b2")))
-    sc = CtcScenario(lay, ("env",), ("loop",), UnitaryOperator(lay, u))
+    sc = CtcScenario(("env",), ("loop",), UnitaryOperator(lay, u))
     rho_cr = cr_density(sc, np.diag([1.0, 0.0]))
 
     expected = np.diag([0.5, 0.5, 0.0])
@@ -701,7 +717,7 @@ def test_tiny_gap_channel_exhausts_the_iteration_budget():
     a1[0, 1] = math.sqrt(gamma)
     u = kraus_dilation([a0, a1])
     lay = layout_of(("env", ("e0", "e1")), ("loop", ("b0", "b1")))
-    sc = CtcScenario(lay, ("env",), ("loop",), UnitaryOperator(lay, u))
+    sc = CtcScenario(("env",), ("loop",), UnitaryOperator(lay, u))
     rho_cr = cr_density(sc, np.diag([1.0, 0.0]))
 
     with pytest.raises(SolverError) as err:
@@ -711,6 +727,18 @@ def test_tiny_gap_channel_exhausts_the_iteration_budget():
     sol = deutsch_fixed_point(sc, rho_cr, "spectral")
     assert sol.residual <= 1e-8
     assert np.abs(sol.rho_ctc.matrix - np.diag([1.0, 0.0])).max() < 1e-8
+
+
+def test_a_solve_checks_its_cr_input_once(monkeypatch):
+    checks = []
+    check = qdesk.ctc._resolve_cr_input
+    monkeypatch.setattr(qdesk.ctc, "_resolve_cr_input",
+                        lambda *args: checks.append(args) or check(*args))
+    sc = grandfather_scenario("cr_coupled")
+    for method in ("iterate", "spectral"):
+        checks.clear()
+        deutsch_fixed_point(sc, cr_density(sc, np.diag([1.0, 0.0])), method)
+        assert len(checks) == 1, method
 
 
 def test_empty_cr_requires_none_input():
@@ -728,7 +756,7 @@ def test_empty_cr_requires_none_input():
 
 def test_identity_loop_passes_cr_through():
     lay = layout_of(("mem", ("b0", "b1")), ("loop", ("b0", "b1")))
-    sc = CtcScenario(lay, ("mem",), ("loop",), UnitaryOperator(lay, np.eye(4)))
+    sc = CtcScenario(("mem",), ("loop",), UnitaryOperator(lay, np.eye(4)))
     rho_cr = cr_density(sc, random_density(2, SplitMix64(81)))
     sol = deutsch_fixed_point(sc, rho_cr, "spectral")
     out = ctc_output_state(sol)
