@@ -37,7 +37,7 @@ import time
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .config import EXPERIMENT_KINDS, load_config
-from .errors import ConfigError, InvariantError, SolverError
+from .errors import ConfigError, InvariantError, SolverError, printable
 from .reports import (CSV_BLOCK_ROWS, matrix_payload, render_payload, render_signal_csv,
                       vector_payload)
 
@@ -369,7 +369,8 @@ def _emit(pieces: Iterable[str], out_path: str | None) -> bool:
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
         reason = getattr(exc, "strerror", None) or exc
-        print(f"output error: cannot write {out_path or 'stdout'}: {reason}", file=sys.stderr)
+        where = "stdout" if out_path is None else printable(out_path)
+        print(f"output error: cannot write {where}: {reason}", file=sys.stderr)
         return False
     return True
 

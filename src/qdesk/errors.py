@@ -6,6 +6,12 @@ exit codes (config 2, solver 3, invariant 4).
 """
 
 
+def printable(text: str) -> str:
+    """text with each character that str.isprintable rejects (a newline, a tab, a NUL, ...)
+    escaped as repr spells it, so a path in an error message keeps the message on one line."""
+    return "".join(c if c.isprintable() else repr(c)[1:-1] for c in text)
+
+
 class QdeskError(Exception):
     """Base class for all errors raised by this package."""
 
@@ -40,7 +46,7 @@ class ConfigError(QdeskError):
     def __init__(self, message: str, *, path: str | None = None, line: int | None = None):
         where = ""
         if path is not None:
-            where = f"{path}: " if line is None else f"{path}:{line}: "
+            where = printable(path) + (": " if line is None else f":{line}: ")
         super().__init__(where + message)
         self.path = path
         self.line = line

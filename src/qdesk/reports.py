@@ -6,10 +6,12 @@ float uses the fixed ``.16e`` format (17 significant digits, exact IEEE-754
 round-trip). The table renderer is for humans but equally deterministic.
 The signal CSV is rendered one block of rows at a time, so the CLI writes a
 session without ever holding its whole report text. A block is one byte
-matrix, a row per round: decimal digits come four at a time from a table of
-uint32 words, and padding is NUL, deleted a slice at a time as the block's
-lines are copied out behind the matrix, in a buffer that a session reuses.
-Only the CSV renderer loads numpy.
+matrix, a row per round, of the row's variable fields only: decimal digits
+come four at a time from a table of uint32 words, padding is NUL, and one
+mark byte stands for the thetas, which are the same in every row. A slice at
+a time, the matrix loses its NULs, has its marks replaced by the thetas and
+is copied out behind the matrix, in a buffer that a session reuses. Only the
+CSV renderer loads numpy.
 """
 
 from __future__ import annotations
@@ -113,6 +115,7 @@ def _table_scalar_seq(seq: Sequence[Any]) -> str:
 
 _CHUNK = 10**4  # four decimal digits per uint32 word
 _DELETE_BYTES = 2**16  # matrix bytes whose NUL padding is deleted at a time
+_THETAS_MARK = b"\x01"  # a row's one matrix byte for the thetas, spliced in as the row is copied
 
 
 @functools.cache
@@ -139,56 +142,64 @@ def _write_decimal(values: np.ndarray, out: np.ndarray) -> None:
     out is an (n, words) uint32 view whose bytes take the digits, four per
     word, most significant word first; values must be below 10^(4·words).
     """
+    import numpy as np
+
     table = _digit_table()
     step = values.dtype.type(_CHUNK)
-    q, blank = values, 0  # blank: the value has no digit in this word or above it
+    # blank: the value has no digit in this word or above it
+    q, blank = values, np.zeros(len(values), bool)
     for col in reversed(range(out.shape[1])):
-        q, c = divmod(q, step)
-        top = (q == 0).astype(values.dtype)  # no digit above this word
-        out[:, col] = table[c + step * (top + blank)]
-        blank = top
+        above = q // step
+        index = (q - above * step).astype(np.intp)
+        top = above == 0  # no digit above this word
+        np.add(index, _CHUNK, out=index, where=top)
+        np.add(index, _CHUNK, out=index, where=blank)
+        table.take(index, out=out[:, col], mode="wrap")  # in range; "raise" buffers out
+        q, blank = above, top
 
 
 def render_signal_csv(records: SessionRecords, start: int, buffer: bytearray) -> str:
     """CSV lines of one block of a session, records holding rounds start, start + 1, ...;
     the header comes before round 0.
 
-    The block's byte matrix and its lines are built in `buffer`, grown to fit
-    and left as it is for the next block: a session that passes one bytearray
-    for every block allocates that storage once.
+    The block's byte matrix holds a row's variable fields and a _THETAS_MARK
+    where the session's constant ",theta_a,theta_b," goes. Matrix and lines
+    are built in `buffer`, grown to fit and left as it is for the next block:
+    a session that passes one bytearray for every block allocates that
+    storage once.
     """
     import numpy as np
 
     from .suggestion import INFLUENCE_LABELS
 
     n = len(records.seeds)
-    thetas = f",{format_float(records.alice_theta)},{format_float(records.bob_theta)},"
+    thetas = f",{format_float(records.alice_theta)},{format_float(records.bob_theta)},".encode()
     # one NUL-padded "decision,outcome," per pair, indexed decision-major
     middles = np.array([f"{d},{o},".encode() for d in INFLUENCE_LABELS for o in INFLUENCE_LABELS])
     middles = middles.view(f"V{middles.itemsize}")
-    # a row: round index (words enough for the block's last), thetas, decision
-    # and outcome, 20-digit seed, newline
+    # a row: round index (words enough for the block's last), the mark, decision and
+    # outcome, 20-digit seed, newline
     index_end = 4 * -(-len(str(start + n - 1)) // 4)
-    thetas_end = index_end + len(thetas)
-    seed_start = thetas_end + middles.itemsize
+    seed_start = index_end + 1 + middles.itemsize
     width = seed_start + 21
     head = f"{CSV_HEADER}\n".encode() if start == 0 else b""
-    size = n * width  # the matrix; the lines follow it
-    buffer.extend(bytes(max(0, 2 * size + len(head) - len(buffer))))
+    size = n * width  # the matrix; the lines, under len(thetas) + width bytes a row, follow it
+    buffer.extend(bytes(max(0, size + len(head) + n * (len(thetas) + width) - len(buffer))))
     rows = np.frombuffer(buffer, np.uint8, size).reshape(n, width)
     # uint32 arithmetic is the faster, and holds every index up to config.MAX_COUNT
     indices = np.arange(start, start + n, dtype=np.uint32 if start + n <= 2**32 else np.uint64)
     _write_decimal(indices, rows[:, :index_end].view(np.uint32))
-    rows[:, index_end:thetas_end] = np.frombuffer(thetas.encode(), np.uint8)
+    rows[:, index_end] = _THETAS_MARK[0]
     pairs = records.decisions * len(INFLUENCE_LABELS) + records.outcomes
-    rows[:, thetas_end:seed_start].view(middles.dtype)[:, 0] = middles[pairs]
+    rows[:, index_end + 1:seed_start].view(middles.dtype)[:, 0] = middles[pairs]
     _write_decimal(records.seeds, rows[:, seed_start:-1].view(np.uint32))
     rows[:, -1] = ord("\n")
     with memoryview(buffer) as view:
         end = size + len(head)
         view[size:end] = head
         for a in range(0, size, _DELETE_BYTES):
-            lines = view[a:min(a + _DELETE_BYTES, size)].tobytes().translate(None, b"\0")
+            piece = view[a:min(a + _DELETE_BYTES, size)].tobytes().translate(None, b"\0")
+            lines = piece.replace(_THETAS_MARK, thetas)
             view[end:end + len(lines)] = lines
             end += len(lines)
         return str(view[size:end], "ascii")

@@ -7,9 +7,10 @@ stdout, with the numpy version and the BLAS kernel it was recorded under. The te
 regenerates the inputs, checks each command's own inputs first (a moved input is an
 input change, not a report change) and then runs the command in process through
 cli.main. A change that moves report bytes on purpose re-records the manifest in the
-same diff:
+same diff, at one BLAS thread as the benchmark and the tests run (the Haar inputs' LAPACK
+QR gives other bits at other thread counts):
 
-    PYTHONPATH=src python tests/test_bench_manifest.py
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/test_bench_manifest.py
 """
 
 import contextlib

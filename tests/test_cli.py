@@ -844,10 +844,34 @@ def test_nul_in_a_path_exits_2_with_one_line(tmp_path, where):
     with contextlib.redirect_stderr(err):
         code, out = run_cli(argv)
     assert code == 2 and out == ""
+    shown = nul_path.replace("\0", "\\x00")
     assert err.getvalue() == {
-        "scenario_file": f"config error: {nul_path}: cannot read scenario file: ",
-        "config": f"config error: {nul_path}: cannot read config: ",
-        "out": f"output error: cannot write {nul_path}: "}[where] + "embedded null byte\n"
+        "scenario_file": f"config error: {shown}: cannot read scenario file: ",
+        "config": f"config error: {shown}: cannot read config: ",
+        "out": f"output error: cannot write {shown}: "}[where] + "embedded null byte\n"
+
+
+@pytest.mark.parametrize("char", ["\n", "\r", "\t"], ids=["newline", "return", "tab"])
+@pytest.mark.parametrize("where", ["scenario_file", "config", "out"])
+def test_control_character_in_a_path_exits_2_with_one_line(tmp_path, where, char):
+    # the character is in a directory's name: the scenario file is looked up next to its
+    # config, and the config and --out paths name a directory that does not exist
+    odd = tmp_path / f"a{char}b"
+    if where == "scenario_file":
+        odd.mkdir()
+        argv = ["ctc-solve", "--config", write(
+            odd, "s.cfg", "experiment = ctc-solve\nscenario_file = missing.scenario\n")]
+    else:
+        cfg = write(tmp_path, "c.cfg", SMALL_CONFIGS["chsh"])
+        argv = {"config": ["chsh", "--config", str(odd / "c.cfg")],
+                "out": ["chsh", "--config", cfg, "--out", str(odd / "r.json")]}[where]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = run_cli(argv)
+    assert code == 2 and out == ""
+    line = err.getvalue()
+    assert line.endswith("\n") and char not in line[:-1] and len(line.splitlines()) == 1, line
+    assert str(odd).replace(char, repr(char)[1:-1]) in line
 
 
 def test_report_that_stdout_cannot_encode_is_an_output_error(tmp_path):
@@ -868,7 +892,7 @@ def test_report_that_stdout_cannot_encode_is_an_output_error(tmp_path):
 
 # The child limits its own address space to what it holds after import plus MEMORY_MARGIN,
 # so a count within MAX_COUNT asks for more than it can get: 8 GB of chsh grid angles, or
-# 7.45 GiB of scan seeds. chsh imports no numpy, so its child stays small.
+# 7.45 GiB of scan residuals. chsh imports no numpy, so its child stays small.
 MEMORY_MARGIN = 512 << 20
 MEMORY_PROBE = ("import resource, sys\n"
                 "import qdesk.cli\n"

@@ -1,11 +1,13 @@
-"""Cost budgets: exact counts of the numpy kernels that each loop_solvers command calls.
+"""Cost budgets: exact counts of the kernels that the benchmark's commands call.
 
 Timings on a shared host vary by 15-45%, so a kernel change's gain or loss can hide in
-them; a call count cannot. The benchmark's loop_solvers commands (bench/inputs.py, at the
-tracer test's tiny sizes, seed 0) run in process through cli.main with numpy's SVD and
-eigensolvers wrapped, and with them np.einsum (the loop-operator, superoperator and
-output contractions) and np.fromiter (the scan's per-element libm calls). A change that
-lowers a count lowers its budget here, in the same diff.
+them; a call count cannot. The benchmark's commands (bench/inputs.py, at the tracer
+test's tiny sizes, seed 0) run in process through cli.main with their kernels wrapped.
+For loop_solvers these are numpy's SVD and eigensolvers, and with them np.einsum (the
+loop-operator, superoperator and output contractions) and np.fromiter (the scan's
+per-element libm calls). For sampled_sessions and chsh_grid they are qdesk's own: the
+CSV renderer and its digit kernel, the session sampler and the signaling-weight kernel.
+A change that lowers a count lowers its budget here, in the same diff.
 """
 
 import contextlib
@@ -16,6 +18,8 @@ from collections import Counter
 import numpy as np
 
 import qdesk.cli
+import qdesk.reports
+import qdesk.suggestion
 
 from test_bench_tracer import TINY_SIZES, _load_bench
 
@@ -53,6 +57,14 @@ def _counting(counts: Counter, name: str, function):
     return counted
 
 
+def _run(command) -> str:
+    """The command's stdout, run in process; it must exit 0."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert qdesk.cli.main(command.argv()) == 0, command.cid
+    return out.getvalue()
+
+
 def test_loop_solver_commands_keep_their_kernel_budgets(tmp_path, monkeypatch):
     inputs = _load_bench("inputs")
     commands = inputs.generate("loop_solvers", 0, str(tmp_path),
@@ -63,9 +75,59 @@ def test_loop_solver_commands_keep_their_kernel_budgets(tmp_path, monkeypatch):
     spent = {}
     for command in commands:
         counts.clear()
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-            assert qdesk.cli.main(command.argv()) == 0, command.cid
-        iterations = json.loads(out.getvalue()).get("fixed_point", {}).get("iterations")
+        iterations = json.loads(_run(command)).get("fixed_point", {}).get("iterations")
         spent[command.cid] = (dict(counts), iterations)
     assert spent == BUDGETS
+
+
+# The qdesk kernels that sampled_sessions and chsh_grid spend their time in, counted per
+# call; _decided_weights is also counted by the (alice, bob) angle pairs it weighs.
+KERNELS = [(qdesk.cli, "render_signal_csv"), (qdesk.reports, "_write_decimal"),
+           (qdesk.suggestion, "session_records"), (qdesk.suggestion, "_decided_weights")]
+
+# A signal session weighs 5 pairs in 3 calls: the no-signaling audit's 3 settings, the exact
+# correlator, and the one pair its rounds are sampled from (per block; 500 rounds are one).
+# A CSV block is rendered once, its round indices and seeds in one _write_decimal each.
+SIGNAL_JSON = {"_decided_weights": 3, "pairs": 5, "session_records": 1}
+SESSION_BUDGETS = {
+    "sampled_sessions/signal_csv": dict(SIGNAL_JSON, render_signal_csv=1, _write_decimal=2),
+    "sampled_sessions/signal_json": SIGNAL_JSON,
+    "sampled_sessions/measure_bell": {},
+    # an explicit-angle chsh weighs its four setting pairs in one call
+    "sampled_sessions/companion_chsh": {"_decided_weights": 1, "pairs": 4},
+    "sampled_sessions/companion_ctc_solve": {},
+    "sampled_sessions/companion_ctc_scan": {},
+    # the pruned grid search at 24 angles: 32 pairs in 3 calls
+    "chsh_grid/chsh_grid": {"_decided_weights": 3, "pairs": 32},
+    **{f"chsh_grid/chsh_angles_{k}": {"_decided_weights": 1, "pairs": 4} for k in range(4)},
+    "chsh_grid/companion_signal": SIGNAL_JSON,
+    "chsh_grid/companion_measure": {},
+    "chsh_grid/companion_ctc_solve": {},
+    "chsh_grid/companion_ctc_scan": {},
+}
+
+
+def _counting_pairs(counts: Counter, function):
+    def counted(alice_thetas, *args, **kwargs):
+        counts["_decided_weights"] += 1
+        counts["pairs"] += len(alice_thetas)
+        return function(alice_thetas, *args, **kwargs)
+    return counted
+
+
+def test_session_and_chsh_commands_keep_their_kernel_budgets(tmp_path, monkeypatch):
+    inputs = _load_bench("inputs")
+    counts: Counter = Counter()
+    for owner, name in KERNELS:
+        function = getattr(owner, name)
+        monkeypatch.setattr(owner, name, _counting_pairs(counts, function)
+                            if name == "_decided_weights" else _counting(counts, name, function))
+    spent = {}
+    for workload in ("sampled_sessions", "chsh_grid"):
+        (tmp_path / workload).mkdir()
+        for command in inputs.generate(workload, 0, str(tmp_path / workload),
+                                       dict(inputs.FULL_SIZES, **TINY_SIZES)):
+            counts.clear()
+            _run(command)
+            spent[f"{workload}/{command.cid}"] = dict(counts)
+    assert spent == SESSION_BUDGETS

@@ -38,7 +38,7 @@ from qdesk.ctc import (
     _superoperator,
     induced_loop_map,
 )
-from qdesk.tensor import ATOL
+from qdesk.tensor import ATOL, _row_norms
 
 from oracles import (
     SplitMix64,
@@ -406,6 +406,23 @@ def test_scan_rejects_a_bad_mode_before_drawing_a_sample(monkeypatch):
     with pytest.raises(ValueError, match="mode must be 'strict' or 'ray'"):
         admissible_fraction(grandfather_scenario("qubit_flip"), 10, "bogus", seed=1)
     assert drawn == []
+
+
+def test_scan_draws_its_seeds_one_block_at_a_time(monkeypatch):
+    # a seed is 8 bytes a sample, so seeds drawn up front would cost O(samples) before the
+    # first block; each block draws its own, and the residuals keep their bits
+    sc = grandfather_scenario("qubit_flip")
+    u = sc.loop_unitary.matrix
+    rows = _SCAN_BLOCK // (2 * len(u))
+    n, seed = 2 * rows + 3, 2**64 - 5
+    draw, asked = qdesk.ctc.stream_seeds, []
+    whole = qdesk.ctc.haar_states(draw(seed, n), len(u))
+    want = _residuals(u, whole / _row_norms(whole)[:, None], "ray")
+    monkeypatch.setattr(qdesk.ctc, "stream_seeds",
+                        lambda master_seed, count: asked.append(count) or draw(master_seed, count))
+    got = _scan_residuals(sc, n, "ray", seed)
+    assert asked == [rows, rows, 3]
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
 @settings(max_examples=40, deadline=None)
