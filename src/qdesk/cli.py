@@ -14,9 +14,10 @@ A command imports its own modules when it runs, so a process loads only what
 its command uses: chsh, explicit angles or a grid, computes with Python
 floats and loads neither numpy nor dataclasses (its records are NamedTuples,
 so neither inspect, ast, dis nor tokenize). Sampled rounds (signal, measure
---rounds) are drawn one block of CSV_BLOCK_ROWS at a time, so memory does
-not grow with the round count; a signal CSV block is sampled, rendered and
-written before the next, once every check of the session has passed.
+--rounds) are drawn one block of CSV_BLOCK_ROWS at a time (rng.stream_blocks),
+so memory does not grow with the round count; a signal CSV block is sampled,
+rendered and written before the next, once every check of the session has
+passed.
 
 Exit codes: 0 success, 2 config error (a bad flag value, a flag the command
 does not read, or a file that cannot be opened, included), an --out path or
@@ -45,22 +46,6 @@ if TYPE_CHECKING:
     from .ctc import CtcScenario
     from .suggestion import NoSignalingAudit
     from .tensor import DensityMatrix, StateVector
-
-
-# ---------------------------------------------------------------------------
-# sampled rounds
-
-
-def _blocks(rounds: int, seed: int) -> Iterator[tuple[int, int, int]]:
-    """(first round s, round count m, master seed) of each CSV_BLOCK_ROWS block of a session.
-
-    Round i's seed is the (i+1)-th SplitMix64 output of seed, so the block's
-    m seeds are stream_seeds(seed + s*GAMMA, m) (see rng.stream_seeds).
-    """
-    from .rng import GAMMA
-
-    for start in range(0, rounds, CSV_BLOCK_ROWS):
-        yield start, min(CSV_BLOCK_ROWS, rounds - start), seed + start * GAMMA
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +78,7 @@ def cmd_measure(state: str, rounds: int | None, seed: int | None) -> dict:
     import numpy as np
 
     from . import measurement
-    from .rng import stream_seeds
+    from .rng import stream_blocks, stream_seeds
 
     scheme = measurement.pointer_scheme(
         "particle", "meter", "ready", {"up": "saw_up", "down": "saw_down"}
@@ -116,7 +101,7 @@ def cmd_measure(state: str, rounds: int | None, seed: int | None) -> dict:
     }
     if rounds is not None:
         counts = np.zeros(len(_METER_LABELS), np.int64)
-        for _, m, block_seed in _blocks(rounds, seed):
+        for _, m, block_seed in stream_blocks(seed, rounds, CSV_BLOCK_ROWS):
             labels = measurement.sample_labels(measured, "meter", stream_seeds(block_seed, m))
             counts += np.bincount(labels, minlength=len(_METER_LABELS))
         payload["sampling"] = {
@@ -147,10 +132,11 @@ def _signal_exact(alice_angle: float, bob_angle: float) -> tuple[float, NoSignal
 
 def cmd_signal(alice_angle: float, bob_angle: float, rounds: int, seed: int) -> dict:
     from . import suggestion
+    from .rng import stream_blocks
 
     tally = suggestion.tally_from_records(
         suggestion.session_records(m, alice_angle, bob_angle, block_seed)
-        for _, m, block_seed in _blocks(rounds, seed))
+        for _, m, block_seed in stream_blocks(seed, rounds, CSV_BLOCK_ROWS))
     exact, audit = _signal_exact(alice_angle, bob_angle)
     return {
         "experiment": "signal",
@@ -179,12 +165,13 @@ def _signal_csv(alice_angle: float, bob_angle: float, rounds: int, seed: int) ->
     buffer.
     """
     from . import suggestion
+    from .rng import stream_blocks
 
     _signal_exact(alice_angle, bob_angle)
     buffer = bytearray()
     return (render_signal_csv(suggestion.session_records(m, alice_angle, bob_angle, block_seed),
                               start, buffer)
-            for start, m, block_seed in _blocks(rounds, seed))
+            for start, m, block_seed in stream_blocks(seed, rounds, CSV_BLOCK_ROWS))
 
 
 # ---------------------------------------------------------------------------
@@ -397,6 +384,9 @@ def main(argv: list[str] | None = None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse's usage error (2) or --help (0)
         return exc.code
+    if args.out == "":  # names no file: refused before the command runs
+        print("output error: --out is an empty path", file=sys.stderr)
+        return 2
     flags = {k: v for k, v in vars(args).items() if k in _ENTRY_FLAGS and v is not None}
     try:
         fmt, cmd_args = load_config(args.config, args.command, flags)

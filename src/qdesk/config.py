@@ -69,19 +69,19 @@ def _content_lines(lines: list[str]) -> list[tuple[int, str]]:
     return [(no, ln) for no, ln in numbered if ln and not ln.startswith("#")]
 
 
-def _read_lines(path: str, what: str) -> list[str]:
-    """The lines of a UTF-8 file; a file that cannot be opened, read or decoded is a ConfigError."""
+def _read_text(path: str, what: str) -> str:
+    """The text of a UTF-8 file, each CR LF and CR read as LF (text mode); a file that cannot
+    be opened, read or decoded is a ConfigError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
     except (OSError, ValueError) as exc:  # ValueError: a NUL in path, or not UTF-8
         raise ConfigError(f"cannot read {what}: {exc}", path=path) from exc
-    return _split_lines(text)
 
 
 def parse_flat_file(path: str) -> dict[str, tuple[str, int]]:
     """Parse ``key = value`` lines; returns {key: (value, line_number)}."""
-    return _parse_lines(_content_lines(_read_lines(path, "config")), path)
+    return _parse_lines(_content_lines(_split_lines(_read_text(path, "config"))), path)
 
 
 def _parse_lines(content: list[tuple[int, str]], path: str) -> dict[str, tuple[str, int]]:
@@ -181,16 +181,20 @@ def load_scenario_file(path: str) -> CtcScenario:
     from .ctc import CtcScenario
     from .serialization import parse_unitary
 
-    lines = _read_lines(path, "scenario file")
-    head = _content_lines(lines)
+    text = _read_text(path, "scenario file")
+    head: list[str] = []
     unitary_text: str | None = None
-    for i, (no, line) in enumerate(head):
-        if line == "unitary:":
+    pos = 0
+    while unitary_text is None and pos < len(text):  # only the head is split into lines
+        end = text.find("\n", pos) + 1 or len(text)
+        head.append(text[pos:end])
+        pos = end
+        if head[-1].strip() == "unitary:":
             # the lines up to the marker stay as blank lines, so the body keeps its line numbers
-            head, unitary_text = head[:i], "\n" * no + "\n".join(lines[no:])
-            break
+            unitary_text = "\n" * len(head) + text[pos:]
+            head.pop()
 
-    ent = _Entries(path, _parse_lines(head, path))
+    ent = _Entries(path, _parse_lines(_content_lines(head), path))
     ent.reject_unknown("a scenario file", ("cr_ids", "ctc_ids"))
     cr_raw = ent.get_str("cr_ids", default="")
     ctc_raw = ent.get_str("ctc_ids")

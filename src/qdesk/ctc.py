@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, LayoutError, SolverError
-from .rng import GAMMA, haar_states, stream_seeds
+from .rng import haar_states, stream_blocks, stream_seeds
 from .tensor import (
     DensityMatrix,
     SubsystemLayout,
@@ -233,11 +233,10 @@ def _scan_residuals(scenario: CtcScenario, n_samples: int, mode: str, seed: int)
     """Residual of each scan sample, computed a block of samples at a time."""
     u, residuals = scenario.loop_unitary.matrix, np.empty(n_samples)
     rows = max(1, _SCAN_BLOCK // (2 * len(u)))
-    for i in range(0, n_samples, rows):
-        # samples i, i + 1, ... take outputs i + 1, i + 2, ... of seed (see rng.stream_seeds)
-        s = haar_states(stream_seeds(seed + i * GAMMA, min(rows, n_samples - i)), len(u))
+    for i, m, block_seed in stream_blocks(seed, n_samples, rows):
+        s = haar_states(stream_seeds(block_seed, m), len(u))
         # dividing a Haar sample by its norm again is StateVector's normalization
-        residuals[i:i + len(s)] = _residuals(u, s / _row_norms(s)[:, None], mode)
+        residuals[i:i + m] = _residuals(u, s / _row_norms(s)[:, None], mode)
     return residuals
 
 
@@ -248,9 +247,10 @@ def admissible_fraction(scenario: CtcScenario, n_samples: int, mode: str,
     Sample i is row i of haar_states(stream_seeds(seed, n_samples), d), normalized once
     more as a StateVector would be, so the scan can be partitioned across workers in any
     order without changing the result. Samples are drawn, their seeds included, and tested
-    in blocks of about _SCAN_BLOCK normals (memory O(block) besides the residuals, 8 bytes a
-    sample), each residual bit for bit the one-state computation of _residuals. The second
-    normalization matters: that norm is 1 only to an ulp, and skipping it moves last bits.
+    in rng.stream_blocks of about _SCAN_BLOCK normals (memory O(block) besides the
+    residuals, 8 bytes a sample), each residual bit for bit the one-state computation of
+    _residuals. The second normalization matters: that norm is 1 only to an ulp, and
+    skipping it moves last bits.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")

@@ -37,8 +37,8 @@ READY_WEIGHT_TOL = 1e-10
 class PointerScheme:
     """Wiring of one measurement: what is measured, where it is recorded.
 
-    outcome_map sends each measured basis label to the apparatus label that
-    registers it; the ready label must stay out of its image.
+    outcome_map sends each measured basis label, named once, to the apparatus
+    label that registers it; the ready label must stay out of its image.
     """
 
     measured: str
@@ -49,17 +49,13 @@ class PointerScheme:
     def __post_init__(self):
         if self.measured == self.apparatus:
             raise SchemeError("measured and apparatus subsystems must differ")
+        if len(dict(self.outcome_map)) != len(self.outcome_map):
+            raise SchemeError(f"outcome map names a measured label twice: {self.outcome_map}")
         outcomes = [dst for _, dst in self.outcome_map]
         if len(set(outcomes)) != len(outcomes):
             raise SchemeError(f"outcome map is not injective: {self.outcome_map}")
         if self.ready_label in outcomes:
             raise SchemeError(f"ready label {self.ready_label!r} collides with an outcome")
-
-    def outcome_for(self, measured_label: str) -> str:
-        for src, dst in self.outcome_map:
-            if src == measured_label:
-                return dst
-        raise SchemeError(f"outcome map does not cover measured label {measured_label!r}")
 
 
 def pointer_scheme(measured: str, apparatus: str, ready_label: str,
@@ -71,11 +67,11 @@ def pointer_scheme(measured: str, apparatus: str, ready_label: str,
 def _validated_indices(scheme: PointerScheme, layout: SubsystemLayout):
     meas = layout.subsystem_named(scheme.measured)
     app = layout.subsystem_named(scheme.apparatus)
-    covered = {src for src, _ in scheme.outcome_map}
-    missing = set(meas.labels) - covered
+    outcome = dict(scheme.outcome_map)
+    missing = set(meas.labels) - outcome.keys()
     if missing:
         raise SchemeError(f"outcome map misses measured labels {sorted(missing)}")
-    extra = covered - set(meas.labels)
+    extra = outcome.keys() - set(meas.labels)
     if extra:
         raise SchemeError(f"outcome map references unknown measured labels {sorted(extra)}")
     if app.dimension < meas.dimension + 1:
@@ -83,7 +79,7 @@ def _validated_indices(scheme: PointerScheme, layout: SubsystemLayout):
             f"apparatus dimension {app.dimension} < outcomes+1 = {meas.dimension + 1}"
         )
     ready_idx = app.label_index(scheme.ready_label)
-    outcome_idx = [app.label_index(scheme.outcome_for(lbl)) for lbl in meas.labels]
+    outcome_idx = [app.label_index(outcome[lbl]) for lbl in meas.labels]
     return meas, app, ready_idx, outcome_idx
 
 

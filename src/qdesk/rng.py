@@ -10,7 +10,8 @@ sequential generator object. Three properties this module leans on:
   ``mix64(s + (k+1)*GAMMA)``, so any block of outputs, of one seed or of an
   array of seeds, is one vectorized mixing (``_outputs``): the per-round and
   per-sample seeds are the first n outputs of a master seed
-  (``stream_seeds``), and any execution order gives identical draws;
+  (``stream_seeds``), drawn one block at a time (``stream_blocks``), and any
+  execution order gives identical draws;
 * every derived quantity (uniforms, normals, Haar samples) is a pure function
   of the seed, so concurrent use is race-free by construction;
 * Box-Muller normals are computed as arrays, a block of generators at a time
@@ -25,6 +26,7 @@ explicit seeds.
 from __future__ import annotations
 
 import math
+from typing import Iterator
 
 import numpy as np
 
@@ -37,13 +39,19 @@ _MULT1_U64, _MULT2_U64 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB1331
 
 def stream_seeds(master_seed: int, n: int) -> np.ndarray:
     """The first n outputs of SplitMix64(master_seed) as uint64: entry i, the seed of round or
-    sample i, is its (i+1)-th output.
+    sample i, is its (i+1)-th output."""
+    return _outputs(master_seed & MASK64, n)
+
+
+def stream_blocks(master_seed: int, n: int, rows: int) -> Iterator[tuple[int, int, int]]:
+    """(start, m, block seed) of each block of at most `rows` in a stream of n seeds.
 
     The generator's state after k outputs is master_seed + k*GAMMA (mod 2^64), so
-    stream_seeds(master_seed + k*GAMMA, n) is outputs k+1 .. k+n of master_seed: a
-    session's rounds k .. k+n-1 take their seeds from it, one block at a time.
+    stream_seeds(block seed, m) is entries start .. start + m - 1 of
+    stream_seeds(master_seed, n), bit for bit.
     """
-    return _outputs(master_seed & MASK64, n)
+    for start in range(0, n, rows):
+        yield start, min(rows, n - start), master_seed + start * GAMMA
 
 
 def first_uniforms(seeds: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ Conventions fixed here, once:
 
 * A direction is one angle t (a float, in radians) in the real plane:
   up' = cos(t/2)|up> + sin(t/2)|down>, down' = -sin(t/2)|up> + cos(t/2)|down>.
-  ``signaling_weights`` alone checks that t is finite and builds its rotation.
+  ``_decided_weights`` alone checks that t is finite and builds its rotation.
 * Correlator sign: (decides_up, up) and (decides_down, down) count as "same",
   E = p_same - p_diff.
 
@@ -165,28 +165,26 @@ class SessionRecords(NamedTuple):
 
 
 def sample_rounds(alice_theta: float, bob_theta: float, seeds: np.ndarray) -> SessionRecords:
-    """One round per seed: joint inverse-CDF over the (agent, pointer) weights.
+    """One round per seed: inverse CDF over the four decided cells (uu, ud, du, dd).
 
-    The flattened weight table is traversed in (agent index, pointer index)
-    row-major order, driven by the first uniform of SplitMix64(seed). The
-    evolved state is the same in every round, so its weights are computed
-    once; its undecided and ready cells weigh exactly 0, so born_select,
-    which never picks a zero cell, decides every round. Round i depends only
-    on seeds[i], so a one-element uint64 array replays a single round.
+    The cells are traversed in (decision, outcome) row-major order, driven by
+    the first uniform of SplitMix64(seed). The evolved state is the same in
+    every round, so its weights are computed once. Round i depends only on
+    seeds[i], so a one-element uint64 array replays a single round.
     """
     from .rng import born_select, first_uniforms
 
-    w = signaling_weights([alice_theta], [bob_theta])[0]
-    agent, pointer = divmod(born_select(w.reshape(-1), first_uniforms(seeds)), w.shape[1])
-    return SessionRecords(alice_theta, bob_theta, agent - 1, pointer - 1, seeds)
+    w = _decided_weights([alice_theta], [bob_theta])[0]
+    decisions, outcomes = divmod(born_select(w, first_uniforms(seeds)), 2)
+    return SessionRecords(alice_theta, bob_theta, decisions, outcomes, seeds)
 
 
 def session_records(n_rounds: int, alice_theta: float, bob_theta: float,
                     master_seed: int) -> SessionRecords:
     """All rounds of a session; round i uses seed stream_seeds(master_seed, n_rounds)[i].
 
-    Rounds s .. s + m - 1 of a session are session_records(m, alice_theta,
-    bob_theta, master_seed + s*GAMMA), bit for bit (see rng.stream_seeds).
+    A block of rounds from rng.stream_blocks is session_records(m, alice_theta,
+    bob_theta, block seed), bit for bit.
     """
     from .rng import stream_seeds
 

@@ -10,8 +10,13 @@ cli.main. A change that moves report bytes on purpose re-records the manifest in
 same diff, at one BLAS thread as the benchmark and the tests run (the Haar inputs' LAPACK
 QR gives other bits at other thread counts):
 
-    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/test_bench_manifest.py
+    PYTHONPATH=src python tests/test_bench_manifest.py
+
+Run as a script, the file pins that thread count itself: it imports conftest first, which
+sets it before numpy loads (unless the environment names a count).
 """
+
+import conftest  # noqa: F401  (first: one BLAS thread, before numpy loads)
 
 import contextlib
 import ctypes

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qdesk import UnitaryOperator, grandfather_scenario, layout_of, serialize_unitary
+import qdesk.cli
 from qdesk.cli import _build_parser, main
 from qdesk.reports import CSV_BLOCK_ROWS as BLOCK
 
@@ -450,6 +451,17 @@ def test_unwritable_out_path_exits_2(tmp_path):
     out = str(tmp_path / "absent" / "x.json")
     stderr = assert_exit_2_without_traceback(["ctc-solve", "--config", cfg, "--out", out])
     assert "output error" in stderr and out in stderr
+
+
+def test_empty_out_path_exits_2_before_the_command_runs(tmp_path, monkeypatch):
+    cfg = write(tmp_path, "c.cfg", SMALL_CONFIGS["chsh"])
+    calls = []
+    monkeypatch.setattr(qdesk.cli, "build_report", lambda *args: calls.append(args))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = run_cli(["chsh", "--config", cfg, "--out", ""])
+    assert (code, out, calls) == (2, "", [])
+    assert err.getvalue() == "output error: --out is an empty path\n"
 
 
 BAD_INLINE_UNITARIES = {

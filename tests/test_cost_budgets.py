@@ -7,6 +7,7 @@ For loop_solvers these are numpy's SVD and eigensolvers, and with them np.einsum
 loop-operator, superoperator and output contractions) and np.fromiter (the scan's
 per-element libm calls). For sampled_sessions and chsh_grid they are qdesk's own: the
 CSV renderer and its digit kernel, the session sampler and the signaling-weight kernel.
+A session, a measure and a scan of three blocks each also pin the size of every seed draw.
 A change that lowers a count lowers its budget here, in the same diff.
 """
 
@@ -18,8 +19,11 @@ from collections import Counter
 import numpy as np
 
 import qdesk.cli
+import qdesk.ctc
 import qdesk.reports
+import qdesk.rng
 import qdesk.suggestion
+from qdesk.reports import CSV_BLOCK_ROWS
 
 from test_bench_tracer import TINY_SIZES, _load_bench
 
@@ -115,13 +119,17 @@ def _counting_pairs(counts: Counter, function):
     return counted
 
 
-def test_session_and_chsh_commands_keep_their_kernel_budgets(tmp_path, monkeypatch):
-    inputs = _load_bench("inputs")
-    counts: Counter = Counter()
+def _count_kernels(monkeypatch, counts: Counter) -> None:
     for owner, name in KERNELS:
         function = getattr(owner, name)
         monkeypatch.setattr(owner, name, _counting_pairs(counts, function)
                             if name == "_decided_weights" else _counting(counts, name, function))
+
+
+def test_session_and_chsh_commands_keep_their_kernel_budgets(tmp_path, monkeypatch):
+    inputs = _load_bench("inputs")
+    counts: Counter = Counter()
+    _count_kernels(monkeypatch, counts)
     spent = {}
     for workload in ("sampled_sessions", "chsh_grid"):
         (tmp_path / workload).mkdir()
@@ -131,3 +139,55 @@ def test_session_and_chsh_commands_keep_their_kernel_budgets(tmp_path, monkeypat
             _run(command)
             spent[f"{workload}/{command.cid}"] = dict(counts)
     assert spent == SESSION_BUDGETS
+
+
+# At multi-block sizes, 2 * CSV_BLOCK_ROWS + 1 rounds and 2 * 2048 + 1 scan samples (2048 rows
+# a scan block at d = 4): each block draws its own seeds, "seeds" being the n of each
+# stream_seeds call in order, and a session block is sampled once and rendered once. A
+# session still weighs its sampled pair once per block: 3 + 1 + 3 = 7 pairs in 5 calls.
+ROUNDS = 2 * CSV_BLOCK_ROWS + 1
+SIGNAL_BLOCKS = {"_decided_weights": 5, "pairs": 7, "session_records": 3,
+                 "seeds": [CSV_BLOCK_ROWS, CSV_BLOCK_ROWS, 1]}
+MULTI_BLOCK_BUDGETS = {
+    "signal_csv": dict(SIGNAL_BLOCKS, render_signal_csv=3, _write_decimal=6),
+    "signal_json": SIGNAL_BLOCKS,
+    "measure": {"seeds": [CSV_BLOCK_ROWS, CSV_BLOCK_ROWS, 1]},
+    # libm log1p, cos and sin once a block
+    "ctc_scan": {"fromiter": 9, "seeds": [2048, 2048, 1]},
+}
+MULTI_BLOCK_CONFIGS = {
+    "signal_csv": f"experiment = signal\nalice_angle = 0.3\nbob_angle = 1.2\nrounds = {ROUNDS}\n"
+                  "seed = 1\nformat = csv\n",
+    "signal_json": f"experiment = signal\nalice_angle = 0.3\nbob_angle = 1.2\nrounds = {ROUNDS}\n"
+                   "seed = 1\n",
+    "measure": f"experiment = measure\nstate = bell\nrounds = {ROUNDS}\nseed = 1\n",
+    "ctc_scan": "experiment = ctc-scan\nscenario = cr_coupled\nmode = ray\n"
+                f"samples = {2 * 2048 + 1}\nseed = 1\n",
+}
+
+
+def test_multi_block_commands_draw_their_seeds_a_block_at_a_time(tmp_path, monkeypatch):
+    counts: Counter = Counter()
+    seeds: list = []
+    original = qdesk.rng.stream_seeds
+
+    def stream_seeds(master_seed, n):
+        seeds.append(n)
+        return original(master_seed, n)
+
+    monkeypatch.setattr(qdesk.rng, "stream_seeds", stream_seeds)
+    monkeypatch.setattr(qdesk.ctc, "stream_seeds", stream_seeds)
+    monkeypatch.setattr(np, "fromiter", _counting(counts, "fromiter", np.fromiter))
+    _count_kernels(monkeypatch, counts)
+    spent = {}
+    for cid, text in MULTI_BLOCK_CONFIGS.items():
+        cfg = tmp_path / f"{cid}.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        counts.clear()
+        seeds.clear()
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            kind = text.split()[2]  # the value of the experiment line
+            assert qdesk.cli.main([kind, "--config", str(cfg)]) == 0, cid
+        spent[cid] = dict(counts, seeds=list(seeds))
+    assert spent == MULTI_BLOCK_BUDGETS

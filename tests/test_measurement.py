@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qdesk import (
+    PointerScheme,
     ProtocolError,
     SchemeError,
     StateVector,
@@ -88,6 +89,12 @@ def test_scheme_validation_against_layout():
 def test_scheme_rejects_ready_in_outcomes():
     with pytest.raises(SchemeError):
         pointer_scheme("spin", "meter", "ready", {"up": "ready", "down": "saw_down"})
+
+
+def test_scheme_rejects_a_measured_label_named_twice():
+    # a tuple map can name a label twice; which outcome registers it would be a guess
+    with pytest.raises(SchemeError, match="twice"):
+        PointerScheme("spin", "meter", "ready", (("up", "saw_up"), ("up", "saw_down")))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from qdesk.reports import CSV_BLOCK_ROWS as BLOCK
 from qdesk.rng import (GAMMA, _box_muller, _outputs, _unit, born_select, first_uniforms,
-                       haar_states, stream_seeds)
+                       haar_states, stream_blocks, stream_seeds)
 
 from oracles import (SplitMix64, haar_state, haar_unitary, inverse_cdf_select, random_density,
                      scalar_normals, splitmix64_reference)
@@ -47,6 +47,18 @@ def test_jumped_stream_seeds_continue_the_master_stream(master, k, n):
     expected = [gen.next_u64() for _ in range(n)]
     assert stream_seeds((master + k * GAMMA) % 2**64, n).tolist() == expected
     assert stream_seeds(master + k * GAMMA, n).tolist() == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(master=st.sampled_from(EDGE_SEEDS) | st.integers(-2**63, 2**64 - 1),
+       n=st.integers(1, 60), rows=st.integers(1, 70))
+def test_stream_blocks_cut_the_master_stream_into_blocks(master, n, rows):
+    blocks = list(stream_blocks(master, n, rows))
+    assert [start for start, _, _ in blocks] == list(range(0, n, rows))
+    assert [m for _, m, _ in blocks] == [min(rows, n - start) for start in range(0, n, rows)]
+    gen = SplitMix64(master % 2**64)
+    expected = [gen.next_u64() for _ in range(n)]
+    assert [int(x) for _, m, seed in blocks for x in stream_seeds(seed, m)] == expected
 
 
 def test_vectorized_streams_match_scalar():

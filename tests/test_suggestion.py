@@ -33,7 +33,7 @@ from qdesk.suggestion import (
 
 from qdesk import suggestion
 from qdesk.reports import CSV_BLOCK_ROWS as BLOCK
-from qdesk.rng import GAMMA
+from qdesk.rng import GAMMA, born_select, first_uniforms
 from qdesk.suggestion import signaling_weights
 
 from oracles import (
@@ -610,6 +610,44 @@ def test_batched_weights_reject_non_finite_angles(bad):
         signaling_weights([0.1, bad], [0.2, 0.3])
     with pytest.raises(ValueError, match="direction angle must be finite"):
         signaling_weights([0.1], [bad])
+
+
+# The reference draw runs over signaling_weights' (3, 3) table, whose undecided and ready cells
+# are zero padding; sample_rounds draws over the four decided cells alone, to the same rounds.
+ALIGNED = st.sampled_from([0.0, -0.0, math.pi, -math.pi])  # (0, 0) and (-pi, pi): uu = dd = 0
+
+
+def _padded_draw(alice_theta, bob_theta, uniforms):
+    """(decisions, outcomes): inverse CDF over the flattened (3, 3) table, divmod 3, minus 1."""
+    w = signaling_weights([alice_theta], [bob_theta])[0]
+    agent, pointer = divmod(born_select(w.reshape(-1), uniforms), 3)
+    return (agent - 1).tolist(), (pointer - 1).tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=finite | ALIGNED, b=finite | ALIGNED,
+       seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+@example(a=0.0, b=0.0, seeds=list(range(64)))
+@example(a=-math.pi, b=math.pi, seeds=list(range(64)))
+def test_four_cell_draw_equals_the_padded_table_draw(a, b, seeds):
+    seeds = np.array(seeds, dtype=np.uint64)
+    records = sample_rounds(a, b, seeds)
+    expected = _padded_draw(a, b, first_uniforms(seeds))
+    assert (records.decisions.tolist(), records.outcomes.tolist()) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=finite | ALIGNED, b=finite | ALIGNED)
+@example(a=0.0, b=0.0)
+@example(a=-math.pi, b=math.pi)
+def test_four_cell_draw_equals_the_padded_table_draw_on_each_boundary(a, b):
+    # uniforms on each cumulative boundary u*total = c_k, one ulp either side, and 0
+    cells = np.array(suggestion._decided_weights([a], [b])[0])
+    on = np.cumsum(cells) / np.sum(cells)
+    u = np.concatenate(([0.0], on, np.nextafter(on, 0.0), np.nextafter(on, 1.0)))
+    u = u[u < 1.0]
+    decisions, outcomes = divmod(born_select(cells, u), 2)
+    assert (decisions.tolist(), outcomes.tolist()) == _padded_draw(a, b, u)
 
 
 def _assert_search_equals_the_shift_loop(n):
