@@ -55,22 +55,23 @@ if TYPE_CHECKING:
 _METER_LABELS = ("ready", "saw_up", "saw_down")
 
 
+# Each preset's equally weighted basis terms over its two-level subsystems; the meter is ready.
+_PRESETS = {
+    "up": ({"particle": "up"},),
+    "down": ({"particle": "down"},),
+    "plus": ({"particle": "up"}, {"particle": "down"}),
+    "bell": ({"particle": "up", "distant": "down"}, {"particle": "down", "distant": "up"}),
+}
+
+
 def _measure_initial_state(preset: str) -> StateVector:
     from .tensor import StateVector, layout_of
 
-    if preset == "bell":
-        lay = layout_of(("particle", ("up", "down")), ("distant", ("up", "down")),
-                        ("meter", _METER_LABELS))
-        amps = [0.0] * lay.total_dimension
-        amps[lay.basis_index({"particle": "up", "distant": "down", "meter": "ready"})] = 1.0
-        amps[lay.basis_index({"particle": "down", "distant": "up", "meter": "ready"})] = 1.0
-        return StateVector(lay, amps)
-    lay = layout_of(("particle", ("up", "down")), ("meter", _METER_LABELS))
+    terms = _PRESETS[preset]
+    lay = layout_of(*((sid, ("up", "down")) for sid in terms[0]), ("meter", _METER_LABELS))
     amps = [0.0] * lay.total_dimension
-    if preset in ("up", "plus"):
-        amps[lay.basis_index({"particle": "up", "meter": "ready"})] = 1.0
-    if preset in ("down", "plus"):
-        amps[lay.basis_index({"particle": "down", "meter": "ready"})] = 1.0
+    for term in terms:
+        amps[lay.basis_index({**term, "meter": "ready"})] = 1.0
     return StateVector(lay, amps)
 
 
@@ -345,8 +346,6 @@ def _emit(pieces: Iterable[str], out_path: str | None) -> bool:
             sys.stdout.writelines(_slices(pieces))
             sys.stdout.flush()
         else:
-            if "\0" in out_path:  # open would raise ValueError
-                raise OSError(errno.EINVAL, "embedded null byte")
             with open(out_path, "w", encoding="utf-8", newline="") as fh:
                 fh.writelines(_slices(pieces))
     except (OSError, UnicodeEncodeError) as exc:  # Unicode: stdout's encoding lacks a character
@@ -386,6 +385,10 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code
     if args.out == "":  # names no file: refused before the command runs
         print("output error: --out is an empty path", file=sys.stderr)
+        return 2
+    if args.out is not None and "\0" in args.out:  # open would raise ValueError: refused before the run too
+        print(f"output error: cannot write {printable(args.out)}: embedded null byte",
+              file=sys.stderr)
         return 2
     flags = {k: v for k, v in vars(args).items() if k in _ENTRY_FLAGS and v is not None}
     try:

@@ -198,7 +198,7 @@ def _residuals(u: np.ndarray, states: np.ndarray, mode: str) -> np.ndarray:
 
     strict: ||U s - s||; ray: ||U s - e^{i phi} s|| at phi = arg<s|U s>, which minimizes the
     residual over all global phases. Row by row, the stacked products give the bits of a
-    one-state computation with numpy's per-call functions: U @ s, np.vdot, np.linalg.norm.
+    one-state computation: U @ s, np.vdot, and StateVector's norm, whose kernel _row_norms is.
     """
     image = (u @ states[:, :, None])[:, :, 0]
     if mode == "ray":
@@ -245,11 +245,11 @@ def admissible_fraction(scenario: CtcScenario, n_samples: int, mode: str,
     """Sample Haar-random pure states and test each; deterministic under seed.
 
     Sample i is row i of haar_states(stream_seeds(seed, n_samples), d), normalized once
-    more as a StateVector would be, so the scan can be partitioned across workers in any
-    order without changing the result. Samples are drawn, their seeds included, and tested
-    in rng.stream_blocks of about _SCAN_BLOCK normals (memory O(block) besides the
-    residuals, 8 bytes a sample), each residual bit for bit the one-state computation of
-    _residuals. The second normalization matters: that norm is 1 only to an ulp, and
+    more by _row_norms, the kernel of StateVector's normalization, so the scan can be
+    partitioned across workers in any order without changing the result. Samples are
+    drawn, their seeds included, and tested in rng.stream_blocks of about _SCAN_BLOCK
+    normals (memory O(block) besides the residuals, 8 bytes a sample), each residual bit
+    for bit the one-state computation of _residuals. The second normalization matters: that norm is 1 only to an ulp, and
     skipping it moves last bits.
     """
     if n_samples < 1:
@@ -412,18 +412,20 @@ def _spectral_fixed_point(apply_map, sup: np.ndarray, d: int):
 
     The maximally mixed state is projected orthogonally onto that space
     (adjoint-closed for these maps), Hermitized, clipped, and renormalized;
-    the residual is re-verified against the map itself.
+    the residual is re-verified against the map itself. A verification step
+    moves the candidate to its image, so k steps apply the map k + 1 times.
     """
     basis = _fixed_space(sup, FIXED_SPACE_TOL)  # if empty, _clip_to_density raises
     target = (np.eye(d, dtype=np.complex128) / d).reshape(-1, order="F")
     projected = basis @ (basis.conj().T @ target)
     candidate = _clip_to_density(projected.reshape(d, d, order="F"))
-    residual = trace_distance(candidate, apply_map(candidate))
+    image = apply_map(candidate)
+    residual = trace_distance(candidate, image)
     iterations = 0
     while residual > FIXED_POINT_TOL and iterations < 1000:
-        candidate = apply_map(candidate)
+        candidate, image = image, apply_map(image)
         iterations += 1
-        residual = trace_distance(candidate, apply_map(candidate))
+        residual = trace_distance(candidate, image)
     if residual > FIXED_POINT_TOL:
         raise SolverError("spectral fixed point failed verification", residual=residual)
     return candidate, residual, iterations, basis.shape[1]

@@ -137,47 +137,36 @@ def apparatus_weights(s: StateVector, apparatus: str) -> np.ndarray:
     return np.sum(np.abs(_apparatus_columns(s, apparatus)) ** 2, axis=0)
 
 
-def _branch_for_label(flat: np.ndarray, rest_layout: SubsystemLayout,
-                      label: str, k: int) -> Branch | None:
-    component = flat[:, k]
-    weight = float(np.sum(np.abs(component) ** 2))
-    if weight <= BRANCH_PRUNE_EPS:
-        return None
-    nonzero = np.nonzero(np.abs(component) > 1e-14)[0]
-    lead = component[nonzero[0]]
-    phase = lead / abs(lead)
-    amplitude = complex(np.sqrt(weight) * phase)
-    conditional = StateVector(rest_layout, component / amplitude)
-    return Branch(label, weight, conditional, amplitude)
-
-
 def _apparatus_columns(s: StateVector, apparatus: str) -> np.ndarray:
-    """s as a (rest, apparatus) matrix; its rows follow _rest_layout's order."""
+    """s as a (rest, apparatus) matrix; its rows follow the other subsystems' layout order."""
     pos = s.layout.position(apparatus)
     return np.moveaxis(s.tensor(), pos, -1).reshape(-1, s.layout.dims[pos])
-
-
-def _rest_layout(s: StateVector, apparatus: str) -> SubsystemLayout:
-    rest_ids = [sid for sid in s.layout.ids if sid != apparatus]
-    if not rest_ids:
-        raise LayoutError("cannot decompose: layout has only the apparatus subsystem")
-    return s.layout.sub_layout(rest_ids)
 
 
 def branch_decomposition(s: StateVector, apparatus: str) -> list[Branch]:
     """Split s into branches labeled by the apparatus basis.
 
-    One Branch per apparatus label of weight > BRANCH_PRUNE_EPS, in label
-    index order; conditional states live on the remaining sub-layout.
+    One Branch per apparatus label whose apparatus_weights entry, the weight
+    sample_labels draws that label with, exceeds BRANCH_PRUNE_EPS, in label
+    index order; that entry is the branch's weight, bit for bit. Conditional
+    states live on the remaining sub-layout.
     """
+    weights = apparatus_weights(s, apparatus)
     flat = _apparatus_columns(s, apparatus)
-    rest_layout = _rest_layout(s, apparatus)
-    app = s.layout.subsystem_named(apparatus)
+    rest_ids = [sid for sid in s.layout.ids if sid != apparatus]
+    if not rest_ids:
+        raise LayoutError("cannot decompose: layout has only the apparatus subsystem")
+    rest_layout = s.layout.sub_layout(rest_ids)
     branches = []
-    for k, label in enumerate(app.labels):
-        branch = _branch_for_label(flat, rest_layout, label, k)
-        if branch is not None:
-            branches.append(branch)
+    for k, label in enumerate(s.layout.subsystem_named(apparatus).labels):
+        weight = float(weights[k])
+        if weight <= BRANCH_PRUNE_EPS:
+            continue
+        component = flat[:, k]
+        lead = component[np.nonzero(np.abs(component) > 1e-14)[0][0]]
+        amplitude = complex(np.sqrt(weight) * (lead / abs(lead)))
+        branches.append(Branch(label, weight, StateVector(rest_layout, component / amplitude),
+                               amplitude))
     return branches
 
 

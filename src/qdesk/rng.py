@@ -93,9 +93,9 @@ def _box_muller(u: np.ndarray) -> np.ndarray:
 
 def haar_states(seeds: np.ndarray, dim: int) -> np.ndarray:
     """Haar-random unit vectors, a row per uint64 seed: row i holds x + iy from consecutive
-    pairs of the first 2 dim Box-Muller normals of seeds[i]'s stream, divided by their
-    np.linalg.norm, bit for bit. All rows' uniforms come from one (n, 2 dim) mixing, their
-    normals from one _box_muller."""
+    pairs of the first 2 dim Box-Muller normals of seeds[i]'s stream, divided by its
+    tensor._row_norms norm, the kernel that normalizes every StateVector. All rows' uniforms
+    come from one (n, 2 dim) mixing, their normals from one _box_muller."""
     from .tensor import _row_norms
 
     xs = _box_muller(_unit(_outputs(seeds, 2 * dim)))

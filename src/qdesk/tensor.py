@@ -147,8 +147,10 @@ def _frozen_complex(data, shape) -> np.ndarray:
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
-    """np.linalg.norm(x[i]) for each row of a complex (n, d) x, bit for bit: it too takes
-    re.re + im.im by one dot product of each stride-2 view, as these stacked products do."""
+    """The L2 norm of each row of a complex (n, d) x, and the one norm kernel: every
+    StateVector, Haar sample and scan residual is normed here. Bit for bit np.linalg.norm(x[i]):
+    it too takes re.re + im.im by one dot product of each stride-2 view, as these stacked
+    products do."""
     re, im = x.real, x.imag
     return np.sqrt((re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])[:, 0, 0])
 
@@ -169,7 +171,7 @@ class StateVector:
             raise DimensionMismatchError(
                 f"amplitude length {arr.size} != layout dimension {layout.total_dimension}"
             )
-        norm = float(np.linalg.norm(arr))
+        norm = float(_row_norms(arr[None])[0])
         if norm < 1e-12:
             raise InvariantError("cannot normalize a (near-)zero state vector")
         if norm == np.inf:
@@ -184,7 +186,7 @@ class StateVector:
         return self.amplitudes.reshape(self.layout.dims)
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        return float(_row_norms(self.amplitudes[None])[0])
 
     def __repr__(self):
         return f"StateVector(ids={self.layout.ids}, dim={self.layout.total_dimension})"

@@ -16,6 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from qdesk import UnitaryOperator, grandfather_scenario, layout_of, serialize_unitary
 import qdesk.cli
+import qdesk.config
 from qdesk.cli import _build_parser, main
 from qdesk.reports import CSV_BLOCK_ROWS as BLOCK
 
@@ -84,6 +85,11 @@ def test_measure_seed_without_rounds_exits_2(tmp_path):
     plain = write(tmp_path, "plain.cfg", "experiment = measure\nstate = plus\n")
     code, out = run_cli(["measure", "--config", plain, "--seed", "5"])
     assert code == 2 and out == ""
+
+
+def test_measure_presets_are_the_configs_state_choices():
+    # config cannot import cli, so the one table of presets and the key's choices are pinned here
+    assert tuple(qdesk.cli._PRESETS) == qdesk.config.MEASURE_PRESETS
 
 
 def test_signal_csv_has_exact_columns(tmp_path):
@@ -462,6 +468,19 @@ def test_empty_out_path_exits_2_before_the_command_runs(tmp_path, monkeypatch):
         code, out = run_cli(["chsh", "--config", cfg, "--out", ""])
     assert (code, out, calls) == (2, "", [])
     assert err.getvalue() == "output error: --out is an empty path\n"
+
+
+def test_nul_out_path_exits_2_before_the_command_runs(tmp_path, monkeypatch):
+    cfg = write(tmp_path, "c.cfg", SMALL_CONFIGS["chsh"])
+    calls = []
+    monkeypatch.setattr(qdesk.cli, "build_report", lambda *args: calls.append(args))
+    nul_path = str(tmp_path / "a\0b")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = run_cli(["chsh", "--config", cfg, "--out", nul_path])
+    assert (code, out, calls) == (2, "", [])
+    shown = nul_path.replace("\0", "\\x00")
+    assert err.getvalue() == f"output error: cannot write {shown}: embedded null byte\n"
 
 
 BAD_INLINE_UNITARIES = {

@@ -746,6 +746,28 @@ def test_tiny_gap_channel_exhausts_the_iteration_budget():
     assert np.abs(sol.rho_ctc.matrix - np.diag([1.0, 0.0])).max() < 1e-8
 
 
+def test_spectral_verification_applies_the_map_once_per_step():
+    # a stale superoperator (the identity's: every operator fixed) hands the verification
+    # I/2, which amplitude damping at gamma = 0.5 moves to |0><0| one step at a time
+    gamma = 0.5
+    kraus = [np.diag([1.0, math.sqrt(1.0 - gamma)]).astype(complex),
+             np.array([[0.0, math.sqrt(gamma)], [0.0, 0.0]], dtype=complex)]
+
+    def damp(rho):
+        return sum(k @ rho @ k.conj().T for k in kraus)
+
+    applications = []
+    rho, residual, iterations, dim = qdesk.ctc._spectral_fixed_point(
+        lambda r: applications.append(1) or damp(r), np.eye(4, dtype=complex), 2)
+    want, steps = np.eye(2, dtype=complex) / 2, 0
+    while trace_distance(want, damp(want)) > qdesk.ctc.FIXED_POINT_TOL:
+        want, steps = damp(want), steps + 1
+    assert (iterations, steps, dim) == (25, 25, 4)
+    assert len(applications) == iterations + 1
+    assert residual == trace_distance(want, damp(want))
+    assert np.array_equal(rho, want)
+
+
 def test_a_solve_checks_its_cr_input_once(monkeypatch):
     checks = []
     check = qdesk.ctc._resolve_cr_input

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qdesk import (
     PointerScheme,
@@ -13,7 +14,7 @@ from qdesk import (
     premeasure,
     reduced_state,
 )
-from qdesk.measurement import apparatus_weights, sample_labels
+from qdesk.measurement import BRANCH_PRUNE_EPS, apparatus_weights, sample_labels
 
 from oracles import SplitMix64, haar_state, inverse_cdf_select
 
@@ -182,6 +183,22 @@ def test_branch_weights_equal_reduced_apparatus_diagonal():
         diag = np.diagonal(reduced_state(out, ["meter"]).matrix).real
         weights = apparatus_weights(out, "meter")
         assert np.abs(weights - diag).max() < 1e-10
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 5), min_size=2, max_size=4), st.data(), st.integers(0, 2**32))
+def test_branch_weight_is_the_weight_its_label_is_sampled_with(dims, data, seed):
+    # the apparatus sits anywhere, and the other subsystems span up to 125 dimensions
+    pos = data.draw(st.integers(0, len(dims) - 1))
+    lay = layout_of(*((f"s{i}", tuple(f"l{j}" for j in range(d))) for i, d in enumerate(dims)))
+    amps = SplitMix64(seed).complex_normals(lay.total_dimension).reshape(dims)
+    empty = data.draw(st.sets(st.integers(0, dims[pos] - 1), max_size=dims[pos] - 1))
+    np.moveaxis(amps, pos, -1)[..., sorted(empty)] = 0.0  # labels pruned from the branches
+    s, app = StateVector(lay, amps), f"s{pos}"
+    labels = lay.subsystem_named(app).labels
+    want = [(labels[k], w.hex()) for k, w in enumerate(apparatus_weights(s, app).tolist())
+            if w > BRANCH_PRUNE_EPS]
+    assert [(b.pointer_label, b.weight.hex()) for b in branch_decomposition(s, app)] == want
 
 
 def test_branches_reconstruct_the_state():
