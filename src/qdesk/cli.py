@@ -25,6 +25,8 @@ stdout that cannot be written (a closed pipe, or an encoding that cannot
 spell the report) or a command that cannot get its memory, 3 solver
 non-convergence (a report in the run's format still carries the best
 residual; stderr names the failed step), 4 internal invariant violation.
+An --out path that is empty, holds a NUL, names a directory or has no
+directory as its parent is refused before the config is read.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import argparse
 import errno
 import math
 import os
+import stat
 import sys
 import time
 from typing import TYPE_CHECKING, Iterable, Iterator
@@ -361,6 +364,21 @@ def _emit(pieces: Iterable[str], out_path: str | None) -> bool:
     return True
 
 
+def _unopenable(out_path: str) -> str | None:
+    """Why open(out_path, "w") must fail, found without creating the file: an embedded NUL,
+    a directory at the path, or a parent that is not a directory; None otherwise."""
+    if "\0" in out_path:  # os.stat would raise ValueError
+        return "embedded null byte"
+    if os.path.isdir(out_path):
+        return os.strerror(errno.EISDIR)
+    try:
+        if not stat.S_ISDIR(os.stat(os.path.dirname(out_path) or os.curdir).st_mode):
+            return os.strerror(errno.ENOTDIR)
+    except OSError as exc:  # the parent, or a directory above it, does not exist
+        return exc.strerror
+    return None
+
+
 # Flags that stand for config entries of the same name.
 _ENTRY_FLAGS = ("format", "seed", "rounds", "mode")
 
@@ -386,9 +404,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.out == "":  # names no file: refused before the command runs
         print("output error: --out is an empty path", file=sys.stderr)
         return 2
-    if args.out is not None and "\0" in args.out:  # open would raise ValueError: refused before the run too
-        print(f"output error: cannot write {printable(args.out)}: embedded null byte",
-              file=sys.stderr)
+    reason = None if args.out is None else _unopenable(args.out)
+    if reason is not None:  # refused before the config is read or the command runs, too
+        print(f"output error: cannot write {printable(args.out)}: {reason}", file=sys.stderr)
         return 2
     flags = {k: v for k, v in vars(args).items() if k in _ENTRY_FLAGS and v is not None}
     try:

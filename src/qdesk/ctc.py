@@ -46,6 +46,7 @@ ITERATE_TOL = 1e-10       # successive-iterate trace distance target
 MAX_ITERATIONS = 10_000
 CESARO_WINDOW = 100
 _SCAN_BLOCK = 1 << 14     # normals drawn per block of scan samples
+_ITERATE_BLOCK = 64       # most plain-phase iterates whose distances share one eigvalsh
 
 
 @dataclass(frozen=True)
@@ -73,10 +74,16 @@ class CtcScenario:
         return self.layout.sub_layout(self.ctc_ids)
 
 
-def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """(1/2) * sum of absolute eigenvalues of the (Hermitian) difference."""
+def trace_distance(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
+    """(1/2) * sum of absolute eigenvalues of the Hermitized difference a - b.
+
+    For two (k, d, d) stacks, the k distances of their pairs from one eigvalsh call; numpy
+    decomposes a stack a matrix at a time, so each is bit for bit its pair's alone.
+    """
     diff = a - b
-    return 0.5 * float(np.abs(np.linalg.eigvalsh((diff + diff.conj().T) / 2.0)).sum())
+    herm = (diff + np.swapaxes(diff.conj(), -1, -2)) / 2.0
+    dist = 0.5 * np.abs(np.linalg.eigvalsh(herm)).sum(axis=-1)
+    return float(dist) if dist.ndim == 0 else dist
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +171,9 @@ def linear_consistency_basis(scenario: CtcScenario, mode: str = "strict") -> Con
     """Eigenspaces of the loop unitary U, filtered by mode, each in its _canonical_basis.
 
     strict: _fixed_space(U, PHASE_TOL), so each unit s in it has ||U s - s|| <= PHASE_TOL,
-            the strict residual that _residuals measures. It may be empty.
+            the strict residual that _residuals measures. It may be empty; it is, with no
+            singular vector computed, when a values-only SVD puts sigma_min(U - I) above
+            2 PHASE_TOL, a margin far wider than the rounding between two SVDs' values.
     ray:    every eigenspace from np.linalg.eig, eigenphases within PHASE_TOL merged,
             each cluster's eigenvectors orthonormalized by QR first.
     For an exact unitary sigma = |e^{i phi} - 1| = 2 |sin(phi / 2)| <= |phi|, so strict
@@ -175,11 +184,12 @@ def linear_consistency_basis(scenario: CtcScenario, mode: str = "strict") -> Con
     if mode not in ("strict", "ray"):
         raise ValueError(f"mode must be 'strict' or 'ray', got {mode!r}")
     u = scenario.loop_unitary.matrix
+    pairs = []
     if mode == "strict":
-        null = _fixed_space(u, PHASE_TOL)
-        pairs = [EigenSpace(0.0, _canonical_basis(null))] if null.shape[1] else []
+        if np.linalg.svd(u - np.eye(len(u)), compute_uv=False)[-1] <= 2.0 * PHASE_TOL:
+            null = _fixed_space(u, PHASE_TOL)
+            pairs = [EigenSpace(0.0, _canonical_basis(null))] if null.shape[1] else []
     else:
-        pairs = []
         vals, vecs = np.linalg.eig(u)
         phases = np.angle(vals)
         phases[phases <= -np.pi] = np.pi  # np.angle gives -pi for negative reals, -0 imag
@@ -361,21 +371,38 @@ def _clip_to_density(mat: np.ndarray) -> np.ndarray:
     return (vecs * (vals / total)) @ vecs.conj().T
 
 
+def _plain_iterates(apply_map, rho: np.ndarray):
+    """The iterates apply_map(rho), apply_map(apply_map(rho)), ..., each with its trace
+    distance from the one before, the map applied a block ahead: a block's distances come
+    from one trace_distance call on the stack. Blocks double from 1 up to _ITERATE_BLOCK
+    iterates (and 2^16 entries, 1 MiB), so a consumer that stops leaves fewer than
+    _ITERATE_BLOCK applications unused, and none at iteration 1.
+    """
+    d = len(rho)
+    most = max(1, min(_ITERATE_BLOCK, (1 << 16) // (d * d)))
+    rows = 1
+    while True:
+        block = [rho]
+        for _ in range(rows):
+            block.append(apply_map(block[-1]))
+        stacked = np.stack(block)
+        yield from zip(block[1:], trace_distance(stacked[1:], stacked[:-1]).tolist())
+        rho, rows = block[-1], min(2 * rows, most)
+
+
 def _iterate_fixed_point(apply_map, d: int):
     """Plain iteration from the maximally mixed state, with windowed averaging.
 
     Falls back to a trailing Cesaro average when the successive-iterate
     distance plateaus (the standard cure for peripheral-spectrum
     oscillation); returns (rho, residual, iterations) of the best candidate.
+    The plain phase decides on each of _plain_iterates' distances in order, so
+    its iterations and bits are those of one application and one
+    trace_distance per step.
     """
     rho = np.eye(d, dtype=np.complex128) / d
     history: list[float] = []
-    best: tuple[float, np.ndarray, int] | None = None
-
-    for it in range(1, MAX_ITERATIONS + 1):
-        nxt = apply_map(rho)
-        dist = trace_distance(nxt, rho)
-        rho = nxt
+    for it, (rho, dist) in zip(range(1, MAX_ITERATIONS + 1), _plain_iterates(apply_map, rho)):
         history.append(dist)
         if dist <= ITERATE_TOL:
             return rho, trace_distance(rho, apply_map(rho)), it
@@ -383,8 +410,14 @@ def _iterate_fixed_point(apply_map, d: int):
                      and dist >= history[-CESARO_WINDOW - 1] * (1.0 - 1e-3))
         if plateaued:
             break
+    return _cesaro_fixed_point(apply_map, rho, len(history))
 
-    start_it = len(history)
+
+def _cesaro_fixed_point(apply_map, rho: np.ndarray, start_it: int):
+    """The Cesaro phase: trailing averages of CESARO_WINDOW iterates from rho, the plain
+    phase's last iterate at iteration start_it, each clipped to a density matrix and tested
+    with one trace_distance; (rho, residual, iterations) of the best, or SolverError."""
+    best: tuple[float, np.ndarray, int] | None = None
     window: list[np.ndarray] = [rho]
     running = rho.copy()
     for it in range(start_it + 1, start_it + MAX_ITERATIONS + 1):

@@ -498,6 +498,37 @@ def eig_fixed_space(sup: np.ndarray) -> np.ndarray:
     return np.linalg.qr(vecs[:, np.abs(vals - 1.0) <= 1e-9])[0]
 
 
+def per_step_trace_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Trace distance of one pair by one eigvalsh of the Hermitized difference."""
+    diff = a - b
+    return 0.5 * float(np.abs(np.linalg.eigvalsh((diff + diff.conj().T) / 2.0)).sum())
+
+
+def per_step_iterate_fixed_point(apply_map, d: int):
+    """ctc._iterate_fixed_point with its plain phase a step at a time: one map application
+    and one per_step_trace_distance per iteration, each decided before the next is computed.
+
+    The reference the blocked plain phase must equal in iterations and bits. It reads the
+    iteration constants from qdesk.ctc when called and hands a plateaued or exhausted plain
+    phase to ctc._cesaro_fixed_point, the phase both share.
+    """
+    from qdesk import ctc
+
+    rho = np.eye(d, dtype=np.complex128) / d
+    history: list[float] = []
+    for it in range(1, ctc.MAX_ITERATIONS + 1):
+        nxt = apply_map(rho)
+        dist = per_step_trace_distance(nxt, rho)
+        rho = nxt
+        history.append(dist)
+        if dist <= ctc.ITERATE_TOL:
+            return rho, per_step_trace_distance(rho, apply_map(rho)), it
+        if (len(history) > ctc.CESARO_WINDOW
+                and dist >= history[-ctc.CESARO_WINDOW - 1] * (1.0 - 1e-3)):
+            break
+    return ctc._cesaro_fixed_point(apply_map, rho, len(history))
+
+
 def kraus_dilation(kraus: list[np.ndarray]) -> np.ndarray:
     """Unitary on (env ox sys) acting as the channel for env input |0>.
 

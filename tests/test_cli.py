@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import errno
 import hashlib
 import io
 import json
@@ -481,6 +482,27 @@ def test_nul_out_path_exits_2_before_the_command_runs(tmp_path, monkeypatch):
     assert (code, out, calls) == (2, "", [])
     shown = nul_path.replace("\0", "\\x00")
     assert err.getvalue() == f"output error: cannot write {shown}: embedded null byte\n"
+
+
+@pytest.mark.parametrize("where,code", [("directory", errno.EISDIR),
+                                        ("absent/x.json", errno.ENOENT),
+                                        ("file/x.json", errno.ENOTDIR)],
+                         ids=["directory", "absent_parent", "file_parent"])
+def test_unopenable_out_path_exits_2_before_the_config_is_read(tmp_path, monkeypatch, where, code):
+    cfg = write(tmp_path, "c.cfg", SMALL_CONFIGS["ctc-solve"])
+    (tmp_path / "directory").mkdir()
+    write(tmp_path, "file", "")
+    calls = []
+    monkeypatch.setattr(qdesk.cli, "load_config", lambda *args: calls.append(args))
+    monkeypatch.setattr(qdesk.cli, "build_report", lambda *args: calls.append(args))
+    before = sorted(tmp_path.rglob("*"))
+    out_path = str(tmp_path / where)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        exit_code, out = run_cli(["ctc-solve", "--config", cfg, "--out", out_path])
+    assert (exit_code, out, calls) == (2, "", [])
+    assert err.getvalue() == f"output error: cannot write {out_path}: {os.strerror(code)}\n"
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 BAD_INLINE_UNITARIES = {

@@ -5,8 +5,10 @@ them; a call count cannot. The benchmark's commands (bench/inputs.py, at the tra
 test's tiny sizes, seed 0) run in process through cli.main with their kernels wrapped.
 For loop_solvers these are numpy's SVD and eigensolvers, and with them np.einsum (the
 loop-operator, superoperator and output contractions) and np.fromiter (the scan's
-per-element libm calls). For sampled_sessions and chsh_grid they are qdesk's own: the
-CSV renderer and its digit kernel, the session sampler and the signaling-weight kernel.
+per-element libm calls); a values-only SVD (compute_uv=False) counts as svd_values, apart
+from a full one. For sampled_sessions and chsh_grid they are qdesk's own: the CSV renderer
+and its digit kernel, the session sampler and the signaling-weight kernel, and with them the
+SVDs of the companion ctc-solve.
 A session, a measure and a scan of three blocks each also pin the size of every seed draw.
 A change that lowers a count lowers its budget here, in the same diff.
 """
@@ -32,19 +34,22 @@ COUNTED = [(np.linalg, "svd"), (np.linalg, "eigh"), (np.linalg, "eigvalsh"),
 
 # Per command: its counted calls, and the fixed-point iterations its report states. Every
 # ctc-solve run makes three DensityMatrix checks, one eigvalsh each (the CR input, rho_ctc and
-# the CR output), and one trace distance, an eigvalsh, per fixed-point test. Its einsum calls
-# are the loop operators, built once for the map and once for the CR output, and the output
-# contraction; the strict linear basis is one SVD of U - I.
+# the CR output), and one eigvalsh per trace distance call. Its einsum calls are the loop
+# operators, built once for the map and once for the CR output, and the output contraction.
+# The strict linear basis is one values-only SVD of U - I, and a full one when its smallest
+# singular value is within 2 PHASE_TOL; only cr_coupled's strict space is not empty.
+CR_COUPLED_SVDS = {"svd_values": 1, "svd": 1}
 BUDGETS = {
-    # SVD of Phi - I, one clip to a density matrix (eigh), and iterations + 1 = 1 verification;
-    # the superoperator builds its loop operators again and contracts them (2 einsum)
-    "ctc_spectral": ({"svd": 2, "eigh": 1, "eigvalsh": 4, "einsum": 5}, 0),
-    # eigvalsh 4610 follows the iteration count: 4606 successive-iterate distances, the final
-    # residual and the 3 checks. The loop is weakly coupled, so it converges slowly, and the
-    # step at which the distance falls below ITERATE_TOL could move under another BLAS kernel
-    "ctc_iterate": ({"svd": 1, "eigvalsh": 4610, "einsum": 3}, 4606),
-    # eigvalsh 5 = 1 iterate distance + the final residual + the 3 checks
-    "ctc_cr_coupled": ({"svd": 1, "eigvalsh": 5, "einsum": 3}, 1),
+    # the full SVD is Phi - I's; one clip to a density matrix (eigh), and iterations + 1 = 1
+    # verification; the superoperator builds its loop operators again and contracts them
+    "ctc_spectral": ({"svd_values": 1, "svd": 1, "eigh": 1, "eigvalsh": 4, "einsum": 5}, 0),
+    # eigvalsh 81 = 77 blocks of successive-iterate distances (1, 2, 4, ..., 32, then 71 of
+    # 64 cover the 4606 iterations) + the final residual + the 3 checks. The loop is weakly
+    # coupled, so it converges slowly, and the step at which the distance falls below
+    # ITERATE_TOL could move under another BLAS kernel
+    "ctc_iterate": ({"svd_values": 1, "eigvalsh": 81, "einsum": 3}, 4606),
+    # eigvalsh 5 = 1 block of one iterate distance + the final residual + the 3 checks
+    "ctc_cr_coupled": (dict(CR_COUPLED_SVDS, eigvalsh=5, einsum=3), 1),
     # 20 Haar samples in one block: libm log1p, cos and sin over the block
     "ctc_scan": ({"fromiter": 3}, None),
     "companion_chsh": ({}, None),
@@ -61,6 +66,18 @@ def _counting(counts: Counter, name: str, function):
     return counted
 
 
+def _counting_svd(counts: Counter, function):
+    def counted(a, full_matrices=True, compute_uv=True, *args, **kwargs):
+        counts["svd" if compute_uv else "svd_values"] += 1
+        return function(a, full_matrices, compute_uv, *args, **kwargs)
+    return counted
+
+
+def _counter(counts: Counter, owner, name: str):
+    function = getattr(owner, name)
+    return _counting_svd(counts, function) if name == "svd" else _counting(counts, name, function)
+
+
 def _run(command) -> str:
     """The command's stdout, run in process; it must exit 0."""
     out = io.StringIO()
@@ -75,7 +92,7 @@ def test_loop_solver_commands_keep_their_kernel_budgets(tmp_path, monkeypatch):
                                dict(inputs.FULL_SIZES, **TINY_SIZES))
     counts: Counter = Counter()
     for owner, name in COUNTED:
-        monkeypatch.setattr(owner, name, _counting(counts, name, getattr(owner, name)))
+        monkeypatch.setattr(owner, name, _counter(counts, owner, name))
     spent = {}
     for command in commands:
         counts.clear()
@@ -85,9 +102,11 @@ def test_loop_solver_commands_keep_their_kernel_budgets(tmp_path, monkeypatch):
 
 
 # The qdesk kernels that sampled_sessions and chsh_grid spend their time in, counted per
-# call; _decided_weights is also counted by the (alice, bob) angle pairs it weighs.
+# call; _decided_weights is also counted by the (alice, bob) angle pairs it weighs. numpy's
+# SVD is counted too: only the companion ctc-solve calls it.
 KERNELS = [(qdesk.cli, "render_signal_csv"), (qdesk.reports, "_write_decimal"),
-           (qdesk.suggestion, "session_records"), (qdesk.suggestion, "_decided_weights")]
+           (qdesk.suggestion, "session_records"), (qdesk.suggestion, "_decided_weights"),
+           (np.linalg, "svd")]
 
 # A signal session weighs 5 pairs in 3 calls: the no-signaling audit's 3 settings, the exact
 # correlator, and the one pair its rounds are sampled from (per block; 500 rounds are one).
@@ -99,14 +118,14 @@ SESSION_BUDGETS = {
     "sampled_sessions/measure_bell": {},
     # an explicit-angle chsh weighs its four setting pairs in one call
     "sampled_sessions/companion_chsh": {"_decided_weights": 1, "pairs": 4},
-    "sampled_sessions/companion_ctc_solve": {},
+    "sampled_sessions/companion_ctc_solve": CR_COUPLED_SVDS,
     "sampled_sessions/companion_ctc_scan": {},
     # the pruned grid search at 24 angles: 32 pairs in 3 calls
     "chsh_grid/chsh_grid": {"_decided_weights": 3, "pairs": 32},
     **{f"chsh_grid/chsh_angles_{k}": {"_decided_weights": 1, "pairs": 4} for k in range(4)},
     "chsh_grid/companion_signal": SIGNAL_JSON,
     "chsh_grid/companion_measure": {},
-    "chsh_grid/companion_ctc_solve": {},
+    "chsh_grid/companion_ctc_solve": CR_COUPLED_SVDS,
     "chsh_grid/companion_ctc_scan": {},
 }
 
@@ -121,9 +140,8 @@ def _counting_pairs(counts: Counter, function):
 
 def _count_kernels(monkeypatch, counts: Counter) -> None:
     for owner, name in KERNELS:
-        function = getattr(owner, name)
-        monkeypatch.setattr(owner, name, _counting_pairs(counts, function)
-                            if name == "_decided_weights" else _counting(counts, name, function))
+        monkeypatch.setattr(owner, name, _counting_pairs(counts, getattr(owner, name))
+                            if name == "_decided_weights" else _counter(counts, owner, name))
 
 
 def test_session_and_chsh_commands_keep_their_kernel_budgets(tmp_path, monkeypatch):

@@ -50,6 +50,7 @@ from oracles import (
     haar_unitary,
     induced_map_oracle,
     kraus_dilation,
+    per_step_iterate_fixed_point,
     random_density,
     single_residual,
     splitmix64_reference,
@@ -263,6 +264,35 @@ def test_strict_cutoff_departs_from_schur_in_the_off_unit_band():
     assert linear_consistency_basis(sc, "strict").dimension == 0
     kept = vecs[:, np.argmin(np.abs(phases))]
     assert residual(sc, StateVector(sc.layout, kept), "strict") > PHASE_TOL
+
+
+@settings(max_examples=60, deadline=None)
+@given(qubits=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+       offset=st.sampled_from([0.0, 1.5, 3.0]), sign=st.sampled_from([1.0, -1.0]),
+       off_unit=OFF_UNIT, strength=st.floats(-1.0, 1.0))
+def test_values_first_strict_basis_equals_fixed_space_alone(qubits, seed, offset, sign,
+                                                            off_unit, strength):
+    """One eigenphase at 0, 1.5 PHASE_TOL or 3 PHASE_TOL: the strict block is the one that
+    _fixed_space(U, PHASE_TOL) alone gives, bit for bit, and the singular vectors are computed
+    only where the smallest singular value is within the 2 PHASE_TOL margin."""
+    d = 2 ** qubits
+    rng = np.random.default_rng(seed)
+    u, _ = planted_unitary(d, rng, [sign * offset * PHASE_TOL], off_unit, strength)
+    alone = _fixed_space(u, PHASE_TOL)
+    calls = []
+
+    def fixed_space(m, tol):
+        calls.append(tol)
+        return _fixed_space(m, tol)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qdesk.ctc, "_fixed_space", fixed_space)
+        sub = linear_consistency_basis(loop_scenario(u), "strict")
+    assert calls == ([PHASE_TOL] if offset < 2.0 else [])
+    assert sub.dimension == alone.shape[1] == (1 if offset == 0.0 else 0)
+    if alone.shape[1]:
+        assert sub.eigenpairs[0].phase == 0.0
+        assert np.array_equal(sub.eigenpairs[0].basis, _canonical_basis(alone))
 
 
 @settings(max_examples=100, deadline=None)
@@ -725,6 +755,73 @@ def test_oscillating_channel_exercises_the_averaging_fallback():
     assert np.abs(it.rho_ctc.matrix - expected).max() < 1e-9
     sp = deutsch_fixed_point(sc, rho_cr, "spectral")
     assert np.abs(sp.rho_ctc.matrix - expected).max() < 1e-9
+
+
+# Plain-phase outcomes of exp(-i theta H) loops, each with the theta range, CR input and
+# MAX_ITERATIONS that reach it
+PLAIN_PHASE_CASES = {
+    # a maximally mixed CR input makes the map unital: I/d is fixed at iteration 1
+    "first_iteration": (st.floats(0.01, 1.0), "mixed", 300),
+    # a strong coupling: the distance falls to ITERATE_TOL after tens to hundreds of
+    # iterations, inside a block of several
+    "converges": (st.floats(2.0, 3.0), "pure", 10_000),
+    # a coupling so weak that the distance falls by under 0.1% a window: the Cesaro phase
+    "plateau": (st.floats(5e-4, 2e-3), "pure", 300),
+    # the distance falls, but not to ITERATE_TOL within MAX_ITERATIONS
+    "budget": (st.floats(0.1, 0.3), "pure", 300),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PLAIN_PHASE_CASES))
+@settings(max_examples=25, deadline=None)
+@given(n_cr=st.integers(1, 2), n_loop=st.integers(1, 2), seed=st.integers(0, 2**64 - 1),
+       data=st.data())
+def test_blocked_plain_phase_equals_the_per_step_oracle(case, n_cr, n_loop, seed, data):
+    """The blocked plain phase gives the per-step oracle's iterations, residual bits and rho
+    bits (or its SolverError residual), and applies the map fewer than _ITERATE_BLOCK times
+    more; the Cesaro phase starts where the oracle's does."""
+    theta_range, cr_input, max_iterations = PLAIN_PHASE_CASES[case]
+    rng = SplitMix64(seed)
+    ids = [f"c{i}" for i in range(n_cr)] + [f"l{i}" for i in range(n_loop)]
+    lay = layout_of(*[(q, ("b0", "b1")) for q in ids])
+    u = weakly_coupled_unitary(lay.total_dimension, data.draw(theta_range), rng)
+    sc = CtcScenario(tuple(ids[:n_cr]), tuple(ids[n_cr:]), UnitaryOperator(lay, u))
+    d_cr = 2 ** n_cr
+    rho_cr = cr_density(sc, np.eye(d_cr) / d_cr if cr_input == "mixed" else np.diag(np.eye(d_cr)[0]))
+    apply_map = induced_loop_map(sc, rho_cr)
+    cesaro = qdesk.ctc._cesaro_fixed_point
+    outcomes, applications, starts = [], [], []
+
+    def cesaro_from(f, rho, start_it):
+        starts.append(start_it)
+        return cesaro(f, rho, start_it)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qdesk.ctc, "MAX_ITERATIONS", max_iterations)
+        mp.setattr(qdesk.ctc, "_cesaro_fixed_point", cesaro_from)
+        for solve in (qdesk.ctc._iterate_fixed_point, per_step_iterate_fixed_point):
+            count = [0]
+
+            def counted(rho):
+                count[0] += 1
+                return apply_map(rho)
+
+            try:
+                rho, res, iterations = solve(counted, 2 ** n_loop)
+                outcomes.append((rho.tobytes(), res.hex(), iterations))
+            except SolverError as exc:
+                outcomes.append(("no convergence", exc.residual.hex()))
+            applications.append(count[0])
+    assert outcomes[0] == outcomes[1]
+    assert 0 <= applications[0] - applications[1] < qdesk.ctc._ITERATE_BLOCK
+    if case == "first_iteration":
+        assert (starts, outcomes[0][2]) == ([], 1)
+    elif case == "converges":
+        assert starts == [] and outcomes[0][2] > 1
+    elif case == "plateau":
+        assert starts == [starts[0]] * 2 and starts[0] < max_iterations
+    else:
+        assert starts == [max_iterations] * 2
 
 
 def test_tiny_gap_channel_exhausts_the_iteration_budget():
