@@ -35,8 +35,8 @@ _EXPORTS = {
                    "no_signaling_audit", "sample_rounds", "session_records", "signaling_weights",
                    "tally_from_records"),
     "ctc": ("AdmissibilityScan", "ConsistencySubspace", "CtcScenario", "DeutschSolution",
-            "admissible_fraction", "ctc_output_state", "deutsch_fixed_point",
-            "grandfather_scenario", "linear_consistency_basis", "trace_distance"),
+            "admissible_fraction", "deutsch_fixed_point", "grandfather_scenario",
+            "linear_consistency_basis", "trace_distance"),
     "rng": (),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

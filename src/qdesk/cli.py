@@ -271,8 +271,7 @@ def cmd_ctc_solve(scenario_name: str, scenario: CtcScenario, mode: str, method: 
         fixed["fixed_space_dim"] = solution.fixed_space_dim
     payload["fixed_point"] = fixed
     if scenario.cr_ids:
-        out = ctc.ctc_output_state(solution)
-        payload["cr_output"] = matrix_payload(out.matrix)
+        payload["cr_output"] = matrix_payload(solution.cr_output.matrix)
     payload["tolerances"] = _ctc_tolerances()
     return payload
 
@@ -366,16 +365,19 @@ def _emit(pieces: Iterable[str], out_path: str | None) -> bool:
 
 def _unopenable(out_path: str) -> str | None:
     """Why open(out_path, "w") must fail, found without creating the file: an embedded NUL,
-    a directory at the path, or a parent that is not a directory; None otherwise."""
+    a directory at the path, or a parent that is not a directory or not writable; else None."""
     if "\0" in out_path:  # os.stat would raise ValueError
         return "embedded null byte"
     if os.path.isdir(out_path):
         return os.strerror(errno.EISDIR)
+    parent = os.path.dirname(out_path) or os.curdir
     try:
-        if not stat.S_ISDIR(os.stat(os.path.dirname(out_path) or os.curdir).st_mode):
+        if not stat.S_ISDIR(os.stat(parent).st_mode):
             return os.strerror(errno.ENOTDIR)
     except OSError as exc:  # the parent, or a directory above it, does not exist
         return exc.strerror
+    if not os.access(parent, os.W_OK | os.X_OK):
+        return os.strerror(errno.EACCES)
     return None
 
 

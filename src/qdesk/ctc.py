@@ -16,8 +16,8 @@ rho -> sum_k L_k rho R_k†, where R_k are the d_ctc x d_ctc blocks of U
 between CR basis states and L_k the same blocks with rho_in folded in. One
 application is a batched product at loop size, and the superoperator is
 sum_k conj(R_k) ox L_k. The CR state leaving the loop region is read off
-the same pairs, traced over the loop instead of over CR, so no full-layout
-density matrix or partial trace is formed anywhere here.
+the same pairs, traced over the loop instead of over CR, and returned with the
+fixed point: no full-layout density matrix or partial trace is formed here.
 
 Solvers are pure and deterministic; Haar sampling for admissibility scans
 draws from explicitly derived per-sample seeds, a block of samples at a time.
@@ -233,10 +233,11 @@ class AdmissibilityScan:
 
 
 def _median(values: np.ndarray) -> float:
-    """statistics.median's formula on a sorted copy; np.median would import numpy.ma."""
-    r = np.sort(values)
-    i = len(r) // 2
-    return float(r[i] if len(r) % 2 else (r[i - 1] + r[i]) / 2)
+    """statistics.median's formula on the elements of ranks (n - 1) // 2 and n // 2, a sort's,
+    selected by partitioning values in place (no copy); np.median would import numpy.ma."""
+    lo, hi = (len(values) - 1) // 2, len(values) // 2
+    values.partition([lo, hi])
+    return float(values[hi] if lo == hi else (values[lo] + values[hi]) / 2)
 
 
 def _scan_residuals(scenario: CtcScenario, n_samples: int, mode: str, seed: int) -> np.ndarray:
@@ -281,13 +282,14 @@ def admissible_fraction(scenario: CtcScenario, n_samples: int, mode: str,
 
 @dataclass(frozen=True)
 class DeutschSolution:
-    """Fixed point of the induced loop channel, with convergence metadata.
+    """Fixed point of the induced loop channel, with convergence metadata and the CR output.
 
     residual is the trace distance between rho_ctc and its image under the
     map. fixed_space_dim is dim ker(Phi - I) of the induced superoperator Phi,
     the count of singular values of Phi - I at or below FIXED_SPACE_TOL
     (spectral method only); when it exceeds one, the returned operator is the
-    canonical maximum-entropy representative.
+    canonical maximum-entropy representative. cr_output is the CR state leaving
+    the loop region (see _cr_output), or [[1]] on the empty layout if there is no CR.
     """
 
     rho_ctc: DensityMatrix
@@ -295,8 +297,7 @@ class DeutschSolution:
     iterations: int
     method: str
     fixed_space_dim: int | None
-    scenario: CtcScenario
-    rho_cr: DensityMatrix | None
+    cr_output: DensityMatrix
 
 
 def _resolve_cr_input(scenario: CtcScenario, rho_cr_in: DensityMatrix | None) -> DensityMatrix | None:
@@ -470,42 +471,34 @@ def deutsch_fixed_point(scenario: CtcScenario, rho_cr_in: DensityMatrix | None =
 
     method 'iterate' starts from the maximally mixed state; 'spectral' reads
     the fixed space off the induced superoperator. Both return the canonical
-    maximum-entropy representative when the fixed point is not unique.
+    maximum-entropy representative when the fixed point is not unique, and the
+    CR output read off the loop operators that the superoperator is built from.
     """
     if method not in ("iterate", "spectral"):
         raise ValueError(f"method must be 'iterate' or 'spectral', got {method!r}")
     apply_map = induced_loop_map(scenario, rho_cr_in)  # checks rho_cr_in, once
+    left, right = _loop_operators(scenario, rho_cr_in)
     d = scenario.ctc_layout().total_dimension
     if method == "iterate":
         rho, residual, iterations = _iterate_fixed_point(apply_map, d)
         dim_fixed = None
     else:
-        sup = _superoperator(*_loop_operators(scenario, rho_cr_in))
+        sup = _superoperator(left, right)
         rho, residual, iterations, dim_fixed = _spectral_fixed_point(apply_map, sup, d)
-    return DeutschSolution(
-        DensityMatrix(scenario.ctc_layout(), rho), residual, iterations, method,
-        dim_fixed, scenario, rho_cr_in,
-    )
+    rho_ctc = DensityMatrix(scenario.ctc_layout(), rho)
+    out = (np.ones((1, 1), np.complex128) if rho_cr_in is None
+           else _cr_output(left, right, rho_ctc.matrix, len(rho_cr_in.matrix)))
+    return DeutschSolution(rho_ctc, residual, iterations, method, dim_fixed,
+                           DensityMatrix(scenario.cr_layout(), out))
 
 
-def ctc_output_state(solution: DeutschSolution) -> DensityMatrix:
-    """CR state leaving the loop region: Tr_CTC[ U (rho_in ox rho_ctc) U† ].
-
-    The scenario and the CR input rho_in are the ones the solution was
-    solved for, which it carries. The output is read off the loop operators
-    (see _loop_operators), whose stacks are indexed by (a, b') with a the CR
-    output state: out[a, a'] = sum_{b'} tr(L[a, b'] rho_ctc R[a', b']†), one
-    contraction at loop size. With no CR subsystems the output is the 1 x 1
-    matrix [[1]].
-    """
-    scenario, rho_cr = solution.scenario, solution.rho_cr
-    if rho_cr is None:
-        return DensityMatrix(scenario.cr_layout(), np.array([[1.0 + 0.0j]]))
-    left, right = _loop_operators(scenario, rho_cr)
-    d_cr, d = rho_cr.matrix.shape[0], left.shape[1]
-    evolved = (left @ solution.rho_ctc.matrix).reshape(d_cr, -1, d * d)
-    reduced = np.einsum("acx,bcx->ab", evolved, right.reshape(d_cr, -1, d * d).conj())
-    return DensityMatrix(scenario.cr_layout(), reduced)
+def _cr_output(left: np.ndarray, right: np.ndarray, rho: np.ndarray, d_cr: int) -> np.ndarray:
+    """Tr_CTC[ U (rho_in ox rho) U† ] from the loop operators of rho_in, whose stacks are
+    indexed by (a, b') with a the CR output state (see _loop_operators): out[a, a'] =
+    sum_{b'} tr(L[a, b'] rho R[a', b']†), one contraction at loop size."""
+    d = left.shape[1]
+    evolved = (left @ rho).reshape(d_cr, -1, d * d)
+    return np.einsum("acx,bcx->ab", evolved, right.reshape(d_cr, -1, d * d).conj())
 
 
 # ---------------------------------------------------------------------------

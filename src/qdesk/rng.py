@@ -16,8 +16,8 @@ sequential generator object. Three properties this module leans on:
   of the seed, so concurrent use is race-free by construction;
 * Box-Muller normals are computed as arrays, a block of generators at a time
   (``haar_states``), bit for bit equal to one at a time: mixing, products and
-  ``sqrt`` are exact or correctly rounded in numpy, and log1p, sin and cos
-  come from libm, as numpy's SIMD ones may differ.
+  ``sqrt`` are exact or correctly rounded in numpy, and log1p and
+  ``cmath.rect``'s cos and sin come from libm, as numpy's SIMD ones may differ.
 
 There is deliberately no module-level generator: all entropy enters through
 explicit seeds.
@@ -25,6 +25,7 @@ explicit seeds.
 
 from __future__ import annotations
 
+import cmath
 import math
 from typing import Iterator
 
@@ -79,27 +80,24 @@ def _mix64_array(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> _SHIFT31)
 
 
-def _libm(f, x: np.ndarray) -> np.ndarray:
-    return np.fromiter(map(f, x.ravel().tolist()), np.float64, x.size).reshape(x.shape)
-
-
 def _box_muller(u: np.ndarray) -> np.ndarray:
-    """Normals from uniforms (..., 2m): each pair u1, u2 on the last axis gives r cos(2 pi u2),
-    r sin(2 pi u2) in its place, with r = sqrt(-2 log1p(-u1)); log1p, cos and sin from libm."""
-    r = np.sqrt(-2.0 * _libm(math.log1p, -u[..., 0::2]))[..., None]
-    angle = 2.0 * math.pi * u[..., 1::2]
-    return (r * np.stack([_libm(math.cos, angle), _libm(math.sin, angle)], -1)).reshape(u.shape)
+    """Complex normals (..., m) from uniforms (..., 2m): each pair u1, u2 on the last axis gives
+    x + iy = cmath.rect(r, 2 pi u2), r = sqrt(-2 log1p(-u1)), with log1p and rect's cos and sin
+    from libm; at angle 0 rect's r and r * 0.0 are the products r cos 0 and r sin 0."""
+    u1, u2 = u[..., 0::2], u[..., 1::2]
+    r = np.sqrt(-2.0 * np.fromiter(map(math.log1p, (-u1).ravel().tolist()), np.float64, u1.size))
+    z = map(cmath.rect, r.tolist(), (2.0 * math.pi * u2).ravel().tolist())
+    return np.fromiter(z, np.complex128, r.size).reshape(u1.shape)
 
 
 def haar_states(seeds: np.ndarray, dim: int) -> np.ndarray:
     """Haar-random unit vectors, a row per uint64 seed: row i holds x + iy from consecutive
     pairs of the first 2 dim Box-Muller normals of seeds[i]'s stream, divided by its
     tensor._row_norms norm, the kernel that normalizes every StateVector. All rows' uniforms
-    come from one (n, 2 dim) mixing, their normals from one _box_muller."""
+    come from one (n, 2 dim) mixing, their amplitudes from one _box_muller."""
     from .tensor import _row_norms
 
-    xs = _box_muller(_unit(_outputs(seeds, 2 * dim)))
-    v = xs[:, 0::2] + 1j * xs[:, 1::2]
+    v = _box_muller(_unit(_outputs(seeds, 2 * dim)))
     return v / _row_norms(v)[:, None]
 
 

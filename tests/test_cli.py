@@ -505,6 +505,28 @@ def test_unopenable_out_path_exits_2_before_the_config_is_read(tmp_path, monkeyp
     assert sorted(tmp_path.rglob("*")) == before
 
 
+def test_out_path_in_an_unwritable_directory_exits_2_before_the_config_is_read(tmp_path,
+                                                                              monkeypatch):
+    # chmod does not stop root, so the directory's write permission is refused by os.access
+    cfg = write(tmp_path, "c.cfg", SMALL_CONFIGS["ctc-solve"])
+    locked = tmp_path / "locked"
+    locked.mkdir()
+    access = os.access
+    monkeypatch.setattr(os, "access", lambda path, mode, **kwargs: (
+        os.fspath(path) != str(locked) and access(path, mode, **kwargs)))
+    calls = []
+    monkeypatch.setattr(qdesk.cli, "load_config", lambda *args: calls.append(args))
+    monkeypatch.setattr(qdesk.cli, "build_report", lambda *args: calls.append(args))
+    before = sorted(tmp_path.rglob("*"))
+    out_path = str(locked / "x.json")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        exit_code, out = run_cli(["ctc-solve", "--config", cfg, "--out", out_path])
+    assert (exit_code, out, calls) == (2, "", [])
+    assert err.getvalue() == f"output error: cannot write {out_path}: Permission denied\n"
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 BAD_INLINE_UNITARIES = {
     "duplicate_labels": "layout: loop=b0,b0\ndata:\n1,0 0,0\n0,0 1,0\n",
     "not_unitary": "layout: loop=b0,b1\ndata:\n1,0 1,0\n0,0 1,0\n",
@@ -1048,7 +1070,7 @@ def test_commands_load_only_their_own_modules(tmp_path, command, unused):
     assert done.returncode == 0, done.stderr
 
 
-# What `from qdesk import *` gives: 55 public names, the 6 submodules that hold them, and rng.
+# What `from qdesk import *` gives: 54 public names, the 6 submodules that hold them, and rng.
 STAR_NAMES = (
     "ATOL AdmissibilityScan Branch ChshSearchResult ConfigError ConsistencySubspace "
     "CorrelationTally CtcScenario DensityMatrix DeutschSolution "
@@ -1056,7 +1078,7 @@ STAR_NAMES = (
     "PointerScheme ProtocolError QdeskError SchemeError SessionRecords SolverError "
     "StateVector Subsystem SubsystemLayout TSIRELSON_BOUND UnitaryOperator admissible_fraction "
     "apply_unitary branch_decomposition build_premeasurement_unitary "
-    "chsh_grid_search chsh_value correlator ctc ctc_output_state deutsch_fixed_point "
+    "chsh_grid_search chsh_value correlator ctc deutsch_fixed_point "
     "errors grandfather_scenario layout_of linear_consistency_basis "
     "measurement no_signaling_audit parse_density parse_state parse_unitary "
     "pointer_scheme premeasure reduced_state rng sample_labels "
@@ -1077,7 +1099,7 @@ def test_package_resolves_names_on_first_use():
              "print(' '.join(sorted(set(namespace) - {'__builtins__'})))\n")
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == sorted(STAR_NAMES) and len(STAR_NAMES) == 62
+    assert done.stdout.split() == sorted(STAR_NAMES) and len(STAR_NAMES) == 61
 
 
 @pytest.mark.parametrize("method", ["iterate", "spectral"])

@@ -5,8 +5,8 @@ them; a call count cannot. The benchmark's commands (bench/inputs.py, at the tra
 test's tiny sizes, seed 0) run in process through cli.main with their kernels wrapped.
 For loop_solvers these are numpy's SVD and eigensolvers, and with them np.einsum (the
 loop-operator, superoperator and output contractions) and np.fromiter (the scan's
-per-element libm calls); a values-only SVD (compute_uv=False) counts as svd_values, apart
-from a full one. For sampled_sessions and chsh_grid they are qdesk's own: the CSV renderer
+per-element libm calls: log1p, and cos and sin through cmath.rect); a values-only SVD
+(compute_uv=False) counts as svd_values, apart from a full one. For sampled_sessions and chsh_grid they are qdesk's own: the CSV renderer
 and its digit kernel, the session sampler and the signaling-weight kernel, and with them the
 SVDs of the companion ctc-solve.
 A session, a measure and a scan of three blocks each also pin the size of every seed draw.
@@ -35,14 +35,15 @@ COUNTED = [(np.linalg, "svd"), (np.linalg, "eigh"), (np.linalg, "eigvalsh"),
 # Per command: its counted calls, and the fixed-point iterations its report states. Every
 # ctc-solve run makes three DensityMatrix checks, one eigvalsh each (the CR input, rho_ctc and
 # the CR output), and one eigvalsh per trace distance call. Its einsum calls are the loop
-# operators, built once for the map and once for the CR output, and the output contraction.
+# operators, built once for the map and once for the superoperator and the CR output, and
+# the output contraction.
 # The strict linear basis is one values-only SVD of U - I, and a full one when its smallest
 # singular value is within 2 PHASE_TOL; only cr_coupled's strict space is not empty.
 CR_COUPLED_SVDS = {"svd_values": 1, "svd": 1}
 BUDGETS = {
     # the full SVD is Phi - I's; one clip to a density matrix (eigh), and iterations + 1 = 1
-    # verification; the superoperator builds its loop operators again and contracts them
-    "ctc_spectral": ({"svd_values": 1, "svd": 1, "eigh": 1, "eigvalsh": 4, "einsum": 5}, 0),
+    # verification; the superoperator contracts the loop operators the CR output is read from
+    "ctc_spectral": ({"svd_values": 1, "svd": 1, "eigh": 1, "eigvalsh": 4, "einsum": 4}, 0),
     # eigvalsh 81 = 77 blocks of successive-iterate distances (1, 2, 4, ..., 32, then 71 of
     # 64 cover the 4606 iterations) + the final residual + the 3 checks. The loop is weakly
     # coupled, so it converges slowly, and the step at which the distance falls below
@@ -50,8 +51,8 @@ BUDGETS = {
     "ctc_iterate": ({"svd_values": 1, "eigvalsh": 81, "einsum": 3}, 4606),
     # eigvalsh 5 = 1 block of one iterate distance + the final residual + the 3 checks
     "ctc_cr_coupled": (dict(CR_COUPLED_SVDS, eigvalsh=5, einsum=3), 1),
-    # 20 Haar samples in one block: libm log1p, cos and sin over the block
-    "ctc_scan": ({"fromiter": 3}, None),
+    # 20 Haar samples in one block: libm log1p and cmath.rect over the block
+    "ctc_scan": ({"fromiter": 2}, None),
     "companion_chsh": ({}, None),
     "companion_signal": ({}, None),
     # the premeasurement unitary, applied once
@@ -170,8 +171,8 @@ MULTI_BLOCK_BUDGETS = {
     "signal_csv": dict(SIGNAL_BLOCKS, render_signal_csv=3, _write_decimal=6),
     "signal_json": SIGNAL_BLOCKS,
     "measure": {"seeds": [CSV_BLOCK_ROWS, CSV_BLOCK_ROWS, 1]},
-    # libm log1p, cos and sin once a block
-    "ctc_scan": {"fromiter": 9, "seeds": [2048, 2048, 1]},
+    # libm log1p and cmath.rect once a block
+    "ctc_scan": {"fromiter": 6, "seeds": [2048, 2048, 1]},
 }
 MULTI_BLOCK_CONFIGS = {
     "signal_csv": f"experiment = signal\nalice_angle = 0.3\nbob_angle = 1.2\nrounds = {ROUNDS}\n"

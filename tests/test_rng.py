@@ -78,8 +78,9 @@ def test_uniforms_in_unit_interval():
 
 
 def normals(seeds, n: int) -> np.ndarray:
-    """The first n (even) normals of each seed's stream, a row per seed: haar_states' draw."""
-    return _box_muller(_unit(_outputs(np.asarray(seeds, dtype=np.uint64), n)))
+    """The first n (even) normals of each seed's stream, a row per seed: haar_states' draw,
+    each complex normal x + iy viewed as its pair x, y."""
+    return _box_muller(_unit(_outputs(np.asarray(seeds, dtype=np.uint64), n))).view(np.float64)
 
 
 def test_normals_deterministic_and_plausible():
