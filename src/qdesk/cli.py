@@ -365,7 +365,8 @@ def _emit(pieces: Iterable[str], out_path: str | None) -> bool:
 
 def _unopenable(out_path: str) -> str | None:
     """Why open(out_path, "w") must fail, found without creating the file: an embedded NUL,
-    a directory at the path, or a parent that is not a directory or not writable; else None."""
+    a directory at the path, a parent that is not a directory, an existing file that is not
+    writable, or a new file's parent that is not writable; else None."""
     if "\0" in out_path:  # os.stat would raise ValueError
         return "embedded null byte"
     if os.path.isdir(out_path):
@@ -376,7 +377,12 @@ def _unopenable(out_path: str) -> str | None:
             return os.strerror(errno.ENOTDIR)
     except OSError as exc:  # the parent, or a directory above it, does not exist
         return exc.strerror
-    if not os.access(parent, os.W_OK | os.X_OK):
+    # an existing file is truncated under its own permission, a new one made under its parent's
+    if os.path.exists(out_path):
+        writable = os.access(out_path, os.W_OK)
+    else:
+        writable = os.access(parent, os.W_OK | os.X_OK)
+    if not writable:
         return os.strerror(errno.EACCES)
     return None
 

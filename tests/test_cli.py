@@ -527,6 +527,31 @@ def test_out_path_in_an_unwritable_directory_exits_2_before_the_config_is_read(t
     assert sorted(tmp_path.rglob("*")) == before
 
 
+@pytest.mark.parametrize("denied", ["directory", "file"])
+def test_existing_out_file_is_written_under_its_own_write_permission(tmp_path, monkeypatch,
+                                                                    denied):
+    # open(path, "w") truncates an existing file with the file's write permission alone, so a
+    # directory that cannot be written refuses nothing; the file's own permission can
+    cfg = write(tmp_path, "c.cfg", SMALL_CONFIGS["ctc-solve"])
+    locked = tmp_path / "locked"
+    locked.mkdir()
+    target = write(locked, "x.json", "old")
+    refused = {"directory": str(locked), "file": target}[denied]
+    access = os.access
+    monkeypatch.setattr(os, "access", lambda path, mode, **kwargs: (
+        os.fspath(path) != refused and access(path, mode, **kwargs)))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        exit_code, out = run_cli(["ctc-solve", "--config", cfg, "--out", target])
+    if denied == "directory":
+        assert (exit_code, out) == (0, "")
+        assert open(target).read() == run_cli(["ctc-solve", "--config", cfg])[1]
+    else:
+        assert (exit_code, out) == (2, "")
+        assert err.getvalue() == f"output error: cannot write {target}: Permission denied\n"
+        assert open(target).read() == "old"
+
+
 BAD_INLINE_UNITARIES = {
     "duplicate_labels": "layout: loop=b0,b0\ndata:\n1,0 0,0\n0,0 1,0\n",
     "not_unitary": "layout: loop=b0,b1\ndata:\n1,0 1,0\n0,0 1,0\n",
