@@ -8,8 +8,9 @@ notions of a consistent history are implemented side by side:
   must return to itself after one traversal, exactly (strict mode) or up
   to a global phase (ray mode), each eigenspace in a canonical basis;
 * the nonlinear fixed-point condition on the loop subsystem's density
-  matrix, rho = Tr_CR[ U (rho_in ox rho) U† ], solved by iteration or via
-  the induced superoperator's eigenvalue-1 space.
+  matrix, rho = Tr_CR[ U (rho_in ox rho) U† ], solved via the induced
+  superoperator's eigenvalue-1 space, or by iteration that hands a stalled
+  solve to that spectral solve.
 
 The loop channel is kept in two-sided operator-sum form,
 rho -> sum_k L_k rho R_k†, where R_k are the d_ctc x d_ctc blocks of U
@@ -44,7 +45,7 @@ FIXED_POINT_TOL = 1e-8    # solver contract on the fixed-point residual
 FIXED_SPACE_TOL = 1e-9    # singular-value cutoff of the superoperator's fixed space
 ITERATE_TOL = 1e-10       # successive-iterate trace distance target
 MAX_ITERATIONS = 10_000
-CESARO_WINDOW = 100
+PLATEAU_WINDOW = 100      # iterations over which a distance that falls under 0.1% has stalled
 _SCAN_BLOCK = 1 << 14     # normals drawn per block of scan samples
 _ITERATE_BLOCK = 64       # most plain-phase iterates whose distances share one eigvalsh
 
@@ -391,15 +392,15 @@ def _plain_iterates(apply_map, rho: np.ndarray):
         rho, rows = block[-1], min(2 * rows, most)
 
 
-def _iterate_fixed_point(apply_map, d: int):
-    """Plain iteration from the maximally mixed state, with windowed averaging.
+def _iterate_fixed_point(apply_map, d: int, superoperator):
+    """Plain iteration from the maximally mixed state; (rho, residual, iterations).
 
-    Falls back to a trailing Cesaro average when the successive-iterate
-    distance plateaus (the standard cure for peripheral-spectrum
-    oscillation); returns (rho, residual, iterations) of the best candidate.
-    The plain phase decides on each of _plain_iterates' distances in order, so
-    its iterations and bits are those of one application and one
-    trace_distance per step.
+    The plain phase decides on each of _plain_iterates' distances in order, so its
+    iterations and bits are those of one application and one trace_distance per step. When
+    the distance stalls (falls by under 0.1% over PLATEAU_WINDOW iterations: slow
+    convergence, or a peripheral eigenvalue that makes the iterates oscillate) or
+    MAX_ITERATIONS run out, the solve ends in _spectral_fixed_point on superoperator(),
+    built only then, and iterations counts the plain phase and its verification steps.
     """
     rho = np.eye(d, dtype=np.complex128) / d
     history: list[float] = []
@@ -407,38 +408,12 @@ def _iterate_fixed_point(apply_map, d: int):
         history.append(dist)
         if dist <= ITERATE_TOL:
             return rho, trace_distance(rho, apply_map(rho)), it
-        plateaued = (len(history) > CESARO_WINDOW
-                     and dist >= history[-CESARO_WINDOW - 1] * (1.0 - 1e-3))
+        plateaued = (len(history) > PLATEAU_WINDOW
+                     and dist >= history[-PLATEAU_WINDOW - 1] * (1.0 - 1e-3))
         if plateaued:
             break
-    return _cesaro_fixed_point(apply_map, rho, len(history))
-
-
-def _cesaro_fixed_point(apply_map, rho: np.ndarray, start_it: int):
-    """The Cesaro phase: trailing averages of CESARO_WINDOW iterates from rho, the plain
-    phase's last iterate at iteration start_it, each clipped to a density matrix and tested
-    with one trace_distance; (rho, residual, iterations) of the best, or SolverError."""
-    best: tuple[float, np.ndarray, int] | None = None
-    window: list[np.ndarray] = [rho]
-    running = rho.copy()
-    for it in range(start_it + 1, start_it + MAX_ITERATIONS + 1):
-        rho = apply_map(rho)
-        window.append(rho)
-        running += rho
-        if len(window) > CESARO_WINDOW:
-            running -= window.pop(0)
-        avg = _clip_to_density(running / len(window))
-        residual = trace_distance(avg, apply_map(avg))
-        if best is None or residual < best[0]:
-            best = (residual, avg, it)
-        if residual <= ITERATE_TOL:
-            return avg, residual, it
-
-    assert best is not None
-    residual, avg, it = best
-    if residual <= FIXED_POINT_TOL:
-        return avg, residual, it
-    raise SolverError("fixed-point iteration did not converge", residual=residual)
+    rho, residual, steps, _ = _spectral_fixed_point(apply_map, superoperator(), d)
+    return rho, residual, len(history) + steps
 
 
 def _spectral_fixed_point(apply_map, sup: np.ndarray, d: int):
@@ -470,9 +445,11 @@ def deutsch_fixed_point(scenario: CtcScenario, rho_cr_in: DensityMatrix | None =
     """Solve rho = Tr_CR[ U (rho_in ox rho) U† ] on the loop subsystems.
 
     method 'iterate' starts from the maximally mixed state; 'spectral' reads
-    the fixed space off the induced superoperator. Both return the canonical
-    maximum-entropy representative when the fixed point is not unique, and the
-    CR output read off the loop operators that the superoperator is built from.
+    the fixed space off the induced superoperator, and so does an iterate solve
+    whose plain phase stalls, whose rho and residual are then spectral's bit for
+    bit. Both return the canonical maximum-entropy representative when the
+    fixed point is not unique, and the CR output read off the loop operators
+    that the superoperator is built from.
     """
     if method not in ("iterate", "spectral"):
         raise ValueError(f"method must be 'iterate' or 'spectral', got {method!r}")
@@ -480,7 +457,8 @@ def deutsch_fixed_point(scenario: CtcScenario, rho_cr_in: DensityMatrix | None =
     left, right = _loop_operators(scenario, rho_cr_in)
     d = scenario.ctc_layout().total_dimension
     if method == "iterate":
-        rho, residual, iterations = _iterate_fixed_point(apply_map, d)
+        rho, residual, iterations = _iterate_fixed_point(
+            apply_map, d, lambda: _superoperator(left, right))
         dim_fixed = None
     else:
         sup = _superoperator(left, right)

@@ -504,13 +504,13 @@ def per_step_trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     return 0.5 * float(np.abs(np.linalg.eigvalsh((diff + diff.conj().T) / 2.0)).sum())
 
 
-def per_step_iterate_fixed_point(apply_map, d: int):
+def per_step_iterate_fixed_point(apply_map, d: int, superoperator):
     """ctc._iterate_fixed_point with its plain phase a step at a time: one map application
     and one per_step_trace_distance per iteration, each decided before the next is computed.
 
     The reference the blocked plain phase must equal in iterations and bits. It reads the
     iteration constants from qdesk.ctc when called and hands a plateaued or exhausted plain
-    phase to ctc._cesaro_fixed_point, the phase both share.
+    phase to ctc._spectral_fixed_point on superoperator(), the phase both share.
     """
     from qdesk import ctc
 
@@ -523,10 +523,17 @@ def per_step_iterate_fixed_point(apply_map, d: int):
         history.append(dist)
         if dist <= ctc.ITERATE_TOL:
             return rho, per_step_trace_distance(rho, apply_map(rho)), it
-        if (len(history) > ctc.CESARO_WINDOW
-                and dist >= history[-ctc.CESARO_WINDOW - 1] * (1.0 - 1e-3)):
+        if (len(history) > ctc.PLATEAU_WINDOW
+                and dist >= history[-ctc.PLATEAU_WINDOW - 1] * (1.0 - 1e-3)):
             break
-    return ctc._cesaro_fixed_point(apply_map, rho, len(history))
+    rho, residual, steps, _ = ctc._spectral_fixed_point(apply_map, superoperator(), d)
+    return rho, residual, len(history) + steps
+
+
+def amplitude_damping(gamma: float) -> list[np.ndarray]:
+    """Kraus operators of qubit amplitude damping: |1> decays to |0> with probability gamma."""
+    return [np.diag([1.0, math.sqrt(1.0 - gamma)]).astype(complex),
+            np.array([[0.0, math.sqrt(gamma)], [0.0, 0.0]], dtype=complex)]
 
 
 def kraus_dilation(kraus: list[np.ndarray]) -> np.ndarray:

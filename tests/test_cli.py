@@ -15,13 +15,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qdesk import UnitaryOperator, grandfather_scenario, layout_of, serialize_unitary
+from qdesk import SolverError, UnitaryOperator, grandfather_scenario, layout_of, serialize_unitary
 import qdesk.cli
 import qdesk.config
+import qdesk.ctc
 from qdesk.cli import _build_parser, main
 from qdesk.reports import CSV_BLOCK_ROWS as BLOCK
 
-from oracles import SplitMix64, haar_unitary, kraus_dilation, render_signal_csv
+from oracles import SplitMix64, amplitude_damping, haar_unitary, kraus_dilation, render_signal_csv
 
 
 def write(tmp_path, name, text):
@@ -720,26 +721,38 @@ def test_every_finite_angle_gives_a_report_or_a_located_config_error(tmp_path_fa
 
 
 def slow_iterate_config(tmp_path, extra=""):
-    """A ctc-solve config whose iterate method cannot converge: weak amplitude damping."""
-    gamma = 1e-6
-    a0 = np.diag([1.0, math.sqrt(1.0 - gamma)]).astype(complex)
-    a1 = np.zeros((2, 2), dtype=complex)
-    a1[0, 1] = math.sqrt(gamma)
+    """A ctc-solve config whose plain iteration plateaus: weak amplitude damping, which
+    iterate hands off to the spectral solve."""
     lay = layout_of(("env", ("e0", "e1")), ("loop", ("b0", "b1")))
-    u = UnitaryOperator(lay, kraus_dilation([a0, a1]))
+    u = UnitaryOperator(lay, kraus_dilation(amplitude_damping(1e-6)))
     write(tmp_path, "slow.scenario",
           "cr_ids = env\nctc_ids = loop\nunitary:\n" + serialize_unitary(u))
     return write(tmp_path, "c.cfg", "experiment = ctc-solve\nscenario_file = slow.scenario\n"
                  "method = iterate\n" + extra)
 
 
-def test_solver_error_exits_3_with_residual(tmp_path):
+@pytest.fixture
+def spectral_fails(monkeypatch):
+    """Makes the spectral solve that a stalled iterate hands off to raise SolverError, as a
+    failed verification does; no natural input is known to reach it. Returns each error raised."""
+    raised = []
+
+    def fail(apply_map, sup, d):
+        raised.append(SolverError("spectral fixed point failed verification", residual=2.5e-6))
+        raise raised[-1]
+
+    monkeypatch.setattr(qdesk.ctc, "_spectral_fixed_point", fail)
+    return raised
+
+
+def test_solver_error_exits_3_with_residual(tmp_path, monkeypatch, spectral_fails):
     code, out = run_cli(["ctc-solve", "--config", slow_iterate_config(tmp_path)])
-    assert code == 3
+    assert code == 3 and len(spectral_fails) == 1
     payload = json.loads(out)
     assert payload["error"] == "solver did not converge"
-    assert payload["residual"] > 1e-8
-    # the spectral method solves the same scenario
+    assert payload["residual"] == spectral_fails[0].residual
+    # unpatched, the spectral method solves the same scenario
+    monkeypatch.undo()
     code, out = run_cli(["ctc-solve", "--config", write(
         tmp_path, "c2.cfg",
         "experiment = ctc-solve\nscenario_file = slow.scenario\nmethod = spectral\n")])
@@ -747,25 +760,25 @@ def test_solver_error_exits_3_with_residual(tmp_path):
 
 
 @pytest.mark.parametrize("where", ["config", "flag"])
-def test_solver_error_payload_follows_the_format(tmp_path, where):
+def test_solver_error_payload_follows_the_format(tmp_path, where, spectral_fails):
     if where == "config":
         args = ["--config", slow_iterate_config(tmp_path, "format = table\n")]
     else:
         args = ["--config", slow_iterate_config(tmp_path), "--format", "table"]
     code, out = run_cli(["ctc-solve", *args])
-    assert code == 3
+    assert code == 3 and len(spectral_fails) == 1
     head, residual = out.rsplit("residual: ", 1)
     assert head == "experiment: ctc-solve\nerror: solver did not converge\n"
-    assert residual.endswith("\n") and float(residual) > 1e-8
+    assert residual.endswith("\n") and float(residual) == spectral_fails[0].residual
 
 
-def test_solver_error_names_the_step_that_failed(tmp_path):
+def test_solver_error_names_the_step_that_failed(tmp_path, spectral_fails):
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         code, out = run_cli(["ctc-solve", "--config", slow_iterate_config(tmp_path)])
-    assert code == 3
+    assert code == 3 and len(spectral_fails) == 1
     residual = json.loads(out)["residual"]
-    assert err.getvalue() == ("solver error: fixed-point iteration did not converge "
+    assert err.getvalue() == ("solver error: spectral fixed point failed verification "
                               f"(best residual {residual:.3e})\n")
 
 
@@ -923,12 +936,17 @@ def test_stdout_closed_at_start_is_an_output_error(tmp_path, fmt):
     assert done.stderr == "output error: cannot write stdout: Bad file descriptor\n"
 
 
-def test_stdout_closed_at_start_fails_the_solver_error_payload(tmp_path):
+def test_stdout_closed_at_start_fails_the_solver_error_payload(tmp_path, monkeypatch,
+                                                               spectral_fails):
+    # in process, with sys.stdout None as the interpreter leaves it when descriptor 1 was
+    # closed at start: the solve raises, so the write that fails is the payload's
     cfg = slow_iterate_config(tmp_path)
-    done = subprocess.run([sys.executable, "-m", "qdesk", "ctc-solve", "--config", cfg],
-                          preexec_fn=lambda: os.close(1), stderr=subprocess.PIPE, text=True)
-    assert done.returncode == 2, done.stderr
-    assert done.stderr == "output error: cannot write stdout: Bad file descriptor\n"
+    monkeypatch.setattr(sys, "stdout", None)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["ctc-solve", "--config", cfg])
+    assert code == 2 and len(spectral_fails) == 1
+    assert err.getvalue() == "output error: cannot write stdout: Bad file descriptor\n"
 
 
 @pytest.mark.parametrize("where", ["scenario_file", "config", "out"])

@@ -10,6 +10,8 @@ per-element libm calls: log1p, and cos and sin through cmath.rect); a values-onl
 and its digit kernel, the session sampler and the signaling-weight kernel, and with them the
 SVDs of the companion ctc-solve.
 A session, a measure and a scan of three blocks each also pin the size of every seed draw.
+A stalled iterate solve, which no benchmark command makes, is pinned as well: its hand-off
+is one spectral solve.
 A change that lowers a count lowers its budget here, in the same diff.
 """
 
@@ -20,6 +22,7 @@ from collections import Counter
 
 import numpy as np
 
+from qdesk import CtcScenario, DensityMatrix, UnitaryOperator, deutsch_fixed_point, layout_of
 import qdesk.cli
 import qdesk.ctc
 import qdesk.reports
@@ -27,6 +30,7 @@ import qdesk.rng
 import qdesk.suggestion
 from qdesk.reports import CSV_BLOCK_ROWS
 
+from oracles import amplitude_damping, kraus_dilation
 from test_bench_tracer import TINY_SIZES, _load_bench
 
 COUNTED = [(np.linalg, "svd"), (np.linalg, "eigh"), (np.linalg, "eigvalsh"),
@@ -100,6 +104,23 @@ def test_loop_solver_commands_keep_their_kernel_budgets(tmp_path, monkeypatch):
         iterations = json.loads(_run(command)).get("fixed_point", {}).get("iterations")
         spent[command.cid] = (dict(counts), iterations)
     assert spent == BUDGETS
+
+
+def test_a_stalled_iterate_ends_in_one_spectral_solve(monkeypatch):
+    """Amplitude damping at gamma = 1e-6 plateaus after 101 plain iterations and hands off
+    to one spectral solve, which needs 0 verification steps. eigvalsh 10 = 7 blocks of
+    successive-iterate distances (1, 2, ..., 64 cover the 101) + the spectral residual + the
+    rho_ctc and CR output checks; the svd is Phi - I's and the eigh the clip to a density
+    matrix; einsum 4 = the loop operators twice, the superoperator and the CR output."""
+    lay = layout_of(("env", ("e0", "e1")), ("loop", ("b0", "b1")))
+    u = kraus_dilation(amplitude_damping(1e-6))
+    sc = CtcScenario(("env",), ("loop",), UnitaryOperator(lay, u))
+    rho_cr = DensityMatrix(sc.cr_layout(), np.diag([1.0, 0.0]))
+    counts: Counter = Counter()
+    for owner, name in COUNTED:
+        monkeypatch.setattr(owner, name, _counter(counts, owner, name))
+    iterations = deutsch_fixed_point(sc, rho_cr, "iterate").iterations
+    assert (dict(counts), iterations) == ({"svd": 1, "eigh": 1, "eigvalsh": 10, "einsum": 4}, 101)
 
 
 # The qdesk kernels that sampled_sessions and chsh_grid spend their time in, counted per
