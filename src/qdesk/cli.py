@@ -42,8 +42,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .config import EXPERIMENT_KINDS, load_config
 from .errors import ConfigError, InvariantError, SolverError, printable
-from .reports import (CSV_BLOCK_ROWS, matrix_payload, render_payload, render_signal_csv,
-                      vector_payload)
+from .reports import CSV_BLOCK_ROWS, complex_payload, render_payload, render_signal_csv
 
 if TYPE_CHECKING:
     from .ctc import CtcScenario
@@ -96,9 +95,9 @@ def cmd_measure(state: str, rounds: int | None, seed: int | None) -> dict:
             {
                 "pointer": b.pointer_label,
                 "weight": b.weight,
-                "amplitude": [b.amplitude.real, b.amplitude.imag],
+                "amplitude": complex_payload(b.amplitude),
                 "conditional_ids": list(b.conditional_state.layout.ids),
-                "conditional": vector_payload(b.conditional_state.amplitudes),
+                "conditional": complex_payload(b.conditional_state.amplitudes),
             }
             for b in branches
         ],
@@ -237,7 +236,7 @@ def _linear_payload(scenario: CtcScenario, mode: str) -> dict:
             {
                 "phase": e.phase,
                 "dimension": e.dimension,
-                "basis": [vector_payload(e.basis[:, k]) for k in range(e.dimension)],
+                "basis": complex_payload(e.basis.T),
             }
             for e in subspace.eigenpairs
         ],
@@ -265,13 +264,13 @@ def cmd_ctc_solve(scenario_name: str, scenario: CtcScenario, mode: str, method: 
         "method": solution.method,
         "residual": solution.residual,
         "iterations": solution.iterations,
-        "rho_ctc": matrix_payload(solution.rho_ctc.matrix),
+        "rho_ctc": complex_payload(solution.rho_ctc.matrix),
     }
     if solution.fixed_space_dim is not None:
         fixed["fixed_space_dim"] = solution.fixed_space_dim
     payload["fixed_point"] = fixed
     if scenario.cr_ids:
-        payload["cr_output"] = matrix_payload(solution.cr_output.matrix)
+        payload["cr_output"] = complex_payload(solution.cr_output.matrix)
     payload["tolerances"] = _ctc_tolerances()
     return payload
 
@@ -449,7 +448,3 @@ def main(argv: list[str] | None = None) -> int:
     # rendering a signal CSV happens as it is written, so the time covers both
     print(f"completed in {time.perf_counter() - start:.3f} s", file=sys.stderr)
     return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -11,7 +11,7 @@ come four at a time from a table of uint32 words, padding is NUL, and one
 mark byte stands for the thetas, which are the same in every row. A slice at
 a time, the matrix loses its NULs, has its marks replaced by the thetas and
 is copied out behind the matrix, in a buffer that a session reuses. Only the
-CSV renderer loads numpy.
+CSV renderer and complex_payload load numpy.
 """
 
 from __future__ import annotations
@@ -33,16 +33,11 @@ def format_float(x: float) -> str:
     return f"{x:.16e}"
 
 
-def complex_pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
+def complex_payload(x) -> list:
+    """x (a complex scalar, vector or matrix) as nested lists, each entry [real, imag]."""
+    import numpy as np
 
-
-def vector_payload(v: np.ndarray) -> list[list[float]]:
-    return [complex_pair(z) for z in v]
-
-
-def matrix_payload(m: np.ndarray) -> list[list[list[float]]]:
-    return [vector_payload(row) for row in m]
+    return np.stack((np.real(x), np.imag(x)), axis=-1).tolist()
 
 
 def render_json(value: Any, indent: int = 0) -> str:

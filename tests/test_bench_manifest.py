@@ -1,14 +1,14 @@
-"""The benchmark's commands keep their report bytes: a committed manifest of digests.
+"""Every pinned report keeps its bytes: a committed manifest of digests.
 
-bench/inputs.py writes the configs and scenario files of three workloads; for seeds 0-7
-that is 176 commands. tests/bench_manifest.json holds, for each (workload, seed, command
-id), the sha256 of every file the command reads, its exit code and the sha256 of its
-stdout, with the numpy version and the BLAS kernel it was recorded under. The test
-regenerates the inputs, checks each command's own inputs first (a moved input is an
-input change, not a report change) and then runs the command in process through
-cli.main. A change that moves report bytes on purpose re-records the manifest in the
-same diff, at one BLAS thread as the benchmark and the tests run (the Haar inputs' LAPACK
-QR gives other bits at other thread counts):
+bench/inputs.py writes the 176 commands of three workloads at seeds 0-7, and
+tests/pinned_inputs.py the 57 of the pinned one. tests/bench_manifest.json holds, for each
+command's key, the sha256 of every file the command reads, its exit code and the sha256 of
+its stdout, with the numpy version and the BLAS kernel it was recorded under. The test
+regenerates the inputs, checks each command's own inputs first (a moved input is an input
+change, not a report change) and then runs the command in process through cli.main. A
+change that moves report bytes on purpose re-records the whole manifest in the same diff,
+at one BLAS thread as the benchmark and the tests run (the Haar inputs' LAPACK QR gives
+other bits at other thread counts):
 
     PYTHONPATH=src python tests/test_bench_manifest.py
 
@@ -31,10 +31,12 @@ import pytest
 import qdesk.cli
 from qdesk.config import EXPERIMENT_KINDS
 
+import pinned_inputs
 from test_bench_tracer import _load_bench
 
 MANIFEST = Path(__file__).with_name("bench_manifest.json")
 INPUTS = _load_bench("inputs")
+WORKLOADS = INPUTS.WORKLOADS + ("pinned",)
 SEEDS = range(8)
 
 
@@ -60,19 +62,22 @@ class _Digest(io.TextIOBase):
         return len(text)
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _sha256s(paths) -> dict:
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(paths)}
 
 
 def _generate(workload: str, outdir: Path) -> list:
     """(key, command, {input file name: sha256}) of each of the workload's commands."""
+    if workload == "pinned":
+        return [(f"pinned/{c.cid}", c, _sha256s(Path(c.config).parent.iterdir()))
+                for c in pinned_inputs.generate(outdir)]
     found = []
     for seed in SEEDS:
         work = outdir / f"{workload}_{seed}"
         work.mkdir()
         for command in INPUTS.generate(workload, seed, str(work)):
-            files = {p.name: _sha256(p) for p in sorted(work.glob(f"{command.cid}.*"))}
-            found.append((f"{workload}/{seed}/{command.cid}", command, files))
+            found.append((f"{workload}/{seed}/{command.cid}", command,
+                          _sha256s(work.glob(f"{command.cid}.*"))))
     return found
 
 
@@ -97,8 +102,11 @@ def generated(tmp_path_factory):
     return commands
 
 
-@pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
-@pytest.mark.parametrize("workload", INPUTS.WORKLOADS)
+# no BLAS call makes chsh, signal and measure reports but the norm kernel, which test_tensor pins
+@pytest.mark.parametrize("kind", [
+    pytest.param(k, marks=pytest.mark.kernel_independent) if k in ("chsh", "signal", "measure")
+    else k for k in EXPERIMENT_KINDS])
+@pytest.mark.parametrize("workload", WORKLOADS)
 def test_benchmark_commands_match_the_manifest(generated, workload, kind):
     manifest = json.loads(MANIFEST.read_text(encoding="utf-8"))
     expected = {key: e for key, e in manifest["entries"].items()
@@ -123,7 +131,7 @@ def test_benchmark_commands_match_the_manifest(generated, workload, kind):
 def _record(outdir: Path) -> str:
     """The manifest of the current code, one entry per line."""
     lines = []
-    for workload in INPUTS.WORKLOADS:
+    for workload in WORKLOADS:
         (outdir / workload).mkdir()
         for key, command, files in _generate(workload, outdir / workload):
             code, digest = _run(command)

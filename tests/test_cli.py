@@ -1,7 +1,6 @@
 import argparse
 import contextlib
 import errno
-import hashlib
 import io
 import json
 import math
@@ -11,7 +10,6 @@ import subprocess
 import sys
 import time
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -23,12 +21,7 @@ from qdesk.cli import _build_parser, main
 from qdesk.reports import CSV_BLOCK_ROWS as BLOCK
 
 from oracles import SplitMix64, amplitude_damping, haar_unitary, kraus_dilation, render_signal_csv
-
-
-def write(tmp_path, name, text):
-    path = tmp_path / name
-    path.write_text(text, encoding="utf-8")
-    return str(path)
+from pinned_inputs import GENERIC_SCENARIOS, generic_solve_config, write
 
 
 def run_cli(args):
@@ -292,6 +285,7 @@ EXPLICIT_CHSH = ("experiment = chsh\nangle_a1 = 0.0\nangle_a2 = 1.5\nangle_b1 = 
                  "angle_b2 = 0.7\n")
 
 
+@pytest.mark.kernel_independent
 @pytest.mark.parametrize("command", sorted(SMALL_CONFIGS))
 def test_reports_echo_the_module_tolerances(tmp_path, command):
     from qdesk import ctc, measurement, suggestion
@@ -1199,230 +1193,9 @@ def test_every_subcommand_runs_without_scipy(tmp_path):
     assert done.returncode == 0, done.stderr
 
 
-# Report digests recorded before the Born selector was vectorized: sampled
-# rounds must keep their exact bytes, including at seeds that need the
-# 64-bit wraparound (negative, and at or above 2**63). The signal JSON
-# digests were re-recorded once, when the signaling round became a closed
-# form: its exact fields moved in the last bits (by at most 1e-15) and the
-# undecided_leak tolerance left the report; no count moved.
-PINNED_BODIES = {
-    "signal_csv": "experiment = signal\nalice_angle = 0.3\nbob_angle = -1.1\n"
-                  "rounds = 64\nformat = csv\n",
-    "signal_json": "experiment = signal\nalice_angle = 2.5\nbob_angle = 0.7\n"
-                   "rounds = 500\nformat = json\n",
-    "measure_bell": "experiment = measure\nstate = bell\nrounds = 300\n",
-}
-PINNED_DIGESTS = [
-    ("signal_csv", -5, "d11f3efb7d7f04c8d260e2dc9492b666b596a5e23c5151c06d7dd8e1e1c4f4d2"),
-    ("signal_csv", 2**63, "bc899ae21612e87adb3ce4885743c05fd7482b53dee6707692cd14c086781bea"),
-    ("signal_csv", 2**64 - 1, "ae9edfc9848e0e84ac07841fe590f7aa47b0f1c0a6612b4bf2784a6576a45741"),
-    ("signal_json", -5, "5246fb722be8a4210d3adce75ac7edad93ca3f59309ced7638e86873a7a0eb18"),
-    ("signal_json", 2**63, "5c7d11e04ef3eeea18d1346630f27209d7d36d675f645bce6bbd4fa6084e85c4"),
-    ("signal_json", 2**64 - 1, "b07783f8ec86fcd1f80855a3fab0255791c084cc8d0bdee8a235037112fd6a89"),
-    ("measure_bell", -5, "056edc71443dc125de2d2c2f53dec2ebdc53bcf45042962766a5d6d4ae8a6aaa"),
-    ("measure_bell", 2**63, "f454cf5e453518ec9e843cae1954e707ea187a81c68043ad84c9364554a6d949"),
-    ("measure_bell", 2**64 - 1, "24817cdc910c41a868072548b11d0d8510c365a88e0db7a0e11f00ef649d5f81"),
-]
-
-
-@pytest.mark.parametrize("case,seed,digest", PINNED_DIGESTS)
-def test_sampled_reports_match_pinned_digests(tmp_path, case, seed, digest):
-    cfg = write(tmp_path, "p.cfg", PINNED_BODIES[case] + f"seed = {seed}\n")
-    code, out = run_cli([case.split("_")[0], "--config", cfg])
-    assert code == 0
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
-
-
-# chsh reports recorded when the signaling round became a closed form (every
-# correlator within 1e-15 of the operator-by-operator kernel's, and the grid's
-# argmax angles unchanged): exact correlators must keep their last bits,
-# under any BLAS kernel or thread count, since no BLAS call makes them.
-PINNED_CHSH = {
-    "optimal_angles": ("experiment = chsh\nangle_a1 = 0.0\nangle_a2 = 1.5707963267948966\n"
-                       "angle_b1 = -0.7853981633974483\nangle_b2 = 0.7853981633974483\n",
-                       "e323a618abc073ae692ed88c57f700454fd09eb076406127357d73358bd2f24a"),
-    "generic_angles": ("experiment = chsh\nangle_a1 = -2.9\nangle_a2 = 0.31\n"
-                       "angle_b1 = 1.7\nangle_b2 = -0.05\n",
-                       "3ecf5cdb564d4e452f1942e8b1d59b6cd1c855d2aabe2bcdb4cff69c49908eb8"),
-    "grid_pi_over_180": ("experiment = chsh\ngrid_resolution = 0.017453292519943295\n",
-                         "73cc054cd330159de816e3601014002c19d3401c6ff4dadc1f8a600e07685c0b"),
-    # the benchmark's size
-    "grid_pi_over_720": ("experiment = chsh\ngrid_resolution = 0.004363323129985824\n",
-                         "2d5d3e602a9d2678827ee933b4f03be2f0be9c933090cbf1f63d689fcf7bbc24"),
-}
-
-
-@pytest.mark.parametrize("case", sorted(PINNED_CHSH))
-def test_chsh_reports_match_pinned_digests(tmp_path, case):
-    body, digest = PINNED_CHSH[case]
-    code, out = run_cli(["chsh", "--config", write(tmp_path, "c.cfg", body)])
-    assert code == 0
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
-
-
-# ctc-solve reports recorded before the loop channel moved to operator-sum
-# form: every canonical scenario, method, CR input and mode keeps its bytes.
-# The linear block was re-recorded once, when its bases became canonical (the
-# pivoted Cholesky of each eigenspace projector); no other block moved.
-PINNED_CTC_SOLVE = [
-    ("qubit_flip", "iterate", "zero", "strict",
-     "3f54cfb82c00cef24e39b3eff06c7290c923ed520157e2d8cf9cb0ae8d9bd864"),
-    ("qubit_flip", "iterate", "zero", "ray",
-     "b02b689001a61d6156e2dab2e8293897db117d7059940ff31b632821ca65f134"),
-    ("qubit_flip", "iterate", "one", "strict",
-     "3f54cfb82c00cef24e39b3eff06c7290c923ed520157e2d8cf9cb0ae8d9bd864"),
-    ("qubit_flip", "iterate", "one", "ray",
-     "b02b689001a61d6156e2dab2e8293897db117d7059940ff31b632821ca65f134"),
-    ("qubit_flip", "iterate", "mixed", "strict",
-     "3f54cfb82c00cef24e39b3eff06c7290c923ed520157e2d8cf9cb0ae8d9bd864"),
-    ("qubit_flip", "iterate", "mixed", "ray",
-     "b02b689001a61d6156e2dab2e8293897db117d7059940ff31b632821ca65f134"),
-    ("qubit_flip", "spectral", "zero", "strict",
-     "6d756bccec6a4e0153bfc769655b2413b461f2d3f794f0f20ffa1178b54783cd"),
-    ("qubit_flip", "spectral", "zero", "ray",
-     "9c8b0222c1be755991e5d1985c266808516389ba431723a0035ca24a60b56f59"),
-    ("qubit_flip", "spectral", "one", "strict",
-     "6d756bccec6a4e0153bfc769655b2413b461f2d3f794f0f20ffa1178b54783cd"),
-    ("qubit_flip", "spectral", "one", "ray",
-     "9c8b0222c1be755991e5d1985c266808516389ba431723a0035ca24a60b56f59"),
-    ("qubit_flip", "spectral", "mixed", "strict",
-     "6d756bccec6a4e0153bfc769655b2413b461f2d3f794f0f20ffa1178b54783cd"),
-    ("qubit_flip", "spectral", "mixed", "ray",
-     "9c8b0222c1be755991e5d1985c266808516389ba431723a0035ca24a60b56f59"),
-    ("cr_coupled", "iterate", "zero", "strict",
-     "c02df8e95030a9c6c1905b2454f75f062e860985841043b493138a2ef2297204"),
-    ("cr_coupled", "iterate", "zero", "ray",
-     "496ba2c52b38377814b956a22bdbc0294d757d5c01c887fe49502563dc935410"),
-    ("cr_coupled", "iterate", "one", "strict",
-     "a6b891afd2f9787a679e6742d7c354aad29d1a70ceed9054b67b492b4958752b"),
-    ("cr_coupled", "iterate", "one", "ray",
-     "2613c8b07ec02cb0d06725ea2963b84cc8ebe2092603465dc5a5660883a91854"),
-    ("cr_coupled", "iterate", "mixed", "strict",
-     "8d83cef4d546ae5b6f7f967d0fc267dc1530c7c3924b7456fa98cb471cffc5b1"),
-    ("cr_coupled", "iterate", "mixed", "ray",
-     "02b32dfbd78a2a52e60ed738af56d4a9767d9754b7e6403c068d070ea53ef4a6"),
-    ("cr_coupled", "spectral", "zero", "strict",
-     "e8a96d49e77b14d6a582916c043547d683732c82e43b0b34ceda46d1e3d64ede"),
-    ("cr_coupled", "spectral", "zero", "ray",
-     "c5c2a9833f1b1e4a9b352972155e3c80411f0acc3aabe244440811e11ca2cf49"),
-    ("cr_coupled", "spectral", "one", "strict",
-     "f5eddf81a930d71a8a665a5e513b13a98e310f78c71e250ca87b1aa08260e1fc"),
-    ("cr_coupled", "spectral", "one", "ray",
-     "9343de35916292f0ff22e3dab5f0e372df613718e1fe4464d68825ccdc2f9bd1"),
-    ("cr_coupled", "spectral", "mixed", "strict",
-     "a2323b3cc3bd3dd891b67b65d04458c6ff6746a0a2eb7cfd2c8e6c909955d3f5"),
-    ("cr_coupled", "spectral", "mixed", "ray",
-     "313c6cc94014eedad5257c00040b2413531db96a149707d7d9095a35e84b53fc"),
-]
-
-
-@pytest.mark.parametrize("scenario,method,cr_state,mode,digest", PINNED_CTC_SOLVE)
-def test_ctc_solve_reports_match_pinned_digests(tmp_path, scenario, method, cr_state, mode,
-                                                digest):
-    cfg = write(tmp_path, "c.cfg", f"experiment = ctc-solve\nscenario = {scenario}\n"
-                f"method = {method}\ncr_state = {cr_state}\nmode = {mode}\n")
-    code, out = run_cli(["ctc-solve", "--config", cfg])
-    assert code == 0
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
-
-
-# ctc-scan reports recorded before the Box-Muller draws were computed per call
-# as arrays: every Haar sample, hence every residual statistic, keeps its bits.
-PINNED_CTC_SCAN = [
-    ("qubit_flip", "strict", 0,
-     "ab5ed4b0ac6ab6506fa29eba993dab6b5927b67a2e6bddcad149d9b789afe08c"),
-    ("qubit_flip", "strict", 2**63,
-     "073ec2a480c3319f7cf6e0a2004c498d6363966c500c616b90d9044af4cda3a4"),
-    ("qubit_flip", "strict", 2**64 - 1,
-     "202500ac3fe688618ec41da01bfbc04400393d07ee64aeeff5d01bfa34807e21"),
-    ("qubit_flip", "ray", 0,
-     "5dc62fa66f50e0143d0ce8ab874a237e1ec927b1ff34733c2372f73a863cb62b"),
-    ("qubit_flip", "ray", 2**63,
-     "32669dc10e8653120435b9ad8f8c37f89968d61aad04685bf1f83ac24602a25c"),
-    ("qubit_flip", "ray", 2**64 - 1,
-     "f6b1642b6be860452712d423759166f8ef2768efa988f59f1b505e41050f5b54"),
-    ("cr_coupled", "strict", 0,
-     "62dceb85c3440f16fd6b1957781dd99d624a2ab67757ebaada9f51433129e2f2"),
-    ("cr_coupled", "strict", 2**63,
-     "6edd54db0fbc0f1bc878ea6aeef81bd65bf5db9bdb7d8c4ef6f28f31013caa3f"),
-    ("cr_coupled", "strict", 2**64 - 1,
-     "e7b20926a8bd0b266c10071617d1369d5d4ebdaae55e25285ce4ae9a2e2d00d3"),
-    ("cr_coupled", "ray", 0,
-     "7513c07dffcaf1762bb9209efd16c697e029ff6831011876e235591accedb48b"),
-    ("cr_coupled", "ray", 2**63,
-     "72d088ec038da4c15dc101893d95fbd78377a6b7510a38609c3c3959591be96c"),
-    ("cr_coupled", "ray", 2**64 - 1,
-     "e59e1a629dcb2987593f2a095016ac068804678acba4dbb85c4b2419a9ed34e4"),
-]
-
-
-@pytest.mark.parametrize("scenario,mode,seed,digest", PINNED_CTC_SCAN)
-def test_ctc_scan_reports_match_pinned_digests(tmp_path, scenario, mode, seed, digest):
-    cfg = write(tmp_path, "c.cfg", f"experiment = ctc-scan\nscenario = {scenario}\n"
-                f"mode = {mode}\nsamples = 400\nseed = {seed}\n")
-    code, out = run_cli(["ctc-scan", "--config", cfg])
-    assert code == 0
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
-
-
-# the benchmark's scan shape: three CR and three loop qubits (d = 64), ray mode
-PINNED_HAAR_SCAN = [
-    (0, "dbfd560235d303445a59dc7c8da0d732c4658a00c9fcdd1b19b1cb72627744cd"),
-    (2**63, "4720b4a4da293a17d749d4cc930238fca776d07b099c78d277cd698ce83480d8"),
-    (2**64 - 1, "1c56e48115c1e04437996810df1fbf83f67da893d60bbd86a836bc1cd44fbc00"),
-]
-
-
-@pytest.mark.parametrize("seed,digest", PINNED_HAAR_SCAN)
-def test_haar_scan_reports_match_pinned_digests(tmp_path, seed, digest):
-    ids = ["c0", "c1", "c2", "l0", "l1", "l2"]
-    u = UnitaryOperator(layout_of(*[(q, ("b0", "b1")) for q in ids]),
-                        haar_unitary(64, SplitMix64(7)))
-    write(tmp_path, "haar.scenario",
-          "cr_ids = c0,c1,c2\nctc_ids = l0,l1,l2\nunitary:\n" + serialize_unitary(u))
-    cfg = write(tmp_path, "c.cfg", "experiment = ctc-scan\nscenario_file = haar.scenario\n"
-                f"mode = ray\nsamples = 2000\nseed = {seed}\n")
-    code, out = run_cli(["ctc-scan", "--config", cfg])
-    assert code == 0
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
-
-
-# Strict ctc-solve on generic loops, recorded before strict mode learned to
-# certify "no eigenvalue near 1" without a Schur decomposition: none of these
-# unitaries has an eigenvalue-1 space, so each report's linear block is empty.
-# The spectral rows were re-recorded once, when the superoperator's fixed space
-# became an SVD null space instead of an eig selection: rho_ctc, residual and
-# cr_output moved by under 1e-15, and no other field moved.
-GENERIC_SCENARIOS = {"haar_1_2": (1, 2, 11), "haar_2_2": (2, 2, 12), "haar_2_1": (2, 1, 13)}
-PINNED_GENERIC_SOLVE = [
-    ("haar_1_2", "iterate", "a7000a30bab748aa5e43305e786b0933fcd2867452ba5a2563327faaf10d820e"),
-    ("haar_1_2", "spectral", "de308063165e791735f220f48db1b7b490a4fb0ff9cf93a4f7224b716c4ccd08"),
-    ("haar_2_2", "iterate", "3429867ee625489751c533e90f62e3dadb1612b1f0f71862ef7126d6e57e1121"),
-    ("haar_2_2", "spectral", "52985790af61fd429879cf7e1d0410488593de834486f4aaa8e8212b3ffedda8"),
-    ("haar_2_1", "iterate", "5ecdf530e859a91dc32d6f2be31b2cf4f3545667980d002ca75be7c2513d38e0"),
-    ("haar_2_1", "spectral", "38eeb7383ddf4b066aace61aa326b16cae91c7e18349848a98d189f63051690b"),
-]
-
-
-def generic_solve_config(tmp_path, name, method):
-    """A strict ctc-solve config on a Haar loop drawn from numpy's default_rng."""
-    n_cr, n_loop, seed = GENERIC_SCENARIOS[name]
-    ids = [f"c{i}" for i in range(n_cr)] + [f"l{i}" for i in range(n_loop)]
-    rng = np.random.default_rng(seed)
-    dim = 2 ** len(ids)
-    q, r = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
-    d = np.diagonal(r)
-    u = UnitaryOperator(layout_of(*[(q_id, ("b0", "b1")) for q_id in ids]),
-                        q * (d / np.abs(d))[np.newaxis, :])
-    write(tmp_path, "g.scenario", f"cr_ids = {','.join(ids[:n_cr])}\n"
-          f"ctc_ids = {','.join(ids[n_cr:])}\nunitary:\n" + serialize_unitary(u))
-    return write(tmp_path, "c.cfg", "experiment = ctc-solve\nscenario_file = g.scenario\n"
-                 f"method = {method}\nmode = strict\n")
-
-
-@pytest.mark.parametrize("name,method,digest", PINNED_GENERIC_SOLVE)
-def test_generic_ctc_solve_reports_match_pinned_digests(tmp_path, name, method, digest):
-    code, out = run_cli(["ctc-solve", "--config", generic_solve_config(tmp_path, name, method)])
+@pytest.mark.parametrize("name", GENERIC_SCENARIOS)
+def test_generic_strict_solve_has_no_linear_eigenspace(tmp_path, name):
+    # the pinned generic loops have no eigenvalue near 1: each report's linear block is empty
+    code, out = run_cli(["ctc-solve", "--config", generic_solve_config(tmp_path, name, "spectral")])
     assert code == 0
     assert json.loads(out)["linear"] == {"mode": "strict", "dimension": 0, "eigenspaces": []}
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

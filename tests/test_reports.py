@@ -1,6 +1,7 @@
 """The signal CSV's byte kernel against Python's own integer and CSV formatting."""
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qdesk.reports import CSV_BLOCK_ROWS as BLOCK, CSV_HEADER, _write_decimal, render_signal_csv
@@ -8,6 +9,8 @@ from qdesk.rng import GAMMA
 from qdesk.suggestion import SessionRecords, session_records
 
 from oracles import render_signal_csv as oracle_csv
+
+pytestmark = pytest.mark.kernel_independent
 
 UINT64_EDGES = sorted({0, 1, 9, 10, 9999, 10**4, 2**63, 2**64 - 1}
                       | {10**k + d for k in range(1, 20) for d in (-1, 0, 1)})

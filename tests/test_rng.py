@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qdesk.reports import CSV_BLOCK_ROWS as BLOCK
@@ -96,6 +97,7 @@ def bits(values) -> list[int]:
     return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
 
 
+@pytest.mark.kernel_independent
 @settings(max_examples=300, deadline=None)
 @given(seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=8), pairs=st.integers(0, 70))
 def test_normals_match_scalar_oracle_bit_for_bit(seeds, pairs):
@@ -105,6 +107,7 @@ def test_normals_match_scalar_oracle_bit_for_bit(seeds, pairs):
         assert bits(row) == bits(scalar_normals(seed, None, 2 * pairs)[0])
 
 
+@pytest.mark.kernel_independent
 def test_a_million_normals_match_scalar_oracle():
     # 1,000 seeds x 1,000 draws, in one array call
     seeds = splitmix64_reference(2024, 1000)

@@ -323,6 +323,7 @@ def test_state_normalizes_and_records_factor():
         spin_state(0, 0)
 
 
+@pytest.mark.kernel_independent
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 40), st.integers(1, 130), st.integers(0, 2**32))
 def test_row_norms_equal_linalg_norm_bit_for_bit(rows, d, seed):
