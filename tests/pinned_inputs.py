@@ -1,6 +1,7 @@
 """The pinned configs, whose report bytes tests/bench_manifest.json keeps beside the benchmark's:
 seeds that need the 64-bit wraparound, every canonical ctc-solve scenario, method, CR input
 and mode, both scan modes, the benchmark's Haar 3+3 scan shape and generic strict solves.
+A case is named <test>/<id>: test_cli's test_<test>_reports_match_pinned_digests checks it.
 Each case gets its own directory, since a ctc-* report prints its scenario file's name.
 """
 
@@ -68,24 +69,24 @@ def generic_solve_config(directory, name: str, method: str) -> str:
 def _cases():
     """(case, kind, config text, {scenario file name: text}) of every pinned case."""
     for (name, body), seed in product(SAMPLED.items(), SEEDS["sampled"]):
-        yield f"{name}_{seed}", name.split("_")[0], body + f"seed = {seed}\n", {}
+        yield f"sampled/{name}-{seed}", name.split("_")[0], body + f"seed = {seed}\n", {}
     for name, body in CHSH.items():
-        yield f"chsh_{name}", "chsh", "experiment = chsh\n" + body, {}
+        yield f"chsh/{name}", "chsh", "experiment = chsh\n" + body, {}
     for scenario, method, cr_state, mode in product(("qubit_flip", "cr_coupled"), (
             "iterate", "spectral"), ("zero", "one", "mixed"), ("strict", "ray")):
-        yield (f"solve_{scenario}_{method}_{cr_state}_{mode}", "ctc-solve",
+        yield (f"ctc_solve/{scenario}-{method}-{cr_state}-{mode}", "ctc-solve",
                f"experiment = ctc-solve\nscenario = {scenario}\nmethod = {method}\n"
                f"cr_state = {cr_state}\nmode = {mode}\n", {})
     for scenario, mode, seed in product(("qubit_flip", "cr_coupled"), ("strict", "ray"),
                                         SEEDS["scan"]):
-        yield (f"scan_{scenario}_{mode}_{seed}", "ctc-scan", f"experiment = ctc-scan\n"
+        yield (f"ctc_scan/{scenario}-{mode}-{seed}", "ctc-scan", f"experiment = ctc-scan\n"
                f"scenario = {scenario}\nmode = {mode}\nsamples = 400\nseed = {seed}\n", {})
     haar = {"haar.scenario": _scenario(3, 3, haar_unitary(64, SplitMix64(7)))}
     for seed in SEEDS["scan"]:
-        yield (f"haar_scan_{seed}", "ctc-scan", "experiment = ctc-scan\nscenario_file = "
+        yield (f"haar_scan/{seed}", "ctc-scan", "experiment = ctc-scan\nscenario_file = "
                f"haar.scenario\nmode = ray\nsamples = 2000\nseed = {seed}\n", haar)
     for name, method in product(GENERIC_SCENARIOS, ("iterate", "spectral")):
-        yield (f"generic_{name}_{method}", "ctc-solve", GENERIC_SOLVE.format(method),
+        yield (f"generic_ctc_solve/{name}-{method}", "ctc-solve", GENERIC_SOLVE.format(method),
                {"g.scenario": _generic_scenario(name)})
 
 
@@ -93,7 +94,7 @@ def generate(outdir) -> list:
     """Write every pinned case into outdir/<case>; one Command per case, cid the case name."""
     commands = []
     for case, kind, config, scenarios in _cases():
-        (outdir / case).mkdir()
+        (outdir / case).mkdir(parents=True)
         for name, text in scenarios.items():
             write(outdir / case, name, text)
         commands.append(Command(case, kind, write(outdir / case, "c.cfg", config)))

@@ -3,10 +3,12 @@
 bench/inputs.py writes the 176 commands of three workloads at seeds 0-7, and
 tests/pinned_inputs.py the 57 of the pinned one. tests/bench_manifest.json holds, for each
 command's key, the sha256 of every file the command reads, its exit code and the sha256 of
-its stdout, with the numpy version and the BLAS kernel it was recorded under. The test
-regenerates the inputs, checks each command's own inputs first (a moved input is an input
-change, not a report change) and then runs the command in process through cli.main. A
-change that moves report bytes on purpose re-records the whole manifest in the same diff,
+its stdout, with the numpy version and the BLAS kernel it was recorded under. The tests
+regenerate the inputs, and one checker, `mismatch`, checks a command's own inputs first (a
+moved input is an input change, not a report change) and then runs it in process through
+cli.main: here each benchmark command, and in test_cli's *_reports_match_pinned_digests
+tests each pinned/<test>/<id> key, as test id <id>-<recorded stdout sha256> (chsh: <id>).
+A change that moves report bytes on purpose re-records the whole manifest in the same diff,
 at one BLAS thread as the benchmark and the tests run (the Haar inputs' LAPACK QR gives
 other bits at other thread counts):
 
@@ -66,7 +68,7 @@ def _sha256s(paths) -> dict:
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(paths)}
 
 
-def _generate(workload: str, outdir: Path) -> list:
+def generate(workload: str, outdir: Path) -> list:
     """(key, command, {input file name: sha256}) of each of the workload's commands."""
     if workload == "pinned":
         return [(f"pinned/{c.cid}", c, _sha256s(Path(c.config).parent.iterdir()))
@@ -89,6 +91,27 @@ def _run(command) -> tuple[int, str]:
     return code, out.sha.hexdigest()
 
 
+def manifest() -> dict:
+    return json.loads(MANIFEST.read_text(encoding="utf-8"))
+
+
+def mismatch(manifest: dict, key: str, command, files: dict) -> str:
+    """Why the command no longer matches the manifest's entry `key`, or '' if it does."""
+    entry = manifest["entries"][key]
+    if files != entry["inputs"]:
+        return f"{key}: input change, {files} != {entry['inputs']}"
+    code, digest = _run(command)
+    if (code, digest) != (entry["exit"], entry["stdout"]):
+        return (f"{key}: report change, exit {code} stdout {digest}, "
+                f"recorded exit {entry['exit']} stdout {entry['stdout']}")
+    return ""
+
+
+def recorded_under(manifest: dict) -> str:
+    return (f"recorded under numpy {manifest['numpy']} on {manifest['blas_kernel']}, run under "
+            f"numpy {np.__version__} on {_blas_kernel()}")
+
+
 @pytest.fixture(scope="module")
 def generated(tmp_path_factory):
     """Each workload's commands, generated once for the module."""
@@ -96,7 +119,7 @@ def generated(tmp_path_factory):
 
     def commands(workload: str) -> list:
         if workload not in cache:
-            cache[workload] = _generate(workload, tmp_path_factory.mktemp(workload))
+            cache[workload] = generate(workload, tmp_path_factory.mktemp(workload))
         return cache[workload]
 
     return commands
@@ -106,26 +129,21 @@ def generated(tmp_path_factory):
 @pytest.mark.parametrize("kind", [
     pytest.param(k, marks=pytest.mark.kernel_independent) if k in ("chsh", "signal", "measure")
     else k for k in EXPERIMENT_KINDS])
-@pytest.mark.parametrize("workload", WORKLOADS)
+@pytest.mark.parametrize("workload", INPUTS.WORKLOADS)
 def test_benchmark_commands_match_the_manifest(generated, workload, kind):
-    manifest = json.loads(MANIFEST.read_text(encoding="utf-8"))
-    expected = {key: e for key, e in manifest["entries"].items()
-                if key.startswith(f"{workload}/") and e["kind"] == kind}
+    recorded = manifest()
+    expected = [key for key, e in recorded["entries"].items()
+                if key.startswith(f"{workload}/") and e["kind"] == kind]
     found = [(key, c, files) for key, c, files in generated(workload) if c.kind == kind]
     assert sorted(key for key, _, _ in found) == sorted(expected)
-    moved = []
-    for key, command, files in found:
-        entry = expected[key]
-        if files != entry["inputs"]:
-            moved.append(f"{key}: input change, {files} != {entry['inputs']}")
-            continue
-        code, digest = _run(command)
-        if (code, digest) != (entry["exit"], entry["stdout"]):
-            moved.append(f"{key}: report change, exit {code} stdout {digest}, "
-                         f"recorded exit {entry['exit']} stdout {entry['stdout']}")
-    assert not moved, (
-        f"recorded under numpy {manifest['numpy']} on {manifest['blas_kernel']}, run under "
-        f"numpy {np.__version__} on {_blas_kernel()}:\n" + "\n".join(moved))
+    moved = [m for m in (mismatch(recorded, *case) for case in found) if m]
+    assert not moved, recorded_under(recorded) + ":\n" + "\n".join(moved)
+
+
+def test_each_pinned_case_has_one_entry(generated):
+    # test_cli checks each pinned/ key the manifest holds: a lost entry would lose its test
+    assert (sorted(key for key, _, _ in generated("pinned"))
+            == sorted(key for key in manifest()["entries"] if key.startswith("pinned/")))
 
 
 def _record(outdir: Path) -> str:
@@ -133,7 +151,7 @@ def _record(outdir: Path) -> str:
     lines = []
     for workload in WORKLOADS:
         (outdir / workload).mkdir()
-        for key, command, files in _generate(workload, outdir / workload):
+        for key, command, files in generate(workload, outdir / workload):
             code, digest = _run(command)
             entry = {"kind": command.kind, "inputs": files, "exit": code, "stdout": digest}
             lines.append(f"  {json.dumps(key)}: {json.dumps(entry)}")

@@ -22,6 +22,7 @@ from qdesk.reports import CSV_BLOCK_ROWS as BLOCK
 
 from oracles import SplitMix64, amplitude_damping, haar_unitary, kraus_dilation, render_signal_csv
 from pinned_inputs import GENERIC_SCENARIOS, generic_solve_config, write
+from test_bench_manifest import generate, manifest, mismatch, recorded_under
 
 
 def run_cli(args):
@@ -1199,3 +1200,59 @@ def test_generic_strict_solve_has_no_linear_eigenspace(tmp_path, name):
     code, out = run_cli(["ctc-solve", "--config", generic_solve_config(tmp_path, name, "spectral")])
     assert code == 0
     assert json.loads(out)["linear"] == {"mode": "strict", "dimension": 0, "eigenspaces": []}
+
+
+# Each pinned/<test>/<id> entry of tests/bench_manifest.json is checked here, as
+# test_<test>_reports_match_pinned_digests[<id>-<its recorded stdout sha256>]; the manifest's
+# one recorder re-records them with the benchmark's entries.
+PINNED = manifest()
+
+
+def pinned(test: str, digest_in_id: bool = True) -> list:
+    prefix = f"pinned/{test}/"
+    return [pytest.param(key, id=key[len(prefix):] + (f"-{e['stdout']}" if digest_in_id else ""))
+            for key, e in PINNED["entries"].items() if key.startswith(prefix)]
+
+
+@pytest.fixture(scope="module")
+def pinned_cases(tmp_path_factory):
+    """{key: (command, {input file name: sha256})} of every pinned case, generated once."""
+    return {key: (command, files)
+            for key, command, files in generate("pinned", tmp_path_factory.mktemp("pinned"))}
+
+
+def check_pinned(pinned_cases, key):
+    moved = mismatch(PINNED, key, *pinned_cases[key])
+    assert not moved, f"{recorded_under(PINNED)}: {moved}"
+
+
+@pytest.mark.kernel_independent
+@pytest.mark.parametrize("key", pinned("sampled"))
+def test_sampled_reports_match_pinned_digests(pinned_cases, key):
+    check_pinned(pinned_cases, key)
+
+
+@pytest.mark.kernel_independent
+@pytest.mark.parametrize("key", pinned("chsh", digest_in_id=False))
+def test_chsh_reports_match_pinned_digests(pinned_cases, key):
+    check_pinned(pinned_cases, key)
+
+
+@pytest.mark.parametrize("key", pinned("ctc_solve"))
+def test_ctc_solve_reports_match_pinned_digests(pinned_cases, key):
+    check_pinned(pinned_cases, key)
+
+
+@pytest.mark.parametrize("key", pinned("ctc_scan"))
+def test_ctc_scan_reports_match_pinned_digests(pinned_cases, key):
+    check_pinned(pinned_cases, key)
+
+
+@pytest.mark.parametrize("key", pinned("haar_scan"))
+def test_haar_scan_reports_match_pinned_digests(pinned_cases, key):
+    check_pinned(pinned_cases, key)
+
+
+@pytest.mark.parametrize("key", pinned("generic_ctc_solve"))
+def test_generic_ctc_solve_reports_match_pinned_digests(pinned_cases, key):
+    check_pinned(pinned_cases, key)
