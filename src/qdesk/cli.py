@@ -25,8 +25,9 @@ stdout that cannot be written (a closed pipe, or an encoding that cannot
 spell the report) or a command that cannot get its memory, 3 solver
 non-convergence (a report in the run's format still carries the best
 residual; stderr names the failed step), 4 internal invariant violation.
-An --out path that is empty, holds a NUL, names a directory or has no
-directory as its parent is refused before the config is read.
+An --out path that is empty, holds a NUL, names a directory, has a parent
+that is missing or no directory, or is not writable (an existing file by its
+own permission, a new one by its parent's) is refused before the config is read.
 """
 
 from __future__ import annotations

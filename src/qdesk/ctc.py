@@ -14,11 +14,12 @@ notions of a consistent history are implemented side by side:
 
 The loop channel is kept in two-sided operator-sum form,
 rho -> sum_k L_k rho R_k†, where R_k are the d_ctc x d_ctc blocks of U
-between CR basis states and L_k the same blocks with rho_in folded in. One
-application is a batched product at loop size, and the superoperator is
-sum_k conj(R_k) ox L_k. The CR state leaving the loop region is read off
-the same pairs, traced over the loop instead of over CR, and returned with the
-fixed point: no full-layout density matrix or partial trace is formed here.
+between CR basis states and L_k the same blocks with rho_in folded in (no CR
+is the one-dimensional rho_in [[1]]). A solve builds the pairs once, with the
+one check of its CR input: one application is a batched product at loop size,
+the superoperator is sum_k conj(R_k) ox L_k, and the CR state leaving the loop
+region is read off the same pairs, traced over the loop instead of over CR: no
+full-layout density matrix or partial trace is formed here.
 
 Solvers are pure and deterministic; Haar sampling for admissibility scans
 draws from explicitly derived per-sample seeds, a block of samples at a time.
@@ -301,53 +302,47 @@ class DeutschSolution:
     cr_output: DensityMatrix
 
 
-def _resolve_cr_input(scenario: CtcScenario, rho_cr_in: DensityMatrix | None) -> DensityMatrix | None:
+def loop_operators(scenario: CtcScenario,
+                   rho_cr_in: DensityMatrix | None) -> tuple[np.ndarray, np.ndarray]:
+    """Operator pairs (L_k, R_k) with Tr_CR[ U (rho_in ox rho) U† ] = sum_k L_k rho R_k†.
+
+    The one check of a solve's CR input: None exactly when the scenario has no CR, which is
+    the one-dimensional input [[1]], else on the CR sub-layout. With U permuted into (CR,
+    loop) order, T[a, b] = (<a| ox I) U (|b> ox I) is a d_ctc x d_ctc block, and the channel
+    is sum_{a, b, b'} rho_cr[b, b'] T[a, b] rho T[a, b']†. Folding rho_cr into the left
+    factor gives L[a, b'] = sum_b rho_cr[b, b'] T[a, b] and R[a, b'] = T[a, b']; columns b'
+    where rho_cr vanishes drop out. Both are (k, d_ctc, d_ctc) stacks. No square root or
+    eigendecomposition of rho_cr is taken, so this is the same linear map for any accepted rho_cr.
+    """
     if not scenario.cr_ids:
         if rho_cr_in is not None:
             raise LayoutError("scenario has no CR subsystems; pass rho_cr_in=None")
-        return None
-    if rho_cr_in is None:
+        rho_cr = np.ones((1, 1), np.complex128)
+    elif rho_cr_in is None:
         raise LayoutError("scenario has CR subsystems; rho_cr_in is required")
-    if rho_cr_in.layout != scenario.cr_layout():
+    elif rho_cr_in.layout != scenario.cr_layout():
         raise DimensionMismatchError("rho_cr_in layout differs from the CR sub-layout")
-    return rho_cr_in
-
-
-def _loop_operators(scenario: CtcScenario,
-                    rho_cr: DensityMatrix | None) -> tuple[np.ndarray, np.ndarray]:
-    """Operator pairs (L_k, R_k) with Tr_CR[ U (rho_cr ox rho) U† ] = sum_k L_k rho R_k†.
-
-    With U permuted into (CR, loop) order, T[a, b] = (<a| ox I) U (|b> ox I)
-    is a d_ctc x d_ctc block, and the channel is
-    sum_{a, b, b'} rho_cr[b, b'] T[a, b] rho T[a, b']†. Folding rho_cr into the
-    left factor gives L[a, b'] = sum_b rho_cr[b, b'] T[a, b] and
-    R[a, b'] = T[a, b']; columns b' where rho_cr vanishes drop out. Both are
-    returned as (k, d_ctc, d_ctc) stacks. No square root or eigendecomposition
-    of rho_cr is taken, so this is the same linear map for any accepted rho_cr.
-    """
+    else:
+        rho_cr = rho_cr_in.matrix
     u = scenario.loop_unitary.matrix
-    if rho_cr is None:
-        return u[np.newaxis], u[np.newaxis]
-    d_cr = rho_cr.matrix.shape[0]
+    d_cr = len(rho_cr)
     d = u.shape[0] // d_cr
     lay = scenario.layout
     perm = sorted(map(lay.position, scenario.cr_ids)) + sorted(map(lay.position, scenario.ctc_ids))
     ordered = u.reshape(lay.dims * 2).transpose(perm + [p + len(perm) for p in perm])
     blocks = ordered.reshape(d_cr, d, d_cr, d).transpose(0, 2, 1, 3)  # blocks[a, b] = T[a, b]
-    kept = np.flatnonzero(np.any(rho_cr.matrix != 0, axis=0))
-    left = np.einsum("bc,abij->acij", rho_cr.matrix[:, kept], blocks)
+    kept = np.flatnonzero(np.any(rho_cr != 0, axis=0))
+    left = np.einsum("bc,abij->acij", rho_cr[:, kept], blocks)
     right = blocks[:, kept]
     return left.reshape(-1, d, d), right.reshape(-1, d, d)
 
 
-def induced_loop_map(scenario: CtcScenario, rho_cr_in: DensityMatrix | None):
-    """The channel rho -> Tr_CR[ U (rho_in ox rho) U† ] as an array function.
+def induced_loop_map(left: np.ndarray, right: np.ndarray):
+    """The channel rho -> sum_k L_k rho R_k† of loop_operators' pairs as an array function.
 
-    It is evaluated in operator-sum form, sum_k L_k rho R_k† (see
-    _loop_operators), by one batched product at loop size; neither the full
-    layout's density matrix nor a partial trace is formed.
+    It is evaluated by one batched product at loop size; neither the full layout's density
+    matrix nor a partial trace is formed.
     """
-    left, right = _loop_operators(scenario, _resolve_cr_input(scenario, rho_cr_in))
     right_dag = right.conj().transpose(0, 2, 1)
 
     def apply(rho_ctc: np.ndarray) -> np.ndarray:
@@ -392,15 +387,14 @@ def _plain_iterates(apply_map, rho: np.ndarray):
         rho, rows = block[-1], min(2 * rows, most)
 
 
-def _iterate_fixed_point(apply_map, d: int, superoperator):
+def _iterate_fixed_point(apply_map, d: int):
     """Plain iteration from the maximally mixed state; (rho, residual, iterations).
 
-    The plain phase decides on each of _plain_iterates' distances in order, so its
-    iterations and bits are those of one application and one trace_distance per step. When
-    the distance stalls (falls by under 0.1% over PLATEAU_WINDOW iterations: slow
-    convergence, or a peripheral eigenvalue that makes the iterates oscillate) or
-    MAX_ITERATIONS run out, the solve ends in _spectral_fixed_point on superoperator(),
-    built only then, and iterations counts the plain phase and its verification steps.
+    The phase decides on each of _plain_iterates' distances in order, so its iterations and
+    bits are those of one application and one trace_distance per step. When the distance
+    stalls (falls by under 0.1% over PLATEAU_WINDOW iterations: slow convergence, or a
+    peripheral eigenvalue that makes the iterates oscillate) or MAX_ITERATIONS run out, it
+    returns no rho and no residual, with the iterations it ran.
     """
     rho = np.eye(d, dtype=np.complex128) / d
     history: list[float] = []
@@ -412,8 +406,7 @@ def _iterate_fixed_point(apply_map, d: int, superoperator):
                      and dist >= history[-PLATEAU_WINDOW - 1] * (1.0 - 1e-3))
         if plateaued:
             break
-    rho, residual, steps, _ = _spectral_fixed_point(apply_map, superoperator(), d)
-    return rho, residual, len(history) + steps
+    return None, None, len(history)
 
 
 def _spectral_fixed_point(apply_map, sup: np.ndarray, d: int):
@@ -448,31 +441,32 @@ def deutsch_fixed_point(scenario: CtcScenario, rho_cr_in: DensityMatrix | None =
     the fixed space off the induced superoperator, and so does an iterate solve
     whose plain phase stalls, whose rho and residual are then spectral's bit for
     bit. Both return the canonical maximum-entropy representative when the
-    fixed point is not unique, and the CR output read off the loop operators
-    that the superoperator is built from.
+    fixed point is not unique, and the CR output. The map, the superoperator and
+    the CR output read the one loop_operators pair.
     """
     if method not in ("iterate", "spectral"):
         raise ValueError(f"method must be 'iterate' or 'spectral', got {method!r}")
-    apply_map = induced_loop_map(scenario, rho_cr_in)  # checks rho_cr_in, once
-    left, right = _loop_operators(scenario, rho_cr_in)
-    d = scenario.ctc_layout().total_dimension
-    if method == "iterate":
-        rho, residual, iterations = _iterate_fixed_point(
-            apply_map, d, lambda: _superoperator(left, right))
-        dim_fixed = None
-    else:
-        sup = _superoperator(left, right)
-        rho, residual, iterations, dim_fixed = _spectral_fixed_point(apply_map, sup, d)
+    left, right = loop_operators(scenario, rho_cr_in)
+    apply_map = induced_loop_map(left, right)
+    d = left.shape[1]
+    rho, residual, iterations = (_iterate_fixed_point(apply_map, d) if method == "iterate"
+                                 else (None, None, 0))
+    dim_fixed = None
+    if rho is None:  # spectral, or an iterate solve whose plain phase stalled
+        rho, residual, steps, dim_fixed = _spectral_fixed_point(
+            apply_map, _superoperator(left, right), d)
+        iterations += steps
     rho_ctc = DensityMatrix(scenario.ctc_layout(), rho)
     out = (np.ones((1, 1), np.complex128) if rho_cr_in is None
            else _cr_output(left, right, rho_ctc.matrix, len(rho_cr_in.matrix)))
-    return DeutschSolution(rho_ctc, residual, iterations, method, dim_fixed,
+    return DeutschSolution(rho_ctc, residual, iterations, method,
+                           dim_fixed if method == "spectral" else None,
                            DensityMatrix(scenario.cr_layout(), out))
 
 
 def _cr_output(left: np.ndarray, right: np.ndarray, rho: np.ndarray, d_cr: int) -> np.ndarray:
     """Tr_CTC[ U (rho_in ox rho) U† ] from the loop operators of rho_in, whose stacks are
-    indexed by (a, b') with a the CR output state (see _loop_operators): out[a, a'] =
+    indexed by (a, b') with a the CR output state (see loop_operators): out[a, a'] =
     sum_{b'} tr(L[a, b'] rho R[a', b']†), one contraction at loop size."""
     d = left.shape[1]
     evolved = (left @ rho).reshape(d_cr, -1, d * d)

@@ -504,13 +504,13 @@ def per_step_trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     return 0.5 * float(np.abs(np.linalg.eigvalsh((diff + diff.conj().T) / 2.0)).sum())
 
 
-def per_step_iterate_fixed_point(apply_map, d: int, superoperator):
-    """ctc._iterate_fixed_point with its plain phase a step at a time: one map application
-    and one per_step_trace_distance per iteration, each decided before the next is computed.
+def per_step_iterate_fixed_point(apply_map, d: int):
+    """ctc._iterate_fixed_point a step at a time: one map application and one
+    per_step_trace_distance per iteration, each decided before the next is computed.
 
     The reference the blocked plain phase must equal in iterations and bits. It reads the
-    iteration constants from qdesk.ctc when called and hands a plateaued or exhausted plain
-    phase to ctc._spectral_fixed_point on superoperator(), the phase both share.
+    iteration constants from qdesk.ctc when called, and a plateaued or exhausted phase
+    returns no rho and no residual, with the iterations it ran.
     """
     from qdesk import ctc
 
@@ -526,8 +526,7 @@ def per_step_iterate_fixed_point(apply_map, d: int, superoperator):
         if (len(history) > ctc.PLATEAU_WINDOW
                 and dist >= history[-ctc.PLATEAU_WINDOW - 1] * (1.0 - 1e-3)):
             break
-    rho, residual, steps, _ = ctc._spectral_fixed_point(apply_map, superoperator(), d)
-    return rho, residual, len(history) + steps
+    return None, None, len(history)
 
 
 def amplitude_damping(gamma: float) -> list[np.ndarray]:

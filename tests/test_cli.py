@@ -1071,35 +1071,40 @@ def test_grid_chsh_runs_with_numpy_blocked(tmp_path):
     _assert_chsh_runs_with_numpy_blocked(write(tmp_path, "c.cfg", SMALL_CONFIGS["chsh"]))
 
 
-def test_commands_without_schur_do_not_load_scipy(tmp_path):
-    cfg = write(tmp_path, "c.cfg", EXPLICIT_CHSH)
-    probe = ("import sys\n"
-             "import qdesk.cli\n"
-             "assert 'scipy' not in sys.modules, 'import qdesk.cli loaded scipy'\n"
-             "assert qdesk.cli.main(['chsh', '--config', sys.argv[1]]) == 0\n"
-             "assert 'scipy' not in sys.modules, 'chsh loaded scipy'\n")
-    done = subprocess.run([sys.executable, "-c", probe, cfg], capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr
+# The module probes' configs; each ctc-solve-haar_2_2-<method> case writes its own
+PROBE_CONFIGS = {**SMALL_CONFIGS, "chsh-angles": EXPLICIT_CHSH,
+                 "ctc-scan-ray": SMALL_CONFIGS["ctc-scan"] + "mode = ray\n"}
 
 
 @pytest.mark.parametrize("command,unused", [
     # the grid search is a plain-Python scan of Python floats: no numpy either, and its
     # NamedTuple records need no dataclasses (nor the inspect that dataclasses imports)
-    ("chsh", ["numpy", "dataclasses", "inspect", "qdesk.rng", "qdesk.ctc", "qdesk.tensor",
-              "qdesk.serialization"]),
-    ("signal", ["qdesk.ctc", "qdesk.tensor", "qdesk.serialization"]),
-    ("measure", ["qdesk.ctc", "qdesk.suggestion"]),
-    ("ctc-solve", ["qdesk.suggestion", "qdesk.measurement"]),
-    ("ctc-scan", ["qdesk.suggestion", "qdesk.measurement"]),
+    ("chsh", ["scipy", "numpy", "dataclasses", "inspect", "qdesk.rng", "qdesk.ctc",
+              "qdesk.tensor", "qdesk.serialization"]),
+    ("signal", ["scipy", "qdesk.ctc", "qdesk.tensor", "qdesk.serialization"]),
+    ("measure", ["scipy", "qdesk.ctc", "qdesk.suggestion"]),
+    ("ctc-solve", ["scipy", "qdesk.suggestion", "qdesk.measurement"]),
+    ("ctc-scan", ["scipy", "qdesk.suggestion", "qdesk.measurement"]),
     # four correlators of Python products: an explicit-angle chsh never loads numpy
-    ("chsh-angles", ["numpy", "dataclasses", "inspect", "qdesk.tensor", "qdesk.serialization",
-                     "qdesk.rng", "qdesk.ctc", "qdesk.measurement"]),
+    ("chsh-angles", ["scipy", "numpy", "dataclasses", "inspect", "qdesk.tensor",
+                     "qdesk.serialization", "qdesk.rng", "qdesk.ctc", "qdesk.measurement"]),
+    # the scan's median is selected in place: np.median would import numpy.ma
+    ("ctc-scan-ray", ["scipy", "numpy.ma", "qdesk.suggestion", "qdesk.measurement"]),
+    # a generic loop has no eigenvalue near 1: the strict SVD finds none, with no Schur
+    *[(f"ctc-solve-haar_2_2-{method}", ["scipy", "qdesk.suggestion", "qdesk.measurement"])
+      for method in ("iterate", "spectral")],
 ])
 def test_commands_load_only_their_own_modules(tmp_path, command, unused):
-    cfg = write(tmp_path, "c.cfg", {**SMALL_CONFIGS, "chsh-angles": EXPLICIT_CHSH}[command])
-    command = command.removesuffix("-angles")
+    """A command's run loads none of the modules it does not use: scipy (the test oracles'
+    alone) in every case."""
+    if command.startswith("ctc-solve-haar_2_2-"):
+        cfg = generic_solve_config(tmp_path, "haar_2_2", command.rsplit("-", 1)[1])
+    else:
+        cfg = write(tmp_path, "c.cfg", PROBE_CONFIGS[command])
+    command = next(kind for kind in SMALL_CONFIGS if command.startswith(kind))
     probe = ("import sys\n"
              "import qdesk.cli\n"
+             "assert 'scipy' not in sys.modules, 'import qdesk.cli loaded scipy'\n"
              "assert qdesk.cli.main([sys.argv[1], '--config', sys.argv[2]]) == 0\n"
              "loaded = sorted(set(sys.argv[3:]) & set(sys.modules))\n"
              "assert not loaded, f'{sys.argv[1]} loaded {loaded}'\n")
@@ -1138,31 +1143,6 @@ def test_package_resolves_names_on_first_use():
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == sorted(STAR_NAMES) and len(STAR_NAMES) == 61
-
-
-@pytest.mark.parametrize("method", ["iterate", "spectral"])
-def test_strict_solve_without_eigenvalue_one_does_not_load_scipy(tmp_path, method):
-    # a generic loop has no eigenvalue near 1: the strict SVD finds none, with no Schur
-    cfg = generic_solve_config(tmp_path, "haar_2_2", method)
-    probe = ("import sys\n"
-             "import qdesk.cli\n"
-             "assert qdesk.cli.main(['ctc-solve', '--config', sys.argv[1]]) == 0\n"
-             "assert 'scipy' not in sys.modules, 'strict ctc-solve loaded scipy'\n")
-    done = subprocess.run([sys.executable, "-c", probe, cfg], capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr
-
-
-def test_ctc_scan_loads_neither_scipy_nor_numpy_ma(tmp_path):
-    # the scan takes its residual median from a sorted copy: np.median would import numpy.ma
-    cfg = write(tmp_path, "scan.cfg", "experiment = ctc-scan\nscenario = cr_coupled\n"
-                "mode = ray\nsamples = 50\nseed = 3\n")
-    probe = ("import sys\n"
-             "import qdesk.cli\n"
-             "assert qdesk.cli.main(['ctc-scan', '--config', sys.argv[1]]) == 0\n"
-             "assert 'scipy' not in sys.modules, 'ctc-scan loaded scipy'\n"
-             "assert 'numpy.ma' not in sys.modules, 'ctc-scan loaded numpy.ma'\n")
-    done = subprocess.run([sys.executable, "-c", probe, cfg], capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr
 
 
 def test_every_subcommand_runs_without_scipy(tmp_path):

@@ -11,6 +11,7 @@ import qdesk.ctc
 from qdesk import (
     CtcScenario,
     DensityMatrix,
+    InvariantError,
     LayoutError,
     StateVector,
     UnitaryOperator,
@@ -28,13 +29,13 @@ from qdesk.ctc import (
     _canonical_basis,
     _cr_output,
     _fixed_space,
-    _loop_operators,
     _median,
     _residuals,
     _SCAN_BLOCK,
     _scan_residuals,
     _superoperator,
     induced_loop_map,
+    loop_operators,
 )
 from qdesk.tensor import ATOL, _row_norms
 
@@ -528,7 +529,7 @@ def test_induced_map_is_trace_and_positivity_preserving():
         sc = CtcScenario(("mem",), ("loop",),
                     UnitaryOperator(lay, haar_unitary(d, rng)))
         rho_cr = cr_density(sc, random_density(2, rng))
-        apply_map = induced_loop_map(sc, rho_cr)
+        apply_map = induced_loop_map(*loop_operators(sc, rho_cr))
         rho = random_density(d_ctc, rng)
         image = apply_map(rho)
         assert abs(np.trace(image).real - 1.0) <= 1e-10
@@ -590,7 +591,7 @@ def test_induced_loop_map_matches_oracle(dims, data):
     sc, cr_positions, rho_cr, rho = random_loop_case(dims, data)
     cr_matrix = np.ones((1, 1)) if rho_cr is None else rho_cr.matrix
     expected = induced_map_oracle(sc.loop_unitary.matrix, dims, cr_positions, cr_matrix, rho)
-    assert np.abs(induced_loop_map(sc, rho_cr)(rho) - expected).max() < 1e-12
+    assert np.abs(induced_loop_map(*loop_operators(sc, rho_cr))(rho) - expected).max() < 1e-12
 
 
 @settings(max_examples=80, deadline=None)
@@ -598,8 +599,9 @@ def test_induced_loop_map_matches_oracle(dims, data):
 def test_superoperator_matches_columnwise_construction(dims, data):
     sc, _, rho_cr, _ = random_loop_case(dims, data)
     d = sc.ctc_layout().total_dimension
-    expected = columnwise_superoperator(induced_loop_map(sc, rho_cr), d)
-    assert np.abs(_superoperator(*_loop_operators(sc, rho_cr)) - expected).max() < 1e-12
+    left, right = loop_operators(sc, rho_cr)
+    expected = columnwise_superoperator(induced_loop_map(left, right), d)
+    assert np.abs(_superoperator(left, right) - expected).max() < 1e-12
 
 
 def test_grandfather_fixed_point_is_maximally_mixed():
@@ -637,7 +639,7 @@ def test_controlled_flip_with_cr_control_states():
     sc = two_qubit_scenario(memory_controlled_flip())
 
     off = cr_density(sc, np.diag([1.0, 0.0]))
-    apply_off = induced_loop_map(sc, off)
+    apply_off = induced_loop_map(*loop_operators(sc, off))
     probe = random_density(2, SplitMix64(61))
     assert np.abs(apply_off(probe) - probe).max() < 1e-12  # identity channel
     sol = deutsch_fixed_point(sc, off, "spectral")
@@ -645,7 +647,7 @@ def test_controlled_flip_with_cr_control_states():
     assert sol.fixed_space_dim == 4
 
     on = cr_density(sc, np.diag([0.0, 1.0]))
-    apply_on = induced_loop_map(sc, on)
+    apply_on = induced_loop_map(*loop_operators(sc, on))
     assert np.abs(apply_on(probe) - apply_columnstacked(conjugation_superoperator(X), probe)).max() < 1e-12
     sol = deutsch_fixed_point(sc, on, "spectral")
     assert np.abs(sol.rho_ctc.matrix - np.eye(2) / 2).max() < 1e-12
@@ -730,7 +732,7 @@ def test_fixed_space_equals_eig_selection(n_cr, n_loop, weak, theta, pure_cr, se
     if n_cr:
         mixed = random_density(2 ** n_cr, rng)
         rho_cr = cr_density(sc, np.diag(np.eye(2 ** n_cr)[0]) if pure_cr else mixed)
-    sup = _superoperator(*_loop_operators(sc, rho_cr))
+    sup = _superoperator(*loop_operators(sc, rho_cr))
     distance = np.abs(np.linalg.eigvals(sup) - 1.0)
     assume(distance[distance > 1e-9].min() >= 1e-3)
     assert_fixed_space_matches_eig(sup)
@@ -758,7 +760,7 @@ def pinned_permutation_loop(name: str):
                                       ("identity", 4), ("controlled_flip_off", 4)])
 def test_fixed_space_of_permutation_loops_equals_eig_selection(name, dim):
     sc, rho_cr = pinned_permutation_loop(name)
-    assert assert_fixed_space_matches_eig(_superoperator(*_loop_operators(sc, rho_cr))) == dim
+    assert assert_fixed_space_matches_eig(_superoperator(*loop_operators(sc, rho_cr))) == dim
 
 
 def test_oscillating_channel_exercises_the_spectral_hand_off():
@@ -805,7 +807,7 @@ PLAIN_PHASE_CASES = {
 def test_blocked_plain_phase_equals_the_per_step_oracle(case, n_cr, n_loop, seed, data):
     """The blocked plain phase gives the per-step oracle's iterations, residual bits and rho
     bits, and applies the map fewer than _ITERATE_BLOCK times more; a plateaued or exhausted
-    plain phase hands off to the spectral solve at the oracle's iteration."""
+    plain phase returns no rho at the oracle's iteration."""
     theta_range, cr_input, max_iterations = PLAIN_PHASE_CASES[case]
     rng = SplitMix64(seed)
     ids = [f"c{i}" for i in range(n_cr)] + [f"l{i}" for i in range(n_loop)]
@@ -814,18 +816,10 @@ def test_blocked_plain_phase_equals_the_per_step_oracle(case, n_cr, n_loop, seed
     sc = CtcScenario(tuple(ids[:n_cr]), tuple(ids[n_cr:]), UnitaryOperator(lay, u))
     d_cr = 2 ** n_cr
     rho_cr = cr_density(sc, np.eye(d_cr) / d_cr if cr_input == "mixed" else np.diag(np.eye(d_cr)[0]))
-    apply_map = induced_loop_map(sc, rho_cr)
-    spectral = qdesk.ctc._spectral_fixed_point
-    outcomes, applications, steps = [], [], []
-
-    def spectral_steps(f, sup, d):
-        solved = spectral(f, sup, d)
-        steps.append(solved[2])
-        return solved
-
+    apply_map = induced_loop_map(*loop_operators(sc, rho_cr))
+    outcomes, applications = [], []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(qdesk.ctc, "MAX_ITERATIONS", max_iterations)
-        mp.setattr(qdesk.ctc, "_spectral_fixed_point", spectral_steps)
         for solve in (qdesk.ctc._iterate_fixed_point, per_step_iterate_fixed_point):
             count = [0]
 
@@ -833,22 +827,21 @@ def test_blocked_plain_phase_equals_the_per_step_oracle(case, n_cr, n_loop, seed
                 count[0] += 1
                 return apply_map(rho)
 
-            rho, res, iterations = solve(counted, 2 ** n_loop,
-                                         lambda: _superoperator(*_loop_operators(sc, rho_cr)))
-            outcomes.append((rho.tobytes(), res.hex(), iterations))
+            rho, res, iterations = solve(counted, 2 ** n_loop)
+            outcomes.append((rho if rho is None else rho.tobytes(),
+                             res if res is None else res.hex(), iterations))
             applications.append(count[0])
     assert outcomes[0] == outcomes[1]
     assert 0 <= applications[0] - applications[1] < qdesk.ctc._ITERATE_BLOCK
-    # the plain-phase iterations at which each solve handed off
-    hand_offs = [outcome[2] - k for outcome, k in zip(outcomes, steps)]
+    stalled, iterations = outcomes[0][0] is None, outcomes[0][2]
     if case == "first_iteration":
-        assert (steps, outcomes[0][2]) == ([], 1)
+        assert not stalled and iterations == 1
     elif case == "converges":
-        assert steps == [] and outcomes[0][2] > 1
+        assert not stalled and iterations > 1
     elif case == "plateau":
-        assert hand_offs == [hand_offs[0]] * 2 and hand_offs[0] < max_iterations
+        assert stalled and iterations < max_iterations
     else:
-        assert hand_offs == [max_iterations] * 2
+        assert stalled and iterations == max_iterations
 
 
 def test_tiny_gap_channel_hands_off_to_the_spectral_solve(monkeypatch):
@@ -892,6 +885,23 @@ def test_iterate_finds_the_unique_fixed_point_of_a_weakly_coupled_loop(theta, se
     assert sp.fixed_space_dim == 1
     it = deutsch_fixed_point(sc, rho_cr, "iterate")
     assert np.abs(it.rho_ctc.matrix - sp.rho_ctc.matrix).max() <= 1e-9
+
+
+@pytest.mark.xfail(strict=True, raises=InvariantError,
+                   reason="ROADMAP item 24: the plain phase's trace drifts")
+def test_iterate_keeps_the_trace_of_a_loop_that_passes_the_unitarity_check():
+    # 1 CR qubit in |0> and 2 loop qubits; max |U†U - I| is 8.0e-11, within ATOL. Each
+    # plain-phase application moves the trace by about that defect, so iterate's rho_ctc is
+    # 3.5e-7 from trace 1 and DensityMatrix refuses it (exit 4), while spectral, which
+    # renormalizes its candidate, returns in 0 verification steps
+    lay = layout_of(*[(q, ("b0", "b1")) for q in ("c0", "l0", "l1")])
+    u = weakly_coupled_unitary(8, 0.2, SplitMix64(0)) * (1 + 4e-11)
+    assert np.abs(u.conj().T @ u - np.eye(8)).max() <= ATOL
+    sc = CtcScenario(("c0",), ("l0", "l1"), UnitaryOperator(lay, u))
+    rho_cr = cr_density(sc, np.diag([1.0, 0.0]))
+    assert deutsch_fixed_point(sc, rho_cr, "spectral").iterations == 0
+    rho = deutsch_fixed_point(sc, rho_cr, "iterate").rho_ctc.matrix
+    assert abs(np.trace(rho) - 1.0) <= ATOL
 
 
 @pytest.mark.kernel_independent
@@ -950,15 +960,17 @@ def test_spectral_verification_applies_the_map_once_per_step():
 
 
 def test_a_solve_checks_its_cr_input_once(monkeypatch):
-    checks = []
-    check = qdesk.ctc._resolve_cr_input
-    monkeypatch.setattr(qdesk.ctc, "_resolve_cr_input",
-                        lambda *args: checks.append(args) or check(*args))
+    # loop_operators checks the CR input and builds the pairs that the map, the
+    # superoperator and the CR output all read, once a solve
+    calls = []
+    build = qdesk.ctc.loop_operators
+    monkeypatch.setattr(qdesk.ctc, "loop_operators",
+                        lambda *args: calls.append(args) or build(*args))
     sc = grandfather_scenario("cr_coupled")
     for method in ("iterate", "spectral"):
-        checks.clear()
+        calls.clear()
         deutsch_fixed_point(sc, cr_density(sc, np.diag([1.0, 0.0])), method)
-        assert len(checks) == 1, method
+        assert len(calls) == 1, method
 
 
 def test_empty_cr_requires_none_input():
@@ -1004,7 +1016,7 @@ def test_output_state_matches_oracle(dims, data):
     # any loop density matrix, not only a fixed point, exercises the contraction; with no
     # CR it is tr(U rho U†), which a solve replaces by an exact [[1]]
     cr_matrix = np.ones((1, 1)) if rho_cr is None else rho_cr.matrix
-    out = _cr_output(*_loop_operators(sc, rho_cr), rho, len(cr_matrix))
+    out = _cr_output(*loop_operators(sc, rho_cr), rho, len(cr_matrix))
     expected = induced_map_oracle(sc.loop_unitary.matrix, dims, cr_positions, cr_matrix, rho,
                                   keep="cr")
     assert np.abs(out - expected).max() < 1e-12
