@@ -1071,6 +1071,17 @@ def test_grid_chsh_runs_with_numpy_blocked(tmp_path):
     _assert_chsh_runs_with_numpy_blocked(write(tmp_path, "c.cfg", SMALL_CONFIGS["chsh"]))
 
 
+def test_commands_without_schur_do_not_load_scipy(tmp_path):
+    cfg = write(tmp_path, "c.cfg", EXPLICIT_CHSH)
+    probe = ("import sys\n"
+             "import qdesk.cli\n"
+             "assert 'scipy' not in sys.modules, 'import qdesk.cli loaded scipy'\n"
+             "assert qdesk.cli.main(['chsh', '--config', sys.argv[1]]) == 0\n"
+             "assert 'scipy' not in sys.modules, 'chsh loaded scipy'\n")
+    done = subprocess.run([sys.executable, "-c", probe, cfg], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
 # The module probes' configs; each ctc-solve-haar_2_2-<method> case writes its own
 PROBE_CONFIGS = {**SMALL_CONFIGS, "chsh-angles": EXPLICIT_CHSH,
                  "ctc-scan-ray": SMALL_CONFIGS["ctc-scan"] + "mode = ray\n"}
