@@ -41,7 +41,7 @@ import sys
 import time
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from .config import EXPERIMENT_KINDS, load_config
+from .config import EXPERIMENT_KINDS, MEASURE_PRESETS, load_config
 from .errors import ConfigError, InvariantError, SolverError, printable
 from .reports import CSV_BLOCK_ROWS, complex_payload, render_payload, render_signal_csv
 
@@ -58,19 +58,10 @@ if TYPE_CHECKING:
 _METER_LABELS = ("ready", "saw_up", "saw_down")
 
 
-# Each preset's equally weighted basis terms over its two-level subsystems; the meter is ready.
-_PRESETS = {
-    "up": ({"particle": "up"},),
-    "down": ({"particle": "down"},),
-    "plus": ({"particle": "up"}, {"particle": "down"}),
-    "bell": ({"particle": "up", "distant": "down"}, {"particle": "down", "distant": "up"}),
-}
-
-
 def _measure_initial_state(preset: str) -> StateVector:
     from .tensor import StateVector, layout_of
 
-    terms = _PRESETS[preset]
+    terms = MEASURE_PRESETS[preset]
     lay = layout_of(*((sid, ("up", "down")) for sid in terms[0]), ("meter", _METER_LABELS))
     amps = [0.0] * lay.total_dimension
     for term in terms:

@@ -23,8 +23,10 @@ by, built-in or file, as ``scenario_name``.
 A built-in loop is named by the config entry ``scenario``. A scenario file
 (``scenario_file``) carries the partition lists ``cr_ids`` and ``ctc_ids``,
 then an inline serialized unitary after a ``unitary:`` marker line. Config
-and scenario files share one reader: a line ends at LF, CR LF or CR, and at
-no other character.
+and scenario files share one file reader, ``_read_text``, and every line
+split, a serialized body's included, is the one line reader,
+``_content_lines``: a line ends at LF, CR LF or CR, and at no other
+character.
 """
 
 from __future__ import annotations
@@ -48,24 +50,26 @@ _KIND_KEYS = {
 }
 EXPERIMENT_KINDS = tuple(_KIND_KEYS)
 FORMATS = ("json", "csv", "table")
-MEASURE_PRESETS = ("up", "down", "plus", "bell")
+# Each measure preset's equally weighted basis terms over its two-level subsystems; the meter is
+# ready. The names are the choices of the 'state' key.
+MEASURE_PRESETS = {
+    "up": ({"particle": "up"},),
+    "down": ({"particle": "down"},),
+    "plus": ({"particle": "up"}, {"particle": "down"}),
+    "bell": ({"particle": "up", "distant": "down"}, {"particle": "down", "distant": "up"}),
+}
 # Cap on rounds, samples and CHSH grid angles; larger is a config error, before any allocation.
 MAX_COUNT = 10**9
 # Seeds are taken modulo 2**64; outside this range a seed is a config error.
 _SEED_RANGE = (-(2**63), 2**64 - 1)
 
 
-def _split_lines(text: str) -> list[str]:
-    """Lines of text, broken at \\n, \\r\\n and \\r only; a final break opens no empty line."""
+def _content_lines(text: str) -> list[tuple[int, str]]:
+    """(line number, stripped line) of each line of text that is not blank or a # comment: the
+    one line reader, so a line ends at \\n, \\r\\n or \\r, and at no other character."""
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
-    lines = text.split("\n")
-    return lines[:-1] if text.endswith("\n") else lines
-
-
-def _content_lines(lines: list[str]) -> list[tuple[int, str]]:
-    """(line number, stripped line) of every line that is not blank or a # comment."""
-    numbered = ((no, ln.strip()) for no, ln in enumerate(lines, start=1))
+    numbered = ((no, ln.strip()) for no, ln in enumerate(text.split("\n"), start=1))
     return [(no, ln) for no, ln in numbered if ln and not ln.startswith("#")]
 
 
@@ -79,13 +83,8 @@ def _read_text(path: str, what: str) -> str:
         raise ConfigError(f"cannot read {what}: {exc}", path=path) from exc
 
 
-def parse_flat_file(path: str) -> dict[str, tuple[str, int]]:
-    """Parse ``key = value`` lines; returns {key: (value, line_number)}."""
-    return _parse_lines(_content_lines(_split_lines(_read_text(path, "config"))), path)
-
-
 def _parse_lines(content: list[tuple[int, str]], path: str) -> dict[str, tuple[str, int]]:
-    """Entries of numbered content lines; a value ends at its first '#'."""
+    """{key: (value, line number)} of numbered content lines; a value ends at its first '#'."""
     entries: dict[str, tuple[str, int]] = {}
     for no, line in content:
         if "=" not in line:
@@ -182,17 +181,14 @@ def load_scenario_file(path: str) -> CtcScenario:
     from .serialization import parse_unitary
 
     text = _read_text(path, "scenario file")
-    head: list[str] = []
-    unitary_text: str | None = None
-    pos = 0
-    while unitary_text is None and pos < len(text):  # only the head is split into lines
-        end = text.find("\n", pos) + 1 or len(text)
-        head.append(text[pos:end])
-        pos = end
-        if head[-1].strip() == "unitary:":
+    head, unitary_text, start = text, None, 0
+    while start < len(text):  # up to the marker; parse_unitary splits the body, once
+        end = text.find("\n", start) + 1 or len(text)
+        if text[start:end].strip() == "unitary:":
             # the lines up to the marker stay as blank lines, so the body keeps its line numbers
-            unitary_text = "\n" * len(head) + text[pos:]
-            head.pop()
+            head, unitary_text = text[:start], "\n" * (text.count("\n", 0, start) + 1) + text[end:]
+            break
+        start = end
 
     ent = _Entries(path, _parse_lines(_content_lines(head), path))
     ent.reject_unknown("a scenario file", ("cr_ids", "ctc_ids"))
@@ -234,7 +230,8 @@ def load_config(path: str, kind: str, flags: dict[str, str] | None = None) -> tu
     if kind not in EXPERIMENT_KINDS:
         raise ConfigError(f"unknown experiment kind {kind!r}", path=path)
     flag_entries = {key: (text, None) for key, text in (flags or {}).items()}
-    ent = _Entries(path, {**parse_flat_file(path), **flag_entries})
+    entries = _parse_lines(_content_lines(_read_text(path, "config")), path)
+    ent = _Entries(path, {**entries, **flag_entries})
     declared = ent.get_str("experiment", choices=EXPERIMENT_KINDS, required=True)
     if declared != kind:
         ent.fail(f"config declares experiment {declared!r}, command expects {kind!r}")
@@ -244,7 +241,7 @@ def load_config(path: str, kind: str, flags: dict[str, str] | None = None) -> tu
         ent.fail("csv output is only defined for signaling sessions", "format")
 
     if kind == "measure":
-        state = ent.get_str("state", choices=MEASURE_PRESETS, required=True)
+        state = ent.get_str("state", choices=tuple(MEASURE_PRESETS), required=True)
         rounds = ent.get_int("rounds", 1, MAX_COUNT)
         seed = ent.get_int("seed", *_SEED_RANGE)
         if rounds is not None and seed is None:

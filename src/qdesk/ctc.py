@@ -154,7 +154,8 @@ def _fixed_space(m: np.ndarray, tol: float) -> np.ndarray:
 
 
 def _circular_clusters(phases: np.ndarray, tol: float) -> list[list[int]]:
-    """Group indices whose phases chain within tol on the circle."""
+    """Group indices whose phases chain within tol on the circle, each group in ascending phase
+    but one merged across the wrap gap, whose first phase is then above its last."""
     order = np.argsort(phases)
     clusters: list[list[int]] = []
     for idx in order:
@@ -177,7 +178,9 @@ def linear_consistency_basis(scenario: CtcScenario, mode: str = "strict") -> Con
             singular vector computed, when a values-only SVD puts sigma_min(U - I) above
             2 PHASE_TOL, a margin far wider than the rounding between two SVDs' values.
     ray:    every eigenspace from np.linalg.eig, eigenphases within PHASE_TOL merged,
-            each cluster's eigenvectors orthonormalized by QR first.
+            each cluster's eigenvectors orthonormalized by QR first. A cluster's phase is the
+            angle of its mean eigenvalue, but a cluster merged across the wrap gap is at pi,
+            so it sorts last whichever side of -1 its mean falls on.
     For an exact unitary sigma = |e^{i phi} - 1| = 2 |sin(phi / 2)| <= |phi|, so strict
     keeps all that |phi| <= PHASE_TOL keeps. _check_unitary admits ||U†U - I||_2 <=
     d ATOL, which moves sigma against |lambda - 1| by O(d ATOL): within that band of
@@ -196,10 +199,10 @@ def linear_consistency_basis(scenario: CtcScenario, mode: str = "strict") -> Con
         phases = np.angle(vals)
         phases[phases <= -np.pi] = np.pi  # np.angle gives -pi for negative reals, -0 imag
         for cluster in _circular_clusters(phases, PHASE_TOL):
-            lam = np.exp(1j * phases[cluster]).mean()
-            phase = float(np.angle(lam))
-            if phase <= -np.pi:
-                phase += 2.0 * np.pi
+            if phases[cluster[0]] > phases[cluster[-1]]:  # merged across the wrap gap
+                phase = np.pi
+            else:
+                phase = float(np.angle(np.exp(1j * phases[cluster]).mean()))
             pairs.append(EigenSpace(phase, _canonical_basis(np.linalg.qr(vecs[:, cluster])[0])))
         pairs.sort(key=lambda e: e.phase)
     return ConsistencySubspace(mode, tuple(pairs), PHASE_TOL)

@@ -1,6 +1,7 @@
 """Structured-text serialization of states, density matrices, and unitaries.
 
-Format (UTF-8; a line ends at LF, CR LF or CR, and nowhere else):
+Format (UTF-8; a line ends at LF, CR LF or CR, and nowhere else: the text is split by
+``config._content_lines``, the one line reader, which also drops blank and # comment lines):
 
     qdesk-object: state            # or: density | unitary
     layout: spin=up,down; meter=ready,saw_up,saw_down
@@ -24,7 +25,7 @@ import functools
 
 import numpy as np
 
-from .config import _content_lines, _split_lines
+from .config import _content_lines
 from .errors import FormatError
 from .reports import format_float
 from .tensor import DensityMatrix, StateVector, SubsystemLayout, UnitaryOperator, layout_of
@@ -83,7 +84,7 @@ def serialize_unitary(u: UnitaryOperator) -> str:
 
 
 def _parse_header(text: str) -> tuple[str, SubsystemLayout, list[str], list[int]]:
-    content = _content_lines(_split_lines(text))
+    content = _content_lines(text)
     if len(content) < 3:
         raise FormatError("serialized object needs at least 3 lines (kind, layout, data)")
     (no0, l0), (no1, l1), (no2, l2) = content[0], content[1], content[2]

@@ -146,6 +146,14 @@ def _frozen_complex(data, shape) -> np.ndarray:
     return arr
 
 
+def _frozen_square(matrix, d: int) -> np.ndarray:
+    """matrix as a read-only, finite, complex (d, d) array; any other shape is a mismatch."""
+    arr = np.asarray(matrix, dtype=np.complex128)
+    if arr.shape != (d, d):
+        raise DimensionMismatchError(f"matrix shape {arr.shape} != {(d, d)}")
+    return _frozen_complex(arr, (d, d))
+
+
 def _row_norms(x: np.ndarray) -> np.ndarray:
     """The L2 norm of each row of a complex (n, d) x, and the one norm kernel: every
     StateVector, Haar sample and scan residual is normed here. Bit for bit np.linalg.norm(x[i]):
@@ -198,11 +206,7 @@ class DensityMatrix:
     __slots__ = ("layout", "matrix")
 
     def __init__(self, layout: SubsystemLayout, matrix):
-        d = layout.total_dimension
-        arr = np.asarray(matrix, dtype=np.complex128)
-        if arr.shape != (d, d):
-            raise DimensionMismatchError(f"matrix shape {arr.shape} != {(d, d)}")
-        arr = _frozen_complex(arr, (d, d))
+        arr = _frozen_square(matrix, layout.total_dimension)
         herm_dev = float(np.abs(arr - arr.conj().T).max())
         if herm_dev > ATOL:
             raise InvariantError(f"density matrix not Hermitian (deviation {herm_dev:.3e})")
@@ -233,11 +237,7 @@ class UnitaryOperator:
     __slots__ = ("layout", "matrix")
 
     def __init__(self, layout: SubsystemLayout, matrix):
-        d = layout.total_dimension
-        arr = np.asarray(matrix, dtype=np.complex128)
-        if arr.shape != (d, d):
-            raise DimensionMismatchError(f"matrix shape {arr.shape} != {(d, d)}")
-        self.matrix = _frozen_complex(arr, (d, d))
+        self.matrix = _frozen_square(matrix, layout.total_dimension)
         _check_unitary(self.matrix)
         self.layout = layout
 

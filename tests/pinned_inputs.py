@@ -6,12 +6,8 @@ Each case gets its own directory, since a ctc-* report prints its scenario file'
 """
 
 from itertools import product
+from pathlib import Path
 
-import numpy as np
-
-from qdesk import UnitaryOperator, layout_of, serialize_unitary
-
-from oracles import SplitMix64, haar_unitary
 from test_bench_tracer import _load_bench
 
 Command = _load_bench("inputs").Command
@@ -30,27 +26,18 @@ CHSH = {
     "grid_pi_over_180": "grid_resolution = 0.017453292519943295\n",
 }
 SEEDS = {"sampled": (-5, 2**63, 2**64 - 1), "scan": (0, 2**63, 2**64 - 1)}
-# name: (CR qubits, loop qubits, default_rng seed); none of these loops has an eigenvalue 1
-GENERIC_SCENARIOS = {"haar_1_2": (1, 2, 11), "haar_2_2": (2, 2, 12), "haar_2_1": (2, 1, 13)}
+# Haar loops as committed scenario files, fixtures/haar_<CR qubits>_<loop qubits>.scenario, with
+# qubits c0, c1, ... as CR and l0, l1, ... as the loop. Each was written once from a QR-built Haar
+# unitary (haar_3_3: oracles.haar_unitary(64, SplitMix64(7)); the others: numpy's default_rng at
+# seeds 11, 12 and 13), so no BLAS kernel moves a pinned input.
+FIXTURES = Path(__file__).with_name("fixtures")
+# the generic strict solves' loops; none has an eigenvalue 1
+GENERIC_SCENARIOS = ("haar_1_2", "haar_2_2", "haar_2_1")
 GENERIC_SOLVE = "experiment = ctc-solve\nscenario_file = g.scenario\nmethod = {}\nmode = strict\n"
 
 
-def _scenario(n_cr: int, n_loop: int, u: np.ndarray) -> str:
-    """A scenario file body: CR qubits c0, c1, ..., loop qubits l0, l1, ..., and u."""
-    ids = [f"c{i}" for i in range(n_cr)] + [f"l{i}" for i in range(n_loop)]
-    u = UnitaryOperator(layout_of(*[(q, ("b0", "b1")) for q in ids]), u)
-    return (f"cr_ids = {','.join(ids[:n_cr])}\nctc_ids = {','.join(ids[n_cr:])}\nunitary:\n"
-            + serialize_unitary(u))
-
-
-def _generic_scenario(name: str) -> str:
-    """A Haar loop drawn from numpy's default_rng: LAPACK QR, rephased to a positive R diagonal."""
-    n_cr, n_loop, seed = GENERIC_SCENARIOS[name]
-    rng = np.random.default_rng(seed)
-    dim = 2 ** (n_cr + n_loop)
-    q, r = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
-    d = np.diagonal(r)
-    return _scenario(n_cr, n_loop, q * (d / np.abs(d))[np.newaxis, :])
+def _fixture(name: str) -> str:
+    return (FIXTURES / f"{name}.scenario").read_text(encoding="utf-8")
 
 
 def write(directory, name: str, text: str) -> str:
@@ -62,7 +49,7 @@ def write(directory, name: str, text: str) -> str:
 
 def generic_solve_config(directory, name: str, method: str) -> str:
     """A strict ctc-solve config on the generic loop `name`, written with it into directory."""
-    write(directory, "g.scenario", _generic_scenario(name))
+    write(directory, "g.scenario", _fixture(name))
     return write(directory, "c.cfg", GENERIC_SOLVE.format(method))
 
 
@@ -81,13 +68,13 @@ def _cases():
                                         SEEDS["scan"]):
         yield (f"ctc_scan/{scenario}-{mode}-{seed}", "ctc-scan", f"experiment = ctc-scan\n"
                f"scenario = {scenario}\nmode = {mode}\nsamples = 400\nseed = {seed}\n", {})
-    haar = {"haar.scenario": _scenario(3, 3, haar_unitary(64, SplitMix64(7)))}
+    haar = {"haar.scenario": _fixture("haar_3_3")}
     for seed in SEEDS["scan"]:
         yield (f"haar_scan/{seed}", "ctc-scan", "experiment = ctc-scan\nscenario_file = "
                f"haar.scenario\nmode = ray\nsamples = 2000\nseed = {seed}\n", haar)
     for name, method in product(GENERIC_SCENARIOS, ("iterate", "spectral")):
         yield (f"generic_ctc_solve/{name}-{method}", "ctc-solve", GENERIC_SOLVE.format(method),
-               {"g.scenario": _generic_scenario(name)})
+               {"g.scenario": _fixture(name)})
 
 
 def generate(outdir) -> list:

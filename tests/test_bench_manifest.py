@@ -9,8 +9,9 @@ moved input is an input change, not a report change) and then runs it in process
 cli.main: here each benchmark command, and in test_cli's *_reports_match_pinned_digests
 tests each pinned/<test>/<id> key, as test id <id>-<recorded stdout sha256> (chsh: <id>).
 A change that moves report bytes on purpose re-records the whole manifest in the same diff,
-at one BLAS thread as the benchmark and the tests run (the Haar inputs' LAPACK QR gives
-other bits at other thread counts):
+at one BLAS thread as the benchmark and the tests run. The pinned Haar loops are committed
+files (tests/fixtures), so no pinned input depends on the BLAS kernel; only the benchmark's
+own Haar inputs still come from LAPACK QR, which gives other bits at other thread counts:
 
     PYTHONPATH=src python tests/test_bench_manifest.py
 
@@ -144,6 +145,15 @@ def test_each_pinned_case_has_one_entry(generated):
     # test_cli checks each pinned/ key the manifest holds: a lost entry would lose its test
     assert (sorted(key for key, _, _ in generated("pinned"))
             == sorted(key for key in manifest()["entries"] if key.startswith("pinned/")))
+
+
+@pytest.mark.kernel_independent
+def test_pinned_inputs_match_the_manifest(generated):
+    # config text and committed scenario files: no BLAS call writes a pinned input
+    recorded = manifest()
+    entries = recorded["entries"]
+    moved = [key for key, _, files in generated("pinned") if files != entries[key]["inputs"]]
+    assert not moved, f"{recorded_under(recorded)}: {len(moved)} input changes: {', '.join(moved)}"
 
 
 def _record(outdir: Path) -> str:

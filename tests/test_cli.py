@@ -15,7 +15,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from qdesk import SolverError, UnitaryOperator, grandfather_scenario, layout_of, serialize_unitary
 import qdesk.cli
-import qdesk.config
 import qdesk.ctc
 from qdesk.cli import _build_parser, main
 from qdesk.reports import CSV_BLOCK_ROWS as BLOCK
@@ -81,11 +80,6 @@ def test_measure_seed_without_rounds_exits_2(tmp_path):
     plain = write(tmp_path, "plain.cfg", "experiment = measure\nstate = plus\n")
     code, out = run_cli(["measure", "--config", plain, "--seed", "5"])
     assert code == 2 and out == ""
-
-
-def test_measure_presets_are_the_configs_state_choices():
-    # config cannot import cli, so the one table of presets and the key's choices are pinned here
-    assert tuple(qdesk.cli._PRESETS) == qdesk.config.MEASURE_PRESETS
 
 
 def test_signal_csv_has_exact_columns(tmp_path):

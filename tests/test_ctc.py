@@ -371,6 +371,21 @@ def test_ray_clusters_match_schur_eigenspaces(d, data, seed):
         assert np.abs(projector(pair.basis) - projector(ref_vecs[:, sel])).max() <= tol
 
 
+def test_ray_cluster_merged_across_pi_is_at_pi_and_sorts_last():
+    """Eigenphases pi - x and -pi + y, x and y in [0, 0.49 PHASE_TOL), merge across the wrap gap.
+
+    Their mean eigenvalue falls on either side of -1, so its angle is just below pi or just
+    above -pi; the cluster reports pi on both sides, after the two phases far from +-pi."""
+    rng = np.random.default_rng(2718)
+    for _ in range(200):
+        x, y = rng.uniform(0.0, 0.49 * PHASE_TOL, 2)
+        far = rng.uniform(-2.5, 2.5, 2)
+        u, _ = planted_unitary(4, rng, [math.pi - x, -math.pi + y, *far], "exact", 0.0)
+        pairs = linear_consistency_basis(loop_scenario(u), "ray").eigenpairs
+        assert [e.dimension for e in pairs] == [1, 1, 2]
+        assert pairs[-1].phase == math.pi, (x, y)
+
+
 def test_consistency_residuals_for_the_flip():
     sc = grandfather_scenario("qubit_flip")
     plus = StateVector(sc.layout, [1.0, 1.0])
