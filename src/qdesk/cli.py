@@ -20,11 +20,13 @@ rendered and written before the next, once every check of the session has
 passed.
 
 Exit codes: 0 success, 2 config error (a bad flag value, a flag the command
-does not read, or a file that cannot be opened, included), an --out path or
-stdout that cannot be written (a closed pipe, or an encoding that cannot
-spell the report) or a command that cannot get its memory, 3 solver
-non-convergence (a report in the run's format still carries the best
-residual; stderr names the failed step), 4 internal invariant violation.
+does not read, a file that cannot be opened, or a serialized body whose rows
+disagree with its layout: a text too short for its entries never allocates
+them), an --out path or stdout that cannot be written (a closed pipe, or an
+encoding that cannot spell the report) or a command, config or scenario that
+cannot get its memory, 3 solver non-convergence (a report in the run's format
+still carries the best residual; stderr names the failed step), 4 internal
+invariant violation.
 An --out path that is empty, holds a NUL, names a directory, has a parent
 that is missing or no directory, or is not writable (an existing file by its
 own permission, a new one by its parent's) is refused before the config is read.
@@ -410,27 +412,19 @@ def main(argv: list[str] | None = None) -> int:
     flags = {k: v for k, v in vars(args).items() if k in _ENTRY_FLAGS and v is not None}
     try:
         fmt, cmd_args = load_config(args.config, args.command, flags)
+        start = time.perf_counter()
+        pieces, code, tail = build_report(args.command, fmt, cmd_args), 0, None
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-
-    start = time.perf_counter()
-    try:
-        pieces = build_report(args.command, fmt, cmd_args)
     except SolverError as exc:
-        error_payload = {
-            "experiment": args.command,
-            "error": "solver did not converge",
-            "residual": exc.residual,
-        }
-        if not _emit([render_payload(error_payload, fmt)], args.out):
-            return 2
-        print(f"solver error: {exc}", file=sys.stderr)
-        return 3
+        payload = {"experiment": args.command, "error": "solver did not converge",
+                   "residual": exc.residual}
+        pieces, code, tail = [render_payload(payload, fmt)], 3, f"solver error: {exc}"
     except InvariantError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 4
-    except MemoryError as exc:  # a count within MAX_COUNT that needs more than it can get
+    except MemoryError as exc:  # a scenario, or a count within MAX_COUNT, too large to hold
         detail = f": {exc}" if str(exc) else ""
         print(f"memory error: {args.command} cannot get its memory{detail}", file=sys.stderr)
         return 2
@@ -438,5 +432,5 @@ def main(argv: list[str] | None = None) -> int:
     if not _emit(pieces, args.out):
         return 2
     # rendering a signal CSV happens as it is written, so the time covers both
-    print(f"completed in {time.perf_counter() - start:.3f} s", file=sys.stderr)
-    return 0
+    print(tail or f"completed in {time.perf_counter() - start:.3f} s", file=sys.stderr)
+    return code

@@ -109,10 +109,11 @@ def _parse_rows(rows: list[list[str]], width: int, line_nos: list[int]) -> np.nd
     spelling Python's float accepts, each read by _parse_complex, so an error
     names the first bad token and its line.
     """
-    out = np.empty((len(rows), width), dtype=np.complex128)
-    for r, (tokens, line_no) in enumerate(zip(rows, line_nos)):
+    for tokens, line_no in zip(rows, line_nos):  # the shape, before its memory is asked for
         if len(tokens) != width:
             raise FormatError(f"line {line_no}: expected {width} entries, got {len(tokens)}")
+    out = np.empty((len(rows), width), dtype=np.complex128)
+    for r, (tokens, line_no) in enumerate(zip(rows, line_nos)):
         out[r] = [_parse_complex(tok, line_no) for tok in tokens]
     return out
 
@@ -157,9 +158,12 @@ def _parse_canonical(rows: list[str], width: int) -> np.ndarray | None:
     is one double-double product (Dekker, without FMA), rounded once; a token
     whose rounding error lies within 2^-40 of half an ulp, or that rounds to
     a power of two, is re-read by float (Clinger 1990). The bits are float's.
-    Rows go in blocks of about 2^14 numbers, so temporaries stay small.
+    Rows go in blocks of about 2^14 numbers, so temporaries stay small; the output is made
+    only for rows long enough to spell it (23 bytes a number, less a separator a row).
     """
     per_row = 2 * width
+    if sum(map(len, rows)) < len(rows) * (23 * per_row - 1):
+        return None
     step = max(1, 2**14 // per_row)
     seps = np.frombuffer(((b", " * width)[:-1] + b"\n") * step, np.uint8)
     out = np.empty((len(rows), per_row))

@@ -358,7 +358,7 @@ def test_ctc_scan_via_cli(tmp_path):
     code, out = run_cli(["ctc-scan", "--config", cfg])
     assert code == 0
     payload = json.loads(out)
-    assert payload["fraction"] == 0.0
+    assert payload["samples"] == 500 and payload["fraction"] == 0.0
     assert payload["residual_min"] > 1e-3
 
 
@@ -542,21 +542,42 @@ def test_existing_out_file_is_written_under_its_own_write_permission(tmp_path, m
         assert open(target).read() == "old"
 
 
-BAD_INLINE_UNITARIES = {
-    "duplicate_labels": "layout: loop=b0,b0\ndata:\n1,0 0,0\n0,0 1,0\n",
-    "not_unitary": "layout: loop=b0,b1\ndata:\n1,0 1,0\n0,0 1,0\n",
-    "nan_entry": "layout: loop=b0,b1\ndata:\nnan,0 0,0\n0,0 1,0\n",
+QUBITS_15 = "layout: " + "; ".join(f"q{i}=b0,b1" for i in range(15)) + "\ndata:\n"
+BAD_INLINE_UNITARIES = {  # the body after the kind line, and the error it gives
+    "duplicate_labels": ("layout: loop=b0,b0\ndata:\n1,0 0,0\n0,0 1,0\n",
+                         "subsystem 'loop' has duplicate basis labels"),
+    "not_unitary": ("layout: loop=b0,b1\ndata:\n1,0 1,0\n0,0 1,0\n", "matrix is not unitary"),
+    "nan_entry": ("layout: loop=b0,b1\ndata:\nnan,0 0,0\n0,0 1,0\n", "entries must be finite"),
+    # 15 qubits, one entry a row: 128 KB of text whose rows would hold 16 GiB
+    "short_rows": (QUBITS_15 + "0,0\n" * 2**15, "line 6: expected 32768 entries, got 1"),
+    # the same after one whole row in the canonical spelling, which the vectorized reader takes
+    "short_after_canonical": (QUBITS_15 + " ".join([f"{1.0:.16e},{0.0:.16e}"] * 2**15) + "\n"
+                              + "0,0\n" * (2**15 - 1), "line 7: expected 32768 entries, got 1"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INLINE_UNITARIES))
-def test_bad_inline_unitary_exits_2(tmp_path, case, capsys):
-    write(tmp_path, "bad.scenario",
-          "ctc_ids = loop\nunitary:\nqdesk-object: unitary\n" + BAD_INLINE_UNITARIES[case])
+def test_bad_inline_unitary_exits_2(tmp_path, case, capsys, monkeypatch):
+    # a body is refused by its shape before its entries' memory is asked for: np.empty is
+    # refused above 1 MiB here, so the host's memory cannot decide the outcome
+    import numpy as np
+
+    body, message = BAD_INLINE_UNITARIES[case]
+    write(tmp_path, "bad.scenario", "ctc_ids = loop\nunitary:\nqdesk-object: unitary\n" + body)
     cfg = write(tmp_path, "c.cfg", "experiment = ctc-solve\nscenario_file = bad.scenario\n")
+    asked, empty = [], np.empty
+
+    def recorded_empty(shape, dtype=float, *args, **kwargs):
+        asked.append(math.prod(np.atleast_1d(shape)) * np.dtype(dtype).itemsize)
+        if asked[-1] > 1 << 20:
+            raise MemoryError(f"np.empty asked for {shape}")
+        return empty(shape, dtype, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", recorded_empty)
     code, out = run_cli(["ctc-solve", "--config", cfg])
     assert code == 2 and out == ""
-    assert "bad inline unitary" in capsys.readouterr().err
+    assert f"bad inline unitary: {message}" in capsys.readouterr().err
+    assert max(asked, default=0) <= 1 << 20
 
 
 def test_non_finite_inline_unitary_exits_2_without_traceback(tmp_path):
@@ -1025,6 +1046,24 @@ def test_count_whose_memory_cannot_be_had_exits_2(tmp_path, command, body):
     assert done.stdout == ""
     assert done.stderr.startswith(f"memory error: {command} cannot get its memory")
     assert done.stderr.count("\n") == 1, done.stderr
+
+
+def test_memory_error_while_a_config_loads_exits_2(tmp_path, monkeypatch, capsys):
+    # reading the config and running the command share one failure path
+    import qdesk.serialization
+
+    def no_memory(text):
+        raise MemoryError("synthetic")
+
+    monkeypatch.setattr(qdesk.serialization, "parse_unitary", no_memory)
+    write(tmp_path, "s.scenario", "ctc_ids = loop\nunitary:\nqdesk-object: unitary\n"
+          "layout: loop=b0,b1\ndata:\n0,0 1,0\n1,0 0,0\n")
+    cfg = write(tmp_path, "c.cfg", "experiment = ctc-solve\nscenario_file = s.scenario\n")
+    target = tmp_path / "r.json"
+    assert run_cli(["ctc-solve", "--config", cfg, "--out", str(target)]) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("memory error: ctc-solve cannot get its memory"), err
+    assert err.count("\n") == 1 and not target.exists()
 
 
 def test_only_a_csv_run_builds_the_digit_table(tmp_path):
