@@ -107,10 +107,15 @@ def _parse_rows(rows: list[list[str]], width: int, line_nos: list[int]) -> np.nd
 
     The reader of every body that _parse_canonical does not take: any token
     spelling Python's float accepts, each read by _parse_complex, so an error
-    names the first bad token and its line.
+    names the first bad token and its line. Every row's count is checked before
+    the output's memory is asked for; a row with the wrong count first reads the
+    rows above it, so the first error in row order is the one raised.
     """
-    for tokens, line_no in zip(rows, line_nos):  # the shape, before its memory is asked for
+    for r, (tokens, line_no) in enumerate(zip(rows, line_nos)):
         if len(tokens) != width:
+            for earlier, no in zip(rows[:r], line_nos):
+                for tok in earlier:
+                    _parse_complex(tok, no)
             raise FormatError(f"line {line_no}: expected {width} entries, got {len(tokens)}")
     out = np.empty((len(rows), width), dtype=np.complex128)
     for r, (tokens, line_no) in enumerate(zip(rows, line_nos)):

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -135,8 +136,8 @@ def test_completed_time_covers_csv_rendering(tmp_path, monkeypatch, capsys):
 # ru_maxrss counts the peak of the image it replaced, the pytest process's own.
 PEAK_PROBE = """
 import sys
-from qdesk.cli import main
-code = main(sys.argv[1:])
+from qdesk.cli import entry
+code = entry()
 with open("/proc/self/status") as fh:
     sys.stderr.write(next(line for line in fh if line.startswith("VmHWM:")))
 sys.exit(code)
@@ -175,6 +176,49 @@ def test_session_peak_does_not_grow_with_its_rounds(tmp_path, session):
     small, large = (own_peak_mb(tmp_path, kind, body + f"rounds = {n}\n")
                     for n in (40_000, 2_000_000))
     assert large <= small + 3.0, (small, large)
+
+
+# Runs one command through the process entry, then counts the objects that only a cyclic
+# collection could free: entry() runs the command with the collector off and freezes the
+# heap, so unfreezing puts the run's leftovers back where gc.collect() looks.
+GARBAGE_PROBE = """
+import gc, sys
+from qdesk.cli import entry
+code = entry()
+gc.unfreeze()
+sys.stderr.write(f"unreachable: {gc.collect()}\\n")
+sys.exit(code)
+"""
+
+GARBAGE_SIZES = {  # a config of each command at a small and a large size
+    "measure": ("experiment = measure\nstate = bell\nseed = 7\nrounds = {}\n", (1_000, 200_000)),
+    "signal": ("experiment = signal\nalice_angle = 0.3\nbob_angle = -1.1\nseed = 7\n"
+               "format = csv\nrounds = {}\n", (1_000, 200_000)),
+    "chsh": ("experiment = chsh\ngrid_resolution = {}\n", (0.5, 0.01)),
+    "ctc-solve": (None, ("haar_2_1", "haar_2_2")),
+    "ctc-scan": ("experiment = ctc-scan\nscenario = cr_coupled\nseed = 1\nsamples = {}\n",
+                 (10, 20_000)),
+}
+
+
+def unreachable_after(tmp_path, kind, size):
+    """Objects a cyclic collection finds after `qdesk kind` ran through entry() at size."""
+    body, _ = GARBAGE_SIZES[kind]
+    if body is None:  # a loop solve grows with its loop: a generic Haar loop, iterated
+        cfg = generic_solve_config(tmp_path, size, "iterate")
+    else:
+        cfg = write(tmp_path, "c.cfg", body.format(size))
+    done = subprocess.run([sys.executable, "-c", GARBAGE_PROBE, kind, "--config", cfg],
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    assert done.returncode == 0, done.stderr
+    return int(re.search(r"^unreachable: (\d+)$", done.stderr, re.M).group(1))
+
+
+@pytest.mark.parametrize("kind", sorted(GARBAGE_SIZES))
+def test_a_command_leaves_the_same_cyclic_garbage_at_every_size(tmp_path, kind):
+    # the collector is off for the whole command, so memory must not grow with its size
+    small, large = (unreachable_after(tmp_path, kind, size) for size in GARBAGE_SIZES[kind][1])
+    assert small == large, (small, large)
 
 
 def test_signal_summary_matches_exact_correlator(tmp_path):
@@ -388,6 +432,78 @@ def test_out_flag_writes_file(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# the process entry
+
+
+def test_main_in_process_changes_no_collector_state(tmp_path):
+    import gc
+
+    ok = write(tmp_path, "ok.cfg", SMALL_CONFIGS["measure"])
+    bad = write(tmp_path, "bad.cfg", SMALL_CONFIGS["measure"] + "colour = red\n")
+    frozen = gc.get_freeze_count()
+    for enabled in (True, False):
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert run_cli(["measure", "--config", ok])[0] == 0
+            assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+            assert run_cli(["measure", "--config", bad]) == (2, "")
+            assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+        finally:
+            gc.enable()
+
+
+# Runs the process entry with build_report raising the named fault, if any; the last stderr
+# line is the collector state the entry left.
+ENTRY_PROBE = """
+import gc, sys
+import qdesk.cli
+from qdesk.errors import InvariantError, SolverError
+fault = {"solver": SolverError("synthetic", residual=0.5),
+         "invariant": InvariantError("synthetic")}.get(sys.argv.pop(1))
+if fault is not None:
+    def build_report(*args):
+        raise fault
+    qdesk.cli.build_report = build_report
+code = qdesk.cli.entry()
+sys.stderr.write(f"collector: {gc.isenabled()} {gc.get_freeze_count()}\\n")
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("fault,extra,code", [
+    ("none", "", 0), ("none", "colour = red\n", 2), ("solver", "", 3), ("invariant", "", 4),
+], ids=["ok", "config", "solver", "invariant"])
+def test_entry_exits_as_main_does_with_the_collector_off_and_the_heap_frozen(
+        tmp_path, monkeypatch, fault, extra, code):
+    from qdesk.errors import InvariantError, SolverError
+
+    cfg = write(tmp_path, "m.cfg", SMALL_CONFIGS["measure"] + extra)
+    raised = {"solver": SolverError("synthetic", residual=0.5),
+              "invariant": InvariantError("synthetic")}.get(fault)
+    if raised is not None:
+        def build_report(*args):
+            raise raised
+        monkeypatch.setattr(qdesk.cli, "build_report", build_report)
+    assert run_cli(["measure", "--config", cfg])[0] == code
+    done = subprocess.run([sys.executable, "-c", ENTRY_PROBE, fault, "measure", "--config", cfg],
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    assert done.returncode == code, done.stderr
+    enabled, frozen = re.search(r"^collector: (\w+) (\d+)$", done.stderr, re.M).groups()
+    assert enabled == "False" and int(frozen) > 0
+
+
+def test_console_script_names_the_entry_that_the_module_calls():
+    # pyproject.toml is read as text: Python 3.10 has no tomllib
+    root = Path(__file__).resolve().parents[1]
+    pyproject = (root / "pyproject.toml").read_text(encoding="utf-8")
+    script = re.search(r"^\[project\.scripts\]\nqdesk = \"qdesk\.cli:(\w+)\"$", pyproject, re.M)
+    assert script is not None, pyproject
+    name = script.group(1)
+    module = (Path(qdesk.cli.__file__).parent / "__main__.py").read_text(encoding="utf-8")
+    assert module == f"import sys\n\nfrom .cli import {name}\n\nsys.exit({name}())\n"
+
+
+# ---------------------------------------------------------------------------
 # exit codes
 
 
@@ -553,6 +669,9 @@ BAD_INLINE_UNITARIES = {  # the body after the kind line, and the error it gives
     # the same after one whole row in the canonical spelling, which the vectorized reader takes
     "short_after_canonical": (QUBITS_15 + " ".join([f"{1.0:.16e},{0.0:.16e}"] * 2**15) + "\n"
                               + "0,0\n" * (2**15 - 1), "line 7: expected 32768 entries, got 1"),
+    # a bad token is named before the wrong count of a later row
+    "bad_token_before_short_row": ("layout: loop=b0,b1\ndata:\n1.0,2.0,0,0 0,0\n0,0\n",
+                                   "line 6: expected 're,im', got '1.0,2.0,0,0'"),
 }
 
 
