@@ -23,10 +23,12 @@ by, built-in or file, as ``scenario_name``.
 A built-in loop is named by the config entry ``scenario``. A scenario file
 (``scenario_file``) carries the partition lists ``cr_ids`` and ``ctc_ids``,
 then an inline serialized unitary after a ``unitary:`` marker line. Config
-and scenario files share one file reader, ``_read_text``, and every line
-split, a serialized body's included, is the one line reader,
+and scenario files share one file reader, ``_read_text``, and every content
+line, a serialized body's included, comes from the one line reader,
 ``_content_lines``: a line ends at LF, CR LF or CR, and at no other
-character.
+character. ``load_scenario_file`` walks a scenario's lines a second way, to
+find the marker: it hands ``parse_unitary`` the whole text after it, which
+that reader splits.
 """
 
 from __future__ import annotations

@@ -14,9 +14,10 @@ with entries separated by single spaces. Every complex number is written as
 ``re,im`` with 17 significant digits (format ``.16e``), which round-trips
 IEEE-754 doubles exactly and keeps output byte-stable across runs.
 
-A body in exactly that spelling is read by one vectorized kernel, bit-identical
-to Python's ``float``; any other body, in any spelling ``float`` accepts, is
-read row by row, which also names the line of a bad entry.
+One writer, ``_serialize``, writes all three kinds. A body in exactly that
+spelling is read by one vectorized kernel, bit-identical to Python's ``float``;
+any other body, in any spelling ``float`` accepts, is read in one pass over its
+lines, so the first bad line in row order is the one named.
 """
 
 from __future__ import annotations
@@ -47,11 +48,6 @@ def _parse_complex(token: str, line_no: int) -> complex:
         raise FormatError(f"line {line_no}: bad number in {token!r}") from exc
 
 
-def _layout_header(layout: SubsystemLayout) -> str:
-    parts = [f"{s.name}={','.join(s.labels)}" for s in layout.subsystems]
-    return "; ".join(parts)
-
-
 def _parse_layout(text: str) -> SubsystemLayout:
     specs = []
     for chunk in text.split(";"):
@@ -63,27 +59,28 @@ def _parse_layout(text: str) -> SubsystemLayout:
     return layout_of(*specs)
 
 
-def _serialize(kind: str, layout: SubsystemLayout, body_lines: list[str]) -> str:
-    lines = [f"qdesk-object: {kind}", f"layout: {_layout_header(layout)}", "data:"]
-    lines.extend(body_lines)
+def _serialize(kind: str, layout: SubsystemLayout, entries: np.ndarray) -> str:
+    """The text of a kind: its header, then a line per row of entries (an amplitude a line)."""
+    lines = [f"qdesk-object: {kind}",
+             "layout: " + "; ".join(f"{s.name}={','.join(s.labels)}" for s in layout.subsystems),
+             "data:"]
+    lines.extend(" ".join(map(format_complex, row)) for row in entries.reshape(len(entries), -1))
     return "\n".join(lines) + "\n"
 
 
 def serialize_state(s: StateVector) -> str:
-    return _serialize("state", s.layout, [format_complex(z) for z in s.amplitudes])
+    return _serialize("state", s.layout, s.amplitudes)
 
 
 def serialize_density(rho: DensityMatrix) -> str:
-    rows = [" ".join(format_complex(z) for z in row) for row in rho.matrix]
-    return _serialize("density", rho.layout, rows)
+    return _serialize("density", rho.layout, rho.matrix)
 
 
 def serialize_unitary(u: UnitaryOperator) -> str:
-    rows = [" ".join(format_complex(z) for z in row) for row in u.matrix]
-    return _serialize("unitary", u.layout, rows)
+    return _serialize("unitary", u.layout, u.matrix)
 
 
-def _parse_header(text: str) -> tuple[str, SubsystemLayout, list[str], list[int]]:
+def _parse_header(text: str) -> tuple[str, SubsystemLayout, list[tuple[int, str]]]:
     content = _content_lines(text)
     if len(content) < 3:
         raise FormatError("serialized object needs at least 3 lines (kind, layout, data)")
@@ -98,29 +95,25 @@ def _parse_header(text: str) -> tuple[str, SubsystemLayout, list[str], list[int]
     layout = _parse_layout(l1.split(":", 1)[1])
     if l2 != "data:":
         raise FormatError(f"line {no2}: expected 'data:'")
-    body = content[3:]
-    return kind, layout, [ln for _, ln in body], [no for no, _ in body]
+    return kind, layout, content[3:]
 
 
-def _parse_rows(rows: list[list[str]], width: int, line_nos: list[int]) -> np.ndarray:
-    """Complex (len(rows), width) array from rows of 're,im' tokens; row r is on line_nos[r].
+def _parse_rows(body: list[tuple[int, str]], width: int, kind: str) -> np.ndarray:
+    """Complex (len(body), width) array of numbered body lines of 're,im' tokens.
 
     The reader of every body that _parse_canonical does not take: any token
-    spelling Python's float accepts, each read by _parse_complex, so an error
-    names the first bad token and its line. Every row's count is checked before
-    the output's memory is asked for; a row with the wrong count first reads the
-    rows above it, so the first error in row order is the one raised.
+    spelling Python's float accepts, each read by _parse_complex. It reads the
+    lines in one pass, a line's entry count before its tokens, so the first
+    error in row order is the one raised, with its line; it keeps only what it
+    has read, so its memory grows with the text, not with the layout's size.
     """
-    for r, (tokens, line_no) in enumerate(zip(rows, line_nos)):
+    rows = []
+    for line_no, line in body:
+        tokens = [line] if kind == "state" else line.split()
         if len(tokens) != width:
-            for earlier, no in zip(rows[:r], line_nos):
-                for tok in earlier:
-                    _parse_complex(tok, no)
             raise FormatError(f"line {line_no}: expected {width} entries, got {len(tokens)}")
-    out = np.empty((len(rows), width), dtype=np.complex128)
-    for r, (tokens, line_no) in enumerate(zip(rows, line_nos)):
-        out[r] = [_parse_complex(tok, line_no) for tok in tokens]
-    return out
+        rows.append([_parse_complex(tok, line_no) for tok in tokens])
+    return np.array(rows, dtype=np.complex128)
 
 
 @functools.cache
@@ -216,7 +209,7 @@ def _parse_canonical(rows: list[str], width: int) -> np.ndarray | None:
 
 def _parse_body(text: str, kind: str) -> tuple[SubsystemLayout, np.ndarray]:
     """Layout and complex (d, width) entries of a serialized kind; width is 1 for a state."""
-    got, layout, body, line_nos = _parse_header(text)
+    got, layout, body = _parse_header(text)
     if got != kind:
         raise FormatError(f"expected a {kind}, got {got!r}")
     d = layout.total_dimension
@@ -224,11 +217,8 @@ def _parse_body(text: str, kind: str) -> tuple[SubsystemLayout, np.ndarray]:
         raise FormatError(f"expected {d} {'amplitudes' if kind == 'state' else 'matrix rows'}, "
                           f"got {len(body)}")
     width = 1 if kind == "state" else d
-    parsed = _parse_canonical(body, width)
-    if parsed is None:
-        rows = [[ln] for ln in body] if kind == "state" else [ln.split() for ln in body]
-        parsed = _parse_rows(rows, width, line_nos)
-    return layout, parsed
+    parsed = _parse_canonical([ln for _, ln in body], width)
+    return layout, _parse_rows(body, width, kind) if parsed is None else parsed
 
 
 def parse_state(text: str) -> StateVector:

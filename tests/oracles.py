@@ -10,7 +10,8 @@ permutations of ``_sector_permutation``, Bob's rotation is built from
 ``math.cos``/``math.sin`` of his half angle, and the package's
 single-operator API applies both), ``numpy_signaling_weights`` is the numpy
 evaluation of the closed form that the plain-Python kernel must equal bit
-for bit, and ``read_serialized_body`` reuses the package's header parser.
+for bit, and ``read_serialized_body`` shares only ``layout_of`` with the
+package's reader.
 The five-subsystem round lives on ``signaling_layout()``.
 
 Test fixtures draw from ``SplitMix64`` below, a sequential generator built on
@@ -574,24 +575,48 @@ def render_signal_csv(records) -> str:
 def read_serialized_body(text: str, kind: str):
     """(layout, complex (d, width) entries) of a serialized kind, every token read by float.
 
-    The row-by-row reading of a body that predates the vectorized canonical
-    reader: the reference for its value bits and for the FormatError (message
-    and line) of a bad body. Header parsing is the package's own, imported
-    inside the function.
+    The line-by-line reading of a serialized object that predates the
+    vectorized canonical reader: the reference for its value bits and for the
+    FormatError (message and line) of a bad header or body. It splits the
+    lines and reads the header itself; only ``layout_of``'s subsystem checks
+    are the package's, imported inside the function.
     """
-    from qdesk.errors import FormatError
-    from qdesk.serialization import _parse_header
+    import re
 
-    got, layout, body, line_nos = _parse_header(text)
+    from qdesk.errors import FormatError
+    from qdesk.tensor import layout_of
+
+    lines = [(no, line.strip()) for no, line in enumerate(re.split(r"\r\n|\r|\n", text), 1)]
+    lines = [(no, line) for no, line in lines if line and line[0] != "#"]
+    if len(lines) < 3:
+        raise FormatError("serialized object needs at least 3 lines (kind, layout, data)")
+    (kind_no, kind_line), (layout_no, layout_line), (data_no, data_line) = lines[:3]
+    if kind_line[:13] != "qdesk-object:":
+        raise FormatError(f"line {kind_no}: expected 'qdesk-object: <kind>'")
+    got = kind_line[13:].strip()
+    if got not in ("state", "density", "unitary"):
+        raise FormatError(f"line {kind_no}: unknown object kind {got!r}")
+    if layout_line[:7] != "layout:":
+        raise FormatError(f"line {layout_no}: expected 'layout: ...'")
+    specs = []
+    for chunk in layout_line[7:].split(";"):
+        name, eq, labels = chunk.strip().partition("=")
+        if not eq:
+            raise FormatError(f"bad layout chunk {chunk.strip()!r} (expected id=label,label,...)")
+        specs.append((name.strip(), [label.strip() for label in labels.split(",")]))
+    layout = layout_of(*specs)
+    if data_line != "data:":
+        raise FormatError(f"line {data_no}: expected 'data:'")
     if got != kind:
         raise FormatError(f"expected a {kind}, got {got!r}")
+    body = lines[3:]
     d = layout.total_dimension
     if len(body) != d:
         raise FormatError(f"expected {d} {'amplitudes' if kind == 'state' else 'matrix rows'}, "
                           f"got {len(body)}")
     width = 1 if kind == "state" else d
     out = np.empty((d, width), dtype=complex)
-    for r, (line, no) in enumerate(zip(body, line_nos)):
+    for r, (no, line) in enumerate(body):
         tokens = [line] if kind == "state" else line.split()
         if len(tokens) != width:
             raise FormatError(f"line {no}: expected {width} entries, got {len(tokens)}")

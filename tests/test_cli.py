@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -666,6 +667,9 @@ BAD_INLINE_UNITARIES = {  # the body after the kind line, and the error it gives
     "nan_entry": ("layout: loop=b0,b1\ndata:\nnan,0 0,0\n0,0 1,0\n", "entries must be finite"),
     # 15 qubits, one entry a row: 128 KB of text whose rows would hold 16 GiB
     "short_rows": (QUBITS_15 + "0,0\n" * 2**15, "line 6: expected 32768 entries, got 1"),
+    # 11 qubits: rows that would hold 64 MiB, which a host can give, so only the peak refuses it
+    "short_rows_11_qubits": ("layout: " + "; ".join(f"q{i}=b0,b1" for i in range(11)) + "\ndata:\n"
+                             + "0,0\n" * 2**11, "line 6: expected 2048 entries, got 1"),
     # the same after one whole row in the canonical spelling, which the vectorized reader takes
     "short_after_canonical": (QUBITS_15 + " ".join([f"{1.0:.16e},{0.0:.16e}"] * 2**15) + "\n"
                               + "0,0\n" * (2**15 - 1), "line 7: expected 32768 entries, got 1"),
@@ -678,7 +682,8 @@ BAD_INLINE_UNITARIES = {  # the body after the kind line, and the error it gives
 @pytest.mark.parametrize("case", sorted(BAD_INLINE_UNITARIES))
 def test_bad_inline_unitary_exits_2(tmp_path, case, capsys, monkeypatch):
     # a body is refused by its shape before its entries' memory is asked for: np.empty is
-    # refused above 1 MiB here, so the host's memory cannot decide the outcome
+    # refused above 1 MiB here, so the host's memory cannot decide the outcome, and the run's
+    # traced peak (numpy's arrays included) is bounded, whatever call allocates
     import numpy as np
 
     body, message = BAD_INLINE_UNITARIES[case]
@@ -693,10 +698,16 @@ def test_bad_inline_unitary_exits_2(tmp_path, case, capsys, monkeypatch):
         return empty(shape, dtype, *args, **kwargs)
 
     monkeypatch.setattr(np, "empty", recorded_empty)
-    code, out = run_cli(["ctc-solve", "--config", cfg])
+    tracemalloc.start()
+    try:
+        code, out = run_cli(["ctc-solve", "--config", cfg])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert code == 2 and out == ""
     assert f"bad inline unitary: {message}" in capsys.readouterr().err
     assert max(asked, default=0) <= 1 << 20
+    assert peak <= 32 << 20
 
 
 def test_non_finite_inline_unitary_exits_2_without_traceback(tmp_path):

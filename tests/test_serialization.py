@@ -33,6 +33,7 @@ def _layout():
     return layout_of(("spin", ("up", "down")), ("meter", ("ready", "saw_up", "saw_down")))
 
 
+@pytest.mark.kernel_independent
 def test_state_round_trip_is_exact():
     lay = _layout()
     s = StateVector(lay, haar_state(6, SplitMix64(1)))
@@ -41,6 +42,7 @@ def test_state_round_trip_is_exact():
     assert np.array_equal(back.amplitudes, s.amplitudes)
 
 
+@pytest.mark.kernel_independent
 def test_density_round_trip_is_exact():
     lay = _layout()
     amps = StateVector(lay, haar_state(6, SplitMix64(2))).amplitudes
@@ -49,6 +51,7 @@ def test_density_round_trip_is_exact():
     assert np.array_equal(back.matrix, rho.matrix)
 
 
+@pytest.mark.kernel_independent
 def test_unitary_round_trip_is_exact():
     lay = _layout()
     u = UnitaryOperator(lay, haar_unitary(6, SplitMix64(3)))
@@ -261,9 +264,20 @@ OTHER_SPELLINGS = ["1e-3", "+0.5", "1E+00", ".5", "1_0", "inf", "nan", "-inf", "
                    "0x1p3", "1.0e+100", "bogus"]
 
 
+# a header line's index and the spellings that replace it; None drops the line
+HEADER_FAULTS = {
+    "unknown_kind": (0, ["qdesk-object: vector", "qdesk-object:", "qdesk-object: State",
+                         "qdesk-object: state unitary", "qdesk-kind: state"]),
+    "no_layout": (1, [None, "layouts: s0=l0", "Layout: s0=l0", "s0=l0"]),
+    "bad_layout": (1, ["layout: s0", "layout: s0=l0;", "layout:", "layout: =l0; s1"]),
+    "no_data": (2, [None, "data", "data: 1", "Data:", "1,0"]),
+}
+
+
 @st.composite
 def _serialized_cases(draw) -> tuple[str, str]:
-    """(text, kind): a serialized object whose body is canonical, wide, midpoint or mutated."""
+    """(text, kind): a serialized object whose body is canonical, wide, midpoint or mutated,
+    under a header that is sound or has one fault."""
     kind = draw(st.sampled_from(KINDS))
     dims = draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))
     layout = "; ".join(f"s{i}=" + ",".join(f"l{k}" for k in range(d)) for i, d in enumerate(dims))
@@ -305,6 +319,15 @@ def _serialized_cases(draw) -> tuple[str, str]:
         if kind == "state" and sep != " ":  # a state line has no entry separator: put it in the entry
             lines = [ln.replace(",", "," + sep, 1) for ln in lines]
     head = [f"qdesk-object: {kind}", f"layout: {layout}", "data:"]
+    fault = draw(st.sampled_from([None] * 5 + ["short", "other_kind", *HEADER_FAULTS]))
+    if fault == "short":
+        head, lines = head[:draw(st.integers(0, 2))], []
+    elif fault == "other_kind":
+        head[0] = "qdesk-object: " + draw(st.sampled_from([k for k in KINDS if k != kind]))
+    elif fault is not None:
+        at, spellings = HEADER_FAULTS[fault]
+        spelling = draw(st.sampled_from(spellings))
+        head[at:at + 1] = [] if spelling is None else [spelling]
     return newline.join(head + lines) + newline, kind
 
 
@@ -319,6 +342,7 @@ def _outcome(read, text: str, kind: str):
 ZERO = f"{0.0:.16e}"
 
 
+@pytest.mark.kernel_independent
 @settings(max_examples=400, deadline=None)
 @given(_serialized_cases())
 # a bad token on line 4 comes before the short row on line 5
@@ -329,6 +353,7 @@ def test_body_reading_matches_the_row_by_row_oracle(case):
     assert _outcome(_parse_body, text, kind) == _outcome(read_serialized_body, text, kind)
 
 
+@pytest.mark.kernel_independent
 @pytest.mark.parametrize("token", ["9.0071992547409930e+15", "9.0071992547409950e+15",
                                    "4.5035996273704965e+15", "1.8014398509481986e+16",
                                    "-9.0071992547409930e+15", "1.0000000000000000e-99",
@@ -339,6 +364,7 @@ def test_canonical_reader_rounds_midpoints_and_extremes_as_float_does(token):
     assert entries.view(np.uint64).tolist() == [[_bits(float(token))] * 2]
 
 
+@pytest.mark.kernel_independent
 def test_canonical_reader_rounds_the_hardest_tokens_as_float_does():
     # every two-digit exponent, each binade its 17-digit mantissas reach: the token nearest a
     # midpoint, where the double-double product needs its float fallback
@@ -374,7 +400,7 @@ def test_generated_loop_scenarios_parse_bit_for_bit(tmp_path):
             parsed = load_scenario_file(str(path)).loop_unitary.matrix
             text = path.read_text(encoding="utf-8")
             text = text[text.index("qdesk-object:"):]
-            body = _parse_header(text)[2]
+            body = [line for _, line in _parse_header(text)[2]]
             assert _parse_canonical(body, len(body)) is not None, path.name  # the kernel reads it
             _, expected = read_serialized_body(text, "unitary")
             assert parsed.view(np.uint64).tobytes() == expected.view(np.uint64).tobytes(), path.name
